@@ -67,7 +67,12 @@ class ZeroDenominator(OpxError):
 
 
 class NonConvergent(OpxError):
-    """Two continued-fraction passes disagree at the depth cap."""
+    """An iteration did not settle before its cap.
+
+    Raised when two continued-fraction passes disagree at the depth cap, and
+    when node-doubling quadrature reaches its order cap or its successive
+    differences grow before they are small.
+    """
 
 
 class Divergent(OpxError):

@@ -24,7 +24,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import NotPositiveDefinite, ShiftInsideSupport
+from .errors import NonConvergent, NotPositiveDefinite, ShiftInsideSupport
 from .families import FamilySpec, recurrence_coefficients
 
 __all__ = [
@@ -127,6 +127,16 @@ def _rule_order_for_degree(degree: int) -> int:
     return max(1, degree // 2 + (degree % 2) + 2)  # ceil(d/2) + 2
 
 
+# roundoff floor of a quadrature sum, relative to its L1 scale sum |w_i f_i|:
+# the scale geronimus_data also measures for its own absolute floor
+_ROUNDOFF_FLOOR = 1e-14
+# once successive differences grow, the weights' own roundoff dominates; the
+# previous order is kept only if its difference was this small against its
+# L1 scale (the verify suites reach 9.4e-11 on Laguerre(0), 4.4e-11 on
+# Laguerre(0.5))
+_NOISE_ACCEPT = 1e-9
+
+
 def integrate_until_stable(
     family: FamilySpec,
     integrand: Callable[[np.ndarray], np.ndarray],
@@ -137,24 +147,44 @@ def integrate_until_stable(
 ) -> float:
     """Integrate a smooth non-polynomial integrand by node doubling.
 
-    Stops when two successive orders agree to ``rtol`` relative (or ``atol``
-    absolute, for values cancelling down to a noise floor); the last value
-    is returned even if the cap is reached (callers needing a hard guarantee
-    compare successive calls themselves).
+    Doubling stops at the first order whose value differs from the previous
+    order's by at most ``rtol`` relative, ``atol`` absolute, or the roundoff
+    floor 1e-14 * sum |w_i f_i| (values that cancel to about 0 can do no
+    better).  Golub-Welsch weights carry only absolute accuracy, so once the
+    difference between successive orders grows, more nodes only add noise:
+    the previous order's value is returned if its difference was within
+    1e-9 of the L1 scale.
+
+    Raises
+    ------
+    NonConvergent
+        If the differences grow from above that level, or ``max_order`` is
+        reached without meeting a stopping test.
     """
-    prev = None
+    prev = prev_diff = prev_l1 = None
     m = start_order
-    value = 0.0
     while m <= max_order:
         rule = gauss_rule(family, m)
+        terms = rule.weights * integrand(rule.nodes)
         # compensated summation: the integrand terms may be orders of
         # magnitude larger than the value they cancel down to
-        value = math.fsum(rule.weights * integrand(rule.nodes))
-        if prev is not None and abs(value - prev) <= max(rtol * abs(value), atol):
-            return value
-        prev = value
+        value = math.fsum(terms)
+        l1 = float(np.sum(np.abs(terms)))
+        if prev is not None:
+            diff = abs(value - prev)
+            if diff <= max(rtol * abs(value), atol, _ROUNDOFF_FLOOR * l1):
+                return value
+            if prev_diff is not None and diff > prev_diff:
+                if prev_diff <= _NOISE_ACCEPT * prev_l1:
+                    return prev
+                raise NonConvergent(
+                    f"node doubling diverges at order {m}: successive differences "
+                    f"{prev_diff:.3g} then {diff:.3g} (L1 scale {prev_l1:.3g})"
+                )
+            prev_diff = diff
+        prev, prev_l1 = value, l1
         m *= 2
-    return value
+    raise NonConvergent(f"node doubling reached the cap of {max_order} nodes without settling")
 
 
 def _inside_support(family: FamilySpec, k: complex) -> bool:

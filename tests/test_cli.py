@@ -78,6 +78,16 @@ def test_verify_exit_codes_and_schema(schema):
     }
 
 
+def test_verify_laguerre_recovery_passes():
+    # the Geronimus orthogonality case on the half line once read 0.025
+    # against tol 1e-9, from a quadrature oracle doubling past its roundoff floor
+    code, out, err = run_cli(
+        ["verify", "--family", "laguerre", "--gamma", "0.5", "--suite", "recovery", "--seed", "0"]
+    )
+    assert code == 0, err
+    assert json.loads(out)["overall"] is True
+
+
 def test_verify_failure_exit_code():
     # an absurd tolerance forces a check failure -> exit 1
     code, out, _ = run_cli(

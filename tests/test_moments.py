@@ -15,6 +15,7 @@ from opx.moments import (
     apply_functional,
     cauchy_mass,
     gauss_rule,
+    integrate_until_stable,
     moment_sequence,
     orthogonality_residual,
 )
@@ -161,3 +162,68 @@ def test_orthogonality_residual_uvarov_polys(lag):
 def test_cauchy_mass_single_signed(cheb):
     # exact value of L(1/(2 - x)) for the Chebyshev weight is pi / sqrt(3)
     assert cauchy_mass(cheb, 2.0) == pytest.approx(math.pi / math.sqrt(3.0), rel=1e-12)
+
+
+def test_integral_cancelling_to_zero_stops_at_roundoff_floor(cheb):
+    # odd integrand on a symmetric weight: the value is 0 up to roundoff, so
+    # no relative test can pass and only the L1 floor stops the doubling
+    orders = []
+
+    def odd(xs):
+        orders.append(xs.size)
+        return xs / (4.0 - xs**2)
+
+    value = integrate_until_stable(cheb, odd)
+    assert max(orders) <= 64
+    assert abs(value) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "make_family, jump, message",
+    [(opx.chebyshev1, 0.5, "reached the cap"), (lambda: opx.jacobi(0.3, 0.7), 0.3, "diverges")],
+    ids=["chebyshev1-cap", "jacobi-growth"],
+)
+def test_integrand_that_never_settles_raises(make_family, jump, message):
+    # a jump inside the support: the error decays like 1/m on Chebyshev-1
+    # until the cap, and jumps about on Jacobi as nodes cross the step
+    with pytest.raises(opx.NonConvergent, match=message):
+        integrate_until_stable(make_family(), lambda xs: np.sign(xs - jump), max_order=256)
+
+
+def test_laguerre_geronimus_gram_entry_against_mpmath():
+    # Gram entry (6, 5) of the Laguerre(0.5) Geronimus sequence at k = -1;
+    # with the solved mass the functional is L(p / (x - k)), which mpmath
+    # integrates at 40 digits for the same polynomials (same A_n)
+    mp = pytest.importorskip("mpmath")
+    gamma, k = 0.5, -1.0
+    fam = opx.laguerre(gamma)
+    data = opx.geronimus_data(fam, k, 6)
+    kind = Geronimus(k, data.mass0)
+
+    def oracle(i, j):
+        def product(xs):
+            return opx.geronimus_poly(fam, k, i, xs, data) * opx.geronimus_poly(fam, k, j, xs, data)
+
+        return apply_functional(fam, kind, product, i + j)
+
+    mp.mp.dps = 40
+    g = mp.mpf(gamma)
+
+    def monic(n, x):
+        # x P_m = P_{m+1} + (2m + 1 + gamma) P_m + m (m + gamma) P_{m-1}
+        p_prev, p = mp.mpf(0), mp.mpf(1)
+        for m in range(n):
+            p_prev, p = p, (x - (2 * m + 1 + g)) * p - m * (m + g) * p_prev
+        return p
+
+    def transformed(n, x):
+        return monic(n, x) + mp.mpf(data.A[n]) * monic(n - 1, x)
+
+    def reference(i, j):
+        return mp.quad(
+            lambda x: transformed(i, x) * transformed(j, x) / (x - k) * x**g * mp.exp(-x),
+            [0, 1, 5, 20, 60, mp.inf],
+        )
+
+    scale = float(mp.sqrt(reference(6, 6) * reference(5, 5)))
+    assert abs(oracle(6, 5) - float(reference(6, 5))) <= 1e-11 * scale

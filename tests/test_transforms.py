@@ -41,15 +41,26 @@ def test_geronimus_poly_degree_zero(cheb):
     assert opx.geronimus_poly(cheb, 2.0, 0, 0.4) == 1.0
 
 
-def test_geronimus_orthogonality_with_solved_mass(cheb):
-    data = opx.geronimus_data(cheb, 2.0, 6)
-    polys = [lambda xs, n=n: opx.geronimus_poly(cheb, 2.0, n, xs, data) for n in range(7)]
-    gram = moments.orthogonality_residual(cheb, moments.Geronimus(2.0, data.mass0), polys, 6)
+@pytest.mark.parametrize(
+    "make_family, k",
+    [
+        (opx.chebyshev1, 2.0),
+        (lambda: opx.laguerre(0.5), -1.0),
+        (lambda: opx.jacobi(0.3, 0.7), -2.0),
+        (lambda: opx.laguerre(2.5), -3.0),
+    ],
+    ids=["chebyshev1-k2", "laguerre0.5-k-1", "jacobi-k-2", "laguerre2.5-k-3"],
+)
+def test_geronimus_orthogonality_with_solved_mass(make_family, k):
+    fam = make_family()
+    data = opx.geronimus_data(fam, k, 6)
+    polys = [lambda xs, n=n: opx.geronimus_poly(fam, k, n, xs, data) for n in range(7)]
+    gram = moments.orthogonality_residual(fam, moments.Geronimus(k, data.mass0), polys, 6)
     off = np.max(np.abs(gram - np.diag(np.diag(gram))))
     assert off <= 1e-9
     # mass0 solved from the (1,0) condition collapses to -L(1/(k-x))
-    c1 = cheb.coefficient(1)[0]
-    assert data.mass0 == pytest.approx(-cheb.mu0 / (2.0 - c1 + data.A[1]), rel=1e-12)
+    c1 = fam.coefficient(1)[0]
+    assert data.mass0 == pytest.approx(-fam.mu0 / (k - c1 + data.A[1]), rel=1e-12)
 
 
 def test_geronimus_mass0_solver(cheb):
