@@ -26,7 +26,7 @@ for m in range(n + 1):
     marker = "annihilated" if m <= n - 1 else "free"
     print(f"  L*(x^{m} Q_{n+1}) = {val:+.3e}   ({marker})")
 
-print("\ndifference-equation residuals |LHS - RHS| at x = 0.4, b = 0.3:")
+print("\ndifference-equation residuals |LHS - RHS| / sum |terms| at x = 0.4, b = 0.3:")
 for idx in range(1, 6):
     stated, derived = quasi.difference_equation_residual(ctx, 0.3, idx, 0.4)
     print(f"  n = {idx}: stated-index form {stated:.3e}   matrix-algebra form {derived:.3e}")

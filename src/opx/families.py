@@ -16,7 +16,7 @@ evaluated polynomials are 0-based by degree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,6 +58,9 @@ class FamilySpec:
         case).
     params : tuple
         Classical parameters, kept for reporting, e.g. ``(("gamma", 0.5),)``.
+
+    Every evaluator reads its coefficients from one memoised table per
+    family (``table``), which grows to the largest index asked for.
     """
 
     kind: str
@@ -65,12 +68,31 @@ class FamilySpec:
     support: tuple[float, float]
     mu0: float
     params: tuple[tuple[str, float], ...] = ()
+    # rows (c_m, lambda_m), m = 1..len; grown by table(), never mutated
+    _table: np.ndarray = field(default_factory=lambda: np.empty((0, 2)), init=False)
+
+    def table(self, n: int) -> np.ndarray:
+        """Read-only (n, 2) array of the pairs (c_m, lambda_m), m = 1..n.
+
+        The provider is asked only for indices beyond the largest n asked
+        for so far; the memoised table is complex once any coefficient is.
+        """
+        table = self._table
+        if n > len(table):
+            rows = [self.coeffs(m) for m in range(len(table) + 1, n + 1)]
+            dtype = complex if any(isinstance(v, complex) for p in rows for v in p) else float
+            table = np.concatenate([table, np.array(rows, dtype=dtype)])
+            table.flags.writeable = False
+            # a concurrent grower may replace a longer table with a shorter
+            # one; callers only read the local it returns, so that is safe
+            object.__setattr__(self, "_table", table)
+        return table[:n]
 
     def coefficient(self, n: int) -> tuple[float, float]:
         """Return (c_n, lambda_n) for 1-based index n."""
         if n < 1:
             raise ValueError(f"coefficient index must be >= 1, got {n}")
-        return self.coeffs(n)
+        return tuple(self.table(n)[n - 1])
 
     def __repr__(self) -> str:  # keep callables out of the repr
         ps = ", ".join(f"{k}={v}" for k, v in self.params)
@@ -182,28 +204,23 @@ def recurrence_coefficients(family: FamilySpec, n_max: int) -> np.ndarray:
     """Return the pairs (c_n, lambda_n) for n = 1..n_max as an (n_max, 2) array."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    pairs = [family.coefficient(n) for n in range(1, n_max + 1)]
-    dtype = complex if any(isinstance(v, complex) for p in pairs for v in p) else float
-    return np.array(pairs, dtype=dtype)
+    return family.table(n_max)
 
 
 def eval_table(family: FamilySpec, n: int, xs) -> np.ndarray:
     """Evaluate P_0..P_n at every point of ``xs``; shape (n+1, len(xs)).
 
-    Forward recurrence; complex points and complex coefficient providers are
-    supported transparently.
+    Forward recurrence on c_1..c_n and lambda_2..lambda_n; complex points
+    and complex coefficient providers are supported transparently.
     """
     xs = np.atleast_1d(np.asarray(xs))
-    want_complex = np.iscomplexobj(xs)
-    pairs = [family.coefficient(m) for m in range(1, n + 2)]
-    if any(isinstance(v, complex) for p in pairs for v in p):
-        want_complex = True
-    dtype = complex if want_complex else float
+    pairs = family.table(n)
+    dtype = complex if np.iscomplexobj(xs) or np.iscomplexobj(pairs) else float
     xs = xs.astype(dtype)
     table = np.empty((n + 1, xs.size), dtype=dtype)
     table[0] = 1.0
     if n >= 1:
-        table[1] = xs - pairs[0][0]
+        table[1] = xs - pairs[0, 0]
     for m in range(1, n):
         c_next, lam_next = pairs[m]
         table[m + 1] = (xs - c_next) * table[m] - lam_next * table[m - 1]
@@ -221,25 +238,19 @@ def eval_sequence(
     values = eval_table(family, n, [x])[:, 0]
     derivs = None
     if with_derivs:
+        pairs = family.table(n)
         derivs = np.zeros_like(values)
         if n >= 1:
             derivs[1] = 1.0
         for m in range(1, n):
-            c_next, lam_next = family.coefficient(m + 1)
+            c_next, lam_next = pairs[m]
             derivs[m + 1] = values[m] + (x - c_next) * derivs[m] - lam_next * derivs[m - 1]
     return PolySequence(x=x, values=values, derivs=derivs)
 
 
 def norm_products(family: FamilySpec, n: int) -> np.ndarray:
     """Products N_j = lambda_1 ... lambda_{j+1} for j = 0..n (equal to L(P_j^2))."""
-    out = np.empty(n + 1, dtype=complex)
-    prod = 1.0 + 0.0j
-    for j in range(n + 1):
-        prod = prod * family.coefficient(j + 1)[1]
-        out[j] = prod
-    if abs(out.imag).max() == 0.0:
-        return out.real
-    return out
+    return np.cumprod(family.table(n + 1)[:, 1])
 
 
 def monic_coefficient_table(
@@ -250,7 +261,8 @@ def monic_coefficient_table(
     ``pairs[m]`` holds (c_{m+1}, lambda_{m+1}).  Exact at desk scale; used for
     monicity / degree checks and the moment-functional solver.
     """
-    dtype = complex if any(isinstance(v, complex) for p in pairs for v in p) else float
+    pairs = np.asarray(pairs)
+    dtype = np.result_type(pairs, float)
     polys = [np.array([1.0], dtype=dtype)]
     if n_max >= 1:
         polys.append(np.array([-pairs[0][0], 1.0], dtype=dtype))

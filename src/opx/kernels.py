@@ -59,33 +59,27 @@ class KernelContext:
         self.k = k
         self.n_max = n_max
         top = n_max + 2  # P_j(k) for j = 0..n_max+2 (op_from_kernels needs n+2)
-        self.pk = eval_table(family, top + 1, [k])[:, 0]
-        pairs = [family.coefficient(n) for n in range(1, top + 3)]
-        self._pairs = pairs
+        c, lam = family.table(top + 2).T
+        self.pk = pk = eval_table(family, top + 1, [k])[:, 0]
         # zero detection against the recurrence-step scale (scale-relative, so
         # geometrically decaying but nonvanishing sequences pass at any n_max)
-        for j in range(1, top + 2):
-            c_j, lam_j = pairs[j - 1]
-            scale = abs((k - c_j) * self.pk[j - 1])
-            if j >= 2:
-                scale = max(scale, abs(lam_j * self.pk[j - 2]))
-            if abs(self.pk[j]) < ZERO_RTOL * scale or self.pk[j] == 0.0:
-                raise KernelUndefined(
-                    f"P_{j}({k}) = {self.pk[j]} vanishes; kernel sequence undefined"
-                )
+        scale = np.abs((k - c[: top + 1]) * pk[: top + 1])
+        scale[1:] = np.maximum(scale[1:], np.abs(lam[1 : top + 1] * pk[:top]))
+        vanishes = (np.abs(pk[1:]) < ZERO_RTOL * scale) | (pk[1:] == 0.0)
+        if vanishes.any():
+            j = int(np.argmax(vanishes)) + 1
+            raise KernelUndefined(f"P_{j}({k}) = {pk[j]} vanishes; kernel sequence undefined")
         self.norms = norm_products(family, top + 1)
         # ratio-form caches: rho_j = P_j/P_{j-1}, t_j = P_j^2/N_j, S_n = sum t_j
-        dtype = self.pk.dtype
-        rho = np.empty(top + 2, dtype=dtype)
-        t = np.empty(top + 2, dtype=dtype)
-        partials = np.empty(top + 2, dtype=dtype)
-        t[0] = 1.0 / pairs[0][1]
+        rho = np.empty(top + 2, dtype=pk.dtype)
+        t = np.empty(top + 2, dtype=pk.dtype)
+        partials = np.empty(top + 2, dtype=pk.dtype)
+        t[0] = 1.0 / lam[0]
         partials[0] = t[0]
         rho[0] = np.nan  # undefined; kept so rho[j] pairs with P_j/P_{j-1}
         for j in range(1, top + 2):
-            c_j, lam_j = pairs[j - 1]
-            rho[j] = (k - c_j) if j == 1 else (k - c_j) - lam_j / rho[j - 1]
-            t[j] = t[j - 1] * rho[j] ** 2 / pairs[j][1]
+            rho[j] = (k - c[j - 1]) if j == 1 else (k - c[j - 1]) - lam[j - 1] / rho[j - 1]
+            t[j] = t[j - 1] * rho[j] ** 2 / lam[j]
             partials[j] = partials[j - 1] + t[j]
         self.ratios = rho
         self.weighted_squares = t
@@ -143,18 +137,15 @@ def kernel_recurrence(ctx: KernelContext, n_max: int) -> np.ndarray:
     if n_max > ctx.n_max + 1:
         raise ValueError(f"n_max={n_max} exceeds context range {ctx.n_max + 1}")
     pk = ctx.pk
-    pairs = np.empty((n_max, 2), dtype=complex)
+    c, lam = ctx.family.table(n_max + 1).T
+    pairs = np.empty((n_max, 2), dtype=np.result_type(pk, c))
     for n in range(1, n_max + 1):
-        c_next = ctx.family.coefficient(n + 1)[0]
-        c_star = c_next - (pk[n] ** 2 - pk[n - 1] * pk[n + 1]) / (pk[n - 1] * pk[n])
+        c_star = c[n] - (pk[n] ** 2 - pk[n - 1] * pk[n + 1]) / (pk[n - 1] * pk[n])
         if n == 1:
-            lam_star = (ctx.family.coefficient(1)[0] - ctx.k) * ctx.family.mu0
+            lam_star = (c[0] - ctx.k) * ctx.family.mu0
         else:
-            lam_n = ctx.family.coefficient(n)[1]
-            lam_star = lam_n * pk[n] * pk[n - 2] / pk[n - 1] ** 2
+            lam_star = lam[n - 1] * pk[n] * pk[n - 2] / pk[n - 1] ** 2
         pairs[n - 1] = (c_star, lam_star)
-    if abs(pairs.imag).max() == 0.0:
-        return pairs.real
     return pairs
 
 
@@ -166,16 +157,13 @@ def kernel_family(ctx: KernelContext, n_max: int) -> FamilySpec:
     meaningful for the returned family.
     """
     pairs = kernel_recurrence(ctx, n_max)
-    table = [tuple(row) for row in pairs]
 
     def coeffs(n: int) -> tuple[float, float]:
-        if n > len(table):
-            raise ValueError(f"kernel_family cached only {len(table)} coefficients")
-        c, lam = table[n - 1]
-        return (c, lam)
+        if n > n_max:
+            raise ValueError(f"kernel_family cached only {n_max} coefficients")
+        return tuple(pairs[n - 1])
 
-    mu0_star = table[0][1]
-    return custom_family(coeffs, ctx.family.support, mu0_star)
+    return custom_family(coeffs, ctx.family.support, pairs[0, 1])
 
 
 def op_from_kernels(ctx: KernelContext, n: int, x):

@@ -94,16 +94,11 @@ def quasi_kernel(ctx: KernelContext, spec: QuasiSpec, n: int, x):
     )
 
 
-def _star_pairs(ctx: KernelContext, n_max: int) -> np.ndarray:
-    pairs = kernel_recurrence(ctx, n_max)
-    return np.atleast_2d(pairs)
-
-
 def difference_equation_coeffs(
     ctx: KernelContext, b: float, n: int
 ) -> tuple[DifferenceEqCoeffs, DifferenceEqCoeffs]:
     """Coefficients (D, J) of the order-one difference equation at indices n, n+1."""
-    pairs = _star_pairs(ctx, n + 3)
+    pairs = kernel_recurrence(ctx, n + 3)
     cs = pairs[:, 0]  # cs[m] = c*_{m+1}
     ls = pairs[:, 1]  # ls[m] = lambda*_{m+1}
 
@@ -119,15 +114,19 @@ def difference_equation_coeffs(
 def difference_equation_residual(
     ctx: KernelContext, b: float, n: int, x
 ) -> tuple[float, float]:
-    """Residuals (stated form, matrix-algebra form) of the difference equation.
+    """Relative residuals (stated form, matrix-algebra form) of the difference
+    equation at a point x.
 
     stated:  J_n Q_{n+2} - [D_{n+1} J_n - b J_{n+1}] Q_{n+1} + lam*_{n+1} J_{n+1} Q_n
     derived: J_{n+1} Q_{n+2} - [D_{n+1} J_{n+1} - b J_{n+2}] Q_{n+1} + lam*_{n+1} J_{n+2} Q_n
 
-    with Q_m = Pk_m + b Pk_{m-1} the monic order-one sequence.  The derived
-    form reduces to the kernel recurrence at b = 0; the stated form does not.
+    with Q_m = Pk_m + b Pk_{m-1} the monic order-one sequence.  Each residual
+    is divided by the sum of the magnitudes of its three terms, so it
+    measures cancellation against the size of what cancels (the terms grow
+    like x^(n+2) and like the norms of the family).  The derived form
+    reduces to the kernel recurrence at b = 0; the stated form does not.
     """
-    pairs = _star_pairs(ctx, n + 3)
+    pairs = kernel_recurrence(ctx, n + 3)
     cs = pairs[:, 0]
     ls = pairs[:, 1]
 
@@ -143,13 +142,18 @@ def difference_equation_residual(
         return kernel_poly(ctx, m, x) + b * kernel_poly(ctx, m - 1, x)
 
     q_n, q_n1, q_n2 = Q(n, x), Q(n + 1, x), Q(n + 2, x)
-    stated = J(n, x) * q_n2 - (D(n + 1, x) * J(n, x) - b * J(n + 1, x)) * q_n1 + ls[n] * J(n + 1, x) * q_n
-    derived = (
-        J(n + 1, x) * q_n2
-        - (D(n + 1, x) * J(n + 1, x) - b * J(n + 2, x)) * q_n1
-        + ls[n] * J(n + 2, x) * q_n
-    )
-    return float(abs(stated)), float(abs(derived))
+
+    def relative(j: int) -> float:
+        # the two forms differ only in the J subscripts: n, n+1 or n+1, n+2
+        terms = (
+            J(n + j, x) * q_n2,
+            -(D(n + 1, x) * J(n + j, x) - b * J(n + j + 1, x)) * q_n1,
+            ls[n] * J(n + j + 1, x) * q_n,
+        )
+        scale = sum(abs(t) for t in terms)
+        return float(abs(sum(terms)) / scale) if scale else 0.0
+
+    return relative(0), relative(1)
 
 
 @dataclass
@@ -314,7 +318,7 @@ def qk_orthogonality_check(
     ctx: KernelContext, alphas, n_max: int, tol: float = 1e-8
 ) -> QkOrthogonalityReport:
     """Run the orthogonality criteria for Q_n = Pk_n + sum alphas[m-1] Pk_{n-m}."""
-    pairs = _star_pairs(ctx, n_max + 1)
+    pairs = kernel_recurrence(ctx, n_max + 1)
     if np.iscomplexobj(pairs):
         raise ValueError("orthogonality criteria expect a real shift")
     return orthogonality_conditions(

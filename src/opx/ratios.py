@@ -98,21 +98,18 @@ class ContinuedFraction:
 
     partials: Callable[[int], tuple[float, int]]
     depth: int
-    lead: float = 1.0
 
 
-def _backward_pass(cf: ContinuedFraction, z: float, depth: int) -> tuple[float, bool]:
+def _backward_pass(cf: ContinuedFraction, z: float, depth: int) -> float:
     tail = 1.0
-    floored = False
     for j in range(depth, 0, -1):
         a_j, s_j = cf.partials(j)
         if abs(tail) < _TINY:
             tail = math.copysign(_TINY, tail if tail != 0.0 else 1.0)
-            floored = True
         tail = 1.0 + s_j * a_j * z / tail
     if abs(tail) < _TINY:
         raise ZeroDenominator("continued fraction denominator vanished at the top level")
-    return cf.lead / tail, floored
+    return 1.0 / tail
 
 
 def evaluate_cf(cf: ContinuedFraction, z: float, rtol: float = 1e-13) -> float:
@@ -122,8 +119,8 @@ def evaluate_cf(cf: ContinuedFraction, z: float, rtol: float = 1e-13) -> float:
     applied to vanishing intermediate denominators and counts as agreement
     only if both passes still match.
     """
-    v1, _ = _backward_pass(cf, z, cf.depth)
-    v2, _ = _backward_pass(cf, z, cf.depth + 10)
+    v1 = _backward_pass(cf, z, cf.depth)
+    v2 = _backward_pass(cf, z, cf.depth + 10)
     if abs(v1 - v2) > rtol * max(1.0, abs(v2)):
         raise NonConvergent(
             f"depth {cf.depth} and {cf.depth + 10} disagree: {v1} vs {v2}"

@@ -93,6 +93,15 @@ def _require_outside_support(family: FamilySpec, k: float, what: str) -> None:
         raise ShiftInsideSupport(f"{what} requires k outside the support [{a}, {b}], got {k}")
 
 
+def _require_nonvanishing(den: np.ndarray, lam: np.ndarray, what: str) -> None:
+    """Raise at the first n whose recovery denominator den[n-1] vanishes
+    against its scale max(1, |lambda_{n+1}|)."""
+    vanishes = np.abs(den) < 1e-13 * np.maximum(1.0, np.abs(lam))
+    if vanishes.any():
+        n = int(np.argmax(vanishes)) + 1
+        raise DegenerateDenominator(f"{what} denominator vanishes at n={n}")
+
+
 def _principal_integral(family: FamilySpec, k: float, n: int, atol: float = 0.0) -> float:
     """integral of P_n(x) / (k - x) dmu by node doubling."""
 
@@ -111,11 +120,11 @@ def _backward_integrals(family: FamilySpec, k: float, n_max: int, i0: float) -> 
     integrand 1/(k - x) never changes sign there.
     """
     top = n_max + 60
+    c, lam = family.table(top + 1).T
     trial = np.zeros(top + 2)
     trial[top] = 1.0
     for m in range(top, 0, -1):
-        c_next, lam_next = family.coefficient(m + 1)
-        trial[m - 1] = ((k - c_next) * trial[m] - trial[m + 1]) / lam_next
+        trial[m - 1] = ((k - c[m]) * trial[m] - trial[m + 1]) / lam[m]
         if abs(trial[m - 1]) > 1e250:
             trial /= trial[m - 1]
     return trial[: n_max + 1] * (i0 / trial[0])
@@ -185,21 +194,16 @@ def geronimus_family(
         data = geronimus_data(family, k, n_max + 1)
     if data.A.size < n_max + 2:
         raise ValueError(f"need A_1..A_{n_max + 1}; supplied data stops at {data.A.size - 1}")
-    a_seq = np.concatenate([[0.0], data.A[1:]])
-    table = []
-    for n in range(n_max + 1):
-        c_next, lam_next = family.coefficient(n + 1)
-        ct = c_next + a_seq[n] - a_seq[n + 1]
-        if n == 0:
-            table.append((ct, data.mass0))
-        else:
-            c_n = family.coefficient(n)[0]
-            table.append((ct, lam_next + a_seq[n] * (c_n - ct)))
+    a_seq = np.concatenate([[0.0], data.A[1 : n_max + 2]])
+    c, lam = family.table(n_max + 1).T
+    ct = c + a_seq[:-1] - a_seq[1:]
+    lt = lam + a_seq[:-1] * (np.concatenate([[np.nan], c[:-1]]) - ct)
+    lt[0] = data.mass0
 
     def coeffs(m: int) -> tuple[float, float]:
-        if m > len(table):
-            raise ValueError(f"geronimus_family cached only {len(table)} coefficients")
-        return table[m - 1]
+        if m > n_max + 1:
+            raise ValueError(f"geronimus_family cached only {n_max + 1} coefficients")
+        return ct[m - 1], lt[m - 1]
 
     return custom_family(coeffs, family.support, data.mass0)
 
@@ -257,13 +261,14 @@ def uvarov_data(family: FamilySpec, k: float, r0: float, n_max: int) -> UvarovDa
         raise ValueError("r0 must be nonzero")
     pk = eval_table(family, max(n_max, 1), [k])[:, 0].real
     norms = norm_products(family, max(n_max, 1)).real
+    kkk = np.cumsum(pk**2 / norms)[:n_max]  # K_n(k,k) partial sums
+    den = 1.0 + r0 * kkk
+    vanishes = np.abs(den) < 1e-13 * np.maximum(1.0, abs(r0) * kkk)
+    if vanishes.any():
+        n = int(np.argmax(vanishes)) + 1
+        raise DegenerateDenominator(f"Uvarov denominator 1 + r0 K_{n-1}(k,k) vanishes at n={n}")
     T = np.zeros(n_max + 1)
-    kkk = np.cumsum(pk**2 / norms)  # K_n(k,k) partial sums
-    for n in range(1, n_max + 1):
-        den = 1.0 + r0 * kkk[n - 1]
-        if abs(den) < 1e-13 * max(1.0, abs(r0) * kkk[n - 1]):
-            raise DegenerateDenominator(f"Uvarov denominator 1 + r0 K_{n-1}(k,k) vanishes at n={n}")
-        T[n] = r0 * pk[n] * pk[n - 1] / (norms[n - 1] * den)
+    T[1:] = r0 * pk[1 : n_max + 1] * pk[:n_max] / (norms[:n_max] * den)
     return UvarovData(k=k, r0=r0, T=T)
 
 
@@ -301,16 +306,14 @@ def recover_christoffel(
     B = np.asarray(B)
     if B.size < n_max:
         raise ValueError(f"need B_1..B_{n_max}, got {B.size} values")
-    pk1 = eval_table(family, n_max + 2, [k1])[:, 0]
-    pk2 = eval_table(family, n_max + 2, [k2])[:, 0]
+    pk1 = eval_table(family, n_max + 1, [k1])[:, 0]
+    pk2 = eval_table(family, n_max, [k2])[:, 0]
+    c, lam = family.table(n_max + 1)[1:].T  # c_{n+2}, lambda_{n+2} at [n]
+    b_next = B[:n_max]  # B_{n+1} at [n]
     gamma = np.full(n_max + 1, np.nan, dtype=complex)
     eta = np.full(n_max + 1, np.nan, dtype=complex)
-    for n in range(n_max):
-        lam = family.coefficient(n + 2)[1]
-        c = family.coefficient(n + 2)[0]
-        b_next = B[n]  # B_{n+1}
-        eta[n] = -(lam + b_next * pk1[n + 1] / pk1[n]) * pk2[n] / pk2[n + 1]
-        gamma[n] = c + pk1[n + 2] / pk1[n + 1] - b_next - eta[n]
+    eta[:n_max] = -(lam + b_next * pk1[1:-1] / pk1[:-2]) * pk2[:-1] / pk2[1:]
+    gamma[:n_max] = c + pk1[2:] / pk1[1:-1] - b_next - eta[:n_max]
     if abs(gamma.imag[~np.isnan(gamma.real)]).max(initial=0.0) == 0.0:
         gamma, eta = gamma.real, eta.real
     return RecoveryCoefficients(kind="christoffel", gamma=gamma, eta=eta)
@@ -349,18 +352,17 @@ def recover_geronimus(
         raise ValueError(f"need Btilde_1..Btilde_{n_max}, got {Btilde.size} values")
     gdata = geronimus_data(family, k1, n_max + 1)
     pk2 = eval_table(family, n_max + 1, [k2])[:, 0]
+    c, lam = family.table(n_max + 1)[1:].T  # c_{n+1}, lambda_{n+1} at [n-1]
+    bt = Btilde[:n_max]
+    den = lam + bt * pk2[1:-1] / pk2[:-2]
+    _require_nonvanishing(den, lam, "recover_geronimus")
     alpha = np.full(n_max + 1, np.nan, dtype=complex)
     gamma = np.full(n_max + 1, np.nan, dtype=complex)
     eta = np.full(n_max + 1, np.nan, dtype=complex)
-    for n in range(1, n_max + 1):
-        c, lam = family.coefficient(n + 1)
-        bt = Btilde[n - 1]
-        den = lam + bt * pk2[n] / pk2[n - 1]
-        if abs(den) < 1e-13 * max(1.0, abs(lam)):
-            raise DegenerateDenominator(f"recover_geronimus denominator vanishes at n={n}")
-        eta[n] = -lam / den
-        alpha[n] = 1.0 + eta[n]
-        gamma[n] = c * (1.0 + eta[n]) - gdata.A[n + 1] + eta[n] * pk2[n + 1] / pk2[n] - eta[n] * bt
+    eta[1:] = -lam / den
+    e = eta[1:]
+    alpha[1:] = 1.0 + e
+    gamma[1:] = c * (1.0 + e) - gdata.A[2 : n_max + 2] + e * pk2[2:] / pk2[1:-1] - e * bt
     if abs(np.nan_to_num(gamma.imag)).max() == 0.0:
         alpha, gamma, eta = alpha.real, gamma.real, eta.real
     return RecoveryCoefficients(kind="geronimus", alpha=alpha, gamma=gamma, eta=eta)
@@ -403,18 +405,16 @@ def recover_uvarov(
     udata = uvarov_data(family, k1, r0, n_max)
     pk1 = eval_table(family, n_max + 1, [k1])[:, 0].real
     pk2 = eval_table(family, n_max + 1, [k2])[:, 0]
+    c, lam = family.table(n_max + 1)[1:].T  # c_{n+1}, lambda_{n+1} at [n-1]
+    bt = Btilde[:n_max]
+    den = bt * pk2[1:-1] / pk2[:-2] + lam
+    _require_nonvanishing(den, lam, "recover_uvarov")
     alpha = np.full(n_max + 1, np.nan, dtype=complex)
     beta = np.full(n_max + 1, np.nan, dtype=complex)
     eta = np.full(n_max + 1, np.nan, dtype=complex)
-    for n in range(1, n_max + 1):
-        c, lam = family.coefficient(n + 1)
-        bt = Btilde[n - 1]
-        den = bt * pk2[n] / pk2[n - 1] + lam
-        if abs(den) < 1e-13 * max(1.0, abs(lam)):
-            raise DegenerateDenominator(f"recover_uvarov denominator vanishes at n={n}")
-        eta[n] = udata.T[n] * (pk1[n] / pk1[n - 1]) / den
-        alpha[n] = 1.0 + eta[n]
-        beta[n] = k1 + udata.T[n] + (c - bt + pk2[n + 1] / pk2[n]) * eta[n]
+    eta[1:] = udata.T[1:] * (pk1[1:-1] / pk1[:-2]) / den
+    alpha[1:] = 1.0 + eta[1:]
+    beta[1:] = k1 + udata.T[1:] + (c - bt + pk2[2:] / pk2[1:-1]) * eta[1:]
     if abs(np.nan_to_num(beta.imag)).max() == 0.0:
         alpha, beta, eta = alpha.real, beta.real, eta.real
     return RecoveryCoefficients(kind="uvarov", alpha=alpha, beta=beta, gamma=beta, eta=eta)
@@ -457,12 +457,13 @@ def order2_constraint_rhs(
     """
     pk1 = eval_table(family, n_max + 2, [k1])[:, 0]
     ctx = KernelContext(family, k2, n_max + 2)
-    ictx = IteratedKernelContext(ctx, k3)
+    star = IteratedKernelContext(ctx, k3).star_values
+    up = slice(2, n_max + 2)  # index n+1 at [n-1]
+    down = slice(1, n_max + 1)  # index n at [n-1]
     out = np.empty(n_max + 1, dtype=complex)
     out[0] = np.nan
-    for n in range(1, n_max + 1):
-        star_ratio = ictx.star_values[n + 1] / ictx.star_values[n]
-        out[n] = pk1[n + 2] / pk1[n + 1] - ctx.pk[n + 2] / ctx.pk[n + 1] - star_ratio
+    pk2 = ctx.pk[: n_max + 3]
+    out[1:] = pk1[3:] / pk1[up] - pk2[3:] / pk2[up] - star[up] / star[down]
     return out
 
 
@@ -488,26 +489,27 @@ def recover_order2(
     Mtilde = np.asarray(Mtilde, dtype=complex)
     if Ltilde.size < n_max or Mtilde.size < n_max:
         raise ValueError(f"need Ltilde_1..Ltilde_{n_max} and Mtilde_1..Mtilde_{n_max}")
-    pk1 = eval_table(family, n_max + 2, [k1])[:, 0]
+    pk1 = eval_table(family, n_max + 1, [k1])[:, 0]
     ctx = KernelContext(family, k2, n_max + 2)
     ictx = IteratedKernelContext(ctx, k3)
-    rhs = order2_constraint_rhs(family, k1, k2, k3, n_max)
+    rhs = order2_constraint_rhs(family, k1, k2, k3, n_max)[1:]
+    pairs = family.table(n_max + 2)
+    c, lam, lam2 = pairs[1:-1, 0], pairs[1:-1, 1], pairs[2:, 1]  # indices n+1, n+1, n+2
+    lt, mt = Ltilde[:n_max], Mtilde[:n_max]
+    lhs = lt + mt * pk1[1:-1] / (lam * pk1[:-2])
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    violated = np.abs(lhs - rhs) > constraint_tol * scale
+    if violated.any():
+        i = int(np.argmax(violated))
+        raise ConstraintViolated(
+            f"(Ltilde_{i + 1}, Mtilde_{i + 1}) violate the compatibility constraint: "
+            f"|{lhs[i]} - {rhs[i]}| > {constraint_tol} * {scale[i]}"
+        )
     alpha = np.full(n_max + 1, np.nan, dtype=complex)
     beta = np.full(n_max + 1, np.nan, dtype=complex)
-    for n in range(1, n_max + 1):
-        c, lam = family.coefficient(n + 1)
-        lam2 = family.coefficient(n + 2)[1]
-        lt, mt = Ltilde[n - 1], Mtilde[n - 1]
-        lhs = lt + mt * pk1[n] / (lam * pk1[n - 1])
-        scale = max(1.0, abs(lhs), abs(rhs[n]))
-        if abs(lhs - rhs[n]) > constraint_tol * scale:
-            raise ConstraintViolated(
-                f"(Ltilde_{n}, Mtilde_{n}) violate the compatibility constraint: "
-                f"|{lhs} - {rhs[n]}| > {constraint_tol} * {scale}"
-            )
-        alpha[n] = -(1.0 / lam) * mt * pk1[n] / pk1[n - 1]
-        cross_ratio = ictx.cd_cross[n + 1] / ictx.cd_cross[n]
-        beta[n] = lt * pk1[n + 1] / pk1[n] - mt + lam2 * cross_ratio + alpha[n] * c
+    alpha[1:] = -(1.0 / lam) * mt * pk1[1:-1] / pk1[:-2]
+    cross_ratio = ictx.cd_cross[2 : n_max + 2] / ictx.cd_cross[1 : n_max + 1]
+    beta[1:] = lt * pk1[2:] / pk1[1:-1] - mt + lam2 * cross_ratio + alpha[1:] * c
     return RecoveryCoefficients(kind="order2", alpha=alpha, beta=beta)
 
 

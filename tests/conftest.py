@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 import opx
+from opx.cli import _sample_points as sample_points  # noqa: F401  (imported by the test modules)
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
@@ -26,10 +27,3 @@ def jac():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-def sample_points(family, rng, count):
-    a, b = family.support
-    if np.isinf(b):
-        return rng.uniform(a, a + 10.0, count)
-    return rng.uniform(a, b, count)

@@ -206,3 +206,31 @@ def test_all_report_commands_validate_against_schema(schema):
         code, out, _ = run_cli(args)
         assert code == 0, args
         jsonschema.validate(json.loads(out), schema)
+
+
+def test_custom_file_rows_up_to_n_max_suffice(tmp_path):
+    # P_0..P_n need c_1..c_n and lambda_2..lambda_n, so rows n = 1..4 serve --n-max 4
+    path = tmp_path / "coeffs.csv"
+    path.write_text("n,c_n,lambda_n\n1,0.1,2.0\n2,0.2,0.5\n3,-0.1,0.3\n4,0.05,0.25\n")
+    base = ["eval", "--family", "custom", "--coeffs", str(path), "--support=-1,1",
+            "--points=0.3", "--points=-0.7", "--output", "csv"]
+    code4, out4, err4 = run_cli([*base, "--n-max", "4"])
+    code3, out3, _ = run_cli([*base, "--n-max", "3"])
+    assert (code4, code3) == (0, 0), err4
+    rows4 = list(csv.reader(io.StringIO(out4)))
+    rows3 = list(csv.reader(io.StringIO(out3)))
+    # rows run point by point, degrees 0..n within each point
+    assert [r for r in rows4 if r[0] != "4"] == rows3
+    assert len(rows4) == len(rows3) + 2
+
+
+def test_verify_laguerre_quasi_seed_138_passes():
+    # b = -1.5, n = 5 at x < 0.07: the derived form's terms reach ~1e7 and
+    # cancel to rounding; the residual is measured against their size
+    code, out, _ = run_cli(
+        ["verify", "--family", "laguerre", "--gamma", "0.5", "--suite", "quasi", "--seed", "138"]
+    )
+    report = json.loads(out)
+    case = next(c for c in report["cases"] if c["name"] == "difference_equation_proof_form")
+    assert case["pass"] is True
+    assert code == 0

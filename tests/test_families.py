@@ -159,3 +159,23 @@ def test_custom_family_provider_roundtrip(cheb):
 def test_recurrence_coefficients_validates_n_max(cheb):
     with pytest.raises(ValueError):
         opx.recurrence_coefficients(cheb, 0)
+
+
+def test_coefficient_table_grows_only_to_the_index_asked_for(cheb):
+    asked = []
+
+    def provider(n):
+        asked.append(n)
+        return cheb.coefficient(n)
+
+    fam = opx.FamilySpec("custom", provider, (-1.0, 1.0), math.pi)
+    assert asked == []  # building a family fetches nothing
+    opx.eval_table(fam, 4, [0.3])
+    assert asked == [1, 2, 3, 4]  # P_0..P_4 need c_1..c_4, lambda_2..lambda_4
+    opx.eval_table(fam, 2, [0.3])
+    assert fam.coefficient(3) == cheb.coefficient(3)
+    assert asked == [1, 2, 3, 4]  # memoised
+    opx.norm_products(fam, 5)
+    assert asked == [1, 2, 3, 4, 5, 6]  # grows to the index asked for, no further
+    with pytest.raises(ValueError):
+        fam.table(6)[0, 0] = 1.0  # slices are read-only views

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import opx
+from conftest import sample_points
 from opx import moments, quasi
 
 
@@ -131,6 +132,27 @@ def test_difference_equation_stated_form_recorded(cheb):
     ctx = opx.KernelContext(cheb, 2.0, 8)
     stated, proof = quasi.difference_equation_residual(ctx, 0.3, 3, 0.4)
     assert np.isfinite(stated) and proof <= 1e-12
+
+
+@pytest.mark.parametrize("make_family, k", [
+    (opx.chebyshev1, 2.0),
+    (lambda: opx.laguerre(0.5), -1.0),
+    (lambda: opx.jacobi(0.3, 0.7), -2.0),
+])
+def test_relative_difference_equation_residual_separates_the_forms(make_family, k, rng):
+    # both residuals are relative to their own terms: the derived form sits
+    # at rounding on every family, the stated form stays far above 1e-9
+    fam = make_family()
+    ctx = opx.KernelContext(fam, k, 14)
+    stated_worst = proof_worst = 0.0
+    for b in (0.3, -0.3, 1.5, -1.5):
+        for n in range(1, 8):
+            for x in sample_points(fam, rng, 5):
+                stated, proof = quasi.difference_equation_residual(ctx, b, n, x)
+                stated_worst = max(stated_worst, stated)
+                proof_worst = max(proof_worst, proof)
+    assert proof_worst <= 1e-9
+    assert stated_worst > 1e-9
 
 
 def test_qk_invalid_alphas(cheb):

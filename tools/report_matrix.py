@@ -1,0 +1,77 @@
+"""Byte-identity matrix: run a fixed set of opx commands and hash each report.
+
+Runs every configuration in process against the ``src`` directory beside
+this script and prints one line ``name exit sha256`` per configuration.
+``runtime_ms`` is blanked, and of stderr only the ``opx:`` error lines are
+hashed with the report (warnings name source paths), so two checkouts that
+keep the determinism contract print identical lines.  Run it from any
+directory:
+
+    python3 tools/report_matrix.py > matrix.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from opx.cli import main  # noqa: E402
+
+FAMILIES = {
+    "chebyshev1": ["--family", "chebyshev1"],
+    "laguerre0": ["--family", "laguerre", "--gamma", "0"],
+    "laguerre0.5": ["--family", "laguerre", "--gamma", "0.5"],
+    "jacobi": ["--family", "jacobi", "--gamma", "0.3", "--delta", "0.7"],
+}
+SUITES = ("kernels", "quasi", "recovery", "ratios", "chains")
+KINDS = ("christoffel", "geronimus", "uvarov", "order2")
+# the benchmark's ratio-table (family, shift) pairs
+RATIOS = (
+    ("chebyshev1", "1"), ("chebyshev1", "2"), ("laguerre0.5", "-1"), ("jacobi", "1"), ("jacobi", "1.5")
+)
+COEFFS = "n,c_n,lambda_n\n1,0.1,2.0\n2,0.2,0.5\n3,-0.1,0.3\n4,0.05,0.25\n"
+
+
+def configs():
+    for fam, flags in FAMILIES.items():
+        for seed in ("1", "7"):
+            for suite in SUITES:
+                yield f"verify.{suite}.{fam}.s{seed}", ["verify", "--suite", suite, *flags, "--seed", seed]
+            for kind in KINDS:
+                yield f"recover.{kind}.{fam}.s{seed}", ["recover", "--kind", kind, *flags, "--seed", seed]
+        points = ["--points=-0.5", "--points=0.25", "--points=0.9"]
+        yield f"eval.{fam}", ["eval", *flags, "--derivs", *points]
+        yield f"kernel.{fam}", ["kernel", *flags, *points]
+    for fam, shift in RATIOS:
+        yield f"ratio.{fam}.k{shift}", ["ratio", *FAMILIES[fam], f"--shift={shift}", "--n-max", "1000"]
+    yield "chain.quarter", ["chain", "--l-const", "0.25"]
+    custom = ["--family", "custom", "--coeffs", "coeffs.csv", "--support=-1,1", "--n-max", "3"]
+    yield "eval.custom", ["eval", *custom, "--points=0.3"]
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    errors = "".join(line for line in err.getvalue().splitlines(True) if line.startswith("opx:"))
+    text = re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', out.getvalue()) + errors
+    return code, hashlib.sha256(text.encode()).hexdigest()
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        # the custom family's file is named relative to the working
+        # directory, because its path is echoed into the report
+        os.chdir(tmp)
+        Path("coeffs.csv").write_text(COEFFS)
+        for name, argv in configs():
+            code, digest = run(argv)
+            print(name, code, digest, flush=True)
