@@ -32,5 +32,6 @@ print("\nLaguerre lambda/(c c) quotient chain:", opx.chain_params(quot).positive
 # partial numerators of the Gauss-ratio fraction form a g-sequence, hence a
 # positive chain sequence for 0 < p <= q < r
 p, q, r = 0.8, 1.4, 2.1
-l = [(1 - _gauss_g(p, q, r, j - 1)) * _gauss_g(p, q, r, j) for j in range(1, 51)]
+g = _gauss_g(p, q, r, 50)
+l = (1 - g[:-1]) * g[1:]
 print("g-fraction chain sequence positive:", opx.chain_params(l).positive)

@@ -69,7 +69,6 @@ from .quasi import (
 )
 from .ratios import (
     ChainSequence,
-    ContinuedFraction,
     chain_params,
     confluent_cd,
     evaluate_cf,

@@ -520,7 +520,7 @@ def _suite_ratios(fam, cfg: RunConfig, rng) -> list[dict]:
             lhs, rhs = ratios.confluent_cd(fam, n, x)
             worst = max(worst, abs(lhs - rhs) / abs(lhs))
     cases.append(_case("confluent_cd_identity", worst, 1e-10))
-    k = next(s for s in _default_shifts(cfg))
+    k = _default_shifts(cfg)[0]
     ctx = kernels.KernelContext(fam, k, n_max + 2)
     worst = 0.0
     for n in range(0, n_max + 1):
@@ -619,13 +619,8 @@ def _suite_chains(fam, cfg: RunConfig, rng) -> list[dict]:
         p = float(rng.uniform(0.1, 2.0))
         q = p + float(rng.uniform(0.0, 1.0))
         r = q + float(rng.uniform(0.1, 1.0))
-        g = [0.0] + [
-            (q + (j + 1) // 2 - 1) / (r + 2 * ((j + 1) // 2) - 2)
-            if j % 2 == 1
-            else (p + j // 2) / (r + 2 * (j // 2) - 1)
-            for j in range(1, 51)
-        ]
-        l = [(1.0 - g[j - 1]) * g[j] for j in range(1, 51)]
+        g = ratios._gauss_g(p, q, r, 50)
+        l = (1.0 - g[:-1]) * g[1:]
         seq = ratios.chain_params(l)
         worst = max(worst, 0.0 if seq.positive else 1.0)
     cases.append(_case("g_sequence_chain_positive", worst, 0.5))
@@ -745,6 +740,8 @@ def _parse(argv: list[str]) -> RunConfig:
         raise UsageError(f"--n-max must be >= 1, got {cfg.n_max}")
     if cfg.tol <= 0:
         raise UsageError(f"--tol must be positive, got {cfg.tol}")
+    if cfg.depth < 1:
+        raise UsageError(f"--depth must be >= 1, got {cfg.depth}")
     return cfg
 
 

@@ -11,17 +11,17 @@ reciprocal direction replaces (1 + t_{n+1}/S_n) by (1 - t_{n+1}/S_{n+1}),
 so the product of the two directions is exactly 1.  Evaluation runs on the
 ratio-form context caches and therefore stays finite out to n ~ 10^3.
 
-Continued fractions are written as 1/(1 + s_1 a_1 z/(1 + s_2 a_2 z/(...)))
-with explicit per-term signs s_j; they are evaluated by backward recurrence
-at the requested depth and again at depth+10, with a tiny-floor rescue for
-vanishing intermediate denominators.
+Every continued fraction 1/(1 + s_1 a_1 z/(1 + s_2 a_2 z/(...))) is held as
+one float array of signed partial numerators b_j = s_j a_j, j = 1..depth+10,
+built once by a vectorised formula; it is evaluated by backward recurrence
+at the requested depth (>= 1) and again at depth+10, with a tiny-floor rescue
+for vanishing intermediate denominators.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .kernels import KernelContext
 __all__ = [
     "confluent_cd",
     "kernel_ratio_limit",
-    "ContinuedFraction",
     "evaluate_cf",
     "gauss_cf_ratio",
     "kummer_cf_ratio",
@@ -88,54 +87,46 @@ def kernel_ratio_limit(ctx: KernelContext, n: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
-    """1/(1 + s_1 a_1 z / (1 + s_2 a_2 z / ...)) to a fixed depth.
-
-    ``partials(j)`` returns (a_j, s_j) for j >= 1 with s_j in {+1, -1}.
-    The leading numerator is always 1.
-    """
-
-    partials: Callable[[int], tuple[float, int]]
-    depth: int
-
-
-def _backward_pass(cf: ContinuedFraction, z: float, depth: int) -> float:
+def _backward_pass(b: np.ndarray, z: float, depth: int) -> float:
     tail = 1.0
-    for j in range(depth, 0, -1):
-        a_j, s_j = cf.partials(j)
+    for b_j in b[:depth][::-1].tolist():
         if abs(tail) < _TINY:
             tail = math.copysign(_TINY, tail if tail != 0.0 else 1.0)
-        tail = 1.0 + s_j * a_j * z / tail
+        tail = 1.0 + b_j * z / tail
     if abs(tail) < _TINY:
         raise ZeroDenominator("continued fraction denominator vanished at the top level")
     return 1.0 / tail
 
 
-def evaluate_cf(cf: ContinuedFraction, z: float, rtol: float = 1e-13) -> float:
-    """Evaluate by backward recurrence at depth and depth+10.
+def evaluate_cf(b: np.ndarray, z: float, depth: int, rtol: float = 1e-13) -> float:
+    """Evaluate 1/(1 + b_1 z/(1 + b_2 z/...)) at depth and depth+10.
 
-    The two passes must agree to ``rtol`` relative; a tiny-floor rescue is
-    applied to vanishing intermediate denominators and counts as agreement
-    only if both passes still match.
+    ``b`` holds the signed partial numerators b_1..b_{depth+10} (the leading
+    numerator is always 1).  The two backward passes must agree to ``rtol``
+    relative; a tiny-floor rescue is applied to vanishing intermediate
+    denominators and counts as agreement only if both passes still match.
     """
-    v1 = _backward_pass(cf, z, cf.depth)
-    v2 = _backward_pass(cf, z, cf.depth + 10)
+    if depth < 1:
+        raise ParameterOutOfRange(f"depth must be >= 1, got {depth}")
+    if len(b) < depth + 10:
+        raise ValueError(f"need {depth + 10} partial numerators, got {len(b)}")
+    v1 = _backward_pass(b, z, depth)
+    v2 = _backward_pass(b, z, depth + 10)
     if abs(v1 - v2) > rtol * max(1.0, abs(v2)):
-        raise NonConvergent(
-            f"depth {cf.depth} and {cf.depth + 10} disagree: {v1} vs {v2}"
-        )
+        raise NonConvergent(f"depth {depth} and {depth + 10} disagree: {v1} vs {v2}")
     return v2
 
 
-def _gauss_g(p: float, q: float, r: float, j: int) -> float:
-    if j == 0:
-        return 0.0
-    if j % 2 == 0:
-        k = j // 2
-        return (p + k) / (r + 2 * k - 1)
+def _gauss_g(p: float, q: float, r: float, m: int) -> np.ndarray:
+    """g_0..g_m: g_0 = 0, g_{2k} = (p+k)/(r+2k-1), g_{2k-1} = (q+k-1)/(r+2k-2)."""
+    j = np.arange(m + 1.0)
     k = (j + 1) // 2
-    return (q + k - 1) / (r + 2 * k - 2)
+    # np.where evaluates both rows at every j; a discarded value divides by
+    # zero at r = 1 or 2
+    with np.errstate(all="ignore"):
+        g = np.where(j % 2 == 0, (p + k) / (r + 2 * k - 1), (q + k - 1) / (r + 2 * k - 2))
+    g[:1] = 0.0
+    return g
 
 
 def gauss_cf_ratio(p: float, q: float, r: float, z: float, depth: int = 60) -> float:
@@ -150,24 +141,29 @@ def gauss_cf_ratio(p: float, q: float, r: float, z: float, depth: int = 60) -> f
     terminating = (p <= 0 and float(p).is_integer()) or (q <= 0 and float(q).is_integer())
     if not terminating and abs(z) >= 1.0:
         raise Divergent(f"non-terminating ratio needs |z| < 1, got z={z}")
-
-    def partials(j: int) -> tuple[float, int]:
-        return (1.0 - _gauss_g(p, q, r, j - 1)) * _gauss_g(p, q, r, j), -1
-
-    return evaluate_cf(ContinuedFraction(partials, depth), z)
+    g = _gauss_g(p, q, r, depth + 10)
+    return evaluate_cf(-((1.0 - g[:-1]) * g[1:]), z, depth)
 
 
-def _kummer_d(p: float, r: float, j: int) -> float:
-    # q -> infinity limit of (1 - g_{j-1}) g_j / q; the odd rows for j >= 3
-    # are (r - p + k - 2)/((r + 2k - 3)(r + 2k - 2)), which is what the
-    # series oracle confirms (an index-shifted variant also circulates).
-    if j == 1:
-        return 1.0 / r
-    if j % 2 == 0:
-        k = j // 2
-        return -(p + k) / ((r + 2 * k - 1) * (r + 2 * k - 2))
+def _kummer_d(p: float, r: float, m: int) -> np.ndarray:
+    """d_1..d_m, the q -> infinity limit of (1 - g_{j-1}) g_j / q.
+
+    d_1 = 1/r, d_{2k} = -(p+k)/((r+2k-1)(r+2k-2)), and for k >= 2
+    d_{2k-1} = (r-p+k-2)/((r+2k-3)(r+2k-2)), which is what the series
+    oracle confirms (an index-shifted variant also circulates).
+    """
+    j = np.arange(1.0, m + 1)
     k = (j + 1) // 2
-    return (r - p + k - 2) / ((r + 2 * k - 3) * (r + 2 * k - 2))
+    # np.where evaluates both rows at every j, and the odd row is replaced at
+    # j = 1; a discarded value divides by zero at r = 1
+    with np.errstate(all="ignore"):
+        d = np.where(
+            j % 2 == 0,
+            -(p + k) / ((r + 2 * k - 1) * (r + 2 * k - 2)),
+            (r - p + k - 2) / ((r + 2 * k - 3) * (r + 2 * k - 2)),
+        )
+    d[:1] = 1.0 / r
+    return d
 
 
 def kummer_cf_ratio(p: float, r: float, z: float, depth: int = 60) -> float:
@@ -177,11 +173,7 @@ def kummer_cf_ratio(p: float, r: float, z: float, depth: int = 60) -> float:
     """
     if r <= 0.0 and float(r).is_integer():
         raise ParameterOutOfRange(f"r must avoid nonpositive integers, got {r}")
-
-    def partials(j: int) -> tuple[float, int]:
-        return _kummer_d(p, r, j), -1
-
-    return evaluate_cf(ContinuedFraction(partials, depth), z)
+    return evaluate_cf(-_kummer_d(p, r, depth + 10), z, depth)
 
 
 def laguerre_ratio_cf(
@@ -207,10 +199,7 @@ def laguerre_ratio_cf(
     if n < 1:
         raise ParameterOutOfRange(f"n must be >= 1, got {n}")
 
-    def partials(j: int) -> tuple[float, int]:
-        return _kummer_d(-float(n), gamma + 2.0, j), +1
-
-    cf_value = evaluate_cf(ContinuedFraction(partials, depth), x)
+    cf_value = evaluate_cf(_kummer_d(-float(n), gamma + 2.0, depth + 10), x, depth)
 
     def log_beta(a: float, b: float) -> float:
         return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
@@ -237,16 +226,11 @@ def laguerre_mixed_cf(gamma: float, n: int, x: float, depth: int = 60) -> float:
     if gamma <= -1.0:
         raise ParameterOutOfRange(f"gamma must exceed -1, got {gamma}")
 
-    def partials(j: int) -> tuple[float, int]:
-        if j % 2 == 1:
-            k = (j - 1) // 2
-            coef = (n + k + gamma + 1.0) / ((gamma + 2 * k + 1.0) * (gamma + 2 * k + 2.0))
-        else:
-            k = (j - 2) // 2
-            coef = (1.0 - n + k) / ((gamma + 2 * k + 1.0) * (gamma + 2 * k + 2.0))
-        return coef, (+1 if j % 2 == 1 else -1)
-
-    return evaluate_cf(ContinuedFraction(partials, depth), x)
+    j = np.arange(1.0, depth + 11)
+    k = (j - 1) // 2  # j = 2k+1 and j = 2k+2 share a denominator
+    den = (gamma + 2 * k + 1.0) * (gamma + 2 * k + 2.0)
+    b = np.where(j % 2 == 1, (n + k + gamma + 1.0) / den, -((1.0 - n + k) / den))
+    return evaluate_cf(b, x, depth)
 
 
 def jacobi_ratio_cf(

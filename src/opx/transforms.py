@@ -457,7 +457,15 @@ def order2_constraint_rhs(
     """
     pk1 = eval_table(family, n_max + 2, [k1])[:, 0]
     ctx = KernelContext(family, k2, n_max + 2)
-    star = IteratedKernelContext(ctx, k3).star_values
+    return _order2_rhs(pk1, ctx, IteratedKernelContext(ctx, k3), n_max)
+
+
+def _order2_rhs(
+    pk1: np.ndarray, ctx: KernelContext, ictx: IteratedKernelContext, n_max: int
+) -> np.ndarray:
+    """``order2_constraint_rhs`` from P_0..P_{n_max+2} at k1 and the contexts
+    at k2 (n_max + 2) and at (k2, k3)."""
+    star = ictx.star_values
     up = slice(2, n_max + 2)  # index n+1 at [n-1]
     down = slice(1, n_max + 1)  # index n at [n-1]
     out = np.empty(n_max + 1, dtype=complex)
@@ -489,10 +497,11 @@ def recover_order2(
     Mtilde = np.asarray(Mtilde, dtype=complex)
     if Ltilde.size < n_max or Mtilde.size < n_max:
         raise ValueError(f"need Ltilde_1..Ltilde_{n_max} and Mtilde_1..Mtilde_{n_max}")
-    pk1 = eval_table(family, n_max + 1, [k1])[:, 0]
+    pk1 = eval_table(family, n_max + 2, [k1])[:, 0]
     ctx = KernelContext(family, k2, n_max + 2)
     ictx = IteratedKernelContext(ctx, k3)
-    rhs = order2_constraint_rhs(family, k1, k2, k3, n_max)[1:]
+    rhs = _order2_rhs(pk1, ctx, ictx, n_max)[1:]
+    pk1 = pk1[:-1]  # P_0..P_{n_max+1}
     pairs = family.table(n_max + 2)
     c, lam, lam2 = pairs[1:-1, 0], pairs[1:-1, 1], pairs[2:, 1]  # indices n+1, n+1, n+2
     lt, mt = Ltilde[:n_max], Mtilde[:n_max]

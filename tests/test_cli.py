@@ -104,6 +104,14 @@ def test_usage_error_exit_code():
     assert "chain" in err
 
 
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_depth_below_one_is_a_usage_error(depth):
+    code, out, err = run_cli(["verify", "--suite", "ratios", f"--depth={depth}"])
+    assert code == 2
+    assert out == ""
+    assert f"--depth must be >= 1, got {depth}" in err
+
+
 def test_argparse_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--family", "nosuch"])

@@ -115,8 +115,9 @@ def test_kummer_cf_leading_coefficients():
     from opx.ratios import _kummer_d
 
     p, r = 0.7, 1.9
-    assert _kummer_d(p, r, 1) == pytest.approx(1.0 / r)
-    assert _kummer_d(p, r, 2) == pytest.approx(-(p + 1.0) / ((r + 1.0) * r))
+    d = _kummer_d(p, r, 2)  # d_1, d_2
+    assert d[0] == pytest.approx(1.0 / r)
+    assert d[1] == pytest.approx(-(p + 1.0) / ((r + 1.0) * r))
 
 
 def test_kummer_cf_terminating():
@@ -158,27 +159,61 @@ def test_cf_zero_denominator_rescue():
     # coefficients 2, 1, 0, 0, ... at z = 1: the inner step gives the exact
     # denominator 1 - 1/1 = 0, the tiny floor carries it through, and the
     # true value 1/(1 - 2/0) = 0 comes out
-    def partials(j):
-        return (2.0 if j == 1 else (1.0 if j == 2 else 0.0)), -1
-
-    cf = ratios.ContinuedFraction(partials, depth=12)
-    assert abs(ratios.evaluate_cf(cf, 1.0)) < 1e-200
+    b = -np.array([2.0, 1.0] + [0.0] * 20)
+    assert abs(ratios.evaluate_cf(b, 1.0, 12)) < 1e-200
 
 
 def test_cf_top_level_zero_denominator():
     # 1/(1 - z/1) at z = 1 vanishes at the top level with no tail to rescue
-    def partials(j):
-        return (1.0 if j == 1 else 0.0), -1
-
-    cf = ratios.ContinuedFraction(partials, depth=6)
+    b = -np.array([1.0] + [0.0] * 15)
     with pytest.raises(opx.ZeroDenominator):
-        ratios.evaluate_cf(cf, 1.0)
+        ratios.evaluate_cf(b, 1.0, 6)
 
 
 def test_cf_nonconvergent():
-    cf = ratios.ContinuedFraction(lambda j: (1.0, -1), depth=8)
     with pytest.raises(opx.NonConvergent):
-        ratios.evaluate_cf(cf, 0.9)
+        ratios.evaluate_cf(-np.ones(18), 0.9, 8)
+
+
+@pytest.mark.parametrize("depth", [0, -3, -20])
+def test_cf_depth_below_one_is_rejected(depth):
+    with pytest.raises(opx.ParameterOutOfRange, match="depth must be >= 1"):
+        ratios.evaluate_cf(np.zeros(30), 0.5, depth)
+    with pytest.raises(opx.ParameterOutOfRange, match="depth must be >= 1"):
+        ratios.gauss_cf_ratio(0.5, 1.5, 2.5, 0.3, depth)
+    with pytest.raises(opx.ParameterOutOfRange, match="depth must be >= 1"):
+        ratios.laguerre_mixed_cf(0.5, 4, 1.2, depth)
+
+
+def test_cf_needs_depth_plus_ten_numerators():
+    with pytest.raises(ValueError, match="need 18 partial numerators, got 17"):
+        ratios.evaluate_cf(np.zeros(17), 0.5, 8)
+
+
+# values recorded before the partial numerators became arrays; the array
+# builders keep every formula's operation order, so they match bit for bit
+@pytest.mark.parametrize(
+    "name, args, expected",
+    [
+        ("gauss_cf_ratio", (0.5, 1.5, 2.5, 0.3), 1.2359958601461203),
+        ("gauss_cf_ratio", (-4.0, 1.3, 2.1, 0.45, 30), 1.2729402894579802),
+        ("kummer_cf_ratio", (-3.0, 1.5, -0.7, 40), 0.7323996971990917),
+        ("kummer_cf_ratio", (0.7, 1.9, 0.8), 1.4976894095894837),
+        (
+            "laguerre_ratio_cf",
+            (0.5, 4, 1.2),
+            (0.7275665663724183, 0.016319780245846696, 0.0013227513227513227),
+        ),
+        ("laguerre_mixed_cf", (0.5, 4, 1.2), 0.48629666717438624),
+        ("laguerre_mixed_cf", (2.0, 7, 0.6, 25), 0.7142170537656204),
+        ("jacobi_ratio_cf", (0.3, 0.7, 3, 0.4), (-0.8148688046647222, 2.8332233794167205)),
+    ],
+)
+def test_cf_entry_points_return_recorded_floats(name, args, expected):
+    value = getattr(ratios, name)(*args)
+    assert value == expected
+    for v in value if isinstance(value, tuple) else (value,):
+        assert type(v) is float
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +232,7 @@ def test_laguerre_dtilde_second_coefficient():
     from opx.ratios import _kummer_d
 
     gamma, n = 0.5, 4
-    assert _kummer_d(-float(n), gamma + 2.0, 2) == pytest.approx(
+    assert _kummer_d(-float(n), gamma + 2.0, 2)[1] == pytest.approx(
         (n - 1.0) / ((gamma + 2.0) * (gamma + 3.0))
     )
 
@@ -253,8 +288,9 @@ def test_jacobi_e1_coefficient():
     from opx.ratios import _gauss_g
 
     gamma, delta, n = 0.3, 0.7, 3
-    g1 = _gauss_g(-float(n), n + gamma + delta + 1.0, gamma + 2.0, 1)
-    assert g1 == pytest.approx((n + gamma + delta + 1.0) / (gamma + 2.0))
+    g = _gauss_g(-float(n), n + gamma + delta + 1.0, gamma + 2.0, 1)
+    assert g[0] == 0.0
+    assert g[1] == pytest.approx((n + gamma + delta + 1.0) / (gamma + 2.0))
 
 
 def test_jacobi_cf_vs_terminating_series():
@@ -350,7 +386,8 @@ def test_g_table_yields_positive_chain(p, q_extra, r_extra):
 
     q = p + q_extra
     r = q + r_extra
-    l = [(1.0 - _gauss_g(p, q, r, j - 1)) * _gauss_g(p, q, r, j) for j in range(1, 51)]
+    g = _gauss_g(p, q, r, 50)
+    l = (1.0 - g[:-1]) * g[1:]
     seq = opx.chain_params(l)
     assert seq.positive
 

@@ -55,6 +55,10 @@ def configs():
     yield "chain.quarter", ["chain", "--l-const", "0.25"]
     custom = ["--family", "custom", "--coeffs", "coeffs.csv", "--support=-1,1", "--n-max", "3"]
     yield "eval.custom", ["eval", *custom, "--points=0.3"]
+    for fam, flags in FAMILIES.items():
+        argv = ["verify", "--suite", "ratios", *flags, "--depth", "30", "--seed", "1"]
+        yield f"verify.ratios.{fam}.depth30", argv
+    yield "verify.ratios.depth0", ["verify", "--suite", "ratios", "--depth=0"]
 
 
 def run(argv):
