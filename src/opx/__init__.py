@@ -27,6 +27,7 @@ from .families import (
     PolySequence,
     chebyshev1,
     custom_family,
+    eval_derivs,
     eval_sequence,
     eval_table,
     jacobi,
@@ -76,6 +77,7 @@ from .ratios import (
     hyp_series,
     jacobi_ratio_cf,
     kernel_ratio_limit,
+    kernel_ratio_limits,
     kummer_cf_ratio,
     laguerre_mixed_cf,
     laguerre_ratio_cf,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv as _csv
 import io
+import math
 import os
 import sys
 import time
@@ -74,30 +75,34 @@ class UsageError(Exception):
 
 
 def _fmt_number(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    v = float(x)
-    if v != v or v in (float("inf"), float("-inf")):
-        return "null"  # not representable as a JSON number
-    return format(v, ".17g")
+    if type(x) is not float:
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        x = float(x)
+    # NaN and infinities are not representable as JSON numbers
+    return format(x, ".17g") if math.isfinite(x) else "null"
 
 
-def render_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
+def _render_scalar(obj) -> str:
+    if type(obj) is float or isinstance(obj, (bool, int, np.integer, np.floating)):
+        return _fmt_number(obj)
     if obj is None:
         return "null"
     if isinstance(obj, str):
         out = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
         return f'"{out}"'
-    if isinstance(obj, (bool, int, float, np.integer, np.floating)):
-        return _fmt_number(obj)
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def render_json(obj, indent: int = 0) -> str:
+    pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = ",\n".join(
-            f'{pad}  {render_json(str(k))}: {render_json(v, indent + 1)}' for k, v in obj.items()
+            f'{pad}  {_render_scalar(str(k))}: {render_json(v, indent + 1)}' for k, v in obj.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
@@ -106,7 +111,18 @@ def render_json(obj, indent: int = 0) -> str:
             return "[]"
         inner = ",\n".join(f"{pad}  {render_json(v, indent + 1)}" for v in seq)
         return "[\n" + inner + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    return _render_scalar(obj)
+
+
+def _render_rows(header: list[str], rows) -> str:
+    """``render_json`` of the dicts ``zip(header, row)`` at indent 1, for rows
+    of scalars as long as a non-empty header: one ``%`` template for every
+    row, with the keys rendered once."""
+    if not rows:
+        return "[]"
+    keys = [_render_scalar(str(k)).replace("%", "%%") for k in header]
+    template = "    {\n" + ",\n".join(f"      {k}: %s" for k in keys) + "\n    }"
+    return "[\n" + ",\n".join([template % tuple(map(_render_scalar, row)) for row in rows]) + "\n  ]"
 
 
 def _render_csv(header: list[str], rows: list[list]) -> str:
@@ -227,9 +243,11 @@ def _finish(cfg: RunConfig, cases: list[dict], rows=None, header=None, started=N
         "overall": overall,
         "runtime_ms": runtime_ms,
     }
+    text = render_json(report)
     if rows is not None and header is not None:
-        report["rows"] = [dict(zip(header, row)) for row in rows]
-    return render_json(report) + "\n", 0 if overall else 1
+        # "rows" is the report's last key: reopen the closing brace for it
+        text = text[:-2] + ',\n  "rows": ' + _render_rows(header, rows) + "\n}"
+    return text + "\n", 0 if overall else 1
 
 
 # ---------------------------------------------------------------------------
@@ -240,17 +258,19 @@ def _finish(cfg: RunConfig, cases: list[dict], rows=None, header=None, started=N
 def _cmd_eval(cfg: RunConfig) -> tuple[str, int]:
     started = time.time()
     fam = build_family(cfg)
-    points = cfg.points or [0.0]
+    xs = np.array(cfg.points or [0.0])
     header = ["n", "x", "value"] + (["deriv"] if cfg.derivs else [])
-    rows = []
-    for x in points:
-        seq = families.eval_sequence(fam, cfg.n_max, x, with_derivs=cfg.derivs)
-        for n in range(cfg.n_max + 1):
-            row = [n, float(x), float(np.real(seq.values[n]))]
-            if cfg.derivs:
-                row.append(float(np.real(seq.derivs[n])))
-            rows.append(row)
-    return _finish(cfg, [], rows=rows, header=header, started=started)
+    values = families.eval_table(fam, cfg.n_max, xs)
+    # point-major: the rows of one point are n = 0..n_max
+    columns = [
+        list(range(cfg.n_max + 1)) * xs.size,
+        np.repeat(xs, cfg.n_max + 1).tolist(),
+        np.real(values).T.ravel().tolist(),
+    ]
+    if cfg.derivs:
+        derivs = families.eval_derivs(fam, cfg.n_max, xs, values)
+        columns.append(np.real(derivs).T.ravel().tolist())
+    return _finish(cfg, [], rows=list(zip(*columns)), header=header, started=started)
 
 
 def _cmd_kernel(cfg: RunConfig) -> tuple[str, int]:
@@ -260,7 +280,7 @@ def _cmd_kernel(cfg: RunConfig) -> tuple[str, int]:
     ctx = kernels.KernelContext(fam, k, cfg.n_max + 1)
     pairs = kernels.kernel_recurrence(ctx, cfg.n_max)
     header = ["n", "c_star", "lambda_star"]
-    rows = [[n + 1, float(np.real(pairs[n, 0])), float(np.real(pairs[n, 1]))] for n in range(cfg.n_max)]
+    rows = list(zip(range(1, cfg.n_max + 1), *np.real(pairs).T.tolist()))
     cases = []
     if cfg.points:
         xs = np.array(cfg.points)
@@ -279,10 +299,10 @@ def _cmd_chain(cfg: RunConfig) -> tuple[str, int]:
     else:
         raise UsageError("chain needs --l v1,v2,... or --l-const VALUE --n-max N")
     header = ["n", "l_n", "m_n", "complementary_k_n", "complementary_m_n"]
-    rows = [
-        [n, float(seq.l[n - 1]), float(seq.m[n]), float(seq.complementary.l[n - 1]), float(seq.complementary.m[n])]
-        for n in range(1, seq.l.size + 1)
-    ]
+    comp = seq.complementary
+    rows = list(
+        zip(range(1, seq.l.size + 1), seq.l.tolist(), seq.m[1:].tolist(), comp.l.tolist(), comp.m[1:].tolist())
+    )
     # positivity verdicts are data, not checks: recorded with null tolerance
     cases = [
         _case("chain_positive", 0.0 if seq.positive else 1.0, None),
@@ -297,18 +317,18 @@ def _cmd_ratio(cfg: RunConfig) -> tuple[str, int]:
     k = cfg.shifts[0] if cfg.shifts else 1.0
     ctx = kernels.KernelContext(fam, k, cfg.n_max + 2)
     header = ["n", "r_up", "closed_form", "abs_diff"]
-    rows = []
-    recip_worst = 0.0
-    tabulated = cfg.family == "chebyshev1" and k == 1.0
-    for n in range(1, cfg.n_max + 1):
-        r_up, r_down = ratios.kernel_ratio_limit(ctx, n)
-        recip_worst = max(recip_worst, abs(r_up * r_down - 1.0))
-        closed = 0.5 * (1.0 + 2.0 / (2.0 * n + 1.0)) if tabulated else None
-        rows.append([n, float(r_up), closed, None if closed is None else abs(r_up - closed)])
+    r_up, r_down = (r[1:] for r in ratios.kernel_ratio_limits(ctx, cfg.n_max))
+    # fmax skips NaN rows, as a running max(worst, nan) does
+    recip_worst = np.fmax.reduce(np.abs(r_up * r_down - 1.0), initial=0.0)
     cases = [_case("reciprocal_identity", recip_worst, 1e-12)]
-    if tabulated:
-        worst = max(row[3] for row in rows)
-        cases.append(_case("tabulated_closed_form_gap", worst, None))
+    ns = np.arange(1, cfg.n_max + 1)
+    closed = gaps = [None] * cfg.n_max
+    if cfg.family == "chebyshev1" and k == 1.0:
+        closed = 0.5 * (1.0 + 2.0 / (2.0 * ns + 1.0))
+        gaps = np.abs(r_up - closed).tolist()
+        closed = closed.tolist()
+        cases.append(_case("tabulated_closed_form_gap", max(gaps), None))
+    rows = list(zip(ns.tolist(), r_up.tolist(), closed, gaps))
     return _finish(cfg, cases, rows=rows, header=header, started=started)
 
 
@@ -522,14 +542,11 @@ def _suite_ratios(fam, cfg: RunConfig, rng) -> list[dict]:
     cases.append(_case("confluent_cd_identity", worst, 1e-10))
     k = _default_shifts(cfg)[0]
     ctx = kernels.KernelContext(fam, k, n_max + 2)
-    worst = 0.0
-    for n in range(0, n_max + 1):
-        r_up, r_down = ratios.kernel_ratio_limit(ctx, n)
-        worst = max(worst, abs(r_up * r_down - 1.0))
+    r_ups, r_downs = ratios.kernel_ratio_limits(ctx, n_max)
+    worst = np.fmax.reduce(np.abs(r_ups * r_downs - 1.0), initial=0.0)
     cases.append(_case("ratio_reciprocal_identity", worst, 1e-12))
     worst = 0.0
-    for n in range(0, n_max):
-        r_up, _ = ratios.kernel_ratio_limit(ctx, n)
+    for n, r_up in enumerate(r_ups[:-1].tolist()):
         direct = kernels.kernel_poly(ctx, n + 1, ctx.k) / kernels.kernel_poly(ctx, n, ctx.k)
         worst = max(worst, abs(r_up - direct) / max(1.0, abs(direct)))
     cases.append(_case("ratio_limit_vs_cd_branch", worst, 1e-9))
@@ -576,10 +593,10 @@ def _suite_ratios(fam, cfg: RunConfig, rng) -> list[dict]:
     cases.append(_case("gauss_cf_vs_series_nonterminating", worst, 1e-10))
     if fam.kind == "chebyshev1":
         ctx1 = kernels.KernelContext(fam, 1.0, n_max + 2)
+        r_ups = ratios.kernel_ratio_limits(ctx1, n_max)[0].tolist()
         gap = 0.0
         for n in range(1, n_max + 1):
-            r_up, _ = ratios.kernel_ratio_limit(ctx1, n)
-            gap = max(gap, abs(r_up - 0.5 * (1.0 + 2.0 / (2.0 * n + 1.0))))
+            gap = max(gap, abs(r_ups[n] - 0.5 * (1.0 + 2.0 / (2.0 * n + 1.0))))
         cases.append(_case("chebyshev_tabulated_closed_form_gap", gap, None))
     if fam.kind == "laguerre":
         gamma = dict(fam.params)["gamma"]

@@ -33,6 +33,7 @@ __all__ = [
     "recurrence_coefficients",
     "eval_sequence",
     "eval_table",
+    "eval_derivs",
     "norm_products",
     "monic_coefficient_table",
 ]
@@ -221,31 +222,34 @@ def eval_table(family: FamilySpec, n: int, xs) -> np.ndarray:
     table[0] = 1.0
     if n >= 1:
         table[1] = xs - pairs[0, 0]
-    for m in range(1, n):
-        c_next, lam_next = pairs[m]
+    for m, (c_next, lam_next) in enumerate(pairs[1:n].tolist(), start=1):
         table[m + 1] = (xs - c_next) * table[m] - lam_next * table[m - 1]
     return table
+
+
+def eval_derivs(family: FamilySpec, n: int, xs, values: np.ndarray) -> np.ndarray:
+    """Evaluate P'_0..P'_n at every point of ``xs``; shape (n+1, len(xs)).
+
+    ``values`` is ``eval_table(family, n, xs)``.  Differentiated recurrence
+    P'_{n+1} = P_n + (x - c_{n+1}) P'_n - lambda_{n+1} P'_{n-1}.
+    """
+    xs = np.atleast_1d(np.asarray(xs)).astype(values.dtype)
+    derivs = np.zeros_like(values)
+    if n >= 1:
+        derivs[1] = 1.0
+    for m, (c_next, lam_next) in enumerate(family.table(n)[1:n].tolist(), start=1):
+        derivs[m + 1] = values[m] + (xs - c_next) * derivs[m] - lam_next * derivs[m - 1]
+    return derivs
 
 
 def eval_sequence(
     family: FamilySpec, n: int, x, with_derivs: bool = False
 ) -> PolySequence:
-    """Evaluate P_0..P_n (and optionally P'_0..P'_n) at a single point.
-
-    Derivatives come from the differentiated recurrence
-    P'_{n+1} = P_n + (x - c_{n+1}) P'_n - lambda_{n+1} P'_{n-1}.
-    """
-    values = eval_table(family, n, [x])[:, 0]
-    derivs = None
-    if with_derivs:
-        pairs = family.table(n)
-        derivs = np.zeros_like(values)
-        if n >= 1:
-            derivs[1] = 1.0
-        for m in range(1, n):
-            c_next, lam_next = pairs[m]
-            derivs[m + 1] = values[m] + (x - c_next) * derivs[m] - lam_next * derivs[m - 1]
-    return PolySequence(x=x, values=values, derivs=derivs)
+    """Evaluate P_0..P_n (and optionally P'_0..P'_n) at a single point:
+    the one-point case of ``eval_table`` and ``eval_derivs``."""
+    values = eval_table(family, n, [x])
+    derivs = eval_derivs(family, n, [x], values)[:, 0] if with_derivs else None
+    return PolySequence(x=x, values=values[:, 0], derivs=derivs)
 
 
 def norm_products(family: FamilySpec, n: int) -> np.ndarray:

@@ -32,6 +32,7 @@ from .kernels import KernelContext
 __all__ = [
     "confluent_cd",
     "kernel_ratio_limit",
+    "kernel_ratio_limits",
     "evaluate_cf",
     "gauss_cf_ratio",
     "kummer_cf_ratio",
@@ -61,25 +62,55 @@ def confluent_cd(family: FamilySpec, n: int, x) -> tuple[float, float]:
     return lhs, rhs
 
 
+def _ratio_limits(lam_n2, rho, t, s_n, s_n1):
+    # lam_n2 = lambda_{n+2}, rho = P_{n+1}(k)/P_n(k), t = P_{n+1}^2(k)/N_{n+1},
+    # s_n, s_n1 = S_n, S_{n+1}; scalars or arrays over n alike
+    r_up = (1.0 / rho) * lam_n2 * (1.0 + t / s_n)
+    r_down = rho * (1.0 / lam_n2) * (1.0 - t / s_n1)
+    return r_up, r_down
+
+
 def kernel_ratio_limit(ctx: KernelContext, n: int) -> tuple[float, float]:
     """Limits (r_up, r_down) of Pk_{n+1}/Pk_n and its reciprocal as x -> k.
 
     Computed from the ratio-form caches, so large n is safe; the exact
     algebraic identity r_up * r_down = 1 survives in floating point to
-    roughly machine precision.
+    roughly machine precision.  Python floats, or complex numbers when
+    r_up has an imaginary part.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if n + 1 >= ctx.ratios.size:
         raise ValueError(f"n={n} exceeds the cached ratio range {ctx.ratios.size - 2}")
-    lam_n2 = ctx.family.coefficient(n + 2)[1]
-    rho = ctx.ratios[n + 1]            # P_{n+1}(k)/P_n(k)
-    t = ctx.weighted_squares[n + 1]    # P_{n+1}^2(k)/N_{n+1}
-    s_n = ctx.cd_partials[n]
-    s_n1 = ctx.cd_partials[n + 1]
-    r_up = (1.0 / rho) * lam_n2 * (1.0 + t / s_n)
-    r_down = rho * (1.0 / lam_n2) * (1.0 - t / s_n1)
+    r_up, r_down = _ratio_limits(
+        ctx.family.table(n + 2)[n + 1, 1],
+        ctx.ratios[n + 1],
+        ctx.weighted_squares[n + 1],
+        ctx.cd_partials[n],
+        ctx.cd_partials[n + 1],
+    )
     if abs(np.imag(r_up)) == 0.0:
         return float(np.real(r_up)), float(np.real(r_down))
     return complex(r_up), complex(r_down)
+
+
+def kernel_ratio_limits(ctx: KernelContext, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays of the limits (r_up, r_down) of ``kernel_ratio_limit`` for
+    n = 0..n_max, in the dtype of the context caches.
+
+    The same formula run over n, so each entry equals the scalar form's
+    bitwise; non-finite entries are left in place for the caller.
+    """
+    if n_max + 1 >= ctx.ratios.size:
+        raise ValueError(f"n={n_max} exceeds the cached ratio range {ctx.ratios.size - 2}")
+    top = n_max + 2
+    return _ratio_limits(
+        ctx.family.table(top)[1:, 1],
+        ctx.ratios[1:top],
+        ctx.weighted_squares[1:top],
+        ctx.cd_partials[: top - 1],
+        ctx.cd_partials[1:top],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +256,8 @@ def laguerre_mixed_cf(gamma: float, n: int, x: float, depth: int = 60) -> float:
     """
     if gamma <= -1.0:
         raise ParameterOutOfRange(f"gamma must exceed -1, got {gamma}")
+    if n < 1:
+        raise ParameterOutOfRange(f"n must be >= 1, got {n}")
 
     j = np.arange(1.0, depth + 11)
     k = (j - 1) // 2  # j = 2k+1 and j = 2k+2 share a denominator
@@ -323,14 +356,13 @@ class ChainSequence:
 
 
 def _minimal_params(l: np.ndarray) -> np.ndarray:
-    m = np.empty(l.size + 1)
-    m[0] = 0.0
-    for n in range(1, l.size + 1):
-        den = 1.0 - m[n - 1]
+    m = [0.0]
+    for n, l_n in enumerate(l.tolist(), start=1):
+        den = 1.0 - m[-1]
         if den == 0.0:
             raise ZeroDivisionError(f"minimal parameter recurrence hits m_{n-1} = 1")
-        m[n] = l[n - 1] / den
-    return m
+        m.append(l_n / den)
+    return np.array(m)
 
 
 def chain_params(l, n_max: int | None = None) -> ChainSequence:

@@ -81,6 +81,16 @@ def test_kernel_ratio_large_n_stability(cheb):
     assert np.isfinite(r_up)
 
 
+def test_kernel_ratio_limit_index_out_of_range(cheb):
+    # the context caches n = 0..n_max+2; P_{-1} has no ratio
+    ctx = opx.KernelContext(cheb, 1.0, 10)
+    for n in (-1, -2, 13):
+        with pytest.raises(ValueError):
+            opx.kernel_ratio_limit(ctx, n)
+    with pytest.raises(ValueError):
+        opx.kernel_ratio_limits(ctx, 13)
+
+
 # ---------------------------------------------------------------------------
 # continued fractions vs series oracles
 # ---------------------------------------------------------------------------
@@ -275,6 +285,15 @@ def test_laguerre_parameter_domain():
         ratios.laguerre_ratio_cf(-1.5, 3, 1.0)
     _, _, mixed = ratios.laguerre_ratio_cf(-0.5, 3, 1.0)
     assert math.isnan(mixed)  # mixed form needs gamma > 0
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_laguerre_mixed_cf_needs_n_at_least_one(n):
+    # like laguerre_ratio_cf: no polynomial ratio has degree n < 1
+    with pytest.raises(opx.ParameterOutOfRange, match="n must be >= 1"):
+        ratios.laguerre_mixed_cf(0.5, n, 1.2)
+    with pytest.raises(opx.ParameterOutOfRange, match="n must be >= 1"):
+        ratios.laguerre_ratio_cf(0.5, n, 1.2)
 
 
 def test_jacobi_cf_at_one():

@@ -1,9 +1,11 @@
-"""Evaluating on a whole point vector gives the same numbers as evaluating
-point by point, which is what lets the CLI evaluate each construction once
-per degree.  Real arithmetic matches bitwise; the order-two recovery runs on
-the complex shifts 1j and -1j, where numpy's array and scalar complex
-arithmetic round differently, so it is held to 1e-14 relative to the size
-of the two terms it combines (its value can be far smaller than they are).
+"""Evaluating on a whole point vector (or over every n) gives the same
+numbers as evaluating point by point, which is what lets the CLI evaluate
+each construction once per degree and each row table in one pass.  Real
+arithmetic matches bitwise; the order-two recovery runs on the complex
+shifts 1j and -1j, where numpy's array and scalar complex arithmetic round
+differently, so it is held to 1e-14 relative to the size of the two terms it
+combines (its value can be far smaller than they are).  The row-table
+renderer writes the same bytes as the generic JSON renderer.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ from numpy.testing import assert_array_equal
 
 import opx
 from conftest import sample_points
+from opx import cli
 
 N_MAX = 8
 # the CLI's default shifts (k1, k2) for each family
@@ -82,3 +85,74 @@ def test_order2_recovery_poly(setup):
             rc.alpha[n] * xs - rc.beta[n]
         )
         assert np.max(np.abs(vec - pts) / scale) <= 1e-14
+
+
+def _scalar_derivs(fam, n, x):
+    """P'_0..P'_n at one point: the differentiated recurrence in scalars."""
+    values = opx.eval_table(fam, n, [x])[:, 0]
+    pairs = opx.recurrence_coefficients(fam, n)
+    derivs = [0.0, 1.0]
+    for m in range(1, n):
+        c_next, lam_next = pairs[m]
+        derivs.append(values[m] + (x - c_next) * derivs[m] - lam_next * derivs[m - 1])
+    return np.array(derivs)
+
+
+def test_eval_derivs(setup):
+    fam, _, xs = setup
+    derivs = opx.eval_derivs(fam, N_MAX, xs, opx.eval_table(fam, N_MAX, xs))
+    per_point = _per_point(lambda x: opx.eval_sequence(fam, N_MAX, x, with_derivs=True).derivs, xs)
+    assert_array_equal(derivs, per_point.T)
+    assert_array_equal(per_point, _per_point(lambda x: _scalar_derivs(fam, N_MAX, x), xs))
+
+
+# the benchmark's ratio tables; chebyshev1 at 2 and jacobi at 1.5 overflow
+# to NaN long before n = 1000 (ROADMAP item 2)
+RATIO_CONFIGS = [
+    ("chebyshev1-k1", opx.chebyshev1, 1.0, False),
+    ("chebyshev1-k2", opx.chebyshev1, 2.0, True),
+    ("laguerre-k-1", lambda: opx.laguerre(0.5), -1.0, False),
+    ("jacobi-k1", lambda: opx.jacobi(0.3, 0.7), 1.0, False),
+    ("jacobi-k1.5", lambda: opx.jacobi(0.3, 0.7), 1.5, True),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "make_family, k, has_nan", [c[1:] for c in RATIO_CONFIGS], ids=[c[0] for c in RATIO_CONFIGS]
+)
+def test_kernel_ratio_limits(make_family, k, has_nan):
+    ctx = opx.KernelContext(make_family(), k, 1002)
+    r_up, r_down = opx.kernel_ratio_limits(ctx, 1000)
+    scalar = [opx.kernel_ratio_limit(ctx, n) for n in range(1001)]
+    assert all(type(v) is float for pair in scalar for v in pair)
+    assert_array_equal(r_up, [u for u, _ in scalar])
+    assert_array_equal(r_down, [d for _, d in scalar])
+    assert np.isnan(r_up).any() == has_nan
+
+
+def test_row_table_renderer():
+    # the key needs JSON escaping, and its % must not reach the template
+    header = ["n", 'k"ey\\ %s\n', "v"]
+    rows = [
+        (1, 0.1, None),
+        (-2, -0.0, np.float64(1.0) / 3.0),
+        (3, float("nan"), True),
+        (4, float("inf"), False),
+        (np.int64(5), -float("inf"), np.float64("nan")),
+        (6, 1e300, 5e-324),
+    ]
+    generic = [dict(zip(header, row)) for row in rows]
+    assert cli._render_rows(header, rows) == cli.render_json(generic, 1)
+    assert cli._render_rows(header, []) == cli.render_json([], 1)
+    cfg = cli.RunConfig(command="ratio")
+    cases = [cli._case("b", 0.5, 1.0), cli._case("a", float("nan"), None)]
+    report = {
+        "command": "ratio",
+        "config_echo": cli._config_echo(cfg),
+        "cases": sorted(cases, key=lambda c: c["name"]),
+        "overall": True,
+        "runtime_ms": 0,
+        "rows": generic,
+    }
+    assert cli._finish(cfg, cases, rows=rows, header=header) == (cli.render_json(report) + "\n", 0)

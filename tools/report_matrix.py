@@ -59,6 +59,18 @@ def configs():
         argv = ["verify", "--suite", "ratios", *flags, "--depth", "30", "--seed", "1"]
         yield f"verify.ratios.{fam}.depth30", argv
     yield "verify.ratios.depth0", ["verify", "--suite", "ratios", "--depth=0"]
+    # the benchmark's largest row tables, and every row table as CSV
+    for fam, shift in (("chebyshev1", "2"), ("jacobi", "1.5")):
+        yield f"ratio.{fam}.k{shift}.n4000", ["ratio", *FAMILIES[fam], f"--shift={shift}", "--n-max", "4000"]
+    chain = ["chain", "--l-const", "0.25", "--n-max", "10000"]
+    yield "chain.quarter.n10000", chain
+    yield "chain.quarter.n10000.csv", [*chain, "--output", "csv"]
+    for fam, shift in RATIOS:
+        argv = ["ratio", *FAMILIES[fam], f"--shift={shift}", "--n-max", "1000", "--output", "csv"]
+        yield f"ratio.{fam}.k{shift}.csv", argv
+    for fam, flags in FAMILIES.items():
+        points = ["--points=-0.5", "--points=0.25", "--points=0.9"]
+        yield f"eval.{fam}.csv", ["eval", *flags, "--derivs", *points, "--output", "csv"]
 
 
 def run(argv):
