@@ -86,14 +86,17 @@ def _fmt_number(x) -> str:
 
 
 def _render_scalar(obj) -> str:
-    if type(obj) is float or isinstance(obj, (bool, int, np.integer, np.floating)):
-        return _fmt_number(obj)
     if obj is None:
         return "null"
+    if type(obj) is float or isinstance(obj, (bool, int, np.integer, np.floating)):
+        return _fmt_number(obj)
     if isinstance(obj, str):
         out = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
         return f'"{out}"'
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+_CONTAINERS = (dict, list, tuple, np.ndarray)
 
 
 def render_json(obj, indent: int = 0) -> str:
@@ -105,27 +108,47 @@ def render_json(obj, indent: int = 0) -> str:
             f'{pad}  {_render_scalar(str(k))}: {render_json(v, indent + 1)}' for k, v in obj.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, _CONTAINERS):
         seq = list(obj)
         if not seq:
             return "[]"
-        inner = ",\n".join(f"{pad}  {render_json(v, indent + 1)}" for v in seq)
-        return "[\n" + inner + "\n" + pad + "]"
+        # scalar entries are rendered in place, without a call per entry
+        entries = [
+            render_json(v, indent + 1) if isinstance(v, _CONTAINERS) else _render_scalar(v) for v in seq
+        ]
+        return "[\n" + pad + "  " + f",\n{pad}  ".join(entries) + "\n" + pad + "]"
     return _render_scalar(obj)
 
 
-def _render_rows(header: list[str], rows) -> str:
-    """``render_json`` of the dicts ``zip(header, row)`` at indent 1, for rows
-    of scalars as long as a non-empty header: one ``%`` template for every
-    row, with the keys rendered once."""
-    if not rows:
+def _render_rows(header: list[str], columns) -> str:
+    """``render_json`` at indent 1 of the dicts ``zip(header, row)`` over the
+    rows of ``columns``, one array or list per key of a non-empty header.
+
+    All rows share one ``%`` template with the keys rendered once.  An int
+    array, or a float array whose values are all finite, fills a ``%d`` or
+    ``%.17g`` slot directly (``"%.17g" % x == format(x, ".17g")``); any other
+    column is rendered cell by cell.
+    """
+    if not len(columns[0]):
         return "[]"
+    slots, cells = [], []
+    for column in columns:
+        typed = isinstance(column, np.ndarray)
+        kind, values = (column.dtype.kind, column.tolist()) if typed else ("O", column)
+        if kind in "iu":
+            slot = "%d"
+        elif kind == "f" and np.isfinite(column).all():
+            slot = "%.17g"
+        else:
+            slot, values = "%s", [_render_scalar(v) for v in values]
+        slots.append(slot)
+        cells.append(values)
     keys = [_render_scalar(str(k)).replace("%", "%%") for k in header]
-    template = "    {\n" + ",\n".join(f"      {k}: %s" for k in keys) + "\n    }"
-    return "[\n" + ",\n".join([template % tuple(map(_render_scalar, row)) for row in rows]) + "\n  ]"
+    template = "    {\n" + ",\n".join(f"      {k}: {slot}" for k, slot in zip(keys, slots)) + "\n    }"
+    return "[\n" + ",\n".join([template % row for row in zip(*cells)]) + "\n  ]"
 
 
-def _render_csv(header: list[str], rows: list[list]) -> str:
+def _render_csv(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = _csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -228,14 +251,17 @@ def _case(name: str, residual: float, tol: float | None) -> dict:
     }
 
 
-def _finish(cfg: RunConfig, cases: list[dict], rows=None, header=None, started=None) -> tuple[str, int]:
+def _finish(cfg: RunConfig, cases: list[dict], columns=None, header=None, started=None) -> tuple[str, int]:
+    """The report (or CSV table) of a command; ``columns`` holds one array or
+    list of row values per key of ``header``."""
     cases = sorted(cases, key=lambda c: c["name"])
     overall = all(c["pass"] for c in cases if c["pass"] is not None)
     runtime_ms = int((time.time() - started) * 1000) if started else 0
     if cfg.output == "csv":
         if header is None:
             raise UsageError(f"--output csv is not available for '{cfg.command}'")
-        return _render_csv(header, rows or []), 0 if overall else 1
+        values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns or []]
+        return _render_csv(header, zip(*values)), 0 if overall else 1
     report = {
         "command": cfg.command,
         "config_echo": _config_echo(cfg),
@@ -244,9 +270,9 @@ def _finish(cfg: RunConfig, cases: list[dict], rows=None, header=None, started=N
         "runtime_ms": runtime_ms,
     }
     text = render_json(report)
-    if rows is not None and header is not None:
+    if columns is not None and header is not None:
         # "rows" is the report's last key: reopen the closing brace for it
-        text = text[:-2] + ',\n  "rows": ' + _render_rows(header, rows) + "\n}"
+        text = text[:-2] + ',\n  "rows": ' + _render_rows(header, columns) + "\n}"
     return text + "\n", 0 if overall else 1
 
 
@@ -263,14 +289,14 @@ def _cmd_eval(cfg: RunConfig) -> tuple[str, int]:
     values = families.eval_table(fam, cfg.n_max, xs)
     # point-major: the rows of one point are n = 0..n_max
     columns = [
-        list(range(cfg.n_max + 1)) * xs.size,
-        np.repeat(xs, cfg.n_max + 1).tolist(),
-        np.real(values).T.ravel().tolist(),
+        np.tile(np.arange(cfg.n_max + 1), xs.size),
+        np.repeat(xs, cfg.n_max + 1),
+        np.real(values).T.ravel(),
     ]
     if cfg.derivs:
         derivs = families.eval_derivs(fam, cfg.n_max, xs, values)
-        columns.append(np.real(derivs).T.ravel().tolist())
-    return _finish(cfg, [], rows=list(zip(*columns)), header=header, started=started)
+        columns.append(np.real(derivs).T.ravel())
+    return _finish(cfg, [], columns=columns, header=header, started=started)
 
 
 def _cmd_kernel(cfg: RunConfig) -> tuple[str, int]:
@@ -280,7 +306,7 @@ def _cmd_kernel(cfg: RunConfig) -> tuple[str, int]:
     ctx = kernels.KernelContext(fam, k, cfg.n_max + 1)
     pairs = kernels.kernel_recurrence(ctx, cfg.n_max)
     header = ["n", "c_star", "lambda_star"]
-    rows = list(zip(range(1, cfg.n_max + 1), *np.real(pairs).T.tolist()))
+    columns = [np.arange(1, cfg.n_max + 1), *np.real(pairs).T]
     cases = []
     if cfg.points:
         xs = np.array(cfg.points)
@@ -289,7 +315,7 @@ def _cmd_kernel(cfg: RunConfig) -> tuple[str, int]:
         ks = families.eval_table(kernels.kernel_family(ctx, cfg.n_max), cfg.n_max, xs)
         cases.append(_case("kernel_ttrr_consistency", _worst(dd - ks, dd), cfg.tol))
     header = None if cfg.output == "csv" else header
-    return _finish(cfg, cases, rows=rows, header=header, started=started)
+    return _finish(cfg, cases, columns=columns, header=header, started=started)
 
 
 def _cmd_chain(cfg: RunConfig) -> tuple[str, int]:
@@ -300,15 +326,13 @@ def _cmd_chain(cfg: RunConfig) -> tuple[str, int]:
         raise UsageError("chain needs --l v1,v2,... or --l-const VALUE --n-max N")
     header = ["n", "l_n", "m_n", "complementary_k_n", "complementary_m_n"]
     comp = seq.complementary
-    rows = list(
-        zip(range(1, seq.l.size + 1), seq.l.tolist(), seq.m[1:].tolist(), comp.l.tolist(), comp.m[1:].tolist())
-    )
+    columns = [np.arange(1, seq.l.size + 1), seq.l, seq.m[1:], comp.l, comp.m[1:]]
     # positivity verdicts are data, not checks: recorded with null tolerance
     cases = [
         _case("chain_positive", 0.0 if seq.positive else 1.0, None),
         _case("complementary_positive", 0.0 if seq.complementary.positive else 1.0, None),
     ]
-    return _finish(cfg, cases, rows=rows, header=header, started=started)
+    return _finish(cfg, cases, columns=columns, header=header, started=started)
 
 
 def _cmd_ratio(cfg: RunConfig) -> tuple[str, int]:
@@ -325,11 +349,9 @@ def _cmd_ratio(cfg: RunConfig) -> tuple[str, int]:
     closed = gaps = [None] * cfg.n_max
     if cfg.family == "chebyshev1" and k == 1.0:
         closed = 0.5 * (1.0 + 2.0 / (2.0 * ns + 1.0))
-        gaps = np.abs(r_up - closed).tolist()
-        closed = closed.tolist()
-        cases.append(_case("tabulated_closed_form_gap", max(gaps), None))
-    rows = list(zip(ns.tolist(), r_up.tolist(), closed, gaps))
-    return _finish(cfg, cases, rows=rows, header=header, started=started)
+        gaps = np.abs(r_up - closed)
+        cases.append(_case("tabulated_closed_form_gap", max(gaps.tolist()), None))
+    return _finish(cfg, cases, columns=[ns, r_up, closed, gaps], header=header, started=started)
 
 
 def _cmd_recover(cfg: RunConfig) -> tuple[str, int]:

@@ -80,9 +80,9 @@ class FamilySpec:
         """
         table = self._table
         if n > len(table):
-            rows = [self.coeffs(m) for m in range(len(table) + 1, n + 1)]
-            dtype = complex if any(isinstance(v, complex) for p in rows for v in p) else float
-            table = np.concatenate([table, np.array(rows, dtype=dtype)])
+            rows = np.array([self.coeffs(m) for m in range(len(table) + 1, n + 1)])
+            rows = rows.astype(complex if rows.dtype.kind == "c" else float)
+            table = np.concatenate([table, rows])
             table.flags.writeable = False
             # a concurrent grower may replace a longer table with a shorter
             # one; callers only read the local it returns, so that is safe
@@ -212,7 +212,10 @@ def eval_table(family: FamilySpec, n: int, xs) -> np.ndarray:
     """Evaluate P_0..P_n at every point of ``xs``; shape (n+1, len(xs)).
 
     Forward recurrence on c_1..c_n and lambda_2..lambda_n; complex points
-    and complex coefficient providers are supported transparently.
+    and complex coefficient providers are supported transparently.  One
+    real point runs on a Python float, whose arithmetic is the same IEEE
+    sequence as the arrays'; complex points stay on arrays, because numpy's
+    complex array multiply rounds differently from Python's.
     """
     xs = np.atleast_1d(np.asarray(xs))
     pairs = family.table(n)
@@ -221,9 +224,13 @@ def eval_table(family: FamilySpec, n: int, xs) -> np.ndarray:
     table = np.empty((n + 1, xs.size), dtype=dtype)
     table[0] = 1.0
     if n >= 1:
-        table[1] = xs - pairs[0, 0]
-    for m, (c_next, lam_next) in enumerate(pairs[1:n].tolist(), start=1):
-        table[m + 1] = (xs - c_next) * table[m] - lam_next * table[m - 1]
+        x, p0 = (xs.item(), 1.0) if xs.size == 1 and dtype is float else (xs, table[0])
+        (c_1, _), *steps = pairs.tolist()
+        p1 = x - c_1
+        table[1] = p1
+        for m, (c_next, lam_next) in enumerate(steps, start=2):
+            p0, p1 = p1, (x - c_next) * p1 - lam_next * p0
+            table[m] = p1
     return table
 
 

@@ -179,3 +179,17 @@ def test_coefficient_table_grows_only_to_the_index_asked_for(cheb):
     assert asked == [1, 2, 3, 4, 5, 6]  # grows to the index asked for, no further
     with pytest.raises(ValueError):
         fam.table(6)[0, 0] = 1.0  # slices are read-only views
+
+
+def test_coefficient_table_dtype_follows_the_provider():
+    # an int-valued provider still gives a float table
+    ints = opx.custom_family(lambda n: (n, 2), (-1.0, 1.0))
+    table = ints.table(3)
+    assert table.dtype == np.float64
+    assert table.tolist() == [[1.0, 2.0], [2.0, 2.0], [3.0, 2.0]]
+    # a complex provider gives a complex table, and so does growing a real
+    # table with complex rows
+    cplx = opx.custom_family(lambda n: (0.5j if n > 2 else 0.0, 1.0), (-1.0, 1.0))
+    assert cplx.table(2).dtype == np.float64
+    assert cplx.table(4).dtype == np.complex128
+    assert cplx.table(4)[:, 0].tolist() == [0.0, 0.0, 0.5j, 0.5j]

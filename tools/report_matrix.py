@@ -60,7 +60,7 @@ def configs():
         yield f"verify.ratios.{fam}.depth30", argv
     yield "verify.ratios.depth0", ["verify", "--suite", "ratios", "--depth=0"]
     # the benchmark's largest row tables, and every row table as CSV
-    for fam, shift in (("chebyshev1", "2"), ("jacobi", "1.5")):
+    for fam, shift in RATIOS:
         yield f"ratio.{fam}.k{shift}.n4000", ["ratio", *FAMILIES[fam], f"--shift={shift}", "--n-max", "4000"]
     chain = ["chain", "--l-const", "0.25", "--n-max", "10000"]
     yield "chain.quarter.n10000", chain
