@@ -19,22 +19,22 @@ xs = rng.uniform(-1, 1, 40)
 gd = opx.geronimus_data(fam, 2.0, 6)
 print("A_n:", np.round(gd.A[1:], 10))
 print("solved mass Ltilde(1):", gd.mass0)
-polys = [lambda t, n=n: opx.geronimus_poly(fam, 2.0, n, t, gd) for n in range(7)]
+polys = [lambda t, n=n: opx.geronimus_poly(gd, n, t) for n in range(7)]
 gram = opx.orthogonality_residual(fam, opx.Geronimus(2.0, gd.mass0), polys, 6)
 print("Geronimus Gram off-diagonal max:", np.max(np.abs(gram - np.diag(np.diag(gram)))))
 
 # Uvarov: point mass at k
 ud = opx.uvarov_data(fam, 2.0, 0.5, 6)
 print("\nUvarov T_n:", np.round(ud.T[1:], 10))
-polys = [lambda t, n=n: opx.uvarov_poly(fam, 2.0, 0.5, n, t, ud) for n in range(7)]
+polys = [lambda t, n=n: opx.uvarov_poly(ud, n, t) for n in range(7)]
 gram = opx.orthogonality_residual(fam, opx.Uvarov(2.0, 0.5), polys, 6)
 print("Uvarov Gram off-diagonal max:", np.max(np.abs(gram - np.diag(np.diag(gram)))))
 
 
-def worst(make_q, n_max):
+def worst(rebuild, rc, n_max):
     out = 0.0
     for n in range(1, n_max + 1):
-        q = make_q(n, xs)
+        q = np.real(rebuild(rc, n, xs))
         p = opx.eval_table(fam, n, xs)[n]
         out = max(out, np.max(np.abs(q - p) / np.maximum(1, np.abs(p))))
     return out
@@ -44,19 +44,17 @@ n_max = 6
 B = np.full(n_max, 0.3)
 rc = opx.recover_christoffel(fam, 2.0, 2.0, B, n_max)
 print("\nrecovery via kernel mix         :",
-      worst(lambda n, t: opx.christoffel_recovery_poly(fam, 2.0, 2.0, B, rc, n, t), n_max))
+      worst(opx.christoffel_recovery_poly, rc, n_max))
 
 Bt = np.full(n_max, 0.4)
-gd2 = opx.geronimus_data(fam, 3.0, n_max + 1)
 rcg = opx.recover_geronimus(fam, 3.0, 2.0, Bt, n_max)
 print("recovery via Geronimus sequence :",
-      worst(lambda n, t: opx.geronimus_recovery_poly(fam, 3.0, 2.0, Bt, rcg, n, t, gd2), n_max))
+      worst(opx.geronimus_recovery_poly, rcg, n_max))
 
 Bu = np.full(n_max, 0.2)
-ud2 = opx.uvarov_data(fam, 2.0, 0.5, n_max)
 rcu = opx.recover_uvarov(fam, 2.0, 3.0, 0.5, Bu, n_max)
 print("recovery via Uvarov sequence    :",
-      worst(lambda n, t: opx.uvarov_recovery_poly(fam, 2.0, 3.0, 0.5, Bu, rcu, n, t, ud2), n_max))
+      worst(opx.uvarov_recovery_poly, rcu, n_max))
 
 rhs = opx.order2_constraint_rhs(fam, 3.0, 1j, -1j, n_max)
 mt = np.full(n_max, 0.5, dtype=complex)
@@ -65,10 +63,10 @@ lt = np.array([rhs[n] - mt[n - 1] * pk1[n] / (fam.coefficient(n + 1)[1] * pk1[n 
                for n in range(1, n_max + 1)])
 rco = opx.recover_order2(fam, 3.0, 1j, -1j, lt, mt, n_max)
 print("recovery via iterated kernels   :",
-      worst(lambda n, t: np.real(opx.order2_recovery_poly(fam, 3.0, 1j, -1j, lt, mt, rco, n, t)), n_max))
+      worst(opx.order2_recovery_poly, rco, n_max))
 
 # the two transformations are mutually inverse on the recurrence level
-tilde = opx.geronimus_family(fam, 3.0, 15)
+tilde = opx.geronimus_family(opx.geronimus_data(fam, 3.0, 16), 15)
 ctx = opx.KernelContext(tilde, 3.0, 10)
 back = opx.kernel_recurrence(ctx, 10)
 print("\nround-trip coefficient error:",

@@ -89,7 +89,6 @@ from .transforms import (
     christoffel_recovery_poly,
     geronimus_data,
     geronimus_family,
-    geronimus_mass0,
     geronimus_poly,
     geronimus_recovery_poly,
     op_from_geronimus,

@@ -28,7 +28,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -165,13 +164,28 @@ def _render_csv(header: list[str], rows) -> str:
 
 
 def _load_custom_coeffs(path: str):
+    try:
+        with open(path, newline="") as fh:
+            lines = list(_csv.reader(fh))
+    except OSError as exc:
+        raise UsageError(f"{path}: {exc.strerror or exc}") from exc
+    if not lines or [f.strip() for f in lines[0]] != ["n", "c_n", "lambda_n"]:
+        raise UsageError(f"{path}: expected header 'n,c_n,lambda_n'")
     rows = {}
-    with open(path, newline="") as fh:
-        reader = _csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["n", "c_n", "lambda_n"]:
-            raise UsageError(f"{path}: expected header 'n,c_n,lambda_n'")
-        for rec in reader:
-            rows[int(rec["n"])] = (float(rec["c_n"]), float(rec["lambda_n"]))
+    for line_no, fields in enumerate(lines[1:], start=2):
+        if not fields:
+            continue  # blank line
+        try:
+            n, c, lam = fields
+            pair = (float(c), float(lam))
+            if not all(map(math.isfinite, pair)):
+                raise ValueError("non-finite coefficient")
+            rows[int(n)] = pair
+        except ValueError as exc:
+            got = ",".join(fields)
+            raise UsageError(
+                f"{path}, line {line_no}: expected an integer n and two finite numbers, got {got!r}"
+            ) from exc
     if 1 not in rows:
         raise UsageError(f"{path}: must define n = 1")
 
@@ -385,15 +399,13 @@ def _recovery_case(kind: str, fam, cfg: RunConfig, xs: np.ndarray, n_max: int) -
     b_coeffs = np.full(n_max + 1, 0.3)
     if kind == "christoffel":
         rc = transforms.recover_christoffel(fam, k1, k2, b_coeffs, n_max)
-        rebuilt = partial(transforms.christoffel_recovery_poly, fam, k1, k2, b_coeffs, rc)
+        rebuilt = transforms.christoffel_recovery_poly
     elif kind == "geronimus":
-        gd = transforms.geronimus_data(fam, k1, n_max + 1)
         rc = transforms.recover_geronimus(fam, k1, k2, b_coeffs, n_max)
-        rebuilt = partial(transforms.geronimus_recovery_poly, fam, k1, k2, b_coeffs, rc, gdata=gd)
+        rebuilt = transforms.geronimus_recovery_poly
     elif kind == "uvarov":
-        ud = transforms.uvarov_data(fam, k1, r0, n_max)
         rc = transforms.recover_uvarov(fam, k1, k2, r0, b_coeffs, n_max)
-        rebuilt = partial(transforms.uvarov_recovery_poly, fam, k1, k2, r0, b_coeffs, rc, udata=ud)
+        rebuilt = transforms.uvarov_recovery_poly
     elif kind == "order2":
         k2c, k3c = 1j, -1j
         rhs = transforms.order2_constraint_rhs(fam, k1, k2c, k3c, n_max)
@@ -402,11 +414,11 @@ def _recovery_case(kind: str, fam, cfg: RunConfig, xs: np.ndarray, n_max: int) -
         lam = fam.table(n_max + 1)[1:, 1]  # lambda_{n+1} at [n-1]
         lt = rhs[1:] - mt * pk1[1:] / (lam * pk1[:-1])
         rc = transforms.recover_order2(fam, k1, k2c, k3c, lt, mt, n_max)
-        rebuilt = partial(transforms.order2_recovery_poly, fam, k1, k2c, k3c, lt, mt, rc)
+        rebuilt = transforms.order2_recovery_poly
     else:
         raise UsageError(f"unknown recovery kind {kind!r}")
     p = families.eval_table(fam, n_max, xs)[1:]
-    q = np.array([rebuilt(n, xs) for n in range(1, n_max + 1)])
+    q = np.array([rebuilt(rc, n, xs) for n in range(1, n_max + 1)])
     return _case(f"recovery_identity_{kind}", _worst(q - p, p), cfg.tol)
 
 
@@ -532,10 +544,7 @@ def _suite_recovery(fam, cfg: RunConfig, rng) -> list[dict]:
     n_max = min(cfg.n_max, 6)
     k1 = _default_shifts(cfg)[0]
     gdata = transforms.geronimus_data(fam, k1, n_max, mass0=cfg.mass0)
-    gpolys = [
-        lambda xs_, n=n: transforms.geronimus_poly(fam, k1, n, xs_, gdata)
-        for n in range(n_max + 1)
-    ]
+    gpolys = [lambda xs_, n=n: transforms.geronimus_poly(gdata, n, xs_) for n in range(n_max + 1)]
     gram = moments.orthogonality_residual(
         fam, moments.Geronimus(k1, gdata.mass0), gpolys, n_max
     )
@@ -543,10 +552,7 @@ def _suite_recovery(fam, cfg: RunConfig, rng) -> list[dict]:
     cases.append(_case("geronimus_transform_orthogonality", off, 1e-9))
     r0 = cfg.r0 if cfg.r0 is not None else 0.5
     udata = transforms.uvarov_data(fam, k1, r0, n_max)
-    upolys = [
-        lambda xs_, n=n: transforms.uvarov_poly(fam, k1, r0, n, xs_, udata)
-        for n in range(n_max + 1)
-    ]
+    upolys = [lambda xs_, n=n: transforms.uvarov_poly(udata, n, xs_) for n in range(n_max + 1)]
     gram = moments.orthogonality_residual(fam, moments.Uvarov(k1, r0), upolys, n_max)
     off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
     cases.append(_case("uvarov_transform_orthogonality", off, 1e-9))
@@ -741,10 +747,12 @@ def _parse(argv: list[str]) -> RunConfig:
     support = None
     if ns.support:
         try:
-            a, b = ns.support.split(",")
-            support = (float(a), float(b))
+            a, b = (float(v) for v in ns.support.split(","))
         except ValueError as exc:
             raise UsageError(f"--support expects 'a,b', got {ns.support!r}") from exc
+        if not (math.isfinite(a) and a < b and (math.isfinite(b) or b == math.inf)):
+            raise UsageError(f"--support needs finite a < b, b finite or inf, got {ns.support!r}")
+        support = (a, b)
     cfg = RunConfig(
         command=ns.command,
         family=ns.family,

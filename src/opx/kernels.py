@@ -24,6 +24,8 @@ The caches are bitwise numpy's either way.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import IteratedUndefined, KernelUndefined
@@ -202,6 +204,8 @@ class IteratedKernelContext:
     Caches the cross sums X_n = sum_j P_j(k3) P_j(k2) / (lambda_1...lambda_{j+1})
     and the values Pk_j(k2; k3) of the first-shift kernels at the second
     shift.  Shifts in conjugate half planes keep every X_n away from zero.
+    ``shifted``, the context ``iterated_kernel`` evaluates, is made once, on
+    first use.
     """
 
     def __init__(self, base: KernelContext, k3: complex):
@@ -222,21 +226,26 @@ class IteratedKernelContext:
     def k2(self) -> complex:
         return self.base.k
 
+    @cached_property
+    def shifted(self) -> KernelContext:
+        """The k2-kernel family's context at k3, made on first use at the
+        largest degree ``iterated_kernel`` takes, base.n_max - 2."""
+        n_top = self.base.n_max - 2
+        return KernelContext(kernel_family(self.base, n_top + 3), self.k3, n_top - 1)
+
 
 def iterated_kernel(ictx: IteratedKernelContext, n: int, x):
     """Twice-shifted monic kernel polynomial of degree n.
 
     Built by composition: the first shift is realized through the kernel
     recurrence coefficients, and the plain kernel construction is applied
-    to that family at the second shift.
+    to that family at the second shift, through the context ``ictx.shifted``.
     """
     if n == 0:
         return np.ones_like(np.asarray(x)) if np.ndim(x) else 1.0
     if n > ictx.base.n_max - 2:
         raise ValueError(f"n={n} needs a base context with n_max >= {n + 2}")
-    shifted = kernel_family(ictx.base, n + 3)
-    ctx2 = KernelContext(shifted, ictx.k3, max(n - 1, 0))
-    return kernel_poly(ctx2, n, x)
+    return kernel_poly(ictx.shifted, n, x)
 
 
 def product_orthogonality_check(

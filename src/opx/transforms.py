@@ -5,6 +5,14 @@ Each recovery returns the explicit coefficient sequences from the matching
 linear system (coefficients of P_{n+1}, P_n, P_{n-1} after expanding the
 combination); the companion ``*_recovery_poly`` evaluators rebuild the
 rational combination so tests can assert Q_n == P_n pointwise.
+
+Transform records carry what their evaluators read: ``GeronimusData`` its
+family, ``UvarovData`` its kernel context at k, and ``RecoveryCoefficients``
+the kernel contexts, quasi mixing coefficients and transform record that
+its ``recover_*`` built.  Each record is built once, at the largest degree,
+and every evaluator takes ``(data, n, x)`` and slices it.  P_j(k), the norm
+products and the partial sums come from sequential recurrences, so a slice
+of a larger record is bitwise the record a smaller degree would have built.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from .errors import (
     PoleAtSample,
     ShiftInsideSupport,
 )
-from .families import FamilySpec, custom_family, eval_table, norm_products
+from .families import FamilySpec, custom_family, eval_table
 from .kernels import IteratedKernelContext, KernelContext, iterated_kernel, kernel_poly
 from .moments import cauchy_mass, gauss_rule, integrate_until_stable
 
@@ -30,7 +38,6 @@ __all__ = [
     "RecoveryCoefficients",
     "geronimus_data",
     "geronimus_poly",
-    "geronimus_mass0",
     "geronimus_family",
     "op_from_geronimus",
     "uvarov_data",
@@ -51,12 +58,14 @@ _POLE_RTOL = 1e-11
 
 @dataclass(frozen=True)
 class GeronimusData:
-    """Correction coefficients A_n of the Geronimus-transformed sequence.
+    """Correction coefficients A_n of the Geronimus-transformed sequence of
+    ``family`` at the shift k.
 
     A[n] = A_n = -I_n / I_{n-1} with I_n the principal integral of
     P_n(x)/(k - x); mass0 records the Ltilde(1) value used for verification.
     """
 
+    family: FamilySpec
     k: float
     A: np.ndarray
     mass0: float
@@ -64,20 +73,27 @@ class GeronimusData:
 
 @dataclass(frozen=True)
 class UvarovData:
-    """Mixing coefficients T_n of the point-mass (Uvarov) transform."""
+    """Mixing coefficients T_n of the point-mass (Uvarov) transform at the
+    shift of ``ctx``, the kernel context they are read from."""
 
-    k: float
+    ctx: KernelContext
     r0: float
     T: np.ndarray
 
 
 @dataclass(frozen=True)
 class RecoveryCoefficients:
-    """Coefficient sequences of one of the four recovery constructions.
+    """Coefficient sequences of one of the four recovery constructions, and
+    what its ``*_recovery_poly`` evaluator reads.
 
     ``kind`` is one of "christoffel", "geronimus", "uvarov", "order2";
     entries are indexed so that ``gamma[n]``, ``eta[n]``, ... belong to the
-    combination that rebuilds P_n (unused slots hold NaN).
+    combination that rebuilds P_n (unused slots hold NaN).  ``ctx1`` and
+    ``ctx2`` are the kernel contexts at k1 and k2 (a Geronimus k1 has none),
+    ``quasi`` the mixing coefficients of the quasi-type combination (B,
+    Btilde, or Ltilde and Mtilde), and ``data`` the transformed sequence's
+    record: the GeronimusData, the UvarovData, or for order two the
+    IteratedKernelContext at (k2, k3).
     """
 
     kind: str
@@ -85,6 +101,10 @@ class RecoveryCoefficients:
     eta: np.ndarray | None = None
     alpha: np.ndarray | None = None
     beta: np.ndarray | None = None
+    ctx1: KernelContext | None = None
+    ctx2: KernelContext | None = None
+    quasi: tuple[np.ndarray, ...] = ()
+    data: GeronimusData | UvarovData | IteratedKernelContext | None = None
 
 
 def _require_outside_support(family: FamilySpec, k: float, what: str) -> None:
@@ -168,17 +188,10 @@ def geronimus_data(family: FamilySpec, k: float, n_max: int, mass0: float | None
         # which collapses to -L(1/(k - x)) via I_1 = (k - c_1) I_0 - mu0;
         # the latter form shares the cached integral the functional uses
         mass0 = -cauchy_mass(family, k)
-    return GeronimusData(k=k, A=A, mass0=mass0)
+    return GeronimusData(family=family, k=k, A=A, mass0=mass0)
 
 
-def geronimus_mass0(family: FamilySpec, k: float) -> float:
-    """The Ltilde(1) value under which the transformed sequence is orthogonal."""
-    return geronimus_data(family, k, 1).mass0
-
-
-def geronimus_family(
-    family: FamilySpec, k: float, n_max: int, data: GeronimusData | None = None
-) -> FamilySpec:
+def geronimus_family(data: GeronimusData, n_max: int) -> FamilySpec:
     """The transformed sequence as a family of its own.
 
     Matching coefficients in x Pt_n expanded over the P basis gives
@@ -190,12 +203,10 @@ def geronimus_family(
     construction to the result at the same k recovers the original
     coefficients (the two transformations are mutually inverse).
     """
-    if data is None:
-        data = geronimus_data(family, k, n_max + 1)
     if data.A.size < n_max + 2:
         raise ValueError(f"need A_1..A_{n_max + 1}; supplied data stops at {data.A.size - 1}")
     a_seq = np.concatenate([[0.0], data.A[1 : n_max + 2]])
-    c, lam = family.table(n_max + 1).T
+    c, lam = data.family.table(n_max + 1).T
     ct = c + a_seq[:-1] - a_seq[1:]
     lt = lam + a_seq[:-1] * (np.concatenate([[np.nan], c[:-1]]) - ct)
     lt[0] = data.mass0
@@ -205,22 +216,20 @@ def geronimus_family(
             raise ValueError(f"geronimus_family cached only {n_max + 1} coefficients")
         return ct[m - 1], lt[m - 1]
 
-    return custom_family(coeffs, family.support, data.mass0)
+    return custom_family(coeffs, data.family.support, data.mass0)
 
 
-def geronimus_poly(family: FamilySpec, k: float, n: int, x, data: GeronimusData | None = None):
+def geronimus_poly(data: GeronimusData, n: int, x):
     """Transformed polynomial Pt_n(k; x) = P_n(x) + A_n P_{n-1}(x)."""
     if n == 0:
         return np.ones_like(np.asarray(x)) if np.ndim(x) else 1.0
-    if data is None:
-        data = geronimus_data(family, k, n)
     xs = np.atleast_1d(np.asarray(x))
-    table = eval_table(family, n, xs)
+    table = eval_table(data.family, n, xs)
     out = table[n] + data.A[n] * table[n - 1]
     return out if np.ndim(x) else out[0]
 
 
-def op_from_geronimus(family: FamilySpec, k: float, n: int, x, data: GeronimusData | None = None):
+def op_from_geronimus(data: GeronimusData, n: int, x):
     """Invert the transform: P_n(x) from Pt_{n+1} and Pt_n.
 
     P_n(x) = [Pt_{n+1}(k;x) + (lambda_{n+1}/A_n) Pt_n(k;x)] / (x - k).
@@ -232,18 +241,15 @@ def op_from_geronimus(family: FamilySpec, k: float, n: int, x, data: GeronimusDa
     vanishes at x = k, but no stable branch is implemented there, so points
     within the pole radius raise EvalAtShift.
     """
-    if data is None:
-        data = geronimus_data(family, k, n + 1)
+    k = data.k
     xs = np.atleast_1d(np.asarray(x))
     if np.any(np.abs(xs - k) < _POLE_RTOL * (1.0 + abs(k))):
         raise EvalAtShift(f"evaluation point coincides with the shift k={k}")
-    lam = family.coefficient(n + 1)[1]
+    lam = data.family.coefficient(n + 1)[1]
     if n == 0:
-        num = geronimus_poly(family, k, 1, xs, data) + (lam / data.A[1]) * 1.0
+        num = geronimus_poly(data, 1, xs) + (lam / data.A[1]) * 1.0
     else:
-        num = geronimus_poly(family, k, n + 1, xs, data) + (lam / data.A[n]) * geronimus_poly(
-            family, k, n, xs, data
-        )
+        num = geronimus_poly(data, n + 1, xs) + (lam / data.A[n]) * geronimus_poly(data, n, xs)
     out = num / (xs - k)
     return out if np.ndim(x) else out[0]
 
@@ -255,12 +261,13 @@ def uvarov_data(family: FamilySpec, k: float, r0: float, n_max: int) -> UvarovDa
     N_j = lambda_1...lambda_{j+1} and K the CD kernel; T_0 = 0.  This is the
     classical point-mass formula, which the quadrature oracle confirms; the
     variant with both indices raised to n fails the orthogonality contract
-    and is not used.
+    and is not used.  P_j(k) and N_j come from the kernel context at k that
+    ``uvarov_poly`` evaluates Pk_{n-1}(k; x) from.
     """
     if r0 == 0.0:
         raise ValueError("r0 must be nonzero")
-    pk = eval_table(family, max(n_max, 1), [k])[:, 0].real
-    norms = norm_products(family, max(n_max, 1)).real
+    ctx = KernelContext(family, k, n_max)
+    pk, norms = ctx.pk, ctx.norms
     kkk = np.cumsum(pk**2 / norms)[:n_max]  # K_n(k,k) partial sums
     den = 1.0 + r0 * kkk
     vanishes = np.abs(den) < 1e-13 * np.maximum(1.0, abs(r0) * kkk)
@@ -269,28 +276,36 @@ def uvarov_data(family: FamilySpec, k: float, r0: float, n_max: int) -> UvarovDa
         raise DegenerateDenominator(f"Uvarov denominator 1 + r0 K_{n-1}(k,k) vanishes at n={n}")
     T = np.zeros(n_max + 1)
     T[1:] = r0 * pk[1 : n_max + 1] * pk[:n_max] / (norms[:n_max] * den)
-    return UvarovData(k=k, r0=r0, T=T)
+    return UvarovData(ctx=ctx, r0=r0, T=T)
 
 
-def uvarov_poly(
-    family: FamilySpec, k: float, r0: float, n: int, x, data: UvarovData | None = None
-):
+def uvarov_poly(data: UvarovData, n: int, x):
     """Point-mass transformed polynomial Ph_n(x) = P_n(x) - T_n Pk_{n-1}(k; x)."""
-    if data is None:
-        data = uvarov_data(family, k, r0, max(n, 1))
     xs = np.atleast_1d(np.asarray(x))
-    table = eval_table(family, n, xs)
+    table = eval_table(data.ctx.family, n, xs)
     if n == 0:
         out = table[0]
     else:
-        ctx = KernelContext(family, k, n)
-        out = table[n] - data.T[n] * kernel_poly(ctx, n - 1, xs)
+        out = table[n] - data.T[n] * kernel_poly(data.ctx, n - 1, xs)
     return out if np.ndim(x) else out[0]
 
 
 # ---------------------------------------------------------------------------
 # recovery constructions
 # ---------------------------------------------------------------------------
+
+
+def _require_off_pole(alpha, gamma, x, what: str) -> None:
+    if np.any(np.abs(alpha * np.asarray(x) - gamma) < _POLE_RTOL * (1.0 + abs(gamma))):
+        raise PoleAtSample(f"a sample point hits the pole {what}")
+
+
+def _quasi_kernel(ctx: KernelContext, top: int, coeffs, x):
+    """Pk_top + coeffs[0] Pk_{top-1} + coeffs[1] Pk_{top-2} + ... at the shift of ``ctx``."""
+    out = kernel_poly(ctx, top, x)
+    for i, a in enumerate(coeffs, start=1):
+        out = out + a * kernel_poly(ctx, top - i, x)
+    return out
 
 
 def recover_christoffel(
@@ -306,8 +321,10 @@ def recover_christoffel(
     B = np.asarray(B)
     if B.size < n_max:
         raise ValueError(f"need B_1..B_{n_max}, got {B.size} values")
-    pk1 = eval_table(family, n_max + 1, [k1])[:, 0]
-    pk2 = eval_table(family, n_max, [k2])[:, 0]
+    ctx1 = KernelContext(family, k1, n_max + 1)
+    ctx2 = KernelContext(family, k2, n_max + 1)
+    pk1 = ctx1.pk[: n_max + 2]
+    pk2 = ctx2.pk[: n_max + 1]
     c, lam = family.table(n_max + 1)[1:].T  # c_{n+2}, lambda_{n+2} at [n]
     b_next = B[:n_max]  # B_{n+1} at [n]
     gamma = np.full(n_max + 1, np.nan, dtype=complex)
@@ -316,27 +333,18 @@ def recover_christoffel(
     gamma[:n_max] = c + pk1[2:] / pk1[1:-1] - b_next - eta[:n_max]
     if abs(gamma.imag[~np.isnan(gamma.real)]).max(initial=0.0) == 0.0:
         gamma, eta = gamma.real, eta.real
-    return RecoveryCoefficients(kind="christoffel", gamma=gamma, eta=eta)
+    return RecoveryCoefficients(
+        kind="christoffel", gamma=gamma, eta=eta, ctx1=ctx1, ctx2=ctx2, quasi=(B,)
+    )
 
 
-def christoffel_recovery_poly(
-    family: FamilySpec,
-    k1: complex,
-    k2: complex,
-    B,
-    rc: RecoveryCoefficients,
-    n: int,
-    x,
-):
+def christoffel_recovery_poly(rc: RecoveryCoefficients, n: int, x):
     """Q_n(x) = [(x-k1) T_n(k1;x) + eta_{n-1} (x-k2) Pk_{n-1}(k2;x)] / (x - gamma_{n-1})."""
-    B = np.asarray(B)
     gamma, eta = rc.gamma[n - 1], rc.eta[n - 1]
-    if np.any(np.abs(np.asarray(x) - gamma) < _POLE_RTOL * (1.0 + abs(gamma))):
-        raise PoleAtSample(f"a sample point hits the pole gamma_{n-1} = {gamma}")
-    ctx1 = KernelContext(family, k1, n + 1)
-    ctx2 = KernelContext(family, k2, n + 1)
-    t_quasi = kernel_poly(ctx1, n, x) + B[n - 1] * kernel_poly(ctx1, n - 1, x)
-    return ((x - k1) * t_quasi + eta * (x - k2) * kernel_poly(ctx2, n - 1, x)) / (x - gamma)
+    _require_off_pole(1.0, gamma, x, f"gamma_{n-1} = {gamma}")
+    ctx1, ctx2 = rc.ctx1, rc.ctx2
+    t_quasi = _quasi_kernel(ctx1, n, [b[n - 1] for b in rc.quasi], x)
+    return ((x - ctx1.k) * t_quasi + eta * (x - ctx2.k) * kernel_poly(ctx2, n - 1, x)) / (x - gamma)
 
 
 def recover_geronimus(
@@ -351,7 +359,8 @@ def recover_geronimus(
     if Btilde.size < n_max:
         raise ValueError(f"need Btilde_1..Btilde_{n_max}, got {Btilde.size} values")
     gdata = geronimus_data(family, k1, n_max + 1)
-    pk2 = eval_table(family, n_max + 1, [k2])[:, 0]
+    ctx2 = KernelContext(family, k2, n_max + 1)
+    pk2 = ctx2.pk[: n_max + 2]
     c, lam = family.table(n_max + 1)[1:].T  # c_{n+1}, lambda_{n+1} at [n-1]
     bt = Btilde[:n_max]
     den = lam + bt * pk2[1:-1] / pk2[:-2]
@@ -365,30 +374,19 @@ def recover_geronimus(
     gamma[1:] = c * (1.0 + e) - gdata.A[2 : n_max + 2] + e * pk2[2:] / pk2[1:-1] - e * bt
     if abs(np.nan_to_num(gamma.imag)).max() == 0.0:
         alpha, gamma, eta = alpha.real, gamma.real, eta.real
-    return RecoveryCoefficients(kind="geronimus", alpha=alpha, gamma=gamma, eta=eta)
+    return RecoveryCoefficients(
+        kind="geronimus", alpha=alpha, gamma=gamma, eta=eta, ctx2=ctx2, quasi=(Btilde,), data=gdata
+    )
 
 
-def geronimus_recovery_poly(
-    family: FamilySpec,
-    k1: float,
-    k2: complex,
-    Btilde,
-    rc: RecoveryCoefficients,
-    n: int,
-    x,
-    gdata: GeronimusData | None = None,
-):
+def geronimus_recovery_poly(rc: RecoveryCoefficients, n: int, x):
     """Q_n(x) = [Pt_{n+1}(k1;x) + eta_n (x-k2) T_n(k2;x)] / (alpha_n x - gamma_n)."""
-    Btilde = np.asarray(Btilde)
     alpha, gamma, eta = rc.alpha[n], rc.gamma[n], rc.eta[n]
-    if np.any(np.abs(alpha * np.asarray(x) - gamma) < _POLE_RTOL * (1.0 + abs(gamma))):
-        raise PoleAtSample(f"a sample point hits the pole of the degree-{n} combination")
-    if gdata is None:
-        gdata = geronimus_data(family, k1, n + 1)
-    ctx2 = KernelContext(family, k2, n + 1)
-    t_quasi = kernel_poly(ctx2, n, x) + Btilde[n - 1] * kernel_poly(ctx2, n - 1, x)
-    pt = geronimus_poly(family, k1, n + 1, x, gdata)
-    return (pt + eta * (x - k2) * t_quasi) / (alpha * x - gamma)
+    _require_off_pole(alpha, gamma, x, f"of the degree-{n} combination")
+    ctx2 = rc.ctx2
+    t_quasi = _quasi_kernel(ctx2, n, [b[n - 1] for b in rc.quasi], x)
+    pt = geronimus_poly(rc.data, n + 1, x)
+    return (pt + eta * (x - ctx2.k) * t_quasi) / (alpha * x - gamma)
 
 
 def recover_uvarov(
@@ -403,8 +401,9 @@ def recover_uvarov(
     if Btilde.size < n_max:
         raise ValueError(f"need Btilde_1..Btilde_{n_max}, got {Btilde.size} values")
     udata = uvarov_data(family, k1, r0, n_max)
-    pk1 = eval_table(family, n_max + 1, [k1])[:, 0].real
-    pk2 = eval_table(family, n_max + 1, [k2])[:, 0]
+    ctx2 = KernelContext(family, k2, n_max + 1)
+    pk1 = udata.ctx.pk[: n_max + 2]
+    pk2 = ctx2.pk[: n_max + 2]
     c, lam = family.table(n_max + 1)[1:].T  # c_{n+1}, lambda_{n+1} at [n-1]
     bt = Btilde[:n_max]
     den = bt * pk2[1:-1] / pk2[:-2] + lam
@@ -417,31 +416,20 @@ def recover_uvarov(
     beta[1:] = k1 + udata.T[1:] + (c - bt + pk2[2:] / pk2[1:-1]) * eta[1:]
     if abs(np.nan_to_num(beta.imag)).max() == 0.0:
         alpha, beta, eta = alpha.real, beta.real, eta.real
-    return RecoveryCoefficients(kind="uvarov", alpha=alpha, beta=beta, gamma=beta, eta=eta)
+    return RecoveryCoefficients(
+        kind="uvarov", alpha=alpha, beta=beta, gamma=beta, eta=eta,
+        ctx1=udata.ctx, ctx2=ctx2, quasi=(Btilde,), data=udata,
+    )
 
 
-def uvarov_recovery_poly(
-    family: FamilySpec,
-    k1: float,
-    k2: complex,
-    r0: float,
-    Btilde,
-    rc: RecoveryCoefficients,
-    n: int,
-    x,
-    udata: UvarovData | None = None,
-):
+def uvarov_recovery_poly(rc: RecoveryCoefficients, n: int, x):
     """Q_n(x) = [(x-k1) Ph_n(x) + eta_n (x-k2) T_n(k2;x)] / (alpha_n x - beta_n)."""
-    Btilde = np.asarray(Btilde)
     alpha, beta, eta = rc.alpha[n], rc.beta[n], rc.eta[n]
-    if np.any(np.abs(alpha * np.asarray(x) - beta) < _POLE_RTOL * (1.0 + abs(beta))):
-        raise PoleAtSample(f"a sample point hits the pole of the degree-{n} combination")
-    if udata is None:
-        udata = uvarov_data(family, k1, r0, n)
-    ctx2 = KernelContext(family, k2, n + 1)
-    t_quasi = kernel_poly(ctx2, n, x) + Btilde[n - 1] * kernel_poly(ctx2, n - 1, x)
-    phat = uvarov_poly(family, k1, r0, n, x, udata)
-    return ((x - k1) * phat + eta * (x - k2) * t_quasi) / (alpha * x - beta)
+    _require_off_pole(alpha, beta, x, f"of the degree-{n} combination")
+    ctx2 = rc.ctx2
+    t_quasi = _quasi_kernel(ctx2, n, [b[n - 1] for b in rc.quasi], x)
+    phat = uvarov_poly(rc.data, n, x)
+    return ((x - rc.ctx1.k) * phat + eta * (x - ctx2.k) * t_quasi) / (alpha * x - beta)
 
 
 def order2_constraint_rhs(
@@ -497,10 +485,11 @@ def recover_order2(
     Mtilde = np.asarray(Mtilde, dtype=complex)
     if Ltilde.size < n_max or Mtilde.size < n_max:
         raise ValueError(f"need Ltilde_1..Ltilde_{n_max} and Mtilde_1..Mtilde_{n_max}")
-    pk1 = eval_table(family, n_max + 2, [k1])[:, 0]
-    ctx = KernelContext(family, k2, n_max + 2)
-    ictx = IteratedKernelContext(ctx, k3)
-    rhs = _order2_rhs(pk1, ctx, ictx, n_max)[1:]
+    ctx2 = KernelContext(family, k2, n_max + 2)
+    ictx = IteratedKernelContext(ctx2, k3)
+    ctx1 = KernelContext(family, k1, n_max + 2)
+    pk1 = ctx1.pk[: n_max + 3]
+    rhs = _order2_rhs(pk1, ctx2, ictx, n_max)[1:]
     pk1 = pk1[:-1]  # P_0..P_{n_max+1}
     pairs = family.table(n_max + 2)
     c, lam, lam2 = pairs[1:-1, 0], pairs[1:-1, 1], pairs[2:, 1]  # indices n+1, n+1, n+2
@@ -519,37 +508,20 @@ def recover_order2(
     alpha[1:] = -(1.0 / lam) * mt * pk1[1:-1] / pk1[:-2]
     cross_ratio = ictx.cd_cross[2 : n_max + 2] / ictx.cd_cross[1 : n_max + 1]
     beta[1:] = lt * pk1[2:] / pk1[1:-1] - mt + lam2 * cross_ratio + alpha[1:] * c
-    return RecoveryCoefficients(kind="order2", alpha=alpha, beta=beta)
+    return RecoveryCoefficients(
+        kind="order2", alpha=alpha, beta=beta, ctx1=ctx1, ctx2=ctx2, quasi=(Ltilde, Mtilde), data=ictx
+    )
 
 
-def order2_recovery_poly(
-    family: FamilySpec,
-    k1: complex,
-    k2: complex,
-    k3: complex,
-    Ltilde,
-    Mtilde,
-    rc: RecoveryCoefficients,
-    n: int,
-    x,
-):
+def order2_recovery_poly(rc: RecoveryCoefficients, n: int, x):
     """Q_n(x) = [(x-k1) S_{n+1}(k1;x) - (x-k2)(x-k3) Pkk_n(k2,k3;x)] / (alpha_n x - beta_n).
 
     S_{n+1} is the order-two quasi combination Pk_{n+1} + Lt_n Pk_n +
     Mt_n Pk_{n-1} at k1, and Pkk_n the iterated kernel polynomial.
     """
-    Ltilde = np.asarray(Ltilde, dtype=complex)
-    Mtilde = np.asarray(Mtilde, dtype=complex)
     alpha, beta = rc.alpha[n], rc.beta[n]
-    if np.any(np.abs(alpha * np.asarray(x) - beta) < _POLE_RTOL * (1.0 + abs(beta))):
-        raise PoleAtSample(f"a sample point hits the pole of the degree-{n} combination")
-    ctx1 = KernelContext(family, k1, n + 2)
-    s_quasi = (
-        kernel_poly(ctx1, n + 1, x)
-        + Ltilde[n - 1] * kernel_poly(ctx1, n, x)
-        + Mtilde[n - 1] * kernel_poly(ctx1, n - 1, x)
-    )
-    ctx2 = KernelContext(family, k2, n + 2)
-    ictx = IteratedKernelContext(ctx2, k3)
+    _require_off_pole(alpha, beta, x, f"of the degree-{n} combination")
+    ctx1, ictx = rc.ctx1, rc.data
+    s_quasi = _quasi_kernel(ctx1, n + 1, [a[n - 1] for a in rc.quasi], x)
     iter_val = iterated_kernel(ictx, n, x)
-    return ((x - k1) * s_quasi - (x - k2) * (x - k3) * iter_val) / (alpha * x - beta)
+    return ((x - ctx1.k) * s_quasi - (x - ictx.k2) * (x - ictx.k3) * iter_val) / (alpha * x - beta)

@@ -116,21 +116,19 @@ def test_criterion_03_recovery_identities():
         b_arr = np.full(n_max, 0.3)
         rc = opx.recover_christoffel(fam, *shifts["c"], b_arr, n_max)
         for n in range(1, n_max + 1):
-            q = opx.christoffel_recovery_poly(fam, *shifts["c"], b_arr, rc, n, xs)
+            q = opx.christoffel_recovery_poly(rc, n, xs)
             p = opx.eval_table(fam, n, xs)[n]
             worst = max(worst, float(np.max(np.abs(q - p) / np.maximum(1.0, np.abs(p)))))
         bt = np.full(n_max, 0.4)
-        gd = opx.geronimus_data(fam, shifts["g"][0], n_max + 1)
         rc = opx.recover_geronimus(fam, *shifts["g"], bt, n_max)
         for n in range(1, n_max + 1):
-            q = opx.geronimus_recovery_poly(fam, *shifts["g"], bt, rc, n, xs, gd)
+            q = opx.geronimus_recovery_poly(rc, n, xs)
             p = opx.eval_table(fam, n, xs)[n]
             worst = max(worst, float(np.max(np.abs(q - p) / np.maximum(1.0, np.abs(p)))))
         bu = np.full(n_max, 0.2)
-        ud = opx.uvarov_data(fam, shifts["u"][0], 0.5, n_max)
         rc = opx.recover_uvarov(fam, *shifts["u"], 0.5, bu, n_max)
         for n in range(1, n_max + 1):
-            q = opx.uvarov_recovery_poly(fam, *shifts["u"], 0.5, bu, rc, n, xs, ud)
+            q = opx.uvarov_recovery_poly(rc, n, xs)
             p = opx.eval_table(fam, n, xs)[n]
             worst = max(worst, float(np.max(np.abs(q - p) / np.maximum(1.0, np.abs(p)))))
         k1 = shifts["s"]
@@ -145,7 +143,7 @@ def test_criterion_03_recovery_identities():
         )
         rc = opx.recover_order2(fam, k1, 1j, -1j, lt, mt, n_max)
         for n in range(1, n_max + 1):
-            q = opx.order2_recovery_poly(fam, k1, 1j, -1j, lt, mt, rc, n, xs)
+            q = opx.order2_recovery_poly(rc, n, xs)
             p = opx.eval_table(fam, n, xs)[n]
             worst = max(worst, float(np.max(np.abs(q - p) / np.maximum(1.0, np.abs(p)))))
             assert float(np.max(np.abs(np.imag(q)) / np.maximum(1.0, np.abs(q)))) <= 1e-12
@@ -303,7 +301,7 @@ def test_criterion_09_chain_sequence():
 
 def test_criterion_10_geronimus_christoffel_inverse():
     fam = opx.chebyshev1()
-    tilde = opx.geronimus_family(fam, 3.0, 15)
+    tilde = opx.geronimus_family(opx.geronimus_data(fam, 3.0, 16), 15)
     ctx = opx.KernelContext(tilde, 3.0, 10)
     back = opx.kernel_recurrence(ctx, 10)
     orig = opx.recurrence_coefficients(fam, 10)

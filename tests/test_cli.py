@@ -202,6 +202,36 @@ def test_custom_family_bad_header(tmp_path):
     assert "header" in err
 
 
+# the Chebyshev-1 recurrence, long enough for every suite at --n-max 3
+GOOD_COEFFS = "n,c_n,lambda_n\n1,0,3.141592653589793\n2,0,0.5\n" + "".join(f"{n},0,0.25\n" for n in range(3, 40))
+
+
+@pytest.mark.parametrize(
+    "coeffs, support",
+    [
+        (None, "-1,1"),
+        ("n,c_n,lambda_n\n1,0.1,2.0\ntwo,0.2,0.5\n", "-1,1"),
+        ("n,c_n,lambda_n\n1,0.1,2.0\n2,0.2\n", "-1,1"),
+        (GOOD_COEFFS.replace("\n2,0,", "\n2,nan,"), "-1,1"),
+        (GOOD_COEFFS, "-inf,0"),
+        (GOOD_COEFFS, "nan,1"),
+        (GOOD_COEFFS, "1,-1"),
+    ],
+    ids=["missing-file", "non-integer-n", "short-row", "nan-coefficient", "infinite-a", "nan-a", "reversed"],
+)
+@pytest.mark.parametrize("command", ["recover", "verify"])
+def test_malformed_custom_input_is_a_usage_error(tmp_path, command, coeffs, support):
+    path = tmp_path / "coeffs.csv"
+    if coeffs is not None:
+        path.write_text(coeffs)
+    code, out, err = run_cli(
+        [command, "--family", "custom", "--coeffs", str(path), f"--support={support}", "--n-max", "3"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("opx: ") and "Traceback" not in err
+
+
 def test_all_report_commands_validate_against_schema(schema):
     for args in (
         ["eval", "--family", "chebyshev1", "--n-max", "3", "--points", "0.2"],

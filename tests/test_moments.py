@@ -154,7 +154,7 @@ def test_orthogonality_residual_kernel_polys(cheb):
 
 def test_orthogonality_residual_uvarov_polys(lag):
     ud = opx.uvarov_data(lag, -1.0, 0.3, 5)
-    polys = [lambda xs, n=n: opx.uvarov_poly(lag, -1.0, 0.3, n, xs, ud) for n in range(6)]
+    polys = [lambda xs, n=n: opx.uvarov_poly(ud, n, xs) for n in range(6)]
     gram = orthogonality_residual(lag, Uvarov(-1.0, 0.3), polys, 5)
     assert np.max(np.abs(gram - np.diag(np.diag(gram)))) <= 1e-9
 
@@ -202,7 +202,7 @@ def test_laguerre_geronimus_gram_entry_against_mpmath():
 
     def oracle(i, j):
         def product(xs):
-            return opx.geronimus_poly(fam, k, i, xs, data) * opx.geronimus_poly(fam, k, j, xs, data)
+            return opx.geronimus_poly(data, i, xs) * opx.geronimus_poly(data, j, xs)
 
         return apply_functional(fam, kind, product, i + j)
 

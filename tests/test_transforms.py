@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -38,7 +39,7 @@ def test_geronimus_integral_against_scipy_weighted_quad(cheb):
 
 
 def test_geronimus_poly_degree_zero(cheb):
-    assert opx.geronimus_poly(cheb, 2.0, 0, 0.4) == 1.0
+    assert opx.geronimus_poly(opx.geronimus_data(cheb, 2.0, 1), 0, 0.4) == 1.0
 
 
 @pytest.mark.parametrize(
@@ -54,7 +55,7 @@ def test_geronimus_poly_degree_zero(cheb):
 def test_geronimus_orthogonality_with_solved_mass(make_family, k):
     fam = make_family()
     data = opx.geronimus_data(fam, k, 6)
-    polys = [lambda xs, n=n: opx.geronimus_poly(fam, k, n, xs, data) for n in range(7)]
+    polys = [lambda xs, n=n: opx.geronimus_poly(data, n, xs) for n in range(7)]
     gram = moments.orthogonality_residual(fam, moments.Geronimus(k, data.mass0), polys, 6)
     off = np.max(np.abs(gram - np.diag(np.diag(gram))))
     assert off <= 1e-9
@@ -64,14 +65,14 @@ def test_geronimus_orthogonality_with_solved_mass(make_family, k):
 
 
 def test_geronimus_mass0_solver(cheb):
-    assert opx.geronimus_mass0(cheb, 2.0) == pytest.approx(
+    assert opx.geronimus_data(cheb, 2.0, 1).mass0 == pytest.approx(
         -math.pi / math.sqrt(3.0), rel=1e-12
     )
 
 
 def test_op_from_geronimus_matches_eval(cheb):
     data = opx.geronimus_data(cheb, 2.0, 4)
-    got = opx.op_from_geronimus(cheb, 2.0, 3, 0.5, data)
+    got = opx.op_from_geronimus(data, 3, 0.5)
     want = opx.eval_table(cheb, 3, [0.5])[3, 0]
     assert got == pytest.approx(want, rel=1e-9)
 
@@ -79,7 +80,7 @@ def test_op_from_geronimus_matches_eval(cheb):
 def test_op_from_geronimus_laguerre(lag):
     fam = opx.laguerre(0.0)
     data = opx.geronimus_data(fam, -1.0, 3)
-    got = opx.op_from_geronimus(fam, -1.0, 2, 1.0, data)
+    got = opx.op_from_geronimus(data, 2, 1.0)
     want = opx.eval_table(fam, 2, [1.0])[2, 0]
     assert got == pytest.approx(want, rel=1e-9)
 
@@ -90,19 +91,19 @@ def test_op_from_geronimus_removable_singularity(cheb):
     k, n = 2.0, 3
     data = opx.geronimus_data(cheb, k, n + 1)
     x = k + 1e-8
-    got = opx.op_from_geronimus(cheb, k, n, x, data)
+    got = opx.op_from_geronimus(data, n, x)
     want = opx.eval_table(cheb, n, [x])[n, 0]
     assert got == pytest.approx(want, rel=1e-6)
-    num_at_k = opx.geronimus_poly(cheb, k, n + 1, k, data) + (
+    num_at_k = opx.geronimus_poly(data, n + 1, k) + (
         cheb.coefficient(n + 1)[1] / data.A[n]
-    ) * opx.geronimus_poly(cheb, k, n, k, data)
+    ) * opx.geronimus_poly(data, n, k)
     assert abs(num_at_k) < 1e-12
 
 
 def test_op_from_geronimus_eval_at_shift(cheb):
     data = opx.geronimus_data(cheb, 2.0, 3)
     with pytest.raises(opx.EvalAtShift):
-        opx.op_from_geronimus(cheb, 2.0, 2, 2.0, data)
+        opx.op_from_geronimus(data, 2, 2.0)
 
 
 def test_geronimus_shift_inside_support(cheb):
@@ -113,7 +114,7 @@ def test_geronimus_shift_inside_support(cheb):
 def test_geronimus_family_consistency(cheb):
     # expansion-coefficient consistency A_n lambda_n = lt_{n+1} A_{n-1}
     data = opx.geronimus_data(cheb, 2.0, 9)
-    fam_t = opx.geronimus_family(cheb, 2.0, 8, data)
+    fam_t = opx.geronimus_family(data, 8)
     for n in range(2, 7):
         lt = fam_t.coefficient(n + 1)[1]
         assert data.A[n] * cheb.coefficient(n)[1] == pytest.approx(
@@ -123,7 +124,7 @@ def test_geronimus_family_consistency(cheb):
 
 def test_geronimus_christoffel_duality(cheb):
     # the shifted-by-k kernel construction inverts the transformation
-    tilde = opx.geronimus_family(cheb, 3.0, 15)
+    tilde = opx.geronimus_family(opx.geronimus_data(cheb, 3.0, 16), 15)
     ctx = opx.KernelContext(tilde, 3.0, 10)
     back = opx.kernel_recurrence(ctx, 10)
     orig = opx.recurrence_coefficients(cheb, 10)
@@ -142,7 +143,7 @@ def test_uvarov_vanishing_mass_limit(cheb):
     gaps = {}
     for r0 in (1e-4, 1e-7):
         data = opx.uvarov_data(cheb, 2.0, r0, 4)
-        vals = opx.uvarov_poly(cheb, 2.0, r0, 4, xs, data)
+        vals = opx.uvarov_poly(data, 4, xs)
         gaps[r0] = float(np.max(np.abs(vals - base)))
         assert abs(data.T[4]) <= 1e4 * r0
     assert gaps[1e-7] <= 1e4 * 1e-7
@@ -152,7 +153,7 @@ def test_uvarov_vanishing_mass_limit(cheb):
 
 def test_uvarov_orthogonality(cheb):
     data = opx.uvarov_data(cheb, 2.0, 0.5, 6)
-    polys = [lambda xs, n=n: opx.uvarov_poly(cheb, 2.0, 0.5, n, xs, data) for n in range(7)]
+    polys = [lambda xs, n=n: opx.uvarov_poly(data, n, xs) for n in range(7)]
     gram = moments.orthogonality_residual(cheb, moments.Uvarov(2.0, 0.5), polys, 6)
     assert np.max(np.abs(gram - np.diag(np.diag(gram)))) <= 1e-9
 
@@ -195,7 +196,7 @@ def test_recover_christoffel_identity(cheb, rng):
         xs,
         n_max,
         lambda: opx.recover_christoffel(cheb, 2.0, 2.0, B, n_max),
-        lambda rc, n, xs: opx.christoffel_recovery_poly(cheb, 2.0, 2.0, B, rc, n, xs),
+        opx.christoffel_recovery_poly,
     )
     assert worst <= 1e-9
 
@@ -209,7 +210,7 @@ def test_recover_christoffel_distinct_shifts(cheb, rng):
         xs,
         n_max,
         lambda: opx.recover_christoffel(cheb, 2.0, 3.0, B, n_max),
-        lambda rc, n, xs: opx.christoffel_recovery_poly(cheb, 2.0, 3.0, B, rc, n, xs),
+        opx.christoffel_recovery_poly,
     )
     assert worst <= 1e-9
 
@@ -242,13 +243,12 @@ def test_recover_geronimus_identity(cheb, rng):
     n_max = 6
     Bt = np.full(n_max, 0.4)
     xs = sample_points(cheb, rng, 30)
-    gd = opx.geronimus_data(cheb, 3.0, n_max + 1)
     worst, rc = _worst_recovery(
         cheb,
         xs,
         n_max,
         lambda: opx.recover_geronimus(cheb, 3.0, 2.0, Bt, n_max),
-        lambda rc, n, xs: opx.geronimus_recovery_poly(cheb, 3.0, 2.0, Bt, rc, n, xs, gd),
+        opx.geronimus_recovery_poly,
     )
     assert worst <= 1e-8
     # alpha_n - 1 - eta_n = 0 identically (up to the 1.0 + eta rounding)
@@ -277,13 +277,12 @@ def test_recover_uvarov_identity(cheb, rng):
     n_max = 6
     Bt = np.full(n_max, 0.2)
     xs = sample_points(cheb, rng, 30)
-    ud = opx.uvarov_data(cheb, 2.0, 0.5, n_max)
     worst, rc = _worst_recovery(
         cheb,
         xs,
         n_max,
         lambda: opx.recover_uvarov(cheb, 2.0, 3.0, 0.5, Bt, n_max),
-        lambda rc, n, xs: opx.uvarov_recovery_poly(cheb, 2.0, 3.0, 0.5, Bt, rc, n, xs, ud),
+        opx.uvarov_recovery_poly,
     )
     assert worst <= 1e-8
     assert np.nanmax(np.abs(rc.eta - (rc.alpha - 1.0))) <= 1e-15
@@ -323,7 +322,7 @@ def test_recover_order2_identity(cheb, rng):
     worst = 0.0
     imag_worst = 0.0
     for n in range(1, n_max + 1):
-        q = opx.order2_recovery_poly(cheb, 3.0, 1j, -1j, lt, mt, rc, n, xs)
+        q = opx.order2_recovery_poly(rc, n, xs)
         p = opx.eval_table(cheb, n, xs)[n]
         worst = max(worst, float(np.max(np.abs(q - p) / np.maximum(1.0, np.abs(p)))))
         imag_worst = max(imag_worst, float(np.max(np.abs(np.imag(q)) / np.maximum(1.0, np.abs(q)))))
@@ -367,16 +366,15 @@ def test_recovery_identity_on_laguerre(lag, rng):
         xs,
         n_max,
         lambda: opx.recover_christoffel(lag, -1.0, -1.0, B, n_max),
-        lambda rc, n, xs: opx.christoffel_recovery_poly(lag, -1.0, -1.0, B, rc, n, xs),
+        opx.christoffel_recovery_poly,
     )
     assert worst <= 1e-8
-    gd = opx.geronimus_data(lag, -1.0, n_max + 1)
     worst, _ = _worst_recovery(
         lag,
         xs,
         n_max,
         lambda: opx.recover_geronimus(lag, -1.0, -2.0, B, n_max),
-        lambda rc, n, xs: opx.geronimus_recovery_poly(lag, -1.0, -2.0, B, rc, n, xs, gd),
+        opx.geronimus_recovery_poly,
     )
     assert worst <= 1e-8
 
@@ -387,23 +385,19 @@ def test_uniqueness_sensitivity(cheb, rng):
     B = np.full(n_max, 0.3)
     rc = opx.recover_christoffel(cheb, 2.0, 3.0, B, n_max)
     xs = sample_points(cheb, rng, 30)
-    perturbed = opx.RecoveryCoefficients(
-        kind=rc.kind, gamma=rc.gamma.copy(), eta=rc.eta.copy()
-    )
+    perturbed = dataclasses.replace(rc, gamma=rc.gamma.copy(), eta=rc.eta.copy())
     perturbed.eta[3] += 1e-3
     worst = 0.0
     for x in xs:
-        q = opx.christoffel_recovery_poly(cheb, 2.0, 3.0, B, perturbed, 4, x)
+        q = opx.christoffel_recovery_poly(perturbed, 4, x)
         p = opx.eval_table(cheb, 4, [x])[4, 0]
         worst = max(worst, abs(q - p))
     assert worst >= 1e-5
-    perturbed2 = opx.RecoveryCoefficients(
-        kind=rc.kind, gamma=rc.gamma.copy(), eta=rc.eta.copy()
-    )
+    perturbed2 = dataclasses.replace(rc, gamma=rc.gamma.copy(), eta=rc.eta.copy())
     perturbed2.gamma[3] += 1e-3
     worst = 0.0
     for x in xs:
-        q = opx.christoffel_recovery_poly(cheb, 2.0, 3.0, B, perturbed2, 4, x)
+        q = opx.christoffel_recovery_poly(perturbed2, 4, x)
         p = opx.eval_table(cheb, 4, [x])[4, 0]
         worst = max(worst, abs(q - p))
     assert worst >= 1e-5

@@ -55,14 +55,12 @@ def test_real_recovery_polys(setup):
     fam, (k1, k2), xs = setup
     b = np.full(N_MAX + 1, 0.3)
     rc_c = opx.recover_christoffel(fam, k1, k2, b, N_MAX)
-    gd = opx.geronimus_data(fam, k1, N_MAX + 1)
     rc_g = opx.recover_geronimus(fam, k1, k2, b, N_MAX)
-    ud = opx.uvarov_data(fam, k1, 0.5, N_MAX)
     rc_u = opx.recover_uvarov(fam, k1, k2, 0.5, b, N_MAX)
     constructions = [
-        lambda n, x: opx.christoffel_recovery_poly(fam, k1, k2, b, rc_c, n, x),
-        lambda n, x: opx.geronimus_recovery_poly(fam, k1, k2, b, rc_g, n, x, gd),
-        lambda n, x: opx.uvarov_recovery_poly(fam, k1, k2, 0.5, b, rc_u, n, x, ud),
+        lambda n, x: opx.christoffel_recovery_poly(rc_c, n, x),
+        lambda n, x: opx.geronimus_recovery_poly(rc_g, n, x),
+        lambda n, x: opx.uvarov_recovery_poly(rc_u, n, x),
     ]
     for rebuilt in constructions:
         for n in range(1, N_MAX + 1):
@@ -77,8 +75,8 @@ def test_order2_recovery_poly(setup):
     lt = rhs[1:] - mt * pk1[1:] / (opx.recurrence_coefficients(fam, N_MAX + 1)[1:, 1] * pk1[:-1])
     rc = opx.recover_order2(fam, k1, 1j, -1j, lt, mt, N_MAX)
     for n in range(1, N_MAX + 1):
-        vec = opx.order2_recovery_poly(fam, k1, 1j, -1j, lt, mt, rc, n, xs)
-        pts = _per_point(lambda x: opx.order2_recovery_poly(fam, k1, 1j, -1j, lt, mt, rc, n, x), xs)
+        vec = opx.order2_recovery_poly(rc, n, xs)
+        pts = _per_point(lambda x: opx.order2_recovery_poly(rc, n, x), xs)
         # Q_n = [(x-k1) S_{n+1} - (x-1j)(x+1j) Pkk_n] / (alpha_n x - beta_n)
         ctx1 = opx.KernelContext(fam, k1, n + 2)
         s_terms = sum(

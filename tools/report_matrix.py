@@ -71,6 +71,18 @@ def configs():
     for fam, flags in FAMILIES.items():
         points = ["--points=-0.5", "--points=0.25", "--points=0.9"]
         yield f"eval.{fam}.csv", ["eval", *flags, "--derivs", *points, "--output", "csv"]
+    # recovery edge cases: shifts at a zero of P_1, a first shift inside the
+    # support, a second shift at a zero, and a single degree
+    edge_shifts = {
+        "k0": ["--shift=0"], "k0.5,3": ["--shift=0.5", "--shift=3"], "k2,0": ["--shift=2", "--shift=0"]
+    }
+    for kind in KINDS:
+        for label, shifts in edge_shifts.items():
+            yield f"recover.{kind}.{label}", ["recover", "--kind", kind, *shifts]
+        for fam, flags in FAMILIES.items():
+            yield f"recover.{kind}.{fam}.n1", ["recover", "--kind", kind, *flags, "--n-max", "1"]
+    argv = ["verify", "--suite", "recovery", "--mass0", "2", "--r0=-0.3"]
+    yield "verify.recovery.mass0=2.r0=-0.3", argv
 
 
 def run(argv):
