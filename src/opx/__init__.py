@@ -20,6 +20,7 @@ from .errors import (
     ParameterOutOfRange,
     PoleAtSample,
     ShiftInsideSupport,
+    TableTooShort,
     ZeroDenominator,
 )
 from .families import (

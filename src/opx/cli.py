@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import families, kernels, moments, quasi, ratios, transforms
-from .errors import OpxError
+from .errors import OpxError, TableTooShort
 
 __all__ = ["main", "run", "RunConfig", "render_json"]
 
@@ -180,21 +180,19 @@ def _load_custom_coeffs(path: str):
             pair = (float(c), float(lam))
             if not all(map(math.isfinite, pair)):
                 raise ValueError("non-finite coefficient")
-            rows[int(n)] = pair
+            n = int(n)
         except ValueError as exc:
             got = ",".join(fields)
             raise UsageError(
                 f"{path}, line {line_no}: expected an integer n and two finite numbers, got {got!r}"
             ) from exc
-    if 1 not in rows:
-        raise UsageError(f"{path}: must define n = 1")
-
-    def provider(n: int):
-        if n not in rows:
-            raise UsageError(f"coefficient file defines n up to {max(rows)}, needed {n}")
-        return rows[n]
-
-    return provider
+        if n in rows:
+            raise UsageError(f"{path}, line {line_no}: n = {n} is listed twice")
+        rows[n] = pair
+    missing = next(n for n in range(1, len(rows) + 2) if n not in rows)
+    if not rows or missing <= len(rows):
+        raise UsageError(f"{path}: must list n = 1..N, each once; n = {missing} is missing")
+    return [rows[n] for n in range(1, len(rows) + 1)]
 
 
 def build_family(cfg: RunConfig) -> families.FamilySpec:
@@ -334,10 +332,9 @@ def _cmd_kernel(cfg: RunConfig) -> tuple[str, int]:
 
 def _cmd_chain(cfg: RunConfig) -> tuple[str, int]:
     started = time.time()
-    if cfg.l_values:
-        seq = ratios.chain_params(cfg.l_values, cfg.n_max if cfg.n_max else None)
-    else:
+    if not cfg.l_values:
         raise UsageError("chain needs --l v1,v2,... or --l-const VALUE --n-max N")
+    seq = ratios.chain_params(cfg.l_values, cfg.n_max)
     header = ["n", "l_n", "m_n", "complementary_k_n", "complementary_m_n"]
     comp = seq.complementary
     columns = [np.arange(1, seq.l.size + 1), seq.l, seq.m[1:], comp.l, comp.m[1:]]
@@ -373,7 +370,7 @@ def _cmd_recover(cfg: RunConfig) -> tuple[str, int]:
     fam = build_family(cfg)
     rng = np.random.default_rng(cfg.seed)
     xs = _sample_points(fam, rng, 50)
-    return _finish(cfg, [_recovery_case(cfg.kind, fam, cfg, xs, cfg.n_max)], started=started)
+    return _finish(cfg, [_recovery_case(cfg.kind, fam, cfg, xs, cfg.n_max)[0]], started=started)
 
 
 def _sample_points(fam: families.FamilySpec, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -388,10 +385,10 @@ def _worst(diffs, scales) -> float:
     return float(np.max(np.abs(diffs) / np.maximum(1.0, np.abs(scales)), initial=0.0))
 
 
-def _recovery_case(kind: str, fam, cfg: RunConfig, xs: np.ndarray, n_max: int) -> dict:
+def _recovery_case(kind: str, fam, cfg: RunConfig, xs: np.ndarray, n_max: int):
     """Largest gap between the rebuilt Q_n and P_n over degrees 1..n_max and
-    the points ``xs``; each construction is evaluated once per degree on the
-    whole point vector."""
+    the points ``xs``, as a case, and the recovery's coefficients; each
+    construction is evaluated once per degree on the whole point vector."""
     shifts = _default_shifts(cfg)
     k1 = shifts[0]
     k2 = shifts[1] if len(shifts) > 1 else k1
@@ -419,7 +416,7 @@ def _recovery_case(kind: str, fam, cfg: RunConfig, xs: np.ndarray, n_max: int) -
         raise UsageError(f"unknown recovery kind {kind!r}")
     p = families.eval_table(fam, n_max, xs)[1:]
     q = np.array([rebuilt(rc, n, xs) for n in range(1, n_max + 1)])
-    return _case(f"recovery_identity_{kind}", _worst(q - p, p), cfg.tol)
+    return _case(f"recovery_identity_{kind}", _worst(q - p, p), cfg.tol), rc
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +531,11 @@ def _suite_quasi(fam, cfg: RunConfig, rng) -> list[dict]:
 
 def _suite_recovery(fam, cfg: RunConfig, rng) -> list[dict]:
     xs = _sample_points(fam, rng, 50)
-    cases = [
-        _recovery_case(kind, fam, cfg, xs, min(cfg.n_max, 8))
+    recoveries = {
+        kind: _recovery_case(kind, fam, cfg, xs, min(cfg.n_max, 8))
         for kind in ("christoffel", "geronimus", "uvarov", "order2")
-    ]
+    }
+    cases = [case for case, _ in recoveries.values()]
     # transformed-sequence orthogonality under the respective functionals;
     # --mass0 overrides the solved Geronimus mass (the default is the value
     # that makes the sequence orthogonal, so overrides should fail)
@@ -550,10 +548,11 @@ def _suite_recovery(fam, cfg: RunConfig, rng) -> list[dict]:
     )
     off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
     cases.append(_case("geronimus_transform_orthogonality", off, 1e-9))
-    r0 = cfg.r0 if cfg.r0 is not None else 0.5
-    udata = transforms.uvarov_data(fam, k1, r0, n_max)
+    # the Uvarov recovery's record at (k1, r0): T_n, P_j(k) and N_j are
+    # prefix-stable, so its record at degree min(n_max, 8) serves this one
+    udata = recoveries["uvarov"][1].data
     upolys = [lambda xs_, n=n: transforms.uvarov_poly(udata, n, xs_) for n in range(n_max + 1)]
-    gram = moments.orthogonality_residual(fam, moments.Uvarov(k1, r0), upolys, n_max)
+    gram = moments.orthogonality_residual(fam, moments.Uvarov(k1, udata.r0), upolys, n_max)
     off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
     cases.append(_case("uvarov_transform_orthogonality", off, 1e-9))
     return cases
@@ -702,7 +701,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shift", dest="shifts", type=float, action="append", default=[])
     p.add_argument("--mass0", type=float, default=None)
     p.add_argument("--r0", type=float, default=None)
-    p.add_argument("--n-max", dest="n_max", type=int, default=8)
+    p.add_argument("--n-max", dest="n_max", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--depth", type=int, default=60)
     p.add_argument("--seed", type=int, default=None)
@@ -763,7 +762,7 @@ def _parse(argv: list[str]) -> RunConfig:
         shifts=list(ns.shifts),
         mass0=ns.mass0,
         r0=ns.r0,
-        n_max=ns.n_max,
+        n_max=8 if ns.n_max is None else ns.n_max,
         tol=ns.tol,
         depth=ns.depth,
         seed=seed,
@@ -781,6 +780,8 @@ def _parse(argv: list[str]) -> RunConfig:
     if ns.command == "chain":
         if ns.l_list:
             cfg.l_values = [float(v) for v in ns.l_list.split(",") if v.strip()]
+            if ns.n_max is None and cfg.l_values:  # every listed value, unless --n-max cuts them
+                cfg.n_max = len(cfg.l_values)
         elif ns.l_const is not None:
             cfg.l_values = [ns.l_const] * cfg.n_max
     if cfg.n_max < 0 or (cfg.n_max < 1 and ns.command not in ("eval",)):
@@ -815,6 +816,9 @@ def main(argv: list[str] | None = None) -> int:
         text, code = run(cfg)
     except UsageError as exc:
         print(f"opx: {exc}", file=sys.stderr)
+        return 2
+    except TableTooShort as exc:  # a coefficient file is the CLI's one finite table
+        print(f"opx: coefficient file {exc}", file=sys.stderr)
         return 2
     except OpxError as exc:
         print(f"opx: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ __all__ = [
     "ZeroDenominator",
     "NonConvergent",
     "Divergent",
+    "TableTooShort",
 ]
 
 
@@ -77,3 +78,7 @@ class NonConvergent(OpxError):
 
 class Divergent(OpxError):
     """A non-terminating hypergeometric series was requested outside |z| < 1."""
+
+
+class TableTooShort(OpxError):
+    """A finite coefficient table has no row for an index asked for."""

@@ -9,8 +9,9 @@ three-term recurrence
 with P_{-1} = 0, P_0 = 1.  The recurrence never consumes lambda_1; by
 convention lambda_1 := mu_0 = L(1), which makes L(P_n^2) equal to the
 product lambda_1 ... lambda_{n+1} used throughout the kernel formulas.
-Provider indices are 1-based to mirror the subscripts above; arrays of
-evaluated polynomials are 0-based by degree.
+Each family holds one coefficient table, filled from a closed form over an
+array of 1-based indices m (mirroring the subscripts above) or given whole;
+arrays of evaluated polynomials are 0-based by degree.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ParameterOutOfRange
+from .errors import ParameterOutOfRange, TableTooShort
 
 __all__ = [
     "FamilySpec",
@@ -38,20 +39,18 @@ __all__ = [
     "monic_coefficient_table",
 ]
 
-CoeffProvider = Callable[[int], tuple[float, float]]
-
-
 @dataclass(frozen=True, eq=False)
 class FamilySpec:
-    """A moment functional given by its recurrence coefficient provider.
+    """A moment functional given by its recurrence coefficients.
 
     Parameters
     ----------
     kind : str
         One of ``"chebyshev1"``, ``"laguerre"``, ``"jacobi"``, ``"custom"``.
-    coeffs : callable
-        Deterministic map ``n -> (c_n, lambda_n)`` for ``n >= 1``, with
-        ``lambda_1 = mu0``.
+    coeffs : callable or None
+        Closed form ``ms -> rows``: the (len(ms), 2) array of the pairs
+        (c_m, lambda_m) at an int array of 1-based indices ``ms``, with
+        ``lambda_1 = mu0``; None for a finite table (``custom_family``).
     support : tuple of float
         Closure of the support interval; ``math.inf`` marks a half line.
     mu0 : float
@@ -65,7 +64,7 @@ class FamilySpec:
     """
 
     kind: str
-    coeffs: CoeffProvider
+    coeffs: Callable[[np.ndarray], np.ndarray] | None
     support: tuple[float, float]
     mu0: float
     params: tuple[tuple[str, float], ...] = ()
@@ -75,14 +74,16 @@ class FamilySpec:
     def table(self, n: int) -> np.ndarray:
         """Read-only (n, 2) array of the pairs (c_m, lambda_m), m = 1..n.
 
-        The provider is asked only for indices beyond the largest n asked
-        for so far; the memoised table is complex once any coefficient is.
+        The provider is called once per growth, on the indices beyond the
+        largest n asked for so far; the memoised table is complex once any
+        coefficient is.  A finite table raises ``TableTooShort`` instead.
         """
         table = self._table
         if n > len(table):
-            rows = np.array([self.coeffs(m) for m in range(len(table) + 1, n + 1)])
-            rows = rows.astype(complex if rows.dtype.kind == "c" else float)
-            table = np.concatenate([table, rows])
+            if self.coeffs is None:
+                raise TableTooShort(f"defines n up to {len(table)}, needed {len(table) + 1}")
+            # concatenating promotes int rows to float, and the table to complex
+            table = np.concatenate([table, self.coeffs(np.arange(len(table) + 1, n + 1))])
             table.flags.writeable = False
             # a concurrent grower may replace a longer table with a shorter
             # one; callers only read the local it returns, so that is safe
@@ -116,12 +117,9 @@ def chebyshev1() -> FamilySpec:
     lambda_1 = mu0 = pi (the mass of (1 - x^2)^(-1/2) dx).
     """
 
-    def coeffs(n: int) -> tuple[float, float]:
-        if n == 1:
-            return 0.0, math.pi
-        if n == 2:
-            return 0.0, 0.5
-        return 0.0, 0.25
+    def coeffs(ms: np.ndarray) -> np.ndarray:
+        lam = np.select([ms == 1, ms == 2], [math.pi, 0.5], 0.25)
+        return np.stack([np.zeros(ms.size), lam], axis=1)
 
     return FamilySpec("chebyshev1", coeffs, (-1.0, 1.0), math.pi)
 
@@ -137,11 +135,10 @@ def laguerre(gamma: float) -> FamilySpec:
         raise ParameterOutOfRange(f"laguerre requires gamma > -1, got {gamma}")
     mu0 = math.exp(math.lgamma(gamma + 1.0))
 
-    def coeffs(n: int) -> tuple[float, float]:
-        if n == 1:
-            return gamma + 1.0, mu0
-        m = n - 1
-        return 2.0 * m + gamma + 1.0, m * (m + gamma)
+    def coeffs(ms: np.ndarray) -> np.ndarray:
+        m = ms - 1.0  # row m + 1 holds (c_{m+1}, lambda_{m+1})
+        lam = np.where(ms == 1, mu0, m * (m + gamma))
+        return np.stack([2.0 * m + gamma + 1.0, lam], axis=1)
 
     return FamilySpec("laguerre", coeffs, (0.0, math.inf), mu0, (("gamma", gamma),))
 
@@ -149,10 +146,11 @@ def laguerre(gamma: float) -> FamilySpec:
 def jacobi(gamma: float, delta: float) -> FamilySpec:
     """Monic Jacobi family for the weight (1-x)^gamma (1+x)^delta on [-1, 1].
 
-    lambda_{n+1} = 4 n (n+gamma)(n+delta)(n+gamma+delta) /
+    c_{n+1} = (delta - gamma)(delta + gamma) / ((2n+gamma+delta)(2n+gamma+delta+2))
+    and lambda_{n+1} = 4 n (n+gamma)(n+delta)(n+gamma+delta) /
     ((2n+gamma+delta)^2 (2n+gamma+delta+1)(2n+gamma+delta-1)); the first two
-    coefficients are taken in cancelled form so gamma + delta in {0, -1}
-    does not divide by zero.
+    rows are taken in cancelled form so gamma + delta in {0, -1} does not
+    divide by zero.
     """
     if gamma <= -1.0 or delta <= -1.0:
         raise ParameterOutOfRange(
@@ -165,40 +163,43 @@ def jacobi(gamma: float, delta: float) -> FamilySpec:
         + math.lgamma(delta + 1.0)
         - math.lgamma(s + 2.0)
     )
+    c_2 = (delta - gamma) * (delta + gamma) / ((s + 2.0) * (s + 4.0))
+    lam_2 = 4.0 * (1.0 + gamma) * (1.0 + delta) / ((s + 2.0) ** 2 * (s + 3.0))
 
-    def coeffs(n: int) -> tuple[float, float]:
-        if n == 1:
-            return (delta - gamma) / (s + 2.0), mu0
-        if n == 2:
-            c = (delta - gamma) * (delta + gamma) / ((s + 2.0) * (s + 4.0))
-            lam = 4.0 * (1.0 + gamma) * (1.0 + delta) / ((s + 2.0) ** 2 * (s + 3.0))
-            return c, lam
-        m = n - 1  # lambda_n = lambda_{m+1} with m = n-1
-        c = (delta - gamma) * (delta + gamma) / ((2.0 * m + s) * (2.0 * m + s + 2.0))
-        lam = (
-            4.0 * m * (m + gamma) * (m + delta) * (m + s)
-            / ((2.0 * m + s) ** 2 * (2.0 * m + s + 1.0) * (2.0 * m + s - 1.0))
-        )
-        return c, lam
+    def coeffs(ms: np.ndarray) -> np.ndarray:
+        m = ms - 1.0  # row m + 1 holds (c_{m+1}, lambda_{m+1})
+        # the general forms may divide by zero at m = 0, 1: those rows are
+        # replaced by the cancelled forms
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = (delta - gamma) * (delta + gamma) / ((2.0 * m + s) * (2.0 * m + s + 2.0))
+            lam = (
+                4.0 * m * (m + gamma) * (m + delta) * (m + s)
+                / ((2.0 * m + s) ** 2 * (2.0 * m + s + 1.0) * (2.0 * m + s - 1.0))
+            )
+        rows = np.stack([c, lam], axis=1)
+        rows[ms == 1] = (delta - gamma) / (s + 2.0), mu0
+        rows[ms == 2] = c_2, lam_2
+        return rows
 
     return FamilySpec(
         "jacobi", coeffs, (-1.0, 1.0), mu0, (("gamma", gamma), ("delta", delta))
     )
 
 
-def custom_family(
-    coeffs: CoeffProvider,
-    support: tuple[float, float],
-    mu0: float | None = None,
-) -> FamilySpec:
-    """Wrap a user-supplied provider n -> (c_n, lambda_n).
+def custom_family(rows, support: tuple[float, float], mu0: float | None = None) -> FamilySpec:
+    """A family given by the finite (N, 2) table of its pairs (c_n, lambda_n),
+    n = 1..N.
 
-    The provider must be deterministic.  When ``mu0`` is omitted it is taken
-    from ``coeffs(1)[1]`` (the lambda_1 = mu0 convention).
+    Asking for an index past N raises ``TableTooShort``.  When ``mu0`` is
+    omitted it is lambda_1 (the lambda_1 = mu0 convention).
     """
-    if mu0 is None:
-        mu0 = coeffs(1)[1]
-    return FamilySpec("custom", coeffs, support, mu0)
+    table = np.array(rows, dtype=complex if np.iscomplexobj(rows) else float)
+    if table.ndim != 2 or table.shape[1] != 2 or len(table) == 0:
+        raise ValueError(f"expected an (N, 2) table with N >= 1, got shape {table.shape}")
+    table.flags.writeable = False
+    family = FamilySpec("custom", None, support, table[0, 1].item() if mu0 is None else mu0)
+    object.__setattr__(family, "_table", table)
+    return family
 
 
 def recurrence_coefficients(family: FamilySpec, n_max: int) -> np.ndarray:

@@ -176,20 +176,14 @@ def kernel_recurrence(ctx: KernelContext, n_max: int) -> np.ndarray:
 
 
 def kernel_family(ctx: KernelContext, n_max: int) -> FamilySpec:
-    """The Christoffel-shifted family as a FamilySpec of its own.
+    """The Christoffel-shifted family: a finite table of its first n_max pairs.
 
     Support is inherited; the mass is L*(1).  Coefficients may be complex
     for complex shifts, in which case only evaluation (not quadrature) is
     meaningful for the returned family.
     """
     pairs = kernel_recurrence(ctx, n_max)
-
-    def coeffs(n: int) -> tuple[float, float]:
-        if n > n_max:
-            raise ValueError(f"kernel_family cached only {n_max} coefficients")
-        return tuple(pairs[n - 1])
-
-    return custom_family(coeffs, ctx.family.support, pairs[0, 1])
+    return custom_family(pairs, ctx.family.support, pairs[0, 1])
 
 
 def op_from_kernels(ctx: KernelContext, n: int, x):

@@ -192,7 +192,7 @@ def geronimus_data(family: FamilySpec, k: float, n_max: int, mass0: float | None
 
 
 def geronimus_family(data: GeronimusData, n_max: int) -> FamilySpec:
-    """The transformed sequence as a family of its own.
+    """The transformed sequence as a family: a finite table of n_max + 1 pairs.
 
     Matching coefficients in x Pt_n expanded over the P basis gives
 
@@ -210,13 +210,7 @@ def geronimus_family(data: GeronimusData, n_max: int) -> FamilySpec:
     ct = c + a_seq[:-1] - a_seq[1:]
     lt = lam + a_seq[:-1] * (np.concatenate([[np.nan], c[:-1]]) - ct)
     lt[0] = data.mass0
-
-    def coeffs(m: int) -> tuple[float, float]:
-        if m > n_max + 1:
-            raise ValueError(f"geronimus_family cached only {n_max + 1} coefficients")
-        return ct[m - 1], lt[m - 1]
-
-    return custom_family(coeffs, data.family.support, data.mass0)
+    return custom_family(np.stack([ct, lt], axis=1), data.family.support, data.mass0)
 
 
 def geronimus_poly(data: GeronimusData, n: int, x):

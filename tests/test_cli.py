@@ -127,6 +127,20 @@ def test_chain_command(schema):
     assert report["rows"][2]["m_n"] == pytest.approx(0.375)
 
 
+def test_chain_list_covers_every_value_unless_n_max_is_given():
+    values = [0.05 * i for i in range(1, 12)]
+    l_arg = ",".join(map(repr, values))
+    code, out, _ = run_cli(["chain", "--l", l_arg])
+    assert code == 0
+    report = json.loads(out)
+    assert [row["l_n"] for row in report["rows"]] == values
+    assert report["config_echo"]["l"] == values
+    assert report["config_echo"]["n_max"] == 11
+    code, out, _ = run_cli(["chain", "--l", l_arg, "--n-max", "5"])
+    assert code == 0
+    assert [row["l_n"] for row in json.loads(out)["rows"]] == values[:5]
+
+
 def test_kernel_command(schema):
     code, out, _ = run_cli(["kernel", "--family", "chebyshev1", "--shift", "2", "--n-max", "4"])
     assert code == 0
@@ -272,3 +286,34 @@ def test_verify_laguerre_quasi_seed_138_passes():
     case = next(c for c in report["cases"] if c["name"] == "difference_equation_proof_form")
     assert case["pass"] is True
     assert code == 0
+
+
+CUSTOM_EVAL = ["eval", "--family", "custom", "--support=-1,1", "--points=0.3", "--coeffs"]
+FOUR_ROWS = "n,c_n,lambda_n\n1,0.1,2.0\n2,0.2,0.5\n3,-0.1,0.3\n4,0.05,0.25\n"
+
+
+def test_too_short_coefficient_file_is_a_usage_error(tmp_path):
+    # P_0..P_6 need rows n = 1..6; the first one missing is named
+    path = tmp_path / "coeffs.csv"
+    path.write_text(FOUR_ROWS)
+    code, out, err = run_cli([*CUSTOM_EVAL, str(path), "--n-max", "6"])
+    assert (code, out, err) == (2, "", "opx: coefficient file defines n up to 4, needed 5\n")
+
+
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        (FOUR_ROWS + "2,0.9,0.7\n", "line 6: n = 2 is listed twice"),
+        (FOUR_ROWS.replace("\n4,", "\n5,"), "n = 4 is missing"),
+        (FOUR_ROWS.replace("\n3,", "\n7,"), "n = 3 is missing"),
+        (FOUR_ROWS.replace("\n1,", "\n0,"), "n = 1 is missing"),
+        ("n,c_n,lambda_n\n", "n = 1 is missing"),
+    ],
+    ids=["duplicate", "gap-past-n-max", "gap", "starts-at-0", "no-rows"],
+)
+def test_coefficient_file_lists_each_n_once(tmp_path, coeffs, message):
+    path = tmp_path / "coeffs.csv"
+    path.write_text(coeffs)
+    code, out, err = run_cli([*CUSTOM_EVAL, str(path), "--n-max", "3"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"opx: {path}") and message in err

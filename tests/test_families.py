@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -150,7 +152,7 @@ def test_complex_evaluation(cheb):
 
 
 def test_custom_family_provider_roundtrip(cheb):
-    fam = opx.custom_family(lambda n: cheb.coefficient(n), (-1.0, 1.0))
+    fam = opx.custom_family(cheb.table(5), (-1.0, 1.0))
     assert fam.mu0 == pytest.approx(math.pi)
     xs = np.linspace(-1, 1, 5)
     assert_allclose(opx.eval_table(fam, 5, xs), opx.eval_table(cheb, 5, xs))
@@ -164,32 +166,106 @@ def test_recurrence_coefficients_validates_n_max(cheb):
 def test_coefficient_table_grows_only_to_the_index_asked_for(cheb):
     asked = []
 
-    def provider(n):
-        asked.append(n)
-        return cheb.coefficient(n)
+    def provider(ms):
+        asked.append(ms.tolist())
+        return cheb.table(ms[-1])[ms - 1]
 
     fam = opx.FamilySpec("custom", provider, (-1.0, 1.0), math.pi)
     assert asked == []  # building a family fetches nothing
     opx.eval_table(fam, 4, [0.3])
-    assert asked == [1, 2, 3, 4]  # P_0..P_4 need c_1..c_4, lambda_2..lambda_4
+    assert asked == [[1, 2, 3, 4]]  # P_0..P_4 need c_1..c_4, lambda_2..lambda_4
     opx.eval_table(fam, 2, [0.3])
     assert fam.coefficient(3) == cheb.coefficient(3)
-    assert asked == [1, 2, 3, 4]  # memoised
+    assert asked == [[1, 2, 3, 4]]  # memoised
     opx.norm_products(fam, 5)
-    assert asked == [1, 2, 3, 4, 5, 6]  # grows to the index asked for, no further
+    # grows to the index asked for, no further, in one call per growth
+    assert asked == [[1, 2, 3, 4], [5, 6]]
     with pytest.raises(ValueError):
         fam.table(6)[0, 0] = 1.0  # slices are read-only views
 
 
 def test_coefficient_table_dtype_follows_the_provider():
-    # an int-valued provider still gives a float table
-    ints = opx.custom_family(lambda n: (n, 2), (-1.0, 1.0))
-    table = ints.table(3)
-    assert table.dtype == np.float64
-    assert table.tolist() == [[1.0, 2.0], [2.0, 2.0], [3.0, 2.0]]
+    # an int-valued provider or table still gives a float table
+    ints = opx.FamilySpec("custom", lambda ms: np.array([(m, 2) for m in ms.tolist()]), (-1.0, 1.0), 2)
+    for table in (ints.table(3), opx.custom_family([(1, 2), (2, 2), (3, 2)], (-1.0, 1.0)).table(3)):
+        assert table.dtype == np.float64
+        assert table.tolist() == [[1.0, 2.0], [2.0, 2.0], [3.0, 2.0]]
     # a complex provider gives a complex table, and so does growing a real
     # table with complex rows
-    cplx = opx.custom_family(lambda n: (0.5j if n > 2 else 0.0, 1.0), (-1.0, 1.0))
+    def complex_c(ms):  # real rows up to n = 2, complex ones from n = 3
+        return np.array([(0.5j if m > 2 else 0.0, 1.0) for m in ms.tolist()])
+
+    cplx = opx.FamilySpec("custom", complex_c, (-1.0, 1.0), 1.0)
     assert cplx.table(2).dtype == np.float64
     assert cplx.table(4).dtype == np.complex128
     assert cplx.table(4)[:, 0].tolist() == [0.0, 0.0, 0.5j, 0.5j]
+
+
+def test_finite_table_stops_at_its_last_row(cheb):
+    fam = opx.custom_family(cheb.table(4), (-1.0, 1.0))
+    assert fam.mu0 == math.pi and type(fam.mu0) is float  # lambda_1 by default
+    assert_allclose(opx.eval_table(fam, 4, [0.3]), opx.eval_table(cheb, 4, [0.3]), rtol=0, atol=0)
+    with pytest.raises(opx.TableTooShort, match="defines n up to 4, needed 5"):
+        opx.eval_table(fam, 5, [0.3])
+    with pytest.raises(ValueError):
+        fam.table(4)[0, 0] = 1.0  # the given table is frozen
+    for bad in ([], [1.0, 2.0], [(1.0, 2.0, 3.0)]):
+        with pytest.raises(ValueError):
+            opx.custom_family(bad, (-1.0, 1.0))
+
+
+# the exact pairs (c_n, lambda_n); lambda_1 is the mass mu0, so None
+def _exact_chebyshev1(n):
+    return 0, {1: None, 2: Fraction(1, 2)}.get(n, Fraction(1, 4))
+
+
+def _exact_laguerre(gamma):
+    g = Fraction(gamma)
+    return lambda n: (2 * (n - 1) + g + 1, (n - 1) * (n - 1 + g) if n > 1 else None)
+
+
+def _exact_jacobi(gamma, delta):
+    g, d = Fraction(gamma), Fraction(delta)
+    s = g + d
+
+    def pair(n):
+        if n == 1:
+            return (d - g) / (s + 2), None
+        if n == 2:
+            return (d - g) * (d + g) / ((s + 2) * (s + 4)), 4 * (1 + g) * (1 + d) / ((s + 2) ** 2 * (s + 3))
+        m = n - 1
+        c = (d - g) * (d + g) / ((2 * m + s) * (2 * m + s + 2))
+        lam = 4 * m * (m + g) * (m + d) * (m + s) / ((2 * m + s) ** 2 * (2 * m + s + 1) * (2 * m + s - 1))
+        return c, lam
+
+    return pair
+
+
+EXACT_TABLES = {
+    "chebyshev1": (opx.chebyshev1, _exact_chebyshev1),
+    **{f"laguerre{g}": (lambda g=g: opx.laguerre(g), _exact_laguerre(g)) for g in (0.0, 0.5, 2.0)},
+    **{
+        f"jacobi{g},{d}": (lambda g=g, d=d: opx.jacobi(g, d), _exact_jacobi(g, d))
+        for g, d in ((0.0, 0.0), (-0.5, -0.5), (0.3, 0.7), (1.5, 2.2))
+    },
+}
+
+
+@pytest.mark.parametrize("make_family, exact", EXACT_TABLES.values(), ids=EXACT_TABLES.keys())
+def test_builtin_tables_match_their_closed_forms_exactly(make_family, exact):
+    # the docstring closed forms in exact rational arithmetic, at the double
+    # parameters
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fam = make_family()
+        table = fam.table(19999)
+    assert np.isfinite(table).all()
+    assert table[0, 1] == fam.mu0
+    for n in [*range(1, 61), 1000, 4003, 19999]:
+        for got, want in zip(table[n - 1].tolist(), exact(n)):
+            if want is None:
+                continue
+            if want == 0:
+                assert got == 0, n
+            else:
+                assert abs(Fraction(got) - want) <= Fraction(2e-15) * abs(want), n

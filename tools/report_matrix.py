@@ -38,6 +38,11 @@ RATIOS = (
     ("chebyshev1", "1"), ("chebyshev1", "2"), ("laguerre0.5", "-1"), ("jacobi", "1"), ("jacobi", "1.5")
 )
 COEFFS = "n,c_n,lambda_n\n1,0.1,2.0\n2,0.2,0.5\n3,-0.1,0.3\n4,0.05,0.25\n"
+# coefficient files the CLI must reject: n = 2 listed twice, n = 3 missing
+BAD_COEFFS = {
+    "duplicate": COEFFS + "2,0.9,0.7\n",
+    "gap": "n,c_n,lambda_n\n1,0.1,2.0\n2,0.2,0.5\n4,0.05,0.25\n",
+}
 
 
 def configs():
@@ -83,6 +88,19 @@ def configs():
             yield f"recover.{kind}.{fam}.n1", ["recover", "--kind", kind, *flags, "--n-max", "1"]
     argv = ["verify", "--suite", "recovery", "--mass0", "2", "--r0=-0.3"]
     yield "verify.recovery.mass0=2.r0=-0.3", argv
+    # jacobi at the CLI default (0, 0), and at (-0.5, -0.5), where the first
+    # coefficients take their cancelled forms
+    for label, params in (("0,0", ["0", "0"]), ("-0.5,-0.5", ["-0.5", "-0.5"])):
+        flags = ["--family", "jacobi", f"--gamma={params[0]}", f"--delta={params[1]}"]
+        points = ["--points=-0.5", "--points=0.25", "--points=0.9"]
+        yield f"eval.jacobi{label}", ["eval", *flags, "--derivs", *points]
+        yield f"kernel.jacobi{label}", ["kernel", *flags, *points]
+        yield f"ratio.jacobi{label}.k1.5", ["ratio", *flags, "--shift=1.5", "--n-max", "1000"]
+    # a coefficient file too short for --n-max 6, and the malformed ones
+    for label, n_max in (("coeffs", "6"), *((label, "3") for label in BAD_COEFFS)):
+        argv = ["eval", "--family", "custom", "--coeffs", f"{label}.csv", "--support=-1,1"]
+        yield f"eval.custom.{'short' if label == 'coeffs' else label}", [*argv, "--n-max", n_max, "--points=0.3"]
+    yield "chain.l11", ["chain", "--l", ",".join(f"{i / 20:g}" for i in range(1, 12))]
 
 
 def run(argv):
@@ -100,6 +118,8 @@ if __name__ == "__main__":
         # directory, because its path is echoed into the report
         os.chdir(tmp)
         Path("coeffs.csv").write_text(COEFFS)
+        for label, text in BAD_COEFFS.items():
+            Path(f"{label}.csv").write_text(text)
         for name, argv in configs():
             code, digest = run(argv)
             print(name, code, digest, flush=True)
