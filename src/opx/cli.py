@@ -404,13 +404,16 @@ def _recovery_case(kind: str, fam, cfg: RunConfig, xs: np.ndarray, n_max: int):
         rc = transforms.recover_uvarov(fam, k1, k2, r0, b_coeffs, n_max)
         rebuilt = transforms.uvarov_recovery_poly
     elif kind == "order2":
-        k2c, k3c = 1j, -1j
-        rhs = transforms.order2_constraint_rhs(fam, k1, k2c, k3c, n_max)
+        # the contexts recover_order2 builds, built once here to solve the
+        # constraint for Ltilde and then handed to the recovery
+        ictx = kernels.IteratedKernelContext(kernels.KernelContext(fam, 1j, n_max + 2), -1j)
+        ctx1 = kernels.KernelContext(fam, k1, n_max + 2)
+        rhs = transforms._order2_rhs(ctx1.pk, ictx, n_max)
         mt = np.full(n_max, 0.5, dtype=complex)
-        pk1 = families.eval_table(fam, n_max, [k1])[:, 0]
+        pk1 = ctx1.pk[: n_max + 1]
         lam = fam.table(n_max + 1)[1:, 1]  # lambda_{n+1} at [n-1]
         lt = rhs[1:] - mt * pk1[1:] / (lam * pk1[:-1])
-        rc = transforms.recover_order2(fam, k1, k2c, k3c, lt, mt, n_max)
+        rc = transforms._recover_order2(ctx1, ictx, lt, mt, n_max)
         rebuilt = transforms.order2_recovery_poly
     else:
         raise UsageError(f"unknown recovery kind {kind!r}")
@@ -752,6 +755,8 @@ def _parse(argv: list[str]) -> RunConfig:
         if not (math.isfinite(a) and a < b and (math.isfinite(b) or b == math.inf)):
             raise UsageError(f"--support needs finite a < b, b finite or inf, got {ns.support!r}")
         support = (a, b)
+    if ns.family != "custom" and (ns.coeffs_file is not None or support is not None):
+        raise UsageError(f"--coeffs and --support need --family custom, got --family {ns.family}")
     cfg = RunConfig(
         command=ns.command,
         family=ns.family,

@@ -81,7 +81,7 @@ class FamilySpec:
         table = self._table
         if n > len(table):
             if self.coeffs is None:
-                raise TableTooShort(f"defines n up to {len(table)}, needed {len(table) + 1}")
+                raise TableTooShort(f"defines n up to {len(table)}, needed {n}")
             # concatenating promotes int rows to float, and the table to complex
             table = np.concatenate([table, self.coeffs(np.arange(len(table) + 1, n + 1))])
             table.flags.writeable = False

@@ -11,6 +11,10 @@ the base functional L the module applies
 
 all by quadrature, which keeps this module an oracle independent of every
 closed-form identity it is used to certify.
+
+scipy is imported on the first uncached rule of order m >= 2, for its one
+call (``scipy.linalg.eigh_tridiagonal``), not when this module is imported:
+``import opx``, and every command that solves no rule, never load it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import NonConvergent, NotPositiveDefinite, ShiftInsideSupport
 from .families import FamilySpec, recurrence_coefficients
@@ -116,6 +119,10 @@ def gauss_rule(family: FamilySpec, m: int) -> GaussRule:
     if m == 1:
         rule = GaussRule(np.array([diag[0]]), np.array([family.mu0]), 1)
     else:
+        # scipy is loaded here, on the first rule that needs an eigensolve,
+        # so importing opx and every quadrature-free command stay without it
+        from scipy.linalg import eigh_tridiagonal
+
         nodes, vecs = eigh_tridiagonal(diag, np.sqrt(lam))
         rule = GaussRule(nodes, family.mu0 * vecs[0] ** 2, m)
     with _rule_lock:
@@ -185,14 +192,6 @@ def integrate_until_stable(
         prev, prev_l1 = value, l1
         m *= 2
     raise NonConvergent(f"node doubling reached the cap of {max_order} nodes without settling")
-
-
-def _inside_support(family: FamilySpec, k: complex) -> bool:
-    a, b = family.support
-    if abs(complex(k).imag) > 0.0:
-        return False
-    x = complex(k).real
-    return a <= x <= b
 
 
 def apply_functional(

@@ -438,21 +438,19 @@ def order2_constraint_rhs(
     Ltilde_n given Mtilde_n is one linear equation per n.
     """
     pk1 = eval_table(family, n_max + 2, [k1])[:, 0]
-    ctx = KernelContext(family, k2, n_max + 2)
-    return _order2_rhs(pk1, ctx, IteratedKernelContext(ctx, k3), n_max)
+    return _order2_rhs(pk1, IteratedKernelContext(KernelContext(family, k2, n_max + 2), k3), n_max)
 
 
-def _order2_rhs(
-    pk1: np.ndarray, ctx: KernelContext, ictx: IteratedKernelContext, n_max: int
-) -> np.ndarray:
-    """``order2_constraint_rhs`` from P_0..P_{n_max+2} at k1 and the contexts
-    at k2 (n_max + 2) and at (k2, k3)."""
+def _order2_rhs(pk1: np.ndarray, ictx: IteratedKernelContext, n_max: int) -> np.ndarray:
+    """``order2_constraint_rhs`` from P_0..P_{n_max+2} at k1 (or more) and the
+    iterated context at (k2, k3) over the context at k2 of degree n_max + 2."""
     star = ictx.star_values
     up = slice(2, n_max + 2)  # index n+1 at [n-1]
     down = slice(1, n_max + 1)  # index n at [n-1]
     out = np.empty(n_max + 1, dtype=complex)
     out[0] = np.nan
-    pk2 = ctx.pk[: n_max + 3]
+    pk1 = pk1[: n_max + 3]
+    pk2 = ictx.base.pk[: n_max + 3]
     out[1:] = pk1[3:] / pk1[up] - pk2[3:] / pk2[up] - star[up] / star[down]
     return out
 
@@ -475,17 +473,28 @@ def recover_order2(
     from the matching linear system; the cross-sum ratio enters through
     lambda_{n+2} X_{n+1} / X_n with X_n the cached cross sums.
     """
+    ictx = IteratedKernelContext(KernelContext(family, k2, n_max + 2), k3)
+    ctx1 = KernelContext(family, k1, n_max + 2)
+    return _recover_order2(ctx1, ictx, Ltilde, Mtilde, n_max, constraint_tol)
+
+
+def _recover_order2(
+    ctx1: KernelContext,
+    ictx: IteratedKernelContext,
+    Ltilde,
+    Mtilde,
+    n_max: int,
+    constraint_tol: float = 1e-10,
+) -> RecoveryCoefficients:
+    """``recover_order2`` from the contexts at k1 and at (k2, k3), each of
+    degree n_max + 2 and over one family."""
     Ltilde = np.asarray(Ltilde, dtype=complex)
     Mtilde = np.asarray(Mtilde, dtype=complex)
     if Ltilde.size < n_max or Mtilde.size < n_max:
         raise ValueError(f"need Ltilde_1..Ltilde_{n_max} and Mtilde_1..Mtilde_{n_max}")
-    ctx2 = KernelContext(family, k2, n_max + 2)
-    ictx = IteratedKernelContext(ctx2, k3)
-    ctx1 = KernelContext(family, k1, n_max + 2)
-    pk1 = ctx1.pk[: n_max + 3]
-    rhs = _order2_rhs(pk1, ctx2, ictx, n_max)[1:]
-    pk1 = pk1[:-1]  # P_0..P_{n_max+1}
-    pairs = family.table(n_max + 2)
+    rhs = _order2_rhs(ctx1.pk, ictx, n_max)[1:]
+    pk1 = ctx1.pk[: n_max + 2]  # P_0..P_{n_max+1}
+    pairs = ctx1.family.table(n_max + 2)
     c, lam, lam2 = pairs[1:-1, 0], pairs[1:-1, 1], pairs[2:, 1]  # indices n+1, n+1, n+2
     lt, mt = Ltilde[:n_max], Mtilde[:n_max]
     lhs = lt + mt * pk1[1:-1] / (lam * pk1[:-2])
@@ -503,7 +512,7 @@ def recover_order2(
     cross_ratio = ictx.cd_cross[2 : n_max + 2] / ictx.cd_cross[1 : n_max + 1]
     beta[1:] = lt * pk1[2:] / pk1[1:-1] - mt + lam2 * cross_ratio + alpha[1:] * c
     return RecoveryCoefficients(
-        kind="order2", alpha=alpha, beta=beta, ctx1=ctx1, ctx2=ctx2, quasi=(Ltilde, Mtilde), data=ictx
+        kind="order2", alpha=alpha, beta=beta, ctx1=ctx1, ctx2=ictx.base, quasi=(Ltilde, Mtilde), data=ictx
     )
 
 

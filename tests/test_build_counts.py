@@ -45,9 +45,8 @@ def _run(argv):
         ("geronimus", {"KernelContext": 1, "geronimus_data": 1}),
         # the Uvarov record's context at k1, and the context at k2
         ("uvarov", {"KernelContext": 2, "uvarov_data": 1}),
-        # k1, k2, the iterated context's shifted family at k3, and the
-        # constraint's own context at k2
-        ("order2", {"KernelContext": 4, "kernel_family": 1}),
+        # k1, k2, and the iterated context's shifted family at k3
+        ("order2", {"KernelContext": 3, "kernel_family": 1}),
     ],
 )
 @pytest.mark.parametrize("n_max", ["2", "8"])
@@ -61,5 +60,5 @@ def test_recovery_suite_builds(builds):
     # recovery's record, while the Geronimus one builds its record at its own
     # degree (its A_n are not prefix-stable)
     _run(["verify", "--suite", "recovery"])
-    expected = {"KernelContext": 9, "geronimus_data": 2, "uvarov_data": 1, "kernel_family": 1}
+    expected = {"KernelContext": 8, "geronimus_data": 2, "uvarov_data": 1, "kernel_family": 1}
     assert dict(builds) == expected

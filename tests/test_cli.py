@@ -293,11 +293,30 @@ FOUR_ROWS = "n,c_n,lambda_n\n1,0.1,2.0\n2,0.2,0.5\n3,-0.1,0.3\n4,0.05,0.25\n"
 
 
 def test_too_short_coefficient_file_is_a_usage_error(tmp_path):
-    # P_0..P_6 need rows n = 1..6; the first one missing is named
+    # P_0..P_6 need rows n = 1..6; the last row needed is named, so a file
+    # lengthened to it serves the command
     path = tmp_path / "coeffs.csv"
     path.write_text(FOUR_ROWS)
     code, out, err = run_cli([*CUSTOM_EVAL, str(path), "--n-max", "6"])
-    assert (code, out, err) == (2, "", "opx: coefficient file defines n up to 4, needed 5\n")
+    assert (code, out, err) == (2, "", "opx: coefficient file defines n up to 4, needed 6\n")
+    path.write_text(FOUR_ROWS + "5,0.0,0.25\n6,0.0,0.25\n")
+    assert run_cli([*CUSTOM_EVAL, str(path), "--n-max", "6"])[0] == 0
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--coeffs", "FILE"], ["--coeffs", "FILE", "--support=-1,1"], ["--support=-1,1"],
+     ["--family", "jacobi", "--coeffs", "FILE", "--support=-1,1"]],
+    ids=["coeffs", "coeffs-support", "support", "jacobi"],
+)
+def test_custom_family_flags_need_family_custom(tmp_path, flags):
+    # a built-in family would ignore the file; without --support the echo crashed
+    path = tmp_path / "coeffs.csv"
+    path.write_text(FOUR_ROWS)
+    argv = ["eval", *[str(path) if f == "FILE" else f for f in flags], "--n-max", "3"]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("opx: --coeffs and --support need --family custom")
 
 
 @pytest.mark.parametrize(
