@@ -380,6 +380,43 @@ def _sample_points(fam: families.FamilySpec, rng: np.random.Generator, count: in
     return rng.uniform(a, b, count)
 
 
+def _fold_max(worst: float, values: np.ndarray) -> float:
+    """``worst = max(worst, v)`` over ``values`` in order, the fold of a loop
+    over draws (Python's max keeps the running value past a NaN)."""
+    return max([worst, *values.tolist()])
+
+
+def _cf_gap(cf: np.ndarray, series: np.ndarray) -> float:
+    """Largest |cf - series| / max(1, |series|), folded in draw order."""
+    return _fold_max(0.0, np.abs(cf - series) / np.fmax(1.0, np.abs(series)))
+
+
+def _guarded_draws(draw, den, count: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """``count`` draws whose denominator series clears the conditioning
+    guard |den| >= 1e-3, as columns, and those denominators.
+
+    ``draw()`` makes one candidate from scalar rng calls.  Each round draws
+    exactly as many candidates as are still missing and evaluates their
+    denominators ``den(*columns)`` in one batch, so the candidates, and the
+    rng stream, are those of a loop that draws one at a time and stops at
+    the count-th kept draw.  Near a zero of the denominator the series
+    cannot certify 1e-10 itself.
+    """
+    kept, dens = [], []
+    while len(kept) < count:
+        batch = [draw() for _ in range(count - len(kept))]
+        d = den(*_columns(batch))
+        keep = ~(np.abs(d) < 1e-3)  # a NaN passes: abs(NaN) < 1e-3 is false
+        kept += [row for row, k in zip(batch, keep.tolist()) if k]
+        dens.append(d[keep])
+    return _columns(kept), np.concatenate(dens)
+
+
+def _columns(rows: list[tuple]) -> list[np.ndarray]:
+    """The columns of a list of equal-length tuples, as arrays."""
+    return list(map(np.array, zip(*rows)))
+
+
 def _worst(diffs, scales) -> float:
     """Largest |diff| / max(1, |scale|) over all entries (NaN propagates)."""
     return float(np.max(np.abs(diffs) / np.maximum(1.0, np.abs(scales)), initial=0.0))
@@ -511,10 +548,10 @@ def _suite_quasi(fam, cfg: RunConfig, rng) -> list[dict]:
     proof_worst = 0.0
     for b in (0.3, -0.3, 1.5, -1.5):
         for n in range(1, n_max - 2):
-            for x in _sample_points(fam, rng, 5):
-                stated, proof = quasi.difference_equation_residual(ctx, b, n, x)
-                stated_worst = max(stated_worst, stated)
-                proof_worst = max(proof_worst, proof)
+            xs = _sample_points(fam, rng, 5)
+            stated, proof = quasi.difference_equation_residual(ctx, b, n, xs)
+            stated_worst = _fold_max(stated_worst, stated)
+            proof_worst = _fold_max(proof_worst, proof)
     cases.append(_case("difference_equation_proof_form", proof_worst, 1e-9))
     cases.append(_case("difference_equation_stated_form", stated_worst, None))
     # orthogonality criteria checker on an engineered coefficient family
@@ -566,9 +603,8 @@ def _suite_ratios(fam, cfg: RunConfig, rng) -> list[dict]:
     n_max = min(cfg.n_max, 10)
     worst = 0.0
     for n in range(0, n_max + 1):
-        for x in _sample_points(fam, rng, 20):
-            lhs, rhs = ratios.confluent_cd(fam, n, x)
-            worst = max(worst, abs(lhs - rhs) / abs(lhs))
+        lhs, rhs = ratios.confluent_cd(fam, n, _sample_points(fam, rng, 20))
+        worst = _fold_max(worst, np.abs(lhs - rhs) / np.abs(lhs))
     cases.append(_case("confluent_cd_identity", worst, 1e-10))
     k = _default_shifts(cfg)[0]
     ctx = kernels.KernelContext(fam, k, n_max + 2)
@@ -580,47 +616,37 @@ def _suite_ratios(fam, cfg: RunConfig, rng) -> list[dict]:
         direct = kernels.kernel_poly(ctx, n + 1, ctx.k) / kernels.kernel_poly(ctx, n, ctx.k)
         worst = max(worst, abs(r_up - direct) / max(1.0, abs(direct)))
     cases.append(_case("ratio_limit_vs_cd_branch", worst, 1e-9))
-    worst = 0.0
-    drawn = 0
-    while drawn < 200:
+
+    def gauss_draw():
+        n, q = int(rng.integers(1, 12)), float(rng.uniform(0.2, 4.0))
+        return n, q, float(rng.uniform(0.3, 4.0)), float(rng.uniform(-0.6, 0.6))
+
+    def kummer_draw():
         n = int(rng.integers(1, 12))
-        q = float(rng.uniform(0.2, 4.0))
-        r = float(rng.uniform(0.3, 4.0))
-        z = float(rng.uniform(-0.6, 0.6))
-        den = ratios.hyp_series("2F1", (-n, q, r), z)
-        if abs(den) < 1e-3:  # oracle conditioning guard: near a zero the
-            continue  # truncated sum cannot certify 1e-10 itself
-        drawn += 1
-        cf = ratios.gauss_cf_ratio(-n, q, r, z, cfg.depth)
-        series = ratios.hyp_series("2F1", (-n + 1, q, r), z) / den
-        worst = max(worst, abs(cf - series) / max(1.0, abs(series)))
-    cases.append(_case("gauss_cf_vs_series", worst, 1e-10))
-    worst = 0.0
-    drawn = 0
-    while drawn < 200:
-        n = int(rng.integers(1, 12))
-        r = float(rng.uniform(0.3, 4.0))
-        z = float(rng.uniform(-2.0, 2.0))
-        den = ratios.hyp_series("1F1", (-n, r), z)
-        if abs(den) < 1e-3:
-            continue
-        drawn += 1
-        cf = ratios.kummer_cf_ratio(-n, r, z, cfg.depth)
-        series = ratios.hyp_series("1F1", (-n + 1, r), z) / den
-        worst = max(worst, abs(cf - series) / max(1.0, abs(series)))
-    cases.append(_case("kummer_cf_vs_series", worst, 1e-10))
-    worst = 0.0
-    for _ in range(50):
-        p = float(rng.uniform(0.1, 2.5))
-        q = float(rng.uniform(0.2, 3.0))
-        r = float(rng.uniform(0.3, 4.0))
-        z = float(rng.uniform(-0.5, 0.5))
-        cf = ratios.gauss_cf_ratio(p, q, r, z, cfg.depth)
-        series = ratios.hyp_series("2F1", (p + 1, q, r), z, 400) / ratios.hyp_series(
-            "2F1", (p, q, r), z, 400
-        )
-        worst = max(worst, abs(cf - series) / max(1.0, abs(series)))
-    cases.append(_case("gauss_cf_vs_series_nonterminating", worst, 1e-10))
+        return n, float(rng.uniform(0.3, 4.0)), float(rng.uniform(-2.0, 2.0))
+
+    def gauss_nonterminating_draw():
+        p, q = float(rng.uniform(0.1, 2.5)), float(rng.uniform(0.2, 3.0))
+        return p, q, float(rng.uniform(0.3, 4.0)), float(rng.uniform(-0.5, 0.5))
+
+    (n, q, r, z), den = _guarded_draws(
+        gauss_draw, lambda n, q, r, z: ratios.hyp_series("2F1", (-n, q, r), z), 200
+    )
+    cf = ratios.gauss_cf_ratio(-n, q, r, z, cfg.depth)
+    series = ratios.hyp_series("2F1", (-n + 1, q, r), z) / den
+    cases.append(_case("gauss_cf_vs_series", _cf_gap(cf, series), 1e-10))
+    (n, r, z), den = _guarded_draws(
+        kummer_draw, lambda n, r, z: ratios.hyp_series("1F1", (-n, r), z), 200
+    )
+    cf = ratios.kummer_cf_ratio(-n, r, z, cfg.depth)
+    series = ratios.hyp_series("1F1", (-n + 1, r), z) / den
+    cases.append(_case("kummer_cf_vs_series", _cf_gap(cf, series), 1e-10))
+    p, q, r, z = _columns([gauss_nonterminating_draw() for _ in range(50)])
+    cf = ratios.gauss_cf_ratio(p, q, r, z, cfg.depth)
+    series = ratios.hyp_series("2F1", (p + 1, q, r), z, 400) / ratios.hyp_series(
+        "2F1", (p, q, r), z, 400
+    )
+    cases.append(_case("gauss_cf_vs_series_nonterminating", _cf_gap(cf, series), 1e-10))
     if fam.kind == "chebyshev1":
         ctx1 = kernels.KernelContext(fam, 1.0, n_max + 2)
         r_ups = ratios.kernel_ratio_limits(ctx1, n_max)[0].tolist()

@@ -111,11 +111,9 @@ def difference_equation_coeffs(
     return build(n), build(n + 1)
 
 
-def difference_equation_residual(
-    ctx: KernelContext, b: float, n: int, x
-) -> tuple[float, float]:
+def difference_equation_residual(ctx: KernelContext, b: float, n: int, x) -> tuple:
     """Relative residuals (stated form, matrix-algebra form) of the difference
-    equation at a point x.
+    equation at a point x, or arrays of them over a point vector x.
 
     stated:  J_n Q_{n+2} - [D_{n+1} J_n - b J_{n+1}] Q_{n+1} + lam*_{n+1} J_{n+1} Q_n
     derived: J_{n+1} Q_{n+2} - [D_{n+1} J_{n+1} - b J_{n+2}] Q_{n+1} + lam*_{n+1} J_{n+2} Q_n
@@ -151,7 +149,9 @@ def difference_equation_residual(
             ls[n] * J(n + j + 1, x) * q_n,
         )
         scale = sum(abs(t) for t in terms)
-        return float(abs(sum(terms)) / scale) if scale else 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            residual = np.where(scale != 0, abs(sum(terms)) / scale, 0.0)
+        return residual if np.ndim(x) else float(residual)
 
     return relative(0), relative(1)
 

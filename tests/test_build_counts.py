@@ -1,6 +1,9 @@
 """A recovery builds each kernel context and each transform record once, at
 its largest degree, and its evaluators slice them: the number of builds per
-``opx recover`` or ``opx verify --suite recovery`` run is fixed."""
+``opx recover`` or ``opx verify --suite recovery`` run is fixed.  Likewise
+the ratios and quasi suites evaluate their draws and points as arrays, so
+their calls into ``opx.ratios`` and ``opx.quasi`` do not grow with the
+number of draws or points."""
 
 import contextlib
 import io
@@ -8,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from opx import cli, kernels, transforms
+from opx import cli, kernels, quasi, ratios, transforms
 
 
 @pytest.fixture
@@ -62,3 +65,57 @@ def test_recovery_suite_builds(builds):
     _run(["verify", "--suite", "recovery"])
     expected = {"KernelContext": 8, "geronimus_data": 2, "uvarov_data": 1, "kernel_family": 1}
     assert dict(builds) == expected
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    counts = Counter()
+    for module, name in (
+        (ratios, "evaluate_cf"),
+        (ratios, "hyp_series"),
+        (ratios, "confluent_cd"),
+        (quasi, "difference_equation_residual"),
+    ):
+        fn = getattr(module, name)
+
+        def wrapper(*args, name=name, fn=fn, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        # evaluate_cf: the terminating Gauss and Kummer batches and the
+        # non-terminating Gauss batch; hyp_series: two rounds of Gauss
+        # denominators (two draws fail the guard) and the numerators, one
+        # round of Kummer denominators and the numerators, and the
+        # non-terminating pair; confluent_cd: n = 0..8
+        ([], {"evaluate_cf": 3, "hyp_series": 7, "confluent_cd": 9}),
+        # one Gauss and one Kummer draw fail the guard: two rounds each
+        (["--seed", "2"], {"evaluate_cf": 3, "hyp_series": 8, "confluent_cd": 9}),
+        # plus one fraction per prefactor degree n = 1..6
+        (
+            ["--family", "laguerre", "--gamma", "0.5"],
+            {"evaluate_cf": 9, "hyp_series": 7, "confluent_cd": 9},
+        ),
+        (
+            ["--family", "jacobi", "--gamma", "0.3", "--delta", "0.7"],
+            {"evaluate_cf": 9, "hyp_series": 7, "confluent_cd": 9},
+        ),
+    ],
+)
+def test_ratios_suite_calls(calls, flags, expected):
+    # a loop over the draws would make one hyp_series call per candidate
+    # and one evaluate_cf call per kept draw, about 900 and 450
+    _run(["verify", "--suite", "ratios", *flags])
+    assert dict(calls) == expected
+
+
+def test_quasi_suite_calls(calls):
+    # one call per (b, n): four values of b, n = 1..5
+    _run(["verify", "--suite", "quasi"])
+    assert dict(calls) == {"difference_equation_residual": 20}

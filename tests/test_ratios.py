@@ -365,6 +365,52 @@ def test_hyp_series_divergence():
     assert np.isfinite(ratios.hyp_series("2F1", (-3.0, 1.1, 2.3), 1.2))
 
 
+@pytest.mark.parametrize("terms", [0, -5])
+def test_hyp_series_needs_a_term(terms):
+    with pytest.raises(opx.ParameterOutOfRange, match="terms must be >= 1"):
+        ratios.hyp_series("2F1", (0.7, 1.1, 2.3), 0.3, terms)
+
+
+@pytest.mark.parametrize(
+    "kind, params, z, enough",
+    [("2F1", (3.5, 3.0, 1.5), 0.99, 5000), ("1F1", (0.5, 1.5), 300.0, 1000)],
+)
+def test_hyp_series_does_not_truncate_silently(kind, params, z, enough):
+    # 200 terms stop at 1.74e9 and 1.66e118, orders of magnitude short
+    with pytest.raises(opx.NonConvergent, match=f"{kind} series still running after 200 terms"):
+        ratios.hyp_series(kind, params, z)
+    mp = pytest.importorskip("mpmath")
+    exact = mp.hyp2f1(*params, z) if kind == "2F1" else mp.hyp1f1(*params, z)
+    assert ratios.hyp_series(kind, params, z, enough) == pytest.approx(float(exact), rel=1e-13)
+
+
+def test_hyp_series_one_term_is_exact_only_when_the_next_is_zero():
+    assert ratios.hyp_series("2F1", (0.0, 3.0, 1.5), 0.5, terms=1) == 1.0
+    with pytest.raises(opx.NonConvergent):
+        ratios.hyp_series("2F1", (-2.0, 3.0, 1.5), 0.5, terms=1)
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+def test_nonfinite_z_is_rejected(z):
+    b = -ratios._kummer_d(-3.0, 1.5, 20)
+    calls = [
+        lambda: ratios.evaluate_cf(b, z, 10),
+        lambda: ratios.evaluate_cf(np.stack([b, b]), np.array([0.5, z]), 10),
+        lambda: ratios.gauss_cf_ratio(-3, 1.0, 2.0, z),
+        lambda: ratios.kummer_cf_ratio(-3, 1.5, z),
+        lambda: ratios.hyp_series("2F1", (-3, 1.0, 2.0), z),
+        lambda: ratios.hyp_series("1F1", (-3, 1.5), np.array([0.5, z])),
+    ]
+    for call in calls:
+        with pytest.raises(opx.ParameterOutOfRange, match="z must be finite"):
+            call()
+
+
+def test_confluent_cd_negative_degree(cheb):
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+        opx.confluent_cd(cheb, -1, 0.3)
+
+
 # ---------------------------------------------------------------------------
 # chain sequences
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ combines (its value can be far smaller than they are).  One real point,
 which runs on Python floats, matches the same point inside a vector bitwise,
 and so do the kernel contexts' ratio caches, NaN positions included, against
 the numpy-scalar loop below.  The row-table renderer writes the same bytes
-as the generic JSON renderer, whatever the types of its columns.
+as the generic JSON renderer, whatever the types of its columns.  The
+continued fractions and hypergeometric series take their draws as array
+rows, bitwise equal to row-by-row calls, and an array call with failing rows
+raises the error a loop over its rows meets first.
 """
 
 import json
@@ -279,3 +282,169 @@ def test_row_table_renderer_typed_columns():
     for key, column in columns.items():
         values = column.tolist() if isinstance(column, np.ndarray) else column
         assert cli._render_rows([key], [column]) == cli._render_rows([key], [values])
+
+
+# ---------------------------------------------------------------------------
+# the ratios and quasi suites' draws and points, as arrays
+# ---------------------------------------------------------------------------
+
+
+def _rows(*columns):
+    return list(zip(*(c.tolist() for c in columns)))
+
+
+def _first_error(calls):
+    """The error a loop over the calls raises: the first failing call's."""
+    for call in calls:
+        try:
+            call()
+        except opx.OpxError as exc:
+            return exc
+    raise AssertionError("no row fails")
+
+
+def _assert_raises_like(expected, call):
+    with pytest.raises(type(expected)) as info:
+        call()
+    assert str(info.value) == str(expected)
+
+
+def _hyp_draws(rng, count):
+    """Parameters p, q, r: p = -n terminates the series after n + 1 terms,
+    n = 0..11, so its columns past that are zeros; the rest never ends."""
+    n = rng.integers(0, 12, count)
+    p = np.where(rng.random(count) < 0.7, -n, rng.uniform(0.1, 2.5, count))
+    return p, rng.uniform(0.2, 4.0, count), rng.uniform(0.3, 4.0, count)
+
+
+def test_hyp_series_rows_match_scalar_calls():
+    rng = np.random.default_rng(5)
+    p, q, r = _hyp_draws(rng, 300)
+    z = rng.uniform(-0.6, 0.6, 300)
+    for kind, params, terms in (
+        ("2F1", (p, q, r), 200),
+        ("2F1", (p + 1, q, r), 400),
+        ("1F1", (p, r), 200),
+        ("1F1", (p, r), 60),
+    ):
+        scalar = [opx.hyp_series(kind, row[:-1], row[-1], terms) for row in _rows(*params, z)]
+        assert all(type(s) is float for s in scalar)
+        assert_bitwise(opx.hyp_series(kind, params, z, terms), scalar)
+    # numbers broadcast against the z array
+    scalar = [opx.hyp_series("1F1", (-3, 1.5), z_i) for z_i in z]
+    assert_bitwise(opx.hyp_series("1F1", (-3, 1.5), z), scalar)
+
+
+def _cf_rows(rng, count, depth):
+    """Convergent partial numerators, |b_j z| <= 1/4, at z = +-2^-k; in
+    every ``rescue`` row b_j z = -1 exactly at a j < depth with zeros past
+    it, so the backward pass meets an exact zero denominator there, and in
+    some of them b_{j-1} = 0 too, which the floor keeps from giving 0/0."""
+    z = rng.choice([-1.0, 1.0], count) * 2.0 ** -rng.integers(0, 4, count)
+    b = rng.uniform(-0.25, 0.25, (count, depth + 10)) / np.abs(z)[:, None]
+    rescue = rng.random(count) < 0.5
+    cut = rng.integers(1, depth, count)
+    for i in np.flatnonzero(rescue):
+        b[i, cut[i]] = -1.0 / z[i]
+        b[i, cut[i] + 1 :] = 0.0
+        if rng.random() < 0.3:
+            b[i, cut[i] - 1] = 0.0
+    return b, z, rescue, cut
+
+
+def test_evaluate_cf_rows_match_scalar_calls():
+    depth = 30
+    b, z, rescue, cut = _cf_rows(np.random.default_rng(6), 200, depth)
+    values = opx.evaluate_cf(b, z, depth)
+    assert_bitwise(values, [opx.evaluate_cf(b_i, z_i, depth) for b_i, z_i in zip(b, z.tolist())])
+    assert np.isfinite(values).all()
+    # past the zero the floor makes the next denominator about 1e300 and the
+    # one after it exactly 1: the fraction cut two levels higher
+    rows = np.flatnonzero(rescue & (cut >= 2))
+    rows = rows[b[rows, cut[rows] - 1] != 0.0]
+    assert len(rows) > 50
+    cut_b = b.copy()
+    for i in rows:
+        cut_b[i, cut[i] - 2 :] = 0.0
+    assert_bitwise(values[rows], opx.evaluate_cf(cut_b[rows], z[rows], depth))
+
+
+@pytest.mark.parametrize("depth", [1, 8, 30, 60])
+def test_cf_ratio_rows_match_scalar_calls(depth):
+    rng = np.random.default_rng(depth)
+    n = rng.integers(1, 12, 200)
+    q, r, z = rng.uniform(0.2, 4.0, 200), rng.uniform(0.3, 4.0, 200), rng.uniform(-0.6, 0.6, 200)
+    p = np.where(rng.random(200) < 0.5, -n, rng.uniform(0.1, 2.5, 200))
+    # at depths 1 and 8 some rows disagree with depth+10 and raise
+    for fn, columns in ((opx.gauss_cf_ratio, (p, q, r, z)), (opx.kummer_cf_ratio, (-n, r, 3 * z))):
+        try:
+            expected = [fn(*row, depth) for row in _rows(*columns)]
+        except opx.NonConvergent as exc:
+            assert depth < 30
+            _assert_raises_like(exc, lambda: fn(*columns, depth))
+        else:
+            assert_bitwise(fn(*columns, depth), expected)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_failing_rows_raise_the_first_error_of_a_loop(seed):
+    rng = np.random.default_rng(seed)
+    depth = 20
+    # evaluate_cf: a top-level zero denominator, and a fraction whose two
+    # depths disagree
+    b, z, _, _ = _cf_rows(rng, 40, depth)
+    zero, slow = rng.choice(40, 2, replace=False)
+    b[zero] = 0.0
+    b[zero, 0] = -1.0 / z[zero]
+    b[slow], z[slow] = -1.0, 0.9
+    expected = _first_error(
+        [lambda b_i=b_i, z_i=z_i: opx.evaluate_cf(b_i, z_i, depth) for b_i, z_i in zip(b, z.tolist())]
+    )
+    assert type(expected) is (opx.ZeroDenominator if zero < slow else opx.NonConvergent)
+    _assert_raises_like(expected, lambda: opx.evaluate_cf(b, z, depth))
+    # hyp_series: a series still running after 200 terms, a nonpositive
+    # integer r, and a non-terminating 2F1 at |z| > 1
+    p, q, r = _hyp_draws(rng, 40)
+    z = rng.uniform(-0.6, 0.6, 40)
+    running, bad_r, divergent = rng.choice(40, 3, replace=False)
+    p[running], q[running], r[running], z[running] = 3.5, 3.0, 1.5, 0.99
+    r[bad_r] = -2.0
+    p[divergent], z[divergent] = 0.5, 1.5
+    rows = _rows(p, q, r, z)
+    expected = _first_error([lambda row=row: opx.hyp_series("2F1", row[:3], row[3]) for row in rows])
+    _assert_raises_like(expected, lambda: opx.hyp_series("2F1", (p, q, r), z))
+    # gauss_cf_ratio: a divergent row fails its own check, a NaN z only the
+    # continued fraction's, later in the call
+    p, q, r = _hyp_draws(rng, 40)
+    z = rng.uniform(-0.6, 0.6, 40)
+    nan_z, divergent = rng.choice(40, 2, replace=False)
+    z[nan_z] = np.nan
+    p[divergent], z[divergent] = 0.5, 1.5
+    expected = _first_error([lambda row=row: opx.gauss_cf_ratio(*row) for row in _rows(p, q, r, z)])
+    assert type(expected) is (opx.ParameterOutOfRange if nan_z < divergent else opx.Divergent)
+    _assert_raises_like(expected, lambda: opx.gauss_cf_ratio(p, q, r, z))
+
+
+@pytest.mark.parametrize("name, make_family, _", FAMILIES, ids=[f[0] for f in FAMILIES])
+def test_confluent_cd_points_match_one_point_calls(name, make_family, _):
+    fam = make_family()
+    xs = sample_points(fam, np.random.default_rng(12), 20)
+    for n in range(11):
+        lhs, rhs = opx.confluent_cd(fam, n, xs)
+        scalar = [opx.confluent_cd(fam, n, x) for x in xs.tolist()]
+        assert all(type(v) is float for pair in scalar for v in pair)
+        assert_bitwise(lhs, [v for v, _ in scalar])
+        assert_bitwise(rhs, [v for _, v in scalar])
+
+
+@pytest.mark.parametrize("b", [0.3, -0.3, 1.5, -1.5])
+def test_difference_equation_residual_points_match_one_point_calls(setup, b):
+    fam, (k1, _), xs = setup
+    ctx = opx.KernelContext(fam, k1, 11)
+    for n in range(1, 8):
+        stated, proof = opx.difference_equation_residual(ctx, b, n, xs)
+        # the points as the numpy scalars a loop over the array gives
+        scalar = [opx.difference_equation_residual(ctx, b, n, x) for x in xs]
+        assert all(type(v) is float for pair in scalar for v in pair)
+        assert_bitwise(stated, [v for v, _ in scalar])
+        assert_bitwise(proof, [v for _, v in scalar])

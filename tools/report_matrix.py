@@ -64,6 +64,13 @@ def configs():
         argv = ["verify", "--suite", "ratios", *flags, "--depth", "30", "--seed", "1"]
         yield f"verify.ratios.{fam}.depth30", argv
     yield "verify.ratios.depth0", ["verify", "--suite", "ratios", "--depth=0"]
+    # draws the ratios suite rejects at its conditioning guards, which seeds
+    # 1 and 7 never do: seed 2 rejects one Gauss and one Kummer draw, seed 3
+    # two Gauss draws
+    for fam, flags in FAMILIES.items():
+        for seed in ("2", "3"):
+            argv = ["verify", "--suite", "ratios", *flags, "--seed", seed]
+            yield f"verify.ratios.{fam}.s{seed}", argv
     # the benchmark's largest row tables, and every row table as CSV
     for fam, shift in RATIOS:
         yield f"ratio.{fam}.k{shift}.n4000", ["ratio", *FAMILIES[fam], f"--shift={shift}", "--n-max", "4000"]
