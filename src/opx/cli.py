@@ -576,23 +576,24 @@ def _suite_recovery(fam, cfg: RunConfig, rng) -> list[dict]:
         for kind in ("christoffel", "geronimus", "uvarov", "order2")
     }
     cases = [case for case, _ in recoveries.values()]
-    # transformed-sequence orthogonality under the respective functionals;
-    # --mass0 overrides the solved Geronimus mass (the default is the value
-    # that makes the sequence orthogonal, so overrides should fail)
+    # transformed-sequence orthogonality under the respective functionals,
+    # each on its recovery's record.  The Geronimus record's mass -s_0 is
+    # checked against the oracle's -L(1/(k - x)), and the Gram matrix runs on
+    # the oracle's value: entry (i, j) moves by Pt_i(k) Pt_j(k) times any gap
+    # between the two, so a few ulps give 1e-9 at (5, 6) for Legendre at
+    # k = -2.  --mass0 overrides the solved mass, so it should fail
     n_max = min(cfg.n_max, 6)
-    k1 = _default_shifts(cfg)[0]
-    gdata = transforms.geronimus_data(fam, k1, n_max, mass0=cfg.mass0)
+    gdata = recoveries["geronimus"][1].data
+    solved = -moments.cauchy_mass(fam, gdata.k)
+    cases.append(_case("geronimus_solved_mass", abs(gdata.mass0 - solved) / abs(solved), 1e-12))
+    mass0 = solved if cfg.mass0 is None else cfg.mass0
     gpolys = [lambda xs_, n=n: transforms.geronimus_poly(gdata, n, xs_) for n in range(n_max + 1)]
-    gram = moments.orthogonality_residual(
-        fam, moments.Geronimus(k1, gdata.mass0), gpolys, n_max
-    )
+    gram = moments.orthogonality_residual(fam, moments.Geronimus(gdata.k, mass0), gpolys, n_max)
     off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
     cases.append(_case("geronimus_transform_orthogonality", off, 1e-9))
-    # the Uvarov recovery's record at (k1, r0): T_n, P_j(k) and N_j are
-    # prefix-stable, so its record at degree min(n_max, 8) serves this one
     udata = recoveries["uvarov"][1].data
     upolys = [lambda xs_, n=n: transforms.uvarov_poly(udata, n, xs_) for n in range(n_max + 1)]
-    gram = moments.orthogonality_residual(fam, moments.Uvarov(k1, udata.r0), upolys, n_max)
+    gram = moments.orthogonality_residual(fam, moments.Uvarov(udata.ctx.k, udata.r0), upolys, n_max)
     off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
     cases.append(_case("uvarov_transform_orthogonality", off, 1e-9))
     return cases

@@ -119,10 +119,15 @@ def cd_kernel(ctx: KernelContext, n: int, x):
     """Christoffel-Darboux kernel K_n(x, k) as the explicit sum."""
     if n > ctx.n_max + 2:
         raise ValueError(f"n={n} exceeds cached range {ctx.n_max + 2}")
-    xs = np.atleast_1d(np.asarray(x))
-    table = eval_table(ctx.family, n, xs)
-    out = (table.T * (ctx.pk[: n + 1] / ctx.norms[: n + 1])).sum(axis=1)
+    out = _cd_sum(ctx, n, np.atleast_1d(np.asarray(x)))
     return out if np.ndim(x) else out[0]
+
+
+def _cd_sum(ctx: KernelContext, n: int, xs: np.ndarray) -> np.ndarray:
+    """K_n(x, k) at each point of ``xs``, each point's terms summed along
+    one contiguous row, so a point vector adds them in a single point's order."""
+    table = eval_table(ctx.family, n, xs)
+    return np.ascontiguousarray(table.T * (ctx.pk[: n + 1] / ctx.norms[: n + 1])).sum(axis=1)
 
 
 def kernel_poly(ctx: KernelContext, n: int, x):
@@ -145,10 +150,7 @@ def kernel_poly(ctx: KernelContext, n: int, x):
         table = eval_table(ctx.family, n + 1, far)
         out[~near] = (table[n + 1] - ctx.pk[n + 1] / ctx.pk[n] * table[n]) / (far - ctx.k)
     if np.any(near):
-        close = xs[near]
-        table = eval_table(ctx.family, n, close)
-        ksum = (table.T * (ctx.pk[: n + 1] / ctx.norms[: n + 1])).sum(axis=1)
-        out[near] = ctx.norms[n] / ctx.pk[n] * ksum
+        out[near] = ctx.norms[n] / ctx.pk[n] * _cd_sum(ctx, n, xs[near])
     return out if np.ndim(x) else out[0]
 
 

@@ -134,8 +134,7 @@ def _rule_order_for_degree(degree: int) -> int:
     return max(1, degree // 2 + (degree % 2) + 2)  # ceil(d/2) + 2
 
 
-# roundoff floor of a quadrature sum, relative to its L1 scale sum |w_i f_i|:
-# the scale geronimus_data also measures for its own absolute floor
+# roundoff floor of a quadrature sum, relative to its L1 scale sum |w_i f_i|
 _ROUNDOFF_FLOOR = 1e-14
 # once successive differences grow, the weights' own roundoff dominates; the
 # previous order is kept only if its difference was this small against its
@@ -150,14 +149,13 @@ def integrate_until_stable(
     start_order: int = 32,
     rtol: float = 1e-11,
     max_order: int = 4096,
-    atol: float = 0.0,
 ) -> float:
     """Integrate a smooth non-polynomial integrand by node doubling.
 
     Doubling stops at the first order whose value differs from the previous
-    order's by at most ``rtol`` relative, ``atol`` absolute, or the roundoff
-    floor 1e-14 * sum |w_i f_i| (values that cancel to about 0 can do no
-    better).  Golub-Welsch weights carry only absolute accuracy, so once the
+    order's by at most ``rtol`` relative, or the roundoff floor
+    1e-14 * sum |w_i f_i| (values that cancel to about 0 can do no better).
+    Golub-Welsch weights carry only absolute accuracy, so once the
     difference between successive orders grows, more nodes only add noise:
     the previous order's value is returned if its difference was within
     1e-9 of the L1 scale.
@@ -179,7 +177,7 @@ def integrate_until_stable(
         l1 = float(np.sum(np.abs(terms)))
         if prev is not None:
             diff = abs(value - prev)
-            if diff <= max(rtol * abs(value), atol, _ROUNDOFF_FLOOR * l1):
+            if diff <= max(rtol * abs(value), _ROUNDOFF_FLOOR * l1):
                 return value
             if prev_diff is not None and diff > prev_diff:
                 if prev_diff <= _NOISE_ACCEPT * prev_l1:

@@ -6,13 +6,23 @@ linear system (coefficients of P_{n+1}, P_n, P_{n-1} after expanding the
 combination); the companion ``*_recovery_poly`` evaluators rebuild the
 rational combination so tests can assert Q_n == P_n pointwise.
 
+The Geronimus correction coefficients A_n = -I_n / I_{n-1} come from the
+integrals I_n = L(P_n / (k - x)), which for k outside the support are the
+minimal solution of the three-term recurrence
+I_{n+1} = (k - c_{n+1}) I_n - lambda_{n+1} I_{n-1} (with I_{-1} = 1 and
+lambda_1 = mu0 it holds from n = 0).  By Pincherle's theorem their ratios
+are one backward continued fraction, a J-fraction whose first value is the
+Stieltjes transform I_0 = L(1/(k - x)), so no quadrature enters this
+module: the quadrature oracle in ``opx.moments`` only checks it.
+
 Transform records carry what their evaluators read: ``GeronimusData`` its
 family, ``UvarovData`` its kernel context at k, and ``RecoveryCoefficients``
 the kernel contexts, quasi mixing coefficients and transform record that
 its ``recover_*`` built.  Each record is built once, at the largest degree,
 and every evaluator takes ``(data, n, x)`` and slices it.  P_j(k), the norm
 products and the partial sums come from sequential recurrences, so a slice
-of a larger record is bitwise the record a smaller degree would have built.
+of a larger record is bitwise the record a smaller degree would have built;
+so are the A_n of two records whose J-fraction passes settle at one depth.
 """
 
 from __future__ import annotations
@@ -25,12 +35,12 @@ from .errors import (
     ConstraintViolated,
     DegenerateDenominator,
     EvalAtShift,
+    NonConvergent,
     PoleAtSample,
     ShiftInsideSupport,
 )
 from .families import FamilySpec, custom_family, eval_table
 from .kernels import IteratedKernelContext, KernelContext, iterated_kernel, kernel_poly
-from .moments import cauchy_mass, gauss_rule, integrate_until_stable
 
 __all__ = [
     "GeronimusData",
@@ -54,6 +64,9 @@ __all__ = [
 ]
 
 _POLE_RTOL = 1e-11
+# deepest Geronimus J-fraction pass before the shift counts as too close to
+# the support
+_JFRACTION_DEPTH_CAP = 2**16
 
 
 @dataclass(frozen=True)
@@ -61,8 +74,10 @@ class GeronimusData:
     """Correction coefficients A_n of the Geronimus-transformed sequence of
     ``family`` at the shift k.
 
-    A[n] = A_n = -I_n / I_{n-1} with I_n the principal integral of
-    P_n(x)/(k - x); mass0 records the Ltilde(1) value used for verification.
+    A[n] = A_n = -I_n / I_{n-1} (A[0] is NaN), with I_n = L(P_n / (k - x))
+    the minimal solution of the three-term recurrence, read off one
+    backward J-fraction; mass0 is Ltilde(1), from ``geronimus_data`` the
+    solved value -I_0 = -L(1/(k - x)).
     """
 
     family: FamilySpec
@@ -122,73 +137,51 @@ def _require_nonvanishing(den: np.ndarray, lam: np.ndarray, what: str) -> None:
         raise DegenerateDenominator(f"{what} denominator vanishes at n={n}")
 
 
-def _principal_integral(family: FamilySpec, k: float, n: int, atol: float = 0.0) -> float:
-    """integral of P_n(x) / (k - x) dmu by node doubling."""
-
-    def integrand(xs: np.ndarray) -> np.ndarray:
-        return eval_table(family, n, xs)[n] / (k - xs)
-
-    return integrate_until_stable(family, integrand, start_order=32, rtol=1e-11, atol=atol)
-
-
-def _backward_integrals(family: FamilySpec, k: float, n_max: int, i0: float) -> np.ndarray:
-    """I_0..I_n_max by backward (minimal-solution) recurrence scaled to I_0.
-
-    The integrals satisfy I_{n+1} = (k - c_{n+1}) I_n - lambda_{n+1} I_{n-1}
-    for n >= 1 and are the minimal solution when k sits outside the support,
-    so the downward direction is stable; only I_0 needs quadrature, and its
-    integrand 1/(k - x) never changes sign there.
-    """
-    top = n_max + 60
-    c, lam = family.table(top + 1).T
-    trial = np.zeros(top + 2)
-    trial[top] = 1.0
-    for m in range(top, 0, -1):
-        trial[m - 1] = ((k - c[m]) * trial[m] - trial[m + 1]) / lam[m]
-        if abs(trial[m - 1]) > 1e250:
-            trial /= trial[m - 1]
-    return trial[: n_max + 1] * (i0 / trial[0])
+def _backward_ratios(k: float, c: list, lam: list, n_max: int) -> list:
+    """s_0..s_n_max of one backward pass s_n = lam[n] / ((k - c[n]) - s_{n+1})
+    over rows n = len(c) - 1..0, from the tail s = 0."""
+    s, out = 0.0, []
+    for c_n, lam_n in zip(reversed(c), reversed(lam)):
+        s = lam_n / ((k - c_n) - s)
+        out.append(s)
+    return out[::-1][: n_max + 1]
 
 
-def geronimus_data(family: FamilySpec, k: float, n_max: int, mass0: float | None = None) -> GeronimusData:
-    """A_1..A_n_max from the defining integrals, plus the verification mass.
+def geronimus_data(family: FamilySpec, k: float, n_max: int) -> GeronimusData:
+    """A_1..A_n_max from one backward J-fraction, plus the verification mass.
 
-    The defining node-doubling quadrature of P_n(x)/(k - x) loses digits to
-    cancellation exactly when the integrals decay (oscillating numerator,
-    small value); in that regime the backward-recurrence evaluation anchored
-    at the quadrature I_0 is used instead, and the two routes must agree to
-    1e-7 relative either way.  ``mass0`` defaults to the unique value that
-    kills the degree-(1,0) Gram entry, -mu0 / (k - c_1 + A_1).
+    With I_{-1} = 1 the ratios s_n = I_n / I_{n-1} of the minimal solution
+    satisfy s_n = lambda_{n+1} / ((k - c_{n+1}) - s_{n+1}), and s_0 = I_0
+    (lambda_1 = mu0).  The pass starts from a zero tail at a power-of-two
+    depth of at least n_max + 32 and doubles it until two successive depths
+    agree to 1e-15 relative on every s_n; A_n = -s_n.  ``mass0`` is
+    -s_0 = -L(1/(k - x)), the unique value that kills the degree-(1,0) Gram
+    entry, -mu0 / (k - c_1 + A_1); ``dataclasses.replace`` sets another.
+
+    Raises
+    ------
+    NonConvergent
+        If two depths still disagree past 2**16: the shift is too close to
+        the support (1e-12 from Chebyshev-1's, 1e-3 from Laguerre's).
+    DegenerateDenominator
+        If a denominator of the pass is exactly zero.
     """
     _require_outside_support(family, k, "the Geronimus transformation")
-    # L1 scale of each integrand from one moderate fixed rule; it feeds the
-    # absolute stopping floor (quadrature cannot resolve values below
-    # roundoff times this scale) and the route-agreement gate below
-    scale_rule = gauss_rule(family, max(64, n_max + 2))
-    table = np.abs(eval_table(family, n_max, scale_rule.nodes)) / np.abs(k - scale_rule.nodes)
-    l1 = table @ scale_rule.weights
-    quad = np.array(
-        [_principal_integral(family, k, n, atol=1e-13 * l1[n]) for n in range(n_max + 1)]
-    )
-    integrals = quad
-    if n_max >= 1 and abs(quad[n_max]) < abs(quad[0]):
-        # decaying integrals lose relative accuracy to cancellation; the
-        # backward minimal-solution recurrence anchored at I_0 does not
-        backward = _backward_integrals(family, k, n_max, quad[0])
-        agree = np.abs(backward - quad) <= np.maximum(1e-7 * np.abs(quad), 1e-10 * l1)
-        if np.all(agree):
-            integrals = backward
-    A = np.full(n_max + 1, np.nan)
-    for n in range(1, n_max + 1):
-        if abs(integrals[n - 1]) < 1e-280:
-            raise DegenerateDenominator(f"Geronimus denominator integral I_{n-1} underflows")
-        A[n] = -integrals[n] / integrals[n - 1]
-    if mass0 is None:
-        # the degree-1 orthogonality condition gives -mu0/(k - c_1 + A_1),
-        # which collapses to -L(1/(k - x)) via I_1 = (k - c_1) I_0 - mu0;
-        # the latter form shares the cached integral the functional uses
-        mass0 = -cauchy_mass(family, k)
-    return GeronimusData(family=family, k=k, A=A, mass0=mass0)
+    depth, prev = 64, None
+    while depth < n_max + 32:
+        depth *= 2
+    while depth <= _JFRACTION_DEPTH_CAP:
+        c, lam = family.table(depth).T
+        try:
+            s = _backward_ratios(k, c.tolist(), lam.tolist(), n_max)
+        except ZeroDivisionError:
+            raise DegenerateDenominator(f"a Geronimus J-fraction denominator vanishes at k={k}") from None
+        if prev is not None and all(abs(a - b) <= 1e-15 * abs(b) for a, b in zip(prev, s)):
+            A = -np.array(s)
+            A[0] = np.nan
+            return GeronimusData(family=family, k=k, A=A, mass0=-s[0])
+        prev, depth = s, 2 * depth
+    raise NonConvergent(f"the Geronimus J-fraction at k={k} does not settle by depth {_JFRACTION_DEPTH_CAP}")
 
 
 def geronimus_family(data: GeronimusData, n_max: int) -> FamilySpec:

@@ -59,11 +59,10 @@ def test_recover_builds_each_context_once(builds, kind, expected, n_max):
 
 
 def test_recovery_suite_builds(builds):
-    # the four recover cases; the Uvarov orthogonality case slices the Uvarov
-    # recovery's record, while the Geronimus one builds its record at its own
-    # degree (its A_n are not prefix-stable)
+    # the four recover cases; the Geronimus and Uvarov orthogonality cases
+    # slice the records of their recoveries
     _run(["verify", "--suite", "recovery"])
-    expected = {"KernelContext": 8, "geronimus_data": 2, "uvarov_data": 1, "kernel_family": 1}
+    expected = {"KernelContext": 8, "geronimus_data": 1, "uvarov_data": 1, "kernel_family": 1}
     assert dict(builds) == expected
 
 

@@ -73,6 +73,7 @@ def test_verify_exit_codes_and_schema(schema):
         "recovery_identity_geronimus",
         "recovery_identity_uvarov",
         "recovery_identity_order2",
+        "geronimus_solved_mass",
         "geronimus_transform_orthogonality",
         "uvarov_transform_orthogonality",
     }

@@ -17,6 +17,7 @@ SCIPY_FREE = [
     ["chain", "--l-const", "0.25"],
     ["ratio", "--shift=1", "--n-max", "50"],
     ["recover", "--kind", "christoffel"],
+    ["recover", "--kind", "geronimus"],
     ["recover", "--kind", "uvarov"],
     ["recover", "--kind", "order2"],
     ["verify", "--suite", "ratios"],

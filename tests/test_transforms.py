@@ -131,6 +131,103 @@ def test_geronimus_christoffel_duality(cheb):
     assert np.max(np.abs(back - orig)) <= 1e-8
 
 
+@pytest.mark.parametrize("k", [1.01, 1.1, 2.0, -3.0])
+def test_geronimus_chebyshev1_closed_forms(cheb, k):
+    # with rho = k - sign(k) sqrt(k^2 - 1), |rho| < 1: I_0 = sign(k) pi /
+    # sqrt(k^2 - 1) and I_n = 2^(1-n) rho^n I_0 for n >= 1, so A_n = -rho/2
+    # for n >= 2
+    root = math.sqrt((abs(k) - 1.0) * (abs(k) + 1.0))
+    rho = math.copysign(1.0, k) / (abs(k) + root)
+    data = opx.geronimus_data(cheb, k, 12)
+    np.testing.assert_allclose(data.A[2:], -rho / 2, rtol=1e-14, atol=0)
+    assert data.mass0 == pytest.approx(-math.copysign(math.pi, k) / root, rel=1e-14)
+
+
+def _mp_laguerre(mp, gamma):
+    g = mp.mpf(gamma)
+
+    def coeffs(m):  # (c_{m+1}, lambda_{m+1})
+        return 2 * m + 1 + g, m * (m + g)
+
+    return coeffs, lambda x: x**g * mp.exp(-x), [0, 1, mp.inf]
+
+
+def _mp_jacobi(mp, gamma, delta):
+    g, d = mp.mpf(gamma), mp.mpf(delta)
+    s = g + d
+
+    def coeffs(m):  # (c_{m+1}, lambda_{m+1}); lambda_1 is never read
+        if m == 0:
+            return (d - g) / (s + 2), None
+        c = (d - g) * (d + g) / ((2 * m + s) * (2 * m + s + 2))
+        lam = 4 * m * (m + g) * (m + d) * (m + s) / ((2 * m + s) ** 2 * (2 * m + s + 1) * (2 * m + s - 1))
+        return c, lam
+
+    return coeffs, lambda x: (1 - x) ** g * (1 + x) ** d, [-1, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "make_family, mp_family, k",
+    [
+        (lambda: opx.laguerre(0.0), lambda mp: _mp_laguerre(mp, 0), -0.5),
+        (lambda: opx.laguerre(0.5), lambda mp: _mp_laguerre(mp, 0.5), -0.1),
+        (lambda: opx.laguerre(0.5), lambda mp: _mp_laguerre(mp, 0.5), -1.0),
+        (lambda: opx.jacobi(0.3, 0.7), lambda mp: _mp_jacobi(mp, 0.3, 0.7), 1.5),
+        (lambda: opx.jacobi(0.3, 0.7), lambda mp: _mp_jacobi(mp, 0.3, 0.7), -3.0),
+    ],
+    ids=["laguerre0-k-0.5", "laguerre0.5-k-0.1", "laguerre0.5-k-1", "jacobi-k1.5", "jacobi-k-3"],
+)
+def test_geronimus_integrals_against_mpmath(make_family, mp_family, k):
+    # I_n = integral of w(x) P_n(x) / (k - x) by 40-digit tanh-sinh quadrature
+    # for each n, against I_0 = -mass0 and I_n = I_{n-1} (-A_n)
+    mp = pytest.importorskip("mpmath")
+    n_max, values = 8, {}
+    with mp.workdps(40):
+        coeffs, weight, cuts = mp_family(mp)
+        kk = mp.mpf(k)
+
+        def terms(x):  # w(x) P_n(x) / (k - x), n = 0..n_max, once per node
+            if x not in values:
+                p_prev, p, scale = mp.mpf(0), mp.mpf(1), weight(x) / (kk - x)
+                row = [scale]
+                for m in range(n_max):
+                    c, lam = coeffs(m)
+                    p_prev, p = p, (x - c) * p - (lam * p_prev if m else 0)
+                    row.append(scale * p)
+                values[x] = row
+            return values[x]
+
+        want = [float(mp.quad(lambda x: terms(x)[n], cuts)) for n in range(n_max + 1)]
+    data = opx.geronimus_data(make_family(), k, n_max)
+    got = np.cumprod([-data.mass0, *(-data.A[1:])])
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+def test_geronimus_shift_next_to_the_support_is_nonconvergent(cheb):
+    with pytest.raises(opx.NonConvergent):
+        opx.geronimus_data(cheb, 1.0 + 1e-12, 4)
+
+
+def test_geronimus_zero_jfraction_denominator():
+    # lambda_n = 0 past the first row makes s_1 = 0, and k = c_1 then zeroes
+    # the denominator of s_0
+    fam = opx.custom_family(np.array([[2.0, 1.0]] + [[0.0, 0.0]] * 200), (-1.0, 1.0), 1.0)
+    with pytest.raises(opx.DegenerateDenominator):
+        opx.geronimus_data(fam, 2.0, 3)
+
+
+def test_geronimus_records_solve_no_gauss_rule(monkeypatch):
+    def no_rule(*args):
+        raise AssertionError("a Gauss rule was solved")
+
+    monkeypatch.setattr(moments, "gauss_rule", no_rule)
+    fam = opx.laguerre(0.5)
+    data = opx.geronimus_data(fam, -1.0, 9)
+    rc = opx.recover_geronimus(fam, -1.0, -1.0, np.full(8, 0.3), 8)
+    assert np.all(np.isfinite(data.A[1:]))
+    np.testing.assert_array_equal(rc.data.A, data.A)
+
+
 # ---------------------------------------------------------------------------
 # Uvarov transformation
 # ---------------------------------------------------------------------------

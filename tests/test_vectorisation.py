@@ -54,6 +54,17 @@ def test_eval_table_and_kernel_poly(setup):
         assert_array_equal(opx.kernel_poly(ctx, n, xs), _per_point(lambda x: opx.kernel_poly(ctx, n, x), xs))
 
 
+def test_cd_sum_branch_points_match_one_point_calls():
+    # every point inside the switch radius, so kernel_poly runs the CD sum;
+    # degrees past 8 terms, where a row sum is pairwise and a column sum is not
+    k = 0.3
+    ctx = opx.KernelContext(opx.chebyshev1(), k, 40)
+    xs = k + np.random.default_rng(5).uniform(-1e-5, 1e-5, 50)
+    for n in range(1, 40):
+        assert_array_equal(opx.kernel_poly(ctx, n, xs), _per_point(lambda x: opx.kernel_poly(ctx, n, x), xs))
+        assert_array_equal(opx.cd_kernel(ctx, n, xs), _per_point(lambda x: opx.cd_kernel(ctx, n, x), xs))
+
+
 def test_real_recovery_polys(setup):
     fam, (k1, k2), xs = setup
     b = np.full(N_MAX + 1, 0.3)

@@ -93,6 +93,12 @@ def configs():
             yield f"recover.{kind}.{label}", ["recover", "--kind", kind, *shifts]
         for fam, flags in FAMILIES.items():
             yield f"recover.{kind}.{fam}.n1", ["recover", "--kind", kind, *flags, "--n-max", "1"]
+    # Geronimus shifts near the support: 0.01 and 0.1 away, and 1e-12 away,
+    # where the J-fraction does not settle (exit 1)
+    yield "recover.geronimus.k1.01", ["recover", "--kind", "geronimus", "--shift=1.01"]
+    argv = ["recover", "--kind", "geronimus", *FAMILIES["laguerre0"], "--shift=-0.1"]
+    yield "recover.geronimus.laguerre0.k-0.1", argv
+    yield "recover.geronimus.k1+1e-12", ["recover", "--kind", "geronimus", "--shift=1.000000000001"]
     argv = ["verify", "--suite", "recovery", "--mass0", "2", "--r0=-0.3"]
     yield "verify.recovery.mass0=2.r0=-0.3", argv
     # jacobi at the CLI default (0, 0), and at (-0.5, -0.5), where the first
