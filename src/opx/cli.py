@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv as _csv
+import functools
 import io
 import math
 import os
@@ -738,7 +739,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", choices=["json", "csv"], default="json")
 
 
-def _parse(argv: list[str]) -> RunConfig:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use, never at import.
+
+    Reuse is safe: ``parse_args`` makes a fresh namespace per call, and the
+    ``append`` actions copy their ``[]`` defaults before appending."""
     parser = argparse.ArgumentParser(prog="opx", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -768,8 +774,11 @@ def _parse(argv: list[str]) -> RunConfig:
     _add_common(p_chain)
     p_chain.add_argument("--l", dest="l_list", type=str, default=None, metavar="V1,V2,...")
     p_chain.add_argument("--l-const", dest="l_const", type=float, default=None)
+    return parser
 
-    ns = parser.parse_args(argv)
+
+def _parse(argv: list[str]) -> RunConfig:
+    ns = _parser().parse_args(argv)
     seed = ns.seed
     if seed is None:
         seed = int(os.environ.get("OPX_SEED", "0"))

@@ -154,9 +154,11 @@ def geronimus_data(family: FamilySpec, k: float, n_max: int) -> GeronimusData:
     satisfy s_n = lambda_{n+1} / ((k - c_{n+1}) - s_{n+1}), and s_0 = I_0
     (lambda_1 = mu0).  The pass starts from a zero tail at a power-of-two
     depth of at least n_max + 32 and doubles it until two successive depths
-    agree to 1e-15 relative on every s_n; A_n = -s_n.  ``mass0`` is
-    -s_0 = -L(1/(k - x)), the unique value that kills the degree-(1,0) Gram
-    entry, -mu0 / (k - c_1 + A_1); ``dataclasses.replace`` sets another.
+    agree to 1e-15 relative on every s_n; A_n = -s_n.  A finite table's
+    J-fraction is exact when cut at its last row, so there one pass runs
+    over the whole table.  ``mass0`` is -s_0 = -L(1/(k - x)), the unique
+    value that kills the degree-(1,0) Gram entry, -mu0 / (k - c_1 + A_1);
+    ``dataclasses.replace`` sets another.
 
     Raises
     ------
@@ -165,21 +167,33 @@ def geronimus_data(family: FamilySpec, k: float, n_max: int) -> GeronimusData:
         the support (1e-12 from Chebyshev-1's, 1e-3 from Laguerre's).
     DegenerateDenominator
         If a denominator of the pass is exactly zero.
+    TableTooShort
+        If a finite table has fewer than n_max + 1 rows.
     """
     _require_outside_support(family, k, "the Geronimus transformation")
+
+    def ratios(depth: int) -> list:
+        c, lam = family.table(depth).T
+        try:
+            return _backward_ratios(k, c.tolist(), lam.tolist(), n_max)
+        except ZeroDivisionError:
+            raise DegenerateDenominator(f"a Geronimus J-fraction denominator vanishes at k={k}") from None
+
+    def record(s: list) -> GeronimusData:
+        A = -np.array(s)
+        A[0] = np.nan
+        return GeronimusData(family=family, k=k, A=A, mass0=-s[0])
+
+    if family.coeffs is None:
+        family.table(n_max + 1)  # the rows s_0..s_n_max read, or TableTooShort
+        return record(ratios(len(family._table)))
     depth, prev = 64, None
     while depth < n_max + 32:
         depth *= 2
     while depth <= _JFRACTION_DEPTH_CAP:
-        c, lam = family.table(depth).T
-        try:
-            s = _backward_ratios(k, c.tolist(), lam.tolist(), n_max)
-        except ZeroDivisionError:
-            raise DegenerateDenominator(f"a Geronimus J-fraction denominator vanishes at k={k}") from None
+        s = ratios(depth)
         if prev is not None and all(abs(a - b) <= 1e-15 * abs(b) for a, b in zip(prev, s)):
-            A = -np.array(s)
-            A[0] = np.nan
-            return GeronimusData(family=family, k=k, A=A, mass0=-s[0])
+            return record(s)
         prev, depth = s, 2 * depth
     raise NonConvergent(f"the Geronimus J-fraction at k={k} does not settle by depth {_JFRACTION_DEPTH_CAP}")
 

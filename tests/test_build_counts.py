@@ -3,8 +3,10 @@ its largest degree, and its evaluators slice them: the number of builds per
 ``opx recover`` or ``opx verify --suite recovery`` run is fixed.  Likewise
 the ratios and quasi suites evaluate their draws and points as arrays, so
 their calls into ``opx.ratios`` and ``opx.quasi`` do not grow with the
-number of draws or points."""
+number of draws or points.  The CLI's parser is built once per process, not
+once per call."""
 
+import argparse
 import contextlib
 import io
 from collections import Counter
@@ -118,3 +120,19 @@ def test_quasi_suite_calls(calls):
     # one call per (b, n): four values of b, n = 1..5
     _run(["verify", "--suite", "quasi"])
     assert dict(calls) == {"difference_equation_residual": 20}
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    # the top-level parser and its 6 command subparsers, whatever the number of calls
+    built = Counter()
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built["ArgumentParser"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    for argv in (["eval"], ["kernel"], ["chain", "--l-const", "0.25"], ["ratio", "--n-max", "5"], ["eval"]):
+        _run(argv)
+    assert dict(built) == {"ArgumentParser": 7}

@@ -1,8 +1,13 @@
+import argparse
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -337,3 +342,66 @@ def test_coefficient_file_lists_each_n_once(tmp_path, coeffs, message):
     code, out, err = run_cli([*CUSTOM_EVAL, str(path), "--n-max", "3"])
     assert (code, out) == (2, "")
     assert err.startswith(f"opx: {path}") and message in err
+
+
+@pytest.mark.parametrize("n_max, needed", [("1", 6), ("2", 7)])
+def test_geronimus_on_a_coefficient_file_needs_the_rows_christoffel_needs(tmp_path, n_max, needed):
+    # a finite table's J-fraction is cut at its last row, not at a fixed depth
+    path = tmp_path / "coeffs.csv"
+    path.write_text(FOUR_ROWS)
+    base = ["recover", "--family", "custom", "--coeffs", str(path), "--support=-1,1", "--n-max", n_max]
+    message = f"opx: coefficient file defines n up to 4, needed {needed}\n"
+    for kind in ("christoffel", "geronimus"):
+        assert run_cli([*base, "--kind", kind]) == (2, "", message)
+
+
+# ---------------------------------------------------------------------------
+# one parser per process: a call leaves nothing behind for the next
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _scrub(text):
+    return re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', text)
+
+
+def _fresh_run(argv):
+    """Exit code and scrubbed report of ``argv`` in a new interpreter."""
+    script = f"import sys\nfrom opx import cli\nsys.exit(cli.main({argv!r}))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    return done.returncode, _scrub(done.stdout)
+
+
+def test_repeated_options_do_not_carry_over_to_the_next_call():
+    assert run_cli(["eval", "--shift=2", "--points=0.3", "--derivs"])[0] == 0
+    code, out, _ = run_cli(["eval"])
+    echo = json.loads(out)["config_echo"]
+    assert "shifts" not in echo and "points" not in echo
+    assert (code, _scrub(out)) == _fresh_run(["eval"])
+
+
+def test_a_usage_error_leaves_the_next_call_intact():
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--family", "nosuch"])
+    assert exc.value.code == 2
+    argv = ["recover", "--kind", "uvarov", "--shift=-2"]
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    assert (code, _scrub(out)) == _fresh_run(argv)
+
+
+def test_append_defaults_stay_empty():
+    run_cli(["eval", "--shift=2", "--shift=3", "--points=0.3"])
+    run_cli(["kernel", "--points=0.3"])
+    [commands] = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    appends = [
+        action
+        for sub in commands.choices.values()
+        for action in sub._actions
+        if isinstance(action, argparse._AppendAction)
+    ]
+    # --shift on each of the 6 commands, --points on eval and kernel
+    assert len(appends) == 8
+    assert all(action.default == [] for action in appends)

@@ -1,7 +1,8 @@
 """scipy is loaded only when a Gauss rule of order >= 2 is solved: importing
 opx, and every command built on the recurrence coefficients alone, never
-load it.  Each check runs in a fresh interpreter and reads ``sys.modules``,
-so it does not depend on what this test session has imported."""
+load it; nor does the import build the CLI's parser.  Each check runs in a
+fresh interpreter and reads ``sys.modules``, so it does not depend on what
+this test session has imported."""
 
 import os
 import subprocess
@@ -24,12 +25,13 @@ SCIPY_FREE = [
     ["verify", "--suite", "chains"],
 ]
 
-# prints each command's exit code and whether scipy is loaded after it;
-# the first line is the import alone
+# prints each command's exit code and whether scipy is loaded after it; the
+# first line is the import alone, with the number of CLI parsers built so
+# far (none: the parser is built on the first parse) for its exit code
 PROBE = """
 import contextlib, io, sys
 import opx, opx.cli
-print("import", 0, "scipy" in sys.modules)
+print("import", opx.cli._parser.cache_info().currsize, "scipy" in sys.modules)
 for argv in ARGVS:
     with contextlib.redirect_stdout(io.StringIO()):
         code = opx.cli.main(argv)

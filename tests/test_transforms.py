@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 import opx
-from opx import moments
+from opx import moments, transforms
 from conftest import sample_points
 
 
@@ -226,6 +226,27 @@ def test_geronimus_records_solve_no_gauss_rule(monkeypatch):
     rc = opx.recover_geronimus(fam, -1.0, -1.0, np.full(8, 0.3), 8)
     assert np.all(np.isfinite(data.A[1:]))
     np.testing.assert_array_equal(rc.data.A, data.A)
+
+
+
+def test_geronimus_on_a_finite_table_is_one_full_depth_pass(monkeypatch):
+    # the J-fraction of a finite table is exact when cut at its last row, so
+    # the record is the pass over all 40 rows, bitwise, whatever n_max is
+    def no_rule(*args):
+        raise AssertionError("a Gauss rule was solved")
+
+    monkeypatch.setattr(moments, "gauss_rule", no_rule)
+    rows = np.column_stack([0.1 * np.cos(np.arange(40)), 0.25 + 0.5 / np.arange(1, 41)])
+    fam = opx.custom_family(rows, (-1.6, 1.6))
+    k = 2.0
+    full = transforms._backward_ratios(k, rows[:, 0].tolist(), rows[:, 1].tolist(), 39)
+    for n_max in (1, 6, 39):
+        data = opx.geronimus_data(fam, k, n_max)
+        np.testing.assert_array_equal(data.A[1:], -np.array(full[1 : n_max + 1]))
+        assert data.mass0 == -full[0]
+    # s_40 would need row 41
+    with pytest.raises(opx.TableTooShort, match="needed 41"):
+        opx.geronimus_data(fam, k, 40)
 
 
 # ---------------------------------------------------------------------------
