@@ -9,6 +9,7 @@ three-row matching system and are unique.
 import numpy as np
 
 import opx
+from opx import suites
 
 fam = opx.chebyshev1()
 rng = np.random.default_rng(0)
@@ -31,39 +32,17 @@ gram = opx.orthogonality_residual(fam, opx.Uvarov(2.0, 0.5), polys, 6)
 print("Uvarov Gram off-diagonal max:", np.max(np.abs(gram - np.diag(np.diag(gram)))))
 
 
-def worst(rebuild, rc, n_max):
-    out = 0.0
-    for n in range(1, n_max + 1):
-        q = np.real(rebuild(rc, n, xs))
-        p = opx.eval_table(fam, n, xs)[n]
-        out = max(out, np.max(np.abs(q - p) / np.maximum(1, np.abs(p))))
-    return out
-
-
+# each recovery's largest |Q_n - P_n| / max(1, |P_n|) over n = 1..6 and the points
 n_max = 6
-B = np.full(n_max, 0.3)
-rc = opx.recover_christoffel(fam, 2.0, 2.0, B, n_max)
-print("\nrecovery via kernel mix         :",
-      worst(opx.christoffel_recovery_poly, rc, n_max))
-
-Bt = np.full(n_max, 0.4)
-rcg = opx.recover_geronimus(fam, 3.0, 2.0, Bt, n_max)
-print("recovery via Geronimus sequence :",
-      worst(opx.geronimus_recovery_poly, rcg, n_max))
-
-Bu = np.full(n_max, 0.2)
-rcu = opx.recover_uvarov(fam, 2.0, 3.0, 0.5, Bu, n_max)
-print("recovery via Uvarov sequence    :",
-      worst(opx.uvarov_recovery_poly, rcu, n_max))
-
-rhs = opx.order2_constraint_rhs(fam, 3.0, 1j, -1j, n_max)
-mt = np.full(n_max, 0.5, dtype=complex)
-pk1 = opx.eval_table(fam, n_max, [3.0])[:, 0]
-lt = np.array([rhs[n] - mt[n - 1] * pk1[n] / (fam.coefficient(n + 1)[1] * pk1[n - 1])
-               for n in range(1, n_max + 1)])
-rco = opx.recover_order2(fam, 3.0, 1j, -1j, lt, mt, n_max)
-print("recovery via iterated kernels   :",
-      worst(opx.order2_recovery_poly, rco, n_max))
+rc = opx.recover_christoffel(fam, 2.0, 2.0, np.full(n_max, 0.3), n_max)
+print("\nrecovery via kernel mix         :", suites.recovery_identity(rc, xs, n_max).max())
+rc = opx.recover_geronimus(fam, 3.0, 2.0, np.full(n_max, 0.4), n_max)
+print("recovery via Geronimus sequence :", suites.recovery_identity(rc, xs, n_max).max())
+rc = opx.recover_uvarov(fam, 2.0, 3.0, 0.5, np.full(n_max, 0.2), n_max)
+print("recovery via Uvarov sequence    :", suites.recovery_identity(rc, xs, n_max).max())
+# order two: Mtilde is free, and Ltilde is solved from the compatibility constraint
+rc = opx.recover_order2(fam, 3.0, 1j, -1j, np.full(n_max, 0.5), n_max)
+print("recovery via iterated kernels   :", suites.recovery_identity(rc, xs, n_max).max())
 
 # the two transformations are mutually inverse on the recurrence level
 tilde = opx.geronimus_family(opx.geronimus_data(fam, 3.0, 16), 15)

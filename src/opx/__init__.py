@@ -7,7 +7,6 @@ indices, lambda_1 = mu_0).
 """
 
 from .errors import (
-    ConstraintViolated,
     DegenerateDenominator,
     Divergent,
     EvalAtShift,
@@ -93,7 +92,6 @@ from .transforms import (
     geronimus_poly,
     geronimus_recovery_poly,
     op_from_geronimus,
-    order2_constraint_rhs,
     order2_recovery_poly,
     recover_christoffel,
     recover_geronimus,

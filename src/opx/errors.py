@@ -10,7 +10,6 @@ __all__ = [
     "DegenerateDenominator",
     "EvalAtShift",
     "PoleAtSample",
-    "ConstraintViolated",
     "InvalidAlphas",
     "ZeroDenominator",
     "NonConvergent",
@@ -53,10 +52,6 @@ class EvalAtShift(OpxError):
 
 class PoleAtSample(OpxError):
     """A sample point hits a pole of a rational recovery combination."""
-
-
-class ConstraintViolated(OpxError):
-    """Supplied coefficient sequences do not satisfy the required constraint."""
 
 
 class InvalidAlphas(OpxError):

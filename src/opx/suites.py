@@ -1,0 +1,516 @@
+"""The verification statistics and the five ``opx verify`` suites.
+
+Each statistic is one function that returns its residuals as an array, in
+the order of the loop it replaces (degree, then point or draw); a suite
+folds each array into one case.  ``opx verify`` and the tests call the same
+functions, so a check is described once.  Three folds keep the reports'
+bytes: ``_fold_max`` is a running Python ``max`` (a NaN entry is skipped),
+``_worst`` a NaN-propagating ``np.max``, and the reciprocal identity's
+``np.fmax``.  Tests assert on every entry, so a NaN point fails them.
+
+A suite is ``suite(family, rng, settings) -> list of cases``; it reads the
+resolved ``Settings`` and draws from ``rng`` in a fixed order, so
+``--suite all`` runs ``SUITES`` in order on one stream.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import families, kernels, moments, quasi, ratios, transforms
+
+__all__ = [
+    "Settings",
+    "SUITES",
+    "RECOVERY_KINDS",
+    "case",
+    "sample_points",
+    "relative_gap",
+    "gram_off_diagonal",
+    "kernel_orthogonality",
+    "kernel_branch_agreement",
+    "kernel_ttrr",
+    "op_from_kernels_gap",
+    "power_norms",
+    "moment_annihilation",
+    "difference_equation",
+    "engineered_coefficients",
+    "recovery_case",
+    "recovery_identity",
+    "geronimus_orthogonality",
+    "uvarov_orthogonality",
+    "confluent_cd_identity",
+    "ratio_limit_vs_cd_branch",
+    "gauss_cf_vs_series",
+    "kummer_cf_vs_series",
+    "gauss_cf_vs_series_nonterminating",
+    "quarter_chain",
+    "run_suites",
+]
+
+# each recovery kind's evaluator of the rebuilt Q_n
+_REBUILT = {
+    "christoffel": transforms.christoffel_recovery_poly,
+    "geronimus": transforms.geronimus_recovery_poly,
+    "uvarov": transforms.uvarov_recovery_poly,
+    "order2": transforms.order2_recovery_poly,
+}
+RECOVERY_KINDS = tuple(_REBUILT)
+
+
+@dataclass(frozen=True)
+class Settings:
+    """What the suites read of an invocation, with its defaults resolved:
+    the shifts (the first is k1, the second, if any, k2), the degree cap,
+    the tolerance of the tol-gated cases, the continued-fraction depth, a
+    Geronimus mass overriding the solved one, and the Uvarov mass."""
+
+    shifts: tuple[float, ...]
+    n_max: int
+    tol: float
+    depth: int
+    mass0: float | None
+    r0: float
+
+
+def case(name: str, residual: float, tol: float | None) -> dict:
+    """One report case; a null ``tol`` records the residual without a verdict."""
+    return {
+        "name": name,
+        "max_residual": float(residual),
+        "tolerance": tol,
+        "pass": (None if tol is None else bool(residual <= tol)),
+    }
+
+
+def sample_points(fam: families.FamilySpec, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` uniform points on the support, a half line cut at 10 past its end."""
+    a, b = fam.support
+    if np.isinf(b):
+        return rng.uniform(a, a + 10.0, count)
+    return rng.uniform(a, b, count)
+
+
+def _fold_max(worst: float, values: np.ndarray) -> float:
+    """``worst = max(worst, v)`` over ``values`` in order, the fold of a loop
+    over draws (Python's max keeps the running value past a NaN)."""
+    return max([worst, *np.ravel(values).tolist()])
+
+
+def _worst(values: np.ndarray) -> float:
+    """The largest entry, 0 for none; a NaN entry gives NaN."""
+    return float(np.max(values, initial=0.0))
+
+
+def relative_gap(diffs, scales) -> np.ndarray:
+    """|diff| / max(1, |scale|), entry by entry."""
+    return np.abs(diffs) / np.maximum(1.0, np.abs(scales))
+
+
+# ---------------------------------------------------------------------------
+# kernel polynomials
+# ---------------------------------------------------------------------------
+
+
+def gram_off_diagonal(fam, functional, polys, n_max: int) -> np.ndarray:
+    """|Gram entry| of ``polys[0..n_max]`` under ``functional``, diagonal zeroed."""
+    gram = moments.orthogonality_residual(fam, functional, polys, n_max)
+    return np.abs(gram - np.diag(np.diag(gram)))
+
+
+def kernel_orthogonality(ctx: kernels.KernelContext, n_max: int) -> np.ndarray:
+    """Off-diagonal Gram entries of Pk_0..Pk_n_max under L* = (x - k) L."""
+    polys = [lambda xs, n=n: kernels.kernel_poly(ctx, n, xs) for n in range(n_max + 1)]
+    return gram_off_diagonal(ctx.family, moments.Christoffel(ctx.k), polys, n_max)
+
+
+def kernel_branch_agreement(ctx: kernels.KernelContext, radii: np.ndarray, top: int) -> np.ndarray:
+    """Gap between ``kernel_poly`` and the CD sum N_n/P_n(k) sum_j P_j(x) P_j(k)/N_j
+    at x = k + r: rows n = 1..top, columns the radii.
+
+    One table serves every degree.  Each point's terms (P_j(x) P_j(k))/N_j
+    are summed along one contiguous row, the order of a one-point sum.
+    """
+    xs = ctx.k + radii
+    points = np.ascontiguousarray(families.eval_table(ctx.family, top, xs).T)
+    rows = []
+    for n in range(1, top + 1):
+        ksum = (points[:, : n + 1] * ctx.pk[: n + 1] / ctx.norms[: n + 1]).sum(axis=1)
+        cd = ctx.norms[n] / ctx.pk[n] * ksum
+        rows.append(np.abs(kernels.kernel_poly(ctx, n, xs) - cd) / np.maximum(1.0, np.abs(cd)))
+    return np.array(rows)
+
+
+def kernel_ttrr(ctx: kernels.KernelContext, xs: np.ndarray, n_max: int) -> np.ndarray:
+    """Residual of x Pk_n = Pk_{n+1} + c*_{n+1} Pk_n + lambda*_{n+1} Pk_{n-1}
+    relative to x Pk_n: rows n = 1..n_max-2, columns the points."""
+    pairs = kernels.kernel_recurrence(ctx, n_max)
+    pk = np.array([kernels.kernel_poly(ctx, n, xs) for n in range(n_max)])
+    x_pk = xs * pk[1:-1]
+    res = x_pk - pk[2:] - pairs[1:-1, :1] * pk[1:-1] - pairs[1:-1, 1:] * pk[:-2]
+    return relative_gap(res, x_pk)
+
+
+def op_from_kernels_gap(ctx: kernels.KernelContext, xs: np.ndarray, n_max: int) -> np.ndarray:
+    """Gap between P_{n+1} rebuilt from Pk_{n+1}, Pk_n and P_{n+1} itself:
+    rows n = 0..n_max-2, columns the points."""
+    direct = families.eval_table(ctx.family, n_max - 1, xs)[1:]
+    rebuilt = np.array([kernels.op_from_kernels(ctx, n, xs) for n in range(n_max - 1)])
+    rebuilt = rebuilt.reshape(direct.shape)  # (0, points) when n_max = 1
+    return relative_gap(rebuilt - direct, direct)
+
+
+def _kernel_suite(fam, rng, settings: Settings) -> list[dict]:
+    cases = []
+    n_max = min(settings.n_max, 10)
+    for k in settings.shifts:
+        ctx = kernels.KernelContext(fam, k, n_max + 2)
+        cases.append(case(f"kernel_orthogonality_k{k:g}", _worst(kernel_orthogonality(ctx, n_max)), 1e-9))
+        radii = 10.0 ** rng.uniform(-4, -1, 10) * (1.0 + abs(k))
+        gaps = kernel_branch_agreement(ctx, radii, min(n_max, 12))
+        cases.append(case(f"kernel_branch_agreement_k{k:g}", _fold_max(0.0, gaps), 1e-9))
+        gaps = kernel_ttrr(ctx, sample_points(fam, rng, 20), n_max)
+        cases.append(case(f"kernel_ttrr_k{k:g}", _worst(gaps), 1e-10))
+        gaps = op_from_kernels_gap(ctx, sample_points(fam, rng, 20), n_max)
+        cases.append(case(f"op_from_kernels_k{k:g}", _worst(gaps), 1e-10))
+    return cases
+
+
+# ---------------------------------------------------------------------------
+# quasi-type kernels
+# ---------------------------------------------------------------------------
+
+
+def power_norms(fam, k: float, m_top: int) -> np.ndarray:
+    """||x^m|| = sqrt(|L*(x^{2m})|) under L* = (x - k) L, m = 0..m_top."""
+    functional = moments.Christoffel(k)
+    return np.array([
+        np.sqrt(abs(moments.apply_functional(fam, functional, lambda xs, m=m: xs ** (2 * m), 2 * m)))
+        for m in range(m_top + 1)
+    ])
+
+
+def moment_annihilation(ctx: kernels.KernelContext, spec: quasi.QuasiSpec, ns, x_norms) -> np.ndarray:
+    """|L*(x^m Q_n)| / (||x^m|| ||Q_n||) for n in ``ns`` and, within each n,
+    m = 0..n + 1 - 2 order, where Q_n = quasi_kernel(ctx, spec, n) has degree
+    n + 2 - order and ``x_norms[m]`` is ||x^m|| (``power_norms``).
+
+    The statistic is dimensionless: Laguerre norms grow factorially, so raw
+    residuals mean nothing there.
+    """
+    fam, functional = ctx.family, moments.Christoffel(ctx.k)
+    out = []
+    for n in ns:
+        degree = n + 2 - spec.order
+
+        def q(xs, n=n):
+            return quasi.quasi_kernel(ctx, spec, n, xs)
+
+        q_norm = np.sqrt(abs(moments.apply_functional(fam, functional, lambda xs: q(xs) ** 2, 2 * degree)))
+        for m in range(n + 2 - 2 * spec.order):
+            val = moments.apply_functional(fam, functional, lambda xs, m=m: xs**m * q(xs), degree + m)
+            out.append(abs(val) / (x_norms[m] * q_norm))
+    return np.array(out)
+
+
+def difference_equation(ctx: kernels.KernelContext, rng, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(stated, derived) relative residuals of the order-one difference
+    equation for b = 0.3, -0.3, 1.5, -1.5 and n = 1..n_max-3, each at 5 points
+    drawn per (b, n): arrays of shape (4, n_max - 3, 5)."""
+    stated, proof = [], []
+    for b in (0.3, -0.3, 1.5, -1.5):
+        for n in range(1, n_max - 2):
+            s, p = quasi.difference_equation_residual(ctx, b, n, sample_points(ctx.family, rng, 5))
+            stated.append(s)
+            proof.append(p)
+    return np.reshape(stated, (4, -1, 5)), np.reshape(proof, (4, -1, 5))
+
+
+def engineered_coefficients(count: int, alpha1: float = 0.7):
+    """(c*, lambda*) of ``count`` rows built so that the increment condition
+    lambda*_{n+1} - lambda*_n = alpha1 (c*_{n+1} - c*_n) holds."""
+    cs = np.array([0.2 + 0.35 * n for n in range(count)])
+    ls = np.zeros(count)
+    ls[0] = 1.0
+    ls[1] = 0.9
+    for n in range(2, count):
+        ls[n] = ls[n - 1] + alpha1 * (cs[n] - cs[n - 1])
+    return cs, ls
+
+
+def _quasi_suite(fam, rng, settings: Settings) -> list[dict]:
+    k = settings.shifts[0]
+    n_max = min(settings.n_max, 10)
+    ctx = kernels.KernelContext(fam, k, n_max + 3)
+    x_norms = power_norms(fam, k, n_max - 1)
+    stats = moment_annihilation(ctx, quasi.QuasiSpec(order=1, a=1.0, b=0.7), range(2, n_max + 1), x_norms)
+    cases = [case("order1_moment_annihilation", _fold_max(0.0, stats), 1e-9)]
+    spec2 = quasi.QuasiSpec(order=2, Ltilde=0.3, Mtilde=0.9)
+    stats = moment_annihilation(ctx, spec2, range(3, n_max + 1), x_norms)
+    cases.append(case("order2_moment_annihilation", _fold_max(0.0, stats), 1e-9))
+    stated, proof = difference_equation(ctx, rng, n_max)
+    cases.append(case("difference_equation_proof_form", _fold_max(0.0, proof), 1e-9))
+    cases.append(case("difference_equation_stated_form", _fold_max(0.0, stated), None))
+    # the orthogonality criteria on a family engineered to meet them
+    a1 = 0.7
+    report = quasi.orthogonality_conditions(
+        *engineered_coefficients(settings.n_max + 4, a1), [a1], min(settings.n_max, 8)
+    )
+    residual = report.gram_residual if report.satisfied else 1.0
+    cases.append(case("qk_orthogonality_engineered", residual, settings.tol))
+    return cases
+
+
+# ---------------------------------------------------------------------------
+# recovery constructions and transformed sequences
+# ---------------------------------------------------------------------------
+
+
+def recovery_identity(rc: transforms.RecoveryCoefficients, xs: np.ndarray, n_max: int) -> np.ndarray:
+    """Gap between the rebuilt Q_n and P_n: rows n = 1..n_max, columns the
+    points; each construction is evaluated once per degree on all points."""
+    p = families.eval_table(rc.ctx2.family, n_max, xs)[1:]
+    q = np.array([_REBUILT[rc.kind](rc, n, xs) for n in range(1, n_max + 1)])
+    return relative_gap(q - p, p)
+
+
+def recovery_case(kind: str, fam, settings: Settings, xs: np.ndarray, n_max: int):
+    """The ``recovery_identity_<kind>`` case over degrees 1..n_max and the
+    points ``xs``, and the recovery's coefficients.  The quasi mixing
+    coefficients are 0.3 (Mtilde 0.5); order two runs at k2, k3 = 1j, -1j."""
+    k1 = settings.shifts[0]
+    k2 = settings.shifts[1] if len(settings.shifts) > 1 else k1
+    b_coeffs = np.full(n_max + 1, 0.3)
+    if kind == "christoffel":
+        rc = transforms.recover_christoffel(fam, k1, k2, b_coeffs, n_max)
+    elif kind == "geronimus":
+        rc = transforms.recover_geronimus(fam, k1, k2, b_coeffs, n_max)
+    elif kind == "uvarov":
+        rc = transforms.recover_uvarov(fam, k1, k2, settings.r0, b_coeffs, n_max)
+    elif kind == "order2":
+        rc = transforms.recover_order2(fam, k1, 1j, -1j, np.full(n_max, 0.5), n_max)
+    else:
+        raise ValueError(f"unknown recovery kind {kind!r}")
+    return case(f"recovery_identity_{kind}", _worst(recovery_identity(rc, xs, n_max)), settings.tol), rc
+
+
+def geronimus_orthogonality(data: transforms.GeronimusData, mass0: float, n_max: int) -> np.ndarray:
+    """Off-diagonal Gram entries of Pt_0..Pt_n_max under the Geronimus
+    functional with Ltilde(1) = ``mass0``."""
+    polys = [lambda xs, n=n: transforms.geronimus_poly(data, n, xs) for n in range(n_max + 1)]
+    return gram_off_diagonal(data.family, moments.Geronimus(data.k, mass0), polys, n_max)
+
+
+def uvarov_orthogonality(data: transforms.UvarovData, n_max: int) -> np.ndarray:
+    """Off-diagonal Gram entries of Ph_0..Ph_n_max under L + r0 delta(x - k)."""
+    polys = [lambda xs, n=n: transforms.uvarov_poly(data, n, xs) for n in range(n_max + 1)]
+    return gram_off_diagonal(data.ctx.family, moments.Uvarov(data.ctx.k, data.r0), polys, n_max)
+
+
+def _recovery_suite(fam, rng, settings: Settings) -> list[dict]:
+    xs = sample_points(fam, rng, 50)
+    recoveries = {
+        kind: recovery_case(kind, fam, settings, xs, min(settings.n_max, 8)) for kind in RECOVERY_KINDS
+    }
+    cases = [c for c, _ in recoveries.values()]
+    # each transformed sequence is checked on its recovery's record.  The
+    # Geronimus record's mass -s_0 is checked against the oracle's
+    # -L(1/(k - x)), and the Gram matrix runs on the oracle's value: entry
+    # (i, j) moves by Pt_i(k) Pt_j(k) times any gap between the two, so a few
+    # ulps give 1e-9 at (5, 6) for Legendre at k = -2.  --mass0 overrides
+    # the solved mass, so it should fail
+    n_max = min(settings.n_max, 6)
+    gdata = recoveries["geronimus"][1].data
+    solved = -moments.cauchy_mass(fam, gdata.k)
+    cases.append(case("geronimus_solved_mass", abs(gdata.mass0 - solved) / abs(solved), 1e-12))
+    mass0 = solved if settings.mass0 is None else settings.mass0
+    off = _worst(geronimus_orthogonality(gdata, mass0, n_max))
+    cases.append(case("geronimus_transform_orthogonality", off, 1e-9))
+    off = _worst(uvarov_orthogonality(recoveries["uvarov"][1].data, n_max))
+    cases.append(case("uvarov_transform_orthogonality", off, 1e-9))
+    return cases
+
+
+# ---------------------------------------------------------------------------
+# ratios, continued fractions and chain sequences
+# ---------------------------------------------------------------------------
+
+
+def confluent_cd_identity(fam, n: int, xs: np.ndarray) -> np.ndarray:
+    """|lhs - rhs| / |lhs| of the confluent Christoffel-Darboux identity at degree n."""
+    lhs, rhs = ratios.confluent_cd(fam, n, xs)
+    return np.abs(lhs - rhs) / np.abs(lhs)
+
+
+def ratio_limit_vs_cd_branch(ctx: kernels.KernelContext, r_ups) -> np.ndarray:
+    """Gap between r_up(n) and Pk_{n+1}(k; k) / Pk_n(k; k) from the CD-sum
+    branch, n = 0..len(r_ups)-2."""
+    gaps = []
+    for n, r_up in enumerate(np.asarray(r_ups)[:-1].tolist()):
+        direct = kernels.kernel_poly(ctx, n + 1, ctx.k) / kernels.kernel_poly(ctx, n, ctx.k)
+        gaps.append(abs(r_up - direct) / max(1.0, abs(direct)))
+    return np.array(gaps)
+
+
+def _columns(rows: list[tuple]) -> list[np.ndarray]:
+    """The columns of a list of equal-length tuples, as arrays."""
+    return list(map(np.array, zip(*rows)))
+
+
+def _guarded_draws(draw, den, count: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """``count`` draws whose denominator series clears the conditioning
+    guard |den| >= 1e-3, as columns, and those denominators.
+
+    ``draw()`` makes one candidate from scalar rng calls.  Each round draws
+    exactly as many candidates as are still missing and evaluates their
+    denominators ``den(*columns)`` in one batch, so the candidates, and the
+    rng stream, are those of a loop that draws one at a time and stops at
+    the count-th kept draw.  Near a zero of the denominator the series
+    cannot certify 1e-10 itself.
+    """
+    kept, dens = [], []
+    while len(kept) < count:
+        batch = [draw() for _ in range(count - len(kept))]
+        d = den(*_columns(batch))
+        keep = ~(np.abs(d) < 1e-3)  # a NaN passes: abs(NaN) < 1e-3 is false
+        kept += [row for row, k in zip(batch, keep.tolist()) if k]
+        dens.append(d[keep])
+    return _columns(kept), np.concatenate(dens)
+
+
+def _cf_gap(cf: np.ndarray, series: np.ndarray) -> np.ndarray:
+    return np.abs(cf - series) / np.fmax(1.0, np.abs(series))
+
+
+def gauss_cf_vs_series(rng, count: int, depth: int) -> np.ndarray:
+    """Gap between the Gauss fraction 2F1(-n+1, q; r; z)/2F1(-n, q; r; z) and
+    the terminating series, over ``count`` guarded draws (n, q, r, z)."""
+
+    def draw():
+        n, q = int(rng.integers(1, 12)), float(rng.uniform(0.2, 4.0))
+        return n, q, float(rng.uniform(0.3, 4.0)), float(rng.uniform(-0.6, 0.6))
+
+    def guard(n, q, r, z):
+        return ratios.hyp_series("2F1", (-n, q, r), z)
+
+    (n, q, r, z), den = _guarded_draws(draw, guard, count)
+    cf = ratios.gauss_cf_ratio(-n, q, r, z, depth)
+    return _cf_gap(cf, ratios.hyp_series("2F1", (-n + 1, q, r), z) / den)
+
+
+def kummer_cf_vs_series(rng, count: int, depth: int) -> np.ndarray:
+    """Gap between the Kummer fraction 1F1(-n+1; r; z)/1F1(-n; r; z) and the
+    terminating series, over ``count`` guarded draws (n, r, z)."""
+
+    def draw():
+        n = int(rng.integers(1, 12))
+        return n, float(rng.uniform(0.3, 4.0)), float(rng.uniform(-2.0, 2.0))
+
+    def guard(n, r, z):
+        return ratios.hyp_series("1F1", (-n, r), z)
+
+    (n, r, z), den = _guarded_draws(draw, guard, count)
+    cf = ratios.kummer_cf_ratio(-n, r, z, depth)
+    return _cf_gap(cf, ratios.hyp_series("1F1", (-n + 1, r), z) / den)
+
+
+def gauss_cf_vs_series_nonterminating(rng, count: int, depth: int) -> np.ndarray:
+    """Gap between the Gauss fraction 2F1(p+1, q; r; z)/2F1(p, q; r; z) and
+    400-term series, over ``count`` draws (p, q, r, z)."""
+
+    def draw():
+        p, q = float(rng.uniform(0.1, 2.5)), float(rng.uniform(0.2, 3.0))
+        return p, q, float(rng.uniform(0.3, 4.0)), float(rng.uniform(-0.5, 0.5))
+
+    p, q, r, z = _columns([draw() for _ in range(count)])
+    cf = ratios.gauss_cf_ratio(p, q, r, z, depth)
+    series = ratios.hyp_series("2F1", (p + 1, q, r), z, 400) / ratios.hyp_series("2F1", (p, q, r), z, 400)
+    return _cf_gap(cf, series)
+
+
+def _ratio_suite(fam, rng, settings: Settings) -> list[dict]:
+    n_max, depth = min(settings.n_max, 10), settings.depth
+    gaps = [confluent_cd_identity(fam, n, sample_points(fam, rng, 20)) for n in range(n_max + 1)]
+    cases = [case("confluent_cd_identity", _fold_max(0.0, gaps), 1e-10)]
+    ctx = kernels.KernelContext(fam, settings.shifts[0], n_max + 2)
+    r_ups, r_downs = ratios.kernel_ratio_limits(ctx, n_max)
+    worst = np.fmax.reduce(np.abs(r_ups * r_downs - 1.0), initial=0.0)
+    cases.append(case("ratio_reciprocal_identity", worst, 1e-12))
+    cases.append(case("ratio_limit_vs_cd_branch", _fold_max(0.0, ratio_limit_vs_cd_branch(ctx, r_ups)), 1e-9))
+    cases.append(case("gauss_cf_vs_series", _fold_max(0.0, gauss_cf_vs_series(rng, 200, depth)), 1e-10))
+    cases.append(case("kummer_cf_vs_series", _fold_max(0.0, kummer_cf_vs_series(rng, 200, depth)), 1e-10))
+    gaps = gauss_cf_vs_series_nonterminating(rng, 50, depth)
+    cases.append(case("gauss_cf_vs_series_nonterminating", _fold_max(0.0, gaps), 1e-10))
+    # the special-case fractions' printed prefactors: gaps recorded, not gated
+    if fam.kind == "chebyshev1":
+        r_ups = ratios.kernel_ratio_limits(kernels.KernelContext(fam, 1.0, n_max + 2), n_max)[0].tolist()
+        gap = 0.0
+        for n in range(1, n_max + 1):
+            gap = max(gap, abs(r_ups[n] - 0.5 * (1.0 + 2.0 / (2.0 * n + 1.0))))
+        cases.append(case("chebyshev_tabulated_closed_form_gap", gap, None))
+    if fam.kind == "laguerre":
+        gamma = dict(fam.params)["gamma"]
+        ctx0 = kernels.KernelContext(fam, 0.0, n_max + 2)
+        gap = 0.0
+        for n in range(1, min(n_max, 6) + 1):
+            x = float(rng.uniform(0.5, 3.0))
+            cf, same, _ = ratios.laguerre_ratio_cf(gamma, n, x, depth)
+            direct = kernels.kernel_poly(ctx0, n - 1, x) / kernels.kernel_poly(ctx0, n, x)
+            gap = max(gap, abs(direct / (same * cf) - 1.0))
+        cases.append(case("laguerre_prefactor_discrepancy", gap, None))
+    if fam.kind == "jacobi":
+        gamma, delta = dict(fam.params)["gamma"], dict(fam.params)["delta"]
+        if delta > 0:
+            upper = kernels.KernelContext(families.jacobi(gamma, delta), 1.0, n_max + 2)
+            lower = kernels.KernelContext(families.jacobi(gamma, delta - 1.0), 1.0, n_max + 2)
+            gap = 0.0
+            for n in range(1, min(n_max, 6) + 1):
+                x = float(rng.uniform(-0.5, 0.9))
+                cf, pref = ratios.jacobi_ratio_cf(gamma, delta, n, x, depth)
+                direct = kernels.kernel_poly(upper, n - 1, x) / kernels.kernel_poly(lower, n, x)
+                gap = max(gap, abs(direct / (pref * cf) - 1.0))
+            cases.append(case("jacobi_prefactor_discrepancy", gap, None))
+    return cases
+
+
+def quarter_chain() -> tuple[ratios.ChainSequence, np.ndarray]:
+    """The constant chain l_n = 1/4 to n = 100, and the gap between its
+    minimal parameters and the closed form m_n = n / (2 (n + 1))."""
+    seq = ratios.chain_params(lambda n: 0.25, 100)
+    closed = np.array([n / (2.0 * (n + 1.0)) for n in range(101)])
+    return seq, np.abs(seq.m - closed)
+
+
+def _chain_suite(fam, rng, settings: Settings) -> list[dict]:
+    seq, gaps = quarter_chain()
+    cases = [
+        case("quarter_chain_minimal_params", _worst(gaps), 1e-14),
+        case("quarter_chain_positive", 0.0 if seq.positive else 1.0, 0.5),
+    ]
+    # 0 < p <= q < r makes the Gauss g-table a positive chain sequence
+    worst = 0.0
+    for _ in range(20):
+        p = float(rng.uniform(0.1, 2.0))
+        q = p + float(rng.uniform(0.0, 1.0))
+        r = q + float(rng.uniform(0.1, 1.0))
+        g = ratios._gauss_g(p, q, r, 50)
+        worst = max(worst, 0.0 if ratios.chain_params((1.0 - g[:-1]) * g[1:]).positive else 1.0)
+    cases.append(case("g_sequence_chain_positive", worst, 0.5))
+    return cases
+
+
+SUITES = {
+    "kernels": _kernel_suite,
+    "quasi": _quasi_suite,
+    "recovery": _recovery_suite,
+    "ratios": _ratio_suite,
+    "chains": _chain_suite,
+}
+
+
+def run_suites(name: str, fam, rng, settings: Settings) -> list[dict]:
+    """The cases of suite ``name``, or of every suite in order for "all"."""
+    names = list(SUITES) if name == "all" else [name]
+    return [c for suite in names for c in SUITES[suite](fam, rng, settings)]

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConstraintViolated,
     DegenerateDenominator,
     EvalAtShift,
     NonConvergent,
@@ -59,7 +58,6 @@ __all__ = [
     "recover_uvarov",
     "uvarov_recovery_poly",
     "recover_order2",
-    "order2_constraint_rhs",
     "order2_recovery_poly",
 ]
 
@@ -433,93 +431,44 @@ def uvarov_recovery_poly(rc: RecoveryCoefficients, n: int, x):
     return ((x - rc.ctx1.k) * phat + eta * (x - ctx2.k) * t_quasi) / (alpha * x - beta)
 
 
-def order2_constraint_rhs(
-    family: FamilySpec, k1: complex, k2: complex, k3: complex, n_max: int
-) -> np.ndarray:
-    """Right side of the order-two compatibility constraint for n = 1..n_max:
-
-        P_{n+2}(k1)/P_{n+1}(k1) - P_{n+2}(k2)/P_{n+1}(k2) - R_n,
-
-    where R_n is the value ratio Pk_{n+1}(k2;k3) / Pk_n(k2;k3) of the
-    first-shift kernels at the second shift.  Solving the constraint for
-    Ltilde_n given Mtilde_n is one linear equation per n.
-    """
-    pk1 = eval_table(family, n_max + 2, [k1])[:, 0]
-    return _order2_rhs(pk1, IteratedKernelContext(KernelContext(family, k2, n_max + 2), k3), n_max)
-
-
-def _order2_rhs(pk1: np.ndarray, ictx: IteratedKernelContext, n_max: int) -> np.ndarray:
-    """``order2_constraint_rhs`` from P_0..P_{n_max+2} at k1 (or more) and the
-    iterated context at (k2, k3) over the context at k2 of degree n_max + 2."""
-    star = ictx.star_values
-    up = slice(2, n_max + 2)  # index n+1 at [n-1]
-    down = slice(1, n_max + 1)  # index n at [n-1]
-    out = np.empty(n_max + 1, dtype=complex)
-    out[0] = np.nan
-    pk1 = pk1[: n_max + 3]
-    pk2 = ictx.base.pk[: n_max + 3]
-    out[1:] = pk1[3:] / pk1[up] - pk2[3:] / pk2[up] - star[up] / star[down]
-    return out
-
-
 def recover_order2(
-    family: FamilySpec,
-    k1: complex,
-    k2: complex,
-    k3: complex,
-    Ltilde,
-    Mtilde,
-    n_max: int,
-    constraint_tol: float = 1e-10,
+    family: FamilySpec, k1: complex, k2: complex, k3: complex, Mtilde, n_max: int
 ) -> RecoveryCoefficients:
     """Sequences (alpha_n, beta_n) for the order-two / iterated-kernel recovery.
 
-    ``Ltilde[j]`` and ``Mtilde[j]`` supply (Lt_n, Mt_n) for n = j+1; they
-    must satisfy the compatibility constraint (checked against
-    ``order2_constraint_rhs``, never silently repaired).  beta_n is taken
-    from the matching linear system; the cross-sum ratio enters through
+    ``Mtilde[j]`` supplies Mt_n for n = j+1.  The compatibility constraint
+
+        Lt_n + Mt_n P_n(k1) / (lambda_{n+1} P_{n-1}(k1))
+            = P_{n+2}(k1)/P_{n+1}(k1) - P_{n+2}(k2)/P_{n+1}(k2) - R_n,
+
+    with R_n = Pk_{n+1}(k2;k3) / Pk_n(k2;k3) the value ratio of the
+    first-shift kernels at the second shift, is linear in Lt_n with
+    coefficient 1, so Lt_n is solved from it.  beta_n is taken from the
+    matching linear system; the cross-sum ratio enters through
     lambda_{n+2} X_{n+1} / X_n with X_n the cached cross sums.
     """
+    Mtilde = np.asarray(Mtilde, dtype=complex)
+    if Mtilde.size < n_max:
+        raise ValueError(f"need Mtilde_1..Mtilde_{n_max}, got {Mtilde.size} values")
     ictx = IteratedKernelContext(KernelContext(family, k2, n_max + 2), k3)
     ctx1 = KernelContext(family, k1, n_max + 2)
-    return _recover_order2(ctx1, ictx, Ltilde, Mtilde, n_max, constraint_tol)
-
-
-def _recover_order2(
-    ctx1: KernelContext,
-    ictx: IteratedKernelContext,
-    Ltilde,
-    Mtilde,
-    n_max: int,
-    constraint_tol: float = 1e-10,
-) -> RecoveryCoefficients:
-    """``recover_order2`` from the contexts at k1 and at (k2, k3), each of
-    degree n_max + 2 and over one family."""
-    Ltilde = np.asarray(Ltilde, dtype=complex)
-    Mtilde = np.asarray(Mtilde, dtype=complex)
-    if Ltilde.size < n_max or Mtilde.size < n_max:
-        raise ValueError(f"need Ltilde_1..Ltilde_{n_max} and Mtilde_1..Mtilde_{n_max}")
-    rhs = _order2_rhs(ctx1.pk, ictx, n_max)[1:]
-    pk1 = ctx1.pk[: n_max + 2]  # P_0..P_{n_max+1}
-    pairs = ctx1.family.table(n_max + 2)
+    pk1 = ctx1.pk[: n_max + 3]  # P_0..P_{n_max+2} at k1
+    pk2 = ictx.base.pk[: n_max + 3]
+    star = ictx.star_values
+    up = slice(2, n_max + 2)  # index n+1 at [n-1]
+    down = slice(1, n_max + 1)  # index n at [n-1]
+    pairs = family.table(n_max + 2)
     c, lam, lam2 = pairs[1:-1, 0], pairs[1:-1, 1], pairs[2:, 1]  # indices n+1, n+1, n+2
-    lt, mt = Ltilde[:n_max], Mtilde[:n_max]
-    lhs = lt + mt * pk1[1:-1] / (lam * pk1[:-2])
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    violated = np.abs(lhs - rhs) > constraint_tol * scale
-    if violated.any():
-        i = int(np.argmax(violated))
-        raise ConstraintViolated(
-            f"(Ltilde_{i + 1}, Mtilde_{i + 1}) violate the compatibility constraint: "
-            f"|{lhs[i]} - {rhs[i]}| > {constraint_tol} * {scale[i]}"
-        )
+    mt = Mtilde[:n_max]
+    rhs = pk1[3:] / pk1[up] - pk2[3:] / pk2[up] - star[up] / star[down]
+    lt = rhs - mt * pk1[down] / (lam * pk1[:n_max])
     alpha = np.full(n_max + 1, np.nan, dtype=complex)
     beta = np.full(n_max + 1, np.nan, dtype=complex)
-    alpha[1:] = -(1.0 / lam) * mt * pk1[1:-1] / pk1[:-2]
+    alpha[1:] = -(1.0 / lam) * mt * pk1[down] / pk1[:n_max]
     cross_ratio = ictx.cd_cross[2 : n_max + 2] / ictx.cd_cross[1 : n_max + 1]
-    beta[1:] = lt * pk1[2:] / pk1[1:-1] - mt + lam2 * cross_ratio + alpha[1:] * c
+    beta[1:] = lt * pk1[up] / pk1[down] - mt + lam2 * cross_ratio + alpha[1:] * c
     return RecoveryCoefficients(
-        kind="order2", alpha=alpha, beta=beta, ctx1=ctx1, ctx2=ictx.base, quasi=(Ltilde, Mtilde), data=ictx
+        kind="order2", alpha=alpha, beta=beta, ctx1=ctx1, ctx2=ictx.base, quasi=(lt, mt), data=ictx
     )
 
 

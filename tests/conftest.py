@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 import opx
-from opx.cli import _sample_points as sample_points  # noqa: F401  (imported by the test modules)
+from opx.suites import sample_points  # noqa: F401  (imported by the test modules)
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import opx
-from opx import moments
+from opx import moments, suites
 from conftest import sample_points
 
 
@@ -116,12 +116,9 @@ def test_op_from_kernels_general_shift_coefficient(cheb):
 
 def test_op_from_kernels_matches_eval(cheb, lag, rng):
     for fam, k in ((cheb, 2.0), (lag, -1.0)):
-        ctx = opx.KernelContext(fam, k, 8)
-        for x in sample_points(fam, rng, 10):
-            for n in range(0, 6):
-                rebuilt = opx.op_from_kernels(ctx, n, x)
-                direct = opx.eval_table(fam, n + 1, [x])[n + 1, 0]
-                assert abs(rebuilt - direct) <= 1e-10 * max(1.0, abs(direct))
+        # n = 0..5 at 10 points
+        gaps = suites.op_from_kernels_gap(opx.KernelContext(fam, k, 8), sample_points(fam, rng, 10), 7)
+        assert gaps.shape == (6, 10) and (gaps <= 1e-10).all()
 
 
 def test_op_from_kernels_laguerre_example(lag):
@@ -132,17 +129,9 @@ def test_op_from_kernels_laguerre_example(lag):
 
 def test_branch_agreement_on_annulus(cheb, lag, jac, rng):
     for fam, k in ((cheb, 2.0), (lag, -1.0), (jac, 3.0)):
-        ctx = opx.KernelContext(fam, k, 14)
         radii = 10.0 ** rng.uniform(-4, -1, 12) * (1.0 + abs(k))
-        for n in range(1, 13):
-            for r in radii:
-                x = k + r
-                dd = opx.kernel_poly(ctx, n, x)
-                table = opx.eval_table(fam, n, [x])[:, 0]
-                cd = ctx.norms[n] / ctx.pk[n] * float(
-                    np.sum(table * ctx.pk[: n + 1] / ctx.norms[: n + 1])
-                )
-                assert abs(dd - cd) <= 1e-9 * max(1.0, abs(cd))
+        gaps = suites.kernel_branch_agreement(opx.KernelContext(fam, k, 14), radii, 12)
+        assert gaps.shape == (12, 12) and (gaps <= 1e-9).all()
 
 
 def _leading_coefficient(xs, vals):
@@ -163,18 +152,9 @@ def test_kernel_poly_monicity(cheb, lag):
 
 def test_kernel_ttrr_residual(cheb, lag, rng):
     for fam, k in ((cheb, 2.0), (lag, -1.0)):
-        ctx = opx.KernelContext(fam, k, 10)
-        pairs = opx.kernel_recurrence(ctx, 9)
-        for x in sample_points(fam, rng, 20):
-            for n in range(1, 8):
-                res = (
-                    x * opx.kernel_poly(ctx, n, x)
-                    - opx.kernel_poly(ctx, n + 1, x)
-                    - pairs[n, 0] * opx.kernel_poly(ctx, n, x)
-                    - pairs[n, 1] * opx.kernel_poly(ctx, n - 1, x)
-                )
-                scale = max(1.0, abs(x * opx.kernel_poly(ctx, n, x)))
-                assert abs(res) <= 1e-10 * scale
+        # n = 1..7 at 20 points
+        gaps = suites.kernel_ttrr(opx.KernelContext(fam, k, 10), sample_points(fam, rng, 20), 9)
+        assert gaps.shape == (7, 20) and (gaps <= 1e-10).all()
 
 
 def test_kernel_undefined_at_polynomial_zero(cheb):

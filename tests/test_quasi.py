@@ -2,26 +2,7 @@ import numpy as np
 import pytest
 
 import opx
-from conftest import sample_points
-from opx import moments, quasi
-
-
-def _annihilation_stat(fam, ctx, spec, n, m, degree):
-    functional = moments.Christoffel(ctx.k)
-    val = moments.apply_functional(
-        fam, functional, lambda xs: xs**m * quasi.quasi_kernel(ctx, spec, n, xs), degree + m
-    )
-    q_norm = np.sqrt(
-        abs(
-            moments.apply_functional(
-                fam, functional, lambda xs: quasi.quasi_kernel(ctx, spec, n, xs) ** 2, 2 * degree
-            )
-        )
-    )
-    m_norm = np.sqrt(
-        abs(moments.apply_functional(fam, functional, lambda xs: xs ** (2 * m), 2 * m))
-    )
-    return abs(val) / (m_norm * q_norm)
+from opx import quasi, suites
 
 
 def test_quasi_kernel_degenerate_mixing(cheb):
@@ -34,11 +15,11 @@ def test_quasi_kernel_degenerate_mixing(cheb):
 
 
 def test_order1_moment_annihilation(cheb):
+    # m = 0..n-1 for n = 2..8
     ctx = opx.KernelContext(cheb, 2.0, 10)
     spec = quasi.QuasiSpec(order=1, a=1.0, b=0.7)
-    for n in range(2, 9):
-        for m in range(0, n):
-            assert _annihilation_stat(cheb, ctx, spec, n, m, n + 1) <= 1e-9
+    stats = suites.moment_annihilation(ctx, spec, range(2, 9), suites.power_norms(cheb, 2.0, 7))
+    assert stats.size == 35 and (stats <= 1e-9).all()
 
 
 def test_order1_moment_annihilation_random_mixing(cheb, lag, jac, rng):
@@ -47,16 +28,16 @@ def test_order1_moment_annihilation_random_mixing(cheb, lag, jac, rng):
         ctx = opx.KernelContext(fam, k, 11)
         a, b = rng.uniform(0.2, 2.0, 2)
         spec = quasi.QuasiSpec(order=1, a=float(a), b=float(b))
-        for n in range(2, 10):
-            for m in range(0, n):
-                assert _annihilation_stat(fam, ctx, spec, n, m, n + 1) <= 1e-9
+        stats = suites.moment_annihilation(ctx, spec, range(2, 10), suites.power_norms(fam, k, 8))
+        assert stats.size == 44 and (stats <= 1e-9).all()
 
 
 def test_order2_moment_annihilation(cheb):
     ctx = opx.KernelContext(cheb, 2.0, 8)
     spec = quasi.QuasiSpec(order=2, Ltilde=0.3, Mtilde=0.9)
-    for m in range(0, 3):
-        assert _annihilation_stat(cheb, ctx, spec, 5, m, 5) <= 1e-9
+    # m = 0..2 at n = 5
+    stats = suites.moment_annihilation(ctx, spec, [5], suites.power_norms(cheb, 2.0, 2))
+    assert stats.size == 3 and (stats <= 1e-9).all()
 
 
 def test_quasi_kernel_degrees(cheb):
@@ -117,13 +98,11 @@ def test_difference_equation_residual_b_zero(cheb):
 
 
 def test_difference_equation_proof_form(cheb, rng):
+    # n = 1..10 for each b, 5 points each
     ctx = opx.KernelContext(cheb, 2.0, 14)
-    for b in (0.3, -0.3, 1.5, -1.5):
-        for n in range(1, 11):
-            for x in rng.uniform(-1, 1, 5):
-                stated, proof = quasi.difference_equation_residual(ctx, b, n, x)
-                assert proof <= 1e-9
-                assert np.isfinite(stated)  # reported, not asserted
+    stated, proof = suites.difference_equation(ctx, rng, 13)
+    assert proof.shape == (4, 10, 5) and (proof <= 1e-9).all()
+    assert np.isfinite(stated).all()  # reported, not asserted
 
 
 def test_difference_equation_stated_form_recorded(cheb):
@@ -142,17 +121,11 @@ def test_difference_equation_stated_form_recorded(cheb):
 def test_relative_difference_equation_residual_separates_the_forms(make_family, k, rng):
     # both residuals are relative to their own terms: the derived form sits
     # at rounding on every family, the stated form stays far above 1e-9
-    fam = make_family()
-    ctx = opx.KernelContext(fam, k, 14)
-    stated_worst = proof_worst = 0.0
-    for b in (0.3, -0.3, 1.5, -1.5):
-        for n in range(1, 8):
-            for x in sample_points(fam, rng, 5):
-                stated, proof = quasi.difference_equation_residual(ctx, b, n, x)
-                stated_worst = max(stated_worst, stated)
-                proof_worst = max(proof_worst, proof)
-    assert proof_worst <= 1e-9
-    assert stated_worst > 1e-9
+    # n = 1..7 for each b, 5 points each
+    ctx = opx.KernelContext(make_family(), k, 14)
+    stated, proof = suites.difference_equation(ctx, rng, 10)
+    assert proof.shape == (4, 7, 5) and (proof <= 1e-9).all()
+    assert stated.max() > 1e-9
 
 
 def test_qk_invalid_alphas(cheb):
@@ -169,18 +142,8 @@ def test_qk_constant_coefficients_flags_ii():
     assert "(ii)" in report.violated_conditions
 
 
-def _engineered(n_top, alpha1=0.7, step=0.35):
-    cs = np.array([0.2 + step * n for n in range(n_top)])
-    ls = np.zeros(n_top)
-    ls[0] = 1.0
-    ls[1] = 0.9
-    for n in range(2, n_top):
-        ls[n] = ls[n - 1] + alpha1 * (cs[n] - cs[n - 1])
-    return cs, ls
-
-
 def test_qk_engineered_family_satisfied():
-    cs, ls = _engineered(12)
+    cs, ls = suites.engineered_coefficients(12)
     report = quasi.orthogonality_conditions(cs, ls, [0.7], 8)
     assert report.satisfied
     assert report.violated_conditions == []
@@ -189,7 +152,7 @@ def test_qk_engineered_family_satisfied():
 
 def test_qk_engineered_tilde_lambda_matches_fit():
     alpha1 = 0.7
-    cs, ls = _engineered(12, alpha1=alpha1)
+    cs, ls = suites.engineered_coefficients(12, alpha1=alpha1)
     report = quasi.orthogonality_conditions(cs, ls, [alpha1], 8)
     pairs = list(zip(cs, ls))
     polys = opx.monic_coefficient_table(pairs, 9)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opx
-from opx import moments, ratios
+from opx import moments, ratios, suites
 from conftest import sample_points
 
 
@@ -36,9 +36,7 @@ def test_confluent_cd_laguerre(lag):
 def test_confluent_cd_all_families(cheb, lag, jac, rng):
     for fam in (cheb, lag, jac):
         for n in range(0, 11):
-            for x in sample_points(fam, rng, 5):
-                lhs, rhs = opx.confluent_cd(fam, n, x)
-                assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+            assert (suites.confluent_cd_identity(fam, n, sample_points(fam, rng, 5)) <= 1e-10).all()
 
 
 def test_lambda_products_match_quadrature_norms(cheb, lag, jac):
@@ -417,9 +415,8 @@ def test_confluent_cd_negative_degree(cheb):
 
 
 def test_chain_quarter_sequence():
-    seq = opx.chain_params(lambda n: 0.25, 100)
-    closed = np.array([n / (2.0 * (n + 1.0)) for n in range(101)])
-    assert np.max(np.abs(seq.m - closed)) <= 1e-14
+    seq, gaps = suites.quarter_chain()
+    assert (gaps <= 1e-14).all()
     assert seq.positive
     assert seq.m[0] == 0.0
 

@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 import opx
-from opx import moments, transforms
+from opx import moments, suites, transforms
 from conftest import sample_points
 
 
@@ -53,12 +53,14 @@ def test_geronimus_poly_degree_zero(cheb):
     ids=["chebyshev1-k2", "laguerre0.5-k-1", "jacobi-k-2", "laguerre2.5-k-3"],
 )
 def test_geronimus_orthogonality_with_solved_mass(make_family, k):
+    # the Gram matrix runs on the oracle's mass -L(1/(k - x)), as the verify
+    # suite does: entry (i, j) moves by Pt_i(k) Pt_j(k) times any gap between
+    # it and the record's mass, which is held to the suite's 1e-12 instead
     fam = make_family()
     data = opx.geronimus_data(fam, k, 6)
-    polys = [lambda xs, n=n: opx.geronimus_poly(data, n, xs) for n in range(7)]
-    gram = moments.orthogonality_residual(fam, moments.Geronimus(k, data.mass0), polys, 6)
-    off = np.max(np.abs(gram - np.diag(np.diag(gram))))
-    assert off <= 1e-9
+    solved = -moments.cauchy_mass(fam, k)
+    assert abs(data.mass0 - solved) <= 1e-12 * abs(solved)
+    assert (suites.geronimus_orthogonality(data, solved, 6) <= 1e-9).all()
     # mass0 solved from the (1,0) condition collapses to -L(1/(k-x))
     c1 = fam.coefficient(1)[0]
     assert data.mass0 == pytest.approx(-fam.mu0 / (k - c1 + data.A[1]), rel=1e-12)
@@ -270,10 +272,7 @@ def test_uvarov_vanishing_mass_limit(cheb):
 
 
 def test_uvarov_orthogonality(cheb):
-    data = opx.uvarov_data(cheb, 2.0, 0.5, 6)
-    polys = [lambda xs, n=n: opx.uvarov_poly(data, n, xs) for n in range(7)]
-    gram = moments.orthogonality_residual(cheb, moments.Uvarov(2.0, 0.5), polys, 6)
-    assert np.max(np.abs(gram - np.diag(np.diag(gram)))) <= 1e-9
+    assert (suites.uvarov_orthogonality(opx.uvarov_data(cheb, 2.0, 0.5, 6), 6) <= 1e-9).all()
 
 
 def test_uvarov_kernel_value_consistency(cheb):
@@ -295,42 +294,18 @@ def test_uvarov_requires_nonzero_mass(cheb):
 # ---------------------------------------------------------------------------
 
 
-def _worst_recovery(fam, xs, n_max, builder, evaluator):
-    rc = builder()
-    worst = 0.0
-    for n in range(1, n_max + 1):
-        q = evaluator(rc, n, xs)
-        p = opx.eval_table(fam, n, xs)[n]
-        worst = max(worst, float(np.max(np.abs(q - p) / np.maximum(1.0, np.abs(p)))))
-    return worst, rc
-
-
 def test_recover_christoffel_identity(cheb, rng):
     n_max = 8
     B = np.full(n_max, 0.3)
-    xs = sample_points(cheb, rng, 50)
-    worst, _ = _worst_recovery(
-        cheb,
-        xs,
-        n_max,
-        lambda: opx.recover_christoffel(cheb, 2.0, 2.0, B, n_max),
-        opx.christoffel_recovery_poly,
-    )
-    assert worst <= 1e-9
+    rc = opx.recover_christoffel(cheb, 2.0, 2.0, B, n_max)
+    assert (suites.recovery_identity(rc, sample_points(cheb, rng, 50), n_max) <= 1e-9).all()
 
 
 def test_recover_christoffel_distinct_shifts(cheb, rng):
     n_max = 6
     B = np.full(n_max, 0.3)
-    xs = sample_points(cheb, rng, 30)
-    worst, _ = _worst_recovery(
-        cheb,
-        xs,
-        n_max,
-        lambda: opx.recover_christoffel(cheb, 2.0, 3.0, B, n_max),
-        opx.christoffel_recovery_poly,
-    )
-    assert worst <= 1e-9
+    rc = opx.recover_christoffel(cheb, 2.0, 3.0, B, n_max)
+    assert (suites.recovery_identity(rc, sample_points(cheb, rng, 30), n_max) <= 1e-9).all()
 
 
 def test_recover_christoffel_coincident_closed_form(cheb, rng):
@@ -360,15 +335,8 @@ def test_recover_christoffel_b_zero_specialization(cheb):
 def test_recover_geronimus_identity(cheb, rng):
     n_max = 6
     Bt = np.full(n_max, 0.4)
-    xs = sample_points(cheb, rng, 30)
-    worst, rc = _worst_recovery(
-        cheb,
-        xs,
-        n_max,
-        lambda: opx.recover_geronimus(cheb, 3.0, 2.0, Bt, n_max),
-        opx.geronimus_recovery_poly,
-    )
-    assert worst <= 1e-8
+    rc = opx.recover_geronimus(cheb, 3.0, 2.0, Bt, n_max)
+    assert (suites.recovery_identity(rc, sample_points(cheb, rng, 30), n_max) <= 1e-8).all()
     # alpha_n - 1 - eta_n = 0 identically (up to the 1.0 + eta rounding)
     assert np.nanmax(np.abs(rc.alpha - 1.0 - rc.eta)) <= 1e-15
 
@@ -394,15 +362,8 @@ def test_recover_geronimus_btilde_zero_limit(cheb):
 def test_recover_uvarov_identity(cheb, rng):
     n_max = 6
     Bt = np.full(n_max, 0.2)
-    xs = sample_points(cheb, rng, 30)
-    worst, rc = _worst_recovery(
-        cheb,
-        xs,
-        n_max,
-        lambda: opx.recover_uvarov(cheb, 2.0, 3.0, 0.5, Bt, n_max),
-        opx.uvarov_recovery_poly,
-    )
-    assert worst <= 1e-8
+    rc = opx.recover_uvarov(cheb, 2.0, 3.0, 0.5, Bt, n_max)
+    assert (suites.recovery_identity(rc, sample_points(cheb, rng, 30), n_max) <= 1e-8).all()
     assert np.nanmax(np.abs(rc.eta - (rc.alpha - 1.0))) <= 1e-15
 
 
@@ -419,47 +380,32 @@ def test_recover_uvarov_r0_limit(cheb):
     assert etas[1e-9] == pytest.approx(etas[1e-6] * 1e-3, rel=1e-2)
 
 
-def _order2_inputs(fam, k1, n_max, mt_value=0.5):
-    rhs = opx.order2_constraint_rhs(fam, k1, 1j, -1j, n_max)
-    mt = np.full(n_max, mt_value, dtype=complex)
-    pk1 = opx.eval_table(fam, n_max, [k1])[:, 0]
-    lt = np.array(
-        [
-            rhs[n] - mt[n - 1] * pk1[n] / (fam.coefficient(n + 1)[1] * pk1[n - 1])
-            for n in range(1, n_max + 1)
-        ]
-    )
-    return lt, mt
-
-
 def test_recover_order2_identity(cheb, rng):
     n_max = 5
-    lt, mt = _order2_inputs(cheb, 3.0, n_max)
-    rc = opx.recover_order2(cheb, 3.0, 1j, -1j, lt, mt, n_max)
+    rc = opx.recover_order2(cheb, 3.0, 1j, -1j, np.full(n_max, 0.5), n_max)
     xs = rng.uniform(-1, 1, 30)
-    worst = 0.0
-    imag_worst = 0.0
+    assert (suites.recovery_identity(rc, xs, n_max) <= 1e-7).all()
     for n in range(1, n_max + 1):
         q = opx.order2_recovery_poly(rc, n, xs)
-        p = opx.eval_table(cheb, n, xs)[n]
-        worst = max(worst, float(np.max(np.abs(q - p) / np.maximum(1.0, np.abs(p)))))
-        imag_worst = max(imag_worst, float(np.max(np.abs(np.imag(q)) / np.maximum(1.0, np.abs(q)))))
-    assert worst <= 1e-7
-    assert imag_worst <= 1e-12  # conjugate shifts keep real x real
+        # conjugate shifts keep real x real
+        assert (np.abs(np.imag(q)) / np.maximum(1.0, np.abs(q)) <= 1e-12).all()
 
 
 def test_recover_order2_constraint_solves(cheb):
-    # choosing Mtilde freely and solving the one linear equation for Ltilde
-    # always passes the precondition check
-    lt, mt = _order2_inputs(cheb, 3.0, 5, mt_value=1.7)
-    opx.recover_order2(cheb, 3.0, 1j, -1j, lt, mt, 5)
-
-
-def test_recover_order2_constraint_violated(cheb):
-    lt, mt = _order2_inputs(cheb, 3.0, 5)
-    lt = lt + 1e-6
-    with pytest.raises(opx.ConstraintViolated):
-        opx.recover_order2(cheb, 3.0, 1j, -1j, lt, mt, 5)
+    # whatever Mtilde is, the solved Ltilde meets the compatibility constraint
+    # Lt_n + Mt_n P_n(k1) / (lambda_{n+1} P_{n-1}(k1)) =
+    #     P_{n+2}(k1)/P_{n+1}(k1) - P_{n+2}(k2)/P_{n+1}(k2) - R_n,
+    # written out here from the sequence and the iterated kernel values
+    n_max, k1 = 5, 3.0
+    rc = opx.recover_order2(cheb, k1, 1j, -1j, np.full(n_max, 1.7), n_max)
+    lt, mt = rc.quasi
+    pk1 = opx.eval_table(cheb, n_max + 2, [k1])[:, 0]
+    pk2 = opx.eval_table(cheb, n_max + 2, [1j])[:, 0]
+    star = opx.IteratedKernelContext(opx.KernelContext(cheb, 1j, n_max + 2), -1j).star_values
+    for n in range(1, n_max + 1):
+        lhs = lt[n - 1] + mt[n - 1] * pk1[n] / (cheb.coefficient(n + 1)[1] * pk1[n - 1])
+        rhs = pk1[n + 2] / pk1[n + 1] - pk2[n + 2] / pk2[n + 1] - star[n + 1] / star[n]
+        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
 
 
 def test_recover_order2_cross_ratio_two_routes(cheb):
@@ -479,22 +425,10 @@ def test_recovery_identity_on_laguerre(lag, rng):
     n_max = 6
     xs = sample_points(lag, rng, 30)
     B = np.full(n_max, 0.3)
-    worst, _ = _worst_recovery(
-        lag,
-        xs,
-        n_max,
-        lambda: opx.recover_christoffel(lag, -1.0, -1.0, B, n_max),
-        opx.christoffel_recovery_poly,
-    )
-    assert worst <= 1e-8
-    worst, _ = _worst_recovery(
-        lag,
-        xs,
-        n_max,
-        lambda: opx.recover_geronimus(lag, -1.0, -2.0, B, n_max),
-        opx.geronimus_recovery_poly,
-    )
-    assert worst <= 1e-8
+    for rc in (
+        opx.recover_christoffel(lag, -1.0, -1.0, B, n_max), opx.recover_geronimus(lag, -1.0, -2.0, B, n_max)
+    ):
+        assert (suites.recovery_identity(rc, xs, n_max) <= 1e-8).all()
 
 
 def test_uniqueness_sensitivity(cheb, rng):

@@ -22,7 +22,7 @@ from numpy.testing import assert_array_equal
 
 import opx
 from conftest import sample_points
-from opx import cli
+from opx import cli, suites
 from opx.errors import KernelUndefined
 
 N_MAX = 8
@@ -83,11 +83,8 @@ def test_real_recovery_polys(setup):
 
 def test_order2_recovery_poly(setup):
     fam, (k1, _), xs = setup
-    rhs = opx.order2_constraint_rhs(fam, k1, 1j, -1j, N_MAX)
-    mt = np.full(N_MAX, 0.5, dtype=complex)
-    pk1 = opx.eval_table(fam, N_MAX, [k1])[:, 0]
-    lt = rhs[1:] - mt * pk1[1:] / (opx.recurrence_coefficients(fam, N_MAX + 1)[1:, 1] * pk1[:-1])
-    rc = opx.recover_order2(fam, k1, 1j, -1j, lt, mt, N_MAX)
+    rc = opx.recover_order2(fam, k1, 1j, -1j, np.full(N_MAX, 0.5), N_MAX)
+    lt, mt = rc.quasi
     for n in range(1, N_MAX + 1):
         vec = opx.order2_recovery_poly(rc, n, xs)
         pts = _per_point(lambda x: opx.order2_recovery_poly(rc, n, x), xs)
@@ -262,7 +259,7 @@ def test_row_table_renderer():
     assert cli._render_rows(header, columns) == cli.render_json(generic, 1)
     assert cli._render_rows(header, [[], [], []]) == cli.render_json([], 1)
     cfg = cli.RunConfig(command="ratio")
-    cases = [cli._case("b", 0.5, 1.0), cli._case("a", float("nan"), None)]
+    cases = [suites.case("b", 0.5, 1.0), suites.case("a", float("nan"), None)]
     report = {
         "command": "ratio",
         "config_echo": cli._config_echo(cfg),
