@@ -20,15 +20,13 @@ xs = rng.uniform(-1, 1, 40)
 gd = opx.geronimus_data(fam, 2.0, 6)
 print("A_n:", np.round(gd.A[1:], 10))
 print("solved mass Ltilde(1):", gd.mass0)
-polys = [lambda t, n=n: opx.geronimus_poly(gd, n, t) for n in range(7)]
-gram = opx.orthogonality_residual(fam, opx.Geronimus(2.0, gd.mass0), polys, 6)
+gram = opx.orthogonality_residual(fam, opx.Geronimus(2.0, gd.mass0), lambda t: opx.geronimus_table(gd, 6, t), 6)
 print("Geronimus Gram off-diagonal max:", np.max(np.abs(gram - np.diag(np.diag(gram)))))
 
 # Uvarov: point mass at k
 ud = opx.uvarov_data(fam, 2.0, 0.5, 6)
 print("\nUvarov T_n:", np.round(ud.T[1:], 10))
-polys = [lambda t, n=n: opx.uvarov_poly(ud, n, t) for n in range(7)]
-gram = opx.orthogonality_residual(fam, opx.Uvarov(2.0, 0.5), polys, 6)
+gram = opx.orthogonality_residual(fam, opx.Uvarov(2.0, 0.5), lambda t: opx.uvarov_table(ud, 6, t), 6)
 print("Uvarov Gram off-diagonal max:", np.max(np.abs(gram - np.diag(np.diag(gram)))))
 
 

@@ -44,7 +44,9 @@ from .kernels import (
     kernel_family,
     kernel_poly,
     kernel_recurrence,
+    kernel_table,
     op_from_kernels,
+    ops_from_kernel_table,
     product_orthogonality_check,
 )
 from .moments import (
@@ -91,6 +93,7 @@ from .transforms import (
     geronimus_family,
     geronimus_poly,
     geronimus_recovery_poly,
+    geronimus_table,
     op_from_geronimus,
     order2_recovery_poly,
     recover_christoffel,
@@ -100,6 +103,7 @@ from .transforms import (
     uvarov_data,
     uvarov_poly,
     uvarov_recovery_poly,
+    uvarov_table,
 )
 
 __version__ = "0.1.0"

@@ -318,7 +318,7 @@ def _cmd_kernel(cfg: RunConfig) -> tuple[str, int]:
     cases = []
     if cfg.points:
         xs = np.array(cfg.points)
-        dd = np.array([kernels.kernel_poly(ctx, n, xs) for n in range(cfg.n_max + 1)])
+        dd = kernels.kernel_table(ctx, cfg.n_max, xs)
         # recurrence evaluation from the starred coefficients
         ks = families.eval_table(kernels.kernel_family(ctx, cfg.n_max), cfg.n_max, xs)
         worst = suites.relative_gap(dd - ks, dd).max(initial=0.0)
@@ -489,6 +489,8 @@ def _parse(argv: list[str]) -> RunConfig:
             cfg.l_values = [ns.l_const] * cfg.n_max
     if cfg.n_max < 0 or (cfg.n_max < 1 and ns.command not in ("eval",)):
         raise UsageError(f"--n-max must be >= 1, got {cfg.n_max}")
+    if ns.command == "verify" and cfg.suite in ("quasi", "all") and cfg.n_max < suites.QUASI_MIN_N_MAX:
+        raise UsageError(f"the quasi suite needs --n-max >= {suites.QUASI_MIN_N_MAX}, got {cfg.n_max}")
     if cfg.tol <= 0:
         raise UsageError(f"--tol must be positive, got {cfg.tol}")
     if cfg.depth < 1:

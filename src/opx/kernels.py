@@ -35,16 +35,18 @@ from .moments import gauss_rule
 __all__ = [
     "KernelContext",
     "IteratedKernelContext",
+    "kernel_table",
     "kernel_poly",
     "kernel_recurrence",
     "kernel_family",
     "cd_kernel",
+    "ops_from_kernel_table",
     "op_from_kernels",
     "iterated_kernel",
     "product_orthogonality_check",
 ]
 
-# |x - k| below this multiple of (1 + |k|) switches kernel_poly to the CD sum
+# |x - k| below this multiple of (1 + |k|) switches kernel_table to the CD sum
 SWITCH_RADIUS = 1e-4
 # relative scale below which P_j(k) counts as a genuine zero (see __init__)
 ZERO_RTOL = 1e-13
@@ -119,38 +121,54 @@ def cd_kernel(ctx: KernelContext, n: int, x):
     """Christoffel-Darboux kernel K_n(x, k) as the explicit sum."""
     if n > ctx.n_max + 2:
         raise ValueError(f"n={n} exceeds cached range {ctx.n_max + 2}")
-    out = _cd_sum(ctx, n, np.atleast_1d(np.asarray(x)))
+    out = _cd_terms(ctx, n, np.atleast_1d(np.asarray(x))).sum(axis=1)
     return out if np.ndim(x) else out[0]
 
 
-def _cd_sum(ctx: KernelContext, n: int, xs: np.ndarray) -> np.ndarray:
-    """K_n(x, k) at each point of ``xs``, each point's terms summed along
-    one contiguous row, so a point vector adds them in a single point's order."""
+def _cd_terms(ctx: KernelContext, n: int, xs: np.ndarray) -> np.ndarray:
+    """The terms P_j(x) P_j(k) / N_j, j = 0..n, of K_n(x, k): one contiguous
+    row per point of ``xs``, so a point vector sums them in a single point's
+    order."""
     table = eval_table(ctx.family, n, xs)
-    return np.ascontiguousarray(table.T * (ctx.pk[: n + 1] / ctx.norms[: n + 1])).sum(axis=1)
+    return np.ascontiguousarray(table.T * (ctx.pk[: n + 1] / ctx.norms[: n + 1]))
 
 
-def kernel_poly(ctx: KernelContext, n: int, x):
-    """Monic kernel polynomial Pk_n(k; x); scalar or array x.
+def kernel_table(ctx: KernelContext, n: int, xs) -> np.ndarray:
+    """Monic kernel polynomials Pk_0..Pk_n(k; x) at every point of ``xs``;
+    shape (n+1, len(xs)).
 
-    Uses the divided difference away from k and the CD sum inside the
-    switch radius; the two branches agree on the overlap.
+    Points away from k take the divided difference of one ``eval_table``
+    over all degrees at once.  Points inside the switch radius take the CD
+    sum, one per degree, each point's terms summed along one contiguous row
+    (a cumulative sum would round differently past 8 terms, where numpy sums
+    a row pairwise); the two branches agree on the overlap.
     """
     if n > ctx.n_max + 1:
         raise ValueError(f"n={n} exceeds context n_max+1 = {ctx.n_max + 1}")
-    if n == 0:
-        return np.ones_like(np.asarray(x)) if np.ndim(x) else 1.0 * (1 + 0 * x)
-    xs = np.atleast_1d(np.asarray(x))
+    xs = np.atleast_1d(np.asarray(xs))
     dtype = complex if (np.iscomplexobj(xs) or np.iscomplexobj(ctx.pk)) else float
     xs = xs.astype(dtype)
-    out = np.empty_like(xs)
+    out = np.empty((n + 1, xs.size), dtype=dtype)
+    out[0] = 1.0
+    if n == 0:
+        return out
+    pk = ctx.pk[: n + 2]
     near = np.abs(xs - ctx.k) < SWITCH_RADIUS * (1.0 + abs(ctx.k))
-    if np.any(~near):
+    if not near.all():
         far = xs[~near]
         table = eval_table(ctx.family, n + 1, far)
-        out[~near] = (table[n + 1] - ctx.pk[n + 1] / ctx.pk[n] * table[n]) / (far - ctx.k)
-    if np.any(near):
-        out[near] = ctx.norms[n] / ctx.pk[n] * _cd_sum(ctx, n, xs[near])
+        out[1:, ~near] = (table[2:] - (pk[2:] / pk[1:-1])[:, None] * table[1:-1]) / (far - ctx.k)
+    if near.any():
+        terms = _cd_terms(ctx, n, xs[near])
+        for j in range(1, n + 1):
+            out[j, near] = ctx.norms[j] / pk[j] * terms[:, : j + 1].sum(axis=1)
+    return out
+
+
+def kernel_poly(ctx: KernelContext, n: int, x):
+    """Monic kernel polynomial Pk_n(k; x); scalar or array x: row n of
+    ``kernel_table``."""
+    out = kernel_table(ctx, n, x)[n]
     return out if np.ndim(x) else out[0]
 
 
@@ -188,10 +206,19 @@ def kernel_family(ctx: KernelContext, n_max: int) -> FamilySpec:
     return custom_family(pairs, ctx.family.support, pairs[0, 1])
 
 
+def ops_from_kernel_table(ctx: KernelContext, table: np.ndarray) -> np.ndarray:
+    """P_1..P_m from the kernel table Pk_0..Pk_m of ``kernel_table``:
+    P_{n+1}(x) = Pk_{n+1}(k;x) - (P_n(k)/P_{n+1}(k)) lambda_{n+2} Pk_n(k;x)."""
+    m = len(table) - 1
+    lam = ctx.family.table(m + 1)[1:, 1]  # lambda_2..lambda_{m+1}
+    coef = ctx.pk[:m] / ctx.pk[1 : m + 1] * lam
+    return table[1:] - coef[:, None] * table[:-1]
+
+
 def op_from_kernels(ctx: KernelContext, n: int, x):
-    """Reconstruct P_{n+1}(x) = Pk_{n+1}(k;x) - (P_n(k)/P_{n+1}(k)) lambda_{n+2} Pk_n(k;x)."""
-    lam = ctx.family.coefficient(n + 2)[1]
-    return kernel_poly(ctx, n + 1, x) - ctx.pk[n] / ctx.pk[n + 1] * lam * kernel_poly(ctx, n, x)
+    """P_{n+1}(x) rebuilt from Pk_{n+1} and Pk_n: row n of ``ops_from_kernel_table``."""
+    out = ops_from_kernel_table(ctx, kernel_table(ctx, n + 1, x))[n]
+    return out if np.ndim(x) else out[0]
 
 
 class IteratedKernelContext:

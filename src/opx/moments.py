@@ -10,7 +10,9 @@ the base functional L the module applies
     Lhat(p)   = L(p) + r0 * p(k)                   (Uvarov)
 
 all by quadrature, which keeps this module an oracle independent of every
-closed-form identity it is used to certify.
+closed-form identity it is used to certify.  A Gram matrix takes its
+sequence as one table evaluator, ``xs -> (n_max + 1, len(xs))``, and reads
+it once per node set for every entry.
 
 scipy is imported on the first uncached rule of order m >= 2, for its one
 call (``scipy.linalg.eigh_tridiagonal``), not when this module is imported:
@@ -23,7 +25,7 @@ import math
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -39,6 +41,7 @@ __all__ = [
     "Functional",
     "gauss_rule",
     "apply_functional",
+    "once_per_node_set",
     "orthogonality_residual",
     "moment_sequence",
     "cauchy_mass",
@@ -256,24 +259,44 @@ def cauchy_mass(family: FamilySpec, k: float) -> float:
     return value
 
 
+def once_per_node_set(table: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """``table`` memoized on its point set: each distinct ``xs`` (compared by
+    value) is evaluated once, and a repeat returns the same array."""
+    cache: dict[bytes, np.ndarray] = {}
+
+    def cached(xs: np.ndarray) -> np.ndarray:
+        key = xs.tobytes()
+        values = cache.get(key)
+        if values is None:
+            values = cache[key] = table(xs)
+        return values
+
+    return cached
+
+
 def orthogonality_residual(
     family: FamilySpec,
     kind: Functional,
-    polys: Sequence[Callable[[np.ndarray], np.ndarray]],
+    table: Callable[[np.ndarray], np.ndarray],
     n_max: int,
 ) -> np.ndarray:
-    """Normalized Gram matrix of ``polys[0..n_max]`` under the functional.
+    """Normalized Gram matrix of a sequence under the functional.
 
-    Entry (n, m) is the functional applied to the product, divided by
-    sqrt(|diag_n| * |diag_m|); the off-diagonal entries are the test
-    statistic.  Degrees are assumed to equal the index (monic sequences).
+    ``table(xs)`` returns the members 0..n_max of the sequence at the points
+    ``xs``, shape (n_max + 1, len(xs)); it is called once per distinct node
+    set (each fixed rule, each node-doubling order, and the point [k]).
+    Entry (n, m) is the functional applied to the product of rows n and m,
+    divided by sqrt(|diag_n| * |diag_m|); the off-diagonal entries are the
+    test statistic.  Degrees are assumed to equal the index (monic sequences).
     """
+    values = once_per_node_set(table)
     size = n_max + 1
     gram = np.zeros((size, size))
     for i in range(size):
         for j in range(i + 1):
             def product(xs, _i=i, _j=j):
-                return polys[_i](xs) * polys[_j](xs)
+                rows = values(xs)
+                return rows[_i] * rows[_j]
 
             gram[i, j] = gram[j, i] = apply_functional(family, kind, product, i + j)
     diag = np.sqrt(np.abs(np.diag(gram)))

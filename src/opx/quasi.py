@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidAlphas
 from .families import monic_coefficient_table
-from .kernels import KernelContext, kernel_poly, kernel_recurrence
+from .kernels import KernelContext, kernel_recurrence, kernel_table
 
 __all__ = [
     "QuasiSpec",
@@ -28,6 +28,7 @@ __all__ = [
     "DifferenceEqCoeffs",
     "QkOrthogonalityReport",
     "quasi_kernel",
+    "quasi_from_kernel_table",
     "difference_equation_coeffs",
     "difference_equation_residual",
     "qk_orthogonality_check",
@@ -83,15 +84,18 @@ def quasi_kernel(ctx: KernelContext, spec: QuasiSpec, n: int, x):
     Order 1: a * Pk_{n+1}(k;x) + b * Pk_n(k;x), degree n+1 when a != 0.
     Order 2: Pk_n + Ltilde * Pk_{n-1} + Mtilde * Pk_{n-2}, degree n (n >= 2).
     """
+    table = kernel_table(ctx, n + 2 - spec.order, x)
+    return quasi_from_kernel_table(spec, n, table if np.ndim(x) else table[:, 0])
+
+
+def quasi_from_kernel_table(spec: QuasiSpec, n: int, table):
+    """``quasi_kernel`` of degree index n from the rows Pk_0, Pk_1, ... of a
+    kernel table (``kernels.kernel_table``) that reaches Pk_{n+2-order}."""
     if spec.order == 1:
-        return spec.a * kernel_poly(ctx, n + 1, x) + spec.b * kernel_poly(ctx, n, x)
+        return spec.a * table[n + 1] + spec.b * table[n]
     if n < 2:
         raise ValueError("order-2 quasi-type kernel polynomials need n >= 2")
-    return (
-        kernel_poly(ctx, n, x)
-        + spec.Ltilde * kernel_poly(ctx, n - 1, x)
-        + spec.Mtilde * kernel_poly(ctx, n - 2, x)
-    )
+    return table[n] + spec.Ltilde * table[n - 1] + spec.Mtilde * table[n - 2]
 
 
 def difference_equation_coeffs(
@@ -134,10 +138,13 @@ def difference_equation_residual(ctx: KernelContext, b: float, n: int, x) -> tup
     def J(m, x):
         return b * D(m - 1, x) + ls[m - 1]
 
+    table = kernel_table(ctx, n + 2, x)
+    rows = table if np.ndim(x) else table[:, 0]  # a scalar x sums scalars
+
     def Q(m, x):
         if m == 0:
             return 1.0 + 0.0 * x
-        return kernel_poly(ctx, m, x) + b * kernel_poly(ctx, m - 1, x)
+        return rows[m] + b * rows[m - 1]
 
     q_n, q_n1, q_n2 = Q(n, x), Q(n + 1, x), Q(n + 2, x)
 

@@ -16,6 +16,7 @@ resolved ``Settings`` and draws from ``rng`` in a fixed order, so
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from . import families, kernels, moments, quasi, ratios, transforms
 __all__ = [
     "Settings",
     "SUITES",
+    "QUASI_MIN_N_MAX",
     "RECOVERY_KINDS",
     "case",
     "sample_points",
@@ -114,32 +116,35 @@ def relative_gap(diffs, scales) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def gram_off_diagonal(fam, functional, polys, n_max: int) -> np.ndarray:
-    """|Gram entry| of ``polys[0..n_max]`` under ``functional``, diagonal zeroed."""
-    gram = moments.orthogonality_residual(fam, functional, polys, n_max)
+def gram_off_diagonal(fam, functional, table, n_max: int) -> np.ndarray:
+    """|Gram entry| of the sequence ``table(xs)`` tabulates, members 0..n_max,
+    under ``functional``, diagonal zeroed."""
+    gram = moments.orthogonality_residual(fam, functional, table, n_max)
     return np.abs(gram - np.diag(np.diag(gram)))
 
 
 def kernel_orthogonality(ctx: kernels.KernelContext, n_max: int) -> np.ndarray:
     """Off-diagonal Gram entries of Pk_0..Pk_n_max under L* = (x - k) L."""
-    polys = [lambda xs, n=n: kernels.kernel_poly(ctx, n, xs) for n in range(n_max + 1)]
-    return gram_off_diagonal(ctx.family, moments.Christoffel(ctx.k), polys, n_max)
+    table = partial(kernels.kernel_table, ctx, n_max)
+    return gram_off_diagonal(ctx.family, moments.Christoffel(ctx.k), table, n_max)
 
 
 def kernel_branch_agreement(ctx: kernels.KernelContext, radii: np.ndarray, top: int) -> np.ndarray:
-    """Gap between ``kernel_poly`` and the CD sum N_n/P_n(k) sum_j P_j(x) P_j(k)/N_j
+    """Gap between ``kernel_table`` and the CD sum N_n/P_n(k) sum_j P_j(x) P_j(k)/N_j
     at x = k + r: rows n = 1..top, columns the radii.
 
-    One table serves every degree.  Each point's terms (P_j(x) P_j(k))/N_j
-    are summed along one contiguous row, the order of a one-point sum.
+    One table of each serves every degree.  Each point's terms
+    (P_j(x) P_j(k))/N_j are summed along one contiguous row, the order of a
+    one-point sum.
     """
     xs = ctx.k + radii
     points = np.ascontiguousarray(families.eval_table(ctx.family, top, xs).T)
+    kernel = kernels.kernel_table(ctx, top, xs)
     rows = []
     for n in range(1, top + 1):
         ksum = (points[:, : n + 1] * ctx.pk[: n + 1] / ctx.norms[: n + 1]).sum(axis=1)
         cd = ctx.norms[n] / ctx.pk[n] * ksum
-        rows.append(np.abs(kernels.kernel_poly(ctx, n, xs) - cd) / np.maximum(1.0, np.abs(cd)))
+        rows.append(np.abs(kernel[n] - cd) / np.maximum(1.0, np.abs(cd)))
     return np.array(rows)
 
 
@@ -147,7 +152,7 @@ def kernel_ttrr(ctx: kernels.KernelContext, xs: np.ndarray, n_max: int) -> np.nd
     """Residual of x Pk_n = Pk_{n+1} + c*_{n+1} Pk_n + lambda*_{n+1} Pk_{n-1}
     relative to x Pk_n: rows n = 1..n_max-2, columns the points."""
     pairs = kernels.kernel_recurrence(ctx, n_max)
-    pk = np.array([kernels.kernel_poly(ctx, n, xs) for n in range(n_max)])
+    pk = kernels.kernel_table(ctx, n_max - 1, xs)
     x_pk = xs * pk[1:-1]
     res = x_pk - pk[2:] - pairs[1:-1, :1] * pk[1:-1] - pairs[1:-1, 1:] * pk[:-2]
     return relative_gap(res, x_pk)
@@ -157,8 +162,7 @@ def op_from_kernels_gap(ctx: kernels.KernelContext, xs: np.ndarray, n_max: int) 
     """Gap between P_{n+1} rebuilt from Pk_{n+1}, Pk_n and P_{n+1} itself:
     rows n = 0..n_max-2, columns the points."""
     direct = families.eval_table(ctx.family, n_max - 1, xs)[1:]
-    rebuilt = np.array([kernels.op_from_kernels(ctx, n, xs) for n in range(n_max - 1)])
-    rebuilt = rebuilt.reshape(direct.shape)  # (0, points) when n_max = 1
+    rebuilt = kernels.ops_from_kernel_table(ctx, kernels.kernel_table(ctx, n_max - 1, xs))
     return relative_gap(rebuilt - direct, direct)
 
 
@@ -195,18 +199,21 @@ def power_norms(fam, k: float, m_top: int) -> np.ndarray:
 def moment_annihilation(ctx: kernels.KernelContext, spec: quasi.QuasiSpec, ns, x_norms) -> np.ndarray:
     """|L*(x^m Q_n)| / (||x^m|| ||Q_n||) for n in ``ns`` and, within each n,
     m = 0..n + 1 - 2 order, where Q_n = quasi_kernel(ctx, spec, n) has degree
-    n + 2 - order and ``x_norms[m]`` is ||x^m|| (``power_norms``).
+    n + 2 - order and ``x_norms[m]`` is ||x^m|| (``power_norms``).  One kernel
+    table per rule serves every n and m.
 
     The statistic is dimensionless: Laguerre norms grow factorially, so raw
     residuals mean nothing there.
     """
     fam, functional = ctx.family, moments.Christoffel(ctx.k)
+    top = max(ns, default=0) + 2 - spec.order
+    table = moments.once_per_node_set(partial(kernels.kernel_table, ctx, top))
     out = []
     for n in ns:
         degree = n + 2 - spec.order
 
         def q(xs, n=n):
-            return quasi.quasi_kernel(ctx, spec, n, xs)
+            return quasi.quasi_from_kernel_table(spec, n, table(xs))
 
         q_norm = np.sqrt(abs(moments.apply_functional(fam, functional, lambda xs: q(xs) ** 2, 2 * degree)))
         for m in range(n + 2 - 2 * spec.order):
@@ -238,6 +245,11 @@ def engineered_coefficients(count: int, alpha1: float = 0.7):
     for n in range(2, count):
         ls[n] = ls[n - 1] + alpha1 * (cs[n] - cs[n - 1])
     return cs, ls
+
+
+# the quasi suite's engineered family has one alpha, and its orthogonality
+# criteria need n_max >= 1 + 2
+QUASI_MIN_N_MAX = 3
 
 
 def _quasi_suite(fam, rng, settings: Settings) -> list[dict]:
@@ -299,14 +311,14 @@ def recovery_case(kind: str, fam, settings: Settings, xs: np.ndarray, n_max: int
 def geronimus_orthogonality(data: transforms.GeronimusData, mass0: float, n_max: int) -> np.ndarray:
     """Off-diagonal Gram entries of Pt_0..Pt_n_max under the Geronimus
     functional with Ltilde(1) = ``mass0``."""
-    polys = [lambda xs, n=n: transforms.geronimus_poly(data, n, xs) for n in range(n_max + 1)]
-    return gram_off_diagonal(data.family, moments.Geronimus(data.k, mass0), polys, n_max)
+    table = partial(transforms.geronimus_table, data, n_max)
+    return gram_off_diagonal(data.family, moments.Geronimus(data.k, mass0), table, n_max)
 
 
 def uvarov_orthogonality(data: transforms.UvarovData, n_max: int) -> np.ndarray:
     """Off-diagonal Gram entries of Ph_0..Ph_n_max under L + r0 delta(x - k)."""
-    polys = [lambda xs, n=n: transforms.uvarov_poly(data, n, xs) for n in range(n_max + 1)]
-    return gram_off_diagonal(data.ctx.family, moments.Uvarov(data.ctx.k, data.r0), polys, n_max)
+    table = partial(transforms.uvarov_table, data, n_max)
+    return gram_off_diagonal(data.ctx.family, moments.Uvarov(data.ctx.k, data.r0), table, n_max)
 
 
 def _recovery_suite(fam, rng, settings: Settings) -> list[dict]:
@@ -347,9 +359,10 @@ def confluent_cd_identity(fam, n: int, xs: np.ndarray) -> np.ndarray:
 def ratio_limit_vs_cd_branch(ctx: kernels.KernelContext, r_ups) -> np.ndarray:
     """Gap between r_up(n) and Pk_{n+1}(k; k) / Pk_n(k; k) from the CD-sum
     branch, n = 0..len(r_ups)-2."""
+    at_k = kernels.kernel_table(ctx, len(r_ups) - 1, ctx.k)[:, 0]
     gaps = []
     for n, r_up in enumerate(np.asarray(r_ups)[:-1].tolist()):
-        direct = kernels.kernel_poly(ctx, n + 1, ctx.k) / kernels.kernel_poly(ctx, n, ctx.k)
+        direct = at_k[n + 1] / at_k[n]
         gaps.append(abs(r_up - direct) / max(1.0, abs(direct)))
     return np.array(gaps)
 

@@ -39,17 +39,19 @@ from .errors import (
     ShiftInsideSupport,
 )
 from .families import FamilySpec, custom_family, eval_table
-from .kernels import IteratedKernelContext, KernelContext, iterated_kernel, kernel_poly
+from .kernels import IteratedKernelContext, KernelContext, iterated_kernel, kernel_poly, kernel_table
 
 __all__ = [
     "GeronimusData",
     "UvarovData",
     "RecoveryCoefficients",
     "geronimus_data",
+    "geronimus_table",
     "geronimus_poly",
     "geronimus_family",
     "op_from_geronimus",
     "uvarov_data",
+    "uvarov_table",
     "uvarov_poly",
     "recover_christoffel",
     "christoffel_recovery_poly",
@@ -218,13 +220,16 @@ def geronimus_family(data: GeronimusData, n_max: int) -> FamilySpec:
     return custom_family(np.stack([ct, lt], axis=1), data.family.support, data.mass0)
 
 
-def geronimus_poly(data: GeronimusData, n: int, x):
-    """Transformed polynomial Pt_n(k; x) = P_n(x) + A_n P_{n-1}(x)."""
-    if n == 0:
-        return np.ones_like(np.asarray(x)) if np.ndim(x) else 1.0
-    xs = np.atleast_1d(np.asarray(x))
+def geronimus_table(data: GeronimusData, n: int, xs) -> np.ndarray:
+    """Transformed polynomials Pt_m(k; x) = P_m(x) + A_m P_{m-1}(x), m = 0..n,
+    at every point of ``xs``, from one ``eval_table``; shape (n+1, len(xs))."""
     table = eval_table(data.family, n, xs)
-    out = table[n] + data.A[n] * table[n - 1]
+    return np.concatenate([table[:1], table[1:] + data.A[1 : n + 1, None] * table[:-1]])
+
+
+def geronimus_poly(data: GeronimusData, n: int, x):
+    """Transformed polynomial Pt_n(k; x): row n of ``geronimus_table``."""
+    out = geronimus_table(data, n, x)[n]
     return out if np.ndim(x) else out[0]
 
 
@@ -278,14 +283,20 @@ def uvarov_data(family: FamilySpec, k: float, r0: float, n_max: int) -> UvarovDa
     return UvarovData(ctx=ctx, r0=r0, T=T)
 
 
-def uvarov_poly(data: UvarovData, n: int, x):
-    """Point-mass transformed polynomial Ph_n(x) = P_n(x) - T_n Pk_{n-1}(k; x)."""
-    xs = np.atleast_1d(np.asarray(x))
+def uvarov_table(data: UvarovData, n: int, xs) -> np.ndarray:
+    """Point-mass transformed polynomials Ph_m(x) = P_m(x) - T_m Pk_{m-1}(k; x),
+    m = 0..n, at every point of ``xs``, from one ``eval_table`` and one
+    ``kernel_table``; shape (n+1, len(xs))."""
     table = eval_table(data.ctx.family, n, xs)
     if n == 0:
-        out = table[0]
-    else:
-        out = table[n] - data.T[n] * kernel_poly(data.ctx, n - 1, xs)
+        return table
+    kernel = kernel_table(data.ctx, n - 1, xs)
+    return np.concatenate([table[:1], table[1:] - data.T[1 : n + 1, None] * kernel])
+
+
+def uvarov_poly(data: UvarovData, n: int, x):
+    """Point-mass transformed polynomial Ph_n(x): row n of ``uvarov_table``."""
+    out = uvarov_table(data, n, x)[n]
     return out if np.ndim(x) else out[0]
 
 
@@ -300,10 +311,13 @@ def _require_off_pole(alpha, gamma, x, what: str) -> None:
 
 
 def _quasi_kernel(ctx: KernelContext, top: int, coeffs, x):
-    """Pk_top + coeffs[0] Pk_{top-1} + coeffs[1] Pk_{top-2} + ... at the shift of ``ctx``."""
-    out = kernel_poly(ctx, top, x)
+    """Pk_top + coeffs[0] Pk_{top-1} + coeffs[1] Pk_{top-2} + ... at the shift
+    of ``ctx``, from one kernel table."""
+    table = kernel_table(ctx, top, x)
+    rows = table if np.ndim(x) else table[:, 0]  # a scalar x sums scalars
+    out = rows[top]
     for i, a in enumerate(coeffs, start=1):
-        out = out + a * kernel_poly(ctx, top - i, x)
+        out = out + a * rows[top - i]
     return out
 
 

@@ -3,17 +3,22 @@ its largest degree, and its evaluators slice them: the number of builds per
 ``opx recover`` or ``opx verify --suite recovery`` run is fixed.  Likewise
 the ratios and quasi suites evaluate their draws and points as arrays, so
 their calls into ``opx.ratios`` and ``opx.quasi`` do not grow with the
-number of draws or points.  The CLI's parser is built once per process, not
-once per call."""
+number of draws or points.  The quadrature oracle evaluates a sequence's
+table once per distinct node set, and the kernel and quasi suites evaluate
+each family through such tables, so their ``eval_table`` calls stay few.
+The CLI's parser is built once per process, not once per call."""
 
 import argparse
 import contextlib
 import io
+import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from opx import cli, kernels, quasi, ratios, transforms
+import opx
+from opx import cli, families, kernels, moments, quasi, ratios, transforms
 
 
 @pytest.fixture
@@ -136,3 +141,77 @@ def test_parser_is_built_once_per_process(monkeypatch):
     for argv in (["eval"], ["kernel"], ["chain", "--l-const", "0.25"], ["ratio", "--n-max", "5"], ["eval"]):
         _run(argv)
     assert dict(built) == {"ArgumentParser": 7}
+
+
+@pytest.mark.parametrize(
+    "kind, degree_shift, extra",
+    [
+        (moments.Base(), 0, []),
+        (moments.Christoffel(2.0), 1, []),
+        # the point mass reads the table at [k] too
+        (moments.Uvarov(2.0, 0.5), 0, [2.0]),
+    ],
+    ids=["base", "christoffel", "uvarov"],
+)
+def test_gram_reads_its_table_once_per_rule(kind, degree_shift, extra):
+    fam, n_max = opx.chebyshev1(), 5
+    seen = []
+
+    def table(xs):
+        seen.append(xs.tobytes())
+        return opx.eval_table(fam, n_max, xs)
+
+    moments.orthogonality_residual(fam, kind, table, n_max)
+    # entry (i, j) takes the exact rule of degree i + j (+1 for L*)
+    orders = {max(1, -(-(d + degree_shift) // 2) + 2) for d in range(2 * n_max + 1)}
+    expected = [moments.gauss_rule(fam, m).nodes.tobytes() for m in orders]
+    assert sorted(seen) == sorted(expected + [np.array(extra).tobytes()] * bool(extra))
+
+
+def test_geronimus_gram_reads_its_table_once_per_node_set():
+    fam, n_max = opx.laguerre(0.0), 4
+    data = transforms.geronimus_data(fam, -1.0, n_max)
+    seen = []
+
+    def table(xs):
+        seen.append(xs.tobytes())
+        return transforms.geronimus_table(data, n_max, xs)
+
+    moments.orthogonality_residual(fam, moments.Geronimus(-1.0, data.mass0), table, n_max)
+    # each node-doubling order and the point [k], once each
+    assert len(seen) == len(set(seen))
+    assert np.array([-1.0]).tobytes() in seen
+    assert len(seen) >= 3
+
+
+@pytest.fixture
+def eval_tables(monkeypatch):
+    """Counts ``eval_table`` calls through every opx module that binds it."""
+    counts = Counter()
+    original = families.eval_table
+
+    def counting(*args, **kwargs):
+        counts["eval_table"] += 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "opx" or name.startswith("opx.")) and getattr(module, "eval_table", None) is original:
+            monkeypatch.setattr(module, "eval_table", counting)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "suite, most",
+    [
+        # per shift: the context, one kernel table per Christoffel rule of
+        # the Gram matrix, and the branch, recurrence and inversion checks
+        # (222 when each Gram entry evaluated Pk_i and Pk_j per degree)
+        ("kernels", 30),
+        # the context, one kernel table per rule for each annihilation
+        # statistic, and one per difference-equation call (282 per degree)
+        ("quasi", 38),
+    ],
+)
+def test_kernel_and_quasi_suites_evaluate_tables(eval_tables, suite, most):
+    _run(["verify", "--suite", suite])
+    assert 0 < eval_tables["eval_table"] <= most

@@ -118,6 +118,22 @@ def test_depth_below_one_is_a_usage_error(depth):
     assert f"--depth must be >= 1, got {depth}" in err
 
 
+@pytest.mark.parametrize("suite", ["quasi", "all"])
+@pytest.mark.parametrize("n_max", ["1", "2"])
+def test_quasi_suite_below_its_least_degree_is_a_usage_error(suite, n_max):
+    # its engineered family's orthogonality criteria need n_max >= 3
+    code, out, err = run_cli(["verify", "--suite", suite, "--n-max", n_max])
+    assert code == 2
+    assert out == ""
+    assert err == f"opx: the quasi suite needs --n-max >= 3, got {n_max}\n"
+
+
+def test_quasi_suite_at_its_least_degree_runs():
+    code, out, _ = run_cli(["verify", "--suite", "quasi", "--n-max", "3"])
+    assert code == 0
+    assert json.loads(out)["overall"] is True
+
+
 def test_argparse_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--family", "nosuch"])

@@ -11,7 +11,9 @@ the numpy-scalar loop below.  The row-table renderer writes the same bytes
 as the generic JSON renderer, whatever the types of its columns.  The
 continued fractions and hypergeometric series take their draws as array
 rows, bitwise equal to row-by-row calls, and an array call with failing rows
-raises the error a loop over its rows meets first.
+raises the error a loop over its rows meets first.  The kernel, Geronimus and
+Uvarov tables over all degrees give, row by row, bitwise the values of the
+per-degree evaluators they replaced, kept below as the reference.
 """
 
 import json
@@ -456,3 +458,108 @@ def test_difference_equation_residual_points_match_one_point_calls(setup, b):
         assert all(type(v) is float for pair in scalar for v in pair)
         assert_bitwise(stated, [v for v, _ in scalar])
         assert_bitwise(proof, [v for _, v in scalar])
+
+
+# ---------------------------------------------------------------------------
+# degree tables: every row bitwise the per-degree evaluator it replaced
+# ---------------------------------------------------------------------------
+
+TABLE_TOP = 20  # rows past 8 terms, where a CD row sum is pairwise
+
+
+def _reference_kernel_poly(ctx, n, xs):
+    """The per-degree ``kernel_poly`` body the kernel table replaced: one
+    ``eval_table`` per call, and inside the switch radius a CD sum of degree
+    n along each point's contiguous row."""
+    if n == 0:
+        return np.ones_like(np.asarray(xs))
+    xs = np.atleast_1d(np.asarray(xs))
+    dtype = complex if (np.iscomplexobj(xs) or np.iscomplexobj(ctx.pk)) else float
+    xs = xs.astype(dtype)
+    out = np.empty_like(xs)
+    near = np.abs(xs - ctx.k) < opx.kernels.SWITCH_RADIUS * (1.0 + abs(ctx.k))
+    if np.any(~near):
+        far = xs[~near]
+        table = opx.eval_table(ctx.family, n + 1, far)
+        out[~near] = (table[n + 1] - ctx.pk[n + 1] / ctx.pk[n] * table[n]) / (far - ctx.k)
+    if np.any(near):
+        table = opx.eval_table(ctx.family, n, xs[near])
+        terms = np.ascontiguousarray(table.T * (ctx.pk[: n + 1] / ctx.norms[: n + 1]))
+        out[near] = ctx.norms[n] / ctx.pk[n] * terms.sum(axis=1)
+    return out
+
+
+def _table_point_sets(fam, k):
+    """50 points on the support, one real point, 20 points within 1e-5 of k
+    (the CD branch), and a mix of both branches with an inf and a NaN point."""
+    rng = np.random.default_rng(13)
+    xs = sample_points(fam, rng, 50)
+    near = k + rng.uniform(-1e-5, 1e-5, 20)
+    return {
+        "support": xs,
+        "one-point": xs[:1],
+        "near-k": near,
+        "mixed": np.concatenate([near[:3], xs[:3], [np.inf, np.nan]]),
+    }
+
+
+def _assert_rows(table, reference_row, dtype):
+    """Row 0 is 1; every other row is bitwise ``reference_row(n)``."""
+    assert table.dtype == dtype
+    assert_array_equal(table[0], 1.0)
+    for n in range(1, len(table)):
+        assert_bitwise(table[n], reference_row(n))
+
+
+TABLE_CASES = [
+    (f"{name}-k{k}", make_family, k)
+    for name, make_family, shifts in FAMILIES
+    for k in sorted(set(shifts)) + [1j]
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name, make_family, k", TABLE_CASES, ids=[c[0] for c in TABLE_CASES])
+def test_kernel_table_rows_match_the_per_degree_evaluator(name, make_family, k):
+    fam = make_family()
+    ctx = opx.KernelContext(fam, k, TABLE_TOP)
+    lam = fam.table(TABLE_TOP + 2)[:, 1]
+    for label, xs in _table_point_sets(fam, k).items():
+        dtype = np.result_type(xs, ctx.pk)
+        table = opx.kernel_table(ctx, TABLE_TOP + 1, xs)
+        assert table.shape == (TABLE_TOP + 2, xs.size)
+        _assert_rows(table, lambda n: _reference_kernel_poly(ctx, n, xs), dtype)
+        for n in range(TABLE_TOP + 2):
+            assert_bitwise(opx.kernel_poly(ctx, n, xs), table[n])
+        # P_{n+1} rebuilt from Pk_{n+1} and Pk_n, as op_from_kernels did it per degree
+        rebuilt = opx.ops_from_kernel_table(ctx, table)
+        for n in range(TABLE_TOP + 1):
+            expected = table[n + 1] - ctx.pk[n] / ctx.pk[n + 1] * lam[n + 1] * table[n]
+            assert_bitwise(rebuilt[n], expected)
+            assert_bitwise(opx.op_from_kernels(ctx, n, xs), expected)
+        if label == "one-point":
+            assert opx.kernel_poly(ctx, 5, xs[0]) == table[5, 0]
+
+
+GERONIMUS_CASES = [
+    (f"{name}-k{k}", make_family, k) for name, make_family, shifts in FAMILIES for k in sorted(set(shifts))
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name, make_family, k", GERONIMUS_CASES, ids=[c[0] for c in GERONIMUS_CASES])
+def test_transformed_tables_match_the_per_degree_evaluators(name, make_family, k):
+    fam = make_family()
+    gdata = opx.geronimus_data(fam, k, TABLE_TOP)
+    udata = opx.uvarov_data(fam, k, 0.5, TABLE_TOP)
+    for xs in _table_point_sets(fam, k).values():
+        dtype = np.result_type(xs, float)
+        # Pt_n = P_n + A_n P_{n-1} and Ph_n = P_n - T_n Pk_{n-1}, one degree per call
+        pt = opx.geronimus_table(gdata, TABLE_TOP, xs)
+        _assert_rows(pt, lambda n: (lambda t: t[n] + gdata.A[n] * t[n - 1])(opx.eval_table(fam, n, xs)), dtype)
+        ph = opx.uvarov_table(udata, TABLE_TOP, xs)
+        ref = lambda n: opx.eval_table(fam, n, xs)[n] - udata.T[n] * _reference_kernel_poly(udata.ctx, n - 1, xs)
+        _assert_rows(ph, ref, dtype)
+        for n in range(TABLE_TOP + 1):
+            assert_bitwise(opx.geronimus_poly(gdata, n, xs), pt[n])
+            assert_bitwise(opx.uvarov_poly(udata, n, xs), ph[n])

@@ -119,6 +119,19 @@ def configs():
     yield "chain.l11", ["chain", "--l", ",".join(f"{i / 20:g}" for i in range(1, 12))]
     # a Geronimus record on a finite table, whose J-fraction is cut at its last row
     yield "recover.geronimus.custom", ["recover", "--kind", "geronimus", *custom[:-2], "--n-max", "1"]
+    # the edges of the degree tables: the kernel suite's cap of 10, the quasi
+    # suite's smallest and largest degrees, a recovery of degree one, and
+    # kernel points inside the switch radius beside one outside it
+    for fam, flags in FAMILIES.items():
+        yield f"verify.kernels.{fam}.n12", ["verify", "--suite", "kernels", *flags, "--n-max", "12"]
+        for n_max in ("3", "10"):
+            yield f"verify.quasi.{fam}.n{n_max}", ["verify", "--suite", "quasi", *flags, "--n-max", n_max]
+        yield f"verify.recovery.{fam}.n1", ["verify", "--suite", "recovery", *flags, "--n-max", "1"]
+        k = -1.0 if fam.startswith("laguerre") else -2.0  # the default shift
+        points = [f"--points={k - 4e-6!r}", f"--points={k + 7e-6!r}", "--points=0.25"]
+        yield f"kernel.{fam}.near", ["kernel", *flags, *points]
+    # the quasi suite needs --n-max 3 or more: a usage error below it
+    yield "verify.quasi.n2", ["verify", "--suite", "quasi", "--n-max", "2"]
 
 
 def run(argv):
