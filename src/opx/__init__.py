@@ -88,21 +88,19 @@ from .transforms import (
     GeronimusData,
     RecoveryCoefficients,
     UvarovData,
-    christoffel_recovery_poly,
     geronimus_data,
     geronimus_family,
     geronimus_poly,
-    geronimus_recovery_poly,
     geronimus_table,
     op_from_geronimus,
-    order2_recovery_poly,
     recover_christoffel,
     recover_geronimus,
     recover_order2,
     recover_uvarov,
+    recovery_poly,
+    recovery_table,
     uvarov_data,
     uvarov_poly,
-    uvarov_recovery_poly,
     uvarov_table,
 )
 

@@ -76,55 +76,37 @@ def confluent_cd(family: FamilySpec, n: int, x):
     return float(lhs[0]), float(rhs[0])
 
 
-def _ratio_limits(lam_n2, rho, t, s_n, s_n1):
-    # lam_n2 = lambda_{n+2}, rho = P_{n+1}(k)/P_n(k), t = P_{n+1}^2(k)/N_{n+1},
-    # s_n, s_n1 = S_n, S_{n+1}; scalars or arrays over n alike
-    r_up = (1.0 / rho) * lam_n2 * (1.0 + t / s_n)
-    r_down = rho * (1.0 / lam_n2) * (1.0 - t / s_n1)
-    return r_up, r_down
-
-
 def kernel_ratio_limit(ctx: KernelContext, n: int) -> tuple[float, float]:
     """Limits (r_up, r_down) of Pk_{n+1}/Pk_n and its reciprocal as x -> k.
 
     Computed from the ratio-form caches, so large n is safe; the exact
     algebraic identity r_up * r_down = 1 survives in floating point to
-    roughly machine precision.  Python floats, or complex numbers when
-    r_up has an imaginary part.
+    roughly machine precision.  Entry n of ``kernel_ratio_limits``, as
+    Python floats, or complex numbers when r_up has an imaginary part.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n + 1 >= ctx.ratios.size:
-        raise ValueError(f"n={n} exceeds the cached ratio range {ctx.ratios.size - 2}")
-    r_up, r_down = _ratio_limits(
-        ctx.family.table(n + 2)[n + 1, 1],
-        ctx.ratios[n + 1],
-        ctx.weighted_squares[n + 1],
-        ctx.cd_partials[n],
-        ctx.cd_partials[n + 1],
-    )
+    r_up, r_down = (r[n] for r in kernel_ratio_limits(ctx, n))
     if abs(np.imag(r_up)) == 0.0:
         return float(np.real(r_up)), float(np.real(r_down))
     return complex(r_up), complex(r_down)
 
 
 def kernel_ratio_limits(ctx: KernelContext, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays of the limits (r_up, r_down) of ``kernel_ratio_limit`` for
-    n = 0..n_max, in the dtype of the context caches.
-
-    The same formula run over n, so each entry equals the scalar form's
-    bitwise; non-finite entries are left in place for the caller.
+    """Arrays of the limits (r_up, r_down) of Pk_{n+1}/Pk_n and its
+    reciprocal as x -> k for n = 0..n_max, in the dtype of the context
+    caches; non-finite entries are left in place for the caller.
     """
     if n_max + 1 >= ctx.ratios.size:
         raise ValueError(f"n={n_max} exceeds the cached ratio range {ctx.ratios.size - 2}")
     top = n_max + 2
-    return _ratio_limits(
-        ctx.family.table(top)[1:, 1],
-        ctx.ratios[1:top],
-        ctx.weighted_squares[1:top],
-        ctx.cd_partials[: top - 1],
-        ctx.cd_partials[1:top],
-    )
+    # at [n]: lambda_{n+2}, rho = P_{n+1}(k)/P_n(k), t = P_{n+1}^2(k)/N_{n+1}, S_n and S_{n+1}
+    lam_n2 = ctx.family.table(top)[1:, 1]
+    rho, t = ctx.ratios[1:top], ctx.weighted_squares[1:top]
+    s_n, s_n1 = ctx.cd_partials[: top - 1], ctx.cd_partials[1:top]
+    r_up = (1.0 / rho) * lam_n2 * (1.0 + t / s_n)
+    r_down = rho * (1.0 / lam_n2) * (1.0 - t / s_n1)
+    return r_up, r_down
 
 
 # ---------------------------------------------------------------------------

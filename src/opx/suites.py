@@ -52,14 +52,7 @@ __all__ = [
     "run_suites",
 ]
 
-# each recovery kind's evaluator of the rebuilt Q_n
-_REBUILT = {
-    "christoffel": transforms.christoffel_recovery_poly,
-    "geronimus": transforms.geronimus_recovery_poly,
-    "uvarov": transforms.uvarov_recovery_poly,
-    "order2": transforms.order2_recovery_poly,
-}
-RECOVERY_KINDS = tuple(_REBUILT)
+RECOVERY_KINDS = ("christoffel", "geronimus", "uvarov", "order2")
 
 
 @dataclass(frozen=True)
@@ -282,10 +275,9 @@ def _quasi_suite(fam, rng, settings: Settings) -> list[dict]:
 
 def recovery_identity(rc: transforms.RecoveryCoefficients, xs: np.ndarray, n_max: int) -> np.ndarray:
     """Gap between the rebuilt Q_n and P_n: rows n = 1..n_max, columns the
-    points; each construction is evaluated once per degree on all points."""
+    points; one table of each on all points."""
     p = families.eval_table(rc.ctx2.family, n_max, xs)[1:]
-    q = np.array([_REBUILT[rc.kind](rc, n, xs) for n in range(1, n_max + 1)])
-    return relative_gap(q - p, p)
+    return relative_gap(transforms.recovery_table(rc, n_max, xs) - p, p)
 
 
 def recovery_case(kind: str, fam, settings: Settings, xs: np.ndarray, n_max: int):

@@ -3,8 +3,9 @@ constructions that rebuild P_n from quasi-type kernel data.
 
 Each recovery returns the explicit coefficient sequences from the matching
 linear system (coefficients of P_{n+1}, P_n, P_{n-1} after expanding the
-combination); the companion ``*_recovery_poly`` evaluators rebuild the
-rational combination so tests can assert Q_n == P_n pointwise.
+combination); ``recovery_table`` rebuilds the rational combinations Q_n of
+all degrees from one table per sequence, so tests can assert Q_n == P_n
+pointwise.
 
 The Geronimus correction coefficients A_n = -I_n / I_{n-1} come from the
 integrals I_n = L(P_n / (k - x)), which for k outside the support are the
@@ -39,7 +40,7 @@ from .errors import (
     ShiftInsideSupport,
 )
 from .families import FamilySpec, custom_family, eval_table
-from .kernels import IteratedKernelContext, KernelContext, iterated_kernel, kernel_poly, kernel_table
+from .kernels import IteratedKernelContext, KernelContext, kernel_table
 
 __all__ = [
     "GeronimusData",
@@ -54,13 +55,11 @@ __all__ = [
     "uvarov_table",
     "uvarov_poly",
     "recover_christoffel",
-    "christoffel_recovery_poly",
     "recover_geronimus",
-    "geronimus_recovery_poly",
     "recover_uvarov",
-    "uvarov_recovery_poly",
     "recover_order2",
-    "order2_recovery_poly",
+    "recovery_table",
+    "recovery_poly",
 ]
 
 _POLE_RTOL = 1e-11
@@ -74,10 +73,10 @@ class GeronimusData:
     """Correction coefficients A_n of the Geronimus-transformed sequence of
     ``family`` at the shift k.
 
-    A[n] = A_n = -I_n / I_{n-1} (A[0] is NaN), with I_n = L(P_n / (k - x))
-    the minimal solution of the three-term recurrence, read off one
-    backward J-fraction; mass0 is Ltilde(1), from ``geronimus_data`` the
-    solved value -I_0 = -L(1/(k - x)).
+    A[n] = A_n = -I_n / I_{n-1}, n = 0..n_max, with I_n = L(P_n / (k - x))
+    the minimal solution of the three-term recurrence (I_{-1} = 1, so
+    A_0 = -I_0), read off one backward J-fraction; mass0 is Ltilde(1), from
+    ``geronimus_data`` the solved value -I_0 = -L(1/(k - x)).
     """
 
     family: FamilySpec
@@ -99,7 +98,7 @@ class UvarovData:
 @dataclass(frozen=True)
 class RecoveryCoefficients:
     """Coefficient sequences of one of the four recovery constructions, and
-    what its ``*_recovery_poly`` evaluator reads.
+    what ``recovery_table`` reads to rebuild it.
 
     ``kind`` is one of "christoffel", "geronimus", "uvarov", "order2";
     entries are indexed so that ``gamma[n]``, ``eta[n]``, ... belong to the
@@ -180,9 +179,7 @@ def geronimus_data(family: FamilySpec, k: float, n_max: int) -> GeronimusData:
             raise DegenerateDenominator(f"a Geronimus J-fraction denominator vanishes at k={k}") from None
 
     def record(s: list) -> GeronimusData:
-        A = -np.array(s)
-        A[0] = np.nan
-        return GeronimusData(family=family, k=k, A=A, mass0=-s[0])
+        return GeronimusData(family=family, k=k, A=-np.array(s), mass0=-s[0])
 
     if family.coeffs is None:
         family.table(n_max + 1)  # the rows s_0..s_n_max read, or TableTooShort
@@ -203,7 +200,7 @@ def geronimus_family(data: GeronimusData, n_max: int) -> FamilySpec:
 
     Matching coefficients in x Pt_n expanded over the P basis gives
 
-        ct_{n+1} = c_{n+1} + A_n - A_{n+1}        (A_0 = 0)
+        ct_{n+1} = c_{n+1} + A_n - A_{n+1}        (0 for A_0: P_{-1} = 0)
         lt_{n+1} = lambda_{n+1} + A_n (c_n - ct_{n+1}),
 
     with lt_1 = mass0 by the mass convention.  Applying the Christoffel
@@ -234,7 +231,8 @@ def geronimus_poly(data: GeronimusData, n: int, x):
 
 
 def op_from_geronimus(data: GeronimusData, n: int, x):
-    """Invert the transform: P_n(x) from Pt_{n+1} and Pt_n.
+    """Invert the transform: P_n(x) from rows n and n+1 of one
+    ``geronimus_table``.
 
     P_n(x) = [Pt_{n+1}(k;x) + (lambda_{n+1}/A_n) Pt_n(k;x)] / (x - k).
     Expanding the combination over the P basis forces the mixing coefficient
@@ -250,11 +248,8 @@ def op_from_geronimus(data: GeronimusData, n: int, x):
     if np.any(np.abs(xs - k) < _POLE_RTOL * (1.0 + abs(k))):
         raise EvalAtShift(f"evaluation point coincides with the shift k={k}")
     lam = data.family.coefficient(n + 1)[1]
-    if n == 0:
-        num = geronimus_poly(data, 1, xs) + (lam / data.A[1]) * 1.0
-    else:
-        num = geronimus_poly(data, n + 1, xs) + (lam / data.A[n]) * geronimus_poly(data, n, xs)
-    out = num / (xs - k)
+    pt = geronimus_table(data, n + 1, xs)
+    out = (pt[n + 1] + (lam / data.A[n]) * pt[n]) / (xs - k)
     return out if np.ndim(x) else out[0]
 
 
@@ -305,22 +300,6 @@ def uvarov_poly(data: UvarovData, n: int, x):
 # ---------------------------------------------------------------------------
 
 
-def _require_off_pole(alpha, gamma, x, what: str) -> None:
-    if np.any(np.abs(alpha * np.asarray(x) - gamma) < _POLE_RTOL * (1.0 + abs(gamma))):
-        raise PoleAtSample(f"a sample point hits the pole {what}")
-
-
-def _quasi_kernel(ctx: KernelContext, top: int, coeffs, x):
-    """Pk_top + coeffs[0] Pk_{top-1} + coeffs[1] Pk_{top-2} + ... at the shift
-    of ``ctx``, from one kernel table."""
-    table = kernel_table(ctx, top, x)
-    rows = table if np.ndim(x) else table[:, 0]  # a scalar x sums scalars
-    out = rows[top]
-    for i, a in enumerate(coeffs, start=1):
-        out = out + a * rows[top - i]
-    return out
-
-
 def recover_christoffel(
     family: FamilySpec, k1: complex, k2: complex, B, n_max: int
 ) -> RecoveryCoefficients:
@@ -349,15 +328,6 @@ def recover_christoffel(
     return RecoveryCoefficients(
         kind="christoffel", gamma=gamma, eta=eta, ctx1=ctx1, ctx2=ctx2, quasi=(B,)
     )
-
-
-def christoffel_recovery_poly(rc: RecoveryCoefficients, n: int, x):
-    """Q_n(x) = [(x-k1) T_n(k1;x) + eta_{n-1} (x-k2) Pk_{n-1}(k2;x)] / (x - gamma_{n-1})."""
-    gamma, eta = rc.gamma[n - 1], rc.eta[n - 1]
-    _require_off_pole(1.0, gamma, x, f"gamma_{n-1} = {gamma}")
-    ctx1, ctx2 = rc.ctx1, rc.ctx2
-    t_quasi = _quasi_kernel(ctx1, n, [b[n - 1] for b in rc.quasi], x)
-    return ((x - ctx1.k) * t_quasi + eta * (x - ctx2.k) * kernel_poly(ctx2, n - 1, x)) / (x - gamma)
 
 
 def recover_geronimus(
@@ -392,16 +362,6 @@ def recover_geronimus(
     )
 
 
-def geronimus_recovery_poly(rc: RecoveryCoefficients, n: int, x):
-    """Q_n(x) = [Pt_{n+1}(k1;x) + eta_n (x-k2) T_n(k2;x)] / (alpha_n x - gamma_n)."""
-    alpha, gamma, eta = rc.alpha[n], rc.gamma[n], rc.eta[n]
-    _require_off_pole(alpha, gamma, x, f"of the degree-{n} combination")
-    ctx2 = rc.ctx2
-    t_quasi = _quasi_kernel(ctx2, n, [b[n - 1] for b in rc.quasi], x)
-    pt = geronimus_poly(rc.data, n + 1, x)
-    return (pt + eta * (x - ctx2.k) * t_quasi) / (alpha * x - gamma)
-
-
 def recover_uvarov(
     family: FamilySpec, k1: float, k2: complex, r0: float, Btilde, n_max: int
 ) -> RecoveryCoefficients:
@@ -433,16 +393,6 @@ def recover_uvarov(
         kind="uvarov", alpha=alpha, beta=beta, gamma=beta, eta=eta,
         ctx1=udata.ctx, ctx2=ctx2, quasi=(Btilde,), data=udata,
     )
-
-
-def uvarov_recovery_poly(rc: RecoveryCoefficients, n: int, x):
-    """Q_n(x) = [(x-k1) Ph_n(x) + eta_n (x-k2) T_n(k2;x)] / (alpha_n x - beta_n)."""
-    alpha, beta, eta = rc.alpha[n], rc.beta[n], rc.eta[n]
-    _require_off_pole(alpha, beta, x, f"of the degree-{n} combination")
-    ctx2 = rc.ctx2
-    t_quasi = _quasi_kernel(ctx2, n, [b[n - 1] for b in rc.quasi], x)
-    phat = uvarov_poly(rc.data, n, x)
-    return ((x - rc.ctx1.k) * phat + eta * (x - ctx2.k) * t_quasi) / (alpha * x - beta)
 
 
 def recover_order2(
@@ -486,15 +436,74 @@ def recover_order2(
     )
 
 
-def order2_recovery_poly(rc: RecoveryCoefficients, n: int, x):
-    """Q_n(x) = [(x-k1) S_{n+1}(k1;x) - (x-k2)(x-k3) Pkk_n(k2,k3;x)] / (alpha_n x - beta_n).
+def _quasi_rows(table: np.ndarray, quasi: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The quasi combinations of degrees m = 1..n from one kernel table
+    Pk_0..Pk_{n+r-1}, r = len(quasi): row m - 1 is Pk_{m+r-1} +
+    quasi[0][m-1] Pk_{m+r-2} + ... + quasi[r-1][m-1] Pk_{m-1}, summed in
+    that order."""
+    r = len(quasi)
+    n = len(table) - r
+    out = table[r:]
+    for i, coeffs in enumerate(quasi, start=1):
+        out = out + coeffs[:n, None] * table[r - i : len(table) - i]
+    return out
 
-    S_{n+1} is the order-two quasi combination Pk_{n+1} + Lt_n Pk_n +
-    Mt_n Pk_{n-1} at k1, and Pkk_n the iterated kernel polynomial.
+
+def recovery_table(rc: RecoveryCoefficients, n: int, xs) -> np.ndarray:
+    """The rebuilt Q_1..Q_n of the construction ``rc`` at every point of
+    ``xs``, from one table per sequence; shape (n, len(xs)).
+
+        christoffel  Q_m = [(x-k1) T_m(k1;x) + eta_{m-1} (x-k2) Pk_{m-1}(k2;x)] / (x - gamma_{m-1})
+        geronimus    Q_m = [Pt_{m+1}(k1;x) + eta_m (x-k2) T_m(k2;x)] / (alpha_m x - gamma_m)
+        uvarov       Q_m = [(x-k1) Ph_m(x) + eta_m (x-k2) T_m(k2;x)] / (alpha_m x - beta_m)
+        order2       Q_m = [(x-k1) S_{m+1}(k1;x) - (x-k2)(x-k3) Pkk_m(k2,k3;x)] / (alpha_m x - beta_m)
+
+    T_m = Pk_m + B_m Pk_{m-1} and S_{m+1} = Pk_{m+1} + Lt_m Pk_m +
+    Mt_m Pk_{m-1} are the quasi combinations, taken over the rows of one
+    kernel table; Pkk_m, the iterated kernel polynomial, is row m of the
+    kernel table of ``ictx.shifted``.  Every operation is elementwise, so
+    each row is bitwise the value a table of that degree alone gives.
+
+    Raises
+    ------
+    PoleAtSample
+        If a point of ``xs`` is within 1e-11 (relative) of the pole of some
+        Q_m; the message names the first such degree.
+    ValueError
+        If n is outside the degrees 1..n_max the record was built for.
     """
-    alpha, beta = rc.alpha[n], rc.beta[n]
-    _require_off_pole(alpha, beta, x, f"of the degree-{n} combination")
-    ctx1, ictx = rc.ctx1, rc.data
-    s_quasi = _quasi_kernel(ctx1, n + 1, [a[n - 1] for a in rc.quasi], x)
-    iter_val = iterated_kernel(ictx, n, x)
-    return ((x - ctx1.k) * s_quasi - (x - ictx.k2) * (x - ictx.k3) * iter_val) / (alpha * x - beta)
+    pole = rc.gamma if rc.gamma is not None else rc.beta
+    if not 1 <= n < pole.size:
+        raise ValueError(f"n={n} outside the recovered degrees 1..{pole.size - 1}")
+    xs = np.atleast_1d(np.asarray(xs))
+    # Q_m reads the coefficients at index m - 1 (christoffel) or m
+    at = slice(0, n) if rc.kind == "christoffel" else slice(1, n + 1)
+    pole = pole[at, None]
+    den = xs - pole if rc.alpha is None else rc.alpha[at, None] * xs - pole
+    hits = (np.abs(den) < _POLE_RTOL * (1.0 + np.abs(pole))).any(axis=1)
+    if hits.any():
+        m = int(np.argmax(hits)) + 1
+        raise PoleAtSample(f"a sample point hits the pole of the degree-{m} combination")
+    ctx1, ctx2 = rc.ctx1, rc.ctx2
+    if rc.kind == "order2":
+        ictx = rc.data
+        s_quasi = _quasi_rows(kernel_table(ctx1, n + 1, xs), rc.quasi)
+        iterated = kernel_table(ictx.shifted, n, xs)[1:]
+        return ((xs - ctx1.k) * s_quasi - (xs - ictx.k2) * (xs - ictx.k3) * iterated) / den
+    if rc.kind == "christoffel":
+        first = (xs - ctx1.k) * _quasi_rows(kernel_table(ctx1, n, xs), rc.quasi)
+        second = kernel_table(ctx2, n - 1, xs)
+    else:
+        second = _quasi_rows(kernel_table(ctx2, n, xs), rc.quasi)
+        if rc.kind == "geronimus":
+            first = geronimus_table(rc.data, n + 1, xs)[2:]
+        else:
+            first = (xs - ctx1.k) * uvarov_table(rc.data, n, xs)[1:]
+    return (first + rc.eta[at, None] * (xs - ctx2.k) * second) / den
+
+
+def recovery_poly(rc: RecoveryCoefficients, n: int, x):
+    """Q_n(x): row n of ``recovery_table``, so a pole of any degree up to n
+    at x raises; a number x gives a number."""
+    out = recovery_table(rc, n, x)[n - 1]
+    return out if np.ndim(x) else out[0]

@@ -122,7 +122,7 @@ def test_criterion_03_recovery_identities():
         ):
             gaps.append(suites.recovery_identity(rc, xs, n_max))
         for n in range(1, n_max + 1):
-            q = opx.order2_recovery_poly(order2, n, xs)
+            q = opx.recovery_poly(order2, n, xs)
             assert (np.abs(np.imag(q)) / np.maximum(1.0, np.abs(q)) <= 1e-12).all()
     elapsed = time.perf_counter() - started
     gaps = np.concatenate(gaps)

@@ -210,8 +210,33 @@ def eval_tables(monkeypatch):
         # the context, one kernel table per rule for each annihilation
         # statistic, and one per difference-equation call (282 per degree)
         ("quasi", 38),
+        # the four recoveries' contexts and one table per sequence, then one
+        # table per oracle node set for the Geronimus and Uvarov Gram
+        # matrices (104 when each Q_n evaluated its own tables)
+        ("recovery", 45),
     ],
 )
 def test_kernel_and_quasi_suites_evaluate_tables(eval_tables, suite, most):
     _run(["verify", "--suite", suite])
+    assert 0 < eval_tables["eval_table"] <= most
+
+
+@pytest.mark.parametrize(
+    "kind, most",
+    [
+        # contexts at k1 and k2, P_1..P_8, one kernel table at each shift
+        ("christoffel", 5),
+        # the context at k2, P_1..P_8, the Geronimus table and one kernel table
+        ("geronimus", 4),
+        # the Uvarov record's context and the one at k2, P_1..P_8, the Uvarov
+        # table (with its kernel table) and one kernel table at k2
+        ("uvarov", 6),
+        # contexts at k1 and k2, the iterated context's values at k3 and its
+        # shifted context, P_1..P_8, and one kernel table at k1 and one shifted
+        ("order2", 7),
+    ],
+)
+def test_recover_evaluates_one_table_per_sequence(eval_tables, kind, most):
+    # 18-26 when each Q_n evaluated its own tables
+    _run(["recover", "--kind", kind, "--n-max", "8"])
     assert 0 < eval_tables["eval_table"] <= most

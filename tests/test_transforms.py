@@ -102,6 +102,14 @@ def test_op_from_geronimus_removable_singularity(cheb):
     assert abs(num_at_k) < 1e-12
 
 
+def test_op_from_geronimus_degree_zero(cheb, lag):
+    # A_0 = -I_0 (I_{-1} = 1), so the inversion formula holds from n = 0
+    for fam, k in ((cheb, 2.0), (lag, -1.0)):
+        data = opx.geronimus_data(fam, k, 2)
+        np.testing.assert_allclose(opx.op_from_geronimus(data, 0, [0.5, 3.0]), 1.0, rtol=1e-13)
+        assert data.A[0] == data.mass0
+
+
 def test_op_from_geronimus_eval_at_shift(cheb):
     data = opx.geronimus_data(cheb, 2.0, 3)
     with pytest.raises(opx.EvalAtShift):
@@ -386,9 +394,36 @@ def test_recover_order2_identity(cheb, rng):
     xs = rng.uniform(-1, 1, 30)
     assert (suites.recovery_identity(rc, xs, n_max) <= 1e-7).all()
     for n in range(1, n_max + 1):
-        q = opx.order2_recovery_poly(rc, n, xs)
+        q = opx.recovery_poly(rc, n, xs)
         # conjugate shifts keep real x real
         assert (np.abs(np.imag(q)) / np.maximum(1.0, np.abs(q)) <= 1e-12).all()
+
+
+def test_a_sample_on_a_pole_raises_at_its_degree(cheb):
+    # a point on gamma_{n-1} of a christoffel recovery, and one on
+    # alpha_n x - beta_n = 0 of an order-two one, at degree n = 3
+    n_max, bad = 6, 3
+    rc_c = opx.recover_christoffel(cheb, -2.0, 3.0, np.full(n_max, 0.3), n_max)
+    rc_2 = opx.recover_order2(cheb, -2.0, 1j, -1j, np.full(n_max, 0.5), n_max)
+    for rc, pole in ((rc_c, rc_c.gamma[bad - 1]), (rc_2, rc_2.beta[bad] / rc_2.alpha[bad])):
+        xs = np.array([0.1, pole, 0.4])
+        for call in (
+            lambda: opx.recovery_table(rc, n_max, xs),
+            lambda: opx.recovery_poly(rc, bad, xs),
+            lambda: opx.recovery_poly(rc, n_max, pole),
+        ):
+            with pytest.raises(opx.PoleAtSample, match=f"the degree-{bad} combination"):
+                call()
+        assert np.isfinite(opx.recovery_table(rc, bad - 1, xs)).all()
+
+
+def test_recovery_table_takes_the_recovered_degrees(cheb):
+    n_max = 4
+    rc = opx.recover_uvarov(cheb, 2.0, 3.0, 0.5, np.full(n_max, 0.2), n_max)
+    assert opx.recovery_table(rc, n_max, [0.3, 0.5]).shape == (n_max, 2)
+    for n in (0, n_max + 1):
+        with pytest.raises(ValueError, match="outside the recovered degrees 1..4"):
+            opx.recovery_table(rc, n, [0.3])
 
 
 def test_recover_order2_constraint_solves(cheb):
@@ -441,7 +476,7 @@ def test_uniqueness_sensitivity(cheb, rng):
     perturbed.eta[3] += 1e-3
     worst = 0.0
     for x in xs:
-        q = opx.christoffel_recovery_poly(perturbed, 4, x)
+        q = opx.recovery_poly(perturbed, 4, x)
         p = opx.eval_table(cheb, 4, [x])[4, 0]
         worst = max(worst, abs(q - p))
     assert worst >= 1e-5
@@ -449,7 +484,7 @@ def test_uniqueness_sensitivity(cheb, rng):
     perturbed2.gamma[3] += 1e-3
     worst = 0.0
     for x in xs:
-        q = opx.christoffel_recovery_poly(perturbed2, 4, x)
+        q = opx.recovery_poly(perturbed2, 4, x)
         p = opx.eval_table(cheb, 4, [x])[4, 0]
         worst = max(worst, abs(q - p))
     assert worst >= 1e-5

@@ -1,19 +1,20 @@
 """Evaluating on a whole point vector (or over every n) gives the same
 numbers as evaluating point by point, which is what lets the CLI evaluate
-each construction once per degree and each row table in one pass.  Real
-arithmetic matches bitwise; the order-two recovery runs on the complex
-shifts 1j and -1j, where numpy's array and scalar complex arithmetic round
-differently, so it is held to 1e-14 relative to the size of the two terms it
-combines (its value can be far smaller than they are).  One real point,
+each sequence and each row table in one pass.  The recoveries match
+bitwise, the order-two one on the complex shifts 1j and -1j too: a number
+is evaluated as a one-point array, so it never meets Python's or numpy's
+scalar complex arithmetic, which round differently.  One real point,
 which runs on Python floats, matches the same point inside a vector bitwise,
 and so do the kernel contexts' ratio caches, NaN positions included, against
 the numpy-scalar loop below.  The row-table renderer writes the same bytes
 as the generic JSON renderer, whatever the types of its columns.  The
 continued fractions and hypergeometric series take their draws as array
 rows, bitwise equal to row-by-row calls, and an array call with failing rows
-raises the error a loop over its rows meets first.  The kernel, Geronimus and
-Uvarov tables over all degrees give, row by row, bitwise the values of the
-per-degree evaluators they replaced, kept below as the reference.
+raises the error a loop over its rows meets first.  The kernel, Geronimus,
+Uvarov and recovery tables over all degrees give, row by row, bitwise the
+values of the per-degree evaluators they replaced, and ``kernel_ratio_limit``
+the scalar formula it ran before it became one entry of
+``kernel_ratio_limits``; those are kept below as the references.
 """
 
 import json
@@ -74,9 +75,9 @@ def test_real_recovery_polys(setup):
     rc_g = opx.recover_geronimus(fam, k1, k2, b, N_MAX)
     rc_u = opx.recover_uvarov(fam, k1, k2, 0.5, b, N_MAX)
     constructions = [
-        lambda n, x: opx.christoffel_recovery_poly(rc_c, n, x),
-        lambda n, x: opx.geronimus_recovery_poly(rc_g, n, x),
-        lambda n, x: opx.uvarov_recovery_poly(rc_u, n, x),
+        lambda n, x: opx.recovery_poly(rc_c, n, x),
+        lambda n, x: opx.recovery_poly(rc_g, n, x),
+        lambda n, x: opx.recovery_poly(rc_u, n, x),
     ]
     for rebuilt in constructions:
         for n in range(1, N_MAX + 1):
@@ -86,22 +87,10 @@ def test_real_recovery_polys(setup):
 def test_order2_recovery_poly(setup):
     fam, (k1, _), xs = setup
     rc = opx.recover_order2(fam, k1, 1j, -1j, np.full(N_MAX, 0.5), N_MAX)
-    lt, mt = rc.quasi
     for n in range(1, N_MAX + 1):
-        vec = opx.order2_recovery_poly(rc, n, xs)
-        pts = _per_point(lambda x: opx.order2_recovery_poly(rc, n, x), xs)
-        # Q_n = [(x-k1) S_{n+1} - (x-1j)(x+1j) Pkk_n] / (alpha_n x - beta_n)
-        ctx1 = opx.KernelContext(fam, k1, n + 2)
-        s_terms = sum(
-            np.abs(coef * opx.kernel_poly(ctx1, n + 1 - i, xs))
-            for i, coef in enumerate((1.0, lt[n - 1], mt[n - 1]))
-        )
-        ictx = opx.IteratedKernelContext(opx.KernelContext(fam, 1j, n + 2), -1j)
-        pkk = opx.iterated_kernel(ictx, n, xs)
-        scale = (np.abs(xs - k1) * s_terms + np.abs((xs - 1j) * (xs + 1j) * pkk)) / np.abs(
-            rc.alpha[n] * xs - rc.beta[n]
-        )
-        assert np.max(np.abs(vec - pts) / scale) <= 1e-14
+        vec = opx.recovery_poly(rc, n, xs)
+        pts = _per_point(lambda x: opx.recovery_poly(rc, n, x), xs)
+        assert_bitwise(vec, pts)
 
 
 def _scalar_derivs(fam, n, x):
@@ -141,11 +130,26 @@ RATIO_CONFIGS = [
 def test_kernel_ratio_limits(make_family, k, has_nan):
     ctx = opx.KernelContext(make_family(), k, 1002)
     r_up, r_down = opx.kernel_ratio_limits(ctx, 1000)
-    scalar = [opx.kernel_ratio_limit(ctx, n) for n in range(1001)]
+    scalar = [_reference_ratio_limit(ctx, n) for n in range(1001)]
     assert all(type(v) is float for pair in scalar for v in pair)
     assert_array_equal(r_up, [u for u, _ in scalar])
     assert_array_equal(r_down, [d for _, d in scalar])
     assert np.isnan(r_up).any() == has_nan
+    view = [opx.kernel_ratio_limit(ctx, n) for n in range(1001)]
+    assert all(type(v) is float for pair in view for v in pair)
+    assert_bitwise(view, scalar)
+
+
+def _reference_ratio_limit(ctx, n):
+    """The scalar ``kernel_ratio_limit`` body the one-entry view replaced:
+    the limit formula at index n alone, in numpy scalars."""
+    lam_n2 = ctx.family.table(n + 2)[n + 1, 1]
+    rho, t = ctx.ratios[n + 1], ctx.weighted_squares[n + 1]
+    r_up = (1.0 / rho) * lam_n2 * (1.0 + t / ctx.cd_partials[n])
+    r_down = rho * (1.0 / lam_n2) * (1.0 - t / ctx.cd_partials[n + 1])
+    if abs(np.imag(r_up)) == 0.0:
+        return float(np.real(r_up)), float(np.real(r_down))
+    return complex(r_up), complex(r_down)
 
 
 def assert_bitwise(actual, expected):
@@ -563,3 +567,65 @@ def test_transformed_tables_match_the_per_degree_evaluators(name, make_family, k
         for n in range(TABLE_TOP + 1):
             assert_bitwise(opx.geronimus_poly(gdata, n, xs), pt[n])
             assert_bitwise(opx.uvarov_poly(udata, n, xs), ph[n])
+
+
+def _reference_quasi_kernel(ctx, top, coeffs, xs):
+    """Pk_top + coeffs[0] Pk_{top-1} + ... from one kernel table of degree top."""
+    rows = opx.kernel_table(ctx, top, xs)
+    out = rows[top]
+    for i, a in enumerate(coeffs, start=1):
+        out = out + a * rows[top - i]
+    return out
+
+
+def _reference_recovery_poly(rc, n, xs):
+    """The per-degree evaluators of Q_n that the recovery table replaced,
+    their pole checks aside: each reads its own tables of degree n."""
+    ctx1, ctx2 = rc.ctx1, rc.ctx2
+    if rc.kind == "christoffel":
+        gamma, eta = rc.gamma[n - 1], rc.eta[n - 1]
+        t_quasi = _reference_quasi_kernel(ctx1, n, [b[n - 1] for b in rc.quasi], xs)
+        pk2 = opx.kernel_poly(ctx2, n - 1, xs)
+        return ((xs - ctx1.k) * t_quasi + eta * (xs - ctx2.k) * pk2) / (xs - gamma)
+    if rc.kind == "order2":
+        alpha, beta, ictx = rc.alpha[n], rc.beta[n], rc.data
+        s_quasi = _reference_quasi_kernel(ctx1, n + 1, [a[n - 1] for a in rc.quasi], xs)
+        iter_val = opx.iterated_kernel(ictx, n, xs)
+        return ((xs - ctx1.k) * s_quasi - (xs - ictx.k2) * (xs - ictx.k3) * iter_val) / (alpha * xs - beta)
+    alpha, gamma, eta = rc.alpha[n], rc.gamma[n], rc.eta[n]
+    t_quasi = _reference_quasi_kernel(ctx2, n, [b[n - 1] for b in rc.quasi], xs)
+    if rc.kind == "geronimus":
+        pt = opx.geronimus_poly(rc.data, n + 1, xs)
+        return (pt + eta * (xs - ctx2.k) * t_quasi) / (alpha * xs - gamma)
+    phat = opx.uvarov_poly(rc.data, n, xs)
+    return ((xs - ctx1.k) * phat + eta * (xs - ctx2.k) * t_quasi) / (alpha * xs - gamma)
+
+
+RECOVERY_CASES = [
+    (f"{name}-{kind}", make_family, kind, shifts)
+    for name, make_family, shifts in FAMILIES
+    for kind in suites.RECOVERY_KINDS
+] + [
+    (f"{name}-christoffel-k1j", make_family, "christoffel", (1j, shifts[1]))
+    for name, make_family, shifts in FAMILIES
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "name, make_family, kind, shifts", RECOVERY_CASES, ids=[c[0] for c in RECOVERY_CASES]
+)
+def test_recovery_table_rows_match_the_per_degree_evaluators(name, make_family, kind, shifts):
+    fam = make_family()
+    # the recovery as the CLI builds it, at r0 = 0.5
+    settings = suites.Settings(shifts, TABLE_TOP, 1e-8, 60, None, 0.5)
+    point_sets = _table_point_sets(fam, shifts[0])
+    _, rc = suites.recovery_case(kind, fam, settings, point_sets["support"], TABLE_TOP)
+    for label, xs in point_sets.items():
+        table = opx.recovery_table(rc, TABLE_TOP, xs)
+        assert table.shape == (TABLE_TOP, xs.size)
+        for n in range(1, TABLE_TOP + 1):
+            assert_bitwise(table[n - 1], _reference_recovery_poly(rc, n, xs))
+            assert_bitwise(opx.recovery_poly(rc, n, xs), table[n - 1])
+        if label == "one-point":
+            assert_bitwise(opx.recovery_poly(rc, 5, xs[0]), table[4, 0])
