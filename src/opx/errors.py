@@ -65,9 +65,12 @@ class ZeroDenominator(OpxError):
 class NonConvergent(OpxError):
     """An iteration did not settle before its cap.
 
-    Raised when two continued-fraction passes disagree at the depth cap, and
-    when node-doubling quadrature reaches its order cap or its successive
-    differences grow before they are small.
+    Raised when two continued-fraction passes disagree at the depth cap;
+    when a closed-form Cauchy mass does not settle next to the support (the
+    Laguerre fraction at its term cap, the Jacobi Gauss fraction at its
+    depth); and when node-doubling quadrature, which custom families' Cauchy
+    masses and far-from-support Geronimus Gram entries still use, reaches its
+    order cap or its successive differences grow before they are small.
     """
 
 

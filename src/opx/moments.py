@@ -14,6 +14,15 @@ closed-form identity it is used to certify.  A Gram matrix takes its
 sequence as one table evaluator, ``xs -> (n_max + 1, len(xs))``, and reads
 it once per node set for every entry.
 
+Every entry of a Gram matrix is a polynomial functional on one fixed rule,
+the Geronimus ones included: there the divided difference is a polynomial,
+which the base rule integrates exactly.  Only where that form's rounding
+bound is too large against the diagonal, far from the support, does an
+entry fall back to the split form L(p/(x - k)) + p(k) (mass0 + L(1/(k - x))),
+whose first term is integrated by node doubling.  ``cauchy_mass`` gives
+L(1/(k - x)) in closed form for the built-in families and by node doubling
+for custom ones.
+
 scipy is imported on the first uncached rule of order m >= 2, for its one
 call (``scipy.linalg.eigh_tridiagonal``), not when this module is imported:
 ``import opx``, and every command that solves no rule, never load it.
@@ -137,6 +146,7 @@ def _rule_order_for_degree(degree: int) -> int:
     return max(1, degree // 2 + (degree % 2) + 2)  # ceil(d/2) + 2
 
 
+_EPS = np.finfo(float).eps
 # roundoff floor of a quadrature sum, relative to its L1 scale sum |w_i f_i|
 _ROUNDOFF_FLOOR = 1e-14
 # once successive differences grow, the weights' own roundoff dominates; the
@@ -195,6 +205,37 @@ def integrate_until_stable(
     raise NonConvergent(f"node doubling reached the cap of {max_order} nodes without settling")
 
 
+def _require_geronimus_shift(family: FamilySpec, k: float) -> None:
+    a, b = family.support
+    if a < k < b:
+        raise ShiftInsideSupport(f"Geronimus shift k={k} lies inside the support ({a}, {b})")
+
+
+def _split_form(
+    family: FamilySpec,
+    kind: Geronimus,
+    poly_values: Callable[[np.ndarray], np.ndarray],
+    degree: int,
+    cauchy: float,
+) -> float:
+    """Ltilde(p) in the algebraically identical split of the divided difference,
+
+        L((p(x) - p(k))/(x - k)) + p(k) mass0
+          = L(p(x)/(x - k)) + p(k) (mass0 + L(1/(k - x))),
+
+    with ``cauchy`` = L(1/(k - x)).  It keeps every quadrature term at the
+    scale of p on the support instead of the scale of p(k); the Stieltjes
+    part is integrated by node doubling."""
+    pk = float(np.real(poly_values(np.array([kind.k]))[0]))
+
+    def stieltjes_part(xs: np.ndarray) -> np.ndarray:
+        return poly_values(xs) / (xs - kind.k)
+
+    start = _rule_order_for_degree(max(degree - 1, 0))
+    value = integrate_until_stable(family, stieltjes_part, start_order=max(start, 8))
+    return math.fsum([value, pk * (kind.mass0 + cauchy)])
+
+
 def apply_functional(
     family: FamilySpec,
     kind: Functional,
@@ -204,8 +245,13 @@ def apply_functional(
     """Apply the chosen functional to a polynomial given as an evaluator.
 
     ``degree`` must bound the polynomial degree so an exact rule can be
-    chosen.  The Geronimus divided difference is the one integrand handled
-    by node doubling; everything else uses a fixed exact-degree rule.
+    chosen.  Base, Christoffel and Uvarov use a fixed exact-degree rule.
+    Geronimus takes the split form, whose Stieltjes part p(x)/(x - k) is
+    integrated by node doubling: it holds every quadrature term at the scale
+    of p on the support, so it stays accurate far from the support, where
+    the terms of the exact divided-difference form cancel.
+    ``orthogonality_residual`` takes that exact form wherever its rounding
+    bound allows.
     """
     if isinstance(kind, Base):
         rule = gauss_rule(family, _rule_order_for_degree(degree))
@@ -221,42 +267,185 @@ def apply_functional(
         terms.append(kind.r0 * float(np.real(poly_values(np.array([kind.k]))[0])))
         return math.fsum(terms)
     if isinstance(kind, Geronimus):
-        a, b = family.support
-        if a < kind.k < b:
-            raise ShiftInsideSupport(
-                f"Geronimus shift k={kind.k} lies inside the support ({a}, {b})"
-            )
-        pk = float(np.real(poly_values(np.array([kind.k]))[0]))
-        # algebraically identical split of the divided difference,
-        #   L((p(x) - p(k))/(x - k)) + p(k) mass0
-        #     = L(p(x)/(x - k)) + p(k) (mass0 + L(1/(k - x))),
-        # which keeps every quadrature term at the scale of p on the support
-        # instead of the scale of p(k)
-
-        def stieltjes_part(xs: np.ndarray) -> np.ndarray:
-            return poly_values(xs) / (xs - kind.k)
-
-        start = _rule_order_for_degree(max(degree - 1, 0))
-        value = integrate_until_stable(family, stieltjes_part, start_order=max(start, 8))
-        return math.fsum([value, pk * (kind.mass0 + cauchy_mass(family, kind.k))])
+        _require_geronimus_shift(family, kind.k)
+        return _split_form(family, kind, poly_values, degree, cauchy_mass(family, kind.k))
     raise TypeError(f"unknown functional kind: {kind!r}")
 
 
+# only node doubling (custom families) is memoized: a closed form costs
+# about 0.1 ms at the default shifts, and a Gram matrix computes it once
 _cauchy_cache: "weakref.WeakKeyDictionary[FamilySpec, dict[float, float]]" = (
     weakref.WeakKeyDictionary()
 )
+_cauchy_lock = threading.Lock()
+# modified Lentz settles the Laguerre fraction after 92 terms at k = -1,
+# 5,297 at k = -0.01 and about 34,000 at k = -0.001; the cap is the
+# J-fraction record's depth cap, so shifts within about 5e-4 of the support
+# raise
+_LENTZ_CAP = 2**16
+_LENTZ_TINY = 1e-300
+# the Gauss fraction's depth: it settles from |k| = 1.02 (z = 0.99) on, and
+# at |k| = 1.01 depth and depth + 10 disagree, so the call raises
+_GAUSS_CF_DEPTH = 200
+
+
+def _laguerre_cauchy(mu0: float, gamma: float, k: float) -> float:
+    """-Gamma(gamma+1) a^gamma e^a Gamma(-gamma, a) with a = -k > 0.
+
+    Legendre's fraction Gamma(s, a) = e^-a a^s / (a + 1 - s - 1 (1 - s) /
+    (a + 3 - s - 2 (2 - s) / (...))) at s = -gamma cancels the prefactor,
+    leaving -mu0 over the denominator (Cuyt et al., Handbook of Continued
+    Fractions for Special Functions, 2008, ch. 12).
+
+    Modified Lentz (Thompson & Barnett 1986) runs forward to the first term
+    n that moves the value by less than eps.  Its running product gathers a
+    rounding per term (2e-15 at k = -1, 2e-13 at k = -0.01 against mpmath),
+    and depth n is still up to 3e-13 short, so Lentz only finds the depth:
+    one backward pass at depth 2n gives the value (4e-15 down to k = -0.01).
+    """
+    a = -k
+    b = a + 1.0 + gamma
+    c, d = 1.0 / _LENTZ_TINY, 1.0 / b
+    for n in range(1, _LENTZ_CAP + 1):
+        a_n = -n * (n + gamma)
+        b += 2.0
+        d = a_n * d + b
+        c = b + a_n / c
+        d = 1.0 / (d if abs(d) >= _LENTZ_TINY else _LENTZ_TINY)
+        c = c if abs(c) >= _LENTZ_TINY else _LENTZ_TINY
+        if abs(c * d - 1.0) <= _EPS:
+            break
+    else:
+        raise NonConvergent(
+            f"the Laguerre Cauchy fraction at k={k} does not settle in {_LENTZ_CAP} terms"
+        )
+    tail = 0.0
+    for m in range(2 * n, 0, -1):
+        tail = -m * (m + gamma) / (a + 2.0 * m + 1.0 + gamma + tail)
+    return -mu0 / (a + 1.0 + gamma + tail)
+
+
+def _jacobi_cauchy(mu0: float, gamma: float, delta: float, k: float) -> float:
+    """mu0/(k + 1) 2F1(1, delta+1; gamma+delta+2; 2/(k + 1)) for k > 1, and
+    minus that with gamma and delta swapped at -k for k < -1."""
+    # imported here: opx.ratios imports opx.kernels, which imports this module
+    from .ratios import gauss_cf_ratio
+
+    if k < 0.0:
+        return -_jacobi_cauchy(mu0, delta, gamma, -k)
+    z = 2.0 / (k + 1.0)
+    return mu0 / (k + 1.0) * gauss_cf_ratio(0.0, delta + 1.0, gamma + delta + 2.0, z, _GAUSS_CF_DEPTH)
 
 
 def cauchy_mass(family: FamilySpec, k: float) -> float:
-    """L(1/(k - x)), single-signed for k outside the support; memoized."""
-    per_family = _cauchy_cache.setdefault(family, {})
-    value = per_family.get(k)
+    """L(1/(k - x)) for k outside the closed support, where it is single-signed.
+
+    The built-in families have closed forms:
+
+    - chebyshev1: sign(k) pi / sqrt(k^2 - 1);
+    - laguerre(gamma), with a = -k: -Gamma(gamma+1) a^gamma e^a Gamma(-gamma, a),
+      Gamma(-gamma, a) from Legendre's continued fraction;
+    - jacobi(gamma, delta), for k > 1: mu0/(k + 1) 2F1(1, delta+1;
+      gamma+delta+2; 2/(k + 1)), Euler's integral after Pfaff's
+      transformation, so z lies in (0, 1); for k < -1, x -> -x.
+
+    Neither fraction is an independent quadrature.  Legendre's fraction is
+    Laguerre's J-fraction itself, and Jacobi's J-fraction is the even
+    contraction of the Gauss fraction (Wall, Analytic Theory of Continued
+    Fractions, 1948).  Against the Geronimus record's mass they check the
+    coefficient formulas, the contraction and the depth the fraction is cut
+    at.  Custom families are integrated by node doubling and memoized.
+
+    Raises
+    ------
+    ShiftInsideSupport
+        If k lies in the closed support.
+    NonConvergent
+        If a fraction does not settle (k within about 5e-4 of Laguerre's
+        support, or 0.01 of Jacobi's), or node doubling fails.
+    """
+    lo, hi = family.support
+    if lo <= k <= hi:
+        raise ShiftInsideSupport(f"L(1/(k - x)) requires k outside the support [{lo}, {hi}], got {k}")
+    params = dict(family.params)
+    if family.kind == "chebyshev1":
+        return math.copysign(math.pi / math.sqrt((k - 1.0) * (k + 1.0)), k)
+    if family.kind == "laguerre":
+        return _laguerre_cauchy(family.mu0, params["gamma"], k)
+    if family.kind == "jacobi":
+        return _jacobi_cauchy(family.mu0, params["gamma"], params["delta"], k)
+    per_family = _cauchy_cache.get(family)
+    value = None if per_family is None else per_family.get(k)
     if value is None:
         value = integrate_until_stable(
             family, lambda xs: 1.0 / (k - xs), start_order=32, rtol=1e-13
         )
-        per_family[k] = value
+        with _cauchy_lock:
+            _cauchy_cache.setdefault(family, {}).setdefault(k, value)
     return value
+
+
+# a Gram entry keeps the exact Geronimus form when its rounding bound is at
+# most this fraction of the diagonal scale.  The Laguerre default shift
+# passes at 1e-12 with every entry; at 1e-13 some of its entries would go
+# back to node doubling, up to 512 nodes
+_EXACT_FORM_BOUND = 1e-12
+
+
+def _geronimus_gram(
+    family: FamilySpec, kind: Geronimus, values: Callable[[np.ndarray], np.ndarray], n_max: int
+) -> np.ndarray:
+    """The Gram matrix of the table ``values`` under Ltilde, unnormalized.
+
+    Entry (i, j) is first taken in the exact form
+    L((p(x) - p(k))/(x - k)) + mass0 p(k), p = row i times row j, on the one
+    rule with n_max + 2 nodes, which integrates every divided difference of
+    degree up to 2 n_max - 1 exactly.  Its rounding is bounded a priori by
+    eps (sum_l w_l (|p(x_l)| + |p(k)|)/|x_l - k| + |mass0 p(k)|); far from
+    the support the two terms cancel from |mass0 p(k)|, and the bound says
+    so.  An entry whose bound exceeds ``_EXACT_FORM_BOUND`` times its
+    diagonal scale sqrt(|G_ii G_jj|) is taken in the split form instead; the
+    diagonal is settled first, each entry against its own size.
+    """
+    _require_geronimus_shift(family, kind.k)
+    rule = gauss_rule(family, n_max + 2)
+    on_rule = values(rule.nodes)
+    at_k = values(np.array([kind.k]))[:, 0]
+    dist = rule.nodes - kind.k
+    px = on_rule[:, None, :] * on_rule[None, :, :]  # p at the nodes, entry by entry
+    pk = np.outer(at_k, at_k)
+    point_mass = kind.mass0 * pk
+    terms = rule.weights * ((px - pk[..., None]) / dist)
+    spread = np.sum(rule.weights * (np.abs(px) + np.abs(pk)[..., None]) / np.abs(dist), axis=-1)
+    bound = _EPS * (spread + np.abs(point_mass))
+    size = n_max + 1
+    gram = np.empty((size, size))
+    for i in range(size):
+        for j in range(i + 1):
+            gram[i, j] = gram[j, i] = math.fsum([*terms[i, j].tolist(), point_mass[i, j]])
+
+    cauchy = None  # L(1/(k - x)), once, if any entry takes the split form
+
+    def split(i: int, j: int) -> float:
+        nonlocal cauchy
+        if cauchy is None:
+            cauchy = cauchy_mass(family, kind.k)
+
+        def product(xs: np.ndarray) -> np.ndarray:
+            rows = values(xs)
+            return rows[i] * rows[j]
+
+        return _split_form(family, kind, product, i + j, cauchy)
+
+    for i in range(size):
+        if bound[i, i] > _EXACT_FORM_BOUND * abs(gram[i, i]):
+            gram[i, i] = split(i, i)
+    scale = np.sqrt(np.abs(np.diag(gram)))
+    for i in range(size):
+        for j in range(i):
+            if bound[i, j] > _EXACT_FORM_BOUND * scale[i] * scale[j]:
+                gram[i, j] = gram[j, i] = split(i, j)
+    return gram
 
 
 def once_per_node_set(table: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
@@ -288,17 +477,23 @@ def orthogonality_residual(
     Entry (n, m) is the functional applied to the product of rows n and m,
     divided by sqrt(|diag_n| * |diag_m|); the off-diagonal entries are the
     test statistic.  Degrees are assumed to equal the index (monic sequences).
+
+    A Geronimus entry takes the exact divided-difference form where its
+    rounding bound allows, and the split form elsewhere (``_geronimus_gram``).
     """
     values = once_per_node_set(table)
-    size = n_max + 1
-    gram = np.zeros((size, size))
-    for i in range(size):
-        for j in range(i + 1):
-            def product(xs, _i=i, _j=j):
-                rows = values(xs)
-                return rows[_i] * rows[_j]
+    if isinstance(kind, Geronimus):
+        gram = _geronimus_gram(family, kind, values, n_max)
+    else:
+        size = n_max + 1
+        gram = np.zeros((size, size))
+        for i in range(size):
+            for j in range(i + 1):
+                def product(xs, _i=i, _j=j):
+                    rows = values(xs)
+                    return rows[_i] * rows[_j]
 
-            gram[i, j] = gram[j, i] = apply_functional(family, kind, product, i + j)
+                gram[i, j] = gram[j, i] = apply_functional(family, kind, product, i + j)
     diag = np.sqrt(np.abs(np.diag(gram)))
     diag[diag == 0.0] = 1.0
     return gram / np.outer(diag, diag)

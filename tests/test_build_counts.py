@@ -169,19 +169,28 @@ def test_gram_reads_its_table_once_per_rule(kind, degree_shift, extra):
 
 
 def test_geronimus_gram_reads_its_table_once_per_node_set():
-    fam, n_max = opx.laguerre(0.0), 4
-    data = transforms.geronimus_data(fam, -1.0, n_max)
-    seen = []
+    n_max = 4
+    for fam, k, doubling in (
+        # every entry takes the exact divided-difference form
+        (opx.laguerre(0.0), -1.0, ()),
+        # far from the support most entries take the split form, whose node
+        # doubling starts at 8 nodes
+        (opx.jacobi(0.3, 0.7), -10.0, (8, 16, 32)),
+    ):
+        data = transforms.geronimus_data(fam, k, n_max)
+        seen = []
 
-    def table(xs):
-        seen.append(xs.tobytes())
-        return transforms.geronimus_table(data, n_max, xs)
+        def table(xs):
+            seen.append(xs.tobytes())
+            return transforms.geronimus_table(data, n_max, xs)
 
-    moments.orthogonality_residual(fam, moments.Geronimus(-1.0, data.mass0), table, n_max)
-    # each node-doubling order and the point [k], once each
-    assert len(seen) == len(set(seen))
-    assert np.array([-1.0]).tobytes() in seen
-    assert len(seen) >= 3
+        moments.orthogonality_residual(fam, moments.Geronimus(k, data.mass0), table, n_max)
+        # the one rule that integrates every divided difference exactly
+        # (n_max + 2 nodes), the point [k], and each node-doubling order, once each
+        orders = {n_max + 2, *doubling}
+        expected = [moments.gauss_rule(fam, m).nodes.tobytes() for m in orders]
+        assert len(seen) == len(set(seen))
+        assert sorted(seen) == sorted(expected + [np.array([k]).tobytes()])
 
 
 @pytest.fixture

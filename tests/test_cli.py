@@ -94,6 +94,15 @@ def test_verify_laguerre_recovery_passes():
     assert json.loads(out)["overall"] is True
 
 
+@pytest.mark.parametrize("shift", ["-0.1", "-0.3"])
+def test_verify_laguerre_recovery_near_the_support_passes(shift):
+    # node doubling of the Geronimus oracle raised NonConvergent at both
+    # shifts (exit 1), though the J-fraction record was exact there
+    code, out, err = run_cli(["verify", "--suite", "recovery", "--family", "laguerre", f"--shift={shift}"])
+    assert code == 0, err
+    assert json.loads(out)["overall"] is True
+
+
 def test_verify_failure_exit_code():
     # an absurd tolerance forces a check failure -> exit 1
     code, out, _ = run_cli(

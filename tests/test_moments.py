@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import opx
+from opx import moments, suites
 from opx.moments import (
     Base,
     Christoffel,
@@ -19,6 +21,7 @@ from opx.moments import (
     moment_sequence,
     orthogonality_residual,
 )
+from test_transforms import _mp_jacobi, _mp_laguerre
 
 
 def test_one_point_rule_is_mean_and_mass(cheb):
@@ -161,6 +164,118 @@ def test_cauchy_mass_single_signed(cheb):
     assert cauchy_mass(cheb, 2.0) == pytest.approx(math.pi / math.sqrt(3.0), rel=1e-12)
 
 
+def _mp_chebyshev1(mp):
+    return None, lambda x: 1 / mp.sqrt(1 - x * x), [-1, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "make_family, mp_family, k",
+    [
+        *((opx.chebyshev1, _mp_chebyshev1, k) for k in (2.0, -2.0, 1.01)),
+        *(
+            (lambda: opx.jacobi(0.3, 0.7), lambda mp: _mp_jacobi(mp, 0.3, 0.7), k)
+            for k in (3.0, 1.5, -2.0, -10.0)
+        ),
+        (lambda: opx.jacobi(0.0, 0.0), lambda mp: _mp_jacobi(mp, 0, 0), -2.0),
+        *(
+            (lambda g=g: opx.laguerre(g), lambda mp, g=g: _mp_laguerre(mp, g), k)
+            for g, k in ((0.0, -1.0), (0.5, -1.0), (2.5, -3.0), (0.0, -0.1))
+        ),
+    ],
+    ids=[
+        "chebyshev1-k2", "chebyshev1-k-2", "chebyshev1-k1.01",
+        "jacobi-k3", "jacobi-k1.5", "jacobi-k-2", "jacobi-k-10", "jacobi0,0-k-2",
+        "laguerre0-k-1", "laguerre0.5-k-1", "laguerre2.5-k-3", "laguerre0-k-0.1",
+    ],
+)
+def test_cauchy_mass_closed_forms_against_mpmath(make_family, mp_family, k):
+    # L(1/(k - x)) by 40-digit tanh-sinh quadrature of the weight
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        _, weight, cuts = mp_family(mp)
+        want = float(mp.quad(lambda x: weight(x) / (mp.mpf(k) - x), cuts))
+    assert cauchy_mass(make_family(), k) == pytest.approx(want, rel=4e-15, abs=0)
+
+
+@pytest.mark.parametrize(
+    "family, k",
+    [(opx.laguerre(0.0), -1e-8), (opx.jacobi(0.3, 0.7), 1.01)],
+    ids=["laguerre-k-1e-8", "jacobi-k1.01"],
+)
+def test_cauchy_mass_next_to_the_support_is_nonconvergent(family, k):
+    # the fractions settle too slowly there: an error, not an unsettled value
+    with pytest.raises(opx.NonConvergent):
+        cauchy_mass(family, k)
+
+
+@pytest.mark.parametrize("family, k", [(opx.laguerre(0.5), 0.0), (opx.chebyshev1(), 0.5)])
+def test_cauchy_mass_inside_the_support_raises(family, k):
+    with pytest.raises(opx.ShiftInsideSupport):
+        cauchy_mass(family, k)
+
+
+def test_custom_cauchy_mass_doubles_nodes_once(monkeypatch):
+    # a custom family has no closed form: node doubling, memoized per (family, k)
+    fam = opx.custom_family(opx.chebyshev1().table(256), (-1.0, 1.0))
+    calls = Counter()
+    doubling = moments.integrate_until_stable
+
+    def counting(*args, **kwargs):
+        calls["integrate_until_stable"] += 1
+        return doubling(*args, **kwargs)
+
+    monkeypatch.setattr(moments, "integrate_until_stable", counting)
+    for _ in range(2):
+        assert cauchy_mass(fam, 2.0) == pytest.approx(math.pi / math.sqrt(3.0), rel=1e-12)
+    assert calls == {"integrate_until_stable": 1}
+
+
+def _geronimus_off_diagonal(fam, k, n_max=6):
+    """The recovery suite's Geronimus statistic: off-diagonal Gram entries on
+    the oracle's mass."""
+    data = opx.geronimus_data(fam, k, n_max)
+    return suites.geronimus_orthogonality(data, -cauchy_mass(fam, k), n_max)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+@pytest.mark.parametrize("k", [-1.0, -0.3, -0.1])
+def test_laguerre_geronimus_gram_solves_no_large_rule(monkeypatch, gamma, k):
+    # node doubling solved rules up to 1024 nodes at k = -1 and raised
+    # NonConvergent at -0.3 and -0.1
+    orders = []
+    solve = moments.gauss_rule
+
+    def recording(family, m):
+        orders.append(m)
+        return solve(family, m)
+
+    monkeypatch.setattr(moments, "gauss_rule", recording)
+    off = _geronimus_off_diagonal(opx.laguerre(gamma), k)
+    assert 0 < max(orders) <= 64
+    assert np.max(off) <= 1e-11
+
+
+@pytest.mark.parametrize(
+    "family, k", [(opx.jacobi(0.3, 0.7), -10.0), (opx.jacobi(0.0, 0.0), -2.0)], ids=["jacobi-k-10", "legendre-k-2"]
+)
+def test_geronimus_gram_takes_the_split_form_where_the_exact_form_cancels(monkeypatch, family, k):
+    # far from the support the exact form's two terms cancel from
+    # |mass0 p(k)|: taken alone it reads 1.3e-2 and 3.2e-10 here
+    split = Counter()
+    doubling = moments.integrate_until_stable
+
+    def counting(*args, **kwargs):
+        split["entries"] += 1
+        return doubling(*args, **kwargs)
+
+    monkeypatch.setattr(moments, "integrate_until_stable", counting)
+    assert np.max(_geronimus_off_diagonal(family, k)) <= 1e-12
+    # some of the 28 entries take each form
+    assert 0 < split["entries"] < 28
+    monkeypatch.setattr(moments, "_EXACT_FORM_BOUND", math.inf)
+    assert np.max(_geronimus_off_diagonal(family, k)) > 1e-10
+
+
 def test_integral_cancelling_to_zero_stops_at_roundoff_floor(cheb):
     # odd integrand on a symmetric weight: the value is 0 up to roundoff, so
     # no relative test can pass and only the L1 floor stops the doubling
@@ -224,3 +339,50 @@ def test_laguerre_geronimus_gram_entry_against_mpmath():
 
     scale = float(mp.sqrt(reference(6, 6) * reference(5, 5)))
     assert abs(oracle(6, 5) - float(reference(6, 5))) <= 1e-11 * scale
+
+
+def test_laguerre_geronimus_gram_against_mpmath(monkeypatch):
+    # the normalized Gram entry (6, 5) of the test above, which the Gram
+    # matrix takes in the exact divided-difference form, without node doubling
+    mp = pytest.importorskip("mpmath")
+    gamma, k = 0.5, -1.0
+    fam = opx.laguerre(gamma)
+    data = opx.geronimus_data(fam, k, 6)
+
+    def no_doubling(*args, **kwargs):
+        raise AssertionError("node doubling ran")
+
+    monkeypatch.setattr(moments, "integrate_until_stable", no_doubling)
+    table = lambda xs: opx.geronimus_table(data, 6, xs)  # noqa: E731
+    gram = orthogonality_residual(fam, Geronimus(k, data.mass0), table, 6)
+
+    with mp.workdps(20):
+        g = mp.mpf(gamma)
+
+        def transformed(x):  # Pt_0..Pt_6 from the monic recurrence, same A_n
+            p_prev, p, values = mp.mpf(0), mp.mpf(1), [mp.mpf(1)]
+            for m in range(6):
+                p_prev, p = p, (x - (2 * m + 1 + g)) * p - m * (m + g) * p_prev
+                values.append(p + mp.mpf(data.A[m + 1]) * p_prev)
+            return values
+
+        def reference(i, j):  # Ltilde(Pt_i Pt_j) = L(Pt_i Pt_j / (x - k)) at the solved mass
+            def integrand(x):
+                values = transformed(x)
+                return values[i] * values[j] / (x - k) * x**g * mp.exp(-x)
+
+            return mp.quad(integrand, [0, 1, 5, 20, 60, mp.inf])
+
+        want = float(reference(6, 5) / mp.sqrt(reference(6, 6) * reference(5, 5)))
+    assert abs(gram[6, 5] - want) <= 1e-11
+
+
+def test_geronimus_gram_diagonal_takes_the_split_form_where_it_cancels():
+    # at the solved mass Ltilde(Pt_n^2) = L(Pt_n^2 / (x - k)) > 0, but at
+    # k = -50 the exact form of the diagonal entries n >= 4 cancels to a
+    # negative number; the normalized diagonal must stay +1
+    fam, k = opx.chebyshev1(), -50.0
+    data = opx.geronimus_data(fam, k, 6)
+    table = lambda xs: opx.geronimus_table(data, 6, xs)  # noqa: E731
+    gram = orthogonality_residual(fam, Geronimus(k, -cauchy_mass(fam, k)), table, 6)
+    assert_allclose(np.diag(gram), 1.0, rtol=1e-14)

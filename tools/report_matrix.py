@@ -132,6 +132,15 @@ def configs():
         yield f"kernel.{fam}.near", ["kernel", *flags, *points]
     # the quasi suite needs --n-max 3 or more: a usage error below it
     yield "verify.quasi.n2", ["verify", "--suite", "quasi", "--n-max", "2"]
+    # both forms of the Geronimus Gram entries: the exact divided difference
+    # near the half line's end, and the split form far from [-1, 1]
+    for shift in ("-0.1", "-0.3"):
+        argv = ["verify", "--suite", "recovery", *FAMILIES["laguerre0"], f"--shift={shift}"]
+        yield f"verify.recovery.laguerre0.k{shift}", argv
+    argv = ["verify", "--suite", "recovery", *FAMILIES["jacobi"], "--shift=-10"]
+    yield "verify.recovery.jacobi.k-10", argv
+    argv = ["verify", "--suite", "recovery", "--family", "jacobi", "--gamma=0", "--delta=0", "--shift=-2"]
+    yield "verify.recovery.jacobi0,0.k-2", argv
 
 
 def run(argv):
