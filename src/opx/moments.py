@@ -1,9 +1,11 @@
 """Quadrature oracle for a family's moment functional and its transforms.
 
 The Gauss rule of order m comes from the symmetrized tridiagonal (Jacobi)
-matrix with diagonal c_1..c_m and off-diagonal sqrt(lambda_2..lambda_m);
-weights are mu0 times the squared first eigenvector components.  On top of
-the base functional L the module applies
+matrix with diagonal c_1..c_m and off-diagonal sqrt(lambda_2..lambda_m)
+(Golub & Welsch 1969).  ``numpy.linalg.eigh`` solves it as a dense
+symmetric matrix: the eigenvalues are the nodes, and the weights are mu0
+times the squared first eigenvector components.  On top of the base
+functional L the module applies
 
     L*(p)     = L((x - k) p)                       (Christoffel)
     Ltilde(p) = L((p(x) - p(k)) / (x - k)) + p(k) * mass0   (Geronimus)
@@ -22,10 +24,6 @@ entry fall back to the split form L(p/(x - k)) + p(k) (mass0 + L(1/(k - x))),
 whose first term is integrated by node doubling.  ``cauchy_mass`` gives
 L(1/(k - x)) in closed form for the built-in families and by node doubling
 for custom ones.
-
-scipy is imported on the first uncached rule of order m >= 2, for its one
-call (``scipy.linalg.eigh_tridiagonal``), not when this module is imported:
-``import opx``, and every command that solves no rule, never load it.
 """
 
 from __future__ import annotations
@@ -108,6 +106,9 @@ _rule_lock = threading.Lock()
 def gauss_rule(family: FamilySpec, m: int) -> GaussRule:
     """Build (and memoize) the m-point Gauss rule of ``family``.
 
+    The dense Jacobi matrix is solved by ``numpy.linalg.eigh`` for every
+    order, m = 1 included (a 1x1 matrix gives node c_1 and weight mu0).
+
     Raises
     ------
     NotPositiveDefinite
@@ -128,15 +129,9 @@ def gauss_rule(family: FamilySpec, m: int) -> GaussRule:
     if np.any(lam <= 0.0):
         bad = int(np.argmax(lam <= 0.0)) + 2
         raise NotPositiveDefinite(f"lambda_{bad} = {lam[bad - 2]} <= 0")
-    if m == 1:
-        rule = GaussRule(np.array([diag[0]]), np.array([family.mu0]), 1)
-    else:
-        # scipy is loaded here, on the first rule that needs an eigensolve,
-        # so importing opx and every quadrature-free command stay without it
-        from scipy.linalg import eigh_tridiagonal
-
-        nodes, vecs = eigh_tridiagonal(diag, np.sqrt(lam))
-        rule = GaussRule(nodes, family.mu0 * vecs[0] ** 2, m)
+    off = np.diag(np.sqrt(lam), -1)
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + off + off.T)
+    rule = GaussRule(nodes, family.mu0 * vecs[0] ** 2, m)
     with _rule_lock:
         _rule_cache.setdefault(family, {}).setdefault(m, rule)
     return rule
@@ -272,8 +267,6 @@ def apply_functional(
     raise TypeError(f"unknown functional kind: {kind!r}")
 
 
-# only node doubling (custom families) is memoized: a closed form costs
-# about 0.1 ms at the default shifts, and a Gram matrix computes it once
 _cauchy_cache: "weakref.WeakKeyDictionary[FamilySpec, dict[float, float]]" = (
     weakref.WeakKeyDictionary()
 )
@@ -354,7 +347,8 @@ def cauchy_mass(family: FamilySpec, k: float) -> float:
     contraction of the Gauss fraction (Wall, Analytic Theory of Continued
     Fractions, 1948).  Against the Geronimus record's mass they check the
     coefficient formulas, the contraction and the depth the fraction is cut
-    at.  Custom families are integrated by node doubling and memoized.
+    at.  Custom families are integrated by node doubling.  Every value is
+    memoized per (family, k).
 
     Raises
     ------
@@ -367,6 +361,16 @@ def cauchy_mass(family: FamilySpec, k: float) -> float:
     lo, hi = family.support
     if lo <= k <= hi:
         raise ShiftInsideSupport(f"L(1/(k - x)) requires k outside the support [{lo}, {hi}], got {k}")
+    per_family = _cauchy_cache.get(family)
+    value = None if per_family is None else per_family.get(k)
+    if value is None:
+        value = _cauchy_value(family, k)
+        with _cauchy_lock:
+            _cauchy_cache.setdefault(family, {}).setdefault(k, value)
+    return value
+
+
+def _cauchy_value(family: FamilySpec, k: float) -> float:
     params = dict(family.params)
     if family.kind == "chebyshev1":
         return math.copysign(math.pi / math.sqrt((k - 1.0) * (k + 1.0)), k)
@@ -374,15 +378,7 @@ def cauchy_mass(family: FamilySpec, k: float) -> float:
         return _laguerre_cauchy(family.mu0, params["gamma"], k)
     if family.kind == "jacobi":
         return _jacobi_cauchy(family.mu0, params["gamma"], params["delta"], k)
-    per_family = _cauchy_cache.get(family)
-    value = None if per_family is None else per_family.get(k)
-    if value is None:
-        value = integrate_until_stable(
-            family, lambda xs: 1.0 / (k - xs), start_order=32, rtol=1e-13
-        )
-        with _cauchy_lock:
-            _cauchy_cache.setdefault(family, {}).setdefault(k, value)
-    return value
+    return integrate_until_stable(family, lambda xs: 1.0 / (k - xs), start_order=32, rtol=1e-13)
 
 
 # a Gram entry keeps the exact Geronimus form when its rounding bound is at

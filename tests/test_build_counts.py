@@ -3,9 +3,10 @@ its largest degree, and its evaluators slice them: the number of builds per
 ``opx recover`` or ``opx verify --suite recovery`` run is fixed.  Likewise
 the ratios and quasi suites evaluate their draws and points as arrays, so
 their calls into ``opx.ratios`` and ``opx.quasi`` do not grow with the
-number of draws or points.  The quadrature oracle evaluates a sequence's
-table once per distinct node set, and the kernel and quasi suites evaluate
-each family through such tables, so their ``eval_table`` calls stay few.
+number of draws or points, and a suite computes each Cauchy mass once.
+The quadrature oracle evaluates a sequence's table once per distinct node
+set, and the kernel and quasi suites evaluate each family through such
+tables, so their ``eval_table`` calls stay few.
 The CLI's parser is built once per process, not once per call."""
 
 import argparse
@@ -125,6 +126,21 @@ def test_quasi_suite_calls(calls):
     # one call per (b, n): four values of b, n = 1..5
     _run(["verify", "--suite", "quasi"])
     assert dict(calls) == {"difference_equation_residual": 20}
+
+
+def test_jacobi_recovery_suite_computes_its_cauchy_mass_once(monkeypatch):
+    # the solved-mass case and the Gram matrix's split-form entries share
+    # one memoized L(1/(k - x)), whose closed form runs one Gauss fraction
+    counts = Counter()
+    fraction = ratios.gauss_cf_ratio
+
+    def counting(*args, **kwargs):
+        counts["gauss_cf_ratio"] += 1
+        return fraction(*args, **kwargs)
+
+    monkeypatch.setattr(ratios, "gauss_cf_ratio", counting)
+    _run(["verify", "--suite", "recovery", "--family", "jacobi", "--gamma", "0.3", "--delta", "0.7"])
+    assert dict(counts) == {"gauss_cf_ratio": 1}
 
 
 def test_parser_is_built_once_per_process(monkeypatch):

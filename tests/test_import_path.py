@@ -1,8 +1,8 @@
-"""scipy is loaded only when a Gauss rule of order >= 2 is solved: importing
-opx, and every command built on the recurrence coefficients alone, never
-load it; nor does the import build the CLI's parser.  Each check runs in a
-fresh interpreter and reads ``sys.modules``, so it does not depend on what
-this test session has imported."""
+"""opx runs on numpy alone: importing it, and every command, verify suites
+that solve Gauss rules included, leaves scipy unloaded; nor does the import
+build the CLI's parser.  The commands run in one fresh interpreter, which
+reads ``sys.modules`` after each, so the check does not depend on what this
+test session has imported."""
 
 import os
 import subprocess
@@ -11,8 +11,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# the commands that solve no rule
-SCIPY_FREE = [
+# every command, and every verify suite on each built-in family
+COMMANDS = [
     ["eval", "--derivs", "--points=-0.5", "--points=0.9"],
     ["kernel", "--points=0.25"],
     ["chain", "--l-const", "0.25"],
@@ -21,8 +21,9 @@ SCIPY_FREE = [
     ["recover", "--kind", "geronimus"],
     ["recover", "--kind", "uvarov"],
     ["recover", "--kind", "order2"],
-    ["verify", "--suite", "ratios"],
-    ["verify", "--suite", "chains"],
+    ["verify", "--suite", "all", "--family", "chebyshev1"],
+    ["verify", "--suite", "all", "--family", "laguerre", "--gamma", "0.5"],
+    ["verify", "--suite", "all", "--family", "jacobi", "--gamma", "0.3", "--delta", "0.7"],
 ]
 
 # prints each command's exit code and whether scipy is loaded after it; the
@@ -48,13 +49,8 @@ def _probe(argvs):
     return [line.rsplit(" ", 2) for line in done.stdout.splitlines()]
 
 
-def test_import_and_quadrature_free_commands_do_not_load_scipy():
-    lines = _probe(SCIPY_FREE)
-    assert [name for name, _, _ in lines] == ["import"] + [" ".join(a) for a in SCIPY_FREE]
+def test_import_and_every_command_do_not_load_scipy():
+    lines = _probe(COMMANDS)
+    assert [name for name, _, _ in lines] == ["import"] + [" ".join(a) for a in COMMANDS]
     # each line is [what ran, exit code, scipy loaded]
     assert [line for line in lines if line[1:] != ["0", "False"]] == []
-
-
-def test_recovery_suite_still_solves_its_rules():
-    [_, (name, code, _)] = _probe([["verify", "--suite", "recovery"]])
-    assert (name, code) == ("verify --suite recovery", "0")

@@ -69,6 +69,25 @@ def test_quadrature_exactness_against_moment_recurrence(cheb, lag, jac, m):
             assert abs(quad - ref[j]) <= 1e-10 * max(1.0, abs(ref[j]))
 
 
+@pytest.mark.parametrize("m", [1, 2, 16, 64, 512])
+@pytest.mark.parametrize(
+    "make_family",
+    [opx.chebyshev1, lambda: opx.laguerre(0.5), lambda: opx.jacobi(0.3, 0.7)],
+    ids=["chebyshev1", "laguerre0.5", "jacobi0.3,0.7"],
+)
+def test_rule_matches_the_tridiagonal_eigensolver(make_family, m):
+    # the dense solve against LAPACK's tridiagonal one, to rounding: the two
+    # may come from different LAPACK builds
+    linalg = pytest.importorskip("scipy.linalg")
+    fam = make_family()
+    pairs = opx.recurrence_coefficients(fam, m)
+    nodes, vecs = linalg.eigh_tridiagonal(pairs[:, 0], np.sqrt(pairs[1:, 1]))
+    rule = gauss_rule(fam, m)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(rule.nodes - nodes)) <= 8 * eps * np.max(np.abs(nodes))
+    assert np.max(np.abs(rule.weights - fam.mu0 * vecs[0] ** 2)) <= 1e-14 * fam.mu0
+
+
 def test_not_positive_definite():
     fam = opx.custom_family([(0.0, 1.0 if n < 3 else -0.5) for n in range(1, 9)], (-1.0, 1.0))
     with pytest.raises(opx.NotPositiveDefinite):
