@@ -1,8 +1,8 @@
 """opx runs on numpy alone: importing it, and every command, verify suites
 that solve Gauss rules included, leaves scipy unloaded; nor does the import
-build the CLI's parser.  The commands run in one fresh interpreter, which
-reads ``sys.modules`` after each, so the check does not depend on what this
-test session has imported."""
+build the CLI's parser.  Each list of commands runs in one fresh interpreter,
+which reads ``sys.modules`` after each command, so the check does not depend
+on what this test session has imported."""
 
 import os
 import subprocess
@@ -11,8 +11,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# every command, and every verify suite on each built-in family
-COMMANDS = [
+# the commands built on the recurrence coefficients alone, which solve no rule
+QUADRATURE_FREE = [
     ["eval", "--derivs", "--points=-0.5", "--points=0.9"],
     ["kernel", "--points=0.25"],
     ["chain", "--l-const", "0.25"],
@@ -21,6 +21,12 @@ COMMANDS = [
     ["recover", "--kind", "geronimus"],
     ["recover", "--kind", "uvarov"],
     ["recover", "--kind", "order2"],
+    ["verify", "--suite", "ratios"],
+    ["verify", "--suite", "chains"],
+]
+
+# every verify suite, those that solve Gauss rules included, on each built-in family
+ALL_SUITES = [
     ["verify", "--suite", "all", "--family", "chebyshev1"],
     ["verify", "--suite", "all", "--family", "laguerre", "--gamma", "0.5"],
     ["verify", "--suite", "all", "--family", "jacobi", "--gamma", "0.3", "--delta", "0.7"],
@@ -49,8 +55,21 @@ def _probe(argvs):
     return [line.rsplit(" ", 2) for line in done.stdout.splitlines()]
 
 
-def test_import_and_every_command_do_not_load_scipy():
-    lines = _probe(COMMANDS)
-    assert [name for name, _, _ in lines] == ["import"] + [" ".join(a) for a in COMMANDS]
+def _assert_scipy_free(argvs):
+    lines = _probe(argvs)
+    assert [name for name, _, _ in lines] == ["import"] + [" ".join(a) for a in argvs]
     # each line is [what ran, exit code, scipy loaded]
     assert [line for line in lines if line[1:] != ["0", "False"]] == []
+
+
+def test_import_and_quadrature_free_commands_do_not_load_scipy():
+    _assert_scipy_free(QUADRATURE_FREE)
+
+
+def test_recovery_suite_still_solves_its_rules():
+    # it solves Gauss rules, and does so without scipy
+    _assert_scipy_free([["verify", "--suite", "recovery"]])
+
+
+def test_every_suite_on_each_family_does_not_load_scipy():
+    _assert_scipy_free(ALL_SUITES)
