@@ -439,6 +439,13 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require_finite(flag: str, values: list[float]) -> None:
+    """A NaN or infinite chain value gives no minimal parameters: a usage error."""
+    for v in values:
+        if not math.isfinite(v):
+            raise UsageError(f"{flag} values must be finite, got {v}")
+
+
 def _parse(argv: list[str]) -> RunConfig:
     ns = _parser().parse_args(argv)
     seed = ns.seed
@@ -482,10 +489,15 @@ def _parse(argv: list[str]) -> RunConfig:
         cfg.kind = ns.kind
     if ns.command == "chain":
         if ns.l_list:
-            cfg.l_values = [float(v) for v in ns.l_list.split(",") if v.strip()]
+            try:
+                cfg.l_values = [float(v) for v in ns.l_list.split(",") if v.strip()]
+            except ValueError as exc:
+                raise UsageError(f"--l expects numbers v1,v2,..., got {ns.l_list!r}") from exc
+            _require_finite("--l", cfg.l_values)
             if ns.n_max is None and cfg.l_values:  # every listed value, unless --n-max cuts them
                 cfg.n_max = len(cfg.l_values)
         elif ns.l_const is not None:
+            _require_finite("--l-const", [ns.l_const])
             cfg.l_values = [ns.l_const] * cfg.n_max
     if cfg.n_max < 0 or (cfg.n_max < 1 and ns.command not in ("eval",)):
         raise UsageError(f"--n-max must be >= 1, got {cfg.n_max}")

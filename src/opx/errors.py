@@ -59,7 +59,9 @@ class InvalidAlphas(OpxError):
 
 
 class ZeroDenominator(OpxError):
-    """A continued-fraction denominator vanished beyond the tiny-floor rescue."""
+    """A continued-fraction denominator vanished beyond the tiny-floor rescue,
+    or a chain sequence's minimal parameter reached 1, so that
+    m_n = l_n / (1 - m_{n-1}) has no next term."""
 
 
 class NonConvergent(OpxError):

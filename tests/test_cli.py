@@ -172,6 +172,35 @@ def test_chain_list_covers_every_value_unless_n_max_is_given():
     assert [row["l_n"] for row in json.loads(out)["rows"]] == values[:5]
 
 
+@pytest.mark.parametrize(
+    "args", [["--l-const", "0.5", "--n-max", "5"], ["--l", "0.5,0.5,0.5"], ["--l-const", "1", "--n-max", "3"]]
+)
+def test_chain_breakdown_is_a_typed_error(args):
+    # m_n = l_n / (1 - m_{n-1}) meets m_{n-1} = 1
+    code, out, err = run_cli(["chain", *args])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("opx: ZeroDenominator: minimal parameter recurrence hits m_")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--l-const", "nan", "--n-max", "3"], "--l-const values must be finite, got nan"),
+        (["--l-const", "inf", "--n-max", "3"], "--l-const values must be finite, got inf"),
+        (["--l-const=-inf"], "--l-const values must be finite, got -inf"),
+        (["--l", "0.5,nan"], "--l values must be finite, got nan"),
+        (["--l", "0.2,inf,0.3", "--n-max", "1"], "--l values must be finite, got inf"),
+        (["--l", "0.5,abc"], "--l expects numbers v1,v2,..., got '0.5,abc'"),
+    ],
+)
+def test_chain_values_must_be_finite_numbers(args, message):
+    code, out, err = run_cli(["chain", *args])
+    assert code == 2
+    assert out == ""
+    assert err == f"opx: {message}\n"
+
+
 def test_kernel_command(schema):
     code, out, _ = run_cli(["kernel", "--family", "chebyshev1", "--shift", "2", "--n-max", "4"])
     assert code == 0

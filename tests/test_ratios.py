@@ -225,6 +225,160 @@ def test_cf_entry_points_return_recorded_floats(name, args, expected):
 
 
 # ---------------------------------------------------------------------------
+# termination at the first zero numerator, against the untruncated passes
+# ---------------------------------------------------------------------------
+
+
+def _untruncated_cf(b, z, depth, rtol=1e-13):
+    """The fraction as both backward passes over every numerator give it,
+    b_depth..b_1 and b_{depth+10}..b_1, running through any zero: what
+    ``evaluate_cf`` computed before it stopped at a first zero."""
+
+    def backward(coeffs):
+        tail = 1.0
+        for b_j in reversed(coeffs):
+            if abs(tail) < 1e-300:
+                tail = math.copysign(1e-300, tail if tail != 0.0 else 1.0)
+            tail = 1.0 + b_j * z / tail
+        if abs(tail) < 1e-300:
+            raise opx.ZeroDenominator("continued fraction denominator vanished at the top level")
+        return 1.0 / tail
+
+    b = [float(v) for v in b[: depth + 10]]
+    assert len(b) == depth + 10
+    v1, v2 = backward(b[:depth]), backward(b)
+    if abs(v1 - v2) > rtol * max(1.0, abs(v2)):
+        raise opx.NonConvergent(f"depth {depth} and {depth + 10} disagree: {v1} vs {v2}")
+    return v2
+
+
+def _outcome(fn, *args):
+    """A call's value as exact bits, or its error type and message."""
+    try:
+        value = fn(*args)
+    except opx.OpxError as exc:
+        return type(exc), str(exc)
+    return [float(v).hex() for v in np.atleast_1d(value)]
+
+
+def _mixed_numerators(gamma, n, m):
+    # laguerre_mixed_cf's printed coefficients over all m numerators, as an
+    # array formula (the one it used before building on Python floats)
+    j = np.arange(1.0, m + 1)
+    k = (j - 1) // 2
+    den = (gamma + 2 * k + 1.0) * (gamma + 2 * k + 2.0)
+    return np.where(j % 2 == 1, (n + k + gamma + 1.0) / den, -((1.0 - n + k) / den))
+
+
+def _fraction_cases(n, depth):
+    """(call, full numerators, variable) of each scalar fraction at degree n;
+    the first zero numerator sits at j = 2n (at 2n+1 for the q-terminating
+    Gauss fraction)."""
+    m = depth + 10
+    p = -float(n)
+    gamma, delta, x = 0.4, 0.9, 0.35
+    u = (1.0 - x) / 2.0
+    return [
+        (lambda: ratios.gauss_cf_ratio(p, 1.3, 2.1, 0.45, depth), ratios._gauss_table(p, 1.3, 2.1, m), 0.45),
+        (lambda: ratios.gauss_cf_ratio(0.6, p, 1.7, -0.8, depth), ratios._gauss_table(0.6, p, 1.7, m), -0.8),
+        (lambda: ratios.kummer_cf_ratio(p, 1.5, -0.7, depth), -ratios._kummer_d(p, 1.5, m), -0.7),
+        (
+            lambda: ratios.laguerre_ratio_cf(gamma, n, 1.2, depth)[0],
+            ratios._kummer_d(p, gamma + 2.0, m),
+            1.2,
+        ),
+        (lambda: ratios.laguerre_mixed_cf(gamma, n, 1.2, depth), _mixed_numerators(gamma, n, m), 1.2),
+        (
+            lambda: ratios.jacobi_ratio_cf(gamma, delta, n, x, depth)[0],
+            ratios._gauss_table(p, n + gamma + delta + 1.0, gamma + 2.0, m),
+            u,
+        ),
+    ]
+
+
+# with the zero at j0 = 2n (or 2n+1): j0 < depth, j0 = depth, j0 = depth+1,
+# depth+1 < j0 <= depth+10 and j0 > depth+10
+@pytest.mark.parametrize(
+    "n, depth", [(1, 10), (3, 10), (5, 10), (6, 10), (9, 10), (10, 10), (20, 10), (2, 1), (30, 60), (40, 60)]
+)
+def test_terminating_fractions_match_the_untruncated_passes(n, depth):
+    for call, b, z in _fraction_cases(n, depth):
+        assert _outcome(call) == _outcome(_untruncated_cf, b, z, depth)
+
+
+@pytest.mark.parametrize("depth", [1, 8, 30])
+def test_nonterminating_fractions_match_the_untruncated_passes(depth):
+    m = depth + 10
+    cases = [
+        (lambda: ratios.gauss_cf_ratio(0.5, 1.5, 2.5, 0.3, depth), ratios._gauss_table(0.5, 1.5, 2.5, m), 0.3),
+        (lambda: ratios.gauss_cf_ratio(0.0, 1.7, 3.0, 0.6, depth), ratios._gauss_table(0.0, 1.7, 3.0, m), 0.6),
+        (lambda: ratios.kummer_cf_ratio(0.7, 1.9, 0.8, depth), -ratios._kummer_d(0.7, 1.9, m), 0.8),
+    ]
+    for call, b, z in cases:
+        assert _outcome(call) == _outcome(_untruncated_cf, b, z, depth)
+
+
+@pytest.mark.parametrize(
+    "b, z, depth",
+    [
+        # tiny-floor rescue below the zero (test_cf_zero_denominator_rescue)
+        (-np.array([2.0, 1.0] + [0.0] * 20), 1.0, 12),
+        (-np.array([2.0, 1.0] + [0.0] * 20), 1.0, 2),
+        (-np.array([2.0, 1.0] + [0.0] * 20), 1.0, 1),
+        # a vanishing top-level denominator, with the zero inside and
+        # beyond the depth
+        (-np.array([1.0] + [0.0] * 15), 1.0, 6),
+        (-np.array([1.0, 0.5, 0.5, 0.0] + [0.3] * 10), 1.0, 2),
+        # disagreeing passes: no zero, and a zero between depth and depth+10
+        (-np.ones(18), 0.9, 8),
+        (np.array([-1.0] * 12 + [0.0] + [-1.0] * 5), 0.9, 8),
+        # zeros at both signs, and a zero after a rescued tail
+        (np.array([0.5, -0.0, 2.0] + [1.0] * 12), -0.4, 5),
+        (np.array([0.3, -1.0, 1.0, 0.0, 7.0] + [-1.0] * 10), 1.0, 5),
+    ],
+)
+def test_evaluate_cf_matches_the_untruncated_passes(b, z, depth):
+    assert _outcome(ratios.evaluate_cf, b, z, depth) == _outcome(_untruncated_cf, b, z, depth)
+    # the same numerators cut after their first zero give the same outcome
+    stop = next((j for j, v in enumerate(b) if v == 0.0), None)
+    if stop is not None:
+        cut = b[: stop + 1].tolist()
+        assert _outcome(ratios.evaluate_cf, cut, z, depth) == _outcome(_untruncated_cf, b, z, depth)
+
+
+def _batch_outcome_expected(b, z, depth):
+    expected = [_outcome(_untruncated_cf, row, z_i, depth) for row, z_i in zip(b, z.tolist())]
+    assert all(isinstance(v, list) for v in expected)  # the array pass stands
+    return [v for (v,) in expected]
+
+
+def test_batch_rows_with_different_first_zeros_match_the_untruncated_passes(rng):
+    depth = 12
+    z = rng.uniform(-0.9, 0.9, 5)
+    # every row ends within b_1..b_{depth+1}, so both passes agree exactly
+    # and every step below the deepest zero shows in the values
+    b = rng.uniform(-1.0, 1.0, (5, depth + 10))
+    b[0, 3] = 0.0
+    b[1, 12] = 0.0  # at depth+1: the deepest, where the loop starts
+    b[2, [5, 9]] = 0.0  # two zeros, the first counts
+    b[3, 0] = 0.0  # the fraction is 1
+    b[4, 10] = 0.0
+    assert _outcome(ratios.evaluate_cf, b, z, depth) == _batch_outcome_expected(b, z, depth)
+    # a row without a zero runs every column; small numerators converge
+    b = rng.uniform(-0.05, 0.05, (5, depth + 10))
+    b[0, 3] = 0.0
+    b[1, 17] = 0.0  # between depth and depth+10
+    b[2, [5, 9]] = 0.0
+    assert _outcome(ratios.evaluate_cf, b, z, depth) == _batch_outcome_expected(b, z, depth)
+
+
+@pytest.mark.parametrize("b", [[0.5, 0.25], [0.5, 0.0, 0.25], [0.0, 0.0]])
+def test_cf_short_numerators_must_end_at_their_first_zero(b):
+    with pytest.raises(ValueError, match="need 11 partial numerators"):
+        ratios.evaluate_cf(b, 0.5, 1)
+
+
+# ---------------------------------------------------------------------------
 # Laguerre and Jacobi specializations
 # ---------------------------------------------------------------------------
 
@@ -432,7 +586,7 @@ def test_chain_complementary():
 
 
 def test_chain_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(opx.ZeroDenominator, match="hits m_1 = 1"):
         opx.chain_params([1.0, 0.3])
 
 

@@ -141,6 +141,12 @@ def configs():
     yield "verify.recovery.jacobi.k-10", argv
     argv = ["verify", "--suite", "recovery", "--family", "jacobi", "--gamma=0", "--delta=0", "--shift=-2"]
     yield "verify.recovery.jacobi0,0.k-2", argv
+    # chain inputs the CLI refuses: a minimal parameter reaching 1 (exit 1)
+    # and a value that is not finite (exit 2)
+    yield "chain.half.n5", ["chain", "--l-const", "0.5", "--n-max", "5"]
+    yield "chain.one.n3", ["chain", "--l-const", "1", "--n-max", "3"]
+    yield "chain.nan", ["chain", "--l-const", "nan", "--n-max", "3"]
+    yield "chain.l.inf", ["chain", "--l", "0.2,inf,0.3"]
 
 
 def run(argv):
