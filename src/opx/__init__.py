@@ -62,10 +62,8 @@ from .moments import (
     orthogonality_residual,
 )
 from .quasi import (
-    DifferenceEqCoeffs,
     QkOrthogonalityReport,
     QuasiSpec,
-    difference_equation_coeffs,
     difference_equation_residual,
     qk_orthogonality_check,
     quasi_kernel,

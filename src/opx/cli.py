@@ -440,7 +440,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _require_finite(flag: str, values: list[float]) -> None:
-    """A NaN or infinite chain value gives no minimal parameters: a usage error."""
+    """A NaN or infinite parameter or chain value is a usage error: no family,
+    shift, mass or minimal parameters are defined there."""
     for v in values:
         if not math.isfinite(v):
             raise UsageError(f"{flag} values must be finite, got {v}")
@@ -460,6 +461,11 @@ def _parse(argv: list[str]) -> RunConfig:
         if not (math.isfinite(a) and a < b and (math.isfinite(b) or b == math.inf)):
             raise UsageError(f"--support needs finite a < b, b finite or inf, got {ns.support!r}")
         support = (a, b)
+    for flag, values in (
+        ("--gamma", [ns.gamma]), ("--delta", [ns.delta]), ("--shift", ns.shifts),
+        ("--mass0", [ns.mass0]), ("--r0", [ns.r0]),
+    ):
+        _require_finite(flag, [v for v in values if v is not None])
     if ns.family != "custom" and (ns.coeffs_file is not None or support is not None):
         raise UsageError(f"--coeffs and --support need --family custom, got --family {ns.family}")
     cfg = RunConfig(
@@ -496,6 +502,8 @@ def _parse(argv: list[str]) -> RunConfig:
             _require_finite("--l", cfg.l_values)
             if ns.n_max is None and cfg.l_values:  # every listed value, unless --n-max cuts them
                 cfg.n_max = len(cfg.l_values)
+            if cfg.l_values and cfg.n_max > len(cfg.l_values):
+                raise UsageError(f"--n-max {cfg.n_max} exceeds the {len(cfg.l_values)} values of --l")
         elif ns.l_const is not None:
             _require_finite("--l-const", [ns.l_const])
             cfg.l_values = [ns.l_const] * cfg.n_max

@@ -131,7 +131,7 @@ def laguerre(gamma: float) -> FamilySpec:
     the standard monic value and is gated by the quadrature orthogonality
     oracle in the test suite.
     """
-    if gamma <= -1.0:
+    if not gamma > -1.0:
         raise ParameterOutOfRange(f"laguerre requires gamma > -1, got {gamma}")
     mu0 = math.exp(math.lgamma(gamma + 1.0))
 
@@ -152,7 +152,7 @@ def jacobi(gamma: float, delta: float) -> FamilySpec:
     rows are taken in cancelled form so gamma + delta in {0, -1} does not
     divide by zero.
     """
-    if gamma <= -1.0 or delta <= -1.0:
+    if not (gamma > -1.0 and delta > -1.0):
         raise ParameterOutOfRange(
             f"jacobi requires gamma > -1 and delta > -1, got ({gamma}, {delta})"
         )

@@ -8,8 +8,10 @@ numerical checker for when such a sequence is itself orthogonal.
 The difference equation exists in two index variants: the one printed in
 its source statement and the one the underlying matrix algebra actually
 produces (they differ by a shift of the J subscripts and do not agree even
-at b = 0).  Both residuals are computed; only the matrix-algebra form is
-asserted anywhere.
+at b = 0).  ``difference_equation_residual`` computes both, over any
+broadcast of mixing coefficients, degrees and points, and is the one place
+its coefficients D_m, J_m and the sequence Q_m are defined; only the
+matrix-algebra form is asserted anywhere.
 """
 
 from __future__ import annotations
@@ -24,12 +26,9 @@ from .kernels import KernelContext, kernel_recurrence, kernel_table
 
 __all__ = [
     "QuasiSpec",
-    "LinearPoly",
-    "DifferenceEqCoeffs",
     "QkOrthogonalityReport",
     "quasi_kernel",
     "quasi_from_kernel_table",
-    "difference_equation_coeffs",
     "difference_equation_residual",
     "qk_orthogonality_check",
     "orthogonality_conditions",
@@ -58,26 +57,6 @@ class QuasiSpec:
             raise ValueError("order-1 spec requires (a, b) != (0, 0)")
 
 
-@dataclass(frozen=True)
-class LinearPoly:
-    """slope * x + intercept, with evaluation."""
-
-    intercept: complex
-    slope: complex = 1.0
-
-    def __call__(self, x):
-        return self.slope * x + self.intercept
-
-
-@dataclass(frozen=True)
-class DifferenceEqCoeffs:
-    """The pair D_m(x) = x - c*_{m+1} + b and J_m(x) = b D_{m-1}(x) + lambda*_m."""
-
-    index: int
-    d: LinearPoly
-    j: LinearPoly
-
-
 def quasi_kernel(ctx: KernelContext, spec: QuasiSpec, n: int, x):
     """Evaluate the quasi-type kernel polynomial for the given spec.
 
@@ -98,67 +77,57 @@ def quasi_from_kernel_table(spec: QuasiSpec, n: int, table):
     return table[n] + spec.Ltilde * table[n - 1] + spec.Mtilde * table[n - 2]
 
 
-def difference_equation_coeffs(
-    ctx: KernelContext, b: float, n: int
-) -> tuple[DifferenceEqCoeffs, DifferenceEqCoeffs]:
-    """Coefficients (D, J) of the order-one difference equation at indices n, n+1."""
-    pairs = kernel_recurrence(ctx, n + 3)
-    cs = pairs[:, 0]  # cs[m] = c*_{m+1}
-    ls = pairs[:, 1]  # ls[m] = lambda*_{m+1}
-
-    def build(m: int) -> DifferenceEqCoeffs:
-        d = LinearPoly(intercept=-cs[m] + b)  # D_m(x) = x - c*_{m+1} + b
-        # J_m(x) = b * D_{m-1}(x) + lambda*_m
-        j = LinearPoly(intercept=b * (-cs[m - 1] + b) + ls[m - 1], slope=b)
-        return DifferenceEqCoeffs(index=m, d=d, j=j)
-
-    return build(n), build(n + 1)
-
-
-def difference_equation_residual(ctx: KernelContext, b: float, n: int, x) -> tuple:
+def difference_equation_residual(ctx: KernelContext, b, n, x) -> tuple:
     """Relative residuals (stated form, matrix-algebra form) of the difference
-    equation at a point x, or arrays of them over a point vector x.
+    equation at degree index n >= 1, mixing coefficient b and point x.  The
+    three broadcast together; numbers give two floats, arrays two arrays of
+    the broadcast shape.
 
     stated:  J_n Q_{n+2} - [D_{n+1} J_n - b J_{n+1}] Q_{n+1} + lam*_{n+1} J_{n+1} Q_n
     derived: J_{n+1} Q_{n+2} - [D_{n+1} J_{n+1} - b J_{n+2}] Q_{n+1} + lam*_{n+1} J_{n+2} Q_n
 
-    with Q_m = Pk_m + b Pk_{m-1} the monic order-one sequence.  Each residual
-    is divided by the sum of the magnitudes of its three terms, so it
-    measures cancellation against the size of what cancels (the terms grow
-    like x^(n+2) and like the norms of the family).  The derived form
+    with D_m(x) = x - c*_{m+1} + b, J_m(x) = b D_{m-1}(x) + lam*_m and
+    Q_m = Pk_m + b Pk_{m-1} the monic order-one sequence.  One recurrence
+    and one kernel table, both to the largest n, serve every entry.  Each
+    residual is divided by the sum of the magnitudes of its three terms, so
+    it measures cancellation against the size of what cancels (the terms
+    grow like x^(n+2) and like the norms of the family).  The derived form
     reduces to the kernel recurrence at b = 0; the stated form does not.
     """
-    pairs = kernel_recurrence(ctx, n + 3)
-    cs = pairs[:, 0]
-    ls = pairs[:, 1]
+    shape = np.broadcast_shapes(np.shape(b), np.shape(n), np.shape(x))
+    n = np.broadcast_to(n, shape)
+    if np.any(n < 1):
+        raise ValueError("the difference equation needs n >= 1")
+    x = np.asarray(x)
+    top = int(np.max(n, initial=1))
+    pairs = kernel_recurrence(ctx, top + 3)
+    cs = pairs[:, 0]  # cs[m] = c*_{m+1}
+    ls = pairs[:, 1]  # ls[m] = lambda*_{m+1}
+    table = kernel_table(ctx, top + 2, x.ravel())
+    point = np.broadcast_to(np.arange(x.size).reshape(x.shape), shape)
 
-    def D(m, x):
+    def D(m):
         return x - cs[m] + b
 
-    def J(m, x):
-        return b * D(m - 1, x) + ls[m - 1]
+    def J(m):
+        return b * D(m - 1) + ls[m - 1]
 
-    table = kernel_table(ctx, n + 2, x)
-    rows = table if np.ndim(x) else table[:, 0]  # a scalar x sums scalars
+    def Q(m):
+        return table[m, point] + b * table[m - 1, point]
 
-    def Q(m, x):
-        if m == 0:
-            return 1.0 + 0.0 * x
-        return rows[m] + b * rows[m - 1]
+    q_n, q_n1, q_n2 = Q(n), Q(n + 1), Q(n + 2)
 
-    q_n, q_n1, q_n2 = Q(n, x), Q(n + 1, x), Q(n + 2, x)
-
-    def relative(j: int) -> float:
+    def relative(j: int):
         # the two forms differ only in the J subscripts: n, n+1 or n+1, n+2
         terms = (
-            J(n + j, x) * q_n2,
-            -(D(n + 1, x) * J(n + j, x) - b * J(n + j + 1, x)) * q_n1,
-            ls[n] * J(n + j + 1, x) * q_n,
+            J(n + j) * q_n2,
+            -(D(n + 1) * J(n + j) - b * J(n + j + 1)) * q_n1,
+            ls[n] * J(n + j + 1) * q_n,
         )
         scale = sum(abs(t) for t in terms)
         with np.errstate(divide="ignore", invalid="ignore"):
             residual = np.where(scale != 0, abs(sum(terms)) / scale, 0.0)
-        return residual if np.ndim(x) else float(residual)
+        return residual if shape else float(residual)
 
     return relative(0), relative(1)
 

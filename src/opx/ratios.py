@@ -394,7 +394,7 @@ def laguerre_ratio_cf(
     NaN otherwise.  Both prefactors are reporting targets: they are compared
     against directly computed kernel ratios, never hard-asserted.
     """
-    if gamma <= -1.0:
+    if not gamma > -1.0:
         raise ParameterOutOfRange(f"gamma must exceed -1, got {gamma}")
     if n < 1:
         raise ParameterOutOfRange(f"n must be >= 1, got {n}")
@@ -423,7 +423,7 @@ def laguerre_mixed_cf(gamma: float, n: int, x: float, depth: int = 60) -> float:
     Followed as printed; agreement with direct kernel ratios is reported,
     not asserted.
     """
-    if gamma <= -1.0:
+    if not gamma > -1.0:
         raise ParameterOutOfRange(f"gamma must exceed -1, got {gamma}")
     if n < 1:
         raise ParameterOutOfRange(f"n must be >= 1, got {n}")
@@ -453,7 +453,7 @@ def jacobi_ratio_cf(
 
     a reporting target like the Laguerre prefactors.
     """
-    if gamma <= -1.0 or delta <= 0.0:
+    if not (gamma > -1.0 and delta > 0.0):
         raise ParameterOutOfRange(
             f"need gamma > -1 and delta > 0, got ({gamma}, {delta})"
         )
@@ -589,8 +589,9 @@ def _minimal_params(l: np.ndarray) -> np.ndarray:
 def chain_params(l, n_max: int | None = None) -> ChainSequence:
     """Minimal parameters m_n = l_n / (1 - m_{n-1}) and positivity verdict.
 
-    ``l`` is the sequence l_1..l_N (or a callable n -> l_n used for
-    n = 1..n_max).  The complementary sequence k_n = 1 - l_n is analyzed
+    ``l`` is the sequence l_1..l_N, cut to its first n_max values (a
+    ValueError when it has fewer), or a callable n -> l_n used for
+    n = 1..n_max.  The complementary sequence k_n = 1 - l_n is analyzed
     the same way and attached.  Raises ZeroDenominator when some m_n of
     either sequence is exactly 1, which leaves m_{n+1} undefined.
     """
@@ -601,6 +602,8 @@ def chain_params(l, n_max: int | None = None) -> ChainSequence:
     else:
         l_arr = np.asarray(l, dtype=float)
         if n_max is not None:
+            if n_max > l_arr.size:
+                raise ValueError(f"n_max={n_max} exceeds the {l_arr.size} values of l")
             l_arr = l_arr[:n_max]
     if l_arr.size < 1:
         raise ValueError("need at least one chain element")

@@ -2,11 +2,10 @@
 
 Each statistic is one function that returns its residuals as an array, in
 the order of the loop it replaces (degree, then point or draw); a suite
-folds each array into one case.  ``opx verify`` and the tests call the same
-functions, so a check is described once.  Three folds keep the reports'
-bytes: ``_fold_max`` is a running Python ``max`` (a NaN entry is skipped),
-``_worst`` a NaN-propagating ``np.max``, and the reciprocal identity's
-``np.fmax``.  Tests assert on every entry, so a NaN point fails them.
+folds each array into one case with ``_worst``, its largest entry, so a
+NaN entry fails the case as it fails the tests, which assert on every
+entry.  ``opx verify`` and the tests call the same functions, so a check
+is described once.
 
 A suite is ``suite(family, rng, settings) -> list of cases``; it reads the
 resolved ``Settings`` and draws from ``rng`` in a fixed order, so
@@ -88,12 +87,6 @@ def sample_points(fam: families.FamilySpec, rng: np.random.Generator, count: int
     return rng.uniform(a, b, count)
 
 
-def _fold_max(worst: float, values: np.ndarray) -> float:
-    """``worst = max(worst, v)`` over ``values`` in order, the fold of a loop
-    over draws (Python's max keeps the running value past a NaN)."""
-    return max([worst, *np.ravel(values).tolist()])
-
-
 def _worst(values: np.ndarray) -> float:
     """The largest entry, 0 for none; a NaN entry gives NaN."""
     return float(np.max(values, initial=0.0))
@@ -167,7 +160,7 @@ def _kernel_suite(fam, rng, settings: Settings) -> list[dict]:
         cases.append(case(f"kernel_orthogonality_k{k:g}", _worst(kernel_orthogonality(ctx, n_max)), 1e-9))
         radii = 10.0 ** rng.uniform(-4, -1, 10) * (1.0 + abs(k))
         gaps = kernel_branch_agreement(ctx, radii, min(n_max, 12))
-        cases.append(case(f"kernel_branch_agreement_k{k:g}", _fold_max(0.0, gaps), 1e-9))
+        cases.append(case(f"kernel_branch_agreement_k{k:g}", _worst(gaps), 1e-9))
         gaps = kernel_ttrr(ctx, sample_points(fam, rng, 20), n_max)
         cases.append(case(f"kernel_ttrr_k{k:g}", _worst(gaps), 1e-10))
         gaps = op_from_kernels_gap(ctx, sample_points(fam, rng, 20), n_max)
@@ -217,15 +210,14 @@ def moment_annihilation(ctx: kernels.KernelContext, spec: quasi.QuasiSpec, ns, x
 
 def difference_equation(ctx: kernels.KernelContext, rng, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(stated, derived) relative residuals of the order-one difference
-    equation for b = 0.3, -0.3, 1.5, -1.5 and n = 1..n_max-3, each at 5 points
-    drawn per (b, n): arrays of shape (4, n_max - 3, 5)."""
-    stated, proof = [], []
-    for b in (0.3, -0.3, 1.5, -1.5):
-        for n in range(1, n_max - 2):
-            s, p = quasi.difference_equation_residual(ctx, b, n, sample_points(ctx.family, rng, 5))
-            stated.append(s)
-            proof.append(p)
-    return np.reshape(stated, (4, -1, 5)), np.reshape(proof, (4, -1, 5))
+    equation for b = 0.3, -0.3, 1.5, -1.5 and n = 1..n_max-3, each at 5
+    points: arrays of shape (4, n_max - 3, 5), drawn in that order in one
+    call and evaluated in one residual call."""
+    b = np.array([0.3, -0.3, 1.5, -1.5])[:, None, None]
+    n = np.arange(1, n_max - 2)[:, None]
+    shape = (b.size, n.size, 5)
+    xs = sample_points(ctx.family, rng, np.prod(shape)).reshape(shape)
+    return quasi.difference_equation_residual(ctx, b, n, xs)
 
 
 def engineered_coefficients(count: int, alpha1: float = 0.7):
@@ -251,13 +243,13 @@ def _quasi_suite(fam, rng, settings: Settings) -> list[dict]:
     ctx = kernels.KernelContext(fam, k, n_max + 3)
     x_norms = power_norms(fam, k, n_max - 1)
     stats = moment_annihilation(ctx, quasi.QuasiSpec(order=1, a=1.0, b=0.7), range(2, n_max + 1), x_norms)
-    cases = [case("order1_moment_annihilation", _fold_max(0.0, stats), 1e-9)]
+    cases = [case("order1_moment_annihilation", _worst(stats), 1e-9)]
     spec2 = quasi.QuasiSpec(order=2, Ltilde=0.3, Mtilde=0.9)
     stats = moment_annihilation(ctx, spec2, range(3, n_max + 1), x_norms)
-    cases.append(case("order2_moment_annihilation", _fold_max(0.0, stats), 1e-9))
+    cases.append(case("order2_moment_annihilation", _worst(stats), 1e-9))
     stated, proof = difference_equation(ctx, rng, n_max)
-    cases.append(case("difference_equation_proof_form", _fold_max(0.0, proof), 1e-9))
-    cases.append(case("difference_equation_stated_form", _fold_max(0.0, stated), None))
+    cases.append(case("difference_equation_proof_form", _worst(proof), 1e-9))
+    cases.append(case("difference_equation_stated_form", _worst(stated), None))
     # the orthogonality criteria on a family engineered to meet them
     a1 = 0.7
     report = quasi.orthogonality_conditions(
@@ -439,16 +431,15 @@ def gauss_cf_vs_series_nonterminating(rng, count: int, depth: int) -> np.ndarray
 def _ratio_suite(fam, rng, settings: Settings) -> list[dict]:
     n_max, depth = min(settings.n_max, 10), settings.depth
     gaps = [confluent_cd_identity(fam, n, sample_points(fam, rng, 20)) for n in range(n_max + 1)]
-    cases = [case("confluent_cd_identity", _fold_max(0.0, gaps), 1e-10)]
+    cases = [case("confluent_cd_identity", _worst(gaps), 1e-10)]
     ctx = kernels.KernelContext(fam, settings.shifts[0], n_max + 2)
     r_ups, r_downs = ratios.kernel_ratio_limits(ctx, n_max)
-    worst = np.fmax.reduce(np.abs(r_ups * r_downs - 1.0), initial=0.0)
-    cases.append(case("ratio_reciprocal_identity", worst, 1e-12))
-    cases.append(case("ratio_limit_vs_cd_branch", _fold_max(0.0, ratio_limit_vs_cd_branch(ctx, r_ups)), 1e-9))
-    cases.append(case("gauss_cf_vs_series", _fold_max(0.0, gauss_cf_vs_series(rng, 200, depth)), 1e-10))
-    cases.append(case("kummer_cf_vs_series", _fold_max(0.0, kummer_cf_vs_series(rng, 200, depth)), 1e-10))
+    cases.append(case("ratio_reciprocal_identity", _worst(np.abs(r_ups * r_downs - 1.0)), 1e-12))
+    cases.append(case("ratio_limit_vs_cd_branch", _worst(ratio_limit_vs_cd_branch(ctx, r_ups)), 1e-9))
+    cases.append(case("gauss_cf_vs_series", _worst(gauss_cf_vs_series(rng, 200, depth)), 1e-10))
+    cases.append(case("kummer_cf_vs_series", _worst(kummer_cf_vs_series(rng, 200, depth)), 1e-10))
     gaps = gauss_cf_vs_series_nonterminating(rng, 50, depth)
-    cases.append(case("gauss_cf_vs_series_nonterminating", _fold_max(0.0, gaps), 1e-10))
+    cases.append(case("gauss_cf_vs_series_nonterminating", _worst(gaps), 1e-10))
     # the special-case fractions' printed prefactors: gaps recorded, not gated
     if fam.kind == "chebyshev1":
         r_ups = ratios.kernel_ratio_limits(kernels.KernelContext(fam, 1.0, n_max + 2), n_max)[0].tolist()

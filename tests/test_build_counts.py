@@ -123,9 +123,9 @@ def test_ratios_suite_calls(calls, flags, expected):
 
 
 def test_quasi_suite_calls(calls):
-    # one call per (b, n): four values of b, n = 1..5
+    # one call over every (b, n, point); one per (b, n) made 20
     _run(["verify", "--suite", "quasi"])
-    assert dict(calls) == {"difference_equation_residual": 20}
+    assert dict(calls) == {"difference_equation_residual": 1}
 
 
 def test_jacobi_recovery_suite_computes_its_cauchy_mass_once(monkeypatch):
@@ -233,8 +233,9 @@ def eval_tables(monkeypatch):
         # (222 when each Gram entry evaluated Pk_i and Pk_j per degree)
         ("kernels", 30),
         # the context, one kernel table per rule for each annihilation
-        # statistic, and one per difference-equation call (282 per degree)
-        ("quasi", 38),
+        # statistic, and the difference equation's one (282 per degree, 38
+        # with one difference-equation call per (b, n))
+        ("quasi", 19),
         # the four recoveries' contexts and one table per sequence, then one
         # table per oracle node set for the Geronimus and Uvarov Gram
         # matrices (104 when each Q_n evaluated its own tables)

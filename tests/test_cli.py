@@ -192,6 +192,8 @@ def test_chain_breakdown_is_a_typed_error(args):
         (["--l", "0.5,nan"], "--l values must be finite, got nan"),
         (["--l", "0.2,inf,0.3", "--n-max", "1"], "--l values must be finite, got inf"),
         (["--l", "0.5,abc"], "--l expects numbers v1,v2,..., got '0.5,abc'"),
+        # --n-max may cut the list, not extend it
+        (["--l", "0.1,0.2", "--n-max", "5"], "--n-max 5 exceeds the 2 values of --l"),
     ],
 )
 def test_chain_values_must_be_finite_numbers(args, message):
@@ -199,6 +201,24 @@ def test_chain_values_must_be_finite_numbers(args, message):
     assert code == 2
     assert out == ""
     assert err == f"opx: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["verify", "--suite", "ratios", "--family", "laguerre", "--gamma", "nan"], "--gamma"),
+        (["eval", "--family", "jacobi", "--gamma", "0.3", "--delta", "inf"], "--delta"),
+        (["verify", "--suite", "kernels", "--shift=2", "--shift=nan"], "--shift"),
+        (["verify", "--suite", "recovery", "--mass0", "nan"], "--mass0"),
+        (["recover", "--kind", "uvarov", "--r0=-inf"], "--r0"),
+    ],
+)
+def test_parameters_must_be_finite(args, flag):
+    # no family, shift or mass is defined at a NaN or infinite value
+    code, out, err = run_cli(args)
+    assert code == 2
+    assert out == ""
+    assert err == f"opx: {flag} values must be finite, got {args[-1].split('=')[-1]}\n"
 
 
 def test_kernel_command(schema):

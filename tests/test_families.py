@@ -39,6 +39,10 @@ def test_laguerre_lambda_and_c_values():
     lambda: opx.laguerre(-1.5),
     lambda: opx.jacobi(-1.0, 0.5),
     lambda: opx.jacobi(0.5, -2.0),
+    # NaN fails every range test
+    lambda: opx.laguerre(float("nan")),
+    lambda: opx.jacobi(float("nan"), 0.5),
+    lambda: opx.jacobi(0.5, float("nan")),
 ])
 def test_parameter_out_of_range(make):
     with pytest.raises(opx.ParameterOutOfRange):

@@ -67,34 +67,19 @@ def test_quasi_spec_validation():
         quasi.QuasiSpec(order=3)
 
 
-def test_difference_equation_coeffs_b_zero(cheb):
-    ctx = opx.KernelContext(cheb, 2.0, 8)
-    pairs = opx.kernel_recurrence(ctx, 6)
-    d_n, d_n1 = quasi.difference_equation_coeffs(ctx, 0.0, 3)
-    # J reduces to the constant lambda*_m and D to x - c*_{m+1}
-    assert d_n1.j.slope == 0.0
-    assert d_n1.j.intercept == pytest.approx(pairs[3, 1].real, rel=1e-14)
-    assert d_n1.d(0.7) == pytest.approx(0.7 - pairs[4, 0].real, rel=1e-13)
-
-
-def test_difference_equation_coeffs_formula(cheb):
-    ctx = opx.KernelContext(cheb, 2.0, 8)
-    pairs = opx.kernel_recurrence(ctx, 6)
-    b = 0.5
-    d_n, d_n1 = quasi.difference_equation_coeffs(ctx, b, 3)
-    x = 0.27
-    assert d_n1.d(x) == pytest.approx(x - pairs[4, 0].real + b, rel=1e-13)
-    # J_{n+1} equals the matrix-inversion denominator b^2 + lambda*_{n+1}
-    # + (x - c*_{n+1}) b, expanded from b D_n + lambda*_{n+1}
-    denom = b**2 + pairs[3, 1].real + (x - pairs[3, 0].real) * b
-    assert d_n1.j(x) == pytest.approx(denom, rel=1e-13)
-
-
 def test_difference_equation_residual_b_zero(cheb):
     ctx = opx.KernelContext(cheb, 2.0, 8)
     for x in (0.3, -0.6):
         _, proof = quasi.difference_equation_residual(ctx, 0.0, 3, x)
         assert proof <= 1e-12
+
+
+@pytest.mark.parametrize("n", [0, -1, [3, 0]])
+def test_difference_equation_residual_needs_n_at_least_one(cheb, n):
+    # J_n reads lambda*_n and c*_n, which start at n = 1
+    ctx = opx.KernelContext(cheb, 2.0, 8)
+    with pytest.raises(ValueError, match="n >= 1"):
+        quasi.difference_equation_residual(ctx, 0.3, n, 0.4)
 
 
 def test_difference_equation_proof_form(cheb, rng):

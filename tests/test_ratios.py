@@ -433,8 +433,12 @@ def test_laguerre_mixed_cf_follows_printed_signs():
 
 
 def test_laguerre_parameter_domain():
-    with pytest.raises(opx.ParameterOutOfRange):
-        ratios.laguerre_ratio_cf(-1.5, 3, 1.0)
+    # NaN fails the range test too, not only gamma <= -1
+    for gamma in (-1.5, math.nan):
+        with pytest.raises(opx.ParameterOutOfRange):
+            ratios.laguerre_ratio_cf(gamma, 3, 1.0)
+        with pytest.raises(opx.ParameterOutOfRange):
+            ratios.laguerre_mixed_cf(gamma, 3, 1.0)
     _, _, mixed = ratios.laguerre_ratio_cf(-0.5, 3, 1.0)
     assert math.isnan(mixed)  # mixed form needs gamma > 0
 
@@ -486,8 +490,9 @@ def test_jacobi_prefactor_discrepancy_logged():
 
 
 def test_jacobi_parameter_domain():
-    with pytest.raises(opx.ParameterOutOfRange):
-        ratios.jacobi_ratio_cf(0.3, -0.2, 3, 0.5)
+    for gamma, delta in ((0.3, -0.2), (math.nan, 0.7), (0.3, math.nan)):
+        with pytest.raises(opx.ParameterOutOfRange):
+            ratios.jacobi_ratio_cf(gamma, delta, 3, 0.5)
     with pytest.raises(opx.ParameterOutOfRange):
         ratios.jacobi_ratio_cf(0.3, 0.7, 3, -1.5)
 
@@ -611,3 +616,9 @@ def test_g_table_yields_positive_chain(p, q_extra, r_extra):
 def test_chain_callable_requires_n_max():
     with pytest.raises(ValueError):
         opx.chain_params(lambda n: 0.25)
+
+
+def test_chain_list_shorter_than_n_max_is_an_error():
+    assert opx.chain_params([0.1, 0.2, 0.3], 2).l.tolist() == [0.1, 0.2]
+    with pytest.raises(ValueError, match="n_max=5 exceeds the 2 values of l"):
+        opx.chain_params([0.1, 0.2], 5)

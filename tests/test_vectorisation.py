@@ -12,9 +12,11 @@ continued fractions and hypergeometric series take their draws as array
 rows, bitwise equal to row-by-row calls, and an array call with failing rows
 raises the error a loop over its rows meets first.  The kernel, Geronimus,
 Uvarov and recovery tables over all degrees give, row by row, bitwise the
-values of the per-degree evaluators they replaced, and ``kernel_ratio_limit``
+values of the per-degree evaluators they replaced, ``kernel_ratio_limit``
 the scalar formula it ran before it became one entry of
-``kernel_ratio_limits``; those are kept below as the references.
+``kernel_ratio_limits``, and the quasi suite's difference equation, one
+call over every (b, n, point), the per-(b, n) loop it replaced, generator
+state included; those are kept below as the references.
 """
 
 import json
@@ -462,6 +464,69 @@ def test_difference_equation_residual_points_match_one_point_calls(setup, b):
         assert all(type(v) is float for pair in scalar for v in pair)
         assert_bitwise(stated, [v for v, _ in scalar])
         assert_bitwise(proof, [v for _, v in scalar])
+    # b, n and the points broadcast: one call against a call per (b, n)
+    bs, ns = [b, -2.0 * b], np.arange(1, 8)
+    stated, proof = opx.difference_equation_residual(ctx, np.array(bs)[:, None, None], ns[:, None], xs)
+    assert stated.shape == proof.shape == (2, 7, xs.size)
+    for i, bi in enumerate(bs):
+        for j, n in enumerate(ns.tolist()):
+            one_s, one_p = opx.difference_equation_residual(ctx, bi, n, xs)
+            assert_bitwise(stated[i, j], one_s)
+            assert_bitwise(proof[i, j], one_p)
+    # one point over every n
+    stated, proof = opx.difference_equation_residual(ctx, b, ns, xs[0])
+    scalar = [opx.difference_equation_residual(ctx, b, n, xs[0]) for n in ns.tolist()]
+    assert_bitwise(stated, [v for v, _ in scalar])
+    assert_bitwise(proof, [v for _, v in scalar])
+
+
+def _reference_difference_equation(ctx, rng, n_max):
+    """The per-(b, n) loop ``suites.difference_equation`` replaced, each call
+    the residual body it ran then: its own recurrence to n + 3 and kernel
+    table to n + 2 on 5 fresh points."""
+    stated, proof = [], []
+    for b in (0.3, -0.3, 1.5, -1.5):
+        for n in range(1, n_max - 2):
+            x = suites.sample_points(ctx.family, rng, 5)
+            pairs = opx.kernel_recurrence(ctx, n + 3)
+            cs, ls = pairs[:, 0], pairs[:, 1]
+            rows = opx.kernel_table(ctx, n + 2, x)
+
+            def D(m):
+                return x - cs[m] + b
+
+            def J(m):
+                return b * D(m - 1) + ls[m - 1]
+
+            def Q(m):
+                return rows[m] + b * rows[m - 1]
+
+            for j, out in ((0, stated), (1, proof)):
+                terms = (
+                    J(n + j) * Q(n + 2),
+                    -(D(n + 1) * J(n + j) - b * J(n + j + 1)) * Q(n + 1),
+                    ls[n] * J(n + j + 1) * Q(n),
+                )
+                scale = sum(abs(t) for t in terms)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    out.append(np.where(scale != 0, abs(sum(terms)) / scale, 0.0))
+    return np.reshape(stated, (4, -1, 5)), np.reshape(proof, (4, -1, 5))
+
+
+@pytest.mark.parametrize("n_max", [3, 4, 8, 13])
+@pytest.mark.parametrize("name, make_family, shifts", FAMILIES, ids=[f[0] for f in FAMILIES])
+def test_difference_equation_matches_the_per_degree_loop(name, make_family, shifts, n_max):
+    # the quasi suite's context at its largest degree cap
+    ctx = opx.KernelContext(make_family(), shifts[0], 13)
+    for seed in range(3):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        stated, proof = suites.difference_equation(ctx, rng, n_max)
+        ref_stated, ref_proof = _reference_difference_equation(ctx, ref_rng, n_max)
+        assert stated.shape == (4, n_max - 3, 5)
+        assert_bitwise(stated, ref_stated)
+        assert_bitwise(proof, ref_proof)
+        # the generator is left where the loop left it
+        assert rng.random() == ref_rng.random()
 
 
 # ---------------------------------------------------------------------------

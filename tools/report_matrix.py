@@ -147,6 +147,12 @@ def configs():
     yield "chain.one.n3", ["chain", "--l-const", "1", "--n-max", "3"]
     yield "chain.nan", ["chain", "--l-const", "nan", "--n-max", "3"]
     yield "chain.l.inf", ["chain", "--l", "0.2,inf,0.3"]
+    # parameters the CLI refuses (exit 2): a NaN family parameter or shift,
+    # and an --n-max past the end of an --l list
+    argv = ["verify", "--suite", "ratios", "--family", "laguerre", "--gamma", "nan"]
+    yield "verify.ratios.laguerre0.gammanan", argv
+    yield "verify.kernels.shiftnan", ["verify", "--suite", "kernels", "--shift=nan"]
+    yield "chain.l2.n5", ["chain", "--l", "0.1,0.2", "--n-max", "5"]
 
 
 def run(argv):
