@@ -42,7 +42,7 @@ for j in range(2, 14):
     ls[j] = ls[j - 1] + a1 * (cs[j] - cs[j - 1])
 report = quasi.orthogonality_conditions(cs, ls, [a1], 8)
 print("\nengineered family: satisfied =", report.satisfied,
-      " moment-functional residual =", f"{report.gram_residual:.2e}")
+      " recurrence-matrix residual =", f"{report.recurrence_residual:.2e}")
 print("tilde lambda sequence:", np.round(report.tilde_lambda[:6], 6))
 
 report = opx.qk_orthogonality_check(ctx, [0.5], 6)

@@ -32,7 +32,6 @@ from .families import (
     eval_table,
     jacobi,
     laguerre,
-    monic_coefficient_table,
     norm_products,
     recurrence_coefficients,
 )

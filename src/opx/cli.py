@@ -440,8 +440,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _require_finite(flag: str, values: list[float]) -> None:
-    """A NaN or infinite parameter or chain value is a usage error: no family,
-    shift, mass or minimal parameters are defined there."""
+    """A NaN or infinite parameter, chain value or tolerance is a usage error:
+    no family, shift, mass, minimal parameters or verdict is defined there."""
     for v in values:
         if not math.isfinite(v):
             raise UsageError(f"{flag} values must be finite, got {v}")
@@ -511,6 +511,7 @@ def _parse(argv: list[str]) -> RunConfig:
         raise UsageError(f"--n-max must be >= 1, got {cfg.n_max}")
     if ns.command == "verify" and cfg.suite in ("quasi", "all") and cfg.n_max < suites.QUASI_MIN_N_MAX:
         raise UsageError(f"the quasi suite needs --n-max >= {suites.QUASI_MIN_N_MAX}, got {cfg.n_max}")
+    _require_finite("--tol", [cfg.tol])
     if cfg.tol <= 0:
         raise UsageError(f"--tol must be positive, got {cfg.tol}")
     if cfg.depth < 1:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "eval_table",
     "eval_derivs",
     "norm_products",
-    "monic_coefficient_table",
 ]
 
 @dataclass(frozen=True, eq=False)
@@ -271,25 +270,3 @@ def norm_products(family: FamilySpec, n: int) -> np.ndarray:
     """Products N_j = lambda_1 ... lambda_{j+1} for j = 0..n (equal to L(P_j^2))."""
     return np.cumprod(family.table(n + 1)[:, 1])
 
-
-def monic_coefficient_table(
-    pairs: Sequence[tuple[float, float]], n_max: int
-) -> list[np.ndarray]:
-    """Monomial coefficient vectors (ascending) of P_0..P_n_max for given pairs.
-
-    ``pairs[m]`` holds (c_{m+1}, lambda_{m+1}).  Exact at desk scale; used for
-    monicity / degree checks and the moment-functional solver.
-    """
-    pairs = np.asarray(pairs)
-    dtype = np.result_type(pairs, float)
-    polys = [np.array([1.0], dtype=dtype)]
-    if n_max >= 1:
-        polys.append(np.array([-pairs[0][0], 1.0], dtype=dtype))
-    for m in range(1, n_max):
-        c_next, lam_next = pairs[m]
-        nxt = np.zeros(m + 2, dtype=dtype)
-        nxt[1:] += polys[m]              # x * P_m
-        nxt[: m + 1] -= c_next * polys[m]
-        nxt[: m] -= lam_next * polys[m - 1]
-        polys.append(nxt)
-    return polys

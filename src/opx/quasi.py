@@ -3,7 +3,9 @@
 Order one mixes two consecutive kernel polynomials, a*Pk_{n+1} + b*Pk_n;
 order two adds a third term.  The module also carries the variable-
 coefficient difference equation for the monic order-one sequence and a
-numerical checker for when such a sequence is itself orthogonal.
+checker for when such a sequence is itself orthogonal: the paper's
+conditions on the kernel recurrence coefficients, cross-checked by
+Favard's theorem on the recurrence matrix of the mixed sequence.
 
 The difference equation exists in two index variants: the one printed in
 its source statement and the one the underlying matrix algebra actually
@@ -16,12 +18,11 @@ matrix-algebra form is asserted anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidAlphas
-from .families import monic_coefficient_table
 from .kernels import KernelContext, kernel_recurrence, kernel_table
 
 __all__ = [
@@ -32,7 +33,7 @@ __all__ = [
     "difference_equation_residual",
     "qk_orthogonality_check",
     "orthogonality_conditions",
-    "functional_gram_residual",
+    "recurrence_residual",
 ]
 
 
@@ -139,8 +140,8 @@ class QkOrthogonalityReport:
     satisfied: bool
     tilde_c: np.ndarray
     tilde_lambda: np.ndarray
-    violated_conditions: list[str] = field(default_factory=list)
-    gram_residual: float = float("nan")
+    violated_conditions: list[str]
+    recurrence_residual: float
 
 
 def orthogonality_conditions(
@@ -165,8 +166,9 @@ def orthogonality_conditions(
 
     The report carries the recurrence coefficients of the mixed sequence,
     tilde_c[n] = c*_{n+1}, tilde_lambda[n] = lambda*_{n+1} +
-    alpha_1 (c*_n - c*_{n+1}) for the regular range, and the residual of an
-    independently solved moment functional (see functional_gram_residual).
+    alpha_1 (c*_n - c*_{n+1}) for the regular range, and, independently of
+    the conditions, how far Q_0..Q_n_max are from a three-term recurrence
+    (see recurrence_residual).
     """
     alphas = np.asarray(alphas, dtype=float)
     l = alphas.size
@@ -231,63 +233,33 @@ def orthogonality_conditions(
     if np.any(np.abs(tilde_lambda[1 : l + 1]) <= tol * scale):
         violated.append("(i)")
 
-    report = QkOrthogonalityReport(
+    return QkOrthogonalityReport(
         satisfied=not violated,
         tilde_c=tilde_c,
         tilde_lambda=tilde_lambda,
         violated_conditions=sorted(set(violated)),
+        recurrence_residual=recurrence_residual(cstar, lstar, alphas, n_max),
     )
-    pairs = list(zip(cstar[: n_max + 1], lstar[: n_max + 1]))
-    polys = monic_coefficient_table(pairs, n_max)
-    q_polys = [polys[0]]
-    for n in range(1, n_max + 1):
-        q = np.array(polys[n], dtype=float)
-        for m in range(1, min(l, n) + 1):
-            q[: polys[n - m].size] += a[m] * polys[n - m]
-        q_polys.append(q)
-    report.gram_residual = functional_gram_residual(q_polys)
-    return report
 
 
-def functional_gram_residual(q_polys: list[np.ndarray]) -> float:
-    """Smallest-residual moment functional making the sequence orthogonal.
+def recurrence_residual(cstar, lstar, alphas, n_max: int) -> float:
+    """How far Q_0..Q_n_max are from orthogonal, by Favard's theorem.
 
-    Extends the moments degree by degree: each new degree contributes two
-    fresh moments, used to zero the two highest products; every older
-    product becomes an overdetermined consistency check whose normalized
-    residual is accumulated.  A finite batch least-squares would always be
-    consistent here, so the sequential form is what discriminates.
+    With Q = A Pk (A unit lower triangular, A[n, n-m] = alphas[m-1]) and
+    x Pk = J Pk (J the kernel recurrence matrix; ``cstar[m]``, ``lstar[m]``
+    hold c*_{m+1}, lambda*_{m+1}), x Q = (A J A^-1) Q, exactly in rows
+    0..n_max-1.  The sequence is orthogonal when those rows are tridiagonal;
+    the residual is their largest entry below the subdiagonal over the
+    largest entry of J (at least 1).  lambda*_1, the functional's mass, is
+    not an entry of J and sets no scale.
     """
-    nq = len(q_polys)
-    nu = np.zeros(2 * (nq - 1) + 1)
-    nu[0] = 1.0
-    have = 0
-    worst = 0.0
-    for n in range(1, nq):
-        hi = 2 * n - 1
-        lo = have + 1
-        rows, rhs = [], []
-        for j in range(n):
-            prod = np.convolve(q_polys[n], q_polys[j])
-            row = np.zeros(hi + 1)
-            row[: prod.size] = prod
-            known = float(row[:lo] @ nu[:lo])
-            coeff = row[lo : hi + 1]
-            if coeff.size and np.max(np.abs(coeff)) > 0.0:
-                rows.append(coeff)
-                rhs.append(-known)
-            else:
-                worst = max(worst, abs(known) / max(1.0, np.max(np.abs(prod))))
-        if rows:
-            mat = np.array(rows)
-            vec = np.array(rhs)
-            sol, *_ = np.linalg.lstsq(mat, vec, rcond=None)
-            nu[lo : hi + 1] = sol
-            res = mat @ sol - vec
-            for i, r in enumerate(res):
-                worst = max(worst, abs(r) / max(1.0, np.max(np.abs(mat[i])), abs(vec[i])))
-        have = hi
-    return worst
+    size = n_max + 1
+    mix = np.eye(size)
+    for m, alpha in enumerate(alphas, start=1):
+        mix += alpha * np.eye(size, k=-m)
+    jac = np.diag(cstar[:size]) + np.eye(size, k=1) + np.diag(lstar[1:size], k=-1)
+    rows = np.linalg.solve(mix.T, (mix @ jac).T).T[:n_max]
+    return float(np.max(np.abs(np.tril(rows, -2)), initial=0.0)) / max(1.0, np.max(np.abs(jac)))
 
 
 def qk_orthogonality_check(

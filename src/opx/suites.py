@@ -253,9 +253,9 @@ def _quasi_suite(fam, rng, settings: Settings) -> list[dict]:
     # the orthogonality criteria on a family engineered to meet them
     a1 = 0.7
     report = quasi.orthogonality_conditions(
-        *engineered_coefficients(settings.n_max + 4, a1), [a1], min(settings.n_max, 8)
+        *engineered_coefficients(settings.n_max + 4, a1), [a1], settings.n_max
     )
-    residual = report.gram_residual if report.satisfied else 1.0
+    residual = report.recurrence_residual if report.satisfied else 1.0
     cases.append(case("qk_orthogonality_engineered", residual, settings.tol))
     return cases
 

@@ -143,6 +143,15 @@ def test_quasi_suite_at_its_least_degree_runs():
     assert json.loads(out)["overall"] is True
 
 
+def test_quasi_criterion_runs_to_n_max_48():
+    # the orthogonality criteria take --n-max itself, not a silent cap
+    code, out, _ = run_cli(["verify", "--suite", "quasi", "--n-max", "48"])
+    assert code == 0
+    report = json.loads(out)
+    case = next(c for c in report["cases"] if c["name"] == "qk_orthogonality_engineered")
+    assert case["pass"] is True and case["max_residual"] <= 1e-14
+
+
 def test_argparse_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--family", "nosuch"])
@@ -211,10 +220,13 @@ def test_chain_values_must_be_finite_numbers(args, message):
         (["verify", "--suite", "kernels", "--shift=2", "--shift=nan"], "--shift"),
         (["verify", "--suite", "recovery", "--mass0", "nan"], "--mass0"),
         (["recover", "--kind", "uvarov", "--r0=-inf"], "--r0"),
+        (["verify", "--suite", "recovery", "--tol", "inf"], "--tol"),
+        (["verify", "--suite", "recovery", "--tol", "nan"], "--tol"),
     ],
 )
 def test_parameters_must_be_finite(args, flag):
-    # no family, shift or mass is defined at a NaN or infinite value
+    # no family, shift or mass is defined at a NaN or infinite value, and no
+    # verdict at an infinite or NaN tolerance
     code, out, err = run_cli(args)
     assert code == 2
     assert out == ""

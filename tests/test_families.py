@@ -138,16 +138,6 @@ def test_monic_leading_coefficient_by_interpolation(cheb, lag, n):
         assert _leading_coefficient(xs, vals) == pytest.approx(1.0, rel=1e-8)
 
 
-def test_monic_coefficient_table_matches_eval(cheb):
-    pairs = [cheb.coefficient(n) for n in range(1, 8)]
-    polys = opx.monic_coefficient_table(pairs, 6)
-    xs = np.linspace(-1, 1, 9)
-    table = opx.eval_table(cheb, 6, xs)
-    for n, poly in enumerate(polys):
-        assert_allclose(np.polynomial.polynomial.polyval(xs, poly), table[n], atol=1e-13)
-        assert poly[-1] == 1.0  # monic
-
-
 def test_complex_evaluation(cheb):
     seq = opx.eval_sequence(cheb, 4, 1j)
     direct = 1j * seq.values[1] - 0.5 * seq.values[0]

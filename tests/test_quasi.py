@@ -132,34 +132,36 @@ def test_qk_engineered_family_satisfied():
     report = quasi.orthogonality_conditions(cs, ls, [0.7], 8)
     assert report.satisfied
     assert report.violated_conditions == []
-    assert report.gram_residual <= 1e-8
+    assert report.recurrence_residual <= 1e-8
+
+
+@pytest.mark.parametrize("n_max", [8, 24, 32, 48])
+def test_qk_engineered_recurrence_residual_at_rounding(n_max):
+    # Q is orthogonal by construction, so A J A^-1 is tridiagonal up to
+    # rounding at every degree
+    report = quasi.orthogonality_conditions(*suites.engineered_coefficients(n_max + 4), [0.7], n_max)
+    assert report.satisfied
+    assert report.recurrence_residual <= 1e-14
 
 
 def test_qk_engineered_tilde_lambda_matches_fit():
+    # x Q_n = Q_{n+1} + c~_n Q_n + l~_n Q_{n-1} pointwise, with Pk evaluated
+    # from its own recurrence and Q_n = Pk_n + alpha1 Pk_{n-1}
     alpha1 = 0.7
     cs, ls = suites.engineered_coefficients(12, alpha1=alpha1)
     report = quasi.orthogonality_conditions(cs, ls, [alpha1], 8)
-    pairs = list(zip(cs, ls))
-    polys = opx.monic_coefficient_table(pairs, 9)
-    q = [polys[0]]
-    for n in range(1, 9):
-        arr = polys[n].copy()
-        arr[: polys[n - 1].size] += alpha1 * polys[n - 1]
-        q.append(arr)
-    # fit x Q_n = Q_{n+1} + c~ Q_n + l~ Q_{n-1} in coefficient space
-    for n in range(2, 8):
-        x_qn = np.concatenate([[0.0], q[n]])
-        lhs = x_qn.copy()
-        lhs[: q[n + 1].size] -= q[n + 1]
-        design = np.zeros((lhs.size, 2))
-        design[: q[n].size, 0] = q[n]
-        design[: q[n - 1].size, 1] = q[n - 1]
-        (c_fit, l_fit), *_ = np.linalg.lstsq(design, lhs, rcond=None)
-        assert c_fit == pytest.approx(report.tilde_c[n], rel=1e-10)
-        assert l_fit == pytest.approx(report.tilde_lambda[n], rel=1e-10)
+    xs = np.linspace(-1.0, 4.0, 11)
+    pk = opx.eval_table(opx.custom_family(np.stack([cs, ls], axis=1), (-1.0, 1.0)), 9, xs)
+    q = pk.copy()
+    q[1:] += alpha1 * pk[:-1]
+    for n in range(1, 8):
+        terms = (xs * q[n], -q[n + 1], -report.tilde_c[n] * q[n], -report.tilde_lambda[n] * q[n - 1])
+        scale = sum(abs(t) for t in terms)
+        assert (abs(sum(terms)) <= 1e-12 * scale).all()
         assert report.tilde_lambda[n] == pytest.approx(
             ls[n] + alpha1 * (cs[n - 1] - cs[n]), rel=1e-13
         )
+    assert np.allclose(xs * q[0], q[1] + report.tilde_c[0] * q[0], rtol=1e-12, atol=0)
 
 
 def test_qk_broken_equality_fails_gram():
@@ -167,7 +169,7 @@ def test_qk_broken_equality_fails_gram():
     ls = np.full(12, 0.9)
     report = quasi.orthogonality_conditions(cs, ls, [0.7], 8)
     assert not report.satisfied
-    assert report.gram_residual > 1e-3
+    assert report.recurrence_residual > 1e-3
 
 
 def test_qk_on_kernel_context(cheb):

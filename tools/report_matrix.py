@@ -130,8 +130,11 @@ def configs():
         k = -1.0 if fam.startswith("laguerre") else -2.0  # the default shift
         points = [f"--points={k - 4e-6!r}", f"--points={k + 7e-6!r}", "--points=0.25"]
         yield f"kernel.{fam}.near", ["kernel", *flags, *points]
-    # the quasi suite needs --n-max 3 or more: a usage error below it
+    # the quasi suite needs --n-max 3 or more: a usage error below it; its
+    # orthogonality criteria run to --n-max however large
     yield "verify.quasi.n2", ["verify", "--suite", "quasi", "--n-max", "2"]
+    argv = ["verify", "--suite", "quasi", *FAMILIES["chebyshev1"], "--n-max", "48"]
+    yield "verify.quasi.chebyshev1.n48", argv
     # both forms of the Geronimus Gram entries: the exact divided difference
     # near the half line's end, and the split form far from [-1, 1]
     for shift in ("-0.1", "-0.3"):
@@ -148,11 +151,13 @@ def configs():
     yield "chain.nan", ["chain", "--l-const", "nan", "--n-max", "3"]
     yield "chain.l.inf", ["chain", "--l", "0.2,inf,0.3"]
     # parameters the CLI refuses (exit 2): a NaN family parameter or shift,
-    # and an --n-max past the end of an --l list
+    # an --n-max past the end of an --l list and a tolerance that is not finite
     argv = ["verify", "--suite", "ratios", "--family", "laguerre", "--gamma", "nan"]
     yield "verify.ratios.laguerre0.gammanan", argv
     yield "verify.kernels.shiftnan", ["verify", "--suite", "kernels", "--shift=nan"]
     yield "chain.l2.n5", ["chain", "--l", "0.1,0.2", "--n-max", "5"]
+    yield "verify.tol.inf", ["verify", "--suite", "recovery", "--tol", "inf"]
+    yield "verify.tol.nan", ["verify", "--suite", "recovery", "--tol", "nan"]
 
 
 def run(argv):
