@@ -179,7 +179,8 @@ def orthogonality_conditions(
     a1 = alphas[0]
     a = np.concatenate([[1.0], alphas])  # a[m] = alpha_m with alpha_0 = 1
     violated: list[str] = []
-    scale = max(1.0, np.max(np.abs(lstar[: n_max + 1])), np.max(np.abs(cstar[: n_max + 1])))
+    # lambda*_1, the functional's mass, enters no condition and sets no scale
+    scale = max(1.0, np.max(np.abs(lstar[1 : n_max + 1])), np.max(np.abs(cstar[: n_max + 1])))
 
     # (ii) for l+1 < n <= n_max, plus the common-value-nonzero reading
     for n in range(l + 2, n_max + 1):

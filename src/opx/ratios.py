@@ -74,13 +74,20 @@ def confluent_cd(family: FamilySpec, n: int, x):
     xs = np.atleast_1d(np.asarray(x))
     values = eval_table(family, n + 1, xs)
     derivs = eval_derivs(family, n + 1, xs, values)
-    norms = norm_products(family, n + 1)
-    # one contiguous row per point, summed along it: the order a 1-D sum takes
-    lhs = (np.ascontiguousarray(values[: n + 1].T) ** 2 / norms[: n + 1]).sum(axis=1)
-    rhs = (derivs[n + 1] * values[n] - values[n + 1] * derivs[n]) / norms[n]
+    lhs, rhs = _confluent_sides(values, derivs, norm_products(family, n + 1), n)
     if np.ndim(x):
         return lhs, rhs
     return float(lhs[0]), float(rhs[0])
+
+
+def _confluent_sides(values: np.ndarray, derivs: np.ndarray, norms: np.ndarray, n: int):
+    """lhs and rhs of the confluent identity at degree n, one entry per
+    column of the tables of P_j and P'_j (rows j = 0..n+1 at least) and
+    the norm products N_j."""
+    # one contiguous row per point, summed along it: the order a 1-D sum takes
+    lhs = (np.ascontiguousarray(values[: n + 1].T) ** 2 / norms[: n + 1]).sum(axis=1)
+    rhs = (derivs[n + 1] * values[n] - values[n + 1] * derivs[n]) / norms[n]
+    return lhs, rhs
 
 
 def kernel_ratio_limit(ctx: KernelContext, n: int) -> tuple[float, float]:
@@ -513,23 +520,15 @@ def hyp_series(kind: str, params: tuple, z, terms: int = 200):
         terminating = any(v <= 0 and float(v).is_integer() for v in numerators)
         if kind == "2F1" and not terminating and abs(z) >= 1.0:
             raise Divergent(f"non-terminating 2F1 needs |z| < 1, got z={z}")
-    # one row per entry: term m+1 = term m * (p+m)(q+m)/((r+m)(m+1)) z, and
-    # term `terms` is formed only to see whether the series has ended
-    # (filled in place: the suites' tables hold 200 rows)
+    # a terminating row's first zero is term 1 - v of its nonpositive-integer
+    # numerator v, so the table ends at the deepest row's zero; term `terms`
+    # is formed only to see whether the series has ended.  A row whose terms
+    # overflow before its zero has NaN there (inf * 0), and NaN in every
+    # column a wider table would add, so the cut table gives its sum too.
     *tops, r_col, z_col = (np.reshape(v, (-1, 1)) for v in (*params, z))
-    m = np.arange(float(terms))
-    series = np.empty((len(z_col), terms + 1))
-    series[:, 0] = 1.0
-    ratio = series[:, 1:]
-    with np.errstate(all="ignore"):
-        np.add(tops[0], m, out=ratio)
-        for q_col in tops[1:]:
-            ratio *= q_col + m
-        den = r_col + m
-        den *= m + 1.0
-        ratio /= den
-        ratio *= z_col
-        np.cumprod(series, axis=1, out=series)
+    first_zero = np.min([np.where(_nonpositive_integer(v), 1.0 - v, np.inf) for v in numerators], axis=0)
+    width = int(min(terms, np.max(first_zero, initial=0.0))) + 1
+    series = _term_table(tops, r_col, z_col, width)
     # a row ends before its first zero term; cut the columns no row reaches
     ended = series == 0.0
     lengths = np.where(ended.any(axis=1), ended.argmax(axis=1), terms + 1)
@@ -548,6 +547,25 @@ def hyp_series(kind: str, params: tuple, z, terms: int = 200):
             )
     sums = [math.fsum(row[:n].tolist()) for row, n in zip(kept, lengths.tolist())]
     return np.array(sums) if batch else sums[0]
+
+
+def _term_table(tops: list, r_col: np.ndarray, z_col: np.ndarray, width: int) -> np.ndarray:
+    """Terms 0..width-1 of each row, one row per entry: term m+1 = term m *
+    (p+m)(q+m)/((r+m)(m+1)) z, as the running products of the ratios."""
+    m = np.arange(float(width - 1))
+    series = np.empty((len(z_col), width))
+    series[:, 0] = 1.0
+    ratio = series[:, 1:]
+    with np.errstate(all="ignore"):
+        np.add(tops[0], m, out=ratio)
+        for q_col in tops[1:]:
+            ratio *= q_col + m
+        den = r_col + m
+        den *= m + 1.0
+        ratio /= den
+        ratio *= z_col
+        np.cumprod(series, axis=1, out=series)
+    return series
 
 
 def _series_rows(kind: str, params: list, z: np.ndarray, terms: int) -> np.ndarray:

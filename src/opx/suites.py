@@ -79,8 +79,9 @@ def case(name: str, residual: float, tol: float | None) -> dict:
     }
 
 
-def sample_points(fam: families.FamilySpec, rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` uniform points on the support, a half line cut at 10 past its end."""
+def sample_points(fam: families.FamilySpec, rng: np.random.Generator, count: int | tuple) -> np.ndarray:
+    """Uniform points on the support, a half line cut at 10 past its end:
+    ``count`` of them, or an array of that shape, drawn in row-major order."""
     a, b = fam.support
     if np.isinf(b):
         return rng.uniform(a, a + 10.0, count)
@@ -215,8 +216,7 @@ def difference_equation(ctx: kernels.KernelContext, rng, n_max: int) -> tuple[np
     call and evaluated in one residual call."""
     b = np.array([0.3, -0.3, 1.5, -1.5])[:, None, None]
     n = np.arange(1, n_max - 2)[:, None]
-    shape = (b.size, n.size, 5)
-    xs = sample_points(ctx.family, rng, np.prod(shape)).reshape(shape)
+    xs = sample_points(ctx.family, rng, (b.size, n.size, 5))
     return quasi.difference_equation_residual(ctx, b, n, xs)
 
 
@@ -335,10 +335,24 @@ def _recovery_suite(fam, rng, settings: Settings) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def confluent_cd_identity(fam, n: int, xs: np.ndarray) -> np.ndarray:
-    """|lhs - rhs| / |lhs| of the confluent Christoffel-Darboux identity at degree n."""
-    lhs, rhs = ratios.confluent_cd(fam, n, xs)
-    return np.abs(lhs - rhs) / np.abs(lhs)
+def confluent_cd_identity(fam, xs: np.ndarray) -> np.ndarray:
+    """|lhs - rhs| / |lhs| of the confluent Christoffel-Darboux identity at
+    degree n on the points ``xs[n]``, n = 0..len(xs)-1; the shape of ``xs``.
+
+    One table of P_j and P'_j to degree len(xs) at every point; each
+    degree's entries equal those of ``ratios.confluent_cd`` on its points.
+    """
+    n_max = len(xs) - 1
+    flat = xs.ravel()
+    values = families.eval_table(fam, n_max + 1, flat)
+    derivs = families.eval_derivs(fam, n_max + 1, flat, values)
+    norms = families.norm_products(fam, n_max + 1)
+    values, derivs = (t.reshape(n_max + 2, *xs.shape) for t in (values, derivs))
+    gaps = np.empty(xs.shape)
+    for n in range(n_max + 1):
+        lhs, rhs = ratios._confluent_sides(values[:, n], derivs[:, n], norms, n)
+        gaps[n] = np.abs(lhs - rhs) / np.abs(lhs)
+    return gaps
 
 
 def ratio_limit_vs_cd_branch(ctx: kernels.KernelContext, r_ups) -> np.ndarray:
@@ -418,11 +432,9 @@ def gauss_cf_vs_series_nonterminating(rng, count: int, depth: int) -> np.ndarray
     """Gap between the Gauss fraction 2F1(p+1, q; r; z)/2F1(p, q; r; z) and
     400-term series, over ``count`` draws (p, q, r, z)."""
 
-    def draw():
-        p, q = float(rng.uniform(0.1, 2.5)), float(rng.uniform(0.2, 3.0))
-        return p, q, float(rng.uniform(0.3, 4.0)), float(rng.uniform(-0.5, 0.5))
-
-    p, q, r, z = _columns([draw() for _ in range(count)])
+    # one (count, 4) block, filled row by row: the values and the generator
+    # state of ``count`` rows of four scalar draws
+    p, q, r, z = rng.uniform((0.1, 0.2, 0.3, -0.5), (2.5, 3.0, 4.0, 0.5), (count, 4)).T
     cf = ratios.gauss_cf_ratio(p, q, r, z, depth)
     series = ratios.hyp_series("2F1", (p + 1, q, r), z, 400) / ratios.hyp_series("2F1", (p, q, r), z, 400)
     return _cf_gap(cf, series)
@@ -430,7 +442,7 @@ def gauss_cf_vs_series_nonterminating(rng, count: int, depth: int) -> np.ndarray
 
 def _ratio_suite(fam, rng, settings: Settings) -> list[dict]:
     n_max, depth = min(settings.n_max, 10), settings.depth
-    gaps = [confluent_cd_identity(fam, n, sample_points(fam, rng, 20)) for n in range(n_max + 1)]
+    gaps = confluent_cd_identity(fam, sample_points(fam, rng, (n_max + 1, 20)))
     cases = [case("confluent_cd_identity", _worst(gaps), 1e-10)]
     ctx = kernels.KernelContext(fam, settings.shifts[0], n_max + 2)
     r_ups, r_downs = ratios.kernel_ratio_limits(ctx, n_max)

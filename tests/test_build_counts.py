@@ -4,9 +4,11 @@ its largest degree, and its evaluators slice them: the number of builds per
 the ratios and quasi suites evaluate their draws and points as arrays, so
 their calls into ``opx.ratios`` and ``opx.quasi`` do not grow with the
 number of draws or points, and a suite computes each Cauchy mass once.
-The quadrature oracle evaluates a sequence's table once per distinct node
-set, and the kernel and quasi suites evaluate each family through such
-tables, so their ``eval_table`` calls stay few.
+The ratios suite's confluent identity reads one table over every degree,
+with no ``confluent_cd`` call per degree.  The quadrature oracle evaluates
+a sequence's table once per distinct node set, and the kernel, quasi and
+recovery suites evaluate each family through such tables, so their
+``eval_table`` calls stay few, as do the ratios suite's.
 The CLI's parser is built once per process, not once per call."""
 
 import argparse
@@ -100,19 +102,14 @@ def calls(monkeypatch):
         # non-terminating Gauss batch; hyp_series: two rounds of Gauss
         # denominators (two draws fail the guard) and the numerators, one
         # round of Kummer denominators and the numerators, and the
-        # non-terminating pair; confluent_cd: n = 0..8
-        ([], {"evaluate_cf": 3, "hyp_series": 7, "confluent_cd": 9}),
+        # non-terminating pair; no confluent_cd call: the confluent identity
+        # reads one table over every degree (one call per degree made 9)
+        ([], {"evaluate_cf": 3, "hyp_series": 7}),
         # one Gauss and one Kummer draw fail the guard: two rounds each
-        (["--seed", "2"], {"evaluate_cf": 3, "hyp_series": 8, "confluent_cd": 9}),
+        (["--seed", "2"], {"evaluate_cf": 3, "hyp_series": 8}),
         # plus one fraction per prefactor degree n = 1..6
-        (
-            ["--family", "laguerre", "--gamma", "0.5"],
-            {"evaluate_cf": 9, "hyp_series": 7, "confluent_cd": 9},
-        ),
-        (
-            ["--family", "jacobi", "--gamma", "0.3", "--delta", "0.7"],
-            {"evaluate_cf": 9, "hyp_series": 7, "confluent_cd": 9},
-        ),
+        (["--family", "laguerre", "--gamma", "0.5"], {"evaluate_cf": 9, "hyp_series": 7}),
+        (["--family", "jacobi", "--gamma", "0.3", "--delta", "0.7"], {"evaluate_cf": 9, "hyp_series": 7}),
     ],
 )
 def test_ratios_suite_calls(calls, flags, expected):
@@ -240,6 +237,10 @@ def eval_tables(monkeypatch):
         # table per oracle node set for the Geronimus and Uvarov Gram
         # matrices (104 when each Q_n evaluated its own tables)
         ("recovery", 45),
+        # the confluent identity's one table over degrees 0..8, the context
+        # at k1 and its branch check, and the special-case context at k = 1
+        # (12 with one confluent table per degree)
+        ("ratios", 4),
     ],
 )
 def test_kernel_and_quasi_suites_evaluate_tables(eval_tables, suite, most):

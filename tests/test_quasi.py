@@ -135,6 +135,18 @@ def test_qk_engineered_family_satisfied():
     assert report.recurrence_residual <= 1e-8
 
 
+def test_qk_verdict_does_not_depend_on_the_mass():
+    # lambda*_1 = mu0 enters no condition: scaling the functional leaves
+    # the verdict and the recurrence residual as they are
+    cs, ls = suites.engineered_coefficients(12)
+    before = quasi.orthogonality_conditions(cs, ls, [0.7], 8)
+    ls[0] = 1e8
+    report = quasi.orthogonality_conditions(cs, ls, [0.7], 8)
+    assert report.satisfied
+    assert report.violated_conditions == []
+    assert report.recurrence_residual == before.recurrence_residual
+
+
 @pytest.mark.parametrize("n_max", [8, 24, 32, 48])
 def test_qk_engineered_recurrence_residual_at_rounding(n_max):
     # Q is orthogonal by construction, so A J A^-1 is tridiagonal up to

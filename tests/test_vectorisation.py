@@ -20,6 +20,7 @@ state included; those are kept below as the references.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -333,6 +334,27 @@ def _hyp_draws(rng, count):
     return p, rng.uniform(0.2, 4.0, count), rng.uniform(0.3, 4.0, count)
 
 
+def _reference_hyp_series(kind, params, z, terms):
+    """One series by a loop on Python floats over all terms + 1 terms, each
+    the term before it times the term ratio, cut at the first zero term: the
+    table the series built before it stopped at the deepest row's zero.  A
+    series that has not ended by term `terms` must have its last kept term
+    below 1e-16 of the sum of the kept terms' magnitudes."""
+    *tops, r = params
+    series = [1.0]
+    for m in map(float, range(terms)):
+        ratio = tops[0] + m
+        for q in tops[1:]:
+            ratio *= q + m
+        ratio /= (r + m) * (m + 1.0)
+        series.append(series[-1] * (ratio * z))
+    length = series.index(0.0) if 0.0 in series else terms + 1
+    kept = series[: min(length, terms)]
+    if length > terms and abs(kept[-1]) > 1e-16 * sum(map(abs, kept)):
+        raise opx.NonConvergent(f"{kind} series still running after {terms} terms")
+    return math.fsum(kept)
+
+
 def test_hyp_series_rows_match_scalar_calls():
     rng = np.random.default_rng(5)
     p, q, r = _hyp_draws(rng, 300)
@@ -346,9 +368,57 @@ def test_hyp_series_rows_match_scalar_calls():
         scalar = [opx.hyp_series(kind, row[:-1], row[-1], terms) for row in _rows(*params, z)]
         assert all(type(s) is float for s in scalar)
         assert_bitwise(opx.hyp_series(kind, params, z, terms), scalar)
+        reference = [_reference_hyp_series(kind, row[:-1], row[-1], terms) for row in _rows(*params, z)]
+        assert_bitwise(scalar, reference)
     # numbers broadcast against the z array
     scalar = [opx.hyp_series("1F1", (-3, 1.5), z_i) for z_i in z]
     assert_bitwise(opx.hyp_series("1F1", (-3, 1.5), z), scalar)
+
+
+@pytest.mark.parametrize("terms", [1, 2, 12, 200])
+def test_terminating_hyp_series_match_the_full_table(terms):
+    # p = -n ends each series at term n + 1, n = 0..11, and the table ends
+    # at the deepest row's zero; a row with n >= terms is still running
+    # after `terms` terms, so at terms 1 and 2 the whole call raises
+    rng = np.random.default_rng(terms)
+    n = rng.integers(0, 12, 200)
+    q, r, z = rng.uniform(0.2, 4.0, 200), rng.uniform(0.3, 4.0, 200), rng.uniform(-2.0, 2.0, 200)
+    for kind, params in (("2F1", (-n, q, r)), ("1F1", (-n, r))):
+        rows = _rows(*params, z)
+        scalar = [lambda row=row: opx.hyp_series(kind, row[:-1], row[-1], terms) for row in rows]
+        if terms < 12:
+            expected = _first_error(scalar)
+            assert type(expected) is opx.NonConvergent
+            _assert_raises_like(expected, lambda: opx.hyp_series(kind, params, z, terms))
+            with pytest.raises(opx.NonConvergent):
+                [_reference_hyp_series(kind, row[:-1], row[-1], terms) for row in rows]
+        ends = n < terms  # the rows that end within `terms` terms
+        assert ends.any()
+        params = [v[ends] for v in params]
+        rows = _rows(*params, z[ends])
+        reference = [_reference_hyp_series(kind, row[:-1], row[-1], terms) for row in rows]
+        assert_bitwise([opx.hyp_series(kind, row[:-1], row[-1], terms) for row in rows], reference)
+        assert_bitwise(opx.hyp_series(kind, params, z[ends], terms), reference)
+
+
+def test_a_row_that_overflows_before_its_zero_sums_the_full_table():
+    # 1F1(-150; 0.5; z) at |z| = 1e5 overflows long before its zero, term
+    # 151, where inf * 0 gives NaN: no zero ends the row, and the call
+    # returns or raises as the sum of all 200 terms did, beside rows that do
+    # end.  Terms of one sign sum to NaN; alternating infinities make fsum
+    # raise.
+    rng = np.random.default_rng(9)
+    n = rng.integers(0, 12, 20)
+    r, z = rng.uniform(0.3, 4.0, 20), rng.uniform(-2.0, 2.0, 20)
+    n[7], r[7], z[7] = 150, 0.5, -1e5
+    expected = [_reference_hyp_series("1F1", (-n_i, r_i), z_i, 200) for n_i, r_i, z_i in _rows(n, r, z)]
+    assert math.isnan(expected[7])
+    assert_bitwise(opx.hyp_series("1F1", (-n, r), z), expected)
+    z[7] = 1e5
+    with pytest.raises(ValueError, match="-inf \\+ inf in fsum"):
+        _reference_hyp_series("1F1", (-150, 0.5), 1e5, 200)
+    with pytest.raises(ValueError, match="-inf \\+ inf in fsum"):
+        opx.hyp_series("1F1", (-n, r), z)
 
 
 def _cf_rows(rng, count, depth):
@@ -451,6 +521,45 @@ def test_confluent_cd_points_match_one_point_calls(name, make_family, _):
         assert all(type(v) is float for pair in scalar for v in pair)
         assert_bitwise(lhs, [v for v, _ in scalar])
         assert_bitwise(rhs, [v for _, v in scalar])
+
+
+def _reference_nonterminating(rng, count, depth):
+    """``suites.gauss_cf_vs_series_nonterminating`` with the draws it made
+    before its block draw: four scalar draws per row."""
+    rows = [
+        (rng.uniform(0.1, 2.5), rng.uniform(0.2, 3.0), rng.uniform(0.3, 4.0), rng.uniform(-0.5, 0.5))
+        for _ in range(count)
+    ]
+    p, q, r, z = map(np.array, zip(*rows))
+    cf = opx.gauss_cf_ratio(p, q, r, z, depth)
+    series = opx.hyp_series("2F1", (p + 1, q, r), z, 400) / opx.hyp_series("2F1", (p, q, r), z, 400)
+    return np.abs(cf - series) / np.fmax(1.0, np.abs(series))
+
+
+@pytest.mark.parametrize("count", [1, 25, 50])
+def test_nonterminating_block_draw_matches_scalar_draws(count):
+    for seed in range(3):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        gaps = suites.gauss_cf_vs_series_nonterminating(rng, count, 60)
+        assert_bitwise(gaps, _reference_nonterminating(ref_rng, count, 60))
+        # the generator is left where the scalar draws left it
+        assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 10])
+@pytest.mark.parametrize("name, make_family, _", FAMILIES, ids=[f[0] for f in FAMILIES])
+def test_confluent_identity_matches_the_per_degree_calls(name, make_family, _, n_max):
+    # the ratios suite's one draw of 20 points per degree and one table over
+    # every degree, against a draw and a confluent_cd call per degree
+    fam = make_family()
+    rng, ref_rng = np.random.default_rng(n_max), np.random.default_rng(n_max)
+    gaps = suites.confluent_cd_identity(fam, suites.sample_points(fam, rng, (n_max + 1, 20)))
+    expected = []
+    for n in range(n_max + 1):
+        lhs, rhs = opx.confluent_cd(fam, n, suites.sample_points(fam, ref_rng, 20))
+        expected.append(np.abs(lhs - rhs) / np.abs(lhs))
+    assert_bitwise(gaps, expected)
+    assert rng.random() == ref_rng.random()
 
 
 @pytest.mark.parametrize("b", [0.3, -0.3, 1.5, -1.5])

@@ -74,6 +74,12 @@ def configs():
         for seed in ("2", "3"):
             argv = ["verify", "--suite", "ratios", *flags, "--seed", seed]
             yield f"verify.ratios.{fam}.s{seed}", argv
+    # the confluent identity's table over degrees 0..n_max, at its smallest
+    # degree cap and past the suite's cap of 10
+    for fam, flags in FAMILIES.items():
+        for n_max in ("1", "12"):
+            argv = ["verify", "--suite", "ratios", *flags, "--n-max", n_max]
+            yield f"verify.ratios.{fam}.n{n_max}", argv
     # the benchmark's largest row tables, and every row table as CSV
     for fam, shift in RATIOS:
         yield f"ratio.{fam}.k{shift}.n4000", ["ratio", *FAMILIES[fam], f"--shift={shift}", "--n-max", "4000"]
