@@ -1,13 +1,7 @@
 """Command-line front end: evaluations, verification suites, and tables.
 
-Commands
---------
-eval     evaluate P_0..P_n at points (CSV or JSON)
-kernel   kernel recurrence coefficients and optional point values (JSON)
-recover  run one recovery construction and report its identity residual
-ratio    kernel-ratio limits against their closed form (CSV or JSON)
-verify   named check suites with pass/fail cases (JSON)
-chain    chain-sequence minimal parameters (CSV or JSON)
+Commands: eval, kernel, recover, ratio, verify and chain.  ``opx -h`` lists
+them and ``opx COMMAND -h`` a command's flags, both read from ``_COMMANDS``.
 
 JSON reports share one schema (schemas/report.schema.json): top level
 {command, config_echo, cases, overall, runtime_ms} plus optional rows.
@@ -20,15 +14,15 @@ check failed, 2 usage or validation error.
 
 from __future__ import annotations
 
-import argparse
 import csv as _csv
-import functools
 import io
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -226,27 +220,11 @@ def _settings(cfg: RunConfig) -> suites.Settings:
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    echo = {
-        "command": cfg.command,
-        "family": cfg.family,
-        "n_max": cfg.n_max,
-        "tol": cfg.tol,
-        "depth": cfg.depth,
-        "seed": cfg.seed,
-        "output": cfg.output,
-    }
-    if cfg.gamma is not None:
-        echo["gamma"] = cfg.gamma
-    if cfg.delta is not None:
-        echo["delta"] = cfg.delta
-    if cfg.shifts:
-        echo["shifts"] = cfg.shifts
-    if cfg.mass0 is not None:
-        echo["mass0"] = cfg.mass0
-    if cfg.r0 is not None:
-        echo["r0"] = cfg.r0
-    if cfg.points:
-        echo["points"] = cfg.points
+    echo = dict(command=cfg.command, family=cfg.family, n_max=cfg.n_max, tol=cfg.tol)
+    echo.update(depth=cfg.depth, seed=cfg.seed, output=cfg.output)
+    # a parameter given, or a list not empty
+    given = dict(gamma=cfg.gamma, delta=cfg.delta, shifts=cfg.shifts, mass0=cfg.mass0, r0=cfg.r0)
+    echo.update((k, v) for k, v in {**given, "points": cfg.points}.items() if v not in (None, []))
     if cfg.command == "verify":
         echo["suite"] = cfg.suite
     if cfg.command == "recover":
@@ -290,6 +268,7 @@ def _finish(cfg: RunConfig, cases: list[dict], columns=None, header=None, starte
 
 
 def _cmd_eval(cfg: RunConfig) -> tuple[str, int]:
+    """Evaluate P_0..P_n at points (CSV or JSON)."""
     started = time.time()
     fam = build_family(cfg)
     xs = np.array(cfg.points or [0.0])
@@ -308,6 +287,7 @@ def _cmd_eval(cfg: RunConfig) -> tuple[str, int]:
 
 
 def _cmd_kernel(cfg: RunConfig) -> tuple[str, int]:
+    """Kernel recurrence coefficients and optional point values (JSON)."""
     started = time.time()
     fam = build_family(cfg)
     k = _default_shifts(cfg)[0]
@@ -328,6 +308,7 @@ def _cmd_kernel(cfg: RunConfig) -> tuple[str, int]:
 
 
 def _cmd_chain(cfg: RunConfig) -> tuple[str, int]:
+    """Chain-sequence minimal parameters (CSV or JSON)."""
     started = time.time()
     if not cfg.l_values:
         raise UsageError("chain needs --l v1,v2,... or --l-const VALUE --n-max N")
@@ -344,6 +325,7 @@ def _cmd_chain(cfg: RunConfig) -> tuple[str, int]:
 
 
 def _cmd_ratio(cfg: RunConfig) -> tuple[str, int]:
+    """Kernel-ratio limits against their closed form (CSV or JSON)."""
     started = time.time()
     fam = build_family(cfg)
     k = cfg.shifts[0] if cfg.shifts else 1.0
@@ -363,6 +345,7 @@ def _cmd_ratio(cfg: RunConfig) -> tuple[str, int]:
 
 
 def _cmd_recover(cfg: RunConfig) -> tuple[str, int]:
+    """Run one recovery construction and report its identity residual."""
     started = time.time()
     fam = build_family(cfg)
     rng = np.random.default_rng(cfg.seed)
@@ -374,6 +357,7 @@ def _cmd_recover(cfg: RunConfig) -> tuple[str, int]:
 
 
 def _cmd_verify(cfg: RunConfig) -> tuple[str, int]:
+    """Named check suites with pass/fail cases (JSON)."""
     started = time.time()
     fam = build_family(cfg)
     rng = np.random.default_rng(cfg.seed)
@@ -385,131 +369,157 @@ def _cmd_verify(cfg: RunConfig) -> tuple[str, int]:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=["chebyshev1", "laguerre", "jacobi", "custom"], default="chebyshev1")
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--coeffs", dest="coeffs_file", default=None, metavar="FILE")
-    p.add_argument("--support", type=str, default=None, metavar="A,B")
-    p.add_argument("--shift", dest="shifts", type=float, action="append", default=[])
-    p.add_argument("--mass0", type=float, default=None)
-    p.add_argument("--r0", type=float, default=None)
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--depth", type=int, default=60)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output", choices=["json", "csv"], default="json")
+class _Flag(NamedTuple):
+    """A flag's key, its value's converter (None: a switch, which takes no
+    value), the values it allows, and whether it repeats."""
+
+    dest: str
+    convert: type | None = str
+    choices: tuple = ()
+    repeat: bool = False
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on first use, never at import.
+_COMMON = {
+    "--family": _Flag("family", str, ("chebyshev1", "laguerre", "jacobi", "custom")),
+    **{f"--{key}": _Flag(key, float) for key in ("gamma", "delta", "mass0", "r0", "tol")},
+    "--coeffs": _Flag("coeffs_file"),
+    "--support": _Flag("support"),
+    "--shift": _Flag("shifts", float, repeat=True),
+    "--n-max": _Flag("n_max", int),
+    **{f"--{key}": _Flag(key, int) for key in ("depth", "seed")},
+    "--output": _Flag("output", str, ("json", "csv")),
+}
+_POINTS = {"--points": _Flag("points", float, repeat=True)}
+# each command's handler and its flags beyond the common ones
+_COMMANDS = {
+    "eval": (_cmd_eval, {**_POINTS, "--derivs": _Flag("derivs", None)}),
+    "kernel": (_cmd_kernel, _POINTS),
+    "recover": (_cmd_recover, {"--kind": _Flag("kind", str, suites.RECOVERY_KINDS)}),
+    "ratio": (_cmd_ratio, {}),
+    "verify": (_cmd_verify, {"--suite": _Flag("suite", str, (*suites.SUITES, "all"))}),
+    "chain": (_cmd_chain, {"--l": _Flag("l_list"), "--l-const": _Flag("l_const", float)}),
+}
+# argparse's test for a value that starts with "-" and is not a flag
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    Reuse is safe: ``parse_args`` makes a fresh namespace per call, and the
-    ``append`` actions copy their ``[]`` defaults before appending."""
-    parser = argparse.ArgumentParser(prog="opx", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", help="evaluate the monic sequence at points")
-    _add_common(p_eval)
-    p_eval.add_argument("--points", type=float, action="append", default=[])
-    p_eval.add_argument("--derivs", action="store_true")
+class _Help(Exception):
+    """-h or --help: print the text carried, and exit 0."""
 
-    p_kernel = sub.add_parser("kernel", help="kernel recurrence coefficients")
-    _add_common(p_kernel)
-    p_kernel.add_argument("--points", type=float, action="append", default=[])
 
-    p_recover = sub.add_parser("recover", help="run one recovery construction")
-    _add_common(p_recover)
-    p_recover.add_argument(
-        "--kind", choices=list(suites.RECOVERY_KINDS), default="christoffel"
-    )
+def _help(command: str | None) -> str:
+    """The command list, or one command's flags, from ``_COMMANDS``."""
+    if command is None:
+        rows = [f"  {name:8} {handler.__doc__ or ''}" for name, (handler, _) in _COMMANDS.items()]
+        return "\n".join(["usage: opx COMMAND [FLAGS]", "", "commands:", *rows, ""])
+    handler, own = _COMMANDS[command]
+    rows = []
+    for name, flag in {**_COMMON, **own}.items():
+        kind = getattr(flag.convert, "__name__", "").upper()  # none for a switch
+        value = "{%s}" % ",".join(flag.choices) if flag.choices else kind
+        rows.append(f"  {name} {value}".rstrip() + " (repeatable)" * flag.repeat)
+    return "\n".join([f"usage: opx {command} [FLAGS]", handler.__doc__ or "", "", "flags:", *rows, ""])
 
-    p_ratio = sub.add_parser("ratio", help="kernel ratio limits")
-    _add_common(p_ratio)
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    _add_common(p_verify)
-    p_verify.add_argument("--suite", choices=[*suites.SUITES, "all"], default="all")
-
-    p_chain = sub.add_parser("chain", help="chain sequence minimal parameters")
-    _add_common(p_chain)
-    p_chain.add_argument("--l", dest="l_list", type=str, default=None, metavar="V1,V2,...")
-    p_chain.add_argument("--l-const", dest="l_const", type=float, default=None)
-    return parser
+def _read_argv(argv: list[str]) -> dict:
+    """The command and the flags of ``argv`` by key, in one pass: both
+    ``--flag=value`` and ``--flag value``, the last value of a flag that does
+    not repeat, and a fresh list, in order, of one that does."""
+    if argv and argv[0] in ("-h", "--help"):
+        raise _Help(_help(None))
+    if not argv or argv[0] not in _COMMANDS:
+        got = f"unknown command {argv[0]!r}" if argv else "no command"
+        raise UsageError(f"{got} (choose from {', '.join(_COMMANDS)})")
+    command, args = argv[0], iter(argv[1:])
+    own, ns = _COMMANDS[command][1], {"command": command}
+    for arg in args:
+        if arg in ("-h", "--help"):
+            raise _Help(_help(command))
+        name, eq, value = arg.partition("=")
+        flag = _COMMON.get(name) or own.get(name)
+        if flag is None:
+            unknown = f"{name}: unknown flag for {command}" if arg.startswith("-") else None
+            raise UsageError(unknown or f"unexpected argument {arg!r}")
+        if flag.convert is None:
+            if eq:
+                raise UsageError(f"{name}: takes no value, got {value!r}")
+            ns[flag.dest] = True
+            continue
+        if not eq:
+            value = next(args, None)
+            if value is None or (value.startswith("-") and not _NEGATIVE_NUMBER.match(value)):
+                raise UsageError(f"{name}: expected a value ({name}=VALUE if it starts with '-')")
+        try:
+            value = flag.convert(value)
+        except ValueError:
+            raise UsageError(f"{name}: invalid {flag.convert.__name__} value {value!r}") from None
+        if flag.choices and value not in flag.choices:
+            raise UsageError(f"{name}: invalid choice {value!r} (choose from {', '.join(flag.choices)})")
+        if flag.repeat:
+            ns.setdefault(flag.dest, []).append(value)
+        else:
+            ns[flag.dest] = value
+    return ns
 
 
 def _require_finite(flag: str, values: list[float]) -> None:
-    """A NaN or infinite parameter, chain value or tolerance is a usage error:
-    no family, shift, mass, minimal parameters or verdict is defined there."""
+    """A NaN or infinite parameter, point, chain value or tolerance is a usage
+    error: no family, shift, mass, value, chain or verdict is defined there."""
     for v in values:
         if not math.isfinite(v):
             raise UsageError(f"{flag} values must be finite, got {v}")
 
 
 def _parse(argv: list[str]) -> RunConfig:
-    ns = _parser().parse_args(argv)
-    seed = ns.seed
-    if seed is None:
-        seed = int(os.environ.get("OPX_SEED", "0"))
+    return _config(_read_argv(argv))
+
+
+def _config(ns: dict) -> RunConfig:
+    """The configuration of the keys ``_read_argv`` read, validated; a key
+    left out takes its ``RunConfig`` default."""
+    seed = ns.get("seed", os.environ.get("OPX_SEED", "0"))
+    try:
+        seed = int(seed)
+    except ValueError:
+        raise UsageError(f"OPX_SEED must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise UsageError(f"{'--seed' if 'seed' in ns else 'OPX_SEED'} must be >= 0, got {seed}")
     support = None
-    if ns.support:
+    if text := ns.get("support"):
         try:
-            a, b = (float(v) for v in ns.support.split(","))
+            a, b = (float(v) for v in text.split(","))
         except ValueError as exc:
-            raise UsageError(f"--support expects 'a,b', got {ns.support!r}") from exc
+            raise UsageError(f"--support expects 'a,b', got {text!r}") from exc
         if not (math.isfinite(a) and a < b and (math.isfinite(b) or b == math.inf)):
-            raise UsageError(f"--support needs finite a < b, b finite or inf, got {ns.support!r}")
+            raise UsageError(f"--support needs finite a < b, b finite or inf, got {text!r}")
         support = (a, b)
+    fields = {k: v for k, v in ns.items() if k not in ("support", "seed", "l_list", "l_const")}
+    cfg = RunConfig(**fields, support=support, seed=seed)
     for flag, values in (
-        ("--gamma", [ns.gamma]), ("--delta", [ns.delta]), ("--shift", ns.shifts),
-        ("--mass0", [ns.mass0]), ("--r0", [ns.r0]),
+        ("--gamma", [cfg.gamma]), ("--delta", [cfg.delta]), ("--shift", cfg.shifts),
+        ("--mass0", [cfg.mass0]), ("--r0", [cfg.r0]), ("--points", cfg.points),
     ):
         _require_finite(flag, [v for v in values if v is not None])
-    if ns.family != "custom" and (ns.coeffs_file is not None or support is not None):
-        raise UsageError(f"--coeffs and --support need --family custom, got --family {ns.family}")
-    cfg = RunConfig(
-        command=ns.command,
-        family=ns.family,
-        gamma=ns.gamma,
-        delta=ns.delta,
-        coeffs_file=ns.coeffs_file,
-        support=support,
-        shifts=list(ns.shifts),
-        mass0=ns.mass0,
-        r0=ns.r0,
-        n_max=8 if ns.n_max is None else ns.n_max,
-        tol=ns.tol,
-        depth=ns.depth,
-        seed=seed,
-        output=ns.output,
-    )
-    if ns.command == "eval":
-        cfg.points = list(ns.points)
-        cfg.derivs = bool(ns.derivs)
-    if ns.command == "kernel":
-        cfg.points = list(ns.points)
-    if ns.command == "verify":
-        cfg.suite = ns.suite
-    if ns.command == "recover":
-        cfg.kind = ns.kind
-    if ns.command == "chain":
-        if ns.l_list:
+    if cfg.family != "custom" and (cfg.coeffs_file is not None or support is not None):
+        raise UsageError(f"--coeffs and --support need --family custom, got --family {cfg.family}")
+    if cfg.command == "chain":
+        if l_list := ns.get("l_list"):
             try:
-                cfg.l_values = [float(v) for v in ns.l_list.split(",") if v.strip()]
+                cfg.l_values = [float(v) for v in l_list.split(",") if v.strip()]
             except ValueError as exc:
-                raise UsageError(f"--l expects numbers v1,v2,..., got {ns.l_list!r}") from exc
+                raise UsageError(f"--l expects numbers v1,v2,..., got {l_list!r}") from exc
             _require_finite("--l", cfg.l_values)
-            if ns.n_max is None and cfg.l_values:  # every listed value, unless --n-max cuts them
+            if "n_max" not in ns and cfg.l_values:  # every listed value, unless --n-max cuts them
                 cfg.n_max = len(cfg.l_values)
             if cfg.l_values and cfg.n_max > len(cfg.l_values):
                 raise UsageError(f"--n-max {cfg.n_max} exceeds the {len(cfg.l_values)} values of --l")
-        elif ns.l_const is not None:
-            _require_finite("--l-const", [ns.l_const])
-            cfg.l_values = [ns.l_const] * cfg.n_max
-    if cfg.n_max < 0 or (cfg.n_max < 1 and ns.command not in ("eval",)):
-        raise UsageError(f"--n-max must be >= 1, got {cfg.n_max}")
-    if ns.command == "verify" and cfg.suite in ("quasi", "all") and cfg.n_max < suites.QUASI_MIN_N_MAX:
+        elif "l_const" in ns:
+            _require_finite("--l-const", [ns["l_const"]])
+            cfg.l_values = [ns["l_const"]] * cfg.n_max
+    least = 0 if cfg.command == "eval" else 1
+    if cfg.n_max < least:
+        raise UsageError(f"--n-max must be >= {least} for {cfg.command}, got {cfg.n_max}")
+    if cfg.command == "verify" and cfg.suite in ("quasi", "all") and cfg.n_max < suites.QUASI_MIN_N_MAX:
         raise UsageError(f"the quasi suite needs --n-max >= {suites.QUASI_MIN_N_MAX}, got {cfg.n_max}")
     _require_finite("--tol", [cfg.tol])
     if cfg.tol <= 0:
@@ -521,25 +531,14 @@ def _parse(argv: list[str]) -> RunConfig:
 
 def run(cfg: RunConfig) -> tuple[str, int]:
     """Execute one parsed configuration; returns (report text, exit code)."""
-    handlers = {
-        "eval": _cmd_eval,
-        "kernel": _cmd_kernel,
-        "recover": _cmd_recover,
-        "ratio": _cmd_ratio,
-        "verify": _cmd_verify,
-        "chain": _cmd_chain,
-    }
-    return handlers[cfg.command](cfg)
+    return _COMMANDS[cfg.command][0](cfg)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        cfg = _parse(sys.argv[1:] if argv is None else argv)
-    except UsageError as exc:
-        print(f"opx: {exc}", file=sys.stderr)
-        return 2
-    try:
-        text, code = run(cfg)
+        text, code = run(_parse(sys.argv[1:] if argv is None else argv))
+    except _Help as exc:
+        text, code = str(exc), 0
     except UsageError as exc:
         print(f"opx: {exc}", file=sys.stderr)
         return 2

@@ -485,9 +485,10 @@ def hyp_series(kind: str, params: tuple, z, terms: int = 200):
 
     kind "2F1" with params (p, q, r) or "1F1" with params (p, r).  A
     nonpositive-integer numerator parameter terminates the series exactly;
-    otherwise 2F1 requires |z| < 1.  z must be finite, and a series still
-    running after ``terms`` terms raises NonConvergent unless its last kept
-    term is below 1e-16 of the sum of the kept terms' magnitudes.
+    otherwise 2F1 requires |z| < 1.  z must be finite, terms that overflow
+    raise ParameterOutOfRange, and a series still running after ``terms``
+    terms raises NonConvergent unless its last kept term is below 1e-16 of
+    the sum of the kept terms' magnitudes.
 
     The terms are the running products of the term ratios, taken by one
     ``cumprod`` and summed exactly with ``math.fsum`` (alternating
@@ -523,8 +524,7 @@ def hyp_series(kind: str, params: tuple, z, terms: int = 200):
     # a terminating row's first zero is term 1 - v of its nonpositive-integer
     # numerator v, so the table ends at the deepest row's zero; term `terms`
     # is formed only to see whether the series has ended.  A row whose terms
-    # overflow before its zero has NaN there (inf * 0), and NaN in every
-    # column a wider table would add, so the cut table gives its sum too.
+    # overflow before its zero has NaN there (inf * 0) and no zero at all.
     *tops, r_col, z_col = (np.reshape(v, (-1, 1)) for v in (*params, z))
     first_zero = np.min([np.where(_nonpositive_integer(v), 1.0 - v, np.inf) for v in numerators], axis=0)
     width = int(min(terms, np.max(first_zero, initial=0.0))) + 1
@@ -533,6 +533,10 @@ def hyp_series(kind: str, params: tuple, z, terms: int = 200):
     ended = series == 0.0
     lengths = np.where(ended.any(axis=1), ended.argmax(axis=1), terms + 1)
     kept = series[:, : min(lengths.max(initial=1), terms)]
+    if not np.isfinite(kept).all():
+        if batch:
+            return _series_rows(kind, params, z, terms)
+        raise ParameterOutOfRange(f"{kind} terms overflow the float range at z={z}")
     running = lengths > terms
     if running.any():
         with np.errstate(all="ignore"):

@@ -8,10 +8,8 @@ The ratios suite's confluent identity reads one table over every degree,
 with no ``confluent_cd`` call per degree.  The quadrature oracle evaluates
 a sequence's table once per distinct node set, and the kernel, quasi and
 recovery suites evaluate each family through such tables, so their
-``eval_table`` calls stay few, as do the ratios suite's.
-The CLI's parser is built once per process, not once per call."""
+``eval_table`` calls stay few, as do the ratios suite's."""
 
-import argparse
 import contextlib
 import io
 import sys
@@ -138,22 +136,6 @@ def test_jacobi_recovery_suite_computes_its_cauchy_mass_once(monkeypatch):
     monkeypatch.setattr(ratios, "gauss_cf_ratio", counting)
     _run(["verify", "--suite", "recovery", "--family", "jacobi", "--gamma", "0.3", "--delta", "0.7"])
     assert dict(counts) == {"gauss_cf_ratio": 1}
-
-
-def test_parser_is_built_once_per_process(monkeypatch):
-    # the top-level parser and its 6 command subparsers, whatever the number of calls
-    built = Counter()
-    init = argparse.ArgumentParser.__init__
-
-    def counting(self, *args, **kwargs):
-        built["ArgumentParser"] += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    cli._parser.cache_clear()
-    for argv in (["eval"], ["kernel"], ["chain", "--l-const", "0.25"], ["ratio", "--n-max", "5"], ["eval"]):
-        _run(argv)
-    assert dict(built) == {"ArgumentParser": 7}
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -11,13 +12,13 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opx import cli
 
 
 def run_cli(args):
-    import contextlib
-
     out = io.StringIO()
     err = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -152,10 +153,52 @@ def test_quasi_criterion_runs_to_n_max_48():
     assert case["pass"] is True and case["max_residual"] <= 1e-14
 
 
-def test_argparse_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--family", "nosuch"])
-    assert exc.value.code == 2
+def test_bad_choice_error_exit_code():
+    code, out, err = run_cli(["verify", "--family", "nosuch"])
+    assert (code, out) == (2, "")
+    choices = "chebyshev1, laguerre, jacobi, custom"
+    assert err == f"opx: --family: invalid choice 'nosuch' (choose from {choices})\n"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["eval", "--n-max", "-1"], "--n-max must be >= 0 for eval, got -1"),
+        (["recover", "--n-max", "0"], "--n-max must be >= 1 for recover, got 0"),
+        (["verify", "--suite", "chains", "--seed=-1"], "--seed must be >= 0, got -1"),
+        (["eval", "--points", "-5e-05"], "--points: expected a value (--points=VALUE if it starts with '-')"),
+        (["eval", "--fam", "laguerre"], "--fam: unknown flag for eval"),
+        (["kernel", "--derivs"], "--derivs: unknown flag for kernel"),
+        (["eval", "--derivs=yes"], "--derivs: takes no value, got 'yes'"),
+        (["eval", "0.5"], "unexpected argument '0.5'"),
+        (["eval", "--n-max", "2.5"], "--n-max: invalid int value '2.5'"),
+        (["eval", "--gamma"], "--gamma: expected a value (--gamma=VALUE if it starts with '-')"),
+        ([], "no command (choose from eval, kernel, recover, ratio, verify, chain)"),
+        (["evaluate"], "unknown command 'evaluate' (choose from eval, kernel, recover, ratio, verify, chain)"),
+    ],
+)
+def test_usage_errors_are_one_line(args, message):
+    assert run_cli(args) == (2, "", f"opx: {message}\n")
+
+
+@pytest.mark.parametrize("value, message", [("-1", "must be >= 0, got -1"), ("abc", "must be an integer, got 'abc'")])
+def test_seed_from_the_environment_must_be_a_nonnegative_integer(monkeypatch, value, message):
+    monkeypatch.setenv("OPX_SEED", value)
+    assert run_cli(["verify", "--suite", "chains"]) == (2, "", f"opx: OPX_SEED {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["--help"], *([command, "-h"] for command in cli._COMMANDS), ["eval", "--n-max", "2", "--help"]],
+)
+def test_help_exits_zero(argv):
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    if len(argv) == 1:
+        listed = cli._COMMANDS
+    else:
+        listed = {**cli._COMMON, **cli._COMMANDS[argv[0]][1]}
+    assert [line.split()[0] for line in out.splitlines() if line.startswith("  ")] == list(listed)
 
 
 def test_chain_command(schema):
@@ -222,11 +265,13 @@ def test_chain_values_must_be_finite_numbers(args, message):
         (["recover", "--kind", "uvarov", "--r0=-inf"], "--r0"),
         (["verify", "--suite", "recovery", "--tol", "inf"], "--tol"),
         (["verify", "--suite", "recovery", "--tol", "nan"], "--tol"),
+        (["eval", "--n-max", "2", "--points=0.5", "--points=nan"], "--points"),
+        (["kernel", "--points=-inf"], "--points"),
     ],
 )
 def test_parameters_must_be_finite(args, flag):
-    # no family, shift or mass is defined at a NaN or infinite value, and no
-    # verdict at an infinite or NaN tolerance
+    # no family, shift, mass or value is defined at a NaN or infinite
+    # value, and no verdict at an infinite or NaN tolerance
     code, out, err = run_cli(args)
     assert code == 2
     assert out == ""
@@ -442,7 +487,7 @@ def test_geronimus_on_a_coefficient_file_needs_the_rows_christoffel_needs(tmp_pa
 
 
 # ---------------------------------------------------------------------------
-# one parser per process: a call leaves nothing behind for the next
+# one parse per call: a call leaves nothing behind for the next
 # ---------------------------------------------------------------------------
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -469,9 +514,9 @@ def test_repeated_options_do_not_carry_over_to_the_next_call():
 
 
 def test_a_usage_error_leaves_the_next_call_intact():
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["verify", "--family", "nosuch"])
-    assert exc.value.code == 2
+    code, out, err = run_cli(["verify", "--family", "nosuch"])
+    assert (code, out) == (2, "")
+    assert err.startswith("opx: --family: ") and err.count("\n") == 1
     argv = ["recover", "--kind", "uvarov", "--shift=-2"]
     code, out, _ = run_cli(argv)
     assert code == 0
@@ -481,13 +526,131 @@ def test_a_usage_error_leaves_the_next_call_intact():
 def test_append_defaults_stay_empty():
     run_cli(["eval", "--shift=2", "--shift=3", "--points=0.3"])
     run_cli(["kernel", "--points=0.3"])
-    [commands] = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    appends = [
-        action
-        for sub in commands.choices.values()
-        for action in sub._actions
-        if isinstance(action, argparse._AppendAction)
-    ]
-    # --shift on each of the 6 commands, --points on eval and kernel
-    assert len(appends) == 8
-    assert all(action.default == [] for action in appends)
+    cfg = cli._parse(["eval"])
+    assert (cfg.shifts, cfg.points) == ([], [])
+
+
+# ---------------------------------------------------------------------------
+# the one-pass parse against an argparse parser built from the same table
+# ---------------------------------------------------------------------------
+
+
+def _reference_parser():
+    """argparse over ``cli._COMMANDS``, with no abbreviations and with a flag
+    left out of the namespace when it is not given, as ``cli._read_argv``."""
+    parser = argparse.ArgumentParser(prog="opx", allow_abbrev=False)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (_, own) in cli._COMMANDS.items():
+        sub = commands.add_parser(command, allow_abbrev=False, argument_default=argparse.SUPPRESS)
+        for name, flag in {**cli._COMMON, **own}.items():
+            if flag.convert is None:
+                sub.add_argument(name, dest=flag.dest, action="store_true")
+                continue
+            action = "append" if flag.repeat else "store"
+            sub.add_argument(name, dest=flag.dest, type=flag.convert, choices=flag.choices or None, action=action)
+    return parser
+
+
+REFERENCE = _reference_parser()
+# values by converter: negative literals, exponent forms and non-finite
+# numbers among them
+VALUES = {
+    float: ["0.5", "-0.5", "-5", "-.5", "3", "1e-3", "-5e-05", "2E1", "nan", "-inf"],
+    int: ["0", "1", "3", "12", "-1", "-7"],
+    str: ["0.1,0.2", "-1,1", "0,inf", "1,0", "coeffs.csv", ""],
+}
+# at most one of these per argv: an unknown flag, an abbreviation, a stray
+# value, a switch given a value, a bad conversion, a bad choice, a missing value
+FAULTS = [
+    ["--bogus"], ["--fam", "jacobi"], ["--n", "3"], ["0.5"], ["--derivs=1"],
+    ["--n-max", "2.5"], ["--seed=x"], ["--family", "nosuch"], ["--output=xml"], ["--gamma"],
+]
+
+
+@st.composite
+def argvs(draw):
+    """A command and its flags, drawn from few distinct flags so that they
+    repeat, in both value forms, and now and then one fault."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    flags = {**cli._COMMON, **cli._COMMANDS[command][1]}
+    # a repeatable flag, and at most two others
+    names = [draw(st.sampled_from([name for name, flag in flags.items() if flag.repeat]))]
+    names += draw(st.lists(st.sampled_from(list(flags)), max_size=2))
+    groups = []
+    for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=6)):
+        flag = flags[name]
+        if flag.convert is None:
+            groups.append([name])
+            continue
+        value = draw(st.sampled_from(flag.choices or VALUES[flag.convert]))
+        groups.append(draw(st.sampled_from([[f"{name}={value}"], [name, value]])))
+    fault = draw(st.sampled_from([None, None, *FAULTS]))
+    if fault is not None:
+        groups.insert(draw(st.integers(0, len(groups))), fault)
+    return [command, *(arg for group in groups for arg in group)]
+
+
+def _reference(argv):
+    """The configuration, or the usage error message, of ``cli._config`` on
+    the reference namespace; None when argparse rejects ``argv``."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            ns = vars(REFERENCE.parse_args(argv))
+    except SystemExit:
+        return None
+    try:
+        return cli._config(ns)
+    except cli.UsageError as exc:
+        return str(exc)
+
+
+def _check_against_reference(argv):
+    expected = _reference(argv)
+    if expected is None:
+        with pytest.raises(cli.UsageError):
+            cli._read_argv(argv)
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("opx: ") and err.count("\n") == 1
+        return
+    try:
+        got = cli._parse(argv)
+    except cli.UsageError as exc:
+        got = str(exc)
+    assert got == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(argvs())
+def test_parse_matches_an_argparse_reference(argv):
+    _check_against_reference(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # repeats keep their order, and the last value of any other flag wins
+        ["eval", "--shift", "0.5", "--shift=3", "--points", "-5", "--points=-.5", "--points", "2"],
+        ["verify", "--n-max", "3", "--suite=kernels", "--n-max=4", "--suite", "chains"],
+        ["eval", "--derivs", "--derivs"],
+        ["eval", "--derivs=1"],
+        # a space-form value that starts with "-" is taken only as a negative literal
+        ["eval", "--gamma", "-5", "--delta", "-.5", "--r0", "-0.5", "--depth", "-7"],
+        ["eval", "--points", "-5e-05"],
+        ["eval", "--points", "-inf"],
+        ["eval", "--points=-5e-05", "--points=-inf"],
+        ["eval", "--family", "custom", "--support", "-1,1"],
+        ["eval", "--family", "custom", "--coeffs", "c.csv", "--support=-1,1"],
+        ["eval", "--gamma", "--tol", "1"],
+        ["eval", "--gamma"],
+        # no abbreviations, stray values or unknown commands
+        ["eval", "--fam", "laguerre"],
+        ["chain", "--l-c", "0.25"],
+        ["eval", "--n", "3"],
+        ["eval", "3"],
+        ["nosuch"],
+        [],
+    ],
+)
+def test_parse_edges_match_the_argparse_reference(argv):
+    _check_against_reference(argv)

@@ -1,8 +1,9 @@
 """opx runs on numpy alone: importing it, and every command, verify suites
-that solve Gauss rules included, leaves scipy unloaded; nor does the import
-build the CLI's parser.  Each list of commands runs in one fresh interpreter,
-which reads ``sys.modules`` after each command, so the check does not depend
-on what this test session has imported."""
+that solve Gauss rules included, leaves scipy unloaded, and the import
+leaves argparse unloaded: the CLI reads its flags without it.  Each list of
+commands runs in one fresh interpreter, which reads ``sys.modules`` after
+each command, so the check does not depend on what this test session has
+imported."""
 
 import os
 import subprocess
@@ -33,12 +34,12 @@ ALL_SUITES = [
 ]
 
 # prints each command's exit code and whether scipy is loaded after it; the
-# first line is the import alone, with the number of CLI parsers built so
-# far (none: the parser is built on the first parse) for its exit code
+# first line is the import alone, with whether argparse is loaded for its
+# exit code
 PROBE = """
 import contextlib, io, sys
 import opx, opx.cli
-print("import", opx.cli._parser.cache_info().currsize, "scipy" in sys.modules)
+print("import", "argparse" in sys.modules, "scipy" in sys.modules)
 for argv in ARGVS:
     with contextlib.redirect_stdout(io.StringIO()):
         code = opx.cli.main(argv)
@@ -58,8 +59,9 @@ def _probe(argvs):
 def _assert_scipy_free(argvs):
     lines = _probe(argvs)
     assert [name for name, _, _ in lines] == ["import"] + [" ".join(a) for a in argvs]
-    # each line is [what ran, exit code, scipy loaded]
-    assert [line for line in lines if line[1:] != ["0", "False"]] == []
+    assert lines[0] == ["import", "False", "False"]
+    # each further line is [what ran, exit code, scipy loaded]
+    assert [line for line in lines[1:] if line[1:] != ["0", "False"]] == []
 
 
 def test_import_and_quadrature_free_commands_do_not_load_scipy():

@@ -522,6 +522,17 @@ def test_hyp_series_divergence():
     assert np.isfinite(ratios.hyp_series("2F1", (-3.0, 1.1, 2.3), 1.2))
 
 
+@pytest.mark.parametrize("z", [-1e5, 1e5])
+def test_hyp_series_terms_that_overflow_are_rejected(z):
+    # the terms pass the float range before the zero term at m = 151, where
+    # inf * 0 gave NaN, or inf - inf in the sum
+    with pytest.raises(opx.ParameterOutOfRange, match="1F1 terms overflow the float range"):
+        ratios.hyp_series("1F1", (-150, 0.5), z)
+    # an array call names the same row, and the other rows do not mask it
+    with pytest.raises(opx.ParameterOutOfRange, match="overflow"):
+        ratios.hyp_series("1F1", (np.array([-3.0, -150.0]), 0.5), np.array([1.0, z]))
+
+
 @pytest.mark.parametrize("terms", [0, -5])
 def test_hyp_series_needs_a_term(terms):
     with pytest.raises(opx.ParameterOutOfRange, match="terms must be >= 1"):

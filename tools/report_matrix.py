@@ -46,8 +46,8 @@ BAD_COEFFS = {
 
 
 def configs():
-    # a usage error first: the parser is built once per process, so any state
-    # it kept would show in the ordinary rows after it
+    # a usage error first: any state the parse kept would show in the
+    # ordinary rows after it
     yield "verify.usage.badfamily", ["verify", "--family", "nosuch"]
     for fam, flags in FAMILIES.items():
         for seed in ("1", "7"):
@@ -156,11 +156,13 @@ def configs():
     yield "chain.one.n3", ["chain", "--l-const", "1", "--n-max", "3"]
     yield "chain.nan", ["chain", "--l-const", "nan", "--n-max", "3"]
     yield "chain.l.inf", ["chain", "--l", "0.2,inf,0.3"]
-    # parameters the CLI refuses (exit 2): a NaN family parameter or shift,
-    # an --n-max past the end of an --l list and a tolerance that is not finite
+    # parameters the CLI refuses (exit 2): a NaN family parameter, shift or
+    # point, an --n-max past the end of an --l list and a tolerance that is
+    # not finite
     argv = ["verify", "--suite", "ratios", "--family", "laguerre", "--gamma", "nan"]
     yield "verify.ratios.laguerre0.gammanan", argv
     yield "verify.kernels.shiftnan", ["verify", "--suite", "kernels", "--shift=nan"]
+    yield "eval.points.nan", ["eval", "--points=nan", "--n-max", "2"]
     yield "chain.l2.n5", ["chain", "--l", "0.1,0.2", "--n-max", "5"]
     yield "verify.tol.inf", ["verify", "--suite", "recovery", "--tol", "inf"]
     yield "verify.tol.nan", ["verify", "--suite", "recovery", "--tol", "nan"]
@@ -169,10 +171,7 @@ def configs():
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
+        code = main(argv)
     errors = "".join(line for line in err.getvalue().splitlines(True) if line.startswith("opx:"))
     text = re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', out.getvalue()) + errors
     return code, hashlib.sha256(text.encode()).hexdigest()
