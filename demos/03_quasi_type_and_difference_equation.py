@@ -32,8 +32,9 @@ for idx in range(1, 6):
     print(f"  n = {idx}: stated-index form {stated:.3e}   matrix-algebra form {derived:.3e}")
 print("(only the matrix-algebra form is an identity; the other is recorded)")
 
-# orthogonality criteria for mixed sequences: an engineered coefficient
-# stream with arithmetic c*_n satisfies them, a generic kernel stream fails
+# the orthogonality criterion for mixed sequences, read off A J A^-1: an
+# engineered coefficient stream with arithmetic c*_n and monic Chebyshev T
+# built from monic U meet it, a generic kernel stream fails
 a1, step = 0.7, 0.35
 cs = np.array([0.2 + step * j for j in range(14)])
 ls = np.zeros(14)
@@ -45,6 +46,12 @@ print("\nengineered family: satisfied =", report.satisfied,
       " recurrence-matrix residual =", f"{report.recurrence_residual:.2e}")
 print("tilde lambda sequence:", np.round(report.tilde_lambda[:6], 6))
 
+# T_n = U_n - U_{n-2}/4 (c* = 0, lambda* = 1/4); x T_1 = T_2 + T_0/2
+report = quasi.orthogonality_conditions(np.zeros(10), np.full(10, 0.25), [0.0, -0.25], 8)
+print("T from U: satisfied =", report.satisfied,
+      " tilde lambda_1 =", report.tilde_lambda[1])
+
 report = opx.qk_orthogonality_check(ctx, [0.5], 6)
 print("generic kernel stream: satisfied =", report.satisfied,
-      " violated:", report.violated_conditions)
+      " violated:", report.violated_conditions,
+      " first failing entry (row, column, condition):", report.first_violation)

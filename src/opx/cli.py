@@ -485,7 +485,7 @@ def _config(ns: dict) -> RunConfig:
     if seed < 0:
         raise UsageError(f"{'--seed' if 'seed' in ns else 'OPX_SEED'} must be >= 0, got {seed}")
     support = None
-    if text := ns.get("support"):
+    if (text := ns.get("support")) is not None:
         try:
             a, b = (float(v) for v in text.split(","))
         except ValueError as exc:

@@ -1,11 +1,12 @@
-"""Quasi-type kernel polynomials and their orthogonality criteria.
+"""Quasi-type kernel polynomials and their orthogonality criterion.
 
 Order one mixes two consecutive kernel polynomials, a*Pk_{n+1} + b*Pk_n;
 order two adds a third term.  The module also carries the variable-
-coefficient difference equation for the monic order-one sequence and a
-checker for when such a sequence is itself orthogonal: the paper's
-conditions on the kernel recurrence coefficients, cross-checked by
-Favard's theorem on the recurrence matrix of the mixed sequence.
+coefficient difference equation for the monic order-one sequence and the
+criterion for when a mixed sequence Q = A Pk is itself orthogonal, read
+off its recurrence matrix A J A^-1 by Favard's theorem: the entries below
+the subdiagonal are the paper's conditions (i)-(iii) on the kernel
+recurrence coefficients, and the diagonals are Q's own coefficients.
 
 The difference equation exists in two index variants: the one printed in
 its source statement and the one the underlying matrix algebra actually
@@ -33,7 +34,6 @@ __all__ = [
     "difference_equation_residual",
     "qk_orthogonality_check",
     "orthogonality_conditions",
-    "recurrence_residual",
 ]
 
 
@@ -135,12 +135,20 @@ def difference_equation_residual(ctx: KernelContext, b, n, x) -> tuple:
 
 @dataclass
 class QkOrthogonalityReport:
-    """Outcome of the orthogonality criteria for a mixed kernel sequence."""
+    """Outcome of the orthogonality criterion for a mixed kernel sequence.
+
+    ``tilde_c[n]`` and ``tilde_lambda[n]`` are the recurrence coefficients of
+    x Q_n = Q_{n+1} + c~_n Q_n + l~_n Q_{n-1} for the certified rows
+    n = 0..n_max-1, in the layout of the kernel pairs: ``tilde_lambda[0]`` is
+    the shared mass lambda*_1.  ``first_violation`` is the (row, column,
+    label) of the first failing entry of A J A^-1 in row-major order.
+    """
 
     satisfied: bool
     tilde_c: np.ndarray
     tilde_lambda: np.ndarray
     violated_conditions: list[str]
+    first_violation: tuple[int, int, str] | None
     recurrence_residual: float
 
 
@@ -151,24 +159,18 @@ def orthogonality_conditions(
     n_max: int,
     tol: float = 1e-8,
 ) -> QkOrthogonalityReport:
-    """Evaluate the orthogonality criteria on raw kernel recurrence pairs.
+    """Read the orthogonality criterion off the recurrence matrix of Q.
 
-    ``cstar[m]`` and ``lstar[m]`` hold c*_{m+1} and lambda*_{m+1}.  The
-    mixed sequence is Q_n = Pk_n + sum_m alphas[m-1] Pk_{n-m}.  Conditions:
-
-    (i)   the first l+1 members admit a recurrence step with nonzero
-          lambda-tilde (checked structurally from the explicit combination);
-    (ii)  for n > l+1 the increments satisfy
-          lambda*_{n+1} - lambda*_{n-l+1} = alpha_1 (c*_{n+1} - c*_n), the
-          common value being nonzero, together with the telescoped relations
-          for each alpha_m;
-    (iii) the boundary relations at n = l+1.
-
-    The report carries the recurrence coefficients of the mixed sequence,
-    tilde_c[n] = c*_{n+1}, tilde_lambda[n] = lambda*_{n+1} +
-    alpha_1 (c*_n - c*_{n+1}) for the regular range, and, independently of
-    the conditions, how far Q_0..Q_n_max are from a three-term recurrence
-    (see recurrence_residual).
+    ``cstar[m]`` and ``lstar[m]`` hold c*_{m+1} and lambda*_{m+1}; the mixed
+    sequence is Q = A Pk, A unit lower triangular with A[n, n-m] =
+    alphas[m-1].  As x Pk = J Pk (J the kernel recurrence matrix), x Q =
+    (A J A^-1) Q exactly in rows 0..n_max-1, and by Favard's theorem
+    Q_0..Q_n_max are orthogonal when those rows are tridiagonal with a
+    nonzero subdiagonal.  Over the largest entry of J (at least 1; lambda*_1,
+    the mass, is not in J), an entry below the subdiagonal fails above
+    ``tol``, and a l~_n fails at or below it.  Labels: (i) a vanishing l~_n,
+    n <= l; (iii) an entry in the boundary rows 2..l+1; (ii) either failure
+    in a later row.  The largest such entry is ``recurrence_residual``.
     """
     alphas = np.asarray(alphas, dtype=float)
     l = alphas.size
@@ -176,97 +178,39 @@ def orthogonality_conditions(
         raise InvalidAlphas("alpha_l must exist and be nonzero")
     if n_max < l + 2:
         raise ValueError(f"n_max must be >= l+2 = {l + 2}")
-    a1 = alphas[0]
-    a = np.concatenate([[1.0], alphas])  # a[m] = alpha_m with alpha_0 = 1
-    violated: list[str] = []
-    # lambda*_1, the functional's mass, enters no condition and sets no scale
-    scale = max(1.0, np.max(np.abs(lstar[1 : n_max + 1])), np.max(np.abs(cstar[: n_max + 1])))
-
-    # (ii) for l+1 < n <= n_max, plus the common-value-nonzero reading
-    for n in range(l + 2, n_max + 1):
-        lhs = lstar[n] - lstar[n - l]
-        rhs = a1 * (cstar[n] - cstar[n - 1])
-        if abs(lhs - rhs) > tol * scale:
-            violated.append("(ii)")
-            break
-        if abs(lhs) <= tol * scale:
-            violated.append("(ii)")
-            break
-        ok = True
-        for m in range(2, l + 1):
-            t = a[m] * (cstar[n - m] - cstar[n]) + a[m - 1] * (
-                lstar[n - m + 1] - lstar[n] - a1 * (cstar[n - 1] - cstar[n])
-            )
-            if abs(t) > tol * scale:
-                ok = False
-                break
-        if not ok:
-            violated.append("(ii)")
-            break
-
-    # (iii) boundary block at n = l+1 (the last relation is the m-free one)
-    if abs(lstar[l + 1] - a1 * (cstar[l + 1] - cstar[l])) <= tol * scale:
-        violated.append("(iii)")
-    else:
-        boundary = a[l] * lstar[l + 1] + a1 * a[l] * (cstar[l] - cstar[l + 1]) - alphas[-1] * lstar[1]
-        if abs(boundary) > tol * scale:
-            violated.append("(iii)")
-        else:
-            ok = True
-            for m in range(1, l):
-                t = (
-                    a[m + 1] * (cstar[l - m] - cstar[l + 1])
-                    + a[m] * lstar[l - m + 1]
-                    - a[m] * (lstar[l + 1] - a1 * (cstar[l] - cstar[l + 1]))
-                )
-                if abs(t) > tol * scale:
-                    ok = False
-                    break
-            if not ok:
-                violated.append("(iii)")
-
-    # (i): tilde coefficients of the low block; lambda-tilde must be nonzero
-    tilde_c = np.array(cstar[: n_max + 1], dtype=float)
-    tilde_lambda = np.array(lstar[: n_max + 1], dtype=float)
-    tilde_c[0] = cstar[0] - a1
-    for n in range(1, n_max + 1):
-        tilde_lambda[n] = lstar[n] + a1 * (cstar[n - 1] - cstar[n])
-    if np.any(np.abs(tilde_lambda[1 : l + 1]) <= tol * scale):
-        violated.append("(i)")
-
-    return QkOrthogonalityReport(
-        satisfied=not violated,
-        tilde_c=tilde_c,
-        tilde_lambda=tilde_lambda,
-        violated_conditions=sorted(set(violated)),
-        recurrence_residual=recurrence_residual(cstar, lstar, alphas, n_max),
-    )
-
-
-def recurrence_residual(cstar, lstar, alphas, n_max: int) -> float:
-    """How far Q_0..Q_n_max are from orthogonal, by Favard's theorem.
-
-    With Q = A Pk (A unit lower triangular, A[n, n-m] = alphas[m-1]) and
-    x Pk = J Pk (J the kernel recurrence matrix; ``cstar[m]``, ``lstar[m]``
-    hold c*_{m+1}, lambda*_{m+1}), x Q = (A J A^-1) Q, exactly in rows
-    0..n_max-1.  The sequence is orthogonal when those rows are tridiagonal;
-    the residual is their largest entry below the subdiagonal over the
-    largest entry of J (at least 1).  lambda*_1, the functional's mass, is
-    not an entry of J and sets no scale.
-    """
     size = n_max + 1
     mix = np.eye(size)
     for m, alpha in enumerate(alphas, start=1):
         mix += alpha * np.eye(size, k=-m)
     jac = np.diag(cstar[:size]) + np.eye(size, k=1) + np.diag(lstar[1:size], k=-1)
     rows = np.linalg.solve(mix.T, (mix @ jac).T).T[:n_max]
-    return float(np.max(np.abs(np.tril(rows, -2)), initial=0.0)) / max(1.0, np.max(np.abs(jac)))
+    rel = np.abs(rows) / max(1.0, np.max(np.abs(jac)))
+    below = np.tril(rel, -2)
+    # failing entries: anything below the subdiagonal, a vanishing l~_n
+    bad = ~(below <= tol)
+    bad[np.arange(1, n_max), np.arange(n_max - 1)] = ~(np.diagonal(rel, -1) > tol)
+    hits = [(int(n), int(j)) for n, j in np.argwhere(bad)]
+
+    def label(n: int, j: int) -> str:
+        if j == n - 1:
+            return "(i)" if n <= l else "(ii)"
+        return "(iii)" if n <= l + 1 else "(ii)"
+
+    labels = [label(n, j) for n, j in hits]
+    return QkOrthogonalityReport(
+        satisfied=not labels,
+        tilde_c=np.diagonal(rows).copy(),
+        tilde_lambda=np.concatenate([lstar[:1], np.diagonal(rows, -1)]),
+        violated_conditions=sorted(set(labels)),
+        first_violation=(*hits[0], labels[0]) if hits else None,
+        recurrence_residual=float(np.max(below, initial=0.0)),
+    )
 
 
 def qk_orthogonality_check(
     ctx: KernelContext, alphas, n_max: int, tol: float = 1e-8
 ) -> QkOrthogonalityReport:
-    """Run the orthogonality criteria for Q_n = Pk_n + sum alphas[m-1] Pk_{n-m}."""
+    """Run the orthogonality criterion for Q_n = Pk_n + sum alphas[m-1] Pk_{n-m}."""
     pairs = kernel_recurrence(ctx, n_max + 1)
     if np.iscomplexobj(pairs):
         raise ValueError("orthogonality criteria expect a real shift")

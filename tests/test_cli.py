@@ -457,6 +457,15 @@ def test_custom_family_flags_need_family_custom(tmp_path, flags):
 
 
 @pytest.mark.parametrize(
+    "family", [[], ["--family", "custom", "--coeffs", "coeffs.csv"]], ids=["chebyshev1", "custom"]
+)
+def test_empty_support_is_a_usage_error(family):
+    # an empty --support= is given, not absent: it must not pass as no support
+    code, out, err = run_cli(["verify", "--suite", "chains", *family, "--support=", "--n-max", "4"])
+    assert (code, out, err) == (2, "", "opx: --support expects 'a,b', got ''\n")
+
+
+@pytest.mark.parametrize(
     "coeffs, message",
     [
         (FOUR_ROWS + "2,0.9,0.7\n", "line 6: n = 2 is listed twice"),

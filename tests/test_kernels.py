@@ -242,3 +242,29 @@ def test_product_orthogonality_diagonal_normalization(cheb):
 def test_product_orthogonality_order_precondition(cheb):
     with pytest.raises(ValueError):
         opx.product_orthogonality_check(cheb, 3, 3, 5)
+
+
+@pytest.mark.parametrize(
+    "family, k, raised, n",
+    [
+        (lambda: opx.jacobi(0.3, 0.7), 1.0, lambda: opx.jacobi(1.3, 0.7), 1000),
+        (lambda: opx.jacobi(0.3, 0.7), -1.0, lambda: opx.jacobi(0.3, 1.7), 1000),
+        (opx.chebyshev1, 1.0, lambda: opx.jacobi(0.5, -0.5), 1000),
+        (lambda: opx.laguerre(0.5), 0.0, lambda: opx.laguerre(1.5), 150),
+    ],
+    ids=["jacobi-k1", "jacobi-k-1", "chebyshev1-k1", "laguerre-k0"],
+)
+def test_kernels_at_a_support_endpoint_are_the_raised_family(family, k, raised, n):
+    # Christoffel's theorem: at an endpoint of the support the kernel
+    # weight |x - k| w(x) is the family's own with the parameter at that
+    # endpoint raised by one, so no quadrature is needed at any degree.
+    # Laguerre stops at 150, where the values near 20 reach 1e266.
+    fam = family()
+    a, b = (0.0, 20.0) if fam.kind == "laguerre" else (-1.0, 1.0)
+    xs = np.linspace(a, b, 9)[1:-1]  # inside the support, away from k
+    got = opx.kernel_table(opx.KernelContext(fam, k, n), n, xs)
+    want = opx.eval_table(raised(), n, xs)
+    gap = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
+    # measured: at most 2.3 (n + 1) eps per row (laguerre at n = 34), and
+    # 4.8e-14 by n = 1000
+    assert (gap <= 8 * np.arange(1, n + 2) * np.finfo(float).eps).all()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import opx
 from opx import quasi, suites
@@ -119,12 +121,121 @@ def test_qk_invalid_alphas(cheb):
         opx.qk_orthogonality_check(ctx, [0.0], 5)
 
 
-def test_qk_constant_coefficients_flags_ii():
+def test_qk_constant_coefficients_are_orthogonal():
+    # constant recurrences are shift-invariant: Q_n = Pk_n + 0.7 Pk_{n-1}
+    # keeps lambda*, and only c~_0 = 0.2 - 0.7 moves
     cs = np.full(12, 0.2)
     ls = np.full(12, 0.9)
     report = quasi.orthogonality_conditions(cs, ls, [0.7], 8)
+    assert report.satisfied
+    assert report.violated_conditions == [] and report.first_violation is None
+    assert report.recurrence_residual <= 1e-15
+    # the certified rows 0..n_max-1 only
+    assert report.tilde_c.shape == report.tilde_lambda.shape == (8,)
+    assert np.allclose(report.tilde_lambda[2:], ls[2:8], rtol=1e-15, atol=0)
+    assert np.allclose(report.tilde_c, [-0.5] + [0.2] * 7, rtol=1e-15, atol=0)
+
+
+def test_qk_t_from_u_satisfies_the_recurrence_of_t():
+    # monic T_n = U_n - U_{n-2}/4: alpha = (0, -1/4) on the monic U
+    # recurrence (c* = 0, lambda* = 1/4); x T_1 = T_2 + T_0/2 needs l~_1 = 1/2
+    n_max = 8
+    report = quasi.orthogonality_conditions(np.zeros(12), np.full(12, 0.25), [0.0, -0.25], n_max)
+    assert report.satisfied and report.recurrence_residual == 0.0
+    assert report.tilde_lambda[1] == 0.5
+    xs = np.linspace(-1.5, 1.5, 13)
+    t = opx.eval_table(opx.chebyshev1(), n_max, xs)
+    assert (xs * t[0] == t[1] + report.tilde_c[0] * t[0]).all()
+    for n in range(1, n_max):
+        terms = (xs * t[n], -t[n + 1], -report.tilde_c[n] * t[n], -report.tilde_lambda[n] * t[n - 1])
+        assert (abs(sum(terms)) <= 1e-15 * sum(abs(v) for v in terms)).all()
+
+
+@pytest.mark.parametrize(
+    "cs, ls, alphas, first",
+    [
+        # l = 2 on a constant recurrence: l~_1 = lambda* - alpha_2 = 0
+        (np.zeros(12), np.full(12, 0.5), [0.3, 0.5], (1, 0, "(i)")),
+        # l = 1 with lambda*_n - c*_n = K and c*_n = n: l~_1 = K and
+        # l~_n = lambda*_{n-1} for n >= 2, zero at n = 1 - K
+        (np.arange(12.0), np.arange(12.0), [1.0], (1, 0, "(i)")),
+        (np.arange(12.0), np.arange(12.0) - 1.0, [1.0], (2, 1, "(ii)")),
+        (np.arange(12.0), np.arange(12.0) - 3.0, [1.0], (4, 3, "(ii)")),
+    ],
+    ids=["l2-row1", "l1-row1", "l1-row2", "l1-row4"],
+)
+def test_qk_vanishing_tilde_lambda_fails_in_its_row(cs, ls, alphas, first):
+    # the rows are tridiagonal, so only the zero subdiagonal entry fails:
+    # (i) in rows 1..l, (ii) beyond
+    report = quasi.orthogonality_conditions(cs, ls, alphas, 8)
+    assert report.recurrence_residual == 0.0 and report.tilde_lambda[first[0]] == 0.0
     assert not report.satisfied
-    assert "(ii)" in report.violated_conditions
+    assert report.first_violation == first
+    assert report.violated_conditions == [first[2]]
+
+
+def _row_label(n: int, l: int) -> str:
+    """The condition an entry below the subdiagonal of row n belongs to."""
+    return "(iii)" if n <= l + 1 else "(ii)"
+
+
+@st.composite
+def mixed_sequences(draw):
+    """(c*, lambda*, alphas, n_max) from pairs related by a finite mix:
+    constant recurrences with l = 1 or 2, monic T from monic U, the
+    engineered family with a random alpha_1, and two engineered steps at
+    once, A = (I + s S)^2 on an arithmetic c* with lambda*_n = s c*_n + K,
+    are orthogonal.  With l = 3 a constant recurrence is not: row 2 of
+    A J A^-1 keeps -alpha_3 in column 0, and no l = 3 pair is known."""
+    kind = draw(st.sampled_from(["constant", "t_from_u", "engineered", "engineered2"]))
+    n_max = draw(st.integers(5, 10))
+    signed = st.tuples(st.floats(0.1, 2.0), st.sampled_from([-1.0, 1.0])).map(lambda p: p[0] * p[1])
+    if kind == "t_from_u":
+        return np.zeros(n_max + 1), np.full(n_max + 1, 0.25), [0.0, -0.25], n_max
+    if kind == "engineered":
+        alpha1 = draw(signed)
+        return (*suites.engineered_coefficients(n_max + 1, alpha1), [alpha1], n_max)
+    if kind == "engineered2":
+        step, c0, dc = draw(signed), draw(st.floats(-1.0, 1.0)), draw(st.floats(0.0, 0.3))
+        cs = c0 + dc * np.arange(n_max + 1)
+        return cs, step * cs + 3.0, [2 * step, step * step], n_max
+    c, lam = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.2, 2.0))
+    alphas = draw(st.lists(signed, min_size=1, max_size=3))
+    return np.full(n_max + 1, c), np.full(n_max + 1, lam), alphas, n_max
+
+
+def _scale(cs, ls) -> float:
+    """The largest entry of J, at least 1 (lambda*_1 is not in J)."""
+    return max(1.0, np.max(np.abs(cs)), np.max(np.abs(ls[1:])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_sequences(), st.integers(2, 9), st.floats(0.25, 2.0))
+def test_qk_verdict_is_favards(mixed, row, shift):
+    cs, ls, alphas, n_max = mixed
+    l, tol = len(alphas), 1e-8
+    row = min(row, n_max - 1)
+    perturbed = ls.copy()
+    perturbed[row] += shift
+    base = quasi.orthogonality_conditions(cs, ls, alphas, n_max, tol)
+    report = quasi.orthogonality_conditions(cs, perturbed, alphas, n_max, tol)
+    for lstar, r in ((ls, base), (perturbed, report)):
+        nonzero = (abs(r.tilde_lambda[1:]) > tol * _scale(cs, lstar)).all()
+        assert r.satisfied == (r.recurrence_residual <= tol and nonzero)
+        assert r.satisfied == (r.first_violation is None) == (r.violated_conditions == [])
+    if l == 3:
+        assert "(iii)" in base.violated_conditions
+        assert base.recurrence_residual == pytest.approx(abs(alphas[2]) / _scale(cs, ls), abs=1e-10)
+        if row > 2:
+            assert _row_label(row, l) in report.violated_conditions
+        return
+    # A^-1 grows like the largest root of 1 + alpha_1 z + alpha_2 z^2 to the
+    # power n_max: up to 2.4^10 ulps here
+    assert base.recurrence_residual <= 1e-11
+    if base.satisfied and alphas[0] != 0.0:
+        # lambda*_row moves entry (row, row-2) of A J A^-1 by -alpha_1 shift;
+        # the rows above it stay as they were
+        assert report.first_violation[::2] == (row, _row_label(row, l))
 
 
 def test_qk_engineered_family_satisfied():
@@ -187,5 +298,6 @@ def test_qk_broken_equality_fails_gram():
 def test_qk_on_kernel_context(cheb):
     ctx = opx.KernelContext(cheb, 2.0, 10)
     report = opx.qk_orthogonality_check(ctx, [0.5], 6)
-    assert not report.satisfied  # generic kernel coefficients violate (ii)
-    assert report.violated_conditions
+    assert not report.satisfied  # generic kernel coefficients
+    assert report.violated_conditions == ["(ii)", "(iii)"]
+    assert report.first_violation == (2, 0, "(iii)")

@@ -166,6 +166,8 @@ def configs():
     yield "chain.l2.n5", ["chain", "--l", "0.1,0.2", "--n-max", "5"]
     yield "verify.tol.inf", ["verify", "--suite", "recovery", "--tol", "inf"]
     yield "verify.tol.nan", ["verify", "--suite", "recovery", "--tol", "nan"]
+    # an empty --support= is a usage error, not an absent flag
+    yield "verify.usage.emptysupport", ["verify", "--suite", "chains", "--support=", "--n-max", "4"]
 
 
 def run(argv):
