@@ -3,7 +3,8 @@
 The shifted functional L*(p) = L((x - k) p) has its own monic orthogonal
 sequence.  Away from the shift it is a divided difference of neighbours;
 at the shift only the Christoffel-Darboux sum makes sense, and the two
-branches agree on the overlap.
+branches agree on the overlap.  The context keeps P_j(k) in ratio form,
+rho_j = P_j(k)/P_{j-1}(k), which stays finite at any degree.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ pairs = opx.kernel_recurrence(ctx, 5)
 print("\nshifted recurrence (c*_n, lambda*_n), n = 1..5:")
 print(pairs)
 print("lambda*_2 from the closed product formula: 0.4375")
+print("ratios rho_j = P_j(2)/P_{j-1}(2), j = 1..5:", ctx.ratios[1:6])
 
 # the kernel sequence is orthogonal under the shifted functional
 gram = opx.orthogonality_residual(fam, opx.Christoffel(k), lambda t: opx.kernel_table(ctx, 5, t), 5)
@@ -38,7 +40,7 @@ for n in range(4):
 # iterating the construction at conjugate complex shifts stays well defined
 ictx = opx.IteratedKernelContext(opx.KernelContext(fam, 1j, 8), -1j)
 print("\niterated kernel Pkk_3(i, -i; 0.4) =", opx.iterated_kernel(ictx, 3, 0.4))
-print("cross sums (all nonzero):", np.real(ictx.cd_cross[:5]))
+print("first-shift kernels at the second shift Pk_n(i; -i) (all nonzero):", ictx.star_values[:5])
 
 # the product-measure double integral vanishes off the diagonal
 print("\ndouble integral (n, m) = (2, 0):", opx.product_orthogonality_check(fam, 2, 0, 40))

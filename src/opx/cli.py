@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import families, kernels, ratios, suites
-from .errors import OpxError, TableTooShort
+from .errors import OpxError, ParameterOutOfRange, TableTooShort
 
 __all__ = ["main", "run", "RunConfig", "render_json"]
 
@@ -267,6 +267,16 @@ def _finish(cfg: RunConfig, cases: list[dict], columns=None, header=None, starte
 # ---------------------------------------------------------------------------
 
 
+def _require_in_range(name: str, table: np.ndarray, xs: np.ndarray) -> None:
+    """ParameterOutOfRange naming the first degree n, and at it the first
+    point x, where the (degrees, points) ``table`` of ``name`` leaves the
+    double range: such a value has no double to be written as."""
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        n, i = bad[0]
+        raise ParameterOutOfRange(f"{name}_{n}({xs[i].item()!r}) is out of the double range")
+
+
 def _cmd_eval(cfg: RunConfig) -> tuple[str, int]:
     """Evaluate P_0..P_n at points (CSV or JSON)."""
     started = time.time()
@@ -274,6 +284,7 @@ def _cmd_eval(cfg: RunConfig) -> tuple[str, int]:
     xs = np.array(cfg.points or [0.0])
     header = ["n", "x", "value"] + (["deriv"] if cfg.derivs else [])
     values = families.eval_table(fam, cfg.n_max, xs)
+    _require_in_range("P", values, xs)
     # point-major: the rows of one point are n = 0..n_max
     columns = [
         np.tile(np.arange(cfg.n_max + 1), xs.size),
@@ -282,6 +293,7 @@ def _cmd_eval(cfg: RunConfig) -> tuple[str, int]:
     ]
     if cfg.derivs:
         derivs = families.eval_derivs(fam, cfg.n_max, xs, values)
+        _require_in_range("P'", derivs, xs)
         columns.append(np.real(derivs).T.ravel())
     return _finish(cfg, [], columns=columns, header=header, started=started)
 
@@ -301,6 +313,8 @@ def _cmd_kernel(cfg: RunConfig) -> tuple[str, int]:
         dd = kernels.kernel_table(ctx, cfg.n_max, xs)
         # recurrence evaluation from the starred coefficients
         ks = families.eval_table(kernels.kernel_family(ctx, cfg.n_max), cfg.n_max, xs)
+        _require_in_range("Pk", dd, xs)
+        _require_in_range("Pk", ks, xs)
         worst = suites.relative_gap(dd - ks, dd).max(initial=0.0)
         cases.append(suites.case("kernel_ttrr_consistency", worst, cfg.tol))
     header = None if cfg.output == "csv" else header

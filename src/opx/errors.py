@@ -23,7 +23,8 @@ class OpxError(Exception):
 
 
 class ParameterOutOfRange(OpxError):
-    """A family parameter lies outside its positive-definite range."""
+    """A family parameter lies outside its positive-definite range, or a
+    value asked for lies outside the double range."""
 
 
 class NotPositiveDefinite(OpxError):

@@ -2,28 +2,29 @@
 
 For a shift k with P_j(k) != 0 the monic kernel polynomials are
 
-    Pk_n(k; x) = (x - k)^(-1) [P_{n+1}(x) - (P_{n+1}(k)/P_n(k)) P_n(x)],
+    Pk_n(k; x) = (x - k)^(-1) [P_{n+1}(x) - rho_{n+1} P_n(x)],
+    rho_j      = P_j(k) / P_{j-1}(k),
 
 orthogonal with respect to L*(p) = L((x - k) p).  Near x = k the divided
 difference loses ~|x - k|^(-1) digits, so evaluation switches to the
-equivalent Christoffel-Darboux sum
+Christoffel-Darboux sum Pk_n(k; x) = N_n P_n(k)^(-1) K_n(x, k), with
+K_n(x, y) = sum_j P_j(x) P_j(y) / N_j and N_j = lambda_1...lambda_{j+1},
+run as its recurrence Pk_n(k; x) = P_n(x) + (lambda_{n+1}/rho_n) Pk_{n-1}(k; x).
 
-    Pk_n(k; x) = lambda_1...lambda_{n+1} P_n(k)^(-1) K_n(x, k),
-    K_n(x, y)  = sum_j P_j(x) P_j(y) / (lambda_1...lambda_{j+1}).
-
-Contexts cache P_j(k), the norm products, and the CD partial sums; they
-also carry ratio-form caches (P_j(k)/P_{j-1}(k) and normalized squares)
-that stay finite where the raw values under- or overflow, which is what the
-ratio-limit machinery at large n runs on.  For a real shift the ratio-form
-recurrence runs on Python floats, the same IEEE steps as numpy's float64
-scalars; a step where a Python float raises (division by zero, or a square
-past the float range) reruns it on numpy scalars, as does every complex
-shift, since Python's complex division rounds differently from numpy's.
-The caches are bitwise numpy's either way.
+A context keeps P_j(k) in ratio form only: rho_j, t_j = P_j(k)^2/N_j and
+S_j = t_0 + ... + t_j, which stay finite where the raw values under- or
+overflow (Gautschi, SIAM Rev. 9, 1967), so the recurrence coefficients, the
+kernel tables and the ratio limits at large n all run on them.  For a real
+shift the ratio-form recurrence runs on Python floats, the same IEEE steps
+as numpy's float64 scalars; a step where a Python float raises (division by
+zero, or a square past the float range) reruns it on numpy scalars, as does
+every complex shift, since Python's complex division rounds differently
+from numpy's.  The caches are bitwise numpy's either way.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -59,6 +60,8 @@ class KernelContext:
     when some P_j(k) vanishes relative to the scale of its own recurrence
     step max(|(k - c_j) P_{j-1}(k)|, |lambda_j P_{j-2}(k)|), which catches
     genuine zeros without misfiring on geometrically decaying sequences.
+    Divided by |P_{j-1}(k)| the test reads off the ratios alone:
+    |rho_j| < ZERO_RTOL max(|k - c_j|, |lambda_j / rho_{j-1}|).
     """
 
     def __init__(self, family: FamilySpec, k: complex, n_max: int):
@@ -67,29 +70,30 @@ class KernelContext:
         self.family = family
         self.k = k
         self.n_max = n_max
-        top = n_max + 2  # P_j(k) for j = 0..n_max+2 (op_from_kernels needs n+2)
+        top = n_max + 2  # rho_j for j = 1..n_max+3 (op_from_kernels needs n+2)
         c, lam = family.table(top + 2).T
-        self.pk = pk = eval_table(family, top + 1, [k])[:, 0]
-        # zero detection against the recurrence-step scale (scale-relative, so
-        # geometrically decaying but nonvanishing sequences pass at any n_max)
-        scale = np.abs((k - c[: top + 1]) * pk[: top + 1])
-        scale[1:] = np.maximum(scale[1:], np.abs(lam[1 : top + 1] * pk[:top]))
-        vanishes = (np.abs(pk[1:]) < ZERO_RTOL * scale) | (pk[1:] == 0.0)
-        if vanishes.any():
-            j = int(np.argmax(vanishes)) + 1
-            raise KernelUndefined(f"P_{j}({k}) = {pk[j]} vanishes; kernel sequence undefined")
-        self.norms = norm_products(family, top + 1)
+        dtype = np.dtype(complex if np.iscomplexobj(k) or np.iscomplexobj(c) else float)
         caches = None
-        if not np.iscomplexobj(pk):
+        if dtype == float:
             try:
                 caches = _ratio_caches(float(k), c.tolist(), lam.tolist())
             except (ZeroDivisionError, OverflowError):
                 pass  # where numpy gives inf or NaN
         if caches is None:
-            caches = _ratio_caches(pk.dtype.type(k), c, lam)
+            caches = _ratio_caches(dtype.type(k), c, lam)
         self.ratios, self.weighted_squares, self.cd_partials = (
-            np.array(cache, dtype=pk.dtype) for cache in caches
+            np.array(cache, dtype=dtype) for cache in caches
         )
+        # the caches stop at an exact zero rho_j, so the scale below never
+        # divides by zero
+        rho = self.ratios[1:]
+        scale = np.abs(k - c[: rho.size])
+        scale[1:] = np.maximum(scale[1:], np.abs(lam[1 : rho.size] / rho[:-1]))
+        vanishes = (np.abs(rho) < ZERO_RTOL * scale) | (rho == 0.0)
+        if vanishes.any():
+            j = int(np.argmax(vanishes)) + 1
+            value = math.prod(rho[:j].tolist())  # P_j(k), for the message
+            raise KernelUndefined(f"P_{j}({k}) = {value} vanishes; kernel sequence undefined")
 
     def __repr__(self) -> str:
         return f"KernelContext({self.family!r}, k={self.k}, n_max={self.n_max})"
@@ -98,7 +102,8 @@ class KernelContext:
 def _ratio_caches(k, c, lam) -> tuple[list, list, list]:
     """The ratio-form caches rho_j = P_j(k)/P_{j-1}(k), t_j = P_j(k)^2/N_j and
     S_j = t_0 + ... + t_j for j = 0..len(c)-1, by one recurrence over the
-    scalars of ``k``, ``c`` and ``lam``: Python floats or numpy scalars.
+    scalars of ``k``, ``c`` and ``lam``: Python floats or numpy scalars.  An
+    exact zero rho_j ends the caches at j, before the division by it.
 
     The square stays ``r ** 2``: the C ``pow`` behind it, which numpy's
     scalar power calls too, differs from ``r * r`` in the last bit for about
@@ -108,6 +113,8 @@ def _ratio_caches(k, c, lam) -> tuple[list, list, list]:
     rho, ts, partials = [np.nan], [t], [s]  # rho_0 is undefined
     r = None
     for c_prev, lam_prev, lam_j in zip(c, lam, lam[1:]):
+        if r == 0.0:
+            break
         r = (k - c_prev) if r is None else (k - c_prev) - lam_prev / r
         t = t * r ** 2 / lam_j
         s = s + t
@@ -118,19 +125,15 @@ def _ratio_caches(k, c, lam) -> tuple[list, list, list]:
 
 
 def cd_kernel(ctx: KernelContext, n: int, x):
-    """Christoffel-Darboux kernel K_n(x, k) as the explicit sum."""
+    """Christoffel-Darboux kernel K_n(x, k) as the explicit sum, from its own
+    P_j(k) and N_j; each point's terms are summed along one contiguous row,
+    so a point vector sums them in a single point's order."""
     if n > ctx.n_max + 2:
         raise ValueError(f"n={n} exceeds cached range {ctx.n_max + 2}")
-    out = _cd_terms(ctx, n, np.atleast_1d(np.asarray(x))).sum(axis=1)
+    pk = eval_table(ctx.family, n, [ctx.k])[:, 0]
+    table = eval_table(ctx.family, n, np.atleast_1d(np.asarray(x)))
+    out = np.ascontiguousarray(table.T * (pk / norm_products(ctx.family, n))).sum(axis=1)
     return out if np.ndim(x) else out[0]
-
-
-def _cd_terms(ctx: KernelContext, n: int, xs: np.ndarray) -> np.ndarray:
-    """The terms P_j(x) P_j(k) / N_j, j = 0..n, of K_n(x, k): one contiguous
-    row per point of ``xs``, so a point vector sums them in a single point's
-    order."""
-    table = eval_table(ctx.family, n, xs)
-    return np.ascontiguousarray(table.T * (ctx.pk[: n + 1] / ctx.norms[: n + 1]))
 
 
 def kernel_table(ctx: KernelContext, n: int, xs) -> np.ndarray:
@@ -139,29 +142,31 @@ def kernel_table(ctx: KernelContext, n: int, xs) -> np.ndarray:
 
     Points away from k take the divided difference of one ``eval_table``
     over all degrees at once.  Points inside the switch radius take the CD
-    sum, one per degree, each point's terms summed along one contiguous row
-    (a cumulative sum would round differently past 8 terms, where numpy sums
-    a row pairwise); the two branches agree on the overlap.
+    sum by its recurrence Pk_j = P_j(x) + (lambda_{j+1}/rho_j) Pk_{j-1},
+    elementwise over the points; the two branches agree on the overlap.
     """
     if n > ctx.n_max + 1:
         raise ValueError(f"n={n} exceeds context n_max+1 = {ctx.n_max + 1}")
     xs = np.atleast_1d(np.asarray(xs))
-    dtype = complex if (np.iscomplexobj(xs) or np.iscomplexobj(ctx.pk)) else float
+    dtype = complex if (np.iscomplexobj(xs) or np.iscomplexobj(ctx.ratios)) else float
     xs = xs.astype(dtype)
     out = np.empty((n + 1, xs.size), dtype=dtype)
     out[0] = 1.0
     if n == 0:
         return out
-    pk = ctx.pk[: n + 2]
+    rho = ctx.ratios
     near = np.abs(xs - ctx.k) < SWITCH_RADIUS * (1.0 + abs(ctx.k))
     if not near.all():
         far = xs[~near]
         table = eval_table(ctx.family, n + 1, far)
-        out[1:, ~near] = (table[2:] - (pk[2:] / pk[1:-1])[:, None] * table[1:-1]) / (far - ctx.k)
+        out[1:, ~near] = (table[2:] - rho[2 : n + 2, None] * table[1:-1]) / (far - ctx.k)
     if near.any():
-        terms = _cd_terms(ctx, n, xs[near])
+        table = eval_table(ctx.family, n, xs[near])
+        step = ctx.family.table(n + 1)[1:, 1] / rho[1 : n + 1]  # lambda_{j+1}/rho_j
+        rows = table[0]
         for j in range(1, n + 1):
-            out[j, near] = ctx.norms[j] / pk[j] * terms[:, : j + 1].sum(axis=1)
+            rows = table[j] + step[j - 1] * rows
+            out[j, near] = rows
     return out
 
 
@@ -173,25 +178,22 @@ def kernel_poly(ctx: KernelContext, n: int, x):
 
 
 def kernel_recurrence(ctx: KernelContext, n_max: int) -> np.ndarray:
-    """Recurrence pairs (c*_n, lambda*_n) of the kernel family, n = 1..n_max.
+    """Recurrence pairs (c*_n, lambda*_n) of the kernel family, n = 1..n_max,
+    from the ratios rho_j = P_j(k)/P_{j-1}(k) alone:
 
-    lambda*_n = lambda_n P_n(k) P_{n-2}(k) / P_{n-1}(k)^2 for n >= 2, and
-    c*_n = c_{n+1} - (P_n(k)^2 - P_{n-1}(k) P_{n+1}(k)) / (P_{n-1}(k) P_n(k)).
+        c*_n = c_{n+1} - rho_n + rho_{n+1},  lambda*_n = lambda_n rho_n / rho_{n-1}  (n >= 2).
+
     The unused first entry follows the mass convention
     lambda*_1 := L*(1) = (c_1 - k) mu0.
     """
     if n_max > ctx.n_max + 1:
         raise ValueError(f"n_max={n_max} exceeds context range {ctx.n_max + 1}")
-    pk = ctx.pk
+    rho = ctx.ratios
     c, lam = ctx.family.table(n_max + 1).T
-    pairs = np.empty((n_max, 2), dtype=np.result_type(pk, c))
-    for n in range(1, n_max + 1):
-        c_star = c[n] - (pk[n] ** 2 - pk[n - 1] * pk[n + 1]) / (pk[n - 1] * pk[n])
-        if n == 1:
-            lam_star = (c[0] - ctx.k) * ctx.family.mu0
-        else:
-            lam_star = lam[n - 1] * pk[n] * pk[n - 2] / pk[n - 1] ** 2
-        pairs[n - 1] = (c_star, lam_star)
+    pairs = np.empty((n_max, 2), dtype=np.result_type(rho, c))
+    pairs[:, 0] = c[1:] - rho[1 : n_max + 1] + rho[2 : n_max + 2]
+    pairs[0, 1] = (c[0] - ctx.k) * ctx.family.mu0
+    pairs[1:, 1] = lam[1:n_max] * rho[2 : n_max + 1] / rho[1:n_max]
     return pairs
 
 
@@ -208,10 +210,10 @@ def kernel_family(ctx: KernelContext, n_max: int) -> FamilySpec:
 
 def ops_from_kernel_table(ctx: KernelContext, table: np.ndarray) -> np.ndarray:
     """P_1..P_m from the kernel table Pk_0..Pk_m of ``kernel_table``:
-    P_{n+1}(x) = Pk_{n+1}(k;x) - (P_n(k)/P_{n+1}(k)) lambda_{n+2} Pk_n(k;x)."""
+    P_{n+1}(x) = Pk_{n+1}(k;x) - (lambda_{n+2}/rho_{n+1}) Pk_n(k;x)."""
     m = len(table) - 1
     lam = ctx.family.table(m + 1)[1:, 1]  # lambda_2..lambda_{m+1}
-    coef = ctx.pk[:m] / ctx.pk[1 : m + 1] * lam
+    coef = lam / ctx.ratios[1 : m + 1]
     return table[1:] - coef[:, None] * table[:-1]
 
 
@@ -224,26 +226,25 @@ def op_from_kernels(ctx: KernelContext, n: int, x):
 class IteratedKernelContext:
     """Two successive Christoffel shifts: first k2, then k3.
 
-    Caches the cross sums X_n = sum_j P_j(k3) P_j(k2) / (lambda_1...lambda_{j+1})
-    and the values Pk_j(k2; k3) of the first-shift kernels at the second
-    shift.  Shifts in conjugate half planes keep every X_n away from zero.
-    ``shifted``, the context ``iterated_kernel`` evaluates, is made once, on
-    first use.
+    Caches the values Pk_j(k2; k3), j = 0..base.n_max+1, of the first-shift
+    kernels at the second shift.  They are the cross sums
+    X_j = sum_i P_i(k3) P_i(k2) / N_i times N_j / P_j(k2), so X_j vanishes
+    when Pk_j(k2; k3) does, relative to its CD-recurrence step; shifts in
+    conjugate half planes keep every X_j away from zero.  ``shifted``, the
+    context ``iterated_kernel`` evaluates, is made once, on first use.
     """
 
     def __init__(self, base: KernelContext, k3: complex):
         self.base = base
         self.k3 = k3
-        n_top = base.n_max + 2
-        pk3 = eval_table(base.family, n_top + 1, [k3])[:, 0]
-        cross = np.cumsum(pk3 * base.pk[: n_top + 2] / base.norms[: n_top + 2])
-        scale = np.maximum.accumulate(np.abs(pk3 * base.pk[: n_top + 2] / base.norms[: n_top + 2]))
-        bad = np.abs(cross) < 1e-13 * np.maximum(scale, 1e-300)
+        top = base.n_max + 1
+        star = kernel_table(base, top, [k3])[:, 0]
+        step = base.family.table(top + 1)[1:, 1] / base.ratios[1 : top + 1] * star[:-1]
+        bad = (np.abs(star[1:]) < 1e-13 * np.abs(step)) | (star[1:] == 0.0)
         if np.any(bad):
-            j = int(np.argmax(bad))
+            j = int(np.argmax(bad)) + 1
             raise IteratedUndefined(f"cross sum X_{j} vanishes at (k2={base.k}, k3={k3})")
-        self.cd_cross = cross
-        self.star_values = base.norms[: n_top + 2] / base.pk[: n_top + 2] * cross
+        self.star_values = star
 
     @property
     def k2(self) -> complex:

@@ -122,15 +122,19 @@ def kernel_branch_agreement(ctx: kernels.KernelContext, radii: np.ndarray, top: 
 
     One table of each serves every degree.  Each point's terms
     (P_j(x) P_j(k))/N_j are summed along one contiguous row, the order of a
-    one-point sum.
+    one-point sum.  P_j(k) and N_j come from ``eval_table`` and
+    ``norm_products``, not from the context's ratio caches that
+    ``kernel_table`` reads, so the check stays independent of them.
     """
     xs = ctx.k + radii
     points = np.ascontiguousarray(families.eval_table(ctx.family, top, xs).T)
+    pk = families.eval_table(ctx.family, top, [ctx.k])[:, 0]
+    norms = families.norm_products(ctx.family, top)
     kernel = kernels.kernel_table(ctx, top, xs)
     rows = []
     for n in range(1, top + 1):
-        ksum = (points[:, : n + 1] * ctx.pk[: n + 1] / ctx.norms[: n + 1]).sum(axis=1)
-        cd = ctx.norms[n] / ctx.pk[n] * ksum
+        ksum = (points[:, : n + 1] * pk[: n + 1] / norms[: n + 1]).sum(axis=1)
+        cd = norms[n] / pk[n] * ksum
         rows.append(np.abs(kernel[n] - cd) / np.maximum(1.0, np.abs(cd)))
     return np.array(rows)
 
@@ -160,7 +164,7 @@ def _kernel_suite(fam, rng, settings: Settings) -> list[dict]:
         ctx = kernels.KernelContext(fam, k, n_max + 2)
         cases.append(case(f"kernel_orthogonality_k{k:g}", _worst(kernel_orthogonality(ctx, n_max)), 1e-9))
         radii = 10.0 ** rng.uniform(-4, -1, 10) * (1.0 + abs(k))
-        gaps = kernel_branch_agreement(ctx, radii, min(n_max, 12))
+        gaps = kernel_branch_agreement(ctx, radii, n_max)
         cases.append(case(f"kernel_branch_agreement_k{k:g}", _worst(gaps), 1e-9))
         gaps = kernel_ttrr(ctx, sample_points(fam, rng, 20), n_max)
         cases.append(case(f"kernel_ttrr_k{k:g}", _worst(gaps), 1e-10))

@@ -20,9 +20,11 @@ Transform records carry what their evaluators read: ``GeronimusData`` its
 family, ``UvarovData`` its kernel context at k, and ``RecoveryCoefficients``
 the kernel contexts, quasi mixing coefficients and transform record that
 its ``recover_*`` built.  Each record is built once, at the largest degree,
-and every evaluator takes ``(data, n, x)`` and slices it.  P_j(k), the norm
-products and the partial sums come from sequential recurrences, so a slice
-of a larger record is bitwise the record a smaller degree would have built;
+and every evaluator takes ``(data, n, x)`` and slices it.  The kernel
+contexts hold P_j(k) in ratio form, rho_j = P_j(k)/P_{j-1}(k), and every
+recovery coefficient reads P_j(k) through those ratios.  The ratio caches
+come from one sequential recurrence, so a slice of a larger record is
+bitwise the record a smaller degree would have built;
 so are the A_n of two records whose J-fraction passes settle at one depth.
 """
 
@@ -260,21 +262,22 @@ def uvarov_data(family: FamilySpec, k: float, r0: float, n_max: int) -> UvarovDa
     N_j = lambda_1...lambda_{j+1} and K the CD kernel; T_0 = 0.  This is the
     classical point-mass formula, which the quadrature oracle confirms; the
     variant with both indices raised to n fails the orthogonality contract
-    and is not used.  P_j(k) and N_j come from the kernel context at k that
-    ``uvarov_poly`` evaluates Pk_{n-1}(k; x) from.
+    and is not used.  It is read off the ratio caches of the kernel context
+    at k that ``uvarov_poly`` evaluates Pk_{n-1}(k; x) from:
+    T_n = r0 rho_n t_{n-1} / (1 + r0 S_{n-1}), with t_j = P_j(k)^2/N_j and
+    S_j = K_j(k, k).
     """
     if r0 == 0.0:
         raise ValueError("r0 must be nonzero")
     ctx = KernelContext(family, k, n_max)
-    pk, norms = ctx.pk, ctx.norms
-    kkk = np.cumsum(pk**2 / norms)[:n_max]  # K_n(k,k) partial sums
+    kkk = ctx.cd_partials[:n_max]  # K_n(k,k) partial sums
     den = 1.0 + r0 * kkk
     vanishes = np.abs(den) < 1e-13 * np.maximum(1.0, abs(r0) * kkk)
     if vanishes.any():
         n = int(np.argmax(vanishes)) + 1
         raise DegenerateDenominator(f"Uvarov denominator 1 + r0 K_{n-1}(k,k) vanishes at n={n}")
     T = np.zeros(n_max + 1)
-    T[1:] = r0 * pk[1 : n_max + 1] * pk[:n_max] / (norms[:n_max] * den)
+    T[1:] = r0 * ctx.ratios[1 : n_max + 1] * ctx.weighted_squares[:n_max] / den
     return UvarovData(ctx=ctx, r0=r0, T=T)
 
 
@@ -315,14 +318,14 @@ def recover_christoffel(
         raise ValueError(f"need B_1..B_{n_max}, got {B.size} values")
     ctx1 = KernelContext(family, k1, n_max + 1)
     ctx2 = KernelContext(family, k2, n_max + 1)
-    pk1 = ctx1.pk[: n_max + 2]
-    pk2 = ctx2.pk[: n_max + 1]
+    rho1 = ctx1.ratios[: n_max + 2]  # rho_j = P_j(k1)/P_{j-1}(k1) at [j]
+    rho2 = ctx2.ratios[1 : n_max + 1]  # rho_{n+1} at k2, at [n]
     c, lam = family.table(n_max + 1)[1:].T  # c_{n+2}, lambda_{n+2} at [n]
     b_next = B[:n_max]  # B_{n+1} at [n]
     gamma = np.full(n_max + 1, np.nan, dtype=complex)
     eta = np.full(n_max + 1, np.nan, dtype=complex)
-    eta[:n_max] = -(lam + b_next * pk1[1:-1] / pk1[:-2]) * pk2[:-1] / pk2[1:]
-    gamma[:n_max] = c + pk1[2:] / pk1[1:-1] - b_next - eta[:n_max]
+    eta[:n_max] = -(lam + b_next * rho1[1:-1]) / rho2
+    gamma[:n_max] = c + rho1[2:] - b_next - eta[:n_max]
     if abs(gamma.imag[~np.isnan(gamma.real)]).max(initial=0.0) == 0.0:
         gamma, eta = gamma.real, eta.real
     return RecoveryCoefficients(
@@ -343,10 +346,10 @@ def recover_geronimus(
         raise ValueError(f"need Btilde_1..Btilde_{n_max}, got {Btilde.size} values")
     gdata = geronimus_data(family, k1, n_max + 1)
     ctx2 = KernelContext(family, k2, n_max + 1)
-    pk2 = ctx2.pk[: n_max + 2]
+    rho2 = ctx2.ratios[: n_max + 2]  # rho_j = P_j(k2)/P_{j-1}(k2) at [j]
     c, lam = family.table(n_max + 1)[1:].T  # c_{n+1}, lambda_{n+1} at [n-1]
     bt = Btilde[:n_max]
-    den = lam + bt * pk2[1:-1] / pk2[:-2]
+    den = lam + bt * rho2[1:-1]
     _require_nonvanishing(den, lam, "recover_geronimus")
     alpha = np.full(n_max + 1, np.nan, dtype=complex)
     gamma = np.full(n_max + 1, np.nan, dtype=complex)
@@ -354,7 +357,7 @@ def recover_geronimus(
     eta[1:] = -lam / den
     e = eta[1:]
     alpha[1:] = 1.0 + e
-    gamma[1:] = c * (1.0 + e) - gdata.A[2 : n_max + 2] + e * pk2[2:] / pk2[1:-1] - e * bt
+    gamma[1:] = c * (1.0 + e) - gdata.A[2 : n_max + 2] + e * rho2[2:] - e * bt
     if abs(np.nan_to_num(gamma.imag)).max() == 0.0:
         alpha, gamma, eta = alpha.real, gamma.real, eta.real
     return RecoveryCoefficients(
@@ -375,18 +378,18 @@ def recover_uvarov(
         raise ValueError(f"need Btilde_1..Btilde_{n_max}, got {Btilde.size} values")
     udata = uvarov_data(family, k1, r0, n_max)
     ctx2 = KernelContext(family, k2, n_max + 1)
-    pk1 = udata.ctx.pk[: n_max + 2]
-    pk2 = ctx2.pk[: n_max + 2]
+    rho1 = udata.ctx.ratios[1 : n_max + 1]  # rho_n at k1, at [n-1]
+    rho2 = ctx2.ratios[: n_max + 2]  # rho_j = P_j(k2)/P_{j-1}(k2) at [j]
     c, lam = family.table(n_max + 1)[1:].T  # c_{n+1}, lambda_{n+1} at [n-1]
     bt = Btilde[:n_max]
-    den = bt * pk2[1:-1] / pk2[:-2] + lam
+    den = bt * rho2[1:-1] + lam
     _require_nonvanishing(den, lam, "recover_uvarov")
     alpha = np.full(n_max + 1, np.nan, dtype=complex)
     beta = np.full(n_max + 1, np.nan, dtype=complex)
     eta = np.full(n_max + 1, np.nan, dtype=complex)
-    eta[1:] = udata.T[1:] * (pk1[1:-1] / pk1[:-2]) / den
+    eta[1:] = udata.T[1:] * rho1 / den
     alpha[1:] = 1.0 + eta[1:]
-    beta[1:] = k1 + udata.T[1:] + (c - bt + pk2[2:] / pk2[1:-1]) * eta[1:]
+    beta[1:] = k1 + udata.T[1:] + (c - bt + rho2[2:]) * eta[1:]
     if abs(np.nan_to_num(beta.imag)).max() == 0.0:
         alpha, beta, eta = alpha.real, beta.real, eta.real
     return RecoveryCoefficients(
@@ -408,29 +411,28 @@ def recover_order2(
     with R_n = Pk_{n+1}(k2;k3) / Pk_n(k2;k3) the value ratio of the
     first-shift kernels at the second shift, is linear in Lt_n with
     coefficient 1, so Lt_n is solved from it.  beta_n is taken from the
-    matching linear system; the cross-sum ratio enters through
-    lambda_{n+2} X_{n+1} / X_n with X_n the cached cross sums.
+    matching linear system; the cross-sum ratio lambda_{n+2} X_{n+1} / X_n
+    enters as rho_{n+1}(k2) R_n, since X_n = P_n(k2)/N_n Pk_n(k2;k3).
     """
     Mtilde = np.asarray(Mtilde, dtype=complex)
     if Mtilde.size < n_max:
         raise ValueError(f"need Mtilde_1..Mtilde_{n_max}, got {Mtilde.size} values")
     ictx = IteratedKernelContext(KernelContext(family, k2, n_max + 2), k3)
     ctx1 = KernelContext(family, k1, n_max + 2)
-    pk1 = ctx1.pk[: n_max + 3]  # P_0..P_{n_max+2} at k1
-    pk2 = ictx.base.pk[: n_max + 3]
+    rho1 = ctx1.ratios  # rho_j = P_j(k1)/P_{j-1}(k1) at [j]
+    rho2 = ictx.base.ratios
     star = ictx.star_values
     up = slice(2, n_max + 2)  # index n+1 at [n-1]
     down = slice(1, n_max + 1)  # index n at [n-1]
-    pairs = family.table(n_max + 2)
-    c, lam, lam2 = pairs[1:-1, 0], pairs[1:-1, 1], pairs[2:, 1]  # indices n+1, n+1, n+2
+    c, lam = family.table(n_max + 1)[1:].T  # indices n+1 at [n-1]
     mt = Mtilde[:n_max]
-    rhs = pk1[3:] / pk1[up] - pk2[3:] / pk2[up] - star[up] / star[down]
-    lt = rhs - mt * pk1[down] / (lam * pk1[:n_max])
+    star_ratio = star[up] / star[down]  # R_n
+    rhs = rho1[3 : n_max + 3] - rho2[3 : n_max + 3] - star_ratio
+    lt = rhs - mt * rho1[down] / lam
     alpha = np.full(n_max + 1, np.nan, dtype=complex)
     beta = np.full(n_max + 1, np.nan, dtype=complex)
-    alpha[1:] = -(1.0 / lam) * mt * pk1[down] / pk1[:n_max]
-    cross_ratio = ictx.cd_cross[2 : n_max + 2] / ictx.cd_cross[1 : n_max + 1]
-    beta[1:] = lt * pk1[up] / pk1[down] - mt + lam2 * cross_ratio + alpha[1:] * c
+    alpha[1:] = -(1.0 / lam) * mt * rho1[down]
+    beta[1:] = lt * rho1[up] - mt + rho2[up] * star_ratio + alpha[1:] * c
     return RecoveryCoefficients(
         kind="order2", alpha=alpha, beta=beta, ctx1=ctx1, ctx2=ictx.base, quasi=(lt, mt), data=ictx
     )
@@ -485,21 +487,24 @@ def recovery_table(rc: RecoveryCoefficients, n: int, xs) -> np.ndarray:
         m = int(np.argmax(hits)) + 1
         raise PoleAtSample(f"a sample point hits the pole of the degree-{m} combination")
     ctx1, ctx2 = rc.ctx1, rc.ctx2
+    # a (1, len(xs)) row: numpy rounds the complex products of a (1,) array
+    # and a one-degree (1, 1) table differently from those with (n, 1)
+    x = xs[None, :]
     if rc.kind == "order2":
         ictx = rc.data
         s_quasi = _quasi_rows(kernel_table(ctx1, n + 1, xs), rc.quasi)
         iterated = kernel_table(ictx.shifted, n, xs)[1:]
-        return ((xs - ctx1.k) * s_quasi - (xs - ictx.k2) * (xs - ictx.k3) * iterated) / den
+        return ((x - ctx1.k) * s_quasi - (x - ictx.k2) * (x - ictx.k3) * iterated) / den
     if rc.kind == "christoffel":
-        first = (xs - ctx1.k) * _quasi_rows(kernel_table(ctx1, n, xs), rc.quasi)
+        first = (x - ctx1.k) * _quasi_rows(kernel_table(ctx1, n, xs), rc.quasi)
         second = kernel_table(ctx2, n - 1, xs)
     else:
         second = _quasi_rows(kernel_table(ctx2, n, xs), rc.quasi)
         if rc.kind == "geronimus":
             first = geronimus_table(rc.data, n + 1, xs)[2:]
         else:
-            first = (xs - ctx1.k) * uvarov_table(rc.data, n, xs)[1:]
-    return (first + rc.eta[at, None] * (xs - ctx2.k) * second) / den
+            first = (x - ctx1.k) * uvarov_table(rc.data, n, xs)[1:]
+    return (first + rc.eta[at, None] * (x - ctx2.k) * second) / den
 
 
 def recovery_poly(rc: RecoveryCoefficients, n: int, x):

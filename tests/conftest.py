@@ -9,6 +9,15 @@ settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
 
 
+def pytest_configure(config):
+    # a RuntimeWarning (an overflow, a division by zero) fails the test that
+    # raised it; a test that drives one on purpose says so with its own
+    # filterwarnings mark, pytest.warns or np.errstate.  Set here, not in
+    # pyproject.toml, so that it covers these tests only: bench/selftest.py
+    # drives the ratio limits' known overflows without a mark.
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
+
+
 @pytest.fixture
 def cheb():
     return opx.chebyshev1()

@@ -286,6 +286,44 @@ def test_kernel_command(schema):
     assert report["rows"][1]["lambda_star"] == pytest.approx(0.4375)
 
 
+def test_kernel_rows_stay_finite_at_large_degree(schema):
+    # c* and lambda* are read off the ratios P_n(k)/P_{n-1}(k): on laguerre
+    # at -1 they stay finite where P_n(-1)^2 overflows (n = 95)
+    code, out, _ = run_cli(["kernel", "--family", "laguerre", "--shift=-1", "--n-max", "100", "--points=0.5"])
+    assert code == 0
+    report = json.loads(out)
+    jsonschema.validate(report, schema)
+    assert all(row[key] is not None for row in report["rows"] for key in ("c_star", "lambda_star"))
+    assert report["cases"][0]["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "args, value, warns",
+    [
+        (["eval", "--family", "laguerre", "--n-max", "200", "--points=1"], "P_171(1.0)", False),
+        # two points overflow in numpy's arrays, which warns; one runs on a
+        # Python float, which does not
+        (["eval", "--family", "laguerre", "--n-max", "200", "--points=0.5", "--points=1"], "P_171(0.5)", True),
+        (["kernel", "--family", "laguerre", "--shift=-1", "--n-max", "170", "--points=0.5"], "Pk_170(0.5)", False),
+    ],
+)
+def test_values_out_of_the_double_range_are_a_typed_error(args, value, warns):
+    # the first degree, and at it the first point, with no double to write
+    with pytest.warns(RuntimeWarning) if warns else contextlib.nullcontext():
+        code, out, err = run_cli(args)
+    assert (code, out) == (1, "")
+    assert err == f"opx: ParameterOutOfRange: {value} is out of the double range\n"
+
+
+def test_a_derivative_out_of_the_double_range_is_a_typed_error():
+    args = ["eval", "--family", "laguerre", "--n-max", "170", "--points=10", "--derivs"]
+    assert run_cli(args[:-1])[0] == 0  # P_170(10) itself is finite
+    with pytest.warns(RuntimeWarning):
+        code, out, err = run_cli(args)
+    assert (code, out) == (1, "")
+    assert err == "opx: ParameterOutOfRange: P'_170(10.0) is out of the double range\n"
+
+
 def test_recover_command(schema):
     code, out, _ = run_cli(
         ["recover", "--family", "chebyshev1", "--kind", "uvarov", "--shift", "2",

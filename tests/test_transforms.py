@@ -288,7 +288,8 @@ def test_uvarov_kernel_value_consistency(cheb):
     k, n = 2.0, 5
     ctx = opx.KernelContext(cheb, k, n + 1)
     direct = opx.kernel_poly(ctx, n - 1, k)
-    expected = ctx.norms[n - 1] / ctx.pk[n - 1] * opx.cd_kernel(ctx, n - 1, k)
+    pk = opx.eval_table(cheb, n - 1, [k])[:, 0]
+    expected = opx.norm_products(cheb, n - 1)[n - 1] / pk[n - 1] * opx.cd_kernel(ctx, n - 1, k)
     assert direct == pytest.approx(expected, rel=1e-12)
 
 
@@ -444,15 +445,18 @@ def test_recover_order2_constraint_solves(cheb):
 
 
 def test_recover_order2_cross_ratio_two_routes(cheb):
-    # the cross-sum ratio inside beta_n equals the iterated-kernel value
-    # ratio computed from the kernel module independently
+    # the iterated-kernel value ratio inside beta_n equals the ratio of the
+    # cross sums X_n = sum_j P_j(k3) P_j(k2) / N_j, summed here explicitly
     n_max = 5
     ctx = opx.KernelContext(cheb, 1j, n_max + 2)
     ictx = opx.IteratedKernelContext(ctx, -1j)
+    pk2 = opx.eval_table(cheb, n_max, [1j])[:, 0]
+    pk3 = opx.eval_table(cheb, n_max, [-1j])[:, 0]
+    cross = np.cumsum(pk3 * pk2 / opx.norm_products(cheb, n_max))
     for n in range(1, n_max):
         from_star = ictx.star_values[n + 1] / ictx.star_values[n]
         lam2 = cheb.coefficient(n + 2)[1]
-        from_cross = lam2 * (ctx.pk[n] / ctx.pk[n + 1]) * (ictx.cd_cross[n + 1] / ictx.cd_cross[n])
+        from_cross = lam2 * (pk2[n] / pk2[n + 1]) * (cross[n + 1] / cross[n])
         assert abs(from_star - from_cross) <= 1e-12 * abs(from_star)
 
 

@@ -10,9 +10,10 @@ the numpy-scalar loop below.  The row-table renderer writes the same bytes
 as the generic JSON renderer, whatever the types of its columns.  The
 continued fractions and hypergeometric series take their draws as array
 rows, bitwise equal to row-by-row calls, and an array call with failing rows
-raises the error a loop over its rows meets first.  The kernel, Geronimus,
-Uvarov and recovery tables over all degrees give, row by row, bitwise the
-values of the per-degree evaluators they replaced, ``kernel_ratio_limit``
+raises the error a loop over its rows meets first.  The kernel table over
+all degrees gives, row by row, bitwise the values of a per-degree evaluator;
+the Geronimus, Uvarov and recovery tables those of the per-degree
+evaluators they replaced, ``kernel_ratio_limit``
 the scalar formula it ran before it became one entry of
 ``kernel_ratio_limits``, and the quasi suite's difference equation, one
 call over every (b, n, point), the per-(b, n) loop it replaced, generator
@@ -29,7 +30,6 @@ from numpy.testing import assert_array_equal
 import opx
 from conftest import sample_points
 from opx import cli, suites
-from opx.errors import KernelUndefined
 
 N_MAX = 8
 # the CLI's default shifts (k1, k2) for each family
@@ -188,20 +188,15 @@ CONTEXT_CASES = [(name, make_family, k) for name, make_family, k, _ in RATIO_CON
     for name, make_family, _ in FAMILIES
     for k in (1j, -1j, 0.3 + 0.2j)
 ]
-# inside the hull of [-1, 1] the monic P_n(k) decay, and underflow to zero
-# before n = 4002
-UNDERFLOWS = {"chebyshev1-k(0.3+0.2j)", "jacobi-k(0.3+0.2j)"}
 
 
+# inside the hull of [-1, 1] the monic P_n(k) decay and underflow to zero
+# before n = 4002, but their ratios do not, so every context builds
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name, make_family, k", CONTEXT_CASES, ids=[c[0] for c in CONTEXT_CASES])
 def test_kernel_context_caches_match_numpy_scalars(name, make_family, k):
     fam = make_family()
     n_max = 4002
-    if name in UNDERFLOWS:
-        with pytest.raises(KernelUndefined):
-            opx.KernelContext(fam, k, n_max)
-        n_max = 1000
     ctx = opx.KernelContext(fam, k, n_max)
     for cache, reference in zip(_caches(ctx), _reference_caches(fam, k, n_max)):
         assert_bitwise(cache, reference)
@@ -648,24 +643,27 @@ TABLE_TOP = 20  # rows past 8 terms, where a CD row sum is pairwise
 
 
 def _reference_kernel_poly(ctx, n, xs):
-    """The per-degree ``kernel_poly`` body the kernel table replaced: one
-    ``eval_table`` per call, and inside the switch radius a CD sum of degree
-    n along each point's contiguous row."""
+    """A per-degree ``kernel_poly``: one ``eval_table`` per call, the divided
+    difference with rho_{n+1} outside the switch radius, and inside it the
+    CD recurrence Pk_j = P_j + (lambda_{j+1}/rho_j) Pk_{j-1} run up to n."""
     if n == 0:
         return np.ones_like(np.asarray(xs))
     xs = np.atleast_1d(np.asarray(xs))
-    dtype = complex if (np.iscomplexobj(xs) or np.iscomplexobj(ctx.pk)) else float
+    dtype = complex if (np.iscomplexobj(xs) or np.iscomplexobj(ctx.ratios)) else float
     xs = xs.astype(dtype)
     out = np.empty_like(xs)
     near = np.abs(xs - ctx.k) < opx.kernels.SWITCH_RADIUS * (1.0 + abs(ctx.k))
     if np.any(~near):
         far = xs[~near]
         table = opx.eval_table(ctx.family, n + 1, far)
-        out[~near] = (table[n + 1] - ctx.pk[n + 1] / ctx.pk[n] * table[n]) / (far - ctx.k)
+        out[~near] = (table[n + 1] - ctx.ratios[n + 1] * table[n]) / (far - ctx.k)
     if np.any(near):
         table = opx.eval_table(ctx.family, n, xs[near])
-        terms = np.ascontiguousarray(table.T * (ctx.pk[: n + 1] / ctx.norms[: n + 1]))
-        out[near] = ctx.norms[n] / ctx.pk[n] * terms.sum(axis=1)
+        step = ctx.family.table(n + 1)[1:, 1] / ctx.ratios[1 : n + 1]
+        value = table[0]
+        for j in range(1, n + 1):
+            value = table[j] + step[j - 1] * value
+        out[near] = value
     return out
 
 
@@ -703,9 +701,10 @@ TABLE_CASES = [
 def test_kernel_table_rows_match_the_per_degree_evaluator(name, make_family, k):
     fam = make_family()
     ctx = opx.KernelContext(fam, k, TABLE_TOP)
-    lam = fam.table(TABLE_TOP + 2)[:, 1]
+    # lambda_{n+2}/rho_{n+1} at [n]
+    coef = fam.table(TABLE_TOP + 2)[1:, 1] / ctx.ratios[1 : TABLE_TOP + 2]
     for label, xs in _table_point_sets(fam, k).items():
-        dtype = np.result_type(xs, ctx.pk)
+        dtype = np.result_type(xs, ctx.ratios)
         table = opx.kernel_table(ctx, TABLE_TOP + 1, xs)
         assert table.shape == (TABLE_TOP + 2, xs.size)
         _assert_rows(table, lambda n: _reference_kernel_poly(ctx, n, xs), dtype)
@@ -714,7 +713,7 @@ def test_kernel_table_rows_match_the_per_degree_evaluator(name, make_family, k):
         # P_{n+1} rebuilt from Pk_{n+1} and Pk_n, as op_from_kernels did it per degree
         rebuilt = opx.ops_from_kernel_table(ctx, table)
         for n in range(TABLE_TOP + 1):
-            expected = table[n + 1] - ctx.pk[n] / ctx.pk[n + 1] * lam[n + 1] * table[n]
+            expected = table[n + 1] - coef[n] * table[n]
             assert_bitwise(rebuilt[n], expected)
             assert_bitwise(opx.op_from_kernels(ctx, n, xs), expected)
         if label == "one-point":

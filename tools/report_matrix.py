@@ -168,6 +168,15 @@ def configs():
     yield "verify.tol.nan", ["verify", "--suite", "recovery", "--tol", "nan"]
     # an empty --support= is a usage error, not an absent flag
     yield "verify.usage.emptysupport", ["verify", "--suite", "chains", "--support=", "--n-max", "4"]
+    # degrees past the double range: a value no double holds is a typed
+    # error (exit 1) naming its degree and point, while the kernel rows,
+    # read off the ratios P_n(k)/P_{n-1}(k), stay finite where P_n(-1)^2
+    # overflows (n = 95)
+    laguerre0 = FAMILIES["laguerre0"]
+    yield "eval.laguerre0.n200", ["eval", *laguerre0, "--n-max", "200", "--points=1"]
+    for n_max in ("100", "170"):
+        argv = ["kernel", *laguerre0, "--shift=-1", "--n-max", n_max, "--points=0.5"]
+        yield f"kernel.laguerre0.k-1.n{n_max}", argv
 
 
 def run(argv):
