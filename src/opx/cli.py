@@ -283,7 +283,9 @@ def _cmd_eval(cfg: RunConfig) -> tuple[str, int]:
     fam = build_family(cfg)
     xs = np.array(cfg.points or [0.0])
     header = ["n", "x", "value"] + (["deriv"] if cfg.derivs else [])
-    values = families.eval_table(fam, cfg.n_max, xs)
+    with np.errstate(over="ignore", invalid="ignore"):  # _require_in_range reports it
+        values = families.eval_table(fam, cfg.n_max, xs)
+        derivs = families.eval_derivs(fam, cfg.n_max, xs, values) if cfg.derivs else None
     _require_in_range("P", values, xs)
     # point-major: the rows of one point are n = 0..n_max
     columns = [
@@ -292,7 +294,6 @@ def _cmd_eval(cfg: RunConfig) -> tuple[str, int]:
         np.real(values).T.ravel(),
     ]
     if cfg.derivs:
-        derivs = families.eval_derivs(fam, cfg.n_max, xs, values)
         _require_in_range("P'", derivs, xs)
         columns.append(np.real(derivs).T.ravel())
     return _finish(cfg, [], columns=columns, header=header, started=started)
@@ -310,9 +311,10 @@ def _cmd_kernel(cfg: RunConfig) -> tuple[str, int]:
     cases = []
     if cfg.points:
         xs = np.array(cfg.points)
-        dd = kernels.kernel_table(ctx, cfg.n_max, xs)
-        # recurrence evaluation from the starred coefficients
-        ks = families.eval_table(kernels.kernel_family(ctx, cfg.n_max), cfg.n_max, xs)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _cmd_eval
+            dd = kernels.kernel_table(ctx, cfg.n_max, xs)
+            # recurrence evaluation from the starred coefficients
+            ks = families.eval_table(kernels.kernel_family(ctx, cfg.n_max), cfg.n_max, xs)
         _require_in_range("Pk", dd, xs)
         _require_in_range("Pk", ks, xs)
         worst = suites.relative_gap(dd - ks, dd).max(initial=0.0)

@@ -12,9 +12,10 @@ functional L the module applies
     Lhat(p)   = L(p) + r0 * p(k)                   (Uvarov)
 
 all by quadrature, which keeps this module an oracle independent of every
-closed-form identity it is used to certify.  A Gram matrix takes its
-sequence as one table evaluator, ``xs -> (n_max + 1, len(xs))``, and reads
-it once per node set for every entry.
+closed-form identity it is used to certify.  Base, Christoffel and Uvarov
+are each one discrete measure on a Gauss rule (``measure``).  A Gram matrix
+takes its sequence as one table evaluator, ``xs -> (n_max + 1, len(xs))``,
+and reads it once on the measure of one rule.
 
 Every entry of a Gram matrix is a polynomial functional on one fixed rule,
 the Geronimus ones included: there the divided difference is a polynomial,
@@ -47,8 +48,8 @@ __all__ = [
     "Uvarov",
     "Functional",
     "gauss_rule",
+    "measure",
     "apply_functional",
-    "once_per_node_set",
     "orthogonality_residual",
     "moment_sequence",
     "cauchy_mass",
@@ -74,7 +75,7 @@ class Base:
 class Christoffel:
     """L*(p) = L((x - k) p)."""
 
-    k: complex
+    k: float
 
 
 @dataclass(frozen=True)
@@ -231,6 +232,21 @@ def _split_form(
     return math.fsum([value, pk * (kind.mass0 + cauchy)])
 
 
+def measure(family: FamilySpec, kind: Functional, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The polynomial functional ``kind`` as a discrete measure (nodes,
+    weights) on the m-point Gauss rule (x, w): Base is (x, w), Christoffel
+    (x, w (x - k)) and Uvarov (x then k, w then r0), exact through degree
+    2m - 1, 2m - 2 and 2m - 1.  Geronimus is no such measure."""
+    rule = gauss_rule(family, m)
+    if isinstance(kind, Base):
+        return rule.nodes, rule.weights
+    if isinstance(kind, Christoffel):
+        return rule.nodes, rule.weights * (rule.nodes - kind.k)
+    if isinstance(kind, Uvarov):
+        return np.append(rule.nodes, kind.k), np.append(rule.weights, kind.r0)
+    raise TypeError(f"{kind!r} is not a discrete measure on a Gauss rule")
+
+
 def apply_functional(
     family: FamilySpec,
     kind: Functional,
@@ -240,31 +256,20 @@ def apply_functional(
     """Apply the chosen functional to a polynomial given as an evaluator.
 
     ``degree`` must bound the polynomial degree so an exact rule can be
-    chosen.  Base, Christoffel and Uvarov use a fixed exact-degree rule.
-    Geronimus takes the split form, whose Stieltjes part p(x)/(x - k) is
-    integrated by node doubling: it holds every quadrature term at the scale
-    of p on the support, so it stays accurate far from the support, where
-    the terms of the exact divided-difference form cancel.
-    ``orthogonality_residual`` takes that exact form wherever its rounding
-    bound allows.
+    chosen.  Base, Christoffel and Uvarov sum over their ``measure`` on the
+    smallest rule exact for that degree.  Geronimus takes the split form,
+    whose Stieltjes part p(x)/(x - k) is integrated by node doubling: it
+    holds every quadrature term at the scale of p on the support, so it
+    stays accurate far from the support, where the terms of the exact
+    divided-difference form cancel.  ``orthogonality_residual`` takes that
+    exact form wherever its rounding bound allows.
     """
-    if isinstance(kind, Base):
-        rule = gauss_rule(family, _rule_order_for_degree(degree))
-        return math.fsum(rule.weights * poly_values(rule.nodes))
-    if isinstance(kind, Christoffel):
-        rule = gauss_rule(family, _rule_order_for_degree(degree + 1))
-        # grouping matches the Base branch applied to (x - k) p(x), so the
-        # two routes agree bitwise when they share a rule
-        return math.fsum(rule.weights * ((rule.nodes - kind.k) * poly_values(rule.nodes)))
-    if isinstance(kind, Uvarov):
-        rule = gauss_rule(family, _rule_order_for_degree(degree))
-        terms = list(rule.weights * poly_values(rule.nodes))
-        terms.append(kind.r0 * float(np.real(poly_values(np.array([kind.k]))[0])))
-        return math.fsum(terms)
     if isinstance(kind, Geronimus):
         _require_geronimus_shift(family, kind.k)
         return _split_form(family, kind, poly_values, degree, cauchy_mass(family, kind.k))
-    raise TypeError(f"unknown functional kind: {kind!r}")
+    shift = 1 if isinstance(kind, Christoffel) else 0
+    nodes, weights = measure(family, kind, _rule_order_for_degree(degree + shift))
+    return math.fsum(weights * poly_values(nodes))
 
 
 _cauchy_cache: "weakref.WeakKeyDictionary[FamilySpec, dict[float, float]]" = (
@@ -389,9 +394,10 @@ _EXACT_FORM_BOUND = 1e-12
 
 
 def _geronimus_gram(
-    family: FamilySpec, kind: Geronimus, values: Callable[[np.ndarray], np.ndarray], n_max: int
+    family: FamilySpec, kind: Geronimus, table: Callable[[np.ndarray], np.ndarray], n_max: int
 ) -> np.ndarray:
-    """The Gram matrix of the table ``values`` under Ltilde, unnormalized.
+    """The Gram matrix of the sequence ``table`` tabulates under Ltilde,
+    unnormalized.
 
     Entry (i, j) is first taken in the exact form
     L((p(x) - p(k))/(x - k)) + mass0 p(k), p = row i times row j, on the one
@@ -404,6 +410,7 @@ def _geronimus_gram(
     diagonal is settled first, each entry against its own size.
     """
     _require_geronimus_shift(family, kind.k)
+    values = _once_per_node_set(table)
     rule = gauss_rule(family, n_max + 2)
     on_rule = values(rule.nodes)
     at_k = values(np.array([kind.k]))[:, 0]
@@ -414,11 +421,8 @@ def _geronimus_gram(
     terms = rule.weights * ((px - pk[..., None]) / dist)
     spread = np.sum(rule.weights * (np.abs(px) + np.abs(pk)[..., None]) / np.abs(dist), axis=-1)
     bound = _EPS * (spread + np.abs(point_mass))
+    gram = _entry_sums(np.concatenate([terms, point_mass[..., None]], axis=-1))
     size = n_max + 1
-    gram = np.empty((size, size))
-    for i in range(size):
-        for j in range(i + 1):
-            gram[i, j] = gram[j, i] = math.fsum([*terms[i, j].tolist(), point_mass[i, j]])
 
     cauchy = None  # L(1/(k - x)), once, if any entry takes the split form
 
@@ -444,7 +448,7 @@ def _geronimus_gram(
     return gram
 
 
-def once_per_node_set(table: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+def _once_per_node_set(table: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
     """``table`` memoized on its point set: each distinct ``xs`` (compared by
     value) is evaluated once, and a repeat returns the same array."""
     cache: dict[bytes, np.ndarray] = {}
@@ -459,6 +463,11 @@ def once_per_node_set(table: Callable[[np.ndarray], np.ndarray]) -> Callable[[np
     return cached
 
 
+def _entry_sums(terms: np.ndarray) -> np.ndarray:
+    """The matrix whose entry (i, j) is the compensated sum of ``terms[i, j]``."""
+    return np.array([[math.fsum(entry) for entry in row] for row in terms.tolist()])
+
+
 def orthogonality_residual(
     family: FamilySpec,
     kind: Functional,
@@ -468,28 +477,23 @@ def orthogonality_residual(
     """Normalized Gram matrix of a sequence under the functional.
 
     ``table(xs)`` returns the members 0..n_max of the sequence at the points
-    ``xs``, shape (n_max + 1, len(xs)); it is called once per distinct node
-    set (each fixed rule, each node-doubling order, and the point [k]).
-    Entry (n, m) is the functional applied to the product of rows n and m,
-    divided by sqrt(|diag_n| * |diag_m|); the off-diagonal entries are the
-    test statistic.  Degrees are assumed to equal the index (monic sequences).
+    ``xs``, shape (n_max + 1, len(xs)).  Entry (n, m) is the functional
+    applied to the product of rows n and m, divided by
+    sqrt(|diag_n| * |diag_m|); the off-diagonal entries are the test
+    statistic.  Degrees are assumed to equal the index (monic sequences).
 
-    A Geronimus entry takes the exact divided-difference form where its
-    rounding bound allows, and the split form elsewhere (``_geronimus_gram``).
+    The table is read once, on the ``measure`` of the rule with n_max + 2
+    nodes, exact for every entry, and each entry is one compensated sum.
+    Geronimus takes the exact divided-difference form on that rule where
+    its rounding bound allows, and the split form elsewhere
+    (``_geronimus_gram``).
     """
-    values = once_per_node_set(table)
     if isinstance(kind, Geronimus):
-        gram = _geronimus_gram(family, kind, values, n_max)
+        gram = _geronimus_gram(family, kind, table, n_max)
     else:
-        size = n_max + 1
-        gram = np.zeros((size, size))
-        for i in range(size):
-            for j in range(i + 1):
-                def product(xs, _i=i, _j=j):
-                    rows = values(xs)
-                    return rows[_i] * rows[_j]
-
-                gram[i, j] = gram[j, i] = apply_functional(family, kind, product, i + j)
+        nodes, weights = measure(family, kind, n_max + 2)
+        rows = table(nodes)
+        gram = _entry_sums(weights * (rows[:, None, :] * rows[None, :, :]))
     diag = np.sqrt(np.abs(np.diag(gram)))
     diag[diag == 0.0] = 1.0
     return gram / np.outer(diag, diag)

@@ -14,6 +14,7 @@ resolved ``Settings`` and draws from ``rng`` in a fixed order, so
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -34,7 +35,6 @@ __all__ = [
     "kernel_branch_agreement",
     "kernel_ttrr",
     "op_from_kernels_gap",
-    "power_norms",
     "moment_annihilation",
     "difference_equation",
     "engineered_coefficients",
@@ -178,38 +178,30 @@ def _kernel_suite(fam, rng, settings: Settings) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def power_norms(fam, k: float, m_top: int) -> np.ndarray:
-    """||x^m|| = sqrt(|L*(x^{2m})|) under L* = (x - k) L, m = 0..m_top."""
-    functional = moments.Christoffel(k)
-    return np.array([
-        np.sqrt(abs(moments.apply_functional(fam, functional, lambda xs, m=m: xs ** (2 * m), 2 * m)))
-        for m in range(m_top + 1)
-    ])
-
-
-def moment_annihilation(ctx: kernels.KernelContext, spec: quasi.QuasiSpec, ns, x_norms) -> np.ndarray:
-    """|L*(x^m Q_n)| / (||x^m|| ||Q_n||) for n in ``ns`` and, within each n,
-    m = 0..n + 1 - 2 order, where Q_n = quasi_kernel(ctx, spec, n) has degree
-    n + 2 - order and ``x_norms[m]`` is ||x^m|| (``power_norms``).  One kernel
-    table per rule serves every n and m.
-
-    The statistic is dimensionless: Laguerre norms grow factorially, so raw
-    residuals mean nothing there.
+def moment_annihilation(ctx: kernels.KernelContext, spec: quasi.QuasiSpec, ns) -> np.ndarray:
+    """|L*(Pk_m Q_n)| / (||Pk_m|| ||Q_n||) under L* = (x - k) L for n in ``ns``
+    and, within each n, m = 0..n + 1 - 2 order, where Q_n =
+    quasi_kernel(ctx, spec, n) has degree n + 2 - order; Pk_0..Pk_m span
+    the polynomials of degree m.  One kernel table on the measure of L* on
+    the rule with max(ns) + 3 nodes, shared by both orders, serves every n
+    and m, and gives both norms, so the oracle stays independent of the
+    kernel recurrence's norms.  The statistic is dimensionless: Laguerre
+    norms grow factorially, so raw residuals mean nothing there.
     """
-    fam, functional = ctx.family, moments.Christoffel(ctx.k)
-    top = max(ns, default=0) + 2 - spec.order
-    table = moments.once_per_node_set(partial(kernels.kernel_table, ctx, top))
+    n_top = max(ns, default=0)
+    nodes, weights = moments.measure(ctx.family, moments.Christoffel(ctx.k), n_top + 3)
+    table = kernels.kernel_table(ctx, n_top + 2 - spec.order, nodes)
+
+    def norm(values):
+        return math.sqrt(abs(math.fsum(weights * values * values)))
+
+    pk_norms = [norm(row) for row in table]
     out = []
     for n in ns:
-        degree = n + 2 - spec.order
-
-        def q(xs, n=n):
-            return quasi.quasi_from_kernel_table(spec, n, table(xs))
-
-        q_norm = np.sqrt(abs(moments.apply_functional(fam, functional, lambda xs: q(xs) ** 2, 2 * degree)))
+        q = quasi.quasi_from_kernel_table(spec, n, table)
+        q_norm = norm(q)
         for m in range(n + 2 - 2 * spec.order):
-            val = moments.apply_functional(fam, functional, lambda xs, m=m: xs**m * q(xs), degree + m)
-            out.append(abs(val) / (x_norms[m] * q_norm))
+            out.append(abs(math.fsum(weights * table[m] * q)) / (pk_norms[m] * q_norm))
     return np.array(out)
 
 
@@ -245,11 +237,10 @@ def _quasi_suite(fam, rng, settings: Settings) -> list[dict]:
     k = settings.shifts[0]
     n_max = min(settings.n_max, 10)
     ctx = kernels.KernelContext(fam, k, n_max + 3)
-    x_norms = power_norms(fam, k, n_max - 1)
-    stats = moment_annihilation(ctx, quasi.QuasiSpec(order=1, a=1.0, b=0.7), range(2, n_max + 1), x_norms)
+    stats = moment_annihilation(ctx, quasi.QuasiSpec(order=1, a=1.0, b=0.7), range(2, n_max + 1))
     cases = [case("order1_moment_annihilation", _worst(stats), 1e-9)]
     spec2 = quasi.QuasiSpec(order=2, Ltilde=0.3, Mtilde=0.9)
-    stats = moment_annihilation(ctx, spec2, range(3, n_max + 1), x_norms)
+    stats = moment_annihilation(ctx, spec2, range(3, n_max + 1))
     cases.append(case("order2_moment_annihilation", _worst(stats), 1e-9))
     stated, proof = difference_equation(ctx, rng, n_max)
     cases.append(case("difference_equation_proof_form", _worst(proof), 1e-9))

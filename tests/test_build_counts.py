@@ -6,9 +6,10 @@ their calls into ``opx.ratios`` and ``opx.quasi`` do not grow with the
 number of draws or points, and a suite computes each Cauchy mass once.
 The ratios suite's confluent identity reads one table over every degree,
 with no ``confluent_cd`` call per degree.  The quadrature oracle evaluates
-a sequence's table once per distinct node set, and the kernel, quasi and
-recovery suites evaluate each family through such tables, so their
-``eval_table`` calls stay few, as do the ratios suite's."""
+a sequence's table once per Gram matrix, on one Gauss rule, and the kernel,
+quasi and recovery suites evaluate each family through such tables, so their
+``eval_table`` calls, and the Gauss rules they solve, stay few, as do the
+ratios suite's ``eval_table`` calls."""
 
 import contextlib
 import io
@@ -139,16 +140,16 @@ def test_jacobi_recovery_suite_computes_its_cauchy_mass_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "kind, degree_shift, extra",
+    "kind, extra",
     [
-        (moments.Base(), 0, []),
-        (moments.Christoffel(2.0), 1, []),
-        # the point mass reads the table at [k] too
-        (moments.Uvarov(2.0, 0.5), 0, [2.0]),
+        (moments.Base(), []),
+        (moments.Christoffel(2.0), []),
+        # the point mass's node k is read with the rule's nodes
+        (moments.Uvarov(2.0, 0.5), [2.0]),
     ],
     ids=["base", "christoffel", "uvarov"],
 )
-def test_gram_reads_its_table_once_per_rule(kind, degree_shift, extra):
+def test_gram_reads_its_table_once_per_rule(kind, extra):
     fam, n_max = opx.chebyshev1(), 5
     seen = []
 
@@ -157,10 +158,10 @@ def test_gram_reads_its_table_once_per_rule(kind, degree_shift, extra):
         return opx.eval_table(fam, n_max, xs)
 
     moments.orthogonality_residual(fam, kind, table, n_max)
-    # entry (i, j) takes the exact rule of degree i + j (+1 for L*)
-    orders = {max(1, -(-(d + degree_shift) // 2) + 2) for d in range(2 * n_max + 1)}
-    expected = [moments.gauss_rule(fam, m).nodes.tobytes() for m in orders]
-    assert sorted(seen) == sorted(expected + [np.array(extra).tobytes()] * bool(extra))
+    # one read, on the rule with n_max + 2 nodes, exact for every entry (one
+    # per rule of the entries' degrees made 6 to 7)
+    nodes = moments.gauss_rule(fam, n_max + 2).nodes
+    assert seen == [np.append(nodes, extra).tobytes()]
 
 
 def test_geronimus_gram_reads_its_table_once_per_node_set():
@@ -188,6 +189,40 @@ def test_geronimus_gram_reads_its_table_once_per_node_set():
         assert sorted(seen) == sorted(expected + [np.array([k]).tobytes()])
 
 
+@pytest.mark.parametrize(
+    "suite, flags, expected",
+    [
+        # the Gram matrices at both shifts share the rule with n_max + 2 nodes
+        # (9 with one rule per entry degree)
+        ("kernels", [], 1),
+        # both annihilation statistics share the rule with n_max + 3 nodes
+        # (10 with one rule per degree and power_norms' own)
+        ("quasi", [], 1),
+        # the Gram matrices' rule with 6 + 2 = 8 nodes (the suite caps their
+        # degree at 6), and the node doubling of the Geronimus entries that
+        # take the split form, from 8 to 16, 32 and 64 (10 with one rule per
+        # entry degree)
+        ("recovery", [], 4),
+        # every Geronimus entry takes the exact form at k = -1 (7 before)
+        ("recovery", ["--family", "laguerre", "--gamma", "0.5"], 1),
+        ("recovery", ["--family", "jacobi", "--gamma", "0.3", "--delta", "0.7"], 4),
+    ],
+)
+@pytest.mark.parametrize("n_max", ["8", "10"])
+def test_verify_ops_solve_few_gauss_rules(monkeypatch, suite, flags, expected, n_max):
+    # each op builds its family afresh, so every rule it reads is solved once
+    solves = Counter()
+    eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        solves["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    _run(["verify", "--suite", suite, *flags, "--n-max", n_max])
+    assert solves["eigh"] == expected
+
+
 @pytest.fixture
 def eval_tables(monkeypatch):
     """Counts ``eval_table`` calls through every opx module that binds it."""
@@ -207,17 +242,19 @@ def eval_tables(monkeypatch):
 @pytest.mark.parametrize(
     "suite, most",
     [
-        # per shift: the context, one kernel table per Christoffel rule of
-        # the Gram matrix, and the branch, recurrence and inversion checks
-        # (222 when each Gram entry evaluated Pk_i and Pk_j per degree)
+        # per shift: the Gram matrix's one kernel table, and the branch,
+        # recurrence and inversion checks: 14 (30 with one kernel table per
+        # Christoffel rule, 222 when each Gram entry evaluated Pk_i and Pk_j
+        # per degree)
         ("kernels", 30),
-        # the context, one kernel table per rule for each annihilation
-        # statistic, and the difference equation's one (282 per degree, 38
-        # with one difference-equation call per (b, n))
+        # one kernel table for each annihilation statistic and the difference
+        # equation's one: 3 (18 with one kernel table per rule, 282 per
+        # degree, 38 with one difference-equation call per (b, n))
         ("quasi", 19),
         # the four recoveries' contexts and one table per sequence, then one
-        # table per oracle node set for the Geronimus and Uvarov Gram
-        # matrices (104 when each Q_n evaluated its own tables)
+        # table per oracle node set of the Geronimus Gram matrix and one for
+        # the Uvarov Gram matrix: 22 (35 with one Uvarov table per rule, 104
+        # when each Q_n evaluated its own tables)
         ("recovery", 45),
         # the confluent identity's one table over degrees 0..8, the context
         # at k1 and its branch check, and the special-case context at k = 1

@@ -126,7 +126,9 @@ def test_functional_linearity(alpha, beta, seed):
 
 
 def test_christoffel_consistency_bit_equal(cheb):
-    # both sides routed через the same rule order share every operation
+    # both sides run on the same 4-node rule; L*'s measure rounds w (x - k)
+    # where Base rounds (x - k) p, one term differs by an ulp, and the
+    # compensated sums still agree
     k = 2.0
     pc = np.array([0.3, -1.2, 0.5, 0.25])
     p = lambda xs: np.polynomial.polynomial.polyval(xs, pc)
@@ -157,6 +159,63 @@ def test_uvarov_point_mass(cheb):
     got = apply_functional(cheb, Uvarov(2.0, 0.5), lambda xs: xs**2, 2)
     base = apply_functional(cheb, Base(), lambda xs: xs**2, 2)
     assert got == pytest.approx(base + 0.5 * 4.0, rel=1e-13)
+
+
+def test_measure_on_chebyshev1(cheb):
+    k, r0, m = 2.0, 0.3, 6
+    rule = gauss_rule(cheb, m)
+    nodes, weights = moments.measure(cheb, Base(), m)
+    assert nodes is rule.nodes and weights is rule.weights
+    # L*(1) = L(x - k) = mu0 (c_1 - k), with c_1 = 0
+    nodes, weights = moments.measure(cheb, Christoffel(k), m)
+    assert nodes is rule.nodes
+    assert math.fsum(weights) == pytest.approx(math.pi * (0.0 - k), rel=1e-14)
+    nodes, weights = moments.measure(cheb, Uvarov(k, r0), m)
+    assert (nodes[-1], weights[-1]) == (k, r0)
+    assert np.array_equal(nodes[:-1], rule.nodes) and np.array_equal(weights[:-1], rule.weights)
+    with pytest.raises(TypeError):
+        moments.measure(cheb, Geronimus(k, 1.0), m)
+
+
+def _uvarov_table_exact_at_k(fam, k, r0, n):
+    """``uvarov_table`` with Ph_j(k) taken as P_j(k) / (1 + r0 K_{j-1}(k, k)),
+    whose sum has positive terms only: the table's own difference
+    P_j(k) - T_j Pk_{j-1}(k; k) cancels to noise long before degree 48."""
+    data = opx.uvarov_data(fam, k, r0, n)
+    pk = opx.eval_table(fam, n, [k])[:, 0]
+    kkk = np.concatenate([[0.0], np.cumsum(pk[:-1] ** 2 / opx.norm_products(fam, n - 1))])
+    at_k = pk / (1.0 + r0 * kkk)
+
+    def table(xs):
+        out = opx.uvarov_table(data, n, xs)
+        out[:, xs == k] = at_k[:, None]
+        return out
+
+    return table
+
+
+@pytest.mark.parametrize("kind", ["base", "christoffel", "uvarov"])
+@pytest.mark.parametrize(
+    "make_family", [opx.chebyshev1, lambda: opx.jacobi(0.3, 0.7)], ids=["chebyshev1", "jacobi0.3,0.7"]
+)
+def test_gram_at_degree_48_reads_one_table(make_family, kind):
+    fam, n, k = make_family(), 48, 2.0
+    if kind == "base":
+        functional, table = Base(), lambda xs: opx.eval_table(fam, n, xs)
+    elif kind == "christoffel":
+        ctx = opx.KernelContext(fam, k, n + 1)
+        functional, table = Christoffel(k), lambda xs: opx.kernel_table(ctx, n, xs)
+    else:
+        functional, table = Uvarov(k, 0.3), _uvarov_table_exact_at_k(fam, k, 0.3, n)
+    reads = []
+
+    def counted(xs):
+        reads.append(xs.size)
+        return table(xs)
+
+    gram = orthogonality_residual(fam, functional, counted, n)
+    assert reads == [n + 2 + (kind == "uvarov")]
+    assert np.max(np.abs(gram - np.diag(np.diag(gram)))) <= 1e-13
 
 
 def test_orthogonality_residual_base(cheb):

@@ -20,7 +20,7 @@ def test_order1_moment_annihilation(cheb):
     # m = 0..n-1 for n = 2..8
     ctx = opx.KernelContext(cheb, 2.0, 10)
     spec = quasi.QuasiSpec(order=1, a=1.0, b=0.7)
-    stats = suites.moment_annihilation(ctx, spec, range(2, 9), suites.power_norms(cheb, 2.0, 7))
+    stats = suites.moment_annihilation(ctx, spec, range(2, 9))
     assert stats.size == 35 and (stats <= 1e-9).all()
 
 
@@ -30,7 +30,7 @@ def test_order1_moment_annihilation_random_mixing(cheb, lag, jac, rng):
         ctx = opx.KernelContext(fam, k, 11)
         a, b = rng.uniform(0.2, 2.0, 2)
         spec = quasi.QuasiSpec(order=1, a=float(a), b=float(b))
-        stats = suites.moment_annihilation(ctx, spec, range(2, 10), suites.power_norms(fam, k, 8))
+        stats = suites.moment_annihilation(ctx, spec, range(2, 10))
         assert stats.size == 44 and (stats <= 1e-9).all()
 
 
@@ -38,8 +38,19 @@ def test_order2_moment_annihilation(cheb):
     ctx = opx.KernelContext(cheb, 2.0, 8)
     spec = quasi.QuasiSpec(order=2, Ltilde=0.3, Mtilde=0.9)
     # m = 0..2 at n = 5
-    stats = suites.moment_annihilation(ctx, spec, [5], suites.power_norms(cheb, 2.0, 2))
+    stats = suites.moment_annihilation(ctx, spec, [5])
     assert stats.size == 3 and (stats <= 1e-9).all()
+
+
+def test_moment_annihilation_fails_at_a_wrong_shift(cheb, monkeypatch):
+    # kernel polynomials at k = 2.5 are not those L* at k = 2 annihilates
+    ctx = opx.KernelContext(cheb, 2.0, 10)
+    wrong = opx.KernelContext(cheb, 2.5, 10)
+    table = opx.kernel_table
+    monkeypatch.setattr(opx.kernels, "kernel_table", lambda _ctx, n, xs: table(wrong, n, xs))
+    spec = quasi.QuasiSpec(order=1, a=1.0, b=0.7)
+    stats = suites.moment_annihilation(ctx, spec, range(2, 9))
+    assert stats.max() > 1e-6
 
 
 def test_quasi_kernel_degrees(cheb):
