@@ -32,10 +32,10 @@ print("\nshifted-functional Gram off-diagonal max:",
 
 # inversion: P_{n+1} is a two-term combination of kernel polynomials
 x = 0.3
+rebuilt = opx.ops_from_kernel_table(ctx, opx.kernel_table(ctx, 4, [x]))[:, 0]
 for n in range(4):
-    rebuilt = opx.op_from_kernels(ctx, n, x)
     direct = opx.eval_sequence(fam, n + 1, x).values[n + 1]
-    print(f"P_{n+1}({x}) rebuilt from kernels: {rebuilt:+.12f} direct: {direct:+.12f}")
+    print(f"P_{n+1}({x}) rebuilt from kernels: {rebuilt[n]:+.12f} direct: {direct:+.12f}")
 
 # iterating the construction at conjugate complex shifts stays well defined
 ictx = opx.IteratedKernelContext(opx.KernelContext(fam, 1j, 8), -1j)

@@ -44,7 +44,6 @@ from .kernels import (
     kernel_poly,
     kernel_recurrence,
     kernel_table,
-    op_from_kernels,
     ops_from_kernel_table,
     product_orthogonality_check,
 )
@@ -78,7 +77,6 @@ from .ratios import (
     kernel_ratio_limit,
     kernel_ratio_limits,
     kummer_cf_ratio,
-    laguerre_mixed_cf,
     laguerre_ratio_cf,
 )
 from .transforms import (
@@ -87,17 +85,14 @@ from .transforms import (
     UvarovData,
     geronimus_data,
     geronimus_family,
-    geronimus_poly,
     geronimus_table,
     op_from_geronimus,
     recover_christoffel,
     recover_geronimus,
     recover_order2,
     recover_uvarov,
-    recovery_poly,
     recovery_table,
     uvarov_data,
-    uvarov_poly,
     uvarov_table,
 )
 

@@ -354,7 +354,7 @@ def _cmd_ratio(cfg: RunConfig) -> tuple[str, int]:
     ns = np.arange(1, cfg.n_max + 1)
     closed = gaps = [None] * cfg.n_max
     if cfg.family == "chebyshev1" and k == 1.0:
-        closed = 0.5 * (1.0 + 2.0 / (2.0 * ns + 1.0))
+        closed = suites.chebyshev1_shift1_ratio(ns)
         gaps = np.abs(r_up - closed)
         cases.append(suites.case("tabulated_closed_form_gap", max(gaps.tolist()), None))
     return _finish(cfg, cases, columns=[ns, r_up, closed, gaps], header=header, started=started)

@@ -42,7 +42,6 @@ __all__ = [
     "kernel_family",
     "cd_kernel",
     "ops_from_kernel_table",
-    "op_from_kernels",
     "iterated_kernel",
     "product_orthogonality_check",
 ]
@@ -70,7 +69,7 @@ class KernelContext:
         self.family = family
         self.k = k
         self.n_max = n_max
-        top = n_max + 2  # rho_j for j = 1..n_max+3 (op_from_kernels needs n+2)
+        top = n_max + 2  # rho_j for j = 1..n_max+3
         c, lam = family.table(top + 2).T
         dtype = np.dtype(complex if np.iscomplexobj(k) or np.iscomplexobj(c) else float)
         caches = None
@@ -215,12 +214,6 @@ def ops_from_kernel_table(ctx: KernelContext, table: np.ndarray) -> np.ndarray:
     lam = ctx.family.table(m + 1)[1:, 1]  # lambda_2..lambda_{m+1}
     coef = lam / ctx.ratios[1 : m + 1]
     return table[1:] - coef[:, None] * table[:-1]
-
-
-def op_from_kernels(ctx: KernelContext, n: int, x):
-    """P_{n+1}(x) rebuilt from Pk_{n+1} and Pk_n: row n of ``ops_from_kernel_table``."""
-    out = ops_from_kernel_table(ctx, kernel_table(ctx, n + 1, x))[n]
-    return out if np.ndim(x) else out[0]
 
 
 class IteratedKernelContext:

@@ -12,19 +12,21 @@ functional L the module applies
     Lhat(p)   = L(p) + r0 * p(k)                   (Uvarov)
 
 all by quadrature, which keeps this module an oracle independent of every
-closed-form identity it is used to certify.  Base, Christoffel and Uvarov
-are each one discrete measure on a Gauss rule (``measure``).  A Gram matrix
-takes its sequence as one table evaluator, ``xs -> (n_max + 1, len(xs))``,
-and reads it once on the measure of one rule.
+closed-form identity it is used to certify.  On a Gauss rule each of the
+four is one discrete measure (``measure``); Geronimus is the modified rule
+with weights w/(x - k) on the nodes and the point weight
+mass0 - sum w/(x - k) at k, exact where the rule integrates the divided
+difference (Gautschi, Orthogonal Polynomials: Computation and
+Approximation, 2004, sec. 2.4).  A Gram matrix takes its sequence as one
+table evaluator, ``xs -> (n_max + 1, len(xs))``, reads it once on the
+measure of one rule and sums each entry once.
 
-Every entry of a Gram matrix is a polynomial functional on one fixed rule,
-the Geronimus ones included: there the divided difference is a polynomial,
-which the base rule integrates exactly.  Only where that form's rounding
-bound is too large against the diagonal, far from the support, does an
-entry fall back to the split form L(p/(x - k)) + p(k) (mass0 + L(1/(k - x))),
-whose first term is integrated by node doubling.  ``cauchy_mass`` gives
-L(1/(k - x)) in closed form for the built-in families and by node doubling
-for custom ones.
+Far from the support the Geronimus measure's terms cancel from the scale
+of p(k).  Where an entry's rounding bound is too large against the
+diagonal, it falls back to the split form
+L(p/(x - k)) + p(k) (mass0 + L(1/(k - x))), whose first term is integrated
+by node doubling.  ``cauchy_mass`` gives L(1/(k - x)) in closed form for
+the built-in families and by node doubling for custom ones.
 """
 
 from __future__ import annotations
@@ -212,6 +214,7 @@ def _split_form(
     kind: Geronimus,
     poly_values: Callable[[np.ndarray], np.ndarray],
     degree: int,
+    pk: float,
     cauchy: float,
 ) -> float:
     """Ltilde(p) in the algebraically identical split of the divided difference,
@@ -219,10 +222,9 @@ def _split_form(
         L((p(x) - p(k))/(x - k)) + p(k) mass0
           = L(p(x)/(x - k)) + p(k) (mass0 + L(1/(k - x))),
 
-    with ``cauchy`` = L(1/(k - x)).  It keeps every quadrature term at the
-    scale of p on the support instead of the scale of p(k); the Stieltjes
-    part is integrated by node doubling."""
-    pk = float(np.real(poly_values(np.array([kind.k]))[0]))
+    with ``pk`` = p(k) and ``cauchy`` = L(1/(k - x)).  It keeps every
+    quadrature term at the scale of p on the support instead of the scale
+    of p(k); the Stieltjes part is integrated by node doubling."""
 
     def stieltjes_part(xs: np.ndarray) -> np.ndarray:
         return poly_values(xs) / (xs - kind.k)
@@ -234,17 +236,29 @@ def _split_form(
 
 def measure(family: FamilySpec, kind: Functional, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The polynomial functional ``kind`` as a discrete measure (nodes,
-    weights) on the m-point Gauss rule (x, w): Base is (x, w), Christoffel
-    (x, w (x - k)) and Uvarov (x then k, w then r0), exact through degree
-    2m - 1, 2m - 2 and 2m - 1.  Geronimus is no such measure."""
+    weights) on the m-point Gauss rule (x, w).
+
+    - Base: (x, w), exact through degree 2m - 1;
+    - Christoffel: (x, w (x - k)), exact through degree 2m - 2;
+    - Geronimus: (x then k, w/(x - k) then mass0 - fsum(w/(x - k))), exact
+      through degree 2m, where the divided difference has degree 2m - 1;
+    - Uvarov: (x then k, w then r0), exact through degree 2m - 1.
+
+    Raises
+    ------
+    ShiftInsideSupport
+        If a Geronimus shift lies inside the support.
+    """
     rule = gauss_rule(family, m)
     if isinstance(kind, Base):
         return rule.nodes, rule.weights
     if isinstance(kind, Christoffel):
         return rule.nodes, rule.weights * (rule.nodes - kind.k)
-    if isinstance(kind, Uvarov):
-        return np.append(rule.nodes, kind.k), np.append(rule.weights, kind.r0)
-    raise TypeError(f"{kind!r} is not a discrete measure on a Gauss rule")
+    if isinstance(kind, Geronimus):
+        _require_geronimus_shift(family, kind.k)
+        weights = rule.weights / (rule.nodes - kind.k)
+        return np.append(rule.nodes, kind.k), np.append(weights, kind.mass0 - math.fsum(weights))
+    return np.append(rule.nodes, kind.k), np.append(rule.weights, kind.r0)
 
 
 def apply_functional(
@@ -261,12 +275,13 @@ def apply_functional(
     whose Stieltjes part p(x)/(x - k) is integrated by node doubling: it
     holds every quadrature term at the scale of p on the support, so it
     stays accurate far from the support, where the terms of the exact
-    divided-difference form cancel.  ``orthogonality_residual`` takes that
-    exact form wherever its rounding bound allows.
+    divided-difference form cancel.  ``orthogonality_residual`` takes the
+    Geronimus ``measure`` wherever its rounding bound allows.
     """
     if isinstance(kind, Geronimus):
         _require_geronimus_shift(family, kind.k)
-        return _split_form(family, kind, poly_values, degree, cauchy_mass(family, kind.k))
+        pk = float(np.real(poly_values(np.array([kind.k]))[0]))
+        return _split_form(family, kind, poly_values, degree, pk, cauchy_mass(family, kind.k))
     shift = 1 if isinstance(kind, Christoffel) else 0
     nodes, weights = measure(family, kind, _rule_order_for_degree(degree + shift))
     return math.fsum(weights * poly_values(nodes))
@@ -386,44 +401,27 @@ def _cauchy_value(family: FamilySpec, k: float) -> float:
     return integrate_until_stable(family, lambda xs: 1.0 / (k - xs), start_order=32, rtol=1e-13)
 
 
-# a Gram entry keeps the exact Geronimus form when its rounding bound is at
-# most this fraction of the diagonal scale.  The Laguerre default shift
+# a Gram entry keeps the Geronimus measure's sum when its rounding bound is
+# at most this fraction of the diagonal scale.  The Laguerre default shift
 # passes at 1e-12 with every entry; at 1e-13 some of its entries would go
 # back to node doubling, up to 512 nodes
 _EXACT_FORM_BOUND = 1e-12
 
 
-def _geronimus_gram(
-    family: FamilySpec, kind: Geronimus, table: Callable[[np.ndarray], np.ndarray], n_max: int
-) -> np.ndarray:
-    """The Gram matrix of the sequence ``table`` tabulates under Ltilde,
-    unnormalized.
-
-    Entry (i, j) is first taken in the exact form
-    L((p(x) - p(k))/(x - k)) + mass0 p(k), p = row i times row j, on the one
-    rule with n_max + 2 nodes, which integrates every divided difference of
-    degree up to 2 n_max - 1 exactly.  Its rounding is bounded a priori by
-    eps (sum_l w_l (|p(x_l)| + |p(k)|)/|x_l - k| + |mass0 p(k)|); far from
-    the support the two terms cancel from |mass0 p(k)|, and the bound says
-    so.  An entry whose bound exceeds ``_EXACT_FORM_BOUND`` times its
-    diagonal scale sqrt(|G_ii G_jj|) is taken in the split form instead; the
-    diagonal is settled first, each entry against its own size.
-    """
-    _require_geronimus_shift(family, kind.k)
+def _split_where_rounding_is_large(
+    family: FamilySpec,
+    kind: Geronimus,
+    table: Callable[[np.ndarray], np.ndarray],
+    gram: np.ndarray,
+    bound: np.ndarray,
+    pk: np.ndarray,
+) -> None:
+    """Retake in the split form, in place, each entry of the unnormalized
+    Geronimus Gram matrix ``gram`` whose rounding bound exceeds
+    ``_EXACT_FORM_BOUND`` times its diagonal scale sqrt(|G_ii G_jj|); the
+    diagonal is settled first, each entry against its own size.  ``pk``
+    holds p(k) of every entry."""
     values = _once_per_node_set(table)
-    rule = gauss_rule(family, n_max + 2)
-    on_rule = values(rule.nodes)
-    at_k = values(np.array([kind.k]))[:, 0]
-    dist = rule.nodes - kind.k
-    px = on_rule[:, None, :] * on_rule[None, :, :]  # p at the nodes, entry by entry
-    pk = np.outer(at_k, at_k)
-    point_mass = kind.mass0 * pk
-    terms = rule.weights * ((px - pk[..., None]) / dist)
-    spread = np.sum(rule.weights * (np.abs(px) + np.abs(pk)[..., None]) / np.abs(dist), axis=-1)
-    bound = _EPS * (spread + np.abs(point_mass))
-    gram = _entry_sums(np.concatenate([terms, point_mass[..., None]], axis=-1))
-    size = n_max + 1
-
     cauchy = None  # L(1/(k - x)), once, if any entry takes the split form
 
     def split(i: int, j: int) -> float:
@@ -435,8 +433,9 @@ def _geronimus_gram(
             rows = values(xs)
             return rows[i] * rows[j]
 
-        return _split_form(family, kind, product, i + j, cauchy)
+        return _split_form(family, kind, product, i + j, pk[i, j], cauchy)
 
+    size = len(gram)
     for i in range(size):
         if bound[i, i] > _EXACT_FORM_BOUND * abs(gram[i, i]):
             gram[i, i] = split(i, i)
@@ -445,7 +444,6 @@ def _geronimus_gram(
         for j in range(i):
             if bound[i, j] > _EXACT_FORM_BOUND * scale[i] * scale[j]:
                 gram[i, j] = gram[j, i] = split(i, j)
-    return gram
 
 
 def _once_per_node_set(table: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
@@ -484,16 +482,20 @@ def orthogonality_residual(
 
     The table is read once, on the ``measure`` of the rule with n_max + 2
     nodes, exact for every entry, and each entry is one compensated sum.
-    Geronimus takes the exact divided-difference form on that rule where
-    its rounding bound allows, and the split form elsewhere
-    (``_geronimus_gram``).
+    Far from the support the Geronimus terms cancel from the scale of p(k),
+    p = row n times row m, so each Geronimus entry carries the a-priori
+    rounding bound eps (sum |terms| + |p(k)| sum_l |w_l/(x_l - k)|), the
+    second term the point weight's own; an entry whose bound is too large
+    against the diagonal is retaken in the split form.
     """
+    nodes, weights = measure(family, kind, n_max + 2)
+    rows = table(nodes)
+    terms = weights * (rows[:, None, :] * rows[None, :, :])
+    gram = _entry_sums(terms)
     if isinstance(kind, Geronimus):
-        gram = _geronimus_gram(family, kind, table, n_max)
-    else:
-        nodes, weights = measure(family, kind, n_max + 2)
-        rows = table(nodes)
-        gram = _entry_sums(weights * (rows[:, None, :] * rows[None, :, :]))
+        pk = np.outer(rows[:, -1], rows[:, -1])
+        bound = _EPS * (np.sum(np.abs(terms), axis=-1) + np.abs(pk) * np.sum(np.abs(weights[:-1])))
+        _split_where_rounding_is_large(family, kind, table, gram, bound, pk)
     diag = np.sqrt(np.abs(np.diag(gram)))
     diag[diag == 0.0] = 1.0
     return gram / np.outer(diag, diag)

@@ -50,7 +50,6 @@ __all__ = [
     "gauss_cf_ratio",
     "kummer_cf_ratio",
     "laguerre_ratio_cf",
-    "laguerre_mixed_cf",
     "jacobi_ratio_cf",
     "hyp_series",
     "ChainSequence",
@@ -419,30 +418,6 @@ def laguerre_ratio_cf(
     else:
         mixed = math.nan
     return cf_value, same, mixed
-
-
-def laguerre_mixed_cf(gamma: float, n: int, x: float, depth: int = 60) -> float:
-    """The alternating-sign fraction printed for the mixed-parameter ratio
-    phi(-n+1; gamma+2; -x) / phi(-n; gamma+1; -x).
-
-    Coefficients d'_{2k+1} = (n+k+gamma+1)/((gamma+2k+1)(gamma+2k+2)) and
-    d'_{2k+2} = (1-n+k)/((gamma+2k+1)(gamma+2k+2)), signs +, -, +, -, ...
-    Followed as printed; agreement with direct kernel ratios is reported,
-    not asserted.
-    """
-    if not gamma > -1.0:
-        raise ParameterOutOfRange(f"gamma must exceed -1, got {gamma}")
-    if n < 1:
-        raise ParameterOutOfRange(f"n must be >= 1, got {n}")
-
-    b = []
-    for j in range(1, depth + 11):
-        k = float((j - 1) // 2)  # j = 2k+1 and j = 2k+2 share a denominator
-        den = (gamma + 2 * k + 1.0) * (gamma + 2 * k + 2.0)
-        b.append((n + k + gamma + 1.0) / den if j % 2 else -((1.0 - n + k) / den))
-        if b[-1] == 0.0:
-            break
-    return evaluate_cf(b, x, depth)
 
 
 def jacobi_ratio_cf(

@@ -44,6 +44,7 @@ __all__ = [
     "uvarov_orthogonality",
     "confluent_cd_identity",
     "ratio_limit_vs_cd_branch",
+    "chebyshev1_shift1_ratio",
     "gauss_cf_vs_series",
     "kummer_cf_vs_series",
     "gauss_cf_vs_series_nonterminating",
@@ -361,6 +362,12 @@ def ratio_limit_vs_cd_branch(ctx: kernels.KernelContext, r_ups) -> np.ndarray:
     return np.array(gaps)
 
 
+def chebyshev1_shift1_ratio(ns) -> np.ndarray:
+    """The closed form r_up(n) = (1 + 2/(2n + 1))/2 of chebyshev1's kernel
+    ratio at k = 1, at the degrees ``ns``."""
+    return 0.5 * (1.0 + 2.0 / (2.0 * np.asarray(ns) + 1.0))
+
+
 def _columns(rows: list[tuple]) -> list[np.ndarray]:
     """The columns of a list of equal-length tuples, as arrays."""
     return list(map(np.array, zip(*rows)))
@@ -449,11 +456,9 @@ def _ratio_suite(fam, rng, settings: Settings) -> list[dict]:
     cases.append(case("gauss_cf_vs_series_nonterminating", _worst(gaps), 1e-10))
     # the special-case fractions' printed prefactors: gaps recorded, not gated
     if fam.kind == "chebyshev1":
-        r_ups = ratios.kernel_ratio_limits(kernels.KernelContext(fam, 1.0, n_max + 2), n_max)[0].tolist()
-        gap = 0.0
-        for n in range(1, n_max + 1):
-            gap = max(gap, abs(r_ups[n] - 0.5 * (1.0 + 2.0 / (2.0 * n + 1.0))))
-        cases.append(case("chebyshev_tabulated_closed_form_gap", gap, None))
+        r_ups = ratios.kernel_ratio_limits(kernels.KernelContext(fam, 1.0, n_max + 2), n_max)[0]
+        gaps = np.abs(r_ups[1:] - chebyshev1_shift1_ratio(np.arange(1, n_max + 1)))
+        cases.append(case("chebyshev_tabulated_closed_form_gap", max([0.0, *gaps.tolist()]), None))
     if fam.kind == "laguerre":
         gamma = dict(fam.params)["gamma"]
         ctx0 = kernels.KernelContext(fam, 0.0, n_max + 2)

@@ -50,18 +50,15 @@ __all__ = [
     "RecoveryCoefficients",
     "geronimus_data",
     "geronimus_table",
-    "geronimus_poly",
     "geronimus_family",
     "op_from_geronimus",
     "uvarov_data",
     "uvarov_table",
-    "uvarov_poly",
     "recover_christoffel",
     "recover_geronimus",
     "recover_uvarov",
     "recover_order2",
     "recovery_table",
-    "recovery_poly",
 ]
 
 _POLE_RTOL = 1e-11
@@ -226,12 +223,6 @@ def geronimus_table(data: GeronimusData, n: int, xs) -> np.ndarray:
     return np.concatenate([table[:1], table[1:] + data.A[1 : n + 1, None] * table[:-1]])
 
 
-def geronimus_poly(data: GeronimusData, n: int, x):
-    """Transformed polynomial Pt_n(k; x): row n of ``geronimus_table``."""
-    out = geronimus_table(data, n, x)[n]
-    return out if np.ndim(x) else out[0]
-
-
 def op_from_geronimus(data: GeronimusData, n: int, x):
     """Invert the transform: P_n(x) from rows n and n+1 of one
     ``geronimus_table``.
@@ -263,7 +254,7 @@ def uvarov_data(family: FamilySpec, k: float, r0: float, n_max: int) -> UvarovDa
     classical point-mass formula, which the quadrature oracle confirms; the
     variant with both indices raised to n fails the orthogonality contract
     and is not used.  It is read off the ratio caches of the kernel context
-    at k that ``uvarov_poly`` evaluates Pk_{n-1}(k; x) from:
+    at k that ``uvarov_table`` evaluates Pk_{n-1}(k; x) from:
     T_n = r0 rho_n t_{n-1} / (1 + r0 S_{n-1}), with t_j = P_j(k)^2/N_j and
     S_j = K_j(k, k).
     """
@@ -284,18 +275,20 @@ def uvarov_data(family: FamilySpec, k: float, r0: float, n_max: int) -> UvarovDa
 def uvarov_table(data: UvarovData, n: int, xs) -> np.ndarray:
     """Point-mass transformed polynomials Ph_m(x) = P_m(x) - T_m Pk_{m-1}(k; x),
     m = 0..n, at every point of ``xs``, from one ``eval_table`` and one
-    ``kernel_table``; shape (n+1, len(xs))."""
+    ``kernel_table``; shape (n+1, len(xs)).
+
+    At x = k the difference cancels to noise as m grows, so there the
+    table takes Ph_m(k) = P_m(k) / (1 + r0 K_{m-1}(k, k)), whose sum K has
+    positive terms only."""
     table = eval_table(data.ctx.family, n, xs)
     if n == 0:
         return table
     kernel = kernel_table(data.ctx, n - 1, xs)
-    return np.concatenate([table[:1], table[1:] - data.T[1 : n + 1, None] * kernel])
-
-
-def uvarov_poly(data: UvarovData, n: int, x):
-    """Point-mass transformed polynomial Ph_n(x): row n of ``uvarov_table``."""
-    out = uvarov_table(data, n, x)[n]
-    return out if np.ndim(x) else out[0]
+    out = np.concatenate([table[:1], table[1:] - data.T[1 : n + 1, None] * kernel])
+    at_k = np.atleast_1d(xs) == data.ctx.k
+    if at_k.any():
+        out[1:, at_k] = table[1:, at_k] / (1.0 + data.r0 * data.ctx.cd_partials[:n, None])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +498,3 @@ def recovery_table(rc: RecoveryCoefficients, n: int, xs) -> np.ndarray:
         else:
             first = (x - ctx1.k) * uvarov_table(rc.data, n, xs)[1:]
     return (first + rc.eta[at, None] * (x - ctx2.k) * second) / den
-
-
-def recovery_poly(rc: RecoveryCoefficients, n: int, x):
-    """Q_n(x): row n of ``recovery_table``, so a pole of any degree up to n
-    at x raises; a number x gives a number."""
-    out = recovery_table(rc, n, x)[n - 1]
-    return out if np.ndim(x) else out[0]

@@ -167,7 +167,7 @@ def test_gram_reads_its_table_once_per_rule(kind, extra):
 def test_geronimus_gram_reads_its_table_once_per_node_set():
     n_max = 4
     for fam, k, doubling in (
-        # every entry takes the exact divided-difference form
+        # every entry keeps the sum over the Geronimus measure
         (opx.laguerre(0.0), -1.0, ()),
         # far from the support most entries take the split form, whose node
         # doubling starts at 8 nodes
@@ -181,12 +181,14 @@ def test_geronimus_gram_reads_its_table_once_per_node_set():
             return transforms.geronimus_table(data, n_max, xs)
 
         moments.orthogonality_residual(fam, moments.Geronimus(k, data.mass0), table, n_max)
-        # the one rule that integrates every divided difference exactly
-        # (n_max + 2 nodes), the point [k], and each node-doubling order, once each
-        orders = {n_max + 2, *doubling}
-        expected = [moments.gauss_rule(fam, m).nodes.tobytes() for m in orders]
+        # the measure's nodes, those of the one rule that integrates every
+        # divided difference exactly (n_max + 2 nodes) and k, then each
+        # node-doubling order, once each
+        measure = np.append(moments.gauss_rule(fam, n_max + 2).nodes, k).tobytes()
+        expected = [moments.gauss_rule(fam, m).nodes.tobytes() for m in doubling]
+        assert seen[0] == measure
         assert len(seen) == len(set(seen))
-        assert sorted(seen) == sorted(expected + [np.array([k]).tobytes()])
+        assert sorted(seen[1:]) == sorted(expected)
 
 
 @pytest.mark.parametrize(

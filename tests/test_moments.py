@@ -21,7 +21,7 @@ from opx.moments import (
     moment_sequence,
     orthogonality_residual,
 )
-from test_transforms import _mp_jacobi, _mp_laguerre
+from test_transforms import _mp_chebyshev1, _mp_jacobi, _mp_laguerre
 
 
 def test_one_point_rule_is_mean_and_mass(cheb):
@@ -173,25 +173,45 @@ def test_measure_on_chebyshev1(cheb):
     nodes, weights = moments.measure(cheb, Uvarov(k, r0), m)
     assert (nodes[-1], weights[-1]) == (k, r0)
     assert np.array_equal(nodes[:-1], rule.nodes) and np.array_equal(weights[:-1], rule.weights)
-    with pytest.raises(TypeError):
-        moments.measure(cheb, Geronimus(k, 1.0), m)
+    # the Geronimus measure: w/(x - k) on the nodes, the rest of mass0 at k
+    nodes, weights = moments.measure(cheb, Geronimus(k, 0.7), m)
+    assert nodes[-1] == k and np.array_equal(nodes[:-1], rule.nodes)
+    assert np.array_equal(weights[:-1], rule.weights / (rule.nodes - k))
+    with pytest.raises(opx.ShiftInsideSupport):
+        moments.measure(cheb, Geronimus(0.5, 1.0), m)
 
 
-def _uvarov_table_exact_at_k(fam, k, r0, n):
-    """``uvarov_table`` with Ph_j(k) taken as P_j(k) / (1 + r0 K_{j-1}(k, k)),
-    whose sum has positive terms only: the table's own difference
-    P_j(k) - T_j Pk_{j-1}(k; k) cancels to noise long before degree 48."""
-    data = opx.uvarov_data(fam, k, r0, n)
-    pk = opx.eval_table(fam, n, [k])[:, 0]
-    kkk = np.concatenate([[0.0], np.cumsum(pk[:-1] ** 2 / opx.norm_products(fam, n - 1))])
-    at_k = pk / (1.0 + r0 * kkk)
-
-    def table(xs):
-        out = opx.uvarov_table(data, n, xs)
-        out[:, xs == k] = at_k[:, None]
-        return out
-
-    return table
+@pytest.mark.parametrize(
+    "make_family, mp_family, k",
+    [
+        (lambda: opx.laguerre(0.5), lambda mp: _mp_laguerre(mp, 0.5), -1.0),
+        (lambda: opx.jacobi(0.3, 0.7), lambda mp: _mp_jacobi(mp, 0.3, 0.7), -2.0),
+    ],
+    ids=["laguerre0.5-k-1", "jacobi-k-2"],
+)
+def test_geronimus_measure_against_mpmath(make_family, mp_family, k):
+    # at the solved mass Ltilde(p) = L(p / (x - k)), which the measure on m
+    # nodes gives for every degree up to 2m.  Its terms cancel from the
+    # scale of p(k), so each value is held to the scale of the terms and of
+    # |p(k)| sum |w/(x - k)| (it reads up to 20 eps of that scale)
+    mp = pytest.importorskip("mpmath")
+    fam, m = make_family(), 5
+    eps = np.finfo(float).eps
+    mass0 = -cauchy_mass(fam, k)
+    nodes, weights = moments.measure(fam, Geronimus(k, mass0), m)
+    assert abs(math.fsum(weights) - mass0) <= eps * np.sum(np.abs(weights))
+    with mp.workdps(40):
+        _, weight, cuts = mp_family(mp)
+        cuts = [0, 1, 5, 20, 60, mp.inf] if cuts[-1] == mp.inf else cuts
+        for j in range(2 * m + 2):
+            want = float(mp.quad(lambda x: x**j / (x - k) * weight(x), cuts))
+            terms = weights * nodes**j
+            scale = np.sum(np.abs(terms)) + abs(k**j) * np.sum(np.abs(weights[:-1]))
+            gap = abs(math.fsum(terms) - want)
+            if j <= 2 * m:
+                assert gap <= 64 * eps * scale
+            else:  # past the rule's exactness
+                assert gap > 1e-6 * abs(want)
 
 
 @pytest.mark.parametrize("kind", ["base", "christoffel", "uvarov"])
@@ -206,7 +226,8 @@ def test_gram_at_degree_48_reads_one_table(make_family, kind):
         ctx = opx.KernelContext(fam, k, n + 1)
         functional, table = Christoffel(k), lambda xs: opx.kernel_table(ctx, n, xs)
     else:
-        functional, table = Uvarov(k, 0.3), _uvarov_table_exact_at_k(fam, k, 0.3, n)
+        data = opx.uvarov_data(fam, k, 0.3, n)
+        functional, table = Uvarov(k, 0.3), lambda xs: opx.uvarov_table(data, n, xs)
     reads = []
 
     def counted(xs):
@@ -240,10 +261,6 @@ def test_orthogonality_residual_uvarov_polys(lag):
 def test_cauchy_mass_single_signed(cheb):
     # exact value of L(1/(2 - x)) for the Chebyshev weight is pi / sqrt(3)
     assert cauchy_mass(cheb, 2.0) == pytest.approx(math.pi / math.sqrt(3.0), rel=1e-12)
-
-
-def _mp_chebyshev1(mp):
-    return None, lambda x: 1 / mp.sqrt(1 - x * x), [-1, 0, 1]
 
 
 @pytest.mark.parametrize(
@@ -392,7 +409,8 @@ def test_laguerre_geronimus_gram_entry_against_mpmath():
 
     def oracle(i, j):
         def product(xs):
-            return opx.geronimus_poly(data, i, xs) * opx.geronimus_poly(data, j, xs)
+            table = opx.geronimus_table(data, 6, xs)
+            return table[i] * table[j]
 
         return apply_functional(fam, kind, product, i + j)
 

@@ -190,7 +190,7 @@ def test_cf_depth_below_one_is_rejected(depth):
     with pytest.raises(opx.ParameterOutOfRange, match="depth must be >= 1"):
         ratios.gauss_cf_ratio(0.5, 1.5, 2.5, 0.3, depth)
     with pytest.raises(opx.ParameterOutOfRange, match="depth must be >= 1"):
-        ratios.laguerre_mixed_cf(0.5, 4, 1.2, depth)
+        ratios.laguerre_ratio_cf(0.5, 4, 1.2, depth)
 
 
 def test_cf_needs_depth_plus_ten_numerators():
@@ -212,8 +212,6 @@ def test_cf_needs_depth_plus_ten_numerators():
             (0.5, 4, 1.2),
             (0.7275665663724183, 0.016319780245846696, 0.0013227513227513227),
         ),
-        ("laguerre_mixed_cf", (0.5, 4, 1.2), 0.48629666717438624),
-        ("laguerre_mixed_cf", (2.0, 7, 0.6, 25), 0.7142170537656204),
         ("jacobi_ratio_cf", (0.3, 0.7, 3, 0.4), (-0.8148688046647222, 2.8332233794167205)),
     ],
 )
@@ -261,15 +259,6 @@ def _outcome(fn, *args):
     return [float(v).hex() for v in np.atleast_1d(value)]
 
 
-def _mixed_numerators(gamma, n, m):
-    # laguerre_mixed_cf's printed coefficients over all m numerators, as an
-    # array formula (the one it used before building on Python floats)
-    j = np.arange(1.0, m + 1)
-    k = (j - 1) // 2
-    den = (gamma + 2 * k + 1.0) * (gamma + 2 * k + 2.0)
-    return np.where(j % 2 == 1, (n + k + gamma + 1.0) / den, -((1.0 - n + k) / den))
-
-
 def _fraction_cases(n, depth):
     """(call, full numerators, variable) of each scalar fraction at degree n;
     the first zero numerator sits at j = 2n (at 2n+1 for the q-terminating
@@ -287,7 +276,6 @@ def _fraction_cases(n, depth):
             ratios._kummer_d(p, gamma + 2.0, m),
             1.2,
         ),
-        (lambda: ratios.laguerre_mixed_cf(gamma, n, 1.2, depth), _mixed_numerators(gamma, n, m), 1.2),
         (
             lambda: ratios.jacobi_ratio_cf(gamma, delta, n, x, depth)[0],
             ratios._gauss_table(p, n + gamma + delta + 1.0, gamma + 2.0, m),
@@ -421,33 +409,18 @@ def test_laguerre_prefactor_discrepancy_logged(capsys):
     assert np.isfinite(factor) and factor != 0.0
 
 
-def test_laguerre_mixed_cf_follows_printed_signs():
-    value = ratios.laguerre_mixed_cf(0.5, 4, 1.2, depth=60)
-    assert np.isfinite(value)
-    mixed_series = ratios.hyp_series("1F1", (-3.0, 2.5), -1.2) / ratios.hyp_series(
-        "1F1", (-4.0, 1.5), -1.2
-    )
-    factor = mixed_series / value
-    print(f"laguerre mixed CF vs mixed series ratio factor: {factor:.6e}")
-    assert np.isfinite(factor)
-
-
 def test_laguerre_parameter_domain():
     # NaN fails the range test too, not only gamma <= -1
     for gamma in (-1.5, math.nan):
         with pytest.raises(opx.ParameterOutOfRange):
             ratios.laguerre_ratio_cf(gamma, 3, 1.0)
-        with pytest.raises(opx.ParameterOutOfRange):
-            ratios.laguerre_mixed_cf(gamma, 3, 1.0)
     _, _, mixed = ratios.laguerre_ratio_cf(-0.5, 3, 1.0)
     assert math.isnan(mixed)  # mixed form needs gamma > 0
 
 
 @pytest.mark.parametrize("n", [0, -2])
-def test_laguerre_mixed_cf_needs_n_at_least_one(n):
-    # like laguerre_ratio_cf: no polynomial ratio has degree n < 1
-    with pytest.raises(opx.ParameterOutOfRange, match="n must be >= 1"):
-        ratios.laguerre_mixed_cf(0.5, n, 1.2)
+def test_laguerre_ratio_cf_needs_n_at_least_one(n):
+    # no polynomial ratio has degree n < 1
     with pytest.raises(opx.ParameterOutOfRange, match="n must be >= 1"):
         ratios.laguerre_ratio_cf(0.5, n, 1.2)
 

@@ -39,7 +39,7 @@ def test_geronimus_integral_against_scipy_weighted_quad(cheb):
 
 
 def test_geronimus_poly_degree_zero(cheb):
-    assert opx.geronimus_poly(opx.geronimus_data(cheb, 2.0, 1), 0, 0.4) == 1.0
+    assert opx.geronimus_table(opx.geronimus_data(cheb, 2.0, 1), 0, [0.4]).tolist() == [[1.0]]
 
 
 @pytest.mark.parametrize(
@@ -96,9 +96,8 @@ def test_op_from_geronimus_removable_singularity(cheb):
     got = opx.op_from_geronimus(data, n, x)
     want = opx.eval_table(cheb, n, [x])[n, 0]
     assert got == pytest.approx(want, rel=1e-6)
-    num_at_k = opx.geronimus_poly(data, n + 1, k) + (
-        cheb.coefficient(n + 1)[1] / data.A[n]
-    ) * opx.geronimus_poly(data, n, k)
+    pt = opx.geronimus_table(data, n + 1, [k])[:, 0]
+    num_at_k = pt[n + 1] + (cheb.coefficient(n + 1)[1] / data.A[n]) * pt[n]
     assert abs(num_at_k) < 1e-12
 
 
@@ -151,6 +150,13 @@ def test_geronimus_chebyshev1_closed_forms(cheb, k):
     data = opx.geronimus_data(cheb, k, 12)
     np.testing.assert_allclose(data.A[2:], -rho / 2, rtol=1e-14, atol=0)
     assert data.mass0 == pytest.approx(-math.copysign(math.pi, k) / root, rel=1e-14)
+
+
+def _mp_chebyshev1(mp):
+    def coeffs(m):  # (c_{m+1}, lambda_{m+1}); lambda_1 is never read
+        return mp.mpf(0), mp.mpf(1) / 2 if m == 1 else mp.mpf(1) / 4
+
+    return coeffs, lambda x: 1 / mp.sqrt(1 - x * x), [-1, 0, 1]
 
 
 def _mp_laguerre(mp, gamma):
@@ -271,12 +277,50 @@ def test_uvarov_vanishing_mass_limit(cheb):
     gaps = {}
     for r0 in (1e-4, 1e-7):
         data = opx.uvarov_data(cheb, 2.0, r0, 4)
-        vals = opx.uvarov_poly(data, 4, xs)
+        vals = opx.uvarov_table(data, 4, xs)[4]
         gaps[r0] = float(np.max(np.abs(vals - base)))
         assert abs(data.T[4]) <= 1e4 * r0
     assert gaps[1e-7] <= 1e4 * 1e-7
     # leading order is linear in r0 (the 1 + r0 K denominator adds O(r0^2))
     assert gaps[1e-7] == pytest.approx(gaps[1e-4] * 1e-3, rel=0.1)
+
+
+@pytest.mark.parametrize(
+    "make_family, mp_family",
+    [
+        (opx.chebyshev1, _mp_chebyshev1),
+        (lambda: opx.laguerre(0.5), lambda mp: _mp_laguerre(mp, 0.5)),
+        (lambda: opx.jacobi(0.3, 0.7), lambda mp: _mp_jacobi(mp, 0.3, 0.7)),
+    ],
+    ids=["chebyshev1", "laguerre0.5", "jacobi"],
+)
+@pytest.mark.parametrize("k", [-2.0, -10.0, -20.0, -50.0])
+def test_uvarov_table_at_its_mass_point_against_mpmath(make_family, mp_family, k):
+    # Ph_n(k) = P_n(k) - T_n Pk_{n-1}(k; k), with T_n = r0 P_n(k) P_{n-1}(k) /
+    # (N_{n-1} (1 + r0 K_{n-1}(k, k))) and the CD value Pk_{n-1}(k; k) =
+    # N_{n-1} K_{n-1}(k, k) / P_{n-1}(k), from the exact coefficients.  The
+    # difference cancels by the size of r0 K_{n-1}(k, k), up to 1e64 here,
+    # so it runs at 120 digits; in double precision it cancels to noise (a
+    # 2.5e-9 Gram entry at k = -20 on jacobi)
+    mp = pytest.importorskip("mpmath")
+    fam, r0, n_max = make_family(), 0.5, 16
+    got = opx.uvarov_table(opx.uvarov_data(fam, k, r0, n_max), n_max, [k])[:, 0]
+    with mp.workdps(40):
+        coeffs, weight, cuts = mp_family(mp)
+        mu0 = mp.quad(weight, cuts)
+    with mp.workdps(120):
+        x, norm = mp.mpf(k), mu0  # N_0 = mu0
+        p_prev, p, kernel = mp.mpf(0), mp.mpf(1), mp.mpf(0)
+        want = [mp.mpf(1)]
+        for n in range(1, n_max + 1):
+            kernel += p**2 / norm  # K_{n-1}(k, k)
+            c, lam = coeffs(n - 1)
+            p_prev, p = p, (x - c) * p - (lam * p_prev if n > 1 else 0)
+            t = r0 * p * p_prev / (norm * (1 + r0 * kernel))
+            want.append(p - t * norm * kernel / p_prev)
+            norm *= coeffs(n)[1]  # N_n = N_{n-1} lambda_{n+1}
+    gaps = [abs(g - float(w)) / abs(float(w)) for g, w in zip(got.tolist(), want)]
+    assert max(gaps) <= 1e-13
 
 
 def test_uvarov_orthogonality(cheb):
@@ -394,10 +438,9 @@ def test_recover_order2_identity(cheb, rng):
     rc = opx.recover_order2(cheb, 3.0, 1j, -1j, np.full(n_max, 0.5), n_max)
     xs = rng.uniform(-1, 1, 30)
     assert (suites.recovery_identity(rc, xs, n_max) <= 1e-7).all()
-    for n in range(1, n_max + 1):
-        q = opx.recovery_poly(rc, n, xs)
-        # conjugate shifts keep real x real
-        assert (np.abs(np.imag(q)) / np.maximum(1.0, np.abs(q)) <= 1e-12).all()
+    q = opx.recovery_table(rc, n_max, xs)
+    # conjugate shifts keep real x real
+    assert (np.abs(np.imag(q)) / np.maximum(1.0, np.abs(q)) <= 1e-12).all()
 
 
 def test_a_sample_on_a_pole_raises_at_its_degree(cheb):
@@ -410,8 +453,8 @@ def test_a_sample_on_a_pole_raises_at_its_degree(cheb):
         xs = np.array([0.1, pole, 0.4])
         for call in (
             lambda: opx.recovery_table(rc, n_max, xs),
-            lambda: opx.recovery_poly(rc, bad, xs),
-            lambda: opx.recovery_poly(rc, n_max, pole),
+            lambda: opx.recovery_table(rc, bad, xs),
+            lambda: opx.recovery_table(rc, n_max, pole),
         ):
             with pytest.raises(opx.PoleAtSample, match=f"the degree-{bad} combination"):
                 call()
@@ -478,20 +521,11 @@ def test_uniqueness_sensitivity(cheb, rng):
     xs = sample_points(cheb, rng, 30)
     perturbed = dataclasses.replace(rc, gamma=rc.gamma.copy(), eta=rc.eta.copy())
     perturbed.eta[3] += 1e-3
-    worst = 0.0
-    for x in xs:
-        q = opx.recovery_poly(perturbed, 4, x)
-        p = opx.eval_table(cheb, 4, [x])[4, 0]
-        worst = max(worst, abs(q - p))
-    assert worst >= 1e-5
+    p = opx.eval_table(cheb, 4, xs)[4]
+    assert np.max(np.abs(opx.recovery_table(perturbed, 4, xs)[3] - p)) >= 1e-5
     perturbed2 = dataclasses.replace(rc, gamma=rc.gamma.copy(), eta=rc.eta.copy())
     perturbed2.gamma[3] += 1e-3
-    worst = 0.0
-    for x in xs:
-        q = opx.recovery_poly(perturbed2, 4, x)
-        p = opx.eval_table(cheb, 4, [x])[4, 0]
-        worst = max(worst, abs(q - p))
-    assert worst >= 1e-5
+    assert np.max(np.abs(opx.recovery_table(perturbed2, 4, xs)[3] - p)) >= 1e-5
 
 
 def test_l1_bound_for_coincident_quasi_combination(cheb):

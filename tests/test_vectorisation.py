@@ -77,22 +77,18 @@ def test_real_recovery_polys(setup):
     rc_c = opx.recover_christoffel(fam, k1, k2, b, N_MAX)
     rc_g = opx.recover_geronimus(fam, k1, k2, b, N_MAX)
     rc_u = opx.recover_uvarov(fam, k1, k2, 0.5, b, N_MAX)
-    constructions = [
-        lambda n, x: opx.recovery_poly(rc_c, n, x),
-        lambda n, x: opx.recovery_poly(rc_g, n, x),
-        lambda n, x: opx.recovery_poly(rc_u, n, x),
-    ]
-    for rebuilt in constructions:
+    for rc in (rc_c, rc_g, rc_u):
         for n in range(1, N_MAX + 1):
-            assert_array_equal(rebuilt(n, xs), _per_point(lambda x: rebuilt(n, x), xs))
+            pts = _per_point(lambda x: opx.recovery_table(rc, n, [x])[n - 1, 0], xs)
+            assert_array_equal(opx.recovery_table(rc, n, xs)[n - 1], pts)
 
 
 def test_order2_recovery_poly(setup):
     fam, (k1, _), xs = setup
     rc = opx.recover_order2(fam, k1, 1j, -1j, np.full(N_MAX, 0.5), N_MAX)
     for n in range(1, N_MAX + 1):
-        vec = opx.recovery_poly(rc, n, xs)
-        pts = _per_point(lambda x: opx.recovery_poly(rc, n, x), xs)
+        vec = opx.recovery_table(rc, n, xs)[n - 1]
+        pts = _per_point(lambda x: opx.recovery_table(rc, n, [x])[n - 1, 0], xs)
         assert_bitwise(vec, pts)
 
 
@@ -710,12 +706,10 @@ def test_kernel_table_rows_match_the_per_degree_evaluator(name, make_family, k):
         _assert_rows(table, lambda n: _reference_kernel_poly(ctx, n, xs), dtype)
         for n in range(TABLE_TOP + 2):
             assert_bitwise(opx.kernel_poly(ctx, n, xs), table[n])
-        # P_{n+1} rebuilt from Pk_{n+1} and Pk_n, as op_from_kernels did it per degree
+        # P_{n+1} rebuilt from Pk_{n+1} and Pk_n, one degree at a time
         rebuilt = opx.ops_from_kernel_table(ctx, table)
         for n in range(TABLE_TOP + 1):
-            expected = table[n + 1] - coef[n] * table[n]
-            assert_bitwise(rebuilt[n], expected)
-            assert_bitwise(opx.op_from_kernels(ctx, n, xs), expected)
+            assert_bitwise(rebuilt[n], table[n + 1] - coef[n] * table[n])
         if label == "one-point":
             assert opx.kernel_poly(ctx, 5, xs[0]) == table[5, 0]
 
@@ -739,9 +733,6 @@ def test_transformed_tables_match_the_per_degree_evaluators(name, make_family, k
         ph = opx.uvarov_table(udata, TABLE_TOP, xs)
         ref = lambda n: opx.eval_table(fam, n, xs)[n] - udata.T[n] * _reference_kernel_poly(udata.ctx, n - 1, xs)
         _assert_rows(ph, ref, dtype)
-        for n in range(TABLE_TOP + 1):
-            assert_bitwise(opx.geronimus_poly(gdata, n, xs), pt[n])
-            assert_bitwise(opx.uvarov_poly(udata, n, xs), ph[n])
 
 
 def _reference_quasi_kernel(ctx, top, coeffs, xs):
@@ -770,9 +761,9 @@ def _reference_recovery_poly(rc, n, xs):
     alpha, gamma, eta = rc.alpha[n], rc.gamma[n], rc.eta[n]
     t_quasi = _reference_quasi_kernel(ctx2, n, [b[n - 1] for b in rc.quasi], xs)
     if rc.kind == "geronimus":
-        pt = opx.geronimus_poly(rc.data, n + 1, xs)
+        pt = opx.geronimus_table(rc.data, n + 1, xs)[n + 1]
         return (pt + eta * (xs - ctx2.k) * t_quasi) / (alpha * xs - gamma)
-    phat = opx.uvarov_poly(rc.data, n, xs)
+    phat = opx.uvarov_table(rc.data, n, xs)[n]
     return ((xs - ctx1.k) * phat + eta * (xs - ctx2.k) * t_quasi) / (alpha * xs - gamma)
 
 
@@ -801,6 +792,3 @@ def test_recovery_table_rows_match_the_per_degree_evaluators(name, make_family, 
         assert table.shape == (TABLE_TOP, xs.size)
         for n in range(1, TABLE_TOP + 1):
             assert_bitwise(table[n - 1], _reference_recovery_poly(rc, n, xs))
-            assert_bitwise(opx.recovery_poly(rc, n, xs), table[n - 1])
-        if label == "one-point":
-            assert_bitwise(opx.recovery_poly(rc, 5, xs[0]), table[4, 0])
