@@ -288,3 +288,29 @@ def test_recover_evaluates_one_table_per_sequence(eval_tables, kind, most):
     # 18-26 when each Q_n evaluated its own tables
     _run(["recover", "--kind", kind, "--n-max", "8"])
     assert 0 < eval_tables["eval_table"] <= most
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # two all-null columns, and an r_up column with NaN rows
+        ["ratio", "--family", "chebyshev1", "--shift=2", "--n-max", "1000"],
+        # the 10^4-entry l echo and four float columns of 10^4 rows
+        ["chain", "--l-const", "0.25", "--n-max", "10000"],
+    ],
+)
+def test_row_tables_render_no_cell_by_cell(monkeypatch, argv):
+    # the header, the echo and the cases render their scalars one by one;
+    # the rows and the float lists do not (one call per cell made 3036
+    # and 10044)
+    counts = Counter()
+    scalar = cli._render_scalar
+
+    def counting(obj):
+        counts["_render_scalar"] += 1
+        return scalar(obj)
+
+    monkeypatch.setattr(cli, "_render_scalar", counting)
+    with np.errstate(invalid="ignore"):  # the NaN limits of the ratio rows
+        _run(argv)
+    assert 0 < counts["_render_scalar"] <= 60

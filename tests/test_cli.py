@@ -328,6 +328,18 @@ def test_a_derivative_out_of_the_double_range_is_a_typed_error():
     assert err == "opx: ParameterOutOfRange: P'_170(10.0) is out of the double range\n"
 
 
+def test_values_below_the_normal_double_range_are_a_typed_error():
+    # monic P_n(0.5) = 2^(1-n) T_n(0.5) is subnormal from n = 1024 and 0
+    # from n = 1076, where its value has no double left to be written as
+    args = ["eval", "--family", "chebyshev1", "--n-max", "1100", "--points=0.5"]
+    code, out, err = run_cli(args)
+    assert (code, out) == (1, "")
+    assert err == "opx: ParameterOutOfRange: P_1024(0.5) underflows: it is below the least normal double\n"
+    assert run_cli(args[:4] + ["1023", args[-1]])[0] == 0
+    # an exact zero is no underflow: P_1(0) = 0
+    assert run_cli(["eval", "--family", "chebyshev1", "--n-max", "3", "--points=0"])[0] == 0
+
+
 def test_recover_command(schema):
     code, out, _ = run_cli(
         ["recover", "--family", "chebyshev1", "--kind", "uvarov", "--shift", "2",
@@ -705,3 +717,64 @@ def test_parse_matches_an_argparse_reference(argv):
 )
 def test_parse_edges_match_the_argparse_reference(argv):
     _check_against_reference(argv)
+
+
+# ---------------------------------------------------------------------------
+# the row writers against the generic renderer and csv.writer
+# ---------------------------------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, NAN, INF, -INF]),
+)
+
+
+@st.composite
+def row_tables(draw):
+    """A header of distinct keys, some with %, ", \\, a comma or a newline
+    in them, and one column per key: an int or float array, a list of None,
+    or a list of None and floats, all of one length, zero among them."""
+    n = draw(st.integers(0, 5))
+    header = draw(st.lists(st.text('ab%"\\,\n', max_size=3), min_size=1, max_size=4, unique=True))
+    cells = {
+        "int": st.integers(-(2**63), 2**63 - 1).map(np.int64),
+        "float": FLOATS,
+        "none": st.none(),
+        "mixed": st.one_of(st.none(), FLOATS),
+    }
+    columns = []
+    for _ in header:
+        kind = draw(st.sampled_from(list(cells)))
+        column = draw(st.lists(cells[kind], min_size=n, max_size=n))
+        typed = {"int": np.int64, "float": float}.get(kind)
+        columns.append(np.array(column, dtype=typed) if typed else column)
+    return header, columns
+
+
+def _csv_reference(header, columns):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    cells = [column.tolist() if isinstance(column, np.ndarray) else column for column in columns]
+    for row in zip(*cells):
+        writer.writerow([format(v, ".17g") if isinstance(v, float) else ("" if v is None else v) for v in row])
+    return buf.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_tables())
+def test_row_writers_match_their_references(table):
+    header, columns = table
+    rows = [dict(zip(header, row)) for row in zip(*columns)]
+    assert cli._render_rows(header, columns) == cli.render_json(rows, 1)
+    assert cli._render_csv(header, columns) == _csv_reference(header, columns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(FLOATS, st.sampled_from([1e308, -1e308])), max_size=6), st.integers(0, 2))
+def test_float_lists_match_their_entries(values, indent):
+    # a list of finite floats is written in one join, others entry by entry
+    pad = "  " * indent
+    expected = "[\n" + pad + "  " + f",\n{pad}  ".join(map(cli._render_scalar, values)) + "\n" + pad + "]"
+    assert cli.render_json(values, indent) == (expected if values else "[]")

@@ -275,10 +275,10 @@ def test_row_table_renderer_typed_columns():
     inf, nan = float("inf"), float("nan")
     columns = {
         "finite": np.array([-0.0, 5e-324, 1e300, 1e16, -1.0 / 3.0]),  # a %.17g slot
-        "nonfinite": np.array([nan, inf, -inf, 1.5, -0.0]),  # cell by cell
+        "nonfinite": np.array([nan, inf, -inf, 1.5, -0.0]),  # %s cells, null for nan and inf
         "int64": np.array([0, -7, 2**62, 1, 5], dtype=np.int64),  # a %d slot
         "bool": np.array([True, False, True, True, False]),
-        "none": [None] * 5,
+        "none": [None] * 5,  # a literal null
     }
     header = list(columns)
     cells = [column.tolist() if isinstance(column, np.ndarray) else column for column in columns.values()]
