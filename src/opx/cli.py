@@ -15,6 +15,7 @@ check failed, 2 usage or validation error.
 from __future__ import annotations
 
 import csv as _csv
+import io
 import math
 import os
 import re
@@ -116,49 +117,28 @@ def render_json(obj, indent: int = 0) -> str:
     return _render_scalar(obj)
 
 
-def _csv_field(value) -> str:
-    """``csv.writer``'s spelling of one field, with floats at 17 digits."""
-    text = "%.17g" % value if isinstance(value, float) else "" if value is None else str(value)
-    if any(c in text for c in ',"\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+def _column_cells(column) -> tuple[str, list | None]:
+    """The ``%`` slot of one row-table column and the values that fill it.
 
-
-def _column_cells(column, csv: bool = False) -> tuple[str, list | None]:
-    """The ``%`` slot of one row-table column and the values that fill it,
-    in JSON's spelling or, with ``csv``, in CSV's.
-
-    An int array fills a ``%d`` slot and a float array a ``%.17g`` slot
-    (``"%.17g" % x == format(x, ".17g")``); in JSON a float array with a
-    non-finite value fills ``%s`` with its cells, null for each NaN or
-    infinity.  A list of ``None`` only is a literal of the template (null,
-    or an empty CSV field) and has no cells.  Any other column is rendered
-    cell by cell.
+    An int array fills a ``%d`` slot and a float array with all values
+    finite a ``%.17g`` slot (``"%.17g" % x == format(x, ".17g")``); a float
+    array with a NaN or infinity fills ``%s`` with its cells, null for each
+    of those.  A list of ``None`` only is a literal null of the template and
+    has no cells.  Any other column is rendered cell by cell.
     """
     if isinstance(column, np.ndarray):
         values = column.tolist()
         if column.dtype.kind in "iu":
             return "%d", values
         if column.dtype.kind == "f":
-            if csv or np.isfinite(column).all():
+            if np.isfinite(column).all():
                 return "%.17g", values
             return "%s", ["%.17g" % v if math.isfinite(v) else "null" for v in values]
     else:
         values = column
         if all(v is None for v in values):
-            return ("" if csv else "null"), None
-    return "%s", list(map(_csv_field if csv else _render_scalar, values))
-
-
-def _fill(template: str, sep: str, cells, n: int) -> str:
-    """``n`` copies of the row ``template`` joined by ``sep``, filled row by
-    row from the cell columns in one ``%``; a column of ``None`` cells is a
-    literal of the template and fills nothing."""
-    filled = [c for c in cells if c is not None]
-    flat = [None] * (n * len(filled))
-    for j, column in enumerate(filled):
-        flat[j :: len(filled)] = column
-    return sep.join([template] * n) % tuple(flat)
+            return "null", None
+    return "%s", list(map(_render_scalar, values))
 
 
 def _render_rows(header: list[str], columns) -> str:
@@ -166,8 +146,9 @@ def _render_rows(header: list[str], columns) -> str:
     rows of ``columns``, one array or list per key of a non-empty header.
 
     Every row shares one ``%`` template, with the keys escaped once and a
-    slot or literal per column (``_column_cells``), and the whole table is
-    filled by a single ``%`` with no Python step per row.
+    slot or literal per column (``_column_cells``).  The cells are
+    interleaved row by row into one flat list and the template, repeated
+    once per row, is filled by a single ``%``, with no Python step per row.
     """
     n = len(columns[0])
     if not n:
@@ -175,22 +156,22 @@ def _render_rows(header: list[str], columns) -> str:
     slots, cells = zip(*map(_column_cells, columns))
     keys = [_render_scalar(str(k)).replace("%", "%%") for k in header]
     template = "    {\n" + ",\n".join(f"      {k}: {slot}" for k, slot in zip(keys, slots)) + "\n    }"
-    return "[\n" + _fill(template, ",\n", cells, n) + "\n  ]"
+    filled = [c for c in cells if c is not None]
+    flat = [None] * (n * len(filled))
+    for j, column in enumerate(filled):
+        flat[j :: len(filled)] = column
+    return "[\n" + ",\n".join([template] * n) % tuple(flat) + "\n  ]"
 
 
-def _render_csv(header: list[str], columns) -> str:
-    """The bytes ``csv.writer`` writes for ``header`` and the rows of
-    ``columns``, with floats at 17 digits (nan and inf as ``format``
-    writes them) and an empty field for ``None``; the rows are filled as
-    in ``_render_rows``."""
-    n = len(columns[0])
-    slots, cells = zip(*(_column_cells(column, csv=True) for column in columns))
-    fields = list(map(_csv_field, header))
-    if len(columns) == 1:  # csv.writer quotes a row's only field when it is empty
-        cells = [[v or '""' for v in c] if s == "%s" else c for s, c in zip(slots, cells)]
-        slots, fields = [s or '""' for s in slots], [f or '""' for f in fields]
-    text = ",".join(fields) + "\n"
-    return text + _fill(",".join(slots), "\n", cells, n) + "\n" if n else text
+def _render_csv(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    writer = _csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(
+            [format(v, ".17g") if isinstance(v, float) else ("" if v is None else v) for v in row]
+        )
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +269,8 @@ def _finish(cfg: RunConfig, cases: list[dict], columns=None, header=None, starte
     if cfg.output == "csv":
         if header is None:
             raise UsageError(f"--output csv is not available for '{cfg.command}'")
-        return _render_csv(header, columns), 0 if overall else 1
+        values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns or []]
+        return _render_csv(header, zip(*values)), 0 if overall else 1
     report = {
         "command": cfg.command,
         "config_echo": _config_echo(cfg),

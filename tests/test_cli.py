@@ -720,7 +720,8 @@ def test_parse_edges_match_the_argparse_reference(argv):
 
 
 # ---------------------------------------------------------------------------
-# the row writers against the generic renderer and csv.writer
+# the JSON rows against the generic renderer, and the CSV from typed
+# columns against csv.writer
 # ---------------------------------------------------------------------------
 
 NAN, INF = float("nan"), float("inf")
@@ -768,7 +769,8 @@ def test_row_writers_match_their_references(table):
     header, columns = table
     rows = [dict(zip(header, row)) for row in zip(*columns)]
     assert cli._render_rows(header, columns) == cli.render_json(rows, 1)
-    assert cli._render_csv(header, columns) == _csv_reference(header, columns)
+    csv_out, _ = cli._finish(cli.RunConfig("ratio", output="csv"), [], columns, header)
+    assert csv_out == _csv_reference(header, columns)
 
 
 @settings(max_examples=200, deadline=None)
