@@ -47,4 +47,4 @@ tilde = opx.geronimus_family(opx.geronimus_data(fam, 3.0, 16), 15)
 ctx = opx.KernelContext(tilde, 3.0, 10)
 back = opx.kernel_recurrence(ctx, 10)
 print("\nround-trip coefficient error:",
-      np.max(np.abs(back - opx.recurrence_coefficients(fam, 10))))
+      np.max(np.abs(back - fam.table(10))))

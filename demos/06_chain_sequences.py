@@ -25,7 +25,7 @@ print("complementary k_n = 0.7 parameters:", np.round(seq.complementary.m[:6], 4
 # the recurrence-coefficient quotient lambda_{n+1} / (c_n c_{n+1}) of a
 # positive-diagonal family is itself a chain sequence
 lag = opx.laguerre(0.5)
-pairs = opx.recurrence_coefficients(lag, 40)
+pairs = lag.table(40)
 quot = [pairs[n, 1] / (pairs[n - 1, 0] * pairs[n, 0]) for n in range(1, 40)]
 print("\nLaguerre lambda/(c c) quotient chain:", opx.chain_params(quot).positive)
 

@@ -9,7 +9,6 @@ indices, lambda_1 = mu_0).
 from .errors import (
     DegenerateDenominator,
     Divergent,
-    EvalAtShift,
     InvalidAlphas,
     IteratedUndefined,
     KernelUndefined,
@@ -24,28 +23,23 @@ from .errors import (
 )
 from .families import (
     FamilySpec,
-    PolySequence,
     chebyshev1,
     custom_family,
     eval_derivs,
-    eval_sequence,
     eval_table,
     jacobi,
     laguerre,
     norm_products,
-    recurrence_coefficients,
 )
 from .kernels import (
     IteratedKernelContext,
     KernelContext,
-    cd_kernel,
     iterated_kernel,
     kernel_family,
     kernel_poly,
     kernel_recurrence,
     kernel_table,
     ops_from_kernel_table,
-    product_orthogonality_check,
 )
 from .moments import (
     Base,
@@ -56,7 +50,6 @@ from .moments import (
     apply_functional,
     gauss_rule,
     integrate_until_stable,
-    moment_sequence,
     orthogonality_residual,
 )
 from .quasi import (
@@ -86,7 +79,6 @@ from .transforms import (
     geronimus_data,
     geronimus_family,
     geronimus_table,
-    op_from_geronimus,
     recover_christoffel,
     recover_geronimus,
     recover_order2,

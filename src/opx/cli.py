@@ -334,8 +334,13 @@ def _cmd_kernel(cfg: RunConfig) -> tuple[str, int]:
     started = time.time()
     fam = build_family(cfg)
     k = _default_shifts(cfg)[0]
-    ctx = kernels.KernelContext(fam, k, cfg.n_max + 1)
-    pairs = kernels.kernel_recurrence(ctx, cfg.n_max)
+    with np.errstate(over="ignore", invalid="ignore"):  # a shift near c_1 overflows the pairs
+        ctx = kernels.KernelContext(fam, k, cfg.n_max + 1)
+        pairs = kernels.kernel_recurrence(ctx, cfg.n_max)
+    bad = ~np.isfinite(pairs).all(axis=1)
+    if bad.any():
+        n = np.argmax(bad) + 1
+        raise ParameterOutOfRange(f"(c*_{n}, lambda*_{n}) at k={k!r} is out of the double range")
     header = ["n", "c_star", "lambda_star"]
     columns = [np.arange(1, cfg.n_max + 1), *np.real(pairs).T]
     cases = []

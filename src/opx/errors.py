@@ -8,7 +8,6 @@ __all__ = [
     "KernelUndefined",
     "IteratedUndefined",
     "DegenerateDenominator",
-    "EvalAtShift",
     "PoleAtSample",
     "InvalidAlphas",
     "ZeroDenominator",
@@ -45,10 +44,6 @@ class IteratedUndefined(OpxError):
 
 class DegenerateDenominator(OpxError):
     """A transformation coefficient has a vanishing denominator."""
-
-
-class EvalAtShift(OpxError):
-    """Evaluation point coincides with the shift where no stable branch exists."""
 
 
 class PoleAtSample(OpxError):

@@ -26,13 +26,10 @@ from .errors import ParameterOutOfRange, TableTooShort
 
 __all__ = [
     "FamilySpec",
-    "PolySequence",
     "chebyshev1",
     "laguerre",
     "jacobi",
     "custom_family",
-    "recurrence_coefficients",
-    "eval_sequence",
     "eval_table",
     "eval_derivs",
     "norm_products",
@@ -98,15 +95,6 @@ class FamilySpec:
     def __repr__(self) -> str:  # keep callables out of the repr
         ps = ", ".join(f"{k}={v}" for k, v in self.params)
         return f"FamilySpec({self.kind}{', ' + ps if ps else ''}, mu0={self.mu0})"
-
-
-@dataclass(frozen=True)
-class PolySequence:
-    """Values (and optionally derivatives) of P_0..P_n at one point."""
-
-    x: complex
-    values: np.ndarray
-    derivs: np.ndarray | None = None
 
 
 def chebyshev1() -> FamilySpec:
@@ -201,13 +189,6 @@ def custom_family(rows, support: tuple[float, float], mu0: float | None = None) 
     return family
 
 
-def recurrence_coefficients(family: FamilySpec, n_max: int) -> np.ndarray:
-    """Return the pairs (c_n, lambda_n) for n = 1..n_max as an (n_max, 2) array."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    return family.table(n_max)
-
-
 def eval_table(family: FamilySpec, n: int, xs) -> np.ndarray:
     """Evaluate P_0..P_n at every point of ``xs``; shape (n+1, len(xs)).
 
@@ -254,16 +235,6 @@ def eval_derivs(family: FamilySpec, n: int, xs, values: np.ndarray) -> np.ndarra
     for m, (c_next, lam_next) in enumerate(family.table(n)[1:n].tolist(), start=1):
         derivs[m + 1] = values[m] + (xs - c_next) * derivs[m] - lam_next * derivs[m - 1]
     return derivs
-
-
-def eval_sequence(
-    family: FamilySpec, n: int, x, with_derivs: bool = False
-) -> PolySequence:
-    """Evaluate P_0..P_n (and optionally P'_0..P'_n) at a single point:
-    the one-point case of ``eval_table`` and ``eval_derivs``."""
-    values = eval_table(family, n, [x])
-    derivs = eval_derivs(family, n, [x], values)[:, 0] if with_derivs else None
-    return PolySequence(x=x, values=values[:, 0], derivs=derivs)
 
 
 def norm_products(family: FamilySpec, n: int) -> np.ndarray:

@@ -30,8 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IteratedUndefined, KernelUndefined
-from .families import FamilySpec, custom_family, eval_table, norm_products
-from .moments import gauss_rule
+from .families import FamilySpec, custom_family, eval_table
 
 __all__ = [
     "KernelContext",
@@ -40,10 +39,8 @@ __all__ = [
     "kernel_poly",
     "kernel_recurrence",
     "kernel_family",
-    "cd_kernel",
     "ops_from_kernel_table",
     "iterated_kernel",
-    "product_orthogonality_check",
 ]
 
 # |x - k| below this multiple of (1 + |k|) switches kernel_table to the CD sum
@@ -121,18 +118,6 @@ def _ratio_caches(k, c, lam) -> tuple[list, list, list]:
         ts.append(t)
         partials.append(s)
     return rho, ts, partials
-
-
-def cd_kernel(ctx: KernelContext, n: int, x):
-    """Christoffel-Darboux kernel K_n(x, k) as the explicit sum, from its own
-    P_j(k) and N_j; each point's terms are summed along one contiguous row,
-    so a point vector sums them in a single point's order."""
-    if n > ctx.n_max + 2:
-        raise ValueError(f"n={n} exceeds cached range {ctx.n_max + 2}")
-    pk = eval_table(ctx.family, n, [ctx.k])[:, 0]
-    table = eval_table(ctx.family, n, np.atleast_1d(np.asarray(x)))
-    out = np.ascontiguousarray(table.T * (pk / norm_products(ctx.family, n))).sum(axis=1)
-    return out if np.ndim(x) else out[0]
 
 
 def kernel_table(ctx: KernelContext, n: int, xs) -> np.ndarray:
@@ -263,26 +248,3 @@ def iterated_kernel(ictx: IteratedKernelContext, n: int, x):
     if n > ictx.base.n_max - 2:
         raise ValueError(f"n={n} needs a base context with n_max >= {n + 2}")
     return kernel_poly(ictx.shifted, n, x)
-
-
-def product_orthogonality_check(
-    family: FamilySpec, n: int, m: int, quad_order: int
-) -> float:
-    """Tensor-quadrature value of the product-measure double integral
-
-        integral integral (x - u)^2 K_n(x, u) K_m(x, u) dmu(u) dmu(x).
-
-    Vanishes for n != m; for n = m it equals twice the square of the
-    orthonormal-side recurrence coefficient (2 * lambda_{n+2} in the monic
-    convention), which the tests pin empirically from the n = m = 0 case.
-    """
-    if quad_order < n + m + 3:
-        raise ValueError(f"quad_order must be >= n+m+3 = {n + m + 3}")
-    rule = gauss_rule(family, quad_order)
-    top = max(n, m)
-    table = eval_table(family, top, rule.nodes)  # (top+1, M)
-    norms = norm_products(family, top)
-    kn = (table[: n + 1].T / norms[: n + 1]) @ table[: n + 1]
-    km = (table[: m + 1].T / norms[: m + 1]) @ table[: m + 1]
-    diff2 = (rule.nodes[:, None] - rule.nodes[None, :]) ** 2
-    return float(rule.weights @ (diff2 * kn * km) @ rule.weights)

@@ -39,8 +39,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import NonConvergent, NotPositiveDefinite, ShiftInsideSupport
-from .families import FamilySpec, recurrence_coefficients
+from .errors import NonConvergent, NotPositiveDefinite, ParameterOutOfRange, ShiftInsideSupport
+from .families import FamilySpec
 
 __all__ = [
     "GaussRule",
@@ -53,7 +53,6 @@ __all__ = [
     "measure",
     "apply_functional",
     "orthogonality_residual",
-    "moment_sequence",
     "cauchy_mass",
     "integrate_until_stable",
 ]
@@ -124,7 +123,7 @@ def gauss_rule(family: FamilySpec, m: int) -> GaussRule:
         rule = per_family.get(m)
         if rule is not None:
             return rule
-    pairs = recurrence_coefficients(family, m)
+    pairs = family.table(m)
     if np.iscomplexobj(pairs):
         raise NotPositiveDefinite("complex recurrence coefficients have no Gauss rule")
     diag = pairs[:, 0].astype(float)
@@ -486,11 +485,17 @@ def orthogonality_residual(
     p = row n times row m, so each Geronimus entry carries the a-priori
     rounding bound eps (sum |terms| + |p(k)| sum_l |w_l/(x_l - k)|), the
     second term the point weight's own; an entry whose bound is too large
-    against the diagonal is retaken in the split form.
+    against the diagonal is retaken in the split form.  A term past the
+    double range raises ParameterOutOfRange naming the lowest degree it
+    reaches.
     """
     nodes, weights = measure(family, kind, n_max + 2)
     rows = table(nodes)
-    terms = weights * (rows[:, None, :] * rows[None, :, :])
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        terms = weights * (rows[:, None, :] * rows[None, :, :])
+    if not np.isfinite(terms).all():
+        bad = np.tril(~np.isfinite(terms).all(axis=-1)).any(axis=1)
+        raise ParameterOutOfRange(f"the Gram entries of degree {np.argmax(bad)} are out of the double range")
     gram = _entry_sums(terms)
     if isinstance(kind, Geronimus):
         pk = np.outer(rows[:, -1], rows[:, -1])
@@ -499,29 +504,3 @@ def orthogonality_residual(
     diag = np.sqrt(np.abs(np.diag(gram)))
     diag[diag == 0.0] = 1.0
     return gram / np.outer(diag, diag)
-
-
-def moment_sequence(family: FamilySpec, j_max: int) -> np.ndarray:
-    """Moments mu_0..mu_j_max from the recurrence alone (no eigensolve).
-
-    mu_j / mu_0 equals the (0, 0) entry of the j-th power of the monic
-    tridiagonal recurrence matrix, computed by repeated matrix-vector
-    products; this stays relatively accurate where a monomial-basis change
-    would cancel catastrophically.  Serves as the reference the Gauss rules
-    are checked against.
-    """
-    size = j_max // 2 + 2
-    pairs = recurrence_coefficients(family, size + 1)
-    diag = pairs[:size, 0]
-    sub = pairs[1 : size + 1, 1]
-    vec = np.zeros(size, dtype=pairs.dtype)
-    vec[0] = 1.0
-    moments = np.empty(j_max + 1, dtype=pairs.dtype)
-    moments[0] = family.mu0
-    for j in range(1, j_max + 1):
-        nxt = diag * vec
-        nxt[:-1] += vec[1:]  # superdiagonal of ones (monic convention)
-        nxt[1:] += sub[: size - 1] * vec[:-1]
-        vec = nxt
-        moments[j] = family.mu0 * vec[0]
-    return moments if np.iscomplexobj(pairs) else moments.real

@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from . import families, kernels, moments, quasi, ratios, transforms
+from . import errors, families, kernels, moments, quasi, ratios, transforms
 
 __all__ = [
     "Settings",
@@ -162,7 +162,8 @@ def _kernel_suite(fam, rng, settings: Settings) -> list[dict]:
     cases = []
     n_max = min(settings.n_max, 10)
     for k in settings.shifts:
-        ctx = kernels.KernelContext(fam, k, n_max + 2)
+        with np.errstate(over="ignore", invalid="ignore"):  # the Gram check raises on an overflow
+            ctx = kernels.KernelContext(fam, k, n_max + 2)
         cases.append(case(f"kernel_orthogonality_k{k:g}", _worst(kernel_orthogonality(ctx, n_max)), 1e-9))
         radii = 10.0 ** rng.uniform(-4, -1, 10) * (1.0 + abs(k))
         gaps = kernel_branch_agreement(ctx, radii, n_max)
@@ -187,22 +188,25 @@ def moment_annihilation(ctx: kernels.KernelContext, spec: quasi.QuasiSpec, ns) -
     the rule with max(ns) + 3 nodes, shared by both orders, serves every n
     and m, and gives both norms, so the oracle stays independent of the
     kernel recurrence's norms.  The statistic is dimensionless: Laguerre
-    norms grow factorially, so raw residuals mean nothing there.
+    norms grow factorially, so raw residuals mean nothing there.  A squared
+    norm past the double range raises ParameterOutOfRange naming its degree.
     """
     n_top = max(ns, default=0)
     nodes, weights = moments.measure(ctx.family, moments.Christoffel(ctx.k), n_top + 3)
-    table = kernels.kernel_table(ctx, n_top + 2 - spec.order, nodes)
-
-    def norm(values):
-        return math.sqrt(abs(math.fsum(weights * values * values)))
-
-    pk_norms = [norm(row) for row in table]
+    # |w Pk_m Q_n| <= max(w Pk_m^2, w Q_n^2), so finite squares bound every term
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        table = kernels.kernel_table(ctx, n_top + 2 - spec.order, nodes)
+        qs = [quasi.quasi_from_kernel_table(spec, n, table) for n in ns]
+        squares = [weights * row * row for row in [*table, *qs]]
+    if not np.isfinite(squares).all():
+        names = [f"Pk_{m}" for m in range(len(table))] + [f"Q_{n}" for n in ns]
+        name = names[np.argmax(~np.isfinite(squares).all(axis=1))]
+        raise errors.ParameterOutOfRange(f"the squared norm of {name} is out of the double range")
+    norms = [math.sqrt(abs(math.fsum(row))) for row in squares]
     out = []
-    for n in ns:
-        q = quasi.quasi_from_kernel_table(spec, n, table)
-        q_norm = norm(q)
+    for n, q, q_norm in zip(ns, qs, norms[len(table) :]):
         for m in range(n + 2 - 2 * spec.order):
-            out.append(abs(math.fsum(weights * table[m] * q)) / (pk_norms[m] * q_norm))
+            out.append(abs(math.fsum(weights * table[m] * q)) / (norms[m] * q_norm))
     return np.array(out)
 
 
@@ -237,7 +241,8 @@ QUASI_MIN_N_MAX = 3
 def _quasi_suite(fam, rng, settings: Settings) -> list[dict]:
     k = settings.shifts[0]
     n_max = min(settings.n_max, 10)
-    ctx = kernels.KernelContext(fam, k, n_max + 3)
+    with np.errstate(over="ignore", invalid="ignore"):  # moment_annihilation raises on an overflow
+        ctx = kernels.KernelContext(fam, k, n_max + 3)
     stats = moment_annihilation(ctx, quasi.QuasiSpec(order=1, a=1.0, b=0.7), range(2, n_max + 1))
     cases = [case("order1_moment_annihilation", _worst(stats), 1e-9)]
     spec2 = quasi.QuasiSpec(order=2, Ltilde=0.3, Mtilde=0.9)

@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import (
     DegenerateDenominator,
-    EvalAtShift,
     NonConvergent,
     PoleAtSample,
     ShiftInsideSupport,
@@ -51,7 +50,6 @@ __all__ = [
     "geronimus_data",
     "geronimus_table",
     "geronimus_family",
-    "op_from_geronimus",
     "uvarov_data",
     "uvarov_table",
     "recover_christoffel",
@@ -221,29 +219,6 @@ def geronimus_table(data: GeronimusData, n: int, xs) -> np.ndarray:
     at every point of ``xs``, from one ``eval_table``; shape (n+1, len(xs))."""
     table = eval_table(data.family, n, xs)
     return np.concatenate([table[:1], table[1:] + data.A[1 : n + 1, None] * table[:-1]])
-
-
-def op_from_geronimus(data: GeronimusData, n: int, x):
-    """Invert the transform: P_n(x) from rows n and n+1 of one
-    ``geronimus_table``.
-
-    P_n(x) = [Pt_{n+1}(k;x) + (lambda_{n+1}/A_n) Pt_n(k;x)] / (x - k).
-    Expanding the combination over the P basis forces the mixing coefficient
-    B_n to satisfy lambda_{n+1} = +B_n A_n (equivalently A_{n+1} =
-    c_{n+1} - k - lambda_{n+1}/A_n, the ratio form of the integral
-    recurrence), hence the plus sign; a minus-signed variant of this formula
-    circulates but fails the direct-evaluation oracle.  The numerator
-    vanishes at x = k, but no stable branch is implemented there, so points
-    within the pole radius raise EvalAtShift.
-    """
-    k = data.k
-    xs = np.atleast_1d(np.asarray(x))
-    if np.any(np.abs(xs - k) < _POLE_RTOL * (1.0 + abs(k))):
-        raise EvalAtShift(f"evaluation point coincides with the shift k={k}")
-    lam = data.family.coefficient(n + 1)[1]
-    pt = geronimus_table(data, n + 1, xs)
-    out = (pt[n + 1] + (lam / data.A[n]) * pt[n]) / (xs - k)
-    return out if np.ndim(x) else out[0]
 
 
 def uvarov_data(family: FamilySpec, k: float, r0: float, n_max: int) -> UvarovData:

@@ -1,0 +1,72 @@
+"""Reference implementations the tests compare the package against.
+
+Each is the explicit form of something ``opx`` computes another way: the
+moments from powers of the recurrence matrix, the Christoffel-Darboux
+kernel as its sum, and the product-measure double integral on a tensor
+Gauss rule.  They live beside the tests so that the package does not hold
+the oracles for its own identities.
+"""
+
+import numpy as np
+
+from opx import eval_table, gauss_rule, norm_products
+
+
+def moment_sequence(family, j_max: int) -> np.ndarray:
+    """Moments mu_0..mu_j_max from the recurrence alone (no eigensolve).
+
+    mu_j / mu_0 equals the (0, 0) entry of the j-th power of the monic
+    tridiagonal recurrence matrix, computed by repeated matrix-vector
+    products; this stays relatively accurate where a monomial-basis change
+    would cancel catastrophically.  Serves as the reference the Gauss rules
+    are checked against.
+    """
+    size = j_max // 2 + 2
+    pairs = family.table(size + 1)
+    diag = pairs[:size, 0]
+    sub = pairs[1 : size + 1, 1]
+    vec = np.zeros(size, dtype=pairs.dtype)
+    vec[0] = 1.0
+    moments = np.empty(j_max + 1, dtype=pairs.dtype)
+    moments[0] = family.mu0
+    for j in range(1, j_max + 1):
+        nxt = diag * vec
+        nxt[:-1] += vec[1:]  # superdiagonal of ones (monic convention)
+        nxt[1:] += sub[: size - 1] * vec[:-1]
+        vec = nxt
+        moments[j] = family.mu0 * vec[0]
+    return moments if np.iscomplexobj(pairs) else moments.real
+
+
+def cd_kernel(ctx, n: int, x):
+    """Christoffel-Darboux kernel K_n(x, k) of the context's family at its
+    shift k, as the explicit sum, from its own P_j(k) and N_j; each point's
+    terms are summed along one contiguous row, so a point vector sums them
+    in a single point's order."""
+    if n > ctx.n_max + 2:
+        raise ValueError(f"n={n} exceeds cached range {ctx.n_max + 2}")
+    pk = eval_table(ctx.family, n, [ctx.k])[:, 0]
+    table = eval_table(ctx.family, n, np.atleast_1d(np.asarray(x)))
+    out = np.ascontiguousarray(table.T * (pk / norm_products(ctx.family, n))).sum(axis=1)
+    return out if np.ndim(x) else out[0]
+
+
+def product_orthogonality_check(family, n: int, m: int, quad_order: int) -> float:
+    """Tensor-quadrature value of the product-measure double integral
+
+        integral integral (x - u)^2 K_n(x, u) K_m(x, u) dmu(u) dmu(x).
+
+    Vanishes for n != m; for n = m it equals twice the square of the
+    orthonormal-side recurrence coefficient (2 * lambda_{n+2} in the monic
+    convention), which the tests pin empirically from the n = m = 0 case.
+    """
+    if quad_order < n + m + 3:
+        raise ValueError(f"quad_order must be >= n+m+3 = {n + m + 3}")
+    rule = gauss_rule(family, quad_order)
+    top = max(n, m)
+    table = eval_table(family, top, rule.nodes)  # (top+1, M)
+    norms = norm_products(family, top)
+    kn = (table[: n + 1].T / norms[: n + 1]) @ table[: n + 1]
+    km = (table[: m + 1].T / norms[: m + 1]) @ table[: m + 1]
+    diff2 = (rule.nodes[:, None] - rule.nodes[None, :]) ** 2
+    return float(rule.weights @ (diff2 * kn * km) @ rule.weights)

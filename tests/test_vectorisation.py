@@ -30,6 +30,7 @@ from numpy.testing import assert_array_equal
 import opx
 from conftest import sample_points
 from opx import cli, suites
+from oracles import cd_kernel
 
 N_MAX = 8
 # the CLI's default shifts (k1, k2) for each family
@@ -68,7 +69,7 @@ def test_cd_sum_branch_points_match_one_point_calls():
     xs = k + np.random.default_rng(5).uniform(-1e-5, 1e-5, 50)
     for n in range(1, 40):
         assert_array_equal(opx.kernel_poly(ctx, n, xs), _per_point(lambda x: opx.kernel_poly(ctx, n, x), xs))
-        assert_array_equal(opx.cd_kernel(ctx, n, xs), _per_point(lambda x: opx.cd_kernel(ctx, n, x), xs))
+        assert_array_equal(cd_kernel(ctx, n, xs), _per_point(lambda x: cd_kernel(ctx, n, x), xs))
 
 
 def test_real_recovery_polys(setup):
@@ -95,7 +96,7 @@ def test_order2_recovery_poly(setup):
 def _scalar_derivs(fam, n, x):
     """P'_0..P'_n at one point: the differentiated recurrence in scalars."""
     values = opx.eval_table(fam, n, [x])[:, 0]
-    pairs = opx.recurrence_coefficients(fam, n)
+    pairs = fam.table(n)
     derivs = [0.0, 1.0]
     for m in range(1, n):
         c_next, lam_next = pairs[m]
@@ -106,7 +107,10 @@ def _scalar_derivs(fam, n, x):
 def test_eval_derivs(setup):
     fam, _, xs = setup
     derivs = opx.eval_derivs(fam, N_MAX, xs, opx.eval_table(fam, N_MAX, xs))
-    per_point = _per_point(lambda x: opx.eval_sequence(fam, N_MAX, x, with_derivs=True).derivs, xs)
+    def one_point(x):
+        return opx.eval_derivs(fam, N_MAX, [x], opx.eval_table(fam, N_MAX, [x]))[:, 0]
+
+    per_point = _per_point(one_point, xs)
     assert_array_equal(derivs, per_point.T)
     assert_array_equal(per_point, _per_point(lambda x: _scalar_derivs(fam, N_MAX, x), xs))
 
