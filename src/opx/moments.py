@@ -22,11 +22,11 @@ table evaluator, ``xs -> (n_max + 1, len(xs))``, reads it once on the
 measure of one rule and sums each entry once.
 
 Far from the support the Geronimus measure's terms cancel from the scale
-of p(k).  Where an entry's rounding bound is too large against the
-diagonal, it falls back to the split form
-L(p/(x - k)) + p(k) (mass0 + L(1/(k - x))), whose first term is integrated
-by node doubling.  ``cauchy_mass`` gives L(1/(k - x)) in closed form for
-the built-in families and by node doubling for custom ones.
+of p(k); an entry whose rounding bound is too large against the diagonal
+takes the split form p(k) (mass0 + L(1/(k - x))) - L(p/(k - x)) on one
+rule, its order chosen from the rule's error on 1/(k - x) before summing and
+checked by one guard sum.  ``cauchy_mass`` gives L(1/(k - x)) in closed
+form, or as such a Gauss sum for custom families.
 """
 
 from __future__ import annotations
@@ -39,8 +39,10 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import NonConvergent, NotPositiveDefinite, ParameterOutOfRange, ShiftInsideSupport
+from .errors import DegenerateDenominator, NonConvergent, NotPositiveDefinite, ParameterOutOfRange, ShiftInsideSupport
 from .families import FamilySpec
+from .ratios import gauss_cf_ratio
+from .transforms import _backward_ratios
 
 __all__ = [
     "GaussRule",
@@ -163,12 +165,10 @@ def integrate_until_stable(
     """Integrate a smooth non-polynomial integrand by node doubling.
 
     Doubling stops at the first order whose value differs from the previous
-    order's by at most ``rtol`` relative, or the roundoff floor
-    1e-14 * sum |w_i f_i| (values that cancel to about 0 can do no better).
-    Golub-Welsch weights carry only absolute accuracy, so once the
-    difference between successive orders grows, more nodes only add noise:
-    the previous order's value is returned if its difference was within
-    1e-9 of the L1 scale.
+    order's by at most ``rtol`` relative, or 1e-14 * sum |w_i f_i| (values
+    that cancel to about 0 can do no better).  Once the differences grow,
+    the weights' noise dominates: the previous value is returned if its
+    difference was within 1e-9 of the L1 scale.
 
     Raises
     ------
@@ -202,35 +202,69 @@ def integrate_until_stable(
     raise NonConvergent(f"node doubling reached the cap of {max_order} nodes without settling")
 
 
-def _require_geronimus_shift(family: FamilySpec, k: float) -> None:
-    a, b = family.support
-    if a < k < b:
-        raise ShiftInsideSupport(f"Geronimus shift k={k} lies inside the support ({a}, {b})")
+_SPLIT_ORDER_CAP = 1024  # the largest rule chosen on a family given by a closed form
 
 
-def _split_form(
-    family: FamilySpec,
-    kind: Geronimus,
-    poly_values: Callable[[np.ndarray], np.ndarray],
-    degree: int,
-    pk: float,
-    cauchy: float,
-) -> float:
-    """Ltilde(p) in the algebraically identical split of the divided difference,
+def _split_order(family: FamilySpec, k: float, least: int, threshold: float) -> int:
+    """The least Gauss rule order m >= ``least`` whose error on the Cauchy
+    kernel, E_m = L(1/(k - x)) - sum w_i/(k - x_i) = s_0 prod_{j=1..m} s_j/rho_j,
+    is at most ``threshold`` (Gautschi, Math. Comp. 36, 1981): s_j from one
+    backward J-fraction pass at twice the depth searched (a finite table's N
+    rows: its N-node rule is its own measure, E_N = 0), rho_j = P_j(k)/P_{j-1}(k)
+    forward.  The depth doubles from 32; NonConvergent past 1024 nodes."""
+    finite = family.coeffs is None
+    top = len(family._table) if finite else 32
+    while True:
+        c, lam = family.table(top if finite else 2 * top).T.tolist()
+        try:
+            s = _backward_ratios(k, c, lam, top - 1)
+            error, rho, errors = s[0], math.inf, [s[0]]
+            for s_j, c_j, lam_j in zip(s[1:], c, lam):
+                rho = (k - c_j) - lam_j / rho
+                error *= s_j / rho
+                errors.append(error)
+        except ZeroDivisionError:
+            raise DegenerateDenominator(f"a Cauchy-kernel recurrence denominator vanishes at k={k}") from None
+        within = np.abs(np.append(errors, 0.0 if finite else np.inf)) <= threshold
+        if within.any():
+            return max(least, int(np.argmax(within)))
+        top *= 2
+        if top > _SPLIT_ORDER_CAP:
+            raise NonConvergent(f"no Gauss rule to {_SPLIT_ORDER_CAP} nodes meets the split-form bound at k={k}")
 
-        L((p(x) - p(k))/(x - k)) + p(k) mass0
-          = L(p(x)/(x - k)) + p(k) (mass0 + L(1/(k - x))),
 
-    with ``pk`` = p(k) and ``cauchy`` = L(1/(k - x)).  It keeps every
-    quadrature term at the scale of p on the support instead of the scale
-    of p(k); the Stieltjes part is integrated by node doubling."""
+# the split form's sums on m and m + 4 nodes must agree within this fraction
+# of each entry's L1 scale, the accuracy the exact form is held to
+_GUARD_BOUND = 1e-12
 
-    def stieltjes_part(xs: np.ndarray) -> np.ndarray:
-        return poly_values(xs) / (xs - kind.k)
 
-    start = _rule_order_for_degree(max(degree - 1, 0))
-    value = integrate_until_stable(family, stieltjes_part, start_order=max(start, 8))
-    return math.fsum([value, pk * (kind.mass0 + cauchy)])
+def _cauchy_sums(family: FamilySpec, k: float, values: Callable, m: int, scale) -> np.ndarray:
+    """Compensated sums of p(x)/(k - x) on the m-node Gauss rule, p tabulated
+    by ``values(xs)``, shape (..., len(xs)).  A guard sum on m + 4 nodes (at
+    most a finite table's N) must agree within ``_GUARD_BOUND`` times the L1
+    ``scale``, else m is too small or its far weights, whose noise p(x)
+    magnifies on a half line, too noisy: NonConvergent."""
+    sums = []
+    for order in (m, m + 4 if family.coeffs is not None else min(m + 4, len(family._table))):
+        rule = gauss_rule(family, order)
+        quotients = values(rule.nodes) / (k - rule.nodes)
+        sums.append(_entry_sums(rule.weights * quotients))
+    if np.any(np.abs(sums[0] - sums[1]) > _GUARD_BOUND * scale):
+        raise NonConvergent(f"the Gauss sums on {m} and {m + 4} nodes disagree at k={k}: order too small or too noisy")
+    return sums[0]
+
+
+def _split_form(family: FamilySpec, kind: Geronimus, values: Callable, degree: int, pk, scale) -> np.ndarray:
+    """Ltilde(p) = p(k) (mass0 + L(1/(k - x))) - L(p(x)/(k - x)), the split of
+    the divided-difference form, for the polynomials p of degree at most
+    ``degree`` that ``values`` tabulates, with p(k) in ``pk`` and
+    sum |w_i p(x_i)/(x_i - k)| in ``scale``.  Once 2m >= degree the m-node
+    error is exactly p(k) E_m: one rule serves all, the least m with every
+    |p(k) E_m| <= eps scale."""
+    ratio = np.divide(scale, np.abs(pk), out=np.full(np.shape(pk), np.inf), where=pk != 0)
+    m = _split_order(family, kind.k, max(1, (degree + 1) // 2), _EPS * np.min(ratio))
+    stieltjes = _cauchy_sums(family, kind.k, values, m, scale)
+    return pk * (kind.mass0 + cauchy_mass(family, kind.k)) - stieltjes
 
 
 def measure(family: FamilySpec, kind: Functional, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -254,7 +288,9 @@ def measure(family: FamilySpec, kind: Functional, m: int) -> tuple[np.ndarray, n
     if isinstance(kind, Christoffel):
         return rule.nodes, rule.weights * (rule.nodes - kind.k)
     if isinstance(kind, Geronimus):
-        _require_geronimus_shift(family, kind.k)
+        a, b = family.support
+        if a < kind.k < b:
+            raise ShiftInsideSupport(f"Geronimus shift k={kind.k} lies inside the support ({a}, {b})")
         weights = rule.weights / (rule.nodes - kind.k)
         return np.append(rule.nodes, kind.k), np.append(weights, kind.mass0 - math.fsum(weights))
     return np.append(rule.nodes, kind.k), np.append(rule.weights, kind.r0)
@@ -270,20 +306,19 @@ def apply_functional(
 
     ``degree`` must bound the polynomial degree so an exact rule can be
     chosen.  Base, Christoffel and Uvarov sum over their ``measure`` on the
-    smallest rule exact for that degree.  Geronimus takes the split form,
-    whose Stieltjes part p(x)/(x - k) is integrated by node doubling: it
-    holds every quadrature term at the scale of p on the support, so it
-    stays accurate far from the support, where the terms of the exact
-    divided-difference form cancel.  ``orthogonality_residual`` takes the
-    Geronimus ``measure`` wherever its rounding bound allows.
+    smallest rule exact for that degree.  Geronimus takes the split form
+    against the L1 scale on that rule's ``measure``: its terms keep the
+    scale of p on the support, where those of the exact divided-difference
+    form cancel far from it.  ``orthogonality_residual`` takes the Geronimus
+    ``measure`` wherever its rounding bound allows.
     """
-    if isinstance(kind, Geronimus):
-        _require_geronimus_shift(family, kind.k)
-        pk = float(np.real(poly_values(np.array([kind.k]))[0]))
-        return _split_form(family, kind, poly_values, degree, pk, cauchy_mass(family, kind.k))
     shift = 1 if isinstance(kind, Christoffel) else 0
     nodes, weights = measure(family, kind, _rule_order_for_degree(degree + shift))
-    return math.fsum(weights * poly_values(nodes))
+    values = poly_values(nodes)
+    if isinstance(kind, Geronimus):
+        scale = np.sum(np.abs(weights[:-1] * values[:-1]))
+        return float(_split_form(family, kind, poly_values, degree, values[-1], scale))
+    return math.fsum(weights * values)
 
 
 _cauchy_cache: "weakref.WeakKeyDictionary[FamilySpec, dict[float, float]]" = (
@@ -340,9 +375,6 @@ def _laguerre_cauchy(mu0: float, gamma: float, k: float) -> float:
 def _jacobi_cauchy(mu0: float, gamma: float, delta: float, k: float) -> float:
     """mu0/(k + 1) 2F1(1, delta+1; gamma+delta+2; 2/(k + 1)) for k > 1, and
     minus that with gamma and delta swapped at -k for k < -1."""
-    # imported here: opx.ratios imports opx.kernels, which imports this module
-    from .ratios import gauss_cf_ratio
-
     if k < 0.0:
         return -_jacobi_cauchy(mu0, delta, gamma, -k)
     z = 2.0 / (k + 1.0)
@@ -366,8 +398,9 @@ def cauchy_mass(family: FamilySpec, k: float) -> float:
     contraction of the Gauss fraction (Wall, Analytic Theory of Continued
     Fractions, 1948).  Against the Geronimus record's mass they check the
     coefficient formulas, the contraction and the depth the fraction is cut
-    at.  Custom families are integrated by node doubling.  Every value is
-    memoized per (family, k).
+    at.  A custom family sums 1/(k - x) on one Gauss rule, its order chosen
+    like the split form's, at most the table's N rows (its own measure).
+    Every value is memoized per (family, k).
 
     Raises
     ------
@@ -375,7 +408,8 @@ def cauchy_mass(family: FamilySpec, k: float) -> float:
         If k lies in the closed support.
     NonConvergent
         If a fraction does not settle (k within about 5e-4 of Laguerre's
-        support, or 0.01 of Jacobi's), or node doubling fails.
+        support, or 0.01 of Jacobi's), or a custom family's guard sum
+        disagrees with the chosen one.
     """
     lo, hi = family.support
     if lo <= k <= hi:
@@ -397,72 +431,21 @@ def _cauchy_value(family: FamilySpec, k: float) -> float:
         return _laguerre_cauchy(family.mu0, params["gamma"], k)
     if family.kind == "jacobi":
         return _jacobi_cauchy(family.mu0, params["gamma"], params["delta"], k)
-    return integrate_until_stable(family, lambda xs: 1.0 / (k - xs), start_order=32, rtol=1e-13)
+    # the one-node sum mu0/(k - c_1) is the L1 scale: the integrand is single-signed
+    scale = abs(family.mu0 / (k - family.table(1)[0, 0]))
+    return float(_cauchy_sums(family, k, np.ones_like, _split_order(family, k, 1, _EPS * scale), scale))
 
 
 # a Gram entry keeps the Geronimus measure's sum when its rounding bound is
-# at most this fraction of the diagonal scale.  The Laguerre default shift
-# passes at 1e-12 with every entry; at 1e-13 some of its entries would go
-# back to node doubling, up to 512 nodes
+# at most this fraction of the diagonal scale, as every entry does at the
+# Laguerre default shift
 _EXACT_FORM_BOUND = 1e-12
 
 
-def _split_where_rounding_is_large(
-    family: FamilySpec,
-    kind: Geronimus,
-    table: Callable[[np.ndarray], np.ndarray],
-    gram: np.ndarray,
-    bound: np.ndarray,
-    pk: np.ndarray,
-) -> None:
-    """Retake in the split form, in place, each entry of the unnormalized
-    Geronimus Gram matrix ``gram`` whose rounding bound exceeds
-    ``_EXACT_FORM_BOUND`` times its diagonal scale sqrt(|G_ii G_jj|); the
-    diagonal is settled first, each entry against its own size.  ``pk``
-    holds p(k) of every entry."""
-    values = _once_per_node_set(table)
-    cauchy = None  # L(1/(k - x)), once, if any entry takes the split form
-
-    def split(i: int, j: int) -> float:
-        nonlocal cauchy
-        if cauchy is None:
-            cauchy = cauchy_mass(family, kind.k)
-
-        def product(xs: np.ndarray) -> np.ndarray:
-            rows = values(xs)
-            return rows[i] * rows[j]
-
-        return _split_form(family, kind, product, i + j, pk[i, j], cauchy)
-
-    size = len(gram)
-    for i in range(size):
-        if bound[i, i] > _EXACT_FORM_BOUND * abs(gram[i, i]):
-            gram[i, i] = split(i, i)
-    scale = np.sqrt(np.abs(np.diag(gram)))
-    for i in range(size):
-        for j in range(i):
-            if bound[i, j] > _EXACT_FORM_BOUND * scale[i] * scale[j]:
-                gram[i, j] = gram[j, i] = split(i, j)
-
-
-def _once_per_node_set(table: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """``table`` memoized on its point set: each distinct ``xs`` (compared by
-    value) is evaluated once, and a repeat returns the same array."""
-    cache: dict[bytes, np.ndarray] = {}
-
-    def cached(xs: np.ndarray) -> np.ndarray:
-        key = xs.tobytes()
-        values = cache.get(key)
-        if values is None:
-            values = cache[key] = table(xs)
-        return values
-
-    return cached
-
-
 def _entry_sums(terms: np.ndarray) -> np.ndarray:
-    """The matrix whose entry (i, j) is the compensated sum of ``terms[i, j]``."""
-    return np.array([[math.fsum(entry) for entry in row] for row in terms.tolist()])
+    """The array whose entry [...] is the compensated sum of ``terms[..., :]``."""
+    sums = [math.fsum(entry) for entry in terms.reshape(-1, terms.shape[-1]).tolist()]
+    return np.array(sums).reshape(terms.shape[:-1])
 
 
 def orthogonality_residual(
@@ -474,20 +457,20 @@ def orthogonality_residual(
     """Normalized Gram matrix of a sequence under the functional.
 
     ``table(xs)`` returns the members 0..n_max of the sequence at the points
-    ``xs``, shape (n_max + 1, len(xs)).  Entry (n, m) is the functional
-    applied to the product of rows n and m, divided by
-    sqrt(|diag_n| * |diag_m|); the off-diagonal entries are the test
-    statistic.  Degrees are assumed to equal the index (monic sequences).
+    ``xs``, shape (n_max + 1, len(xs)).  Entry (n, m) is the functional on
+    rows n times m over sqrt(|diag_n| * |diag_m|); the off-diagonal entries
+    are the test statistic.  Degrees equal the index (monic sequences).
 
     The table is read once, on the ``measure`` of the rule with n_max + 2
     nodes, exact for every entry, and each entry is one compensated sum.
     Far from the support the Geronimus terms cancel from the scale of p(k),
     p = row n times row m, so each Geronimus entry carries the a-priori
     rounding bound eps (sum |terms| + |p(k)| sum_l |w_l/(x_l - k)|), the
-    second term the point weight's own; an entry whose bound is too large
-    against the diagonal is retaken in the split form.  A term past the
-    double range raises ParameterOutOfRange naming the lowest degree it
-    reaches.
+    second term the point weight's own.  Every entry whose bound exceeds
+    ``_EXACT_FORM_BOUND`` times its diagonal scale sqrt(|G_ii G_jj|) is
+    retaken in the split form, all on one rule; the diagonal is settled
+    first, each entry against its own size.  A term past the double range
+    raises ParameterOutOfRange naming the lowest degree it reaches.
     """
     nodes, weights = measure(family, kind, n_max + 2)
     rows = table(nodes)
@@ -500,7 +483,23 @@ def orthogonality_residual(
     if isinstance(kind, Geronimus):
         pk = np.outer(rows[:, -1], rows[:, -1])
         bound = _EPS * (np.sum(np.abs(terms), axis=-1) + np.abs(pk) * np.sum(np.abs(weights[:-1])))
-        _split_where_rounding_is_large(family, kind, table, gram, bound, pk)
+        own = np.diag(bound) > _EXACT_FORM_BOUND * np.abs(np.diag(gram))
+
+        def flagged(diag: np.ndarray) -> np.ndarray:
+            root = np.sqrt(np.abs(diag))
+            over = bound > _EXACT_FORM_BOUND * root[:, None] * root[None, :]
+            np.fill_diagonal(over, own)
+            return over
+
+        if flagged(np.diag(gram)).any():
+
+            def products(xs: np.ndarray) -> np.ndarray:
+                rows = table(xs)
+                return rows[:, None, :] * rows[None, :, :]
+
+            scale = np.sum(np.abs(terms[..., :-1]), axis=-1)
+            split = _split_form(family, kind, products, 2 * n_max, pk, scale)
+            gram = np.where(flagged(np.where(own, np.diag(split), np.diag(gram))), split, gram)
     diag = np.sqrt(np.abs(np.diag(gram)))
     diag[diag == 0.0] = 1.0
     return gram / np.outer(diag, diag)

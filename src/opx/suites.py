@@ -314,8 +314,9 @@ def _recovery_suite(fam, rng, settings: Settings) -> list[dict]:
     cases = [c for c, _ in recoveries.values()]
     # each transformed sequence is checked on its recovery's record.  The
     # Geronimus record's mass -s_0 is checked against the oracle's
-    # -L(1/(k - x)) (a closed form for the built-in families, node doubling
-    # for custom ones), and the Gram matrix runs on the oracle's value:
+    # -L(1/(k - x)) (a closed form for the built-in families; for custom
+    # ones a Gauss sum at a chosen order, at most the table's N rows), and
+    # the Gram matrix runs on the oracle's value:
     # entry (i, j) moves by Pt_i(k) Pt_j(k) times any gap between the two,
     # so a few ulps give 1e-9 at (5, 6) for Legendre at k = -2.  --mass0
     # overrides the solved mass, so it should fail

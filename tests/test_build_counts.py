@@ -128,13 +128,13 @@ def test_jacobi_recovery_suite_computes_its_cauchy_mass_once(monkeypatch):
     # the solved-mass case and the Gram matrix's split-form entries share
     # one memoized L(1/(k - x)), whose closed form runs one Gauss fraction
     counts = Counter()
-    fraction = ratios.gauss_cf_ratio
+    fraction = moments.gauss_cf_ratio
 
     def counting(*args, **kwargs):
         counts["gauss_cf_ratio"] += 1
         return fraction(*args, **kwargs)
 
-    monkeypatch.setattr(ratios, "gauss_cf_ratio", counting)
+    monkeypatch.setattr(moments, "gauss_cf_ratio", counting)
     _run(["verify", "--suite", "recovery", "--family", "jacobi", "--gamma", "0.3", "--delta", "0.7"])
     assert dict(counts) == {"gauss_cf_ratio": 1}
 
@@ -166,29 +166,30 @@ def test_gram_reads_its_table_once_per_rule(kind, extra):
 
 def test_geronimus_gram_reads_its_table_once_per_node_set():
     n_max = 4
-    for fam, k, doubling in (
+    for fam, k, split in (
         # every entry keeps the sum over the Geronimus measure
-        (opx.laguerre(0.0), -1.0, ()),
-        # far from the support most entries take the split form, whose node
-        # doubling starts at 8 nodes
-        (opx.jacobi(0.3, 0.7), -10.0, (8, 16, 32)),
+        (opx.laguerre(0.0), -1.0, False),
+        # far from the support most entries take the split form, all on one
+        # rule and its guard four nodes up (node doubling read 8, 16 and 32)
+        (opx.jacobi(0.3, 0.7), -10.0, True),
     ):
         data = transforms.geronimus_data(fam, k, n_max)
         seen = []
 
         def table(xs):
-            seen.append(xs.tobytes())
+            seen.append(xs.copy())
             return transforms.geronimus_table(data, n_max, xs)
 
         moments.orthogonality_residual(fam, moments.Geronimus(k, data.mass0), table, n_max)
         # the measure's nodes, those of the one rule that integrates every
-        # divided difference exactly (n_max + 2 nodes) and k, then each
-        # node-doubling order, once each
-        measure = np.append(moments.gauss_rule(fam, n_max + 2).nodes, k).tobytes()
-        expected = [moments.gauss_rule(fam, m).nodes.tobytes() for m in doubling]
-        assert seen[0] == measure
-        assert len(seen) == len(set(seen))
-        assert sorted(seen[1:]) == sorted(expected)
+        # divided difference exactly (n_max + 2 nodes) and k, then the split
+        # form's rule of m nodes and its guard rule of m + 4, once each
+        measure = np.append(moments.gauss_rule(fam, n_max + 2).nodes, k)
+        expected = [measure]
+        if split:
+            m = seen[1].size
+            expected += [moments.gauss_rule(fam, m).nodes, moments.gauss_rule(fam, m + 4).nodes]
+        assert [xs.tobytes() for xs in seen] == [xs.tobytes() for xs in expected]
 
 
 @pytest.mark.parametrize(
@@ -201,13 +202,13 @@ def test_geronimus_gram_reads_its_table_once_per_node_set():
         # (10 with one rule per degree and power_norms' own)
         ("quasi", [], 1),
         # the Gram matrices' rule with 6 + 2 = 8 nodes (the suite caps their
-        # degree at 6), and the node doubling of the Geronimus entries that
-        # take the split form, from 8 to 16, 32 and 64 (10 with one rule per
-        # entry degree)
-        ("recovery", [], 4),
+        # degree at 6), and the rule of the Geronimus entries that take the
+        # split form, 20 nodes, with its guard of 24 (node doubling solved 16,
+        # 32 and 64; 10 with one rule per entry degree)
+        ("recovery", [], 3),
         # every Geronimus entry takes the exact form at k = -1 (7 before)
         ("recovery", ["--family", "laguerre", "--gamma", "0.5"], 1),
-        ("recovery", ["--family", "jacobi", "--gamma", "0.3", "--delta", "0.7"], 4),
+        ("recovery", ["--family", "jacobi", "--gamma", "0.3", "--delta", "0.7"], 3),
     ],
 )
 @pytest.mark.parametrize("n_max", ["8", "10"])
@@ -223,6 +224,24 @@ def test_verify_ops_solve_few_gauss_rules(monkeypatch, suite, flags, expected, n
     monkeypatch.setattr(np.linalg, "eigh", counting)
     _run(["verify", "--suite", suite, *flags, "--n-max", n_max])
     assert solves["eigh"] == expected
+
+
+@pytest.mark.parametrize(
+    "flags", [["--family", "chebyshev1"], ["--family", "jacobi", "--gamma", "0.3", "--delta", "0.7"]]
+)
+def test_recovery_suite_solves_no_rule_of_32_nodes(monkeypatch, flags):
+    # at the default shift k = -2 the split form's Gram entries need 20
+    # nodes; node doubling solved the 32- and 64-node rules
+    orders = []
+    solve = moments.gauss_rule
+
+    def recording(family, m):
+        orders.append(m)
+        return solve(family, m)
+
+    monkeypatch.setattr(moments, "gauss_rule", recording)
+    _run(["verify", "--suite", "recovery", *flags])
+    assert 0 < max(orders) < 32
 
 
 @pytest.fixture

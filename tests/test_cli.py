@@ -414,6 +414,21 @@ def test_custom_family_ingestion(tmp_path, schema):
     assert report["overall"] is True
 
 
+def test_custom_recovery_suite_on_a_40_row_file(tmp_path):
+    # the Cauchy mass of a finite table sums one Gauss rule of at most its 40
+    # rows; node doubling asked for 64 and exited 2.  Its 40-node sum is the
+    # closed form -pi/sqrt(3) and the J-fraction mass
+    path = tmp_path / "coeffs.csv"
+    rows = ["n,c_n,lambda_n", f"1,0,{np.pi!r}", "2,0,0.5", *(f"{n},0,0.25" for n in range(3, 41))]
+    path.write_text("\n".join(rows) + "\n")
+    code, out, err = run_cli(
+        ["verify", "--family", "custom", "--coeffs", str(path), "--support=-1,1", "--suite", "recovery"]
+    )
+    assert code == 0, err
+    cases = {case["name"]: case for case in json.loads(out)["cases"]}
+    assert cases["geronimus_solved_mass"]["max_residual"] <= 1e-12
+
+
 def test_custom_family_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,0,1\n")

@@ -311,20 +311,51 @@ def test_cauchy_mass_inside_the_support_raises(family, k):
         cauchy_mass(family, k)
 
 
-def test_custom_cauchy_mass_doubles_nodes_once(monkeypatch):
-    # a custom family has no closed form: node doubling, memoized per (family, k)
+@pytest.fixture
+def orders(monkeypatch):
+    """The order of every Gauss rule ``opx.moments`` solves or reads from its
+    cache while the test runs."""
+    seen = []
+    solve = moments.gauss_rule
+
+    def recording(family, m):
+        seen.append(m)
+        return solve(family, m)
+
+    monkeypatch.setattr(moments, "gauss_rule", recording)
+    return seen
+
+
+def test_custom_cauchy_mass_sums_one_rule_once(orders):
+    # a custom family has no closed form: one Gauss sum at the chosen order
+    # and its guard four nodes up (doubling ran 32, 64 and 128 nodes),
+    # memoized per (family, k)
     fam = opx.custom_family(opx.chebyshev1().table(256), (-1.0, 1.0))
-    calls = Counter()
-    doubling = moments.integrate_until_stable
-
-    def counting(*args, **kwargs):
-        calls["integrate_until_stable"] += 1
-        return doubling(*args, **kwargs)
-
-    monkeypatch.setattr(moments, "integrate_until_stable", counting)
     for _ in range(2):
         assert cauchy_mass(fam, 2.0) == pytest.approx(math.pi / math.sqrt(3.0), rel=1e-12)
-    assert calls == {"integrate_until_stable": 1}
+    assert orders == [orders[0], orders[0] + 4] and orders[0] < 32
+
+
+@pytest.mark.parametrize("rows", [2, 3])
+def test_short_custom_table_sums_its_own_measure(rows):
+    # a table of N < 4 rows: the N-node rule is the table's own measure, its
+    # Cauchy mass the J-fraction cut at the last row
+    fam = opx.custom_family(opx.chebyshev1().table(rows), (-1.0, 1.0))
+    k = 2.0
+    rule = gauss_rule(fam, rows)
+    mass = cauchy_mass(fam, k)
+    assert mass == pytest.approx(math.fsum(rule.weights / (k - rule.nodes)), rel=1e-14)
+    assert mass == pytest.approx(-opx.geronimus_data(fam, k, rows - 1).mass0, rel=1e-14)
+    # Ltilde(1) = mass0, through the split form
+    assert apply_functional(fam, Geronimus(k, 0.5), np.ones_like, 0) == pytest.approx(0.5, rel=1e-14)
+
+
+def test_custom_cauchy_mass_at_a_zero_of_the_recurrence_raises():
+    # the declared support misses c_1 = 2, so P_1(2) = 0: the order chooser's
+    # forward ratio has no value there
+    fam = opx.custom_family(np.array([[2.0, 1.0], [0.0, 0.25], [0.0, 0.25]]), (-1.0, 1.0))
+    with np.errstate(divide="ignore"), pytest.raises(opx.DegenerateDenominator):
+        cauchy_mass(fam, 2.0)
 
 
 def _geronimus_off_diagonal(fam, k, n_max=6):
@@ -336,17 +367,9 @@ def _geronimus_off_diagonal(fam, k, n_max=6):
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5])
 @pytest.mark.parametrize("k", [-1.0, -0.3, -0.1])
-def test_laguerre_geronimus_gram_solves_no_large_rule(monkeypatch, gamma, k):
+def test_laguerre_geronimus_gram_solves_no_large_rule(orders, gamma, k):
     # node doubling solved rules up to 1024 nodes at k = -1 and raised
     # NonConvergent at -0.3 and -0.1
-    orders = []
-    solve = moments.gauss_rule
-
-    def recording(family, m):
-        orders.append(m)
-        return solve(family, m)
-
-    monkeypatch.setattr(moments, "gauss_rule", recording)
     off = _geronimus_off_diagonal(opx.laguerre(gamma), k)
     assert 0 < max(orders) <= 64
     assert np.max(off) <= 1e-11
@@ -358,19 +381,120 @@ def test_laguerre_geronimus_gram_solves_no_large_rule(monkeypatch, gamma, k):
 def test_geronimus_gram_takes_the_split_form_where_the_exact_form_cancels(monkeypatch, family, k):
     # far from the support the exact form's two terms cancel from
     # |mass0 p(k)|: taken alone it reads 1.3e-2 and 3.2e-10 here
-    split = Counter()
-    doubling = moments.integrate_until_stable
+    calls = Counter()
+    split_form = moments._split_form
 
     def counting(*args, **kwargs):
-        split["entries"] += 1
-        return doubling(*args, **kwargs)
+        calls["split_form"] += 1
+        return split_form(*args, **kwargs)
 
-    monkeypatch.setattr(moments, "integrate_until_stable", counting)
-    assert np.max(_geronimus_off_diagonal(family, k)) <= 1e-12
-    # some of the 28 entries take each form
-    assert 0 < split["entries"] < 28
+    monkeypatch.setattr(moments, "_split_form", counting)
+    mixed = _geronimus_off_diagonal(family, k)
+    assert np.max(mixed) <= 1e-12
+    # every split entry comes from one sum on one rule
+    assert calls == {"split_form": 1}
+    # some entries keep the exact form: taking every entry split changes the matrix
+    monkeypatch.setattr(moments, "_EXACT_FORM_BOUND", 0.0)
+    every_split = _geronimus_off_diagonal(family, k)
+    assert np.max(every_split) <= 1e-12
+    assert not np.array_equal(every_split, mixed)
     monkeypatch.setattr(moments, "_EXACT_FORM_BOUND", math.inf)
     assert np.max(_geronimus_off_diagonal(family, k)) > 1e-10
+
+
+def _geronimus_products(fam, k, n_max=6):
+    """The Geronimus functional at the solved mass, and the evaluator of the
+    products Pt_i Pt_j, i, j = 0..n_max, that its Gram entries integrate."""
+    data = opx.geronimus_data(fam, k, n_max)
+
+    def products(xs):
+        rows = opx.geronimus_table(data, n_max, xs)
+        return rows[:, None, :] * rows[None, :, :]
+
+    return Geronimus(k, data.mass0), products
+
+
+def _split_entries(fam, kind, products, n_max=6):
+    """Every Gram entry in the split form, scaled as ``orthogonality_residual``
+    scales it: p(k) and the L1 scale on the measure of n_max + 2 nodes."""
+    nodes, weights = moments.measure(fam, kind, n_max + 2)
+    values = products(nodes)
+    scale = np.sum(np.abs(weights[:-1] * values[..., :-1]), axis=-1)
+    return moments._split_form(fam, kind, products, 2 * n_max, values[..., -1], scale)
+
+
+@pytest.mark.parametrize(
+    "fam, k",
+    [(opx.chebyshev1(), -2.0), (opx.chebyshev1(), -50.0), (opx.jacobi(0.3, 0.7), -10.0)],
+    ids=["chebyshev1-k-2", "chebyshev1-k-50", "jacobi-k-10"],
+)
+def test_split_form_matches_a_rule_of_twice_its_order(monkeypatch, fam, k):
+    # the chosen order's sums agree with those on twice as many nodes within
+    # the guard's bound, 1e-12 of each entry's L1 scale: 20, 10 and 13 nodes
+    # against 40, 20 and 26 (on Laguerre a doubled rule is no reference: at
+    # k = -1 the 264-node sums are 3e-9 of the scale off, from weight noise)
+    kind, products = _geronimus_products(fam, k)
+    chosen = []
+    choose = moments._split_order
+
+    def recording(*args):
+        chosen.append(choose(*args))
+        return chosen[-1]
+
+    monkeypatch.setattr(moments, "_split_order", recording)
+    split = _split_entries(fam, kind, products)
+    (m,) = chosen
+    nodes, weights = moments.measure(fam, kind, 8)
+    values = products(nodes)
+    scale = np.sum(np.abs(weights[:-1] * values[..., :-1]), axis=-1)
+    rule = gauss_rule(fam, 2 * m)
+    terms = rule.weights * products(rule.nodes) / (k - rule.nodes)
+    stieltjes = np.array([[math.fsum(entry) for entry in row] for row in terms.tolist()])
+    twice = values[..., -1] * (kind.mass0 + cauchy_mass(fam, k)) - stieltjes
+    assert np.all(np.abs(split - twice) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("k", [-0.3, -0.1])
+def test_laguerre_split_form_near_the_support_raises_or_is_accurate(k):
+    # Gram entry (6, 5) of Laguerre(0.5) needs 349 and 911 nodes here, whose
+    # far weights carry noise that p(x) of degree 11 magnifies past 1e-7 of
+    # the scale: the guard sum must raise rather than return such a value
+    mp = pytest.importorskip("mpmath")
+    gamma = 0.5
+    fam = opx.laguerre(gamma)
+    data = opx.geronimus_data(fam, k, 6)
+
+    def product(xs):
+        table = opx.geronimus_table(data, 6, xs)
+        return table[6] * table[5]
+
+    try:
+        value = apply_functional(fam, Geronimus(k, data.mass0), product, 11)
+    except opx.NonConvergent as err:
+        assert "too noisy" in str(err)
+        return
+    reference = _laguerre_geronimus_reference(mp, data, gamma, k)
+    scale = float(mp.sqrt(reference(6, 6) * reference(5, 5)))
+    assert abs(value - float(reference(6, 5))) <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("call", ["gram", "apply_functional", "custom_cauchy_mass"])
+def test_too_small_an_order_raises(monkeypatch, call):
+    # an order chooser that returns the least order the degree allows (6
+    # nodes for the Gram, 1 for the Cauchy mass): the guard sum four nodes
+    # up disagrees, and no value comes back
+    monkeypatch.setattr(moments, "_split_order", lambda family, k, least, threshold: least)
+    fam, k = opx.chebyshev1(), -2.0
+    kind, products = _geronimus_products(fam, k)
+    custom = opx.custom_family(fam.table(64), fam.support)
+    run = {
+        "gram": lambda: _split_entries(fam, kind, products),
+        "apply_functional": lambda: apply_functional(fam, kind, lambda xs: products(xs)[6, 6], 12),
+        "custom_cauchy_mass": lambda: cauchy_mass(custom, k),
+    }[call]
+    with pytest.raises(opx.NonConvergent, match="order too small"):
+        run()
+    assert custom not in moments._cauchy_cache
 
 
 def test_integral_cancelling_to_zero_stops_at_roundoff_floor(cheb):
@@ -399,10 +523,11 @@ def test_integrand_that_never_settles_raises(make_family, jump, message):
         integrate_until_stable(make_family(), lambda xs: np.sign(xs - jump), max_order=256)
 
 
-def test_laguerre_geronimus_gram_entry_against_mpmath():
+def test_laguerre_geronimus_gram_entry_against_mpmath(orders):
     # Gram entry (6, 5) of the Laguerre(0.5) Geronimus sequence at k = -1;
     # with the solved mass the functional is L(p / (x - k)), which mpmath
-    # integrates at 40 digits for the same polynomials (same A_n)
+    # integrates at 40 digits for the same polynomials (same A_n).  Its split
+    # form sums on 131 nodes and guards on 135 (doubling reached 512)
     mp = pytest.importorskip("mpmath")
     gamma, k = 0.5, -1.0
     fam = opx.laguerre(gamma)
@@ -416,6 +541,16 @@ def test_laguerre_geronimus_gram_entry_against_mpmath():
 
         return apply_functional(fam, kind, product, i + j)
 
+    value = oracle(6, 5)
+    assert max(orders) <= 135
+    reference = _laguerre_geronimus_reference(mp, data, gamma, k)
+    scale = float(mp.sqrt(reference(6, 6) * reference(5, 5)))
+    assert abs(value - float(reference(6, 5))) <= 1e-11 * scale
+
+
+def _laguerre_geronimus_reference(mp, data, gamma, k):
+    """(i, j) -> Ltilde(Pt_i Pt_j) = L(Pt_i Pt_j / (x - k)) for Laguerre(gamma)
+    at the solved mass, by mpmath at 40 digits on the same A_n."""
     mp.mp.dps = 40
     g = mp.mpf(gamma)
 
@@ -435,22 +570,21 @@ def test_laguerre_geronimus_gram_entry_against_mpmath():
             [0, 1, 5, 20, 60, mp.inf],
         )
 
-    scale = float(mp.sqrt(reference(6, 6) * reference(5, 5)))
-    assert abs(oracle(6, 5) - float(reference(6, 5))) <= 1e-11 * scale
+    return reference
 
 
 def test_laguerre_geronimus_gram_against_mpmath(monkeypatch):
     # the normalized Gram entry (6, 5) of the test above, which the Gram
-    # matrix takes in the exact divided-difference form, without node doubling
+    # matrix takes in the exact divided-difference form, with no split form
     mp = pytest.importorskip("mpmath")
     gamma, k = 0.5, -1.0
     fam = opx.laguerre(gamma)
     data = opx.geronimus_data(fam, k, 6)
 
-    def no_doubling(*args, **kwargs):
-        raise AssertionError("node doubling ran")
+    def no_split_form(*args, **kwargs):
+        raise AssertionError("the split form ran")
 
-    monkeypatch.setattr(moments, "integrate_until_stable", no_doubling)
+    monkeypatch.setattr(moments, "_split_form", no_split_form)
     table = lambda xs: opx.geronimus_table(data, 6, xs)  # noqa: E731
     gram = orthogonality_residual(fam, Geronimus(k, data.mass0), table, 6)
 

@@ -38,6 +38,9 @@ RATIOS = (
     ("chebyshev1", "1"), ("chebyshev1", "2"), ("laguerre0.5", "-1"), ("jacobi", "1"), ("jacobi", "1.5")
 )
 COEFFS = "n,c_n,lambda_n\n1,0.1,2.0\n2,0.2,0.5\n3,-0.1,0.3\n4,0.05,0.25\n"
+# the Chebyshev-1 recurrence cut at 40 rows: a finite table whose Cauchy
+# mass is its own 40-node Gauss sum at most
+COEFFS40 = "n,c_n,lambda_n\n1,0,3.141592653589793\n2,0,0.5\n" + "".join(f"{n},0,0.25\n" for n in range(3, 41))
 # coefficient files the CLI must reject: n = 2 listed twice, n = 3 missing
 BAD_COEFFS = {
     "duplicate": COEFFS + "2,0.9,0.7\n",
@@ -125,6 +128,8 @@ def configs():
     yield "chain.l11", ["chain", "--l", ",".join(f"{i / 20:g}" for i in range(1, 12))]
     # a Geronimus record on a finite table, whose J-fraction is cut at its last row
     yield "recover.geronimus.custom", ["recover", "--kind", "geronimus", *custom[:-2], "--n-max", "1"]
+    argv = ["verify", "--suite", "recovery", "--family", "custom", "--coeffs", "coeffs40.csv", "--support=-1,1"]
+    yield "verify.recovery.custom40", argv
     # the edges of the degree tables: the kernel suite's cap of 10, the quasi
     # suite's smallest and largest degrees, a recovery of degree one, and
     # kernel points inside the switch radius beside one outside it
@@ -194,6 +199,7 @@ if __name__ == "__main__":
         # directory, because its path is echoed into the report
         os.chdir(tmp)
         Path("coeffs.csv").write_text(COEFFS)
+        Path("coeffs40.csv").write_text(COEFFS40)
         for label, text in BAD_COEFFS.items():
             Path(f"{label}.csv").write_text(text)
         for name, argv in configs():
