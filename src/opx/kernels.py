@@ -76,7 +76,10 @@ class KernelContext:
             except (ZeroDivisionError, OverflowError):
                 pass  # where numpy gives inf or NaN
         if caches is None:
-            caches = _ratio_caches(dtype.type(k), c, lam)
+            # numpy's inf or NaN is the point here; the checks that read the
+            # caches raise typed errors on it
+            with np.errstate(over="ignore", invalid="ignore"):
+                caches = _ratio_caches(dtype.type(k), c, lam)
         self.ratios, self.weighted_squares, self.cd_partials = (
             np.array(cache, dtype=dtype) for cache in caches
         )

@@ -573,12 +573,30 @@ class ChainSequence:
     complementary: "ChainSequence | None" = None
 
 
-def _minimal_params(l: np.ndarray) -> np.ndarray:
+def _minimal_params(l: np.ndarray, sequence: str = "") -> np.ndarray:
+    """m_0..m_N of l_1..l_N: m_0 = 0 and m_n = l_n / (1 - m_{n-1}).
+
+    A 1-D ``l`` runs on Python floats.  A (K, N) ``l`` gives one row of
+    m per row of l, (K, N+1), by running the recurrence column by column,
+    each entry bitwise the 1-D call's.  Raises ZeroDenominator, naming
+    ``sequence``, where some m_{n-1} is exactly 1; a 2-D call that meets one
+    reruns its rows one by one, so it raises the error a loop over the rows
+    meets first.
+    """
+    if l.ndim == 2:
+        m = np.zeros((len(l), l.shape[1] + 1))
+        with np.errstate(divide="ignore", invalid="ignore"):  # checked below
+            for n, l_n in enumerate(l.T, start=1):
+                m[:, n] = l_n / (1.0 - m[:, n - 1])
+        # 1 - m == 0 exactly when m == 1
+        if (m[:, :-1] == 1.0).any():
+            return np.array([_minimal_params(row, sequence) for row in l])
+        return m
     m = [0.0]
     for n, l_n in enumerate(l.tolist(), start=1):
         den = 1.0 - m[-1]
         if den == 0.0:
-            raise ZeroDenominator(f"minimal parameter recurrence hits m_{n-1} = 1")
+            raise ZeroDenominator(f"minimal parameter recurrence hits m_{n-1} = 1{sequence}")
         m.append(l_n / den)
     return np.array(m)
 
@@ -590,7 +608,8 @@ def chain_params(l, n_max: int | None = None) -> ChainSequence:
     ValueError when it has fewer), or a callable n -> l_n used for
     n = 1..n_max.  The complementary sequence k_n = 1 - l_n is analyzed
     the same way and attached.  Raises ZeroDenominator when some m_n of
-    either sequence is exactly 1, which leaves m_{n+1} undefined.
+    either sequence is exactly 1, which leaves m_{n+1} undefined; the
+    message names the complementary sequence when the breakdown is in it.
     """
     if callable(l):
         if n_max is None:
@@ -607,7 +626,7 @@ def chain_params(l, n_max: int | None = None) -> ChainSequence:
     m = _minimal_params(l_arr)
     positive = bool(np.all((m[1:] > 0.0) & (m[1:] < 1.0)))
     comp_l = 1.0 - l_arr
-    comp_m = _minimal_params(comp_l)
+    comp_m = _minimal_params(comp_l, " in the complementary sequence k_n = 1 - l_n")
     comp_positive = bool(np.all((comp_m[1:] > 0.0) & (comp_m[1:] < 1.0)))
     comp = ChainSequence(l=comp_l, m=comp_m, positive=comp_positive)
     return ChainSequence(l=l_arr, m=m, positive=positive, complementary=comp)

@@ -162,8 +162,7 @@ def _kernel_suite(fam, rng, settings: Settings) -> list[dict]:
     cases = []
     n_max = min(settings.n_max, 10)
     for k in settings.shifts:
-        with np.errstate(over="ignore", invalid="ignore"):  # the Gram check raises on an overflow
-            ctx = kernels.KernelContext(fam, k, n_max + 2)
+        ctx = kernels.KernelContext(fam, k, n_max + 2)
         cases.append(case(f"kernel_orthogonality_k{k:g}", _worst(kernel_orthogonality(ctx, n_max)), 1e-9))
         radii = 10.0 ** rng.uniform(-4, -1, 10) * (1.0 + abs(k))
         gaps = kernel_branch_agreement(ctx, radii, n_max)
@@ -241,8 +240,7 @@ QUASI_MIN_N_MAX = 3
 def _quasi_suite(fam, rng, settings: Settings) -> list[dict]:
     k = settings.shifts[0]
     n_max = min(settings.n_max, 10)
-    with np.errstate(over="ignore", invalid="ignore"):  # moment_annihilation raises on an overflow
-        ctx = kernels.KernelContext(fam, k, n_max + 3)
+    ctx = kernels.KernelContext(fam, k, n_max + 3)
     stats = moment_annihilation(ctx, quasi.QuasiSpec(order=1, a=1.0, b=0.7), range(2, n_max + 1))
     cases = [case("order1_moment_annihilation", _worst(stats), 1e-9)]
     spec2 = quasi.QuasiSpec(order=2, Ltilde=0.3, Mtilde=0.9)
@@ -379,25 +377,44 @@ def _columns(rows: list[tuple]) -> list[np.ndarray]:
     return list(map(np.array, zip(*rows)))
 
 
-def _guarded_draws(draw, den, count: int) -> tuple[list[np.ndarray], np.ndarray]:
+def _uniform(rng, lo: float, hi: float) -> float:
+    """One draw of ``rng.uniform(lo, hi)`` from one ``rng.random()`` call:
+    ``Generator.uniform`` returns lo + (hi - lo) u for the next double u of
+    the same stream, and the scalar call costs about three ``random()``."""
+    return lo + (hi - lo) * rng.random()
+
+
+def _stacked_series(kind: str, firsts: tuple, rest: tuple, z, terms: int = 200) -> list[np.ndarray]:
+    """``hyp_series`` for each first parameter in ``firsts``, with the other
+    parameters ``rest`` and ``z`` shared: one call over the stacked rows,
+    split into one array of sums per entry of ``firsts``."""
+    reps = len(firsts)
+    params = (np.concatenate(firsts), *(np.tile(v, reps) for v in rest))
+    return np.split(ratios.hyp_series(kind, params, np.tile(z, reps), terms), reps)
+
+
+def _guarded_draws(draw, sums, count: int) -> tuple[list[np.ndarray], np.ndarray]:
     """``count`` draws whose denominator series clears the conditioning
-    guard |den| >= 1e-3, as columns, and those denominators.
+    guard |den| >= 1e-3, as columns, and their series ratios num / den.
 
     ``draw()`` makes one candidate from scalar rng calls.  Each round draws
-    exactly as many candidates as are still missing and evaluates their
-    denominators ``den(*columns)`` in one batch, so the candidates, and the
-    rng stream, are those of a loop that draws one at a time and stops at
-    the count-th kept draw.  Near a zero of the denominator the series
-    cannot certify 1e-10 itself.
+    exactly as many candidates as are still missing and sums their
+    numerator and denominator series ``sums(*columns)`` in one batch, so the
+    candidates, and the rng stream, are those of a loop that draws one at a
+    time and stops at the count-th kept draw.  Near a zero of the
+    denominator the series cannot certify 1e-10 itself.  The numerators of
+    the candidates the guard rejects are summed too: the terminating draws
+    below keep every numerator row finite (n <= 11, r >= 0.3, |z| <= 2), so
+    that raises nothing a denominator row would not.
     """
-    kept, dens = [], []
+    kept, ratio = [], []
     while len(kept) < count:
         batch = [draw() for _ in range(count - len(kept))]
-        d = den(*_columns(batch))
-        keep = ~(np.abs(d) < 1e-3)  # a NaN passes: abs(NaN) < 1e-3 is false
+        num, den = sums(*_columns(batch))
+        keep = ~(np.abs(den) < 1e-3)  # a NaN passes: abs(NaN) < 1e-3 is false
         kept += [row for row, k in zip(batch, keep.tolist()) if k]
-        dens.append(d[keep])
-    return _columns(kept), np.concatenate(dens)
+        ratio.append(num[keep] / den[keep])
+    return _columns(kept), np.concatenate(ratio)
 
 
 def _cf_gap(cf: np.ndarray, series: np.ndarray) -> np.ndarray:
@@ -409,15 +426,14 @@ def gauss_cf_vs_series(rng, count: int, depth: int) -> np.ndarray:
     the terminating series, over ``count`` guarded draws (n, q, r, z)."""
 
     def draw():
-        n, q = int(rng.integers(1, 12)), float(rng.uniform(0.2, 4.0))
-        return n, q, float(rng.uniform(0.3, 4.0)), float(rng.uniform(-0.6, 0.6))
+        n = int(rng.integers(1, 12))
+        return n, _uniform(rng, 0.2, 4.0), _uniform(rng, 0.3, 4.0), _uniform(rng, -0.6, 0.6)
 
-    def guard(n, q, r, z):
-        return ratios.hyp_series("2F1", (-n, q, r), z)
+    def sums(n, q, r, z):
+        return _stacked_series("2F1", (-n + 1, -n), (q, r), z)
 
-    (n, q, r, z), den = _guarded_draws(draw, guard, count)
-    cf = ratios.gauss_cf_ratio(-n, q, r, z, depth)
-    return _cf_gap(cf, ratios.hyp_series("2F1", (-n + 1, q, r), z) / den)
+    (n, q, r, z), series = _guarded_draws(draw, sums, count)
+    return _cf_gap(ratios.gauss_cf_ratio(-n, q, r, z, depth), series)
 
 
 def kummer_cf_vs_series(rng, count: int, depth: int) -> np.ndarray:
@@ -426,14 +442,13 @@ def kummer_cf_vs_series(rng, count: int, depth: int) -> np.ndarray:
 
     def draw():
         n = int(rng.integers(1, 12))
-        return n, float(rng.uniform(0.3, 4.0)), float(rng.uniform(-2.0, 2.0))
+        return n, _uniform(rng, 0.3, 4.0), _uniform(rng, -2.0, 2.0)
 
-    def guard(n, r, z):
-        return ratios.hyp_series("1F1", (-n, r), z)
+    def sums(n, r, z):
+        return _stacked_series("1F1", (-n + 1, -n), (r,), z)
 
-    (n, r, z), den = _guarded_draws(draw, guard, count)
-    cf = ratios.kummer_cf_ratio(-n, r, z, depth)
-    return _cf_gap(cf, ratios.hyp_series("1F1", (-n + 1, r), z) / den)
+    (n, r, z), series = _guarded_draws(draw, sums, count)
+    return _cf_gap(ratios.kummer_cf_ratio(-n, r, z, depth), series)
 
 
 def gauss_cf_vs_series_nonterminating(rng, count: int, depth: int) -> np.ndarray:
@@ -444,8 +459,8 @@ def gauss_cf_vs_series_nonterminating(rng, count: int, depth: int) -> np.ndarray
     # state of ``count`` rows of four scalar draws
     p, q, r, z = rng.uniform((0.1, 0.2, 0.3, -0.5), (2.5, 3.0, 4.0, 0.5), (count, 4)).T
     cf = ratios.gauss_cf_ratio(p, q, r, z, depth)
-    series = ratios.hyp_series("2F1", (p + 1, q, r), z, 400) / ratios.hyp_series("2F1", (p, q, r), z, 400)
-    return _cf_gap(cf, series)
+    num, den = _stacked_series("2F1", (p + 1, p), (q, r), z, 400)
+    return _cf_gap(cf, num / den)
 
 
 def _ratio_suite(fam, rng, settings: Settings) -> list[dict]:
@@ -460,7 +475,10 @@ def _ratio_suite(fam, rng, settings: Settings) -> list[dict]:
     cases.append(case("kummer_cf_vs_series", _worst(kummer_cf_vs_series(rng, 200, depth)), 1e-10))
     gaps = gauss_cf_vs_series_nonterminating(rng, 50, depth)
     cases.append(case("gauss_cf_vs_series_nonterminating", _worst(gaps), 1e-10))
-    # the special-case fractions' printed prefactors: gaps recorded, not gated
+    # the special-case fractions' printed prefactors: gaps recorded, not
+    # gated, against Pk_{n-1}(x_n)/Pk_n(x_n) at one draw x_n per degree
+    # n = 1..top, all drawn in one call
+    top = min(n_max, 6)
     if fam.kind == "chebyshev1":
         r_ups = ratios.kernel_ratio_limits(kernels.KernelContext(fam, 1.0, n_max + 2), n_max)[0]
         gaps = np.abs(r_ups[1:] - chebyshev1_shift1_ratio(np.arange(1, n_max + 1)))
@@ -468,11 +486,12 @@ def _ratio_suite(fam, rng, settings: Settings) -> list[dict]:
     if fam.kind == "laguerre":
         gamma = dict(fam.params)["gamma"]
         ctx0 = kernels.KernelContext(fam, 0.0, n_max + 2)
+        xs = rng.uniform(0.5, 3.0, top)
+        table = kernels.kernel_table(ctx0, top, xs)
         gap = 0.0
-        for n in range(1, min(n_max, 6) + 1):
-            x = float(rng.uniform(0.5, 3.0))
+        for n, x in enumerate(xs.tolist(), start=1):
             cf, same, _ = ratios.laguerre_ratio_cf(gamma, n, x, depth)
-            direct = kernels.kernel_poly(ctx0, n - 1, x) / kernels.kernel_poly(ctx0, n, x)
+            direct = table[n - 1, n - 1] / table[n, n - 1]
             gap = max(gap, abs(direct / (same * cf) - 1.0))
         cases.append(case("laguerre_prefactor_discrepancy", gap, None))
     if fam.kind == "jacobi":
@@ -480,11 +499,12 @@ def _ratio_suite(fam, rng, settings: Settings) -> list[dict]:
         if delta > 0:
             upper = kernels.KernelContext(families.jacobi(gamma, delta), 1.0, n_max + 2)
             lower = kernels.KernelContext(families.jacobi(gamma, delta - 1.0), 1.0, n_max + 2)
+            xs = rng.uniform(-0.5, 0.9, top)
+            up, low = (kernels.kernel_table(c, top, xs) for c in (upper, lower))
             gap = 0.0
-            for n in range(1, min(n_max, 6) + 1):
-                x = float(rng.uniform(-0.5, 0.9))
+            for n, x in enumerate(xs.tolist(), start=1):
                 cf, pref = ratios.jacobi_ratio_cf(gamma, delta, n, x, depth)
-                direct = kernels.kernel_poly(upper, n - 1, x) / kernels.kernel_poly(lower, n, x)
+                direct = up[n - 1, n - 1] / low[n, n - 1]
                 gap = max(gap, abs(direct / (pref * cf) - 1.0))
             cases.append(case("jacobi_prefactor_discrepancy", gap, None))
     return cases
@@ -498,6 +518,30 @@ def quarter_chain() -> tuple[ratios.ChainSequence, np.ndarray]:
     return seq, np.abs(seq.m - closed)
 
 
+def g_chains(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """For ``count`` draws 0 < p <= q < r, the minimal parameters m_0..m_50
+    of the chain sequence l_j = (1 - g_{j-1}) g_j, j = 1..50, of the Gauss
+    g-table and of its complement 1 - l, interleaved, (2 count, 51), and
+    whether each l is a positive chain sequence, (count,).
+
+    One (count, 3) block fills row by row with the values of ``count`` rows
+    of three scalar draws, and p, q = p + u, r = q + v are its running sums
+    along each row.  One g-table serves every draw, and one recurrence every
+    sequence and complement.  A breakdown raises the error of the first
+    ``chain_params`` call in a loop over the draws.
+    """
+    p, q, r = np.cumsum(rng.uniform((0.1, 0.0, 0.1), (2.0, 1.0, 1.0), (count, 3)), axis=1).T[..., None]
+    g = ratios._gauss_g(p, q, r, 50)
+    l = (1.0 - g[:, :-1]) * g[:, 1:]
+    try:
+        mins = ratios._minimal_params(np.stack([l, 1.0 - l], axis=1).reshape(2 * count, 50))
+    except errors.ZeroDenominator:
+        for row in l:  # names the sequence that breaks down
+            ratios.chain_params(row)
+        raise
+    return mins, ((mins[::2, 1:] > 0.0) & (mins[::2, 1:] < 1.0)).all(axis=1)
+
+
 def _chain_suite(fam, rng, settings: Settings) -> list[dict]:
     seq, gaps = quarter_chain()
     cases = [
@@ -505,14 +549,8 @@ def _chain_suite(fam, rng, settings: Settings) -> list[dict]:
         case("quarter_chain_positive", 0.0 if seq.positive else 1.0, 0.5),
     ]
     # 0 < p <= q < r makes the Gauss g-table a positive chain sequence
-    worst = 0.0
-    for _ in range(20):
-        p = float(rng.uniform(0.1, 2.0))
-        q = p + float(rng.uniform(0.0, 1.0))
-        r = q + float(rng.uniform(0.1, 1.0))
-        g = ratios._gauss_g(p, q, r, 50)
-        worst = max(worst, 0.0 if ratios.chain_params((1.0 - g[:-1]) * g[1:]).positive else 1.0)
-    cases.append(case("g_sequence_chain_positive", worst, 0.5))
+    positive = g_chains(rng, 20)[1]
+    cases.append(case("g_sequence_chain_positive", 0.0 if positive.all() else 1.0, 0.5))
     return cases
 
 

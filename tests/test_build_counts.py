@@ -98,24 +98,49 @@ def calls(monkeypatch):
     "flags, expected",
     [
         # evaluate_cf: the terminating Gauss and Kummer batches and the
-        # non-terminating Gauss batch; hyp_series: two rounds of Gauss
-        # denominators (two draws fail the guard) and the numerators, one
-        # round of Kummer denominators and the numerators, and the
-        # non-terminating pair; no confluent_cd call: the confluent identity
-        # reads one table over every degree (one call per degree made 9)
-        ([], {"evaluate_cf": 3, "hyp_series": 7}),
+        # non-terminating Gauss batch; hyp_series: one call per guard round,
+        # each summing the round's numerator and denominator rows together
+        # (two Gauss rounds, as two draws fail the guard; one Kummer round),
+        # and one call for the non-terminating pair; no confluent_cd call:
+        # the confluent identity reads one table over every degree (one call
+        # per degree made 9)
+        ([], {"evaluate_cf": 3, "hyp_series": 4}),
         # one Gauss and one Kummer draw fail the guard: two rounds each
-        (["--seed", "2"], {"evaluate_cf": 3, "hyp_series": 8}),
+        (["--seed", "2"], {"evaluate_cf": 3, "hyp_series": 5}),
         # plus one fraction per prefactor degree n = 1..6
-        (["--family", "laguerre", "--gamma", "0.5"], {"evaluate_cf": 9, "hyp_series": 7}),
-        (["--family", "jacobi", "--gamma", "0.3", "--delta", "0.7"], {"evaluate_cf": 9, "hyp_series": 7}),
+        (["--family", "laguerre", "--gamma", "0.5"], {"evaluate_cf": 9, "hyp_series": 4}),
+        (["--family", "jacobi", "--gamma", "0.3", "--delta", "0.7"], {"evaluate_cf": 9, "hyp_series": 4}),
     ],
 )
 def test_ratios_suite_calls(calls, flags, expected):
     # a loop over the draws would make one hyp_series call per candidate
-    # and one evaluate_cf call per kept draw, about 900 and 450
+    # and one evaluate_cf call per kept draw, about 900 and 450; one call
+    # per round's denominators and one for the kept numerators made 7
     _run(["verify", "--suite", "ratios", *flags])
     assert dict(calls) == expected
+
+
+def test_chains_suite_calls(monkeypatch):
+    # one g-table for the 20 draws and one recurrence over their 20 rows and
+    # 20 complements, stacked; the quarter chain's sequence and complement
+    # run on their own.  A loop made 20 g-tables and 40 recurrences more
+    shapes = []
+    for name in ("_gauss_g", "_minimal_params"):
+        fn = getattr(ratios, name)
+
+        def recording(*args, name=name, fn=fn, **kwargs):
+            out = fn(*args, **kwargs)
+            shapes.append((name, out.shape))
+            return out
+
+        monkeypatch.setattr(ratios, name, recording)
+    _run(["verify", "--suite", "chains"])
+    assert shapes == [
+        ("_minimal_params", (101,)),
+        ("_minimal_params", (101,)),
+        ("_gauss_g", (20, 51)),
+        ("_minimal_params", (40, 51)),
+    ]
 
 
 def test_quasi_suite_calls(calls):

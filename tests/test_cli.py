@@ -226,14 +226,22 @@ def test_chain_list_covers_every_value_unless_n_max_is_given():
 
 
 @pytest.mark.parametrize(
-    "args", [["--l-const", "0.5", "--n-max", "5"], ["--l", "0.5,0.5,0.5"], ["--l-const", "1", "--n-max", "3"]]
+    "args",
+    [
+        ["--l-const", "0.5", "--n-max", "5"],
+        ["--l", "0.5,0.5,0.5"],
+        ["--l-const", "1", "--n-max", "3"],
+        ["--l-const", "0", "--n-max", "3"],
+    ],
 )
 def test_chain_breakdown_is_a_typed_error(args):
-    # m_n = l_n / (1 - m_{n-1}) meets m_{n-1} = 1
+    # m_n = l_n / (1 - m_{n-1}) meets m_{n-1} = 1; l_n = 0 gives m_n = 0
+    # throughout, and its complement k_n = 1 - l_n = 1 meets m_1 = 1
     code, out, err = run_cli(["chain", *args])
     assert code == 1
     assert out == ""
     assert err.startswith("opx: ZeroDenominator: minimal parameter recurrence hits m_")
+    assert err.endswith(" in the complementary sequence k_n = 1 - l_n\n") == (args[1] == "0")
 
 
 @pytest.mark.parametrize(
@@ -356,6 +364,16 @@ def test_a_shift_that_overflows_the_kernel_caches_is_a_typed_error(args, message
     code, out, err = run_cli([*args, "--family", "chebyshev1", "--shift=1e-200"])
     assert (code, out) == (1, "")
     assert err == f"opx: ParameterOutOfRange: {message}\n"
+
+
+def test_recover_at_a_shift_that_overflows_the_kernel_caches_warns_nothing():
+    # the context at k = 1e-200 runs its ratio caches on numpy scalars, whose
+    # inf and NaN come without a warning; the recovery passes there (a
+    # RuntimeWarning fails the test)
+    argv = ["recover", "--family", "chebyshev1", "--kind", "christoffel", "--shift=1e-200", "--shift", "3"]
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["overall"] is True
 
 
 def test_recover_command(schema):

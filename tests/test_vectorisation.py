@@ -17,7 +17,10 @@ evaluators they replaced, ``kernel_ratio_limit``
 the scalar formula it ran before it became one entry of
 ``kernel_ratio_limits``, and the quasi suite's difference equation, one
 call over every (b, n, point), the per-(b, n) loop it replaced, generator
-state included; those are kept below as the references.
+state included; so do the ratios suite's guarded draws, with one series call
+per guard round, its prefactor tables, and the chains suite's one g-table
+and one recurrence over all its rows, against their loops.  Those loops are
+kept below as the references.
 """
 
 import json
@@ -218,6 +221,19 @@ def test_kernel_context_where_python_floats_raise(pairs):
     for cache, reference in zip(_caches(ctx), _reference_caches(fam, 2.0, 8)):
         assert_bitwise(cache, reference)
     assert not np.isfinite(ctx.weighted_squares).all()
+
+
+def test_kernel_context_fallback_warns_only_of_a_division_by_zero():
+    # numpy's overflow and NaN pass without a warning: the checks that read
+    # the caches raise typed errors on them.  A zero lambda_n still warns,
+    # the only sign on stderr that a custom table is degenerate
+    for name, pairs in CUSTOM_PAIRS.items():
+        fam = opx.custom_family(pairs + pairs[-1:] * 12, (-1.0, 1.0))
+        if name == "lambda3-zero":
+            with pytest.warns(RuntimeWarning, match="divide by zero"):
+                opx.KernelContext(fam, 2.0, 8)
+        else:
+            opx.KernelContext(fam, 2.0, 8)  # conftest makes a RuntimeWarning fail
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -540,6 +556,126 @@ def test_nonterminating_block_draw_matches_scalar_draws(count):
         gaps = suites.gauss_cf_vs_series_nonterminating(rng, count, 60)
         assert_bitwise(gaps, _reference_nonterminating(ref_rng, count, 60))
         # the generator is left where the scalar draws left it
+        assert rng.random() == ref_rng.random()
+
+
+# every range the suites draw a scalar from through suites._uniform
+UNIFORM_RANGES = [(0.2, 4.0), (0.3, 4.0), (-0.6, 0.6), (-2.0, 2.0)]
+
+
+def test_uniform_helper_matches_generator_uniform():
+    # value for value and in generator state, mixed with the integer draws
+    # the guarded checks interleave; a numpy that computed Generator.uniform
+    # another way would fail here before it moved a report byte
+    rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+    for i in range(20000):
+        if i % 3 == 0:
+            assert int(rng.integers(1, 12)) == int(ref_rng.integers(1, 12))
+        lo, hi = UNIFORM_RANGES[i % len(UNIFORM_RANGES)]
+        value = suites._uniform(rng, lo, hi)
+        assert type(value) is float
+        assert value == float(ref_rng.uniform(lo, hi))
+    assert rng.random() == ref_rng.random()
+
+
+def _reference_guarded(kind, rng, count, depth):
+    """``suites.gauss_cf_vs_series`` ("2F1") or ``kummer_cf_vs_series``
+    ("1F1") as the loop the guarded draws replace: one candidate at a time
+    from scalar ``rng.uniform`` calls, its denominator series on its own,
+    then one numerator and one denominator call over the kept draws."""
+    rows = []
+    while len(rows) < count:
+        n = int(rng.integers(1, 12))
+        if kind == "2F1":
+            row = (n, float(rng.uniform(0.2, 4.0)), float(rng.uniform(0.3, 4.0)), float(rng.uniform(-0.6, 0.6)))
+        else:
+            row = (n, float(rng.uniform(0.3, 4.0)), float(rng.uniform(-2.0, 2.0)))
+        if not abs(opx.hyp_series(kind, (-n, *row[1:-1]), row[-1])) < 1e-3:
+            rows.append(row)
+    n, *middle, z = map(np.array, zip(*rows))
+    series = opx.hyp_series(kind, (-n + 1, *middle), z) / opx.hyp_series(kind, (-n, *middle), z)
+    fraction = opx.gauss_cf_ratio if kind == "2F1" else opx.kummer_cf_ratio
+    cf = fraction(-n, *middle, z, depth)
+    return np.abs(cf - series) / np.fmax(1.0, np.abs(series))
+
+
+@pytest.mark.parametrize("kind, check", [("2F1", "gauss_cf_vs_series"), ("1F1", "kummer_cf_vs_series")])
+def test_guarded_draws_match_the_one_at_a_time_loop(kind, check):
+    # at these counts a second guard round runs at Gauss seeds 2, 3, 4, 6,
+    # 8, 9, 13, 25 and 26 and at Kummer seeds 1, 4, 6, 8, 15 and 28
+    for seed in range(50):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        count = 200 if seed < 10 else 40
+        gaps = getattr(suites, check)(rng, count, 60)
+        assert_bitwise(gaps, _reference_guarded(kind, ref_rng, count, 60))
+        assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_g_chains_match_chain_params(seed):
+    # the one g-table and the one stacked recurrence against 20 chain_params
+    # calls on g-tables from three scalar draws each
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    mins, positive = suites.g_chains(rng, 20)
+    assert mins.shape == (40, 51)
+    for i in range(20):
+        p = float(ref_rng.uniform(0.1, 2.0))
+        q = p + float(ref_rng.uniform(0.0, 1.0))
+        r = q + float(ref_rng.uniform(0.1, 1.0))
+        g = opx.ratios._gauss_g(p, q, r, 50)
+        seq = opx.chain_params((1.0 - g[:-1]) * g[1:])
+        assert_bitwise(mins[2 * i], seq.m)
+        assert_bitwise(mins[2 * i + 1], seq.complementary.m)
+        assert positive[i] == seq.positive
+    assert rng.random() == ref_rng.random()
+
+
+def test_g_chains_breakdown_raises_the_chain_params_error(monkeypatch):
+    # g = 0 gives l = 0, whose complement 1 - l = 1 meets m_1 = 1
+    monkeypatch.setattr(opx.ratios, "_gauss_g", lambda p, q, r, m: np.zeros((len(p), m + 1)))
+    expected = _first_error([lambda: opx.chain_params(np.zeros(50))])
+    assert str(expected).endswith(" in the complementary sequence k_n = 1 - l_n")
+    _assert_raises_like(expected, lambda: suites.g_chains(np.random.default_rng(0), 20))
+
+
+def test_minimal_params_rows_match_one_row_calls():
+    rng = np.random.default_rng(3)
+    # values outside (0, 1) too, so some rows are not positive chains
+    rows = rng.uniform(-0.5, 1.5, (30, 12))
+    table = opx.ratios._minimal_params(rows)
+    for row, expected in zip(rows, table):
+        assert_bitwise(expected, opx.ratios._minimal_params(row))
+    # a breakdown raises the error of the first row a loop meets, not the
+    # first column's: row 1 hits m_2 = 1, row 2 hits m_1 = 1
+    rows = np.array([[0.25, 0.25, 0.25], [0.5, 0.5, 0.5], [1.0, 0.5, 0.5]])
+    expected = _first_error([lambda row=row: opx.ratios._minimal_params(row, " in l") for row in rows])
+    assert str(expected) == "minimal parameter recurrence hits m_2 = 1 in l"
+    _assert_raises_like(expected, lambda: opx.ratios._minimal_params(rows, " in l"))
+
+
+PREFACTOR_CONTEXTS = [
+    ("laguerre0.5", lambda: opx.laguerre(0.5), 0.0, (0.5, 3.0)),
+    ("laguerre0", lambda: opx.laguerre(0.0), 0.0, (0.5, 3.0)),
+    ("jacobi-upper", lambda: opx.jacobi(0.3, 0.7), 1.0, (-0.5, 0.9)),
+    ("jacobi-lower", lambda: opx.jacobi(0.3, -0.3), 1.0, (-0.5, 0.9)),
+]
+
+
+@pytest.mark.parametrize("top", [1, 3, 6])
+@pytest.mark.parametrize("name, make_family, k, bounds", PREFACTOR_CONTEXTS, ids=[c[0] for c in PREFACTOR_CONTEXTS])
+def test_prefactor_tables_match_kernel_poly(name, make_family, k, bounds, top):
+    # the ratios suite's prefactor checks draw x_1..x_top in one call and
+    # read Pk_{n-1}(x_n) and Pk_n(x_n) off one table per context, in place
+    # of a scalar draw and two kernel_poly calls per degree n
+    ctx = opx.KernelContext(make_family(), k, top + 2)
+    for seed in range(5):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        xs = rng.uniform(*bounds, top)
+        table = opx.kernel_table(ctx, top, xs)
+        for n in range(1, top + 1):
+            x = float(ref_rng.uniform(*bounds))
+            assert x == xs[n - 1]
+            assert_bitwise(table[n - 1 : n + 1, n - 1], [opx.kernel_poly(ctx, j, x) for j in (n - 1, n)])
         assert rng.random() == ref_rng.random()
 
 

@@ -159,6 +159,8 @@ def configs():
     # and a value that is not finite (exit 2)
     yield "chain.half.n5", ["chain", "--l-const", "0.5", "--n-max", "5"]
     yield "chain.one.n3", ["chain", "--l-const", "1", "--n-max", "3"]
+    # l_n = 0 breaks down in its complement k_n = 1 - l_n, at m_1 = 1
+    yield "chain.zero.n3", ["chain", "--l-const", "0", "--n-max", "3"]
     yield "chain.nan", ["chain", "--l-const", "nan", "--n-max", "3"]
     yield "chain.l.inf", ["chain", "--l", "0.2,inf,0.3"]
     # parameters the CLI refuses (exit 2): a NaN family parameter, shift or
