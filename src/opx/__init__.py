@@ -54,10 +54,10 @@ from .moments import (
 )
 from .quasi import (
     QkOrthogonalityReport,
-    QuasiSpec,
     difference_equation_residual,
     qk_orthogonality_check,
     quasi_kernel,
+    quasi_table,
 )
 from .ratios import (
     ChainSequence,

@@ -16,10 +16,10 @@ S_j = t_0 + ... + t_j, which stay finite where the raw values under- or
 overflow (Gautschi, SIAM Rev. 9, 1967), so the recurrence coefficients, the
 kernel tables and the ratio limits at large n all run on them.  For a real
 shift the ratio-form recurrence runs on Python floats, the same IEEE steps
-as numpy's float64 scalars; a step where a Python float raises (division by
-zero, or a square past the float range) reruns it on numpy scalars, as does
-every complex shift, since Python's complex division rounds differently
-from numpy's.  The caches are bitwise numpy's either way.
+as numpy's float64 scalars; a step where a Python float raises (a square
+past the float range) reruns it on numpy scalars, as does every complex
+shift, since Python's complex division rounds differently from numpy's.
+The caches are bitwise numpy's either way.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IteratedUndefined, KernelUndefined
+from .errors import IteratedUndefined, KernelUndefined, NotPositiveDefinite
 from .families import FamilySpec, custom_family, eval_table
 
 __all__ = [
@@ -57,7 +57,8 @@ class KernelContext:
     step max(|(k - c_j) P_{j-1}(k)|, |lambda_j P_{j-2}(k)|), which catches
     genuine zeros without misfiring on geometrically decaying sequences.
     Divided by |P_{j-1}(k)| the test reads off the ratios alone:
-    |rho_j| < ZERO_RTOL max(|k - c_j|, |lambda_j / rho_{j-1}|).
+    |rho_j| < ZERO_RTOL max(|k - c_j|, |lambda_j / rho_{j-1}|).  A zero
+    lambda_j (lambda_1 = mu0 included) fails first, with NotPositiveDefinite.
     """
 
     def __init__(self, family: FamilySpec, k: complex, n_max: int):
@@ -68,13 +69,16 @@ class KernelContext:
         self.n_max = n_max
         top = n_max + 2  # rho_j for j = 1..n_max+3
         c, lam = family.table(top + 2).T
+        if not lam.all():
+            j = int(np.argmax(lam == 0.0))
+            raise NotPositiveDefinite(f"lambda_{j + 1} = {lam[j]} <= 0")
         dtype = np.dtype(complex if np.iscomplexobj(k) or np.iscomplexobj(c) else float)
         caches = None
         if dtype == float:
             try:
                 caches = _ratio_caches(float(k), c.tolist(), lam.tolist())
-            except (ZeroDivisionError, OverflowError):
-                pass  # where numpy gives inf or NaN
+            except OverflowError:
+                pass  # where numpy gives inf
         if caches is None:
             # numpy's inf or NaN is the point here; the checks that read the
             # caches raise typed errors on it

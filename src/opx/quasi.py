@@ -1,7 +1,8 @@
 """Quasi-type kernel polynomials and their orthogonality criterion.
 
-Order one mixes two consecutive kernel polynomials, a*Pk_{n+1} + b*Pk_n;
-order two adds a third term.  The module also carries the variable-
+A quasi-type kernel polynomial of order l is Q_n = c_0 Pk_n + ... +
+c_l Pk_{n-l}, with one coefficient row for all degrees or one per degree,
+and ``quasi_table`` forms it.  The module also carries the variable-
 coefficient difference equation for the monic order-one sequence and the
 criterion for when a mixed sequence Q = A Pk is itself orthogonal, read
 off its recurrence matrix A J A^-1 by Favard's theorem: the entries below
@@ -27,55 +28,41 @@ from .errors import InvalidAlphas
 from .kernels import KernelContext, kernel_recurrence, kernel_table
 
 __all__ = [
-    "QuasiSpec",
     "QkOrthogonalityReport",
+    "quasi_table",
     "quasi_kernel",
-    "quasi_from_kernel_table",
     "difference_equation_residual",
     "qk_orthogonality_check",
     "orthogonality_conditions",
 ]
 
 
-@dataclass(frozen=True)
-class QuasiSpec:
-    """Mixing coefficients of a quasi-type kernel polynomial.
-
-    Order 1 uses (a, b), not both zero; the monic form has a = 1.
-    Order 2 uses (Ltilde, Mtilde); exact order two needs Mtilde != 0.
+def quasi_table(table, coeffs) -> np.ndarray:
+    """Row n is coeffs[n, 0] table[n] + ... + coeffs[n, l] table[n-l],
+    summed in that order over the rows n - i >= 0 of ``table`` (N, points);
+    ``coeffs`` is one row (c_0..c_l) for every n, or one row per n.  On a
+    kernel table row n is the quasi-type Q_n, of degree n when c_0 != 0; on
+    the identity it is the mixing matrix A of Q = A Pk.  Raises ValueError
+    on a coefficient that is not finite or on a row that is all zero.
     """
-
-    order: int
-    a: float = 1.0
-    b: float = 0.0
-    Ltilde: float = 0.0
-    Mtilde: float = 0.0
-
-    def __post_init__(self):
-        if self.order not in (1, 2):
-            raise ValueError(f"order must be 1 or 2, got {self.order}")
-        if self.order == 1 and self.a == 0.0 and self.b == 0.0:
-            raise ValueError("order-1 spec requires (a, b) != (0, 0)")
+    coeffs = np.broadcast_to(coeffs, (len(table), np.shape(coeffs)[-1]))
+    if not (np.isfinite(coeffs).all() and coeffs.any(axis=1).all()):
+        raise ValueError("quasi-type coefficients must be finite, and no row all zero")
+    out = coeffs[:, :1] * table
+    for i in range(1, coeffs.shape[1]):
+        out[i:] += coeffs[i:, i, None] * table[:-i]
+    return out
 
 
-def quasi_kernel(ctx: KernelContext, spec: QuasiSpec, n: int, x):
-    """Evaluate the quasi-type kernel polynomial for the given spec.
-
-    Order 1: a * Pk_{n+1}(k;x) + b * Pk_n(k;x), degree n+1 when a != 0.
-    Order 2: Pk_n + Ltilde * Pk_{n-1} + Mtilde * Pk_{n-2}, degree n (n >= 2).
-    """
-    table = kernel_table(ctx, n + 2 - spec.order, x)
-    return quasi_from_kernel_table(spec, n, table if np.ndim(x) else table[:, 0])
-
-
-def quasi_from_kernel_table(spec: QuasiSpec, n: int, table):
-    """``quasi_kernel`` of degree index n from the rows Pk_0, Pk_1, ... of a
-    kernel table (``kernels.kernel_table``) that reaches Pk_{n+2-order}."""
-    if spec.order == 1:
-        return spec.a * table[n + 1] + spec.b * table[n]
-    if n < 2:
-        raise ValueError("order-2 quasi-type kernel polynomials need n >= 2")
-    return table[n] + spec.Ltilde * table[n - 1] + spec.Mtilde * table[n - 2]
+def quasi_kernel(ctx: KernelContext, coeffs, n: int, x):
+    """Q_n = c_0 Pk_n(k;x) + c_1 Pk_{n-1}(k;x) + ... + c_l Pk_{n-l}(k;x) for
+    the coefficient row (c_0..c_l), or rows, ``coeffs`` and n >= l; scalar
+    or array x: row n of ``quasi_table`` over a kernel table."""
+    l = np.shape(coeffs)[-1] - 1
+    if n < l:
+        raise ValueError(f"quasi-type kernel polynomials of order {l} need n >= {l}")
+    out = quasi_table(kernel_table(ctx, n, x), coeffs)[n]
+    return out if np.ndim(x) else out[0]
 
 
 def difference_equation_residual(ctx: KernelContext, b, n, x) -> tuple:
@@ -162,26 +149,26 @@ def orthogonality_conditions(
     """Read the orthogonality criterion off the recurrence matrix of Q.
 
     ``cstar[m]`` and ``lstar[m]`` hold c*_{m+1} and lambda*_{m+1}; the mixed
-    sequence is Q = A Pk, A unit lower triangular with A[n, n-m] =
-    alphas[m-1].  As x Pk = J Pk (J the kernel recurrence matrix), x Q =
-    (A J A^-1) Q exactly in rows 0..n_max-1, and by Favard's theorem
-    Q_0..Q_n_max are orthogonal when those rows are tridiagonal with a
-    nonzero subdiagonal.  Over the largest entry of J (at least 1; lambda*_1,
-    the mass, is not in J), an entry below the subdiagonal fails above
-    ``tol``, and a l~_n fails at or below it.  Labels: (i) a vanishing l~_n,
-    n <= l; (iii) an entry in the boundary rows 2..l+1; (ii) either failure
-    in a later row.  The largest such entry is ``recurrence_residual``.
+    sequence is Q = A Pk, A = ``quasi_table(I, (1, alphas))``, with one row
+    of alphas for all degrees or one per degree.  As x Pk = J Pk (J the
+    kernel recurrence matrix), x Q = (A J A^-1) Q exactly in rows
+    0..n_max-1, and by Favard's theorem Q_0..Q_n_max are orthogonal when
+    those rows are tridiagonal with a nonzero subdiagonal.  Over the largest
+    entry of J (at least 1; lambda*_1, the mass, is not in J), an entry below
+    the subdiagonal fails above ``tol``, and a l~_n fails at or below it.
+    Labels: (i) a vanishing l~_n, n <= l; (iii) an entry in the boundary
+    rows 2..l+1; (ii) either failure in a later row.  The largest such entry
+    is ``recurrence_residual``.
     """
-    alphas = np.asarray(alphas, dtype=float)
-    l = alphas.size
-    if l < 1 or alphas[-1] == 0.0:
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+    l, size = alphas.shape[-1], n_max + 1
+    alphas = np.broadcast_to(alphas, (size, l))
+    # alpha_l of row n multiplies Pk_{n-l}, which exists from n = l on
+    if l < 1 or (alphas[l:, -1] == 0.0).any():
         raise InvalidAlphas("alpha_l must exist and be nonzero")
     if n_max < l + 2:
         raise ValueError(f"n_max must be >= l+2 = {l + 2}")
-    size = n_max + 1
-    mix = np.eye(size)
-    for m, alpha in enumerate(alphas, start=1):
-        mix += alpha * np.eye(size, k=-m)
+    mix = quasi_table(np.eye(size), np.hstack([np.ones((size, 1)), alphas]))
     jac = np.diag(cstar[:size]) + np.eye(size, k=1) + np.diag(lstar[1:size], k=-1)
     rows = np.linalg.solve(mix.T, (mix @ jac).T).T[:n_max]
     rel = np.abs(rows) / max(1.0, np.max(np.abs(jac)))

@@ -179,32 +179,34 @@ def _kernel_suite(fam, rng, settings: Settings) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def moment_annihilation(ctx: kernels.KernelContext, spec: quasi.QuasiSpec, ns) -> np.ndarray:
-    """|L*(Pk_m Q_n)| / (||Pk_m|| ||Q_n||) under L* = (x - k) L for n in ``ns``
-    and, within each n, m = 0..n + 1 - 2 order, where Q_n =
-    quasi_kernel(ctx, spec, n) has degree n + 2 - order; Pk_0..Pk_m span
-    the polynomials of degree m.  One kernel table on the measure of L* on
-    the rule with max(ns) + 3 nodes, shared by both orders, serves every n
-    and m, and gives both norms, so the oracle stays independent of the
-    kernel recurrence's norms.  The statistic is dimensionless: Laguerre
-    norms grow factorially, so raw residuals mean nothing there.  A squared
-    norm past the double range raises ParameterOutOfRange naming its degree.
+def moment_annihilation(ctx: kernels.KernelContext, coeffs, degrees) -> np.ndarray:
+    """|L*(Pk_m Q_n)| / (||Pk_m|| ||Q_n||) under L* = (x - k) L for n in
+    ``degrees`` and, within each n, m = 0..n - 1 - l, where Q_n is row n of
+    ``quasi.quasi_table`` for the coefficient rows ``coeffs`` (c_0..c_l);
+    Pk_0..Pk_m span the polynomials of degree m.  One kernel table on the
+    measure of L* on the rule with max(degrees) + l + 1 nodes, shared by
+    the quasi suite's two orders, serves every n and m, and gives both
+    norms, so the oracle stays independent of the kernel recurrence's
+    norms.  The statistic is dimensionless: Laguerre norms grow
+    factorially, so raw residuals mean nothing there.  A squared norm past
+    the double range raises ParameterOutOfRange naming its degree.
     """
-    n_top = max(ns, default=0)
-    nodes, weights = moments.measure(ctx.family, moments.Christoffel(ctx.k), n_top + 3)
+    l = np.shape(coeffs)[-1] - 1
+    n_top = max(degrees, default=0)
+    nodes, weights = moments.measure(ctx.family, moments.Christoffel(ctx.k), n_top + l + 1)
     # |w Pk_m Q_n| <= max(w Pk_m^2, w Q_n^2), so finite squares bound every term
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
-        table = kernels.kernel_table(ctx, n_top + 2 - spec.order, nodes)
-        qs = [quasi.quasi_from_kernel_table(spec, n, table) for n in ns]
+        table = kernels.kernel_table(ctx, n_top, nodes)
+        qs = quasi.quasi_table(table, coeffs)[list(degrees)]
         squares = [weights * row * row for row in [*table, *qs]]
     if not np.isfinite(squares).all():
-        names = [f"Pk_{m}" for m in range(len(table))] + [f"Q_{n}" for n in ns]
+        names = [f"Pk_{m}" for m in range(len(table))] + [f"Q_{n}" for n in degrees]
         name = names[np.argmax(~np.isfinite(squares).all(axis=1))]
         raise errors.ParameterOutOfRange(f"the squared norm of {name} is out of the double range")
     norms = [math.sqrt(abs(math.fsum(row))) for row in squares]
     out = []
-    for n, q, q_norm in zip(ns, qs, norms[len(table) :]):
-        for m in range(n + 2 - 2 * spec.order):
+    for n, q, q_norm in zip(degrees, qs, norms[len(table) :]):
+        for m in range(n - l):
             out.append(abs(math.fsum(weights * table[m] * q)) / (norms[m] * q_norm))
     return np.array(out)
 
@@ -238,13 +240,11 @@ QUASI_MIN_N_MAX = 3
 
 
 def _quasi_suite(fam, rng, settings: Settings) -> list[dict]:
-    k = settings.shifts[0]
     n_max = min(settings.n_max, 10)
-    ctx = kernels.KernelContext(fam, k, n_max + 3)
-    stats = moment_annihilation(ctx, quasi.QuasiSpec(order=1, a=1.0, b=0.7), range(2, n_max + 1))
+    ctx = kernels.KernelContext(fam, settings.shifts[0], n_max + 3)
+    stats = moment_annihilation(ctx, (1.0, 0.7), range(3, n_max + 2))
     cases = [case("order1_moment_annihilation", _worst(stats), 1e-9)]
-    spec2 = quasi.QuasiSpec(order=2, Ltilde=0.3, Mtilde=0.9)
-    stats = moment_annihilation(ctx, spec2, range(3, n_max + 1))
+    stats = moment_annihilation(ctx, (1.0, 0.3, 0.9), range(3, n_max + 1))
     cases.append(case("order2_moment_annihilation", _worst(stats), 1e-9))
     stated, proof = difference_equation(ctx, rng, n_max)
     cases.append(case("difference_equation_proof_form", _worst(proof), 1e-9))
@@ -468,7 +468,12 @@ def _ratio_suite(fam, rng, settings: Settings) -> list[dict]:
     gaps = confluent_cd_identity(fam, sample_points(fam, rng, (n_max + 1, 20)))
     cases = [case("confluent_cd_identity", _worst(gaps), 1e-10)]
     ctx = kernels.KernelContext(fam, settings.shifts[0], n_max + 2)
-    r_ups, r_downs = ratios.kernel_ratio_limits(ctx, n_max)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        r_ups, r_downs = ratios.kernel_ratio_limits(ctx, n_max)
+    finite = np.isfinite(r_ups) & np.isfinite(r_downs)
+    if not finite.all():
+        n = np.argmin(finite)
+        raise errors.ParameterOutOfRange(f"(r_up({n}), r_down({n})) at k={ctx.k!r} is out of the double range")
     cases.append(case("ratio_reciprocal_identity", _worst(np.abs(r_ups * r_downs - 1.0)), 1e-12))
     cases.append(case("ratio_limit_vs_cd_branch", _worst(ratio_limit_vs_cd_branch(ctx, r_ups)), 1e-9))
     cases.append(case("gauss_cf_vs_series", _worst(gauss_cf_vs_series(rng, 200, depth)), 1e-10))

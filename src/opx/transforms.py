@@ -42,6 +42,7 @@ from .errors import (
 )
 from .families import FamilySpec, custom_family, eval_table
 from .kernels import IteratedKernelContext, KernelContext, kernel_table
+from .quasi import quasi_table
 
 __all__ = [
     "GeronimusData",
@@ -101,9 +102,10 @@ class RecoveryCoefficients:
     entries are indexed so that ``gamma[n]``, ``eta[n]``, ... belong to the
     combination that rebuilds P_n (unused slots hold NaN).  ``ctx1`` and
     ``ctx2`` are the kernel contexts at k1 and k2 (a Geronimus k1 has none),
-    ``quasi`` the mixing coefficients of the quasi-type combination (B,
-    Btilde, or Ltilde and Mtilde), and ``data`` the transformed sequence's
-    record: the GeronimusData, the UvarovData, or for order two the
+    ``quasi`` the ``quasi_table`` rows of the quasi-type combination by its
+    degree m, (1, B_m), (1, Bt_m) or (1, Lt_{m-1}, Mt_{m-1}), and (1, 0, ...)
+    below the degrees read, and ``data`` the transformed sequence's record:
+    the GeronimusData, the UvarovData, or for order two the
     IteratedKernelContext at (k2, k3).
     """
 
@@ -114,7 +116,7 @@ class RecoveryCoefficients:
     beta: np.ndarray | None = None
     ctx1: KernelContext | None = None
     ctx2: KernelContext | None = None
-    quasi: tuple[np.ndarray, ...] = ()
+    quasi: np.ndarray | None = None
     data: GeronimusData | UvarovData | IteratedKernelContext | None = None
 
 
@@ -131,6 +133,16 @@ def _require_nonvanishing(den: np.ndarray, lam: np.ndarray, what: str) -> None:
     if vanishes.any():
         n = int(np.argmax(vanishes)) + 1
         raise DegenerateDenominator(f"{what} denominator vanishes at n={n}")
+
+
+def _degree_rows(*columns) -> np.ndarray:
+    """``quasi_table`` rows by degree: (1, 0, ..., 0) below l = len(columns),
+    then (1, columns[0][j], ..., columns[l-1][j]) at degree l + j."""
+    l = len(columns)
+    rows = np.zeros((len(columns[0]) + l, l + 1), dtype=np.result_type(*columns, float))
+    rows[:, 0] = 1.0
+    rows[l:, 1:] = np.transpose(columns)
+    return rows
 
 
 def _backward_ratios(k: float, c: list, lam: list, n_max: int) -> list:
@@ -297,7 +309,7 @@ def recover_christoffel(
     if abs(gamma.imag[~np.isnan(gamma.real)]).max(initial=0.0) == 0.0:
         gamma, eta = gamma.real, eta.real
     return RecoveryCoefficients(
-        kind="christoffel", gamma=gamma, eta=eta, ctx1=ctx1, ctx2=ctx2, quasi=(B,)
+        kind="christoffel", gamma=gamma, eta=eta, ctx1=ctx1, ctx2=ctx2, quasi=_degree_rows(b_next)
     )
 
 
@@ -329,7 +341,7 @@ def recover_geronimus(
     if abs(np.nan_to_num(gamma.imag)).max() == 0.0:
         alpha, gamma, eta = alpha.real, gamma.real, eta.real
     return RecoveryCoefficients(
-        kind="geronimus", alpha=alpha, gamma=gamma, eta=eta, ctx2=ctx2, quasi=(Btilde,), data=gdata
+        kind="geronimus", alpha=alpha, gamma=gamma, eta=eta, ctx2=ctx2, quasi=_degree_rows(bt), data=gdata
     )
 
 
@@ -362,7 +374,7 @@ def recover_uvarov(
         alpha, beta, eta = alpha.real, beta.real, eta.real
     return RecoveryCoefficients(
         kind="uvarov", alpha=alpha, beta=beta, gamma=beta, eta=eta,
-        ctx1=udata.ctx, ctx2=ctx2, quasi=(Btilde,), data=udata,
+        ctx1=udata.ctx, ctx2=ctx2, quasi=_degree_rows(bt), data=udata,
     )
 
 
@@ -402,21 +414,9 @@ def recover_order2(
     alpha[1:] = -(1.0 / lam) * mt * rho1[down]
     beta[1:] = lt * rho1[up] - mt + rho2[up] * star_ratio + alpha[1:] * c
     return RecoveryCoefficients(
-        kind="order2", alpha=alpha, beta=beta, ctx1=ctx1, ctx2=ictx.base, quasi=(lt, mt), data=ictx
+        kind="order2", alpha=alpha, beta=beta, ctx1=ctx1, ctx2=ictx.base,
+        quasi=_degree_rows(lt, mt), data=ictx,
     )
-
-
-def _quasi_rows(table: np.ndarray, quasi: tuple[np.ndarray, ...]) -> np.ndarray:
-    """The quasi combinations of degrees m = 1..n from one kernel table
-    Pk_0..Pk_{n+r-1}, r = len(quasi): row m - 1 is Pk_{m+r-1} +
-    quasi[0][m-1] Pk_{m+r-2} + ... + quasi[r-1][m-1] Pk_{m-1}, summed in
-    that order."""
-    r = len(quasi)
-    n = len(table) - r
-    out = table[r:]
-    for i, coeffs in enumerate(quasi, start=1):
-        out = out + coeffs[:n, None] * table[r - i : len(table) - i]
-    return out
 
 
 def recovery_table(rc: RecoveryCoefficients, n: int, xs) -> np.ndarray:
@@ -429,7 +429,7 @@ def recovery_table(rc: RecoveryCoefficients, n: int, xs) -> np.ndarray:
         order2       Q_m = [(x-k1) S_{m+1}(k1;x) - (x-k2)(x-k3) Pkk_m(k2,k3;x)] / (alpha_m x - beta_m)
 
     T_m = Pk_m + B_m Pk_{m-1} and S_{m+1} = Pk_{m+1} + Lt_m Pk_m +
-    Mt_m Pk_{m-1} are the quasi combinations, taken over the rows of one
+    Mt_m Pk_{m-1} are the quasi combinations, ``quasi_table`` rows of one
     kernel table; Pkk_m, the iterated kernel polynomial, is row m of the
     kernel table of ``ictx.shifted``.  Every operation is elementwise, so
     each row is bitwise the value a table of that degree alone gives.
@@ -458,16 +458,18 @@ def recovery_table(rc: RecoveryCoefficients, n: int, xs) -> np.ndarray:
     # a (1, len(xs)) row: numpy rounds the complex products of a (1,) array
     # and a one-degree (1, 1) table differently from those with (n, 1)
     x = xs[None, :]
+    l = rc.quasi.shape[1] - 1  # T_1..T_n or S_2..S_{n+1}: degrees l..n+l-1
+    ctx = ctx2 if rc.kind in ("geronimus", "uvarov") else ctx1
+    quasi = quasi_table(kernel_table(ctx, n + l - 1, xs), rc.quasi[: n + l])[l:]
     if rc.kind == "order2":
         ictx = rc.data
-        s_quasi = _quasi_rows(kernel_table(ctx1, n + 1, xs), rc.quasi)
         iterated = kernel_table(ictx.shifted, n, xs)[1:]
-        return ((x - ctx1.k) * s_quasi - (x - ictx.k2) * (x - ictx.k3) * iterated) / den
+        return ((x - ctx1.k) * quasi - (x - ictx.k2) * (x - ictx.k3) * iterated) / den
     if rc.kind == "christoffel":
-        first = (x - ctx1.k) * _quasi_rows(kernel_table(ctx1, n, xs), rc.quasi)
+        first = (x - ctx1.k) * quasi
         second = kernel_table(ctx2, n - 1, xs)
     else:
-        second = _quasi_rows(kernel_table(ctx2, n, xs), rc.quasi)
+        second = quasi
         if rc.kind == "geronimus":
             first = geronimus_table(rc.data, n + 1, xs)[2:]
         else:

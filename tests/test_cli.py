@@ -353,9 +353,10 @@ def test_values_below_the_normal_double_range_are_a_typed_error():
     [
         (["verify", "--suite", "kernels"], "the Gram entries of degree 1 are out of the double range"),
         (["verify", "--suite", "quasi"], "the squared norm of Pk_1 is out of the double range"),
+        (["verify", "--suite", "ratios"], "(r_up(1), r_down(1)) at k=1e-200 is out of the double range"),
         (["kernel"], "(c*_2, lambda*_2) at k=1e-200 is out of the double range"),
     ],
-    ids=["verify-kernels", "verify-quasi", "kernel"],
+    ids=["verify-kernels", "verify-quasi", "verify-ratios", "kernel"],
 )
 def test_a_shift_that_overflows_the_kernel_caches_is_a_typed_error(args, message):
     # P_1(k) = k - c_1 = 1e-200 passes the zero test, but rho_2 = k - lambda_2/rho_1
@@ -445,6 +446,22 @@ def test_custom_recovery_suite_on_a_40_row_file(tmp_path):
     assert code == 0, err
     cases = {case["name"]: case for case in json.loads(out)["cases"]}
     assert cases["geronimus_solved_mass"]["max_residual"] <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["recover", "--kind", "christoffel"], ["ratio", "--n-max", "8"], ["verify", "--suite", "kernels"]],
+    ids=["recover", "ratio", "verify-kernels"],
+)
+def test_a_zero_lambda_in_a_custom_file_is_a_typed_error(tmp_path, args):
+    # the kernel context refuses lambda_3 = 0 before its recurrence divides
+    # by it, in gauss_rule's words; the typed error is the only stderr line
+    # (a RuntimeWarning fails the test)
+    path = tmp_path / "coeffs.csv"
+    rows = ["n,c_n,lambda_n", f"1,0,{np.pi!r}", "2,0,0.25", "3,0,0.0", *(f"{n},0,0.25" for n in range(4, 16))]
+    path.write_text("\n".join(rows) + "\n")
+    custom = ["--family", "custom", "--coeffs", str(path), "--support=-1,1", "--shift", "0.3"]
+    assert run_cli([*args, *custom]) == (1, "", "opx: NotPositiveDefinite: lambda_3 = 0.0 <= 0\n")
 
 
 def test_custom_family_bad_header(tmp_path):

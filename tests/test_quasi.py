@@ -9,18 +9,16 @@ from opx import quasi, suites
 
 def test_quasi_kernel_degenerate_mixing(cheb):
     ctx = opx.KernelContext(cheb, 2.0, 6)
-    spec = quasi.QuasiSpec(order=1, a=1.0, b=0.0)
-    for n in range(0, 5):
-        assert opx.quasi_kernel(ctx, spec, n, 0.3) == pytest.approx(
-            opx.kernel_poly(ctx, n + 1, 0.3), rel=1e-15
+    for n in range(1, 6):
+        assert opx.quasi_kernel(ctx, (1.0, 0.0), n, 0.3) == pytest.approx(
+            opx.kernel_poly(ctx, n, 0.3), rel=1e-15
         )
 
 
 def test_order1_moment_annihilation(cheb):
-    # m = 0..n-1 for n = 2..8
+    # m = 0..n-2 for n = 3..9
     ctx = opx.KernelContext(cheb, 2.0, 10)
-    spec = quasi.QuasiSpec(order=1, a=1.0, b=0.7)
-    stats = suites.moment_annihilation(ctx, spec, range(2, 9))
+    stats = suites.moment_annihilation(ctx, (1.0, 0.7), range(3, 10))
     assert stats.size == 35 and (stats <= 1e-9).all()
 
 
@@ -29,17 +27,23 @@ def test_order1_moment_annihilation_random_mixing(cheb, lag, jac, rng):
         k = 2.0 if fam.kind != "laguerre" else -1.0
         ctx = opx.KernelContext(fam, k, 11)
         a, b = rng.uniform(0.2, 2.0, 2)
-        spec = quasi.QuasiSpec(order=1, a=float(a), b=float(b))
-        stats = suites.moment_annihilation(ctx, spec, range(2, 10))
+        stats = suites.moment_annihilation(ctx, (float(a), float(b)), range(3, 11))
         assert stats.size == 44 and (stats <= 1e-9).all()
 
 
 def test_order2_moment_annihilation(cheb):
     ctx = opx.KernelContext(cheb, 2.0, 8)
-    spec = quasi.QuasiSpec(order=2, Ltilde=0.3, Mtilde=0.9)
     # m = 0..2 at n = 5
-    stats = suites.moment_annihilation(ctx, spec, [5])
+    stats = suites.moment_annihilation(ctx, (1.0, 0.3, 0.9), [5])
     assert stats.size == 3 and (stats <= 1e-9).all()
+
+
+def test_per_degree_moment_annihilation(cheb, rng):
+    # one coefficient row per degree: each Q_n keeps its own conditions
+    ctx = opx.KernelContext(cheb, 2.0, 10)
+    rows = rng.uniform(0.2, 2.0, (10, 3))
+    stats = suites.moment_annihilation(ctx, rows, range(2, 10))
+    assert stats.size == 28 and (stats <= 1e-9).all()
 
 
 def test_moment_annihilation_fails_at_a_wrong_shift(cheb, monkeypatch):
@@ -48,8 +52,7 @@ def test_moment_annihilation_fails_at_a_wrong_shift(cheb, monkeypatch):
     wrong = opx.KernelContext(cheb, 2.5, 10)
     table = opx.kernel_table
     monkeypatch.setattr(opx.kernels, "kernel_table", lambda _ctx, n, xs: table(wrong, n, xs))
-    spec = quasi.QuasiSpec(order=1, a=1.0, b=0.7)
-    stats = suites.moment_annihilation(ctx, spec, range(2, 9))
+    stats = suites.moment_annihilation(ctx, (1.0, 0.7), range(3, 10))
     assert stats.max() > 1e-6
 
 
@@ -62,22 +65,30 @@ def test_quasi_kernel_degrees(cheb):
             table = (table[1:] - table[:-1]) / (xs[level:] - xs[:-level])
         return table[0]
 
-    n = 4
-    spec_full = quasi.QuasiSpec(order=1, a=1.0, b=0.7)
-    xs = np.linspace(-1.2, 1.2, n + 2)
-    vals = [opx.quasi_kernel(ctx, spec_full, n, x) for x in xs]
-    assert leading(xs, vals) == pytest.approx(1.0, rel=1e-10)  # exact degree n+1
-    spec_drop = quasi.QuasiSpec(order=1, a=0.0, b=0.7)
+    n = 5
     xs = np.linspace(-1.2, 1.2, n + 1)
-    vals = [opx.quasi_kernel(ctx, spec_drop, n, x) for x in xs]
-    assert leading(xs, vals) == pytest.approx(0.7, rel=1e-10)  # degree n only
+    vals = [opx.quasi_kernel(ctx, (1.0, 0.7), n, x) for x in xs]
+    assert leading(xs, vals) == pytest.approx(1.0, rel=1e-10)  # exact degree n
+    # a zero leading coefficient drops the degree
+    xs = np.linspace(-1.2, 1.2, n)
+    vals = [opx.quasi_kernel(ctx, (0.0, 0.7), n, x) for x in xs]
+    assert leading(xs, vals) == pytest.approx(0.7, rel=1e-10)  # degree n - 1 only
 
 
-def test_quasi_spec_validation():
-    with pytest.raises(ValueError):
-        quasi.QuasiSpec(order=1, a=0.0, b=0.0)
-    with pytest.raises(ValueError):
-        quasi.QuasiSpec(order=3)
+@pytest.mark.parametrize(
+    "coeffs, n, match",
+    [
+        ((0.0, 0.0), 3, "no row all zero"),
+        (np.array([[1.0, 0.5]] * 2 + [[0.0, 0.0]] * 2), 3, "no row all zero"),
+        ((1.0, np.nan), 3, "must be finite"),
+        ((1.0, 0.3, 0.9), 1, "order 2 need n >= 2"),
+    ],
+    ids=["zero", "zero-row-2", "nan", "order2-n1"],
+)
+def test_quasi_kernel_rejects(cheb, coeffs, n, match):
+    ctx = opx.KernelContext(cheb, 2.0, 6)
+    with pytest.raises(ValueError, match=match):
+        opx.quasi_kernel(ctx, coeffs, n, 0.3)
 
 
 def test_difference_equation_residual_b_zero(cheb):
@@ -312,3 +323,36 @@ def test_qk_on_kernel_context(cheb):
     assert not report.satisfied  # generic kernel coefficients
     assert report.violated_conditions == ["(ii)", "(iii)"]
     assert report.first_violation == (2, 0, "(iii)")
+
+
+@pytest.mark.parametrize(
+    "make_family, k, n_max",
+    [(opx.chebyshev1, -2.0, 48), (lambda: opx.jacobi(0.3, 0.7), -2.0, 48), (lambda: opx.laguerre(0.5), -1.0, 10)],
+    ids=["chebyshev1-n48", "jacobi-n48", "laguerre-n10"],
+)
+def test_qk_certifies_the_ops_as_quasi_type_in_their_own_kernels(make_family, k, n_max):
+    # P_n = Pk_n + alpha_n Pk_{n-1} with alpha_n = -lambda_{n+1}/rho_n, one
+    # alpha per degree: the criterion certifies P and reads off its own
+    # recurrence, c~_n = c_{n+1} and l~_n = lambda_{n+1}.  Laguerre's alphas
+    # grow like n, and past n = 10 the dense A J A^-1 loses the verdict
+    fam = make_family()
+    ctx = opx.KernelContext(fam, k, n_max)
+    alphas = np.zeros((n_max + 1, 1))
+    alphas[1:, 0] = -fam.table(n_max + 1)[1:, 1] / ctx.ratios[1 : n_max + 1]
+    report = opx.qk_orthogonality_check(ctx, alphas, n_max)
+    assert report.satisfied and report.recurrence_residual <= 1e-12
+    c, lam = fam.table(n_max).T
+    assert (abs(report.tilde_c - c) <= 1e-15 * np.maximum(1.0, abs(c))).all()
+    assert (abs(report.tilde_lambda[1:] - lam[1:]) <= 1e-15 * lam[1:]).all()
+
+
+def test_qk_reads_alpha_l_from_the_rows_that_reach_it():
+    # alpha_l of row n multiplies Pk_{n-l}, so rows n < l may hold a zero
+    # there; a zero in a later row is refused
+    cs, ls = np.full(12, 0.2), np.full(12, 0.9)
+    alphas = np.full((9, 1), 0.7)
+    alphas[0] = 0.0
+    assert quasi.orthogonality_conditions(cs, ls, alphas, 8).satisfied
+    alphas[5] = 0.0
+    with pytest.raises(opx.InvalidAlphas):
+        quasi.orthogonality_conditions(cs, ls, alphas, 8)

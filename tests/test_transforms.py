@@ -489,7 +489,7 @@ def test_recover_order2_constraint_solves(cheb):
     # written out here from the sequence and the iterated kernel values
     n_max, k1 = 5, 3.0
     rc = opx.recover_order2(cheb, k1, 1j, -1j, np.full(n_max, 1.7), n_max)
-    lt, mt = rc.quasi
+    _, lt, mt = rc.quasi[2:].T  # row n + 1 is (1, Lt_n, Mt_n)
     pk1 = opx.eval_table(cheb, n_max + 2, [k1])[:, 0]
     pk2 = opx.eval_table(cheb, n_max + 2, [1j])[:, 0]
     star = opx.IteratedKernelContext(opx.KernelContext(cheb, 1j, n_max + 2), -1j).star_values

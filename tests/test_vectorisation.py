@@ -205,35 +205,45 @@ def test_kernel_context_caches_match_numpy_scalars(name, make_family, k):
         assert_bitwise(cache, reference)
 
 
-# lambda_3 = 0 divides by zero in t_2; c_1 = -1e160 overflows rho_1 ** 2:
-# Python floats raise where numpy gives inf, so the context takes numpy's
+# lambda_3 = 0 would divide by zero in t_2, so the context refuses it before
+# the recurrence runs; c_1 = -1e160 overflows rho_1 ** 2: Python floats raise
+# where numpy gives inf, so the context takes numpy's
 CUSTOM_PAIRS = {
     "lambda3-zero": [(0.0, np.pi), (0.0, 0.5), (0.0, 0.0), (0.0, 0.25)],
     "square-overflow": [(-1e160, 1.0), (0.0, 0.5), (0.0, 0.25)],
 }
 
 
+def _custom_table(name):
+    pairs = CUSTOM_PAIRS[name]
+    return opx.custom_family(pairs + pairs[-1:] * 12, (-1.0, 1.0))  # the last row repeats
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("pairs", CUSTOM_PAIRS.values(), ids=CUSTOM_PAIRS.keys())
-def test_kernel_context_where_python_floats_raise(pairs):
-    fam = opx.custom_family(pairs + pairs[-1:] * 12, (-1.0, 1.0))  # the last row repeats
+@pytest.mark.parametrize("name", CUSTOM_PAIRS)
+def test_kernel_context_where_python_floats_raise(name):
+    fam = _custom_table(name)
+    if name == "lambda3-zero":
+        # gauss_rule's wording, so a suite that solves a rule first says the same
+        with pytest.raises(opx.NotPositiveDefinite, match=r"^lambda_3 = 0\.0 <= 0$"):
+            opx.KernelContext(fam, 2.0, 8)
+        return
     ctx = opx.KernelContext(fam, 2.0, 8)
     for cache, reference in zip(_caches(ctx), _reference_caches(fam, 2.0, 8)):
         assert_bitwise(cache, reference)
     assert not np.isfinite(ctx.weighted_squares).all()
 
 
-def test_kernel_context_fallback_warns_only_of_a_division_by_zero():
+@pytest.mark.parametrize("lam1, j", [(0.0, 1), (np.pi, 3)], ids=["lambda1-zero", "lambda3-zero"])
+def test_kernel_context_fallback_warns_nothing(lam1, j):
     # numpy's overflow and NaN pass without a warning: the checks that read
-    # the caches raise typed errors on them.  A zero lambda_n still warns,
-    # the only sign on stderr that a custom table is degenerate
-    for name, pairs in CUSTOM_PAIRS.items():
-        fam = opx.custom_family(pairs + pairs[-1:] * 12, (-1.0, 1.0))
-        if name == "lambda3-zero":
-            with pytest.warns(RuntimeWarning, match="divide by zero"):
-                opx.KernelContext(fam, 2.0, 8)
-        else:
-            opx.KernelContext(fam, 2.0, 8)  # conftest makes a RuntimeWarning fail
+    # the caches raise typed errors on them.  A zero lambda_j, mu0 = lambda_1
+    # included, is refused before the recurrence divides by it (conftest
+    # makes a RuntimeWarning fail)
+    opx.KernelContext(_custom_table("square-overflow"), 2.0, 8)
+    fam = opx.custom_family([(0.0, lam1)] + CUSTOM_PAIRS["lambda3-zero"][1:] * 4, (-1.0, 1.0))
+    with pytest.raises(opx.NotPositiveDefinite, match=rf"^lambda_{j} = 0\.0 <= 0$"):
+        opx.KernelContext(fam, 2.0, 8)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -854,6 +864,49 @@ def test_kernel_table_rows_match_the_per_degree_evaluator(name, make_family, k):
             assert opx.kernel_poly(ctx, 5, xs[0]) == table[5, 0]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("l", range(4))
+@pytest.mark.parametrize("name, make_family, k", TABLE_CASES, ids=[c[0] for c in TABLE_CASES])
+def test_quasi_table_rows_match_per_degree_sums(name, make_family, k, l):
+    # row n is c_0 Pk_n + ... + c_l Pk_{n-l} summed in that order over the
+    # degrees n - i >= 0, for one row of coefficients or one per degree
+    ctx = opx.KernelContext(make_family(), k, TABLE_TOP)
+    rng = np.random.default_rng(l)
+    for coeffs in (rng.uniform(-2.0, 2.0, l + 1), rng.uniform(-2.0, 2.0, (TABLE_TOP + 2, l + 1))):
+        rows = np.broadcast_to(coeffs, (TABLE_TOP + 2, l + 1))
+        for xs in _table_point_sets(ctx.family, k).values():
+            table = opx.quasi_table(opx.kernel_table(ctx, TABLE_TOP + 1, xs), coeffs)
+            for n, row in enumerate(rows):
+                ref = row[0] * opx.kernel_poly(ctx, n, xs)
+                for i in range(1, min(n, l) + 1):
+                    ref = ref + row[i] * opx.kernel_poly(ctx, n - i, xs)
+                assert_bitwise(table[n], ref)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name, make_family, k", TABLE_CASES, ids=[c[0] for c in TABLE_CASES])
+def test_ops_are_quasi_type_in_their_own_kernels(name, make_family, k):
+    # P_n = Pk_n - (lambda_{n+1}/rho_n) Pk_{n-1}: order one, one row per degree
+    fam = make_family()
+    ctx = opx.KernelContext(fam, k, TABLE_TOP)
+    rows = np.zeros((TABLE_TOP + 2, 2), dtype=ctx.ratios.dtype)
+    rows[:, 0] = 1.0
+    rows[1:, 1] = -fam.table(TABLE_TOP + 2)[1:, 1] / ctx.ratios[1 : TABLE_TOP + 2]
+    for xs in _table_point_sets(fam, k).values():
+        table = opx.kernel_table(ctx, TABLE_TOP + 1, xs)
+        assert_bitwise(opx.quasi_table(table, rows)[1:], opx.ops_from_kernel_table(ctx, table))
+
+
+@pytest.mark.parametrize("alphas", [[0.7], [0.0, -0.25], [0.3, 0.2, -0.1]], ids=["l1", "l2", "l3"])
+def test_mixing_matrix_is_the_sum_of_shifted_identities(alphas):
+    # A = I + alpha_1 S + ... + alpha_l S^l, S the down shift, added in
+    # that order over whole matrices
+    loop = np.eye(12)
+    for m, alpha in enumerate(alphas, start=1):
+        loop += alpha * np.eye(12, k=-m)
+    assert_bitwise(opx.quasi_table(np.eye(12), (1.0, *alphas)), loop)
+
+
 GERONIMUS_CASES = [
     (f"{name}-k{k}", make_family, k) for name, make_family, shifts in FAMILIES for k in sorted(set(shifts))
 ]
@@ -875,11 +928,11 @@ def test_transformed_tables_match_the_per_degree_evaluators(name, make_family, k
         _assert_rows(ph, ref, dtype)
 
 
-def _reference_quasi_kernel(ctx, top, coeffs, xs):
-    """Pk_top + coeffs[0] Pk_{top-1} + ... from one kernel table of degree top."""
+def _reference_quasi_kernel(ctx, top, row, xs):
+    """row[0] Pk_top + row[1] Pk_{top-1} + ... from one kernel table of degree top."""
     rows = opx.kernel_table(ctx, top, xs)
-    out = rows[top]
-    for i, a in enumerate(coeffs, start=1):
+    out = row[0] * rows[top]
+    for i, a in enumerate(row[1:], start=1):
         out = out + a * rows[top - i]
     return out
 
@@ -890,16 +943,16 @@ def _reference_recovery_poly(rc, n, xs):
     ctx1, ctx2 = rc.ctx1, rc.ctx2
     if rc.kind == "christoffel":
         gamma, eta = rc.gamma[n - 1], rc.eta[n - 1]
-        t_quasi = _reference_quasi_kernel(ctx1, n, [b[n - 1] for b in rc.quasi], xs)
+        t_quasi = _reference_quasi_kernel(ctx1, n, rc.quasi[n], xs)
         pk2 = opx.kernel_poly(ctx2, n - 1, xs)
         return ((xs - ctx1.k) * t_quasi + eta * (xs - ctx2.k) * pk2) / (xs - gamma)
     if rc.kind == "order2":
         alpha, beta, ictx = rc.alpha[n], rc.beta[n], rc.data
-        s_quasi = _reference_quasi_kernel(ctx1, n + 1, [a[n - 1] for a in rc.quasi], xs)
+        s_quasi = _reference_quasi_kernel(ctx1, n + 1, rc.quasi[n + 1], xs)
         iter_val = opx.iterated_kernel(ictx, n, xs)
         return ((xs - ctx1.k) * s_quasi - (xs - ictx.k2) * (xs - ictx.k3) * iter_val) / (alpha * xs - beta)
     alpha, gamma, eta = rc.alpha[n], rc.gamma[n], rc.eta[n]
-    t_quasi = _reference_quasi_kernel(ctx2, n, [b[n - 1] for b in rc.quasi], xs)
+    t_quasi = _reference_quasi_kernel(ctx2, n, rc.quasi[n], xs)
     if rc.kind == "geronimus":
         pt = opx.geronimus_table(rc.data, n + 1, xs)[n + 1]
         return (pt + eta * (xs - ctx2.k) * t_quasi) / (alpha * xs - gamma)

@@ -41,6 +41,11 @@ COEFFS = "n,c_n,lambda_n\n1,0.1,2.0\n2,0.2,0.5\n3,-0.1,0.3\n4,0.05,0.25\n"
 # the Chebyshev-1 recurrence cut at 40 rows: a finite table whose Cauchy
 # mass is its own 40-node Gauss sum at most
 COEFFS40 = "n,c_n,lambda_n\n1,0,3.141592653589793\n2,0,0.5\n" + "".join(f"{n},0,0.25\n" for n in range(3, 41))
+# lambda_3 = 0: the kernel context refuses it (exit 1) before dividing by it
+COEFFS_ZERO = (
+    "n,c_n,lambda_n\n1,0,3.141592653589793\n2,0,0.25\n3,0,0.0\n"
+    + "".join(f"{n},0,0.25\n" for n in range(4, 16))
+)
 # coefficient files the CLI must reject: n = 2 listed twice, n = 3 missing
 BAD_COEFFS = {
     "duplicate": COEFFS + "2,0.9,0.7\n",
@@ -184,6 +189,14 @@ def configs():
     for n_max in ("100", "170"):
         argv = ["kernel", *laguerre0, "--shift=-1", "--n-max", n_max, "--points=0.5"]
         yield f"kernel.laguerre0.k-1.n{n_max}", argv
+    # a zero lambda_3 in a custom file, and a shift whose ratio limits leave
+    # the double range: typed errors (exit 1)
+    zero = ["--family", "custom", "--coeffs", "coeffs_zero.csv", "--support=-1,1", "--shift", "0.3"]
+    yield "recover.christoffel.custom.lambda3zero", ["recover", "--kind", "christoffel", *zero]
+    yield "ratio.custom.lambda3zero", ["ratio", *zero, "--n-max", "8"]
+    yield "verify.kernels.custom.lambda3zero", ["verify", "--suite", "kernels", *zero]
+    argv = ["verify", "--suite", "ratios", *FAMILIES["chebyshev1"], "--shift=1e-200"]
+    yield "verify.ratios.chebyshev1.k1e-200", argv
 
 
 def run(argv):
@@ -202,6 +215,7 @@ if __name__ == "__main__":
         os.chdir(tmp)
         Path("coeffs.csv").write_text(COEFFS)
         Path("coeffs40.csv").write_text(COEFFS40)
+        Path("coeffs_zero.csv").write_text(COEFFS_ZERO)
         for label, text in BAD_COEFFS.items():
             Path(f"{label}.csv").write_text(text)
         for name, argv in configs():
