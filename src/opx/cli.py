@@ -91,7 +91,35 @@ def _render_scalar(obj) -> str:
 _CONTAINERS = (dict, list, tuple, np.ndarray)
 
 
+def _float_cells(column: np.ndarray) -> tuple[str, list]:
+    """The ``%`` slot of a non-empty 1-D float array and the values that
+    fill it.
+
+    Neighbours with the same float64 bits form a run, and only the first
+    value of each run is formatted: ``%.17g`` when finite, ``null`` (JSON
+    has no NaN or infinity) otherwise, repeated over its run as one ``str``
+    object into a ``%s`` slot.  Bits, not ``==``, decide a run, so ``-0.0``
+    beside ``0.0`` is two runs.  A finite array with more runs than half its
+    length fills a ``%.17g`` slot with its values instead (``"%.17g" % x ==
+    format(x, ".17g")``): the final ``%`` formats a value faster than the
+    loop over the runs does, and past that share the runs save nothing.
+    """
+    column = np.ascontiguousarray(column, dtype=np.float64)
+    bits = column.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    if 2 * len(starts) > len(column) and np.isfinite(column).all():
+        return "%.17g", column.tolist()
+    texts = ["%.17g" % v if math.isfinite(v) else "null" for v in column[starts].tolist()]
+    runs = np.diff(np.append(starts, len(column)))
+    return "%s", np.repeat(np.array(texts, dtype=object), runs).tolist()
+
+
 def render_json(obj, indent: int = 0) -> str:
+    """``obj`` as JSON, nested containers indented two spaces a level.
+
+    A list of Python floats is written from ``_float_cells``, one format
+    per run of equal values; any other list entry by entry.
+    """
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -105,10 +133,9 @@ def render_json(obj, indent: int = 0) -> str:
         if not seq:
             return "[]"
         sep = ",\n" + pad + "  "
-        # finite Python floats fill one template (a finite sum has no
-        # non-finite term); other scalars are rendered in place
-        if set(map(type, seq)) == {float} and math.isfinite(sum(seq)):
-            body = sep.join(["%.17g"] * len(seq)) % tuple(seq)
+        if set(map(type, seq)) == {float}:
+            slot, values = _float_cells(np.array(seq))
+            body = sep.join([slot] * len(seq)) % tuple(values)
         else:
             body = sep.join(
                 render_json(v, indent + 1) if isinstance(v, _CONTAINERS) else _render_scalar(v) for v in seq
@@ -120,23 +147,20 @@ def render_json(obj, indent: int = 0) -> str:
 def _column_cells(column) -> tuple[str, list | None]:
     """The ``%`` slot of one row-table column and the values that fill it.
 
-    An int array fills a ``%d`` slot and a float array with all values
-    finite a ``%.17g`` slot (``"%.17g" % x == format(x, ".17g")``); a float
-    array with a NaN or infinity fills ``%s`` with its cells, null for each
-    of those.  A list of ``None`` only is a literal null of the template and
-    has no cells.  Any other column is rendered cell by cell.
+    An int array fills a ``%d`` slot, and a float array the slot of
+    ``_float_cells``, one format per run of equal values.  A list of
+    ``None`` only is a literal null of the template and has no cells.  Any
+    other column is rendered cell by cell.
     """
     if isinstance(column, np.ndarray):
-        values = column.tolist()
         if column.dtype.kind in "iu":
-            return "%d", values
+            return "%d", column.tolist()
         if column.dtype.kind == "f":
-            if np.isfinite(column).all():
-                return "%.17g", values
-            return "%s", ["%.17g" % v if math.isfinite(v) else "null" for v in values]
+            return _float_cells(column)
+        values = column.tolist()
     else:
         values = column
-        if all(v is None for v in values):
+        if values.count(None) == len(values):
             return "null", None
     return "%s", list(map(_render_scalar, values))
 

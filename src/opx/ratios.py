@@ -593,11 +593,11 @@ def _minimal_params(l: np.ndarray, sequence: str = "") -> np.ndarray:
             return np.array([_minimal_params(row, sequence) for row in l])
         return m
     m = [0.0]
-    for n, l_n in enumerate(l.tolist(), start=1):
-        den = 1.0 - m[-1]
-        if den == 0.0:
-            raise ZeroDenominator(f"minimal parameter recurrence hits m_{n-1} = 1{sequence}")
-        m.append(l_n / den)
+    try:
+        for l_n in l.tolist():
+            m.append(l_n / (1.0 - m[-1]))
+    except ZeroDivisionError:  # Python's float division by 1 - m_{n-1} == 0
+        raise ZeroDenominator(f"minimal parameter recurrence hits m_{len(m) - 1} = 1{sequence}") from None
     return np.array(m)
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from importlib import resources
@@ -798,12 +799,32 @@ FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, NAN, INF, -INF]),
 )
 
+# NaNs whose bits differ from float("nan")'s: a payload, and the sign bit
+NAN_PAYLOAD, NAN_NEGATIVE = (
+    struct.unpack("<d", struct.pack("<Q", bits))[0] for bits in (0x7FF8000000000001, 0xFFF8000000000000)
+)
+RUN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.25, NAN, NAN_PAYLOAD, NAN_NEGATIVE, INF, -INF]), FLOATS
+)
+
+
+@st.composite
+def float_runs(draw, size):
+    """``size`` floats in runs of bitwise-equal neighbours, which may be
+    one run: zeros of both signs, subnormals, NaNs of three bit patterns,
+    infinities or any float."""
+    cells = []
+    while len(cells) < size:
+        cells += [draw(RUN_VALUES)] * draw(st.integers(1, size - len(cells)))
+    return cells
+
 
 @st.composite
 def row_tables(draw):
     """A header of distinct keys, some with %, ", \\, a comma or a newline
-    in them, and one column per key: an int or float array, a list of None,
-    or a list of None and floats, all of one length, zero among them."""
+    in them, and one column per key: an int or float array, a float array
+    built from runs, a list of None, or a list of None and floats, all of
+    one length, zero among them."""
     n = draw(st.integers(0, 5))
     header = draw(st.lists(st.text('ab%"\\,\n', max_size=3), min_size=1, max_size=4, unique=True))
     cells = {
@@ -814,7 +835,10 @@ def row_tables(draw):
     }
     columns = []
     for _ in header:
-        kind = draw(st.sampled_from(list(cells)))
+        kind = draw(st.sampled_from([*cells, "runs"]))
+        if kind == "runs":
+            columns.append(np.array(draw(float_runs(n)), dtype=float))
+            continue
         column = draw(st.lists(cells[kind], min_size=n, max_size=n))
         typed = {"int": np.int64, "float": float}.get(kind)
         columns.append(np.array(column, dtype=typed) if typed else column)
@@ -842,9 +866,34 @@ def test_row_writers_match_their_references(table):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.one_of(FLOATS, st.sampled_from([1e308, -1e308])), max_size=6), st.integers(0, 2))
+@given(
+    st.one_of(
+        st.lists(st.one_of(FLOATS, st.sampled_from([1e308, -1e308])), max_size=6),
+        st.integers(1, 12).flatmap(float_runs),
+    ),
+    st.integers(0, 2),
+)
 def test_float_lists_match_their_entries(values, indent):
-    # a list of finite floats is written in one join, others entry by entry
+    # a list of floats is written from one format per run, others entry by entry
     pad = "  " * indent
     expected = "[\n" + pad + "  " + f",\n{pad}  ".join(map(cli._render_scalar, values)) + "\n" + pad + "]"
     assert cli.render_json(values, indent) == (expected if values else "[]")
+
+
+def test_runs_are_written_from_one_string(monkeypatch, capsys):
+    slot, cells = cli._column_cells(np.full(10_000, 0.1))
+    assert slot == "%s" and len(cells) == 10_000 and cells[0] == "0.10000000000000001"
+    assert all(cell is cells[0] for cell in cells)
+    # the chain's l echo, and its rows' l_n and complementary_k_n
+    written = []
+    float_cells = cli._float_cells
+
+    def spy(column):
+        written.append(float_cells(column))
+        return written[-1]
+
+    monkeypatch.setattr(cli, "_float_cells", spy)
+    assert cli.main(["chain", "--l-const", "0.25", "--n-max", "10000"]) == 0
+    assert json.loads(capsys.readouterr().out)["config_echo"]["l"] == [0.25] * 10_000
+    runs = [cells[0] for slot, cells in written if slot == "%s" and all(cell is cells[0] for cell in cells)]
+    assert sorted(runs) == ["0.25", "0.25", "0.75"]

@@ -4,10 +4,14 @@ Runs every configuration in process against the ``src`` directory beside
 this script and prints one line ``name exit sha256`` per configuration.
 ``runtime_ms`` is blanked, and of stderr only the ``opx:`` error lines are
 hashed with the report (warnings name source paths), so two checkouts that
-keep the determinism contract print identical lines.  Run it from any
-directory:
+keep the determinism contract print identical lines.  The first line,
+``HEADER``, names the numpy version.  Run it from any directory:
 
-    python3 tools/report_matrix.py > matrix.txt
+    python3 tools/report_matrix.py > tests/report_matrix.txt
+
+``tests/test_report_matrix.py`` checks the same lines in process against
+that file, so a change that moves a report on purpose rewrites the file
+with this command.
 """
 
 from __future__ import annotations
@@ -21,9 +25,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from opx.cli import main  # noqa: E402
+
+# the digests depend on numpy's floating point
+HEADER = f"# numpy {np.__version__}"
 
 FAMILIES = {
     "chebyshev1": ["--family", "chebyshev1"],
@@ -208,16 +217,22 @@ def run(argv):
     return code, hashlib.sha256(text.encode()).hexdigest()
 
 
+def write_inputs():
+    """Write the coefficient files the configurations name into the working
+    directory: the custom family's path is echoed into its report, so it is
+    named relative to the working directory."""
+    Path("coeffs.csv").write_text(COEFFS)
+    Path("coeffs40.csv").write_text(COEFFS40)
+    Path("coeffs_zero.csv").write_text(COEFFS_ZERO)
+    for label, text in BAD_COEFFS.items():
+        Path(f"{label}.csv").write_text(text)
+
+
 if __name__ == "__main__":
+    print(HEADER, flush=True)
     with tempfile.TemporaryDirectory() as tmp:
-        # the custom family's file is named relative to the working
-        # directory, because its path is echoed into the report
         os.chdir(tmp)
-        Path("coeffs.csv").write_text(COEFFS)
-        Path("coeffs40.csv").write_text(COEFFS40)
-        Path("coeffs_zero.csv").write_text(COEFFS_ZERO)
-        for label, text in BAD_COEFFS.items():
-            Path(f"{label}.csv").write_text(text)
+        write_inputs()
         for name, argv in configs():
             code, digest = run(argv)
             print(name, code, digest, flush=True)
