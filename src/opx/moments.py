@@ -239,11 +239,11 @@ _GUARD_BOUND = 1e-12
 
 
 def _cauchy_sums(family: FamilySpec, k: float, values: Callable, m: int, scale) -> np.ndarray:
-    """Compensated sums of p(x)/(k - x) on the m-node Gauss rule, p tabulated
-    by ``values(xs)``, shape (..., len(xs)).  A guard sum on m + 4 nodes (at
-    most a finite table's N) must agree within ``_GUARD_BOUND`` times the L1
-    ``scale``, else m is too small or its far weights, whose noise p(x)
-    magnifies on a half line, too noisy: NonConvergent."""
+    """Correctly rounded sums of p(x)/(k - x) on the m-node Gauss rule, p
+    tabulated by ``values(xs)``, shape (..., len(xs)).  A guard sum on m + 4
+    nodes (at most a finite table's N) must agree within ``_GUARD_BOUND``
+    times the L1 ``scale``, else m is too small or its far weights, whose
+    noise p(x) magnifies on a half line, too noisy: NonConvergent."""
     sums = []
     for order in (m, m + 4 if family.coeffs is not None else min(m + 4, len(family._table))):
         rule = gauss_rule(family, order)
@@ -443,7 +443,10 @@ _EXACT_FORM_BOUND = 1e-12
 
 
 def _entry_sums(terms: np.ndarray) -> np.ndarray:
-    """The array whose entry [...] is the compensated sum of ``terms[..., :]``."""
+    """The array whose entry [...] is ``math.fsum(terms[..., :])``, the
+    correctly rounded sum.  It stays on fsum, not on ``ratios._fsum_rows``:
+    orthogonality residuals cancel to about 1e-17 of their terms'
+    magnitudes, past what that one-pass bound can certify."""
     sums = [math.fsum(entry) for entry in terms.reshape(-1, terms.shape[-1]).tolist()]
     return np.array(sums).reshape(terms.shape[:-1])
 
@@ -462,7 +465,7 @@ def orthogonality_residual(
     are the test statistic.  Degrees equal the index (monic sequences).
 
     The table is read once, on the ``measure`` of the rule with n_max + 2
-    nodes, exact for every entry, and each entry is one compensated sum.
+    nodes, exact for every entry, and each entry is one correctly rounded sum.
     Far from the support the Geronimus terms cancel from the scale of p(k),
     p = row n times row m, so each Geronimus entry carries the a-priori
     rounding bound eps (sum |terms| + |p(k)| sum_l |w_l/(x_l - k)|), the

@@ -45,9 +45,10 @@ def quasi_table(table, coeffs) -> np.ndarray:
     the identity it is the mixing matrix A of Q = A Pk.  Raises ValueError
     on a coefficient that is not finite or on a row that is all zero.
     """
-    coeffs = np.broadcast_to(coeffs, (len(table), np.shape(coeffs)[-1]))
-    if not (np.isfinite(coeffs).all() and coeffs.any(axis=1).all()):
+    coeffs = np.asarray(coeffs)
+    if not (np.isfinite(coeffs).all() and coeffs.any(axis=-1).all()):
         raise ValueError("quasi-type coefficients must be finite, and no row all zero")
+    coeffs = np.broadcast_to(coeffs, (len(table), coeffs.shape[-1]))
     out = coeffs[:, :1] * table
     for i in range(1, coeffs.shape[1]):
         out[i:] += coeffs[i:, i, None] * table[:-i]

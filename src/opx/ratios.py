@@ -466,9 +466,12 @@ def hyp_series(kind: str, params: tuple, z, terms: int = 200):
     the sum of the kept terms' magnitudes.
 
     The terms are the running products of the term ratios, taken by one
-    ``cumprod`` and summed exactly with ``math.fsum`` (alternating
-    terminating sums cancel heavily).  A (K,) array z gives the K sums as
-    an array; each parameter is a number or a (K,) array.
+    ``cumprod``, and each sum is ``math.fsum``'s, correctly rounded
+    (alternating terminating sums cancel heavily).  A (K,) array z gives
+    the K sums as an array; each parameter is a number or a (K,) array.  An
+    array call sums all its rows in one numpy pass, ``_fsum_rows``: a
+    pairwise TwoSum tree whose result is kept where an error bound proves
+    it correctly rounded, and fsum for the few rows it cannot settle.
     """
     sizes = {"2F1": 3, "1F1": 2}
     if kind not in sizes:
@@ -524,8 +527,65 @@ def hyp_series(kind: str, params: tuple, z, terms: int = 200):
                 f"{kind} series still running after {terms} terms: last term "
                 f"{kept[0, -1]} against a magnitude sum of {scale[0]}"
             )
-    sums = [math.fsum(row[:n].tolist()) for row, n in zip(kept, lengths.tolist())]
-    return np.array(sums) if batch else sums[0]
+    if batch:
+        # the terms past a row's end are +-0.0, which fsum ignores
+        return _fsum_rows(kept)
+    return math.fsum(kept[0, : lengths[0]].tolist())
+
+
+def _fsum_rows(a: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of the (K, W) array ``a``, bit for bit, or
+    the error of the first row whose fsum raises.
+
+    The rows, padded with +0.0 to 2^L terms, are summed by a pairwise tree
+    of TwoSums (t = x + y, bp = t - x, e = (x - (t - bp)) + (y - bp)), exact
+    while nothing overflows: each sum is hi + its error terms, whose
+    magnitudes add up to at most about L u sum|a| (u = 2^-53).  The error
+    terms are summed in plain float into err, in at most W + L rounded
+    additions each, so err is within about (W + L) L u^2 sum|a| of theirs.
+    res = hi + err and that addition's exact error f leave the sum within
+    |f| + delta of res, delta = 2 (W + L + 2)(L + 1) u^2 sum|a| with room for
+    the rounding of sum|a| and of delta.  Where |f| + delta < spacing(
+    nextafter(|res|, 0)) / 2 the sum rounds to res, which is fsum's
+    correctly rounded sum (Ogita, Rump and Oishi 2005; Shewchuk 1997).
+    Every other row goes through fsum: a sum|a| not below 2^1023 (an entry
+    not finite, or fsum's own partials may overflow), a res of at most
+    2^-1021 in magnitude, zero included (half its spacing rounds to 0), or
+    a sum that cancels too far for the bound, as orthogonality residuals do.
+    """
+    rows, width = a.shape
+    levels = (width - 1).bit_length()
+    size = 1 << levels
+    # one column per row, so each tree level adds two contiguous halves, in
+    # place in one workspace of the padded terms and two half-size buffers:
+    # fresh temporaries at every level cost more in page faults than the adds
+    work = np.empty((2 * size, rows))
+    s, spare = work[:size], work[size:]
+    s[:width] = a.T
+    s[width:] = 0.0
+    err = np.zeros(rows)
+    with np.errstate(all="ignore"):  # a non-finite row fails the test below
+        for half in (1 << k for k in reversed(range(levels))):
+            x, y, t, bp = s[:half], s[half : 2 * half], spare[:half], spare[half : 2 * half]
+            np.add(x, y, out=t)
+            np.subtract(t, x, out=bp)
+            np.subtract(y, bp, out=y)
+            np.subtract(t, bp, out=bp)
+            np.subtract(x, bp, out=x)
+            np.add(x, y, out=x)
+            err += x.sum(axis=0)
+            s, spare = t, s
+        hi = s[0]
+        res = hi + err
+        bp = res - hi
+        f = (hi - (res - bp)) + (err - bp)
+        scale = np.abs(a).sum(axis=1)
+        delta = 2 * (width + levels + 2) * (levels + 1) * 2.0**-106 * scale
+        gap = np.spacing(np.nextafter(np.abs(res), 0.0))
+        exact = (scale < 2.0**1023) & (np.abs(f) + delta < 0.5 * gap)
+    for i in np.flatnonzero(~exact).tolist():
+        res[i] = math.fsum(a[i].tolist())
+    return res
 
 
 def _term_table(tops: list, r_col: np.ndarray, z_col: np.ndarray, width: int) -> np.ndarray:

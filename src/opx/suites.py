@@ -198,17 +198,19 @@ def moment_annihilation(ctx: kernels.KernelContext, coeffs, degrees) -> np.ndarr
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
         table = kernels.kernel_table(ctx, n_top, nodes)
         qs = quasi.quasi_table(table, coeffs)[list(degrees)]
-        squares = [weights * row * row for row in [*table, *qs]]
+        rows = np.concatenate([table, qs])
+        squares = weights * rows * rows
     if not np.isfinite(squares).all():
         names = [f"Pk_{m}" for m in range(len(table))] + [f"Q_{n}" for n in degrees]
         name = names[np.argmax(~np.isfinite(squares).all(axis=1))]
         raise errors.ParameterOutOfRange(f"the squared norm of {name} is out of the double range")
-    norms = [math.sqrt(abs(math.fsum(row))) for row in squares]
-    out = []
-    for n, q, q_norm in zip(degrees, qs, norms[len(table) :]):
-        for m in range(n - l):
-            out.append(abs(math.fsum(weights * table[m] * q)) / (norms[m] * q_norm))
-    return np.array(out)
+    norms = np.sqrt(np.abs([math.fsum(row) for row in squares.tolist()]))
+    # one row of terms per pair (Pk_m, Q_n), each summed by fsum: the
+    # statistic cancels to the roundoff of its terms' magnitudes
+    pairs = [(m, j) for j, n in enumerate(degrees) for m in range(n - l)]
+    ms, js = np.array(pairs, dtype=int).reshape(-1, 2).T
+    sums = [math.fsum(row) for row in (weights * table[ms] * qs[js]).tolist()]
+    return np.abs(sums) / (norms[ms] * norms[len(table) + js])
 
 
 def difference_equation(ctx: kernels.KernelContext, rng, n_max: int) -> tuple[np.ndarray, np.ndarray]:

@@ -9,11 +9,14 @@ with no ``confluent_cd`` call per degree.  The quadrature oracle evaluates
 a sequence's table once per Gram matrix, on one Gauss rule, and the kernel,
 quasi and recovery suites evaluate each family through such tables, so their
 ``eval_table`` calls, and the Gauss rules they solve, stay few, as do the
-ratios suite's ``eval_table`` calls."""
+ratios suite's ``eval_table`` calls.  The ratios suite's series rows are
+summed in one array pass per call, and only few of them one by one."""
 
 import contextlib
 import io
+import math
 import sys
+import types
 from collections import Counter
 
 import numpy as np
@@ -118,6 +121,33 @@ def test_ratios_suite_calls(calls, flags, expected):
     # per round's denominators and one for the kept numerators made 7
     _run(["verify", "--suite", "ratios", *flags])
     assert dict(calls) == expected
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [[], ["--family", "laguerre", "--gamma", "0.5"], ["--family", "jacobi", "--gamma", "0.3", "--delta", "0.7"]],
+    ids=["chebyshev1", "laguerre0.5", "jacobi"],
+)
+def test_ratios_suite_sums_few_series_rows_one_by_one(monkeypatch, flags):
+    # the 904 series rows of the default seed go through one array pass per
+    # hyp_series call, and 50 of them, each a sum that lands on a rounding
+    # tie of the pass's hi + err, which its error bound cannot settle, fall
+    # back to fsum; a loop over the rows made 904 fsum calls
+    rows, fsums = [], []
+    fsum_rows = ratios._fsum_rows
+
+    def counting_rows(a):
+        rows.append(len(a))
+        return fsum_rows(a)
+
+    def counting_fsum(xs):
+        fsums.append(len(xs))
+        return math.fsum(xs)
+
+    monkeypatch.setattr(ratios, "_fsum_rows", counting_rows)
+    monkeypatch.setattr(ratios, "math", types.SimpleNamespace(**{**vars(math), "fsum": counting_fsum}))
+    _run(["verify", "--suite", "ratios", *flags])
+    assert (sum(rows), len(fsums)) == (904, 50)
 
 
 def test_chains_suite_calls(monkeypatch):

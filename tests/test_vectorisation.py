@@ -10,7 +10,8 @@ the numpy-scalar loop below.  The row-table renderer writes the same bytes
 as the generic JSON renderer, whatever the types of its columns.  The
 continued fractions and hypergeometric series take their draws as array
 rows, bitwise equal to row-by-row calls, and an array call with failing rows
-raises the error a loop over its rows meets first.  The kernel table over
+raises the error a loop over its rows meets first; the series' one-pass row
+sums are ``math.fsum``'s, bit for bit, errors included.  The kernel table over
 all degrees gives, row by row, bitwise the values of a per-degree evaluator;
 the Geronimus, Uvarov and recovery tables those of the per-degree
 evaluators they replaced, ``kernel_ratio_limit``
@@ -23,16 +24,22 @@ and one recurrence over all its rows, against their loops.  Those loops are
 kept below as the references.
 """
 
+import contextlib
+import io
 import json
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 import opx
 from conftest import sample_points
-from opx import cli, suites
+from opx import cli, ratios, suites
 from oracles import cd_kernel
 
 N_MAX = 8
@@ -442,6 +449,93 @@ def test_a_row_that_overflows_before_its_zero_is_rejected():
     n, r, z = np.delete(n, 7), np.delete(r, 7), np.delete(z, 7)
     expected = [_reference_hyp_series("1F1", (-n_i, r_i), z_i, 200) for n_i, r_i, z_i in _rows(n, r, z)]
     assert_bitwise(opx.hyp_series("1F1", (-n, r), z), expected)
+
+
+_FSUM_SPECIALS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022), 2.0**-1074 * 3, 1.0, -1.0, 2.0**-53, 2.0**-105,
+    math.inf, -math.inf, math.nan, sys.float_info.max, -sys.float_info.max, 2.0**969, -(2.0**969),
+]
+
+
+def _fsum_or_error(row):
+    try:
+        return math.fsum(row)
+    except (ValueError, OverflowError) as exc:
+        return exc
+
+
+@st.composite
+def _fsum_tables(draw):
+    """(K, W) arrays of W in 1..401: normal draws scaled by 2^e, e spread
+    up to the whole double range (subnormals, overflow), with any float,
+    signed zeros, infinities or NaN put at drawn places, and rows made to
+    cancel by a last entry of -fsum(the rest)."""
+    width, count = draw(st.integers(1, 401)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low, high = draw(st.sampled_from([(0, 0), (-30, 30), (-300, 300), (-1074, 1023)]))
+    with np.errstate(over="ignore"):
+        table = np.ldexp(rng.standard_normal((count, width)), rng.integers(low, high + 1, (count, width)))
+    value = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(_FSUM_SPECIALS))
+    for x, i, j in draw(st.lists(st.tuples(value, st.integers(0, count - 1), st.integers(0, width - 1)), max_size=6)):
+        table[i, j] = x
+    for row in table:
+        if width > 1 and draw(st.booleans()):
+            rest = _fsum_or_error(row[:-1].tolist())
+            if isinstance(rest, float):
+                row[-1] = -rest
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fsum_tables())
+@example(np.array([[1.0, 2.0**-53]]))
+@example(np.array([[1.0, 2.0**-53, 2.0**-105], [1.0, -(2.0**-54), -(2.0**-106)]]))
+@example(np.array([[sys.float_info.max, 2.0**969, 2.0**969, -(2.0**969)]]))
+@example(np.array([[5e-324, 5e-324], [-5e-324, 5e-324], [-0.0, -0.0]]))
+@example(np.array([[math.inf, 1.0, -math.inf], [math.nan, 1.0, 2.0]]))
+def test_fsum_rows_is_fsum_row_by_row(table):
+    # each row's result bit for bit, or the error of the first row whose
+    # fsum raises.  The ties [1, 2^-53] and [1, 2^-53, 2^-105] round to even
+    # and up; the third example sums to the largest double, but fsum's
+    # partials overflow on it
+    expected = [_fsum_or_error(row) for row in table.tolist()]
+    error = next((e for e in expected if isinstance(e, Exception)), None)
+    if error is not None:
+        with pytest.raises(type(error), match=re.escape(str(error))):
+            ratios._fsum_rows(table)
+    else:
+        assert_bitwise(ratios._fsum_rows(table), np.array(expected))
+
+
+def test_suite_series_rows_match_scalar_calls(monkeypatch):
+    # every series batch the ratios suite sums at 16 seeds, about 900 rows
+    # a seed, against the scalar call on each row; the rows do not depend
+    # on the family
+    batch = ratios.hyp_series
+    calls = []
+
+    def checked(kind, params, z, terms=200):
+        sums = batch(kind, params, z, terms)
+        rows = _rows(*np.broadcast_arrays(*params, z))
+        assert_bitwise(sums, np.array([batch(kind, row[:-1], row[-1], terms) for row in rows]))
+        calls.append(len(rows))
+        return sums
+
+    monkeypatch.setattr(ratios, "hyp_series", checked)
+    for seed in range(16):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--suite", "ratios", "--seed", str(seed)]) == 0
+    assert sum(calls) > 14000
+
+
+def test_scalar_hyp_series_sums_its_row_with_fsum(monkeypatch):
+    # a single series never pays for the array pass, and stays a Python float
+    def refuse(a):
+        raise AssertionError("a scalar series took the row pass")
+
+    monkeypatch.setattr(ratios, "_fsum_rows", refuse)
+    for params, z in (((-7.0, 1.1, 2.3), 0.4), ((0.7, 1.1, 2.3), 0.3)):
+        assert type(ratios.hyp_series("2F1", params, z)) is float
 
 
 def _cf_rows(rng, count, depth):
