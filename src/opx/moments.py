@@ -39,10 +39,10 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DegenerateDenominator, NonConvergent, NotPositiveDefinite, ParameterOutOfRange, ShiftInsideSupport
+from .errors import NonConvergent, NotPositiveDefinite, ParameterOutOfRange, ShiftInsideSupport
 from .families import FamilySpec
 from .ratios import gauss_cf_ratio
-from .transforms import _backward_ratios
+from .transforms import jfraction
 
 __all__ = [
     "GaussRule",
@@ -208,29 +208,11 @@ _SPLIT_ORDER_CAP = 1024  # the largest rule chosen on a family given by a closed
 def _split_order(family: FamilySpec, k: float, least: int, threshold: float) -> int:
     """The least Gauss rule order m >= ``least`` whose error on the Cauchy
     kernel, E_m = L(1/(k - x)) - sum w_i/(k - x_i) = s_0 prod_{j=1..m} s_j/rho_j,
-    is at most ``threshold`` (Gautschi, Math. Comp. 36, 1981): s_j from one
-    backward J-fraction pass at twice the depth searched (a finite table's N
-    rows: its N-node rule is its own measure, E_N = 0), rho_j = P_j(k)/P_{j-1}(k)
-    forward.  The depth doubles from 32; NonConvergent past 1024 nodes."""
-    finite = family.coeffs is None
-    top = len(family._table) if finite else 32
-    while True:
-        c, lam = family.table(top if finite else 2 * top).T.tolist()
-        try:
-            s = _backward_ratios(k, c, lam, top - 1)
-            error, rho, errors = s[0], math.inf, [s[0]]
-            for s_j, c_j, lam_j in zip(s[1:], c, lam):
-                rho = (k - c_j) - lam_j / rho
-                error *= s_j / rho
-                errors.append(error)
-        except ZeroDivisionError:
-            raise DegenerateDenominator(f"a Cauchy-kernel recurrence denominator vanishes at k={k}") from None
-        within = np.abs(np.append(errors, 0.0 if finite else np.inf)) <= threshold
-        if within.any():
-            return max(least, int(np.argmax(within)))
-        top *= 2
-        if top > _SPLIT_ORDER_CAP:
-            raise NonConvergent(f"no Gauss rule to {_SPLIT_ORDER_CAP} nodes meets the split-form bound at k={k}")
+    is at most ``threshold``: ``jfraction`` from start 0, to a finite table's
+    N rows (its own measure: E_N = 0) or NonConvergent past 1024 nodes."""
+    degenerate = f"a Cauchy-kernel recurrence denominator vanishes at k={k}"
+    unsettled = f"no Gauss rule to {_SPLIT_ORDER_CAP} nodes meets the split-form bound at k={k}"
+    return max(least, jfraction(family, k, 0, threshold, _SPLIT_ORDER_CAP, degenerate, unsettled)[1])
 
 
 # the split form's sums on m and m + 4 nodes must agree within this fraction
@@ -244,13 +226,11 @@ def _cauchy_sums(family: FamilySpec, k: float, values: Callable, m: int, scale) 
     nodes (at most a finite table's N) must agree within ``_GUARD_BOUND``
     times the L1 ``scale``, else m is too small or its far weights, whose
     noise p(x) magnifies on a half line, too noisy: NonConvergent."""
-    sums = []
-    for order in (m, m + 4 if family.coeffs is not None else min(m + 4, len(family._table))):
-        rule = gauss_rule(family, order)
-        quotients = values(rule.nodes) / (k - rule.nodes)
-        sums.append(_entry_sums(rule.weights * quotients))
+    guard = m + 4 if family.coeffs is not None else min(m + 4, len(family._table))
+    rules = gauss_rule(family, m), gauss_rule(family, guard)
+    sums = [_entry_sums(rule.weights * (values(rule.nodes) / (k - rule.nodes))) for rule in rules]
     if np.any(np.abs(sums[0] - sums[1]) > _GUARD_BOUND * scale):
-        raise NonConvergent(f"the Gauss sums on {m} and {m + 4} nodes disagree at k={k}: order too small or too noisy")
+        raise NonConvergent(f"the Gauss sums on {m} and {guard} nodes disagree at k={k}: order too small or too noisy")
     return sums[0]
 
 

@@ -24,8 +24,8 @@ and every evaluator takes ``(data, n, x)`` and slices it.  The kernel
 contexts hold P_j(k) in ratio form, rho_j = P_j(k)/P_{j-1}(k), and every
 recovery coefficient reads P_j(k) through those ratios.  The ratio caches
 come from one sequential recurrence, so a slice of a larger record is
-bitwise the record a smaller degree would have built;
-so are the A_n of two records whose J-fraction passes settle at one depth.
+bitwise the record a smaller degree would have built; the A_n of a settled
+``jfraction`` pass match a pass at depth 2**16 bitwise on every shift tested.
 """
 
 from __future__ import annotations
@@ -61,8 +61,7 @@ __all__ = [
 ]
 
 _POLE_RTOL = 1e-11
-# deepest Geronimus J-fraction pass before the shift counts as too close to
-# the support
+# the deepest Geronimus J-fraction depth searched before the shift counts as too close to the support
 _JFRACTION_DEPTH_CAP = 2**16
 
 
@@ -149,10 +148,48 @@ def _backward_ratios(k: float, c: list, lam: list, n_max: int) -> list:
     """s_0..s_n_max of one backward pass s_n = lam[n] / ((k - c[n]) - s_{n+1})
     over rows n = len(c) - 1..0, from the tail s = 0."""
     s, out = 0.0, []
-    for c_n, lam_n in zip(reversed(c), reversed(lam)):
+    for c_n, lam_n in zip(c[:n_max:-1], lam[:n_max:-1]):
+        s = lam_n / ((k - c_n) - s)
+    for c_n, lam_n in zip(c[n_max::-1], lam[n_max::-1]):
         s = lam_n / ((k - c_n) - s)
         out.append(s)
-    return out[::-1][: n_max + 1]
+    return out[::-1]
+
+
+def jfraction(
+    family: FamilySpec, k: float, start: int, threshold: float, cap: int, degenerate: str, unsettled: str
+) -> tuple[list, int]:
+    """One backward J-fraction pass s_0..s_{top-1} at depth 2 top, and the least
+    m >= ``start`` with |f_start ... f_m| <= ``threshold``, where f_0 = s_0 and
+    f_j = s_j/rho_j, rho_j = P_j(k)/P_{j-1}(k).  Cut at depth d, the pass is
+    I_n - (I_d/P_d(k)) P_n(k) (Gautschi, SIAM Review 9, 1967), so each s_n with
+    n < start is within 2 |f_start ... f_d| relative, as every |f_j| < 1; from
+    start 0 the product is the m-node Gauss rule's error on the Cauchy kernel
+    (Gautschi, Math. Comp. 36, 1981).  ``top`` doubles from 32 (above ``start``)
+    to ``cap``, else NonConvergent(``unsettled``); a finite table takes one pass
+    over its N rows, f_N = 0.  Any zero denominator, rho_j's included, raises
+    DegenerateDenominator(``degenerate``)."""
+    finite = family.coeffs is None
+    top = len(family._table) if finite else 1 << max(5, int(start).bit_length())
+    c, lam, rho, r = [], [], [1.0], np.inf  # 1.0 divides f_0 = s_0, and rho_0 = inf gives rho_1 = k - c_1
+    while finite or top <= cap:
+        more_c, more_lam = family.table(top if finite else 2 * top)[len(c) :].T.tolist()
+        c, lam = c + more_c, lam + more_lam
+        try:
+            s, product = _backward_ratios(k, c, lam, top - 1), 1.0
+            for c_j, lam_j in zip(c[len(rho) - 1 : top], lam[len(rho) - 1 : top]):  # to rho_top: any zero raises
+                r = (k - c_j) - lam_j / r
+                rho.append(r)
+            for m in range(start, top):
+                product *= s[m] / rho[m]
+                if abs(product) <= threshold:
+                    return s, m
+        except ZeroDivisionError:
+            raise DegenerateDenominator(degenerate) from None
+        if finite:
+            return s, top
+        top *= 2
+    raise NonConvergent(unsettled)
 
 
 def geronimus_data(family: FamilySpec, k: float, n_max: int) -> GeronimusData:
@@ -160,48 +197,30 @@ def geronimus_data(family: FamilySpec, k: float, n_max: int) -> GeronimusData:
 
     With I_{-1} = 1 the ratios s_n = I_n / I_{n-1} of the minimal solution
     satisfy s_n = lambda_{n+1} / ((k - c_{n+1}) - s_{n+1}), and s_0 = I_0
-    (lambda_1 = mu0).  The pass starts from a zero tail at a power-of-two
-    depth of at least n_max + 32 and doubles it until two successive depths
-    agree to 1e-15 relative on every s_n; A_n = -s_n.  A finite table's
-    J-fraction is exact when cut at its last row, so there one pass runs
-    over the whole table.  ``mass0`` is -s_0 = -L(1/(k - x)), the unique
-    value that kills the degree-(1,0) Gram entry, -mu0 / (k - c_1 + A_1);
-    ``dataclasses.replace`` sets another.
+    (lambda_1 = mu0).  ``jfraction`` runs the pass from a zero tail past the
+    depth m where f_{n_max+1} ... f_m, which bounds every s_n's truncation
+    error, falls to eps; A_n = -s_n.  A finite table's J-fraction is exact
+    when cut at its last row, so there one pass runs over the whole table.
+    ``mass0`` is -s_0 = -L(1/(k - x)), the unique value that kills the
+    degree-(1,0) Gram entry, -mu0 / (k - c_1 + A_1); ``dataclasses.replace``
+    sets another.
 
     Raises
     ------
     NonConvergent
-        If two depths still disagree past 2**16: the shift is too close to
-        the support (1e-12 from Chebyshev-1's, 1e-3 from Laguerre's).
+        If no depth up to 2**16 brings that product to eps: the shift is too
+        close to the support (1e-12 from Chebyshev-1's, 1e-3 from Laguerre's).
     DegenerateDenominator
         If a denominator of the pass is exactly zero.
     TableTooShort
         If a finite table has fewer than n_max + 1 rows.
     """
     _require_outside_support(family, k, "the Geronimus transformation")
-
-    def ratios(depth: int) -> list:
-        c, lam = family.table(depth).T
-        try:
-            return _backward_ratios(k, c.tolist(), lam.tolist(), n_max)
-        except ZeroDivisionError:
-            raise DegenerateDenominator(f"a Geronimus J-fraction denominator vanishes at k={k}") from None
-
-    def record(s: list) -> GeronimusData:
-        return GeronimusData(family=family, k=k, A=-np.array(s), mass0=-s[0])
-
-    if family.coeffs is None:
-        family.table(n_max + 1)  # the rows s_0..s_n_max read, or TableTooShort
-        return record(ratios(len(family._table)))
-    depth, prev = 64, None
-    while depth < n_max + 32:
-        depth *= 2
-    while depth <= _JFRACTION_DEPTH_CAP:
-        s = ratios(depth)
-        if prev is not None and all(abs(a - b) <= 1e-15 * abs(b) for a, b in zip(prev, s)):
-            return record(s)
-        prev, depth = s, 2 * depth
-    raise NonConvergent(f"the Geronimus J-fraction at k={k} does not settle by depth {_JFRACTION_DEPTH_CAP}")
+    family.table(n_max + 1)  # the rows s_0..s_n_max read, or TableTooShort
+    degenerate = f"a Geronimus J-fraction denominator vanishes at k={k}"
+    unsettled = f"the Geronimus J-fraction at k={k} does not settle by depth {_JFRACTION_DEPTH_CAP}"
+    s, _ = jfraction(family, k, n_max + 1, np.finfo(float).eps, _JFRACTION_DEPTH_CAP, degenerate, unsettled)
+    return GeronimusData(family=family, k=k, A=-np.array(s[: n_max + 1]), mass0=-s[0])
 
 
 def geronimus_family(data: GeronimusData, n_max: int) -> FamilySpec:

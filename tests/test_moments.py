@@ -478,23 +478,26 @@ def test_laguerre_split_form_near_the_support_raises_or_is_accurate(k):
     assert abs(value - float(reference(6, 5))) <= 1e-11 * scale
 
 
-@pytest.mark.parametrize("call", ["gram", "apply_functional", "custom_cauchy_mass"])
+@pytest.mark.parametrize("call", ["gram", "apply_functional", "custom_cauchy_mass", "capped_custom_cauchy_mass"])
 def test_too_small_an_order_raises(monkeypatch, call):
     # an order chooser that returns the least order the degree allows (6
     # nodes for the Gram, 1 for the Cauchy mass): the guard sum four nodes
-    # up disagrees, and no value comes back
+    # up, or at a 3-row table's 3 rows, disagrees, the message names both
+    # orders summed, and no value comes back
     monkeypatch.setattr(moments, "_split_order", lambda family, k, least, threshold: least)
     fam, k = opx.chebyshev1(), -2.0
     kind, products = _geronimus_products(fam, k)
     custom = opx.custom_family(fam.table(64), fam.support)
-    run = {
-        "gram": lambda: _split_entries(fam, kind, products),
-        "apply_functional": lambda: apply_functional(fam, kind, lambda xs: products(xs)[6, 6], 12),
-        "custom_cauchy_mass": lambda: cauchy_mass(custom, k),
+    short = opx.custom_family(fam.table(3), fam.support)
+    run, orders = {
+        "gram": (lambda: _split_entries(fam, kind, products), "6 and 10"),
+        "apply_functional": (lambda: apply_functional(fam, kind, lambda xs: products(xs)[6, 6], 12), "6 and 10"),
+        "custom_cauchy_mass": (lambda: cauchy_mass(custom, k), "1 and 5"),
+        "capped_custom_cauchy_mass": (lambda: cauchy_mass(short, k), "1 and 3"),
     }[call]
-    with pytest.raises(opx.NonConvergent, match="order too small"):
+    with pytest.raises(opx.NonConvergent, match=f"on {orders} nodes disagree .*order too small"):
         run()
-    assert custom not in moments._cauchy_cache
+    assert custom not in moments._cauchy_cache and short not in moments._cauchy_cache
 
 
 def test_integral_cancelling_to_zero_stops_at_roundoff_floor(cheb):

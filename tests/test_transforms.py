@@ -277,6 +277,37 @@ def test_geronimus_on_a_finite_table_is_one_full_depth_pass(monkeypatch):
         opx.geronimus_data(fam, k, 40)
 
 
+@pytest.mark.parametrize(
+    "make_family, k",
+    [pytest.param(opx.chebyshev1, k, id=f"chebyshev1-k{k:g}") for k in (-2.0, 3.0, 1.01, -50.0, -1.0001)]
+    + [pytest.param(lambda: opx.laguerre(0.0), k, id=f"laguerre0-k{k:g}") for k in (-1.0, -0.1, -0.3)]
+    + [pytest.param(lambda: opx.laguerre(0.5), -1.0, id="laguerre0.5-k-1")]
+    + [pytest.param(lambda: opx.jacobi(0.3, 0.7), k, id=f"jacobi-k{k:g}") for k in (-2.0, 3.0, -10.0, 1.5, 1.01)],
+)
+def test_geronimus_record_is_the_pass_at_the_depth_cap(make_family, k):
+    # once f_11 ... f_m falls to eps the pass has settled: the record is
+    # bitwise the one backward pass as deep as the search may go
+    fam = make_family()
+    c, lam = fam.table(2**16).T.tolist()
+    deepest = -np.array(transforms._backward_ratios(k, c, lam, 10))
+    np.testing.assert_array_equal(opx.geronimus_data(fam, k, 10).A, deepest)
+
+
+def test_geronimus_record_takes_one_pass_where_the_product_settles(monkeypatch):
+    # at k = -2 the product f_10 ... f_m falls to eps before m = 32, so the
+    # search stops at its first pass, at depth 64
+    depths = []
+    backward_ratios = transforms._backward_ratios
+
+    def counted(k, c, lam, n_max):
+        depths.append(len(c))
+        return backward_ratios(k, c, lam, n_max)
+
+    monkeypatch.setattr(transforms, "_backward_ratios", counted)
+    opx.geronimus_data(opx.chebyshev1(), -2.0, 9)
+    assert depths == [64]
+
+
 # ---------------------------------------------------------------------------
 # Uvarov transformation
 # ---------------------------------------------------------------------------
