@@ -192,11 +192,9 @@ def custom_family(rows, support: tuple[float, float], mu0: float | None = None) 
 def eval_table(family: FamilySpec, n: int, xs) -> np.ndarray:
     """Evaluate P_0..P_n at every point of ``xs``; shape (n+1, len(xs)).
 
-    Forward recurrence on c_1..c_n and lambda_2..lambda_n; complex points
-    and complex coefficient providers are supported transparently.  One
-    real point runs on a Python float, whose arithmetic is the same IEEE
-    sequence as the arrays'; complex points stay on arrays, because numpy's
-    complex array multiply rounds differently from Python's.
+    Forward recurrence on c_1..c_n and lambda_2..lambda_n, one array step
+    per degree for any number of points; complex points and complex
+    coefficient providers are supported transparently.
     """
     xs = np.atleast_1d(np.asarray(xs))
     pairs = family.table(n)
@@ -205,20 +203,15 @@ def eval_table(family: FamilySpec, n: int, xs) -> np.ndarray:
     table = np.empty((n + 1, xs.size), dtype=dtype)
     table[0] = 1.0
     if n >= 1:
-        one_point = xs.size == 1 and dtype is float
-        x, p0 = (xs.item(), 1.0) if one_point else (xs, table[0])
         (c_1, _), *steps = pairs.tolist()
-        p1 = x - c_1
+        p0, p1 = table[0], xs - c_1
         rows = [p1]
         for c_next, lam_next in steps:
-            p0, p1 = p1, (x - c_next) * p1 - lam_next * p0
+            p0, p1 = p1, (xs - c_next) * p1 - lam_next * p0
             rows.append(p1)
         # one store for all rows: a store per degree costs numpy's per-call
-        # overhead n times (3.3 against 1.0 ms for one point at n = 4003)
-        if one_point:
-            table[1:, 0] = rows
-        else:
-            table[1:] = rows
+        # overhead n times
+        table[1:] = rows
     return table
 
 

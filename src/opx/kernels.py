@@ -16,10 +16,9 @@ S_j = t_0 + ... + t_j, which stay finite where the raw values under- or
 overflow (Gautschi, SIAM Rev. 9, 1967), so the recurrence coefficients, the
 kernel tables and the ratio limits at large n all run on them.  For a real
 shift the ratio-form recurrence runs on Python floats, the same IEEE steps
-as numpy's float64 scalars; a step where a Python float raises (a square
-past the float range) reruns it on numpy scalars, as does every complex
-shift, since Python's complex division rounds differently from numpy's.
-The caches are bitwise numpy's either way.
+as numpy's float64 scalars, with inf where a square passes the float range
+as numpy gives; a complex shift runs it on numpy scalars, since Python's
+complex division rounds differently from numpy's.
 """
 
 from __future__ import annotations
@@ -73,13 +72,9 @@ class KernelContext:
             j = int(np.argmax(lam == 0.0))
             raise NotPositiveDefinite(f"lambda_{j + 1} = {lam[j]} <= 0")
         dtype = np.dtype(complex if np.iscomplexobj(k) or np.iscomplexobj(c) else float)
-        caches = None
         if dtype == float:
-            try:
-                caches = _ratio_caches(float(k), c.tolist(), lam.tolist())
-            except OverflowError:
-                pass  # where numpy gives inf
-        if caches is None:
+            caches = _ratio_caches(float(k), c.tolist(), lam.tolist())
+        else:
             # numpy's inf or NaN is the point here; the checks that read the
             # caches raise typed errors on it
             with np.errstate(over="ignore", invalid="ignore"):
@@ -110,7 +105,8 @@ def _ratio_caches(k, c, lam) -> tuple[list, list, list]:
 
     The square stays ``r ** 2``: the C ``pow`` behind it, which numpy's
     scalar power calls too, differs from ``r * r`` in the last bit for about
-    0.08% of doubles.
+    0.08% of doubles.  Where a Python float's square raises OverflowError it
+    is inf, numpy's value.
     """
     t = s = 1.0 / lam[0]
     rho, ts, partials = [np.nan], [t], [s]  # rho_0 is undefined
@@ -119,7 +115,11 @@ def _ratio_caches(k, c, lam) -> tuple[list, list, list]:
         if r == 0.0:
             break
         r = (k - c_prev) if r is None else (k - c_prev) - lam_prev / r
-        t = t * r ** 2 / lam_j
+        try:
+            square = r ** 2
+        except OverflowError:
+            square = math.inf
+        t = t * square / lam_j
         s = s + t
         rho.append(r)
         ts.append(t)

@@ -15,14 +15,13 @@ Every continued fraction 1/(1 + s_1 a_1 z/(1 + s_2 a_2 z/(...))) is held as
 its signed partial numerators b_j = s_j a_j, j = 1..depth+10, and evaluated
 by backward recurrence at the requested depth (>= 1) and again at depth+10,
 with a tiny-floor rescue for vanishing intermediate denominators.  A scalar
-call of a terminating fraction builds its numerators as a list of Python
-floats (the same IEEE operations in the same order as numpy's) and stops at
-the first zero; an array call, or a scalar fraction with no zero numerator
-(which needs all depth+10 of them), builds a table from the same
-coefficient formulas.  A zero numerator ends the fraction exactly: the
-backward step there leaves the tail at 1 + 0/tail = 1.0 whatever lies
-beyond it, so no pass runs past the first zero, and a zero within the
-requested depth makes the two passes one.
+call builds its numerators as a list of Python floats (the same IEEE
+operations in the same order as numpy's) up to the first zero, except a
+non-terminating Gauss fraction, which needs all depth+10 of them: it and an
+array call build a table from the same coefficient formulas.  A zero
+numerator ends the fraction exactly: the backward step there leaves the
+tail at 1 + 0/tail = 1.0 whatever lies beyond it, so no pass runs past the
+first zero, and a zero within the requested depth makes the two passes one.
 
 The continued fractions, the hypergeometric series and the confluent
 identity also take arrays: K independent rows (or points) in one call, each
@@ -57,6 +56,7 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+_RTOL = 1e-13  # the agreement of a fraction's depth and depth+10 values
 
 
 def confluent_cd(family: FamilySpec, n: int, x):
@@ -167,15 +167,16 @@ def _backward_rows(b: np.ndarray, z: np.ndarray, depth: int) -> np.ndarray:
     return tails
 
 
-def evaluate_cf(b, z, depth: int, rtol: float = 1e-13):
+def evaluate_cf(b, z, depth: int):
     """Evaluate 1/(1 + b_1 z/(1 + b_2 z/...)) at depth and depth+10.
 
     ``b`` holds the signed partial numerators b_1..b_{depth+10} (the leading
     numerator is always 1), as an array or a list; a 1-D ``b`` may instead
     stop at its first zero, which must then be its last entry.  The two
-    backward passes must agree to ``rtol`` relative; a tiny-floor rescue is
+    backward passes must agree to 1e-13 relative; a tiny-floor rescue is
     applied to vanishing intermediate denominators and counts as agreement
-    only if both passes still match.  ``z`` must be finite.
+    only if both passes still match.  ``z`` and the numerators before the
+    first zero must be finite (ParameterOutOfRange otherwise).
 
     A zero numerator b_j ends the fraction exactly.  The backward step at j
     sets the tail to 1 + (b_j z)/tail = 1 + (+-0)/tail, which is exactly 1.0
@@ -189,8 +190,9 @@ def evaluate_cf(b, z, depth: int, rtol: float = 1e-13):
     would carry such a NaN through the zero into the value.
 
     A (K, depth+10) ``b`` with a (K,) ``z`` evaluates K fractions in one
-    array pass and returns their values as an array; a 1-D ``b`` runs the
-    backward recurrence on Python floats.
+    array pass and returns their values as an array; a row that fails or is
+    not finite sends the call through its rows one by one.  A 1-D ``b`` runs
+    the backward recurrence on Python floats.
     """
     if depth < 1:
         raise ParameterOutOfRange(f"depth must be >= 1, got {depth}")
@@ -203,11 +205,12 @@ def evaluate_cf(b, z, depth: int, rtol: float = 1e-13):
             v1, v2 = 1.0 / tails
             failed = (
                 ~np.isfinite(z)
+                | ~np.isfinite(b[:, :top]).all(axis=1)
                 | (np.abs(tails) < _TINY).any(axis=0)
-                | (np.abs(v1 - v2) > rtol * np.maximum(1.0, np.abs(v2)))
+                | (np.abs(v1 - v2) > _RTOL * np.maximum(1.0, np.abs(v2)))
             )
         if failed.any():
-            return np.array([evaluate_cf(b_i, z_i, depth, rtol) for b_i, z_i in zip(b, z.tolist())])
+            return np.array([evaluate_cf(b_i, z_i, depth) for b_i, z_i in zip(b, z.tolist())])
         return v2
     b = b[:top].tolist() if isinstance(b, np.ndarray) else b[:top]
     stop = b.index(0.0) if 0.0 in b else len(b)  # the numerators before the first zero
@@ -215,9 +218,12 @@ def evaluate_cf(b, z, depth: int, rtol: float = 1e-13):
         raise ValueError(f"need {top} partial numerators, got {len(b)} not ending at the first zero")
     if not math.isfinite(z):
         raise ParameterOutOfRange(f"z must be finite, got {z}")
+    if not all(map(math.isfinite, b[:stop])):
+        j = next(j for j, b_j in enumerate(b, 1) if not math.isfinite(b_j))
+        raise ParameterOutOfRange(f"partial numerator b_{j} = {b[j - 1]} is not finite")
     v1 = _backward_pass(b[: min(depth, stop)], z)
     v2 = v1 if stop <= depth else _backward_pass(b[:stop], z)
-    if abs(v1 - v2) > rtol * max(1.0, abs(v2)):
+    if abs(v1 - v2) > _RTOL * max(1.0, abs(v2)):
         raise NonConvergent(f"depth {depth} and {top} disagree: {v1} vs {v2}")
     return v2
 
@@ -259,13 +265,18 @@ def _gauss_g(p, q, r, m: int) -> np.ndarray:
 def _gauss_table(p, q, r, m: int) -> np.ndarray:
     """b_1..b_m of the g-fraction from the ``_gauss_g`` table."""
     g = _gauss_g(p, q, r, m)
-    return _g_numerator(g[..., :-1], g[..., 1:])
+    with np.errstate(all="ignore"):  # rows that are not finite: see the callers
+        return _g_numerator(g[..., :-1], g[..., 1:])
 
 
-def _gauss_numerators(p: float, q: float, r: float, m: int):
+def _near_pole(r: float) -> ParameterOutOfRange:
+    return ParameterOutOfRange(f"r = {r!r} is within rounding of a nonpositive integer: a denominator vanishes")
+
+
+def _gauss_numerators(p: float, q: float, r: float, m: int) -> list:
     """b_1..b_m of the g-fraction for numbers p, q, r, as Python floats up
-    to the first zero.  Where a denominator rounds to zero Python raises and
-    numpy divides on to inf or NaN, so that call takes numpy's row."""
+    to the first zero.  A denominator that rounds to zero before it raises
+    ParameterOutOfRange naming r."""
     p, q, r = float(p), float(q), float(r)
     b, g_prev = [], 0.0
     try:
@@ -277,7 +288,7 @@ def _gauss_numerators(p: float, q: float, r: float, m: int):
                 break
             g_prev = g
     except ZeroDivisionError:
-        return _gauss_table(p, q, r, m)
+        raise _near_pole(r) from None
     return b
 
 
@@ -287,6 +298,9 @@ def gauss_cf_ratio(p, q, r, z, depth: int = 60):
     Partial numerators -(1 - g_{j-1}) g_j z with the g table
     g_{2k} = (p+k)/(r+2k-1), g_{2k-1} = (q+k-1)/(r+2k-2).  Terminates
     exactly when p or q is a nonpositive integer; otherwise needs |z| < 1.
+    A nonpositive integer r raises ParameterOutOfRange.
+    So does an r within rounding of a nonpositive integer, where some
+    r + 2k - 1 or r + 2k - 2 rounds to zero.
 
     A (K,) array z gives the K ratios as an array; each parameter is a
     number or a (K,) array.
@@ -294,10 +308,11 @@ def gauss_cf_ratio(p, q, r, z, depth: int = 60):
     if isinstance(z, np.ndarray) and z.ndim:
         p, q, r, z = np.broadcast_arrays(p, q, r, z)
         terminating = _nonpositive_integer(p) | _nonpositive_integer(q)
-        if (_nonpositive_integer(r) | ~terminating & (np.abs(z) >= 1.0)).any():
+        b = _gauss_table(p[:, None], q[:, None], r[:, None], depth + 10)
+        if (_nonpositive_integer(r) | ~terminating & (np.abs(z) >= 1.0) | ~np.isfinite(b).all(axis=1)).any():
             rows = zip(p.tolist(), q.tolist(), r.tolist(), z.tolist())
             return np.array([gauss_cf_ratio(*row, depth) for row in rows])
-        return evaluate_cf(_gauss_table(p[:, None], q[:, None], r[:, None], depth + 10), z, depth)
+        return evaluate_cf(b, z, depth)
     if r <= 0.0 and float(r).is_integer():
         raise ParameterOutOfRange(f"r must avoid nonpositive integers, got {r}")
     p_ends = p <= 0 and float(p).is_integer()
@@ -309,8 +324,11 @@ def gauss_cf_ratio(p, q, r, z, depth: int = 60):
     # one (g_{1-2q} = 0); without such a zero the fraction takes all depth+10
     # numerators, which one table builds faster (45 against 119 us at depth
     # 200 on a 2-core x86 host)
-    build = _gauss_numerators if q_ends or (p_ends and p < 0) else _gauss_table
-    return evaluate_cf(build(p, q, r, depth + 10), z, depth)
+    if q_ends or (p_ends and p < 0):
+        return evaluate_cf(_gauss_numerators(p, q, r, depth + 10), z, depth)
+    if np.isinf(_gauss_g(p, q, r, depth + 10)).any():  # a denominator rounded to zero
+        raise _near_pole(r)
+    return evaluate_cf(_gauss_table(p, q, r, depth + 10), z, depth)
 
 
 def _d_even(p, r, k):
@@ -337,14 +355,14 @@ def _kummer_d(p, r, m: int) -> np.ndarray:
     # j = 1; a discarded value divides by zero at r = 1
     with np.errstate(all="ignore"):
         d = np.where(j % 2 == 0, _d_even(p, r, k), _d_odd(p, r, k))
-    d[..., :1] = 1.0 / r
+        d[..., :1] = 1.0 / r
     return d
 
 
 def _kummer_d_list(p: float, r: float, m: int) -> list:
     """``_kummer_d`` for numbers p, r, as Python floats up to the first
-    zero (numpy's row where a denominator rounds to zero, as in
-    ``_gauss_numerators``)."""
+    zero; a denominator that rounds to zero before it raises
+    ParameterOutOfRange naming r, as in ``_gauss_numerators``."""
     p, r = float(p), float(r)
     try:
         d = [1.0 / r]
@@ -354,7 +372,7 @@ def _kummer_d_list(p: float, r: float, m: int) -> list:
             k = float((j + 1) // 2)
             d.append(_d_odd(p, r, k) if j % 2 else _d_even(p, r, k))
     except ZeroDivisionError:
-        return _kummer_d(p, r, m).tolist()
+        raise _near_pole(r) from None
     return d
 
 
@@ -362,24 +380,20 @@ def kummer_cf_ratio(p, r, z, depth: int = 60):
     """phi(p+1; r; z) / phi(p; r; z) as the confluent limit fraction.
 
     All partial numerators carry the minus sign: 1/(1 - d_1 z/(1 - d_2 z/...)).
-    A (K,) array z gives the K ratios as an array; each parameter is a
-    number or a (K,) array.
+    An r that is, or is within rounding of, a nonpositive integer raises
+    ParameterOutOfRange.  A (K,) array z gives the K ratios as an array;
+    each parameter is a number or a (K,) array.
     """
     if isinstance(z, np.ndarray) and z.ndim:
         p, r, z = np.broadcast_arrays(p, r, z)
-        if _nonpositive_integer(r).any():
+        d = _kummer_d(p[:, None], r[:, None], depth + 10)
+        if (_nonpositive_integer(r) | ~np.isfinite(d).all(axis=1)).any():
             rows = zip(p.tolist(), r.tolist(), z.tolist())
             return np.array([kummer_cf_ratio(*row, depth) for row in rows])
-        return evaluate_cf(-_kummer_d(p[:, None], r[:, None], depth + 10), z, depth)
+        return evaluate_cf(-d, z, depth)
     if r <= 0.0 and float(r).is_integer():
         raise ParameterOutOfRange(f"r must avoid nonpositive integers, got {r}")
-    # as in gauss_cf_ratio: Python floats when p is a negative integer
-    # (d_{-2p} = 0), else the table
-    if p < 0 and float(p).is_integer():
-        d = _kummer_d_list(p, r, depth + 10)
-    else:
-        d = _kummer_d(p, r, depth + 10).tolist()
-    return evaluate_cf([-d_j for d_j in d], z, depth)
+    return evaluate_cf([-d_j for d_j in _kummer_d_list(p, r, depth + 10)], z, depth)
 
 
 def laguerre_ratio_cf(

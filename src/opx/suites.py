@@ -361,11 +361,8 @@ def ratio_limit_vs_cd_branch(ctx: kernels.KernelContext, r_ups) -> np.ndarray:
     """Gap between r_up(n) and Pk_{n+1}(k; k) / Pk_n(k; k) from the CD-sum
     branch, n = 0..len(r_ups)-2."""
     at_k = kernels.kernel_table(ctx, len(r_ups) - 1, ctx.k)[:, 0]
-    gaps = []
-    for n, r_up in enumerate(np.asarray(r_ups)[:-1].tolist()):
-        direct = at_k[n + 1] / at_k[n]
-        gaps.append(abs(r_up - direct) / max(1.0, abs(direct)))
-    return np.array(gaps)
+    direct = at_k[1:] / at_k[:-1]
+    return relative_gap(np.asarray(r_ups)[:-1] - direct, direct)
 
 
 def chebyshev1_shift1_ratio(ns) -> np.ndarray:
@@ -419,10 +416,6 @@ def _guarded_draws(draw, sums, count: int) -> tuple[list[np.ndarray], np.ndarray
     return _columns(kept), np.concatenate(ratio)
 
 
-def _cf_gap(cf: np.ndarray, series: np.ndarray) -> np.ndarray:
-    return np.abs(cf - series) / np.fmax(1.0, np.abs(series))
-
-
 def gauss_cf_vs_series(rng, count: int, depth: int) -> np.ndarray:
     """Gap between the Gauss fraction 2F1(-n+1, q; r; z)/2F1(-n, q; r; z) and
     the terminating series, over ``count`` guarded draws (n, q, r, z)."""
@@ -435,7 +428,7 @@ def gauss_cf_vs_series(rng, count: int, depth: int) -> np.ndarray:
         return _stacked_series("2F1", (-n + 1, -n), (q, r), z)
 
     (n, q, r, z), series = _guarded_draws(draw, sums, count)
-    return _cf_gap(ratios.gauss_cf_ratio(-n, q, r, z, depth), series)
+    return relative_gap(ratios.gauss_cf_ratio(-n, q, r, z, depth) - series, series)
 
 
 def kummer_cf_vs_series(rng, count: int, depth: int) -> np.ndarray:
@@ -450,7 +443,7 @@ def kummer_cf_vs_series(rng, count: int, depth: int) -> np.ndarray:
         return _stacked_series("1F1", (-n + 1, -n), (r,), z)
 
     (n, r, z), series = _guarded_draws(draw, sums, count)
-    return _cf_gap(ratios.kummer_cf_ratio(-n, r, z, depth), series)
+    return relative_gap(ratios.kummer_cf_ratio(-n, r, z, depth) - series, series)
 
 
 def gauss_cf_vs_series_nonterminating(rng, count: int, depth: int) -> np.ndarray:
@@ -462,7 +455,7 @@ def gauss_cf_vs_series_nonterminating(rng, count: int, depth: int) -> np.ndarray
     p, q, r, z = rng.uniform((0.1, 0.2, 0.3, -0.5), (2.5, 3.0, 4.0, 0.5), (count, 4)).T
     cf = ratios.gauss_cf_ratio(p, q, r, z, depth)
     num, den = _stacked_series("2F1", (p + 1, p), (q, r), z, 400)
-    return _cf_gap(cf, num / den)
+    return relative_gap(cf - num / den, num / den)
 
 
 def _ratio_suite(fam, rng, settings: Settings) -> list[dict]:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -364,6 +365,57 @@ def test_batch_rows_with_different_first_zeros_match_the_untruncated_passes(rng)
 def test_cf_short_numerators_must_end_at_their_first_zero(b):
     with pytest.raises(ValueError, match="need 11 partial numerators"):
         ratios.evaluate_cf(b, 0.5, 1)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_cf_numerators_that_are_not_finite_are_rejected(value):
+    b = [0.5, 0.25, value] + [0.1] * 10
+    message = rf"^partial numerator b_3 = {value} is not finite$"
+    with pytest.raises(opx.ParameterOutOfRange, match=message):
+        ratios.evaluate_cf(b, 0.5, 3)
+    with pytest.raises(opx.ParameterOutOfRange, match=message):
+        ratios.evaluate_cf(np.array([b]), np.array([0.5]), 3)
+    # a numerator past the first zero is never read
+    b[1] = 0.0
+    assert ratios.evaluate_cf(b, 0.5, 3) == 0.8
+    assert ratios.evaluate_cf(np.array([b]), np.array([0.5]), 3).tolist() == [0.8]
+
+
+# r within rounding of a nonpositive integer: (r + 2) - 2 rounds to zero at
+# r = 1e-17 and (r + 4) - 3 at r = nextafter(-1, 0); these returned NaN, where
+# mpmath and hyp_series give 6.0 for the first
+NEAR_POLES = [
+    ("gauss_cf_ratio", (0.5, 1.0, 1e-17, 0.5), 60),
+    ("gauss_cf_ratio", (-3.0, 1.0, 1e-17, 0.5), 20),
+    ("kummer_cf_ratio", (-3.0, math.nextafter(-1.0, 0.0), 0.5), 20),
+]
+
+
+@pytest.mark.parametrize("name, args, depth", NEAR_POLES)
+def test_r_within_rounding_of_a_nonpositive_integer_is_rejected(name, args, depth):
+    fraction = getattr(ratios, name)
+    r = args[-2]
+    message = rf"^r = {re.escape(repr(r))} is within rounding of a nonpositive integer"
+    with pytest.raises(opx.ParameterOutOfRange, match=message):
+        fraction(*args, depth)
+    # the same row after one with r = 2.5, as an array call
+    rows = [np.array([v, v]) for v in args]
+    rows[-2][0] = 2.5
+    assert np.isfinite(fraction(*(v[:1] for v in rows), depth)).all()
+    with pytest.raises(opx.ParameterOutOfRange, match=message):
+        fraction(*rows, depth)
+
+
+@pytest.mark.parametrize("depth", [1, 20, 60, 200])
+def test_scalar_kummer_at_noninteger_p_matches_its_array_call(depth):
+    # p = r = 1.5 makes d_3 = 0, so that fraction ends early on both paths;
+    # at depth 1 only the smallest z converges
+    cases = [(0.7, 1.9, 0.8), (2.5, 0.6, -1.3), (-2.5, 3.2, 1.7), (1.5, 1.5, 0.9), (0.7, 1.9, 1e-15)]
+    outcomes = []
+    for p, r, z in cases:
+        outcomes.append(_outcome(ratios.kummer_cf_ratio, p, r, z, depth))
+        assert outcomes[-1] == _outcome(ratios.kummer_cf_ratio, p, r, np.array([z]), depth)
+    assert any(isinstance(v, list) for v in outcomes)
 
 
 # ---------------------------------------------------------------------------

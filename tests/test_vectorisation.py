@@ -213,8 +213,8 @@ def test_kernel_context_caches_match_numpy_scalars(name, make_family, k):
 
 
 # lambda_3 = 0 would divide by zero in t_2, so the context refuses it before
-# the recurrence runs; c_1 = -1e160 overflows rho_1 ** 2: Python floats raise
-# where numpy gives inf, so the context takes numpy's
+# the recurrence runs; c_1 = -1e160 overflows rho_1 ** 2: Python's square
+# raises there, and the context takes numpy's inf
 CUSTOM_PAIRS = {
     "lambda3-zero": [(0.0, np.pi), (0.0, 0.5), (0.0, 0.0), (0.0, 0.25)],
     "square-overflow": [(-1e160, 1.0), (0.0, 0.5), (0.0, 0.25)],
