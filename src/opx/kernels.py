@@ -105,8 +105,7 @@ def _ratio_caches(k, c, lam) -> tuple[list, list, list]:
 
     The square stays ``r ** 2``: the C ``pow`` behind it, which numpy's
     scalar power calls too, differs from ``r * r`` in the last bit for about
-    0.08% of doubles.  Where a Python float's square raises OverflowError it
-    is inf, numpy's value.
+    0.08% of doubles.
     """
     t = s = 1.0 / lam[0]
     rho, ts, partials = [np.nan], [t], [s]  # rho_0 is undefined
@@ -117,7 +116,7 @@ def _ratio_caches(k, c, lam) -> tuple[list, list, list]:
         r = (k - c_prev) if r is None else (k - c_prev) - lam_prev / r
         try:
             square = r ** 2
-        except OverflowError:
+        except OverflowError:  # a Python float's; numpy gives inf
             square = math.inf
         t = t * square / lam_j
         s = s + t

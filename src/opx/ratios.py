@@ -57,6 +57,7 @@ __all__ = [
 
 _TINY = 1e-300
 _RTOL = 1e-13  # the agreement of a fraction's depth and depth+10 values
+_NEAR_POLE = "r = {!r} is within rounding of a nonpositive integer: a denominator vanishes"
 
 
 def confluent_cd(family: FamilySpec, n: int, x):
@@ -269,10 +270,6 @@ def _gauss_table(p, q, r, m: int) -> np.ndarray:
         return _g_numerator(g[..., :-1], g[..., 1:])
 
 
-def _near_pole(r: float) -> ParameterOutOfRange:
-    return ParameterOutOfRange(f"r = {r!r} is within rounding of a nonpositive integer: a denominator vanishes")
-
-
 def _gauss_numerators(p: float, q: float, r: float, m: int) -> list:
     """b_1..b_m of the g-fraction for numbers p, q, r, as Python floats up
     to the first zero.  A denominator that rounds to zero before it raises
@@ -288,7 +285,7 @@ def _gauss_numerators(p: float, q: float, r: float, m: int) -> list:
                 break
             g_prev = g
     except ZeroDivisionError:
-        raise _near_pole(r) from None
+        raise ParameterOutOfRange(_NEAR_POLE.format(r)) from None
     return b
 
 
@@ -298,9 +295,8 @@ def gauss_cf_ratio(p, q, r, z, depth: int = 60):
     Partial numerators -(1 - g_{j-1}) g_j z with the g table
     g_{2k} = (p+k)/(r+2k-1), g_{2k-1} = (q+k-1)/(r+2k-2).  Terminates
     exactly when p or q is a nonpositive integer; otherwise needs |z| < 1.
-    A nonpositive integer r raises ParameterOutOfRange.
-    So does an r within rounding of a nonpositive integer, where some
-    r + 2k - 1 or r + 2k - 2 rounds to zero.
+    An r that is, or is within rounding of, a nonpositive integer (some
+    r + 2k - 1 or r + 2k - 2 rounds to zero) raises ParameterOutOfRange.
 
     A (K,) array z gives the K ratios as an array; each parameter is a
     number or a (K,) array.
@@ -327,7 +323,7 @@ def gauss_cf_ratio(p, q, r, z, depth: int = 60):
     if q_ends or (p_ends and p < 0):
         return evaluate_cf(_gauss_numerators(p, q, r, depth + 10), z, depth)
     if np.isinf(_gauss_g(p, q, r, depth + 10)).any():  # a denominator rounded to zero
-        raise _near_pole(r)
+        raise ParameterOutOfRange(_NEAR_POLE.format(r))
     return evaluate_cf(_gauss_table(p, q, r, depth + 10), z, depth)
 
 
@@ -372,7 +368,7 @@ def _kummer_d_list(p: float, r: float, m: int) -> list:
             k = float((j + 1) // 2)
             d.append(_d_odd(p, r, k) if j % 2 else _d_even(p, r, k))
     except ZeroDivisionError:
-        raise _near_pole(r) from None
+        raise ParameterOutOfRange(_NEAR_POLE.format(r)) from None
     return d
 
 

@@ -383,34 +383,44 @@ def _uniform(rng, lo: float, hi: float) -> float:
     return lo + (hi - lo) * rng.random()
 
 
-def _stacked_series(kind: str, firsts: tuple, rest: tuple, z, terms: int = 200) -> list[np.ndarray]:
-    """``hyp_series`` for each first parameter in ``firsts``, with the other
-    parameters ``rest`` and ``z`` shared: one call over the stacked rows,
-    split into one array of sums per entry of ``firsts``."""
-    reps = len(firsts)
-    params = (np.concatenate(firsts), *(np.tile(v, reps) for v in rest))
-    return np.split(ratios.hyp_series(kind, params, np.tile(z, reps), terms), reps)
+def _stacked_series(kind: str, stacks: list[tuple], terms: int = 200) -> list[np.ndarray]:
+    """``hyp_series`` over the ``stacks`` of rows, each a tuple (params...,
+    z) of equal-length arrays, in one call: one array of sums per stack."""
+    *params, z = (np.concatenate(column) for column in zip(*stacks))
+    return np.split(ratios.hyp_series(kind, params, z, terms), len(stacks))
 
 
-def _guarded_draws(draw, sums, count: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """``count`` draws whose denominator series clears the conditioning
-    guard |den| >= 1e-3, as columns, and their series ratios num / den.
+def _guarded_draws(kind: str, draw, count: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """``count`` draws (n, ..., z) whose ratio of ``kind`` series
+    F(-n + 1, ...; z) / F(-n, ...; z) clears the conditioning guard, as
+    columns, and those series ratios num / den.
 
     ``draw()`` makes one candidate from scalar rng calls.  Each round draws
-    exactly as many candidates as are still missing and sums their
-    numerator and denominator series ``sums(*columns)`` in one batch, so the
-    candidates, and the rng stream, are those of a loop that draws one at a
-    time and stops at the count-th kept draw.  Near a zero of the
-    denominator the series cannot certify 1e-10 itself.  The numerators of
-    the candidates the guard rejects are summed too: the terminating draws
-    below keep every numerator row finite (n <= 11, r >= 0.3, |z| <= 2), so
-    that raises nothing a denominator row would not.
+    exactly as many candidates as are still missing and sums their two
+    series and the magnitude sum M of the denominator's terms (F(-n, ...)
+    at -|z|, for the positive parameters drawn) in one ``hyp_series`` call,
+    so the candidates, and the rng stream, are those of a loop that draws
+    one at a time and stops at the count-th kept draw.  Near a zero of the
+    denominator the series cannot certify 1e-10 itself: a draw is kept
+    where |den| >= 1e-3 and a rounding bound of s = num / den is at most
+    1e-11 max(1, |s|), a tenth of that gate.  With p + m exact, term m is
+    within 7 m u of its value (u = 2^-53) and a sum within 8 n u M; the
+    numerator's terms are (n - m)/n of the denominator's, so s is within
+    8 n u M (1 + |s|) / |den| + u |s|.  The draws below keep every row
+    finite (n <= 11, r >= 0.3, |z| <= 2), so summing rejected candidates
+    raises nothing a kept row would not.
     """
     kept, ratio = [], []
     while len(kept) < count:
         batch = [draw() for _ in range(count - len(kept))]
-        num, den = sums(*_columns(batch))
-        keep = ~(np.abs(den) < 1e-3)  # a NaN passes: abs(NaN) < 1e-3 is false
+        n, *middle, z = _columns(batch)
+        stacks = [(-n + 1, *middle, z), (-n, *middle, z), (-n, *middle, -np.abs(z))]
+        num, den, mags = _stacked_series(kind, stacks)
+        with np.errstate(divide="ignore", invalid="ignore"):  # where |den| < 1e-3
+            s = np.abs(num / den)
+            bound = (8 * n * mags * (1.0 + s) / np.abs(den) + s) * 2.0**-53
+        # a NaN passes: abs(NaN) < 1e-3 and NaN > 1e-11 are false
+        keep = ~(np.abs(den) < 1e-3) & ~(bound > 1e-11 * np.maximum(1.0, s))
         kept += [row for row, k in zip(batch, keep.tolist()) if k]
         ratio.append(num[keep] / den[keep])
     return _columns(kept), np.concatenate(ratio)
@@ -424,10 +434,7 @@ def gauss_cf_vs_series(rng, count: int, depth: int) -> np.ndarray:
         n = int(rng.integers(1, 12))
         return n, _uniform(rng, 0.2, 4.0), _uniform(rng, 0.3, 4.0), _uniform(rng, -0.6, 0.6)
 
-    def sums(n, q, r, z):
-        return _stacked_series("2F1", (-n + 1, -n), (q, r), z)
-
-    (n, q, r, z), series = _guarded_draws(draw, sums, count)
+    (n, q, r, z), series = _guarded_draws("2F1", draw, count)
     return relative_gap(ratios.gauss_cf_ratio(-n, q, r, z, depth) - series, series)
 
 
@@ -439,10 +446,7 @@ def kummer_cf_vs_series(rng, count: int, depth: int) -> np.ndarray:
         n = int(rng.integers(1, 12))
         return n, _uniform(rng, 0.3, 4.0), _uniform(rng, -2.0, 2.0)
 
-    def sums(n, r, z):
-        return _stacked_series("1F1", (-n + 1, -n), (r,), z)
-
-    (n, r, z), series = _guarded_draws(draw, sums, count)
+    (n, r, z), series = _guarded_draws("1F1", draw, count)
     return relative_gap(ratios.kummer_cf_ratio(-n, r, z, depth) - series, series)
 
 
@@ -454,7 +458,7 @@ def gauss_cf_vs_series_nonterminating(rng, count: int, depth: int) -> np.ndarray
     # state of ``count`` rows of four scalar draws
     p, q, r, z = rng.uniform((0.1, 0.2, 0.3, -0.5), (2.5, 3.0, 4.0, 0.5), (count, 4)).T
     cf = ratios.gauss_cf_ratio(p, q, r, z, depth)
-    num, den = _stacked_series("2F1", (p + 1, p), (q, r), z, 400)
+    num, den = _stacked_series("2F1", [(p + 1, q, r, z), (p, q, r, z)], 400)
     return relative_gap(cf - num / den, num / den)
 
 

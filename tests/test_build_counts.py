@@ -102,17 +102,17 @@ def calls(monkeypatch):
     [
         # evaluate_cf: the terminating Gauss and Kummer batches and the
         # non-terminating Gauss batch; hyp_series: one call per guard round,
-        # each summing the round's numerator and denominator rows together
-        # (two Gauss rounds, as two draws fail the guard; one Kummer round),
-        # and one call for the non-terminating pair; no confluent_cd call:
-        # the confluent identity reads one table over every degree (one call
-        # per degree made 9)
-        ([], {"evaluate_cf": 3, "hyp_series": 4}),
-        # one Gauss and one Kummer draw fail the guard: two rounds each
-        (["--seed", "2"], {"evaluate_cf": 3, "hyp_series": 5}),
+        # each summing the round's numerator, denominator and magnitude rows
+        # together (three Gauss rounds, as 23 and then 3 draws fail the
+        # guard; three Kummer rounds, 6 and then 1), and one call for the
+        # non-terminating pair; no confluent_cd call: the confluent identity
+        # reads one table over every degree (one call per degree made 9)
+        ([], {"evaluate_cf": 3, "hyp_series": 7}),
+        # three Gauss rounds (17, then 1 rejected) and two Kummer rounds (8)
+        (["--seed", "2"], {"evaluate_cf": 3, "hyp_series": 6}),
         # plus one fraction per prefactor degree n = 1..6
-        (["--family", "laguerre", "--gamma", "0.5"], {"evaluate_cf": 9, "hyp_series": 4}),
-        (["--family", "jacobi", "--gamma", "0.3", "--delta", "0.7"], {"evaluate_cf": 9, "hyp_series": 4}),
+        (["--family", "laguerre", "--gamma", "0.5"], {"evaluate_cf": 9, "hyp_series": 7}),
+        (["--family", "jacobi", "--gamma", "0.3", "--delta", "0.7"], {"evaluate_cf": 9, "hyp_series": 7}),
     ],
 )
 def test_ratios_suite_calls(calls, flags, expected):
@@ -129,10 +129,11 @@ def test_ratios_suite_calls(calls, flags, expected):
     ids=["chebyshev1", "laguerre0.5", "jacobi"],
 )
 def test_ratios_suite_sums_few_series_rows_one_by_one(monkeypatch, flags):
-    # the 904 series rows of the default seed go through one array pass per
-    # hyp_series call, and 50 of them, each a sum that lands on a rounding
-    # tie of the pass's hi + err, which its error bound cannot settle, fall
-    # back to fsum; a loop over the rows made 904 fsum calls
+    # the 1399 series rows of the default seed (three per guarded candidate:
+    # numerator, denominator and the denominator's magnitudes) go through one
+    # array pass per hyp_series call, and 65 of them, each a sum that lands
+    # on a rounding tie of the pass's hi + err, which its error bound cannot
+    # settle, fall back to fsum; a loop over the rows made 1399 fsum calls
     rows, fsums = [], []
     fsum_rows = ratios._fsum_rows
 
@@ -147,7 +148,7 @@ def test_ratios_suite_sums_few_series_rows_one_by_one(monkeypatch, flags):
     monkeypatch.setattr(ratios, "_fsum_rows", counting_rows)
     monkeypatch.setattr(ratios, "math", types.SimpleNamespace(**{**vars(math), "fsum": counting_fsum}))
     _run(["verify", "--suite", "ratios", *flags])
-    assert (sum(rows), len(fsums)) == (904, 50)
+    assert (sum(rows), len(fsums)) == (1399, 65)
 
 
 def test_chains_suite_calls(monkeypatch):

@@ -418,6 +418,28 @@ def test_scalar_kummer_at_noninteger_p_matches_its_array_call(depth):
     assert any(isinstance(v, list) for v in outcomes)
 
 
+# the worst Gauss draws of ``verify --suite ratios`` at seed 2075610794
+# (laguerre 0.5) and 780977054 (every family) under a guard of |den| >= 1e-3
+# alone: the float series ratios were 1.4e-10 and 1.3e-10 off, past the
+# 1e-10 gate, where the fraction is right
+ILL_CONDITIONED_DRAWS = [
+    (11, 3.1601351693288637, 0.7274928017852982, 0.5119381478708435),
+    (11, 3.3351364228331426, 1.187293327795539, 0.5963939053069652),
+]
+
+
+@pytest.mark.parametrize("n, q, r, z", ILL_CONDITIONED_DRAWS)
+def test_ill_conditioned_gauss_draws_against_mpmath(n, q, r, z):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        exact = float(mp.hyp2f1(-n + 1, q, r, z) / mp.hyp2f1(-n, q, r, z))
+    assert abs(ratios.gauss_cf_ratio(-float(n), q, r, z) - exact) <= 1e-13 * max(1.0, abs(exact))
+    # the suite's guard now skips such a draw for the next one
+    candidates = iter([(n, q, r, z), (3, 1.0, 2.0, 0.3)])
+    (kept, *_), _ = suites._guarded_draws("2F1", lambda: next(candidates), 1)
+    assert kept.tolist() == [3]
+
+
 # ---------------------------------------------------------------------------
 # Laguerre and Jacobi specializations
 # ---------------------------------------------------------------------------

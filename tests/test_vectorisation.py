@@ -3,10 +3,9 @@ numbers as evaluating point by point, which is what lets the CLI evaluate
 each sequence and each row table in one pass.  The recoveries match
 bitwise, the order-two one on the complex shifts 1j and -1j too: a number
 is evaluated as a one-point array, so it never meets Python's or numpy's
-scalar complex arithmetic, which round differently.  One real point,
-which runs on Python floats, matches the same point inside a vector bitwise,
-and so do the kernel contexts' ratio caches, NaN positions included, against
-the numpy-scalar loop below.  The row-table renderer writes the same bytes
+scalar complex arithmetic, which round differently.  One point matches the
+same point inside a vector bitwise, and the kernel contexts' ratio caches,
+NaN positions included, match the numpy-scalar loop below.  The row-table renderer writes the same bytes
 as the generic JSON renderer, whatever the types of its columns.  The
 continued fractions and hypergeometric series take their draws as array
 rows, bitwise equal to row-by-row calls, and an array call with failing rows
@@ -685,8 +684,11 @@ def test_uniform_helper_matches_generator_uniform():
 def _reference_guarded(kind, rng, count, depth):
     """``suites.gauss_cf_vs_series`` ("2F1") or ``kummer_cf_vs_series``
     ("1F1") as the loop the guarded draws replace: one candidate at a time
-    from scalar ``rng.uniform`` calls, its denominator series on its own,
-    then one numerator and one denominator call over the kept draws."""
+    from scalar ``rng.uniform`` calls, its series and the denominator's
+    magnitude sum (its series at -|z|) on their own, kept where
+    |den| >= 1e-3 and the rounding bound of num / den is at most
+    1e-11 max(1, |num / den|), then one numerator and one denominator call
+    over the kept draws."""
     rows = []
     while len(rows) < count:
         n = int(rng.integers(1, 12))
@@ -694,7 +696,12 @@ def _reference_guarded(kind, rng, count, depth):
             row = (n, float(rng.uniform(0.2, 4.0)), float(rng.uniform(0.3, 4.0)), float(rng.uniform(-0.6, 0.6)))
         else:
             row = (n, float(rng.uniform(0.3, 4.0)), float(rng.uniform(-2.0, 2.0)))
-        if not abs(opx.hyp_series(kind, (-n, *row[1:-1]), row[-1])) < 1e-3:
+        *middle, z = row[1:]
+        num, den, mag = (opx.hyp_series(kind, (a, *middle), x) for a, x in ((-n + 1, z), (-n, z), (-n, -abs(z))))
+        if abs(den) < 1e-3:
+            continue
+        s = abs(num / den)
+        if (8 * n * mag * (1.0 + s) / abs(den) + s) * 2.0**-53 <= 1e-11 * max(1.0, s):
             rows.append(row)
     n, *middle, z = map(np.array, zip(*rows))
     series = opx.hyp_series(kind, (-n + 1, *middle), z) / opx.hyp_series(kind, (-n, *middle), z)

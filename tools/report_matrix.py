@@ -84,13 +84,15 @@ def configs():
         argv = ["verify", "--suite", "ratios", *flags, "--depth", "30", "--seed", "1"]
         yield f"verify.ratios.{fam}.depth30", argv
     yield "verify.ratios.depth0", ["verify", "--suite", "ratios", "--depth=0"]
-    # draws the ratios suite rejects at its conditioning guards, which seeds
-    # 1 and 7 never do: seed 2 rejects one Gauss and one Kummer draw, seed 3
-    # two Gauss draws
+    # more seeds through the ratios suite's conditioning guards, and the two
+    # whose worst Gauss draw a guard of |den| >= 1e-3 alone let through, to
+    # fail a correct fraction against its rounded series
     for fam, flags in FAMILIES.items():
         for seed in ("2", "3"):
             argv = ["verify", "--suite", "ratios", *flags, "--seed", seed]
             yield f"verify.ratios.{fam}.s{seed}", argv
+    for fam, seed in (("laguerre0.5", "2075610794"), ("chebyshev1", "780977054")):
+        yield f"verify.ratios.{fam}.s{seed}", ["verify", "--suite", "ratios", *FAMILIES[fam], "--seed", seed]
     # the confluent identity's table over degrees 0..n_max, at its smallest
     # degree cap and past the suite's cap of 10
     for fam, flags in FAMILIES.items():
