@@ -75,8 +75,7 @@ class KernelContext:
         if dtype == float:
             caches = _ratio_caches(float(k), c.tolist(), lam.tolist())
         else:
-            # numpy's inf or NaN is the point here; the checks that read the
-            # caches raise typed errors on it
+            # the checks that read the caches raise typed errors on inf or NaN
             with np.errstate(over="ignore", invalid="ignore"):
                 caches = _ratio_caches(dtype.type(k), c, lam)
         self.ratios, self.weighted_squares, self.cd_partials = (
@@ -105,7 +104,8 @@ def _ratio_caches(k, c, lam) -> tuple[list, list, list]:
 
     The square stays ``r ** 2``: the C ``pow`` behind it, which numpy's
     scalar power calls too, differs from ``r * r`` in the last bit for about
-    0.08% of doubles.
+    0.08% of doubles; where a Python float's square overflows it is inf, as
+    numpy's is.
     """
     t = s = 1.0 / lam[0]
     rho, ts, partials = [np.nan], [t], [s]  # rho_0 is undefined
@@ -116,7 +116,7 @@ def _ratio_caches(k, c, lam) -> tuple[list, list, list]:
         r = (k - c_prev) if r is None else (k - c_prev) - lam_prev / r
         try:
             square = r ** 2
-        except OverflowError:  # a Python float's; numpy gives inf
+        except OverflowError:
             square = math.inf
         t = t * square / lam_j
         s = s + t
