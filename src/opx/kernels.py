@@ -16,8 +16,8 @@ S_j = t_0 + ... + t_j, which stay finite where the raw values under- or
 overflow (Gautschi, SIAM Rev. 9, 1967), so the recurrence coefficients, the
 kernel tables and the ratio limits at large n all run on them.  For a real
 shift the ratio-form recurrence runs on Python floats, the same IEEE steps
-as numpy's float64 scalars, with inf where a square passes the float range
-as numpy gives; a complex shift runs it on numpy scalars, since Python's
+as numpy's float64 scalars, and takes numpy's inf where a square passes the
+float range; a complex shift runs it on numpy scalars, since Python's
 complex division rounds differently from numpy's.
 """
 

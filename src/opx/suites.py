@@ -383,11 +383,11 @@ def _uniform(rng, lo: float, hi: float) -> float:
     return lo + (hi - lo) * rng.random()
 
 
-def _stacked_series(kind: str, stacks: list[tuple], terms: int = 200) -> list[np.ndarray]:
+def _stacked_series(kind: str, stacks: list[tuple], terms: int = 200) -> np.ndarray:
     """``hyp_series`` over the ``stacks`` of rows, each a tuple (params...,
-    z) of equal-length arrays, in one call: one array of sums per stack."""
+    z) of equal-length arrays, in one call: one row of sums per stack."""
     *params, z = (np.concatenate(column) for column in zip(*stacks))
-    return np.split(ratios.hyp_series(kind, params, z, terms), len(stacks))
+    return ratios.hyp_series(kind, params, z, terms).reshape(len(stacks), -1)
 
 
 def _guarded_draws(kind: str, draw, count: int) -> tuple[list[np.ndarray], np.ndarray]:
