@@ -104,8 +104,7 @@ def _ratio_caches(k, c, lam) -> tuple[list, list, list]:
 
     The square stays ``r ** 2``: the C ``pow`` behind it, which numpy's
     scalar power calls too, differs from ``r * r`` in the last bit for about
-    0.08% of doubles; where a Python float's square overflows it is inf, as
-    numpy's is.
+    0.08% of doubles; a square past the float range is inf, as numpy's is.
     """
     t = s = 1.0 / lam[0]
     rho, ts, partials = [np.nan], [t], [s]  # rho_0 is undefined

@@ -219,7 +219,8 @@ def evaluate_cf(b, z, depth: int):
         raise ValueError(f"need {top} partial numerators, got {len(b)} not ending at the first zero")
     if not math.isfinite(z):
         raise ParameterOutOfRange(f"z must be finite, got {z}")
-    if not all(map(math.isfinite, b[:stop])):
+    # a finite sum proves every numerator finite, and costs less than a test of each
+    if not math.isfinite(sum(b)) and not all(map(math.isfinite, b[:stop])):
         j = next(j for j, b_j in enumerate(b, 1) if not math.isfinite(b_j))
         raise ParameterOutOfRange(f"partial numerator b_{j} = {b[j - 1]} is not finite")
     v1 = _backward_pass(b[: min(depth, stop)], z)
