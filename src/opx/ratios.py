@@ -273,7 +273,7 @@ def _gauss_table(p, q, r, m: int) -> np.ndarray:
 
 def _gauss_numerators(p: float, q: float, r: float, m: int) -> list:
     """b_1..b_m of the g-fraction for numbers p, q, r, as Python floats up
-    to the first zero.  A denominator that rounds to zero before it raises
+    to the first zero.  A denominator there that rounds to zero raises
     ParameterOutOfRange naming r."""
     p, q, r = float(p), float(q), float(r)
     b, g_prev = [], 0.0
@@ -358,7 +358,7 @@ def _kummer_d(p, r, m: int) -> np.ndarray:
 
 def _kummer_d_list(p: float, r: float, m: int) -> list:
     """``_kummer_d`` for numbers p, r, as Python floats up to the first
-    zero; a denominator that rounds to zero before it raises
+    zero; a denominator there that rounds to zero raises
     ParameterOutOfRange naming r, as in ``_gauss_numerators``."""
     p, r = float(p), float(r)
     try:
