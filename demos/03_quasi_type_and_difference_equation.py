@@ -41,7 +41,7 @@ for idx in range(1, 6):
     print(f"  n = {idx}: stated-index form {stated:.3e}   matrix-algebra form {derived:.3e}")
 print("(only the matrix-algebra form is an identity; the other is recorded)")
 
-# the orthogonality criterion for mixed sequences, read off A J A^-1: an
+# the orthogonality criterion for mixed sequences, read off A J = J~ A: an
 # engineered coefficient stream with arithmetic c*_n and monic Chebyshev T
 # built from monic U meet it, a generic kernel stream fails
 a1, step = 0.7, 0.35
@@ -52,7 +52,7 @@ for j in range(2, 14):
     ls[j] = ls[j - 1] + a1 * (cs[j] - cs[j - 1])
 report = quasi.orthogonality_conditions(cs, ls, [a1], 8)
 print("\nengineered family: satisfied =", report.satisfied,
-      " recurrence-matrix residual =", f"{report.recurrence_residual:.2e}")
+      " residual of R = AJ - J~A =", f"{report.recurrence_residual:.2e}")
 print("tilde lambda sequence:", np.round(report.tilde_lambda[:6], 6))
 
 # T_n = U_n - U_{n-2}/4 (c* = 0, lambda* = 1/4); x T_1 = T_2 + T_0/2

@@ -66,6 +66,10 @@ class FamilySpec:
     params: tuple[tuple[str, float], ...] = ()
     # rows (c_m, lambda_m), m = 1..len; grown by table(), never mutated
     _table: np.ndarray = field(default_factory=lambda: np.empty((0, 2)), init=False)
+    # the quadrature oracle's Gauss rules and Cauchy masses, keyed ("rule", m)
+    # and ("cauchy", k); dict.setdefault is atomic, so concurrent builders of
+    # one entry all get the value stored first
+    _memo: dict = field(default_factory=dict, init=False)
 
     def table(self, n: int) -> np.ndarray:
         """Read-only (n, 2) array of the pairs (c_m, lambda_m), m = 1..n.

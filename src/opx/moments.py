@@ -32,8 +32,6 @@ form, or as such a Gauss sum for custom families.
 from __future__ import annotations
 
 import math
-import threading
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -99,16 +97,9 @@ class Uvarov:
 
 Functional = Union[Base, Christoffel, Geronimus, Uvarov]
 
-# weak keys: a family's cache entries live exactly as long as the family, so
-# a recycled object address can never alias a stale entry
-_rule_cache: "weakref.WeakKeyDictionary[FamilySpec, dict[int, GaussRule]]" = (
-    weakref.WeakKeyDictionary()
-)
-_rule_lock = threading.Lock()
-
 
 def gauss_rule(family: FamilySpec, m: int) -> GaussRule:
-    """Build (and memoize) the m-point Gauss rule of ``family``.
+    """Build (and memoize on the family) the m-point Gauss rule of ``family``.
 
     The dense Jacobi matrix is solved by ``numpy.linalg.eigh`` for every
     order, m = 1 included (a 1x1 matrix gives node c_1 and weight mu0).
@@ -120,11 +111,9 @@ def gauss_rule(family: FamilySpec, m: int) -> GaussRule:
     """
     if m < 1:
         raise ValueError(f"rule order must be >= 1, got {m}")
-    per_family = _rule_cache.get(family)
-    if per_family is not None:
-        rule = per_family.get(m)
-        if rule is not None:
-            return rule
+    rule = family._memo.get(("rule", m))
+    if rule is not None:
+        return rule
     pairs = family.table(m)
     if np.iscomplexobj(pairs):
         raise NotPositiveDefinite("complex recurrence coefficients have no Gauss rule")
@@ -135,10 +124,7 @@ def gauss_rule(family: FamilySpec, m: int) -> GaussRule:
         raise NotPositiveDefinite(f"lambda_{bad} = {lam[bad - 2]} <= 0")
     off = np.diag(np.sqrt(lam), -1)
     nodes, vecs = np.linalg.eigh(np.diag(diag) + off + off.T)
-    rule = GaussRule(nodes, family.mu0 * vecs[0] ** 2, m)
-    with _rule_lock:
-        _rule_cache.setdefault(family, {}).setdefault(m, rule)
-    return rule
+    return family._memo.setdefault(("rule", m), GaussRule(nodes, family.mu0 * vecs[0] ** 2, m))
 
 
 def _rule_order_for_degree(degree: int) -> int:
@@ -301,10 +287,6 @@ def apply_functional(
     return math.fsum(weights * values)
 
 
-_cauchy_cache: "weakref.WeakKeyDictionary[FamilySpec, dict[float, float]]" = (
-    weakref.WeakKeyDictionary()
-)
-_cauchy_lock = threading.Lock()
 # modified Lentz settles the Laguerre fraction after 92 terms at k = -1,
 # 5,297 at k = -0.01 and about 34,000 at k = -0.001; the cap is the
 # J-fraction record's depth cap, so shifts within about 5e-4 of the support
@@ -394,12 +376,9 @@ def cauchy_mass(family: FamilySpec, k: float) -> float:
     lo, hi = family.support
     if lo <= k <= hi:
         raise ShiftInsideSupport(f"L(1/(k - x)) requires k outside the support [{lo}, {hi}], got {k}")
-    per_family = _cauchy_cache.get(family)
-    value = None if per_family is None else per_family.get(k)
+    value = family._memo.get(("cauchy", k))
     if value is None:
-        value = _cauchy_value(family, k)
-        with _cauchy_lock:
-            _cauchy_cache.setdefault(family, {}).setdefault(k, value)
+        value = family._memo.setdefault(("cauchy", k), _cauchy_value(family, k))
     return value
 
 

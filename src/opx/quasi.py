@@ -5,9 +5,9 @@ c_l Pk_{n-l}, with one coefficient row for all degrees or one per degree,
 and ``quasi_table`` forms it.  The module also carries the variable-
 coefficient difference equation for the monic order-one sequence and the
 criterion for when a mixed sequence Q = A Pk is itself orthogonal, read
-off its recurrence matrix A J A^-1 by Favard's theorem: the entries below
-the subdiagonal are the paper's conditions (i)-(iii) on the kernel
-recurrence coefficients, and the diagonals are Q's own coefficients.
+off A J = J~ A by Favard's theorem: J~ is Q's own recurrence matrix, and
+the entries of R = AJ - J~A below the subdiagonal are the paper's
+conditions (i)-(iii) on the kernel recurrence coefficients.
 
 The difference equation exists in two index variants: the one printed in
 its source statement and the one the underlying matrix algebra actually
@@ -129,7 +129,8 @@ class QkOrthogonalityReport:
     x Q_n = Q_{n+1} + c~_n Q_n + l~_n Q_{n-1} for the certified rows
     n = 0..n_max-1, in the layout of the kernel pairs: ``tilde_lambda[0]`` is
     the shared mass lambda*_1.  ``first_violation`` is the (row, column,
-    label) of the first failing entry of A J A^-1 in row-major order.
+    label) of the first failing entry in row-major order: an entry of
+    R = AJ - J~A below the subdiagonal, or a vanishing l~_n.
     """
 
     satisfied: bool
@@ -147,19 +148,23 @@ def orthogonality_conditions(
     n_max: int,
     tol: float = 1e-8,
 ) -> QkOrthogonalityReport:
-    """Read the orthogonality criterion off the recurrence matrix of Q.
+    """Read the orthogonality criterion off A J = J~ A.
 
     ``cstar[m]`` and ``lstar[m]`` hold c*_{m+1} and lambda*_{m+1}; the mixed
     sequence is Q = A Pk, A = ``quasi_table(I, (1, alphas))``, with one row
     of alphas for all degrees or one per degree.  As x Pk = J Pk (J the
-    kernel recurrence matrix), x Q = (A J A^-1) Q exactly in rows
-    0..n_max-1, and by Favard's theorem Q_0..Q_n_max are orthogonal when
-    those rows are tridiagonal with a nonzero subdiagonal.  Over the largest
-    entry of J (at least 1; lambda*_1, the mass, is not in J), an entry below
-    the subdiagonal fails above ``tol``, and a l~_n fails at or below it.
-    Labels: (i) a vanishing l~_n, n <= l; (iii) an entry in the boundary
-    rows 2..l+1; (ii) either failure in a later row.  The largest such entry
-    is ``recurrence_residual``.
+    kernel recurrence matrix), x Q = A J Pk, and by Favard's theorem
+    Q_0..Q_n_max are orthogonal when A J = J~ A in rows 0..n_max-1 for a
+    tridiagonal J~ (ones above the diagonal) with a nonzero subdiagonal.
+    Row n of that relation in column n gives c~_n = (AJ)[n,n] - A[n+1,n],
+    in column n-1 l~_n = (AJ)[n,n-1] - c~_n A[n,n-1] - A[n+1,n-1], and in
+    the columns below it holds R = AJ - J~A.  An entry of R fails above
+    ``tol`` times (|A||J| + |J~||A|) there, the magnitude of what cancels in
+    it; a l~_n fails at or below ``tol`` times the largest entry of J (at
+    least 1; lambda*_1, the mass, is not in J).  Labels: (i) a vanishing
+    l~_n, n <= l; (iii) an entry in the boundary rows 2..l+1; (ii) either
+    failure in a later row.  The largest relative entry of R is
+    ``recurrence_residual``.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     l, size = alphas.shape[-1], n_max + 1
@@ -171,12 +176,20 @@ def orthogonality_conditions(
         raise ValueError(f"n_max must be >= l+2 = {l + 2}")
     mix = quasi_table(np.eye(size), np.hstack([np.ones((size, 1)), alphas]))
     jac = np.diag(cstar[:size]) + np.eye(size, k=1) + np.diag(lstar[1:size], k=-1)
-    rows = np.linalg.solve(mix.T, (mix @ jac).T).T[:n_max]
-    rel = np.abs(rows) / max(1.0, np.max(np.abs(jac)))
-    below = np.tril(rel, -2)
+    aj = (mix @ jac)[:n_max]
+    d, s = np.arange(n_max), np.arange(1, n_max)
+    # row n of A J = J~ A in column n gives c~_n, in column n - 1 l~_n
+    tilde_c = aj[d, d] - mix[d + 1, d]
+    tilde_l = aj[s, s - 1] - tilde_c[1:] * mix[s, s - 1] - mix[s + 1, s - 1]
+    tilde_j = np.eye(n_max, size, k=1)
+    tilde_j[d, d], tilde_j[s, s - 1] = tilde_c, tilde_l
+    # R = A J - J~ A against the magnitude of the terms that cancel in it;
+    # below the band there are none, and R and its scale are both 0
+    scale = np.abs(mix[:n_max]) @ np.abs(jac) + np.abs(tilde_j) @ np.abs(mix)
+    below = np.tril(np.abs(aj - tilde_j @ mix) / np.where(scale > 0.0, scale, 1.0), -2)
     # failing entries: anything below the subdiagonal, a vanishing l~_n
     bad = ~(below <= tol)
-    bad[np.arange(1, n_max), np.arange(n_max - 1)] = ~(np.diagonal(rel, -1) > tol)
+    bad[s, s - 1] = ~(np.abs(tilde_l) / max(1.0, np.max(np.abs(jac))) > tol)
     hits = [(int(n), int(j)) for n, j in np.argwhere(bad)]
 
     def label(n: int, j: int) -> str:
@@ -187,8 +200,8 @@ def orthogonality_conditions(
     labels = [label(n, j) for n, j in hits]
     return QkOrthogonalityReport(
         satisfied=not labels,
-        tilde_c=np.diagonal(rows).copy(),
-        tilde_lambda=np.concatenate([lstar[:1], np.diagonal(rows, -1)]),
+        tilde_c=tilde_c,
+        tilde_lambda=np.concatenate([lstar[:1], tilde_l]),
         violated_conditions=sorted(set(labels)),
         first_violation=(*hits[0], labels[0]) if hits else None,
         recurrence_residual=float(np.max(below, initial=0.0)),

@@ -125,13 +125,30 @@ def _require_outside_support(family: FamilySpec, k: float, what: str) -> None:
         raise ShiftInsideSupport(f"{what} requires k outside the support [{a}, {b}], got {k}")
 
 
-def _require_nonvanishing(den: np.ndarray, lam: np.ndarray, what: str) -> None:
-    """Raise at the first n whose recovery denominator den[n-1] vanishes
-    against its scale max(1, |lambda_{n+1}|)."""
-    vanishes = np.abs(den) < 1e-13 * np.maximum(1.0, np.abs(lam))
+def _require_nonvanishing(den: np.ndarray, scale: np.ndarray, what: str) -> None:
+    """Raise at the first n whose denominator den[n-1], named ``what``,
+    vanishes against max(1, |scale[n-1]|)."""
+    vanishes = np.abs(den) < 1e-13 * np.maximum(1.0, np.abs(scale))
     if vanishes.any():
         n = int(np.argmax(vanishes)) + 1
-        raise DegenerateDenominator(f"{what} denominator vanishes at n={n}")
+        raise DegenerateDenominator(f"{what} vanishes at n={n}")
+
+
+def _leading(values, n_max: int, name: str) -> np.ndarray:
+    """The first n_max of the supplied ``name``_1, ``name``_2, ..., or
+    ValueError if there are fewer."""
+    values = np.asarray(values)
+    if values.size < n_max:
+        raise ValueError(f"need {name}_1..{name}_{n_max}, got {values.size} values")
+    return values[:n_max]
+
+
+def _demote_if_real(test: np.ndarray, *seqs) -> tuple:
+    """``test`` and ``seqs`` as real arrays when ``test`` has no imaginary
+    part outside its NaN slots, else as they are."""
+    if abs(test.imag[~np.isnan(test.real)]).max(initial=0.0) == 0.0:
+        return test.real, *(seq.real for seq in seqs)
+    return test, *seqs
 
 
 def _degree_rows(*columns) -> np.ndarray:
@@ -269,10 +286,7 @@ def uvarov_data(family: FamilySpec, k: float, r0: float, n_max: int) -> UvarovDa
     ctx = KernelContext(family, k, n_max)
     kkk = ctx.cd_partials[:n_max]  # K_n(k,k) partial sums
     den = 1.0 + r0 * kkk
-    vanishes = np.abs(den) < 1e-13 * np.maximum(1.0, abs(r0) * kkk)
-    if vanishes.any():
-        n = int(np.argmax(vanishes)) + 1
-        raise DegenerateDenominator(f"Uvarov denominator 1 + r0 K_{n-1}(k,k) vanishes at n={n}")
+    _require_nonvanishing(den, r0 * kkk, "Uvarov denominator 1 + r0 K_{n-1}(k,k)")
     T = np.zeros(n_max + 1)
     T[1:] = r0 * ctx.ratios[1 : n_max + 1] * ctx.weighted_squares[:n_max] / den
     return UvarovData(ctx=ctx, r0=r0, T=T)
@@ -312,21 +326,17 @@ def recover_christoffel(
     T_n = Pk_n(k1;.) + B_n Pk_{n-1}(k1;.).  Entries gamma[n] and eta[n] are
     the values entering the degree-(n+1) combination.
     """
-    B = np.asarray(B)
-    if B.size < n_max:
-        raise ValueError(f"need B_1..B_{n_max}, got {B.size} values")
+    b_next = _leading(B, n_max, "B")  # B_{n+1} at [n]
     ctx1 = KernelContext(family, k1, n_max + 1)
     ctx2 = KernelContext(family, k2, n_max + 1)
     rho1 = ctx1.ratios[: n_max + 2]  # rho_j = P_j(k1)/P_{j-1}(k1) at [j]
     rho2 = ctx2.ratios[1 : n_max + 1]  # rho_{n+1} at k2, at [n]
     c, lam = family.table(n_max + 1)[1:].T  # c_{n+2}, lambda_{n+2} at [n]
-    b_next = B[:n_max]  # B_{n+1} at [n]
     gamma = np.full(n_max + 1, np.nan, dtype=complex)
     eta = np.full(n_max + 1, np.nan, dtype=complex)
     eta[:n_max] = -(lam + b_next * rho1[1:-1]) / rho2
     gamma[:n_max] = c + rho1[2:] - b_next - eta[:n_max]
-    if abs(gamma.imag[~np.isnan(gamma.real)]).max(initial=0.0) == 0.0:
-        gamma, eta = gamma.real, eta.real
+    gamma, eta = _demote_if_real(gamma, eta)
     return RecoveryCoefficients(
         kind="christoffel", gamma=gamma, eta=eta, ctx1=ctx1, ctx2=ctx2, quasi=_degree_rows(b_next)
     )
@@ -340,16 +350,13 @@ def recover_geronimus(
     ``Btilde[j]`` supplies Bt_{j+1} for the quasi combination at k2.  The
     identities alpha_n = 1 + eta_n hold by construction.
     """
-    Btilde = np.asarray(Btilde)
-    if Btilde.size < n_max:
-        raise ValueError(f"need Btilde_1..Btilde_{n_max}, got {Btilde.size} values")
+    bt = _leading(Btilde, n_max, "Btilde")
     gdata = geronimus_data(family, k1, n_max + 1)
     ctx2 = KernelContext(family, k2, n_max + 1)
     rho2 = ctx2.ratios[: n_max + 2]  # rho_j = P_j(k2)/P_{j-1}(k2) at [j]
     c, lam = family.table(n_max + 1)[1:].T  # c_{n+1}, lambda_{n+1} at [n-1]
-    bt = Btilde[:n_max]
     den = lam + bt * rho2[1:-1]
-    _require_nonvanishing(den, lam, "recover_geronimus")
+    _require_nonvanishing(den, lam, "recover_geronimus denominator")
     alpha = np.full(n_max + 1, np.nan, dtype=complex)
     gamma = np.full(n_max + 1, np.nan, dtype=complex)
     eta = np.full(n_max + 1, np.nan, dtype=complex)
@@ -357,8 +364,7 @@ def recover_geronimus(
     e = eta[1:]
     alpha[1:] = 1.0 + e
     gamma[1:] = c * (1.0 + e) - gdata.A[2 : n_max + 2] + e * rho2[2:] - e * bt
-    if abs(np.nan_to_num(gamma.imag)).max() == 0.0:
-        alpha, gamma, eta = alpha.real, gamma.real, eta.real
+    gamma, alpha, eta = _demote_if_real(gamma, alpha, eta)
     return RecoveryCoefficients(
         kind="geronimus", alpha=alpha, gamma=gamma, eta=eta, ctx2=ctx2, quasi=_degree_rows(bt), data=gdata
     )
@@ -372,25 +378,21 @@ def recover_uvarov(
     beta_n plays the role the other constructions give to gamma_n (the
     returned ``gamma`` aliases it).  eta_n = alpha_n - 1 identically.
     """
-    Btilde = np.asarray(Btilde)
-    if Btilde.size < n_max:
-        raise ValueError(f"need Btilde_1..Btilde_{n_max}, got {Btilde.size} values")
+    bt = _leading(Btilde, n_max, "Btilde")
     udata = uvarov_data(family, k1, r0, n_max)
     ctx2 = KernelContext(family, k2, n_max + 1)
     rho1 = udata.ctx.ratios[1 : n_max + 1]  # rho_n at k1, at [n-1]
     rho2 = ctx2.ratios[: n_max + 2]  # rho_j = P_j(k2)/P_{j-1}(k2) at [j]
     c, lam = family.table(n_max + 1)[1:].T  # c_{n+1}, lambda_{n+1} at [n-1]
-    bt = Btilde[:n_max]
     den = bt * rho2[1:-1] + lam
-    _require_nonvanishing(den, lam, "recover_uvarov")
+    _require_nonvanishing(den, lam, "recover_uvarov denominator")
     alpha = np.full(n_max + 1, np.nan, dtype=complex)
     beta = np.full(n_max + 1, np.nan, dtype=complex)
     eta = np.full(n_max + 1, np.nan, dtype=complex)
     eta[1:] = udata.T[1:] * rho1 / den
     alpha[1:] = 1.0 + eta[1:]
     beta[1:] = k1 + udata.T[1:] + (c - bt + rho2[2:]) * eta[1:]
-    if abs(np.nan_to_num(beta.imag)).max() == 0.0:
-        alpha, beta, eta = alpha.real, beta.real, eta.real
+    beta, alpha, eta = _demote_if_real(beta, alpha, eta)
     return RecoveryCoefficients(
         kind="uvarov", alpha=alpha, beta=beta, gamma=beta, eta=eta,
         ctx1=udata.ctx, ctx2=ctx2, quasi=_degree_rows(bt), data=udata,
@@ -413,9 +415,7 @@ def recover_order2(
     matching linear system; the cross-sum ratio lambda_{n+2} X_{n+1} / X_n
     enters as rho_{n+1}(k2) R_n, since X_n = P_n(k2)/N_n Pk_n(k2;k3).
     """
-    Mtilde = np.asarray(Mtilde, dtype=complex)
-    if Mtilde.size < n_max:
-        raise ValueError(f"need Mtilde_1..Mtilde_{n_max}, got {Mtilde.size} values")
+    mt = _leading(Mtilde, n_max, "Mtilde").astype(complex)
     ictx = IteratedKernelContext(KernelContext(family, k2, n_max + 2), k3)
     ctx1 = KernelContext(family, k1, n_max + 2)
     rho1 = ctx1.ratios  # rho_j = P_j(k1)/P_{j-1}(k1) at [j]
@@ -424,7 +424,6 @@ def recover_order2(
     up = slice(2, n_max + 2)  # index n+1 at [n-1]
     down = slice(1, n_max + 1)  # index n at [n-1]
     c, lam = family.table(n_max + 1)[1:].T  # indices n+1 at [n-1]
-    mt = Mtilde[:n_max]
     star_ratio = star[up] / star[down]  # R_n
     rhs = rho1[3 : n_max + 3] - rho2[3 : n_max + 3] - star_ratio
     lt = rhs - mt * rho1[down] / lam

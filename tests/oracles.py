@@ -9,7 +9,7 @@ the oracles for its own identities.
 
 import numpy as np
 
-from opx import eval_table, gauss_rule, norm_products
+from opx import eval_table, gauss_rule, geronimus_data, geronimus_family, kernel_family, norm_products
 
 
 def moment_sequence(family, j_max: int) -> np.ndarray:
@@ -70,3 +70,26 @@ def product_orthogonality_check(family, n: int, m: int, quad_order: int) -> floa
     km = (table[: m + 1].T / norms[: m + 1]) @ table[: m + 1]
     diff2 = (rule.nodes[:, None] - rule.nodes[None, :]) ** 2
     return float(rule.weights @ (diff2 * kn * km) @ rule.weights)
+
+
+def geronimus_chain(ctx, shifts, n_max: int):
+    """Mixing rows and family of l = len(shifts) Geronimus steps from Pk.
+
+    The chain starts from the kernel family of ``ctx`` on N = n_max + 2 l
+    pairs (``ctx.n_max`` >= N - 1); each step at a shift s applies ``geronimus_data`` and
+    ``geronimus_family`` and keeps two rows fewer.  A step Pt_n = Q_n +
+    A_n Q_{n-1} convolves the rows: new[n] = old[n] + A_n shift(old[n-1]).
+    Returns the alphas (n_max + 1, l) of Q_n = Pk_n + alpha_{n,1} Pk_{n-1} +
+    ... + alpha_{n,l} Pk_{n-l}, one row per degree, and the family of Q,
+    orthogonal by construction.
+    """
+    size = n_max + 2 * len(shifts)
+    fam = kernel_family(ctx, size)
+    rows = np.ones((n_max + 1, 1))
+    for s in shifts:
+        data = geronimus_data(fam, s, size - 2)
+        fam = geronimus_family(data, size - 3)
+        size -= 2
+        old, rows = rows, np.hstack([rows, np.zeros((n_max + 1, 1))])
+        rows[1:, 1:] += data.A[1 : n_max + 1, None] * old[:-1]
+    return rows[:, 1:], fam

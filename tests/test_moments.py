@@ -1,5 +1,7 @@
 import math
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -336,6 +338,22 @@ def test_custom_cauchy_mass_sums_one_rule_once(orders):
     assert orders == [orders[0], orders[0] + 4] and orders[0] < 32
 
 
+def test_racing_callers_get_the_one_stored_memo_entry():
+    # eight threads build one rule and one custom Cauchy mass at once with
+    # a short switch interval: each caller gets the value stored first
+    fam = opx.custom_family(opx.chebyshev1().table(64), (-1.0, 1.0))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            rules = list(pool.map(lambda _: gauss_rule(fam, 40), range(32), timeout=60))
+            masses = list(pool.map(lambda _: cauchy_mass(fam, 2.0), range(32), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(rule is fam._memo[("rule", 40)] for rule in rules)
+    assert all(mass is fam._memo[("cauchy", 2.0)] for mass in masses)
+
+
 @pytest.mark.parametrize("rows", [2, 3])
 def test_short_custom_table_sums_its_own_measure(rows):
     # a table of N < 4 rows: the N-node rule is the table's own measure, its
@@ -497,7 +515,7 @@ def test_too_small_an_order_raises(monkeypatch, call):
     }[call]
     with pytest.raises(opx.NonConvergent, match=f"on {orders} nodes disagree .*order too small"):
         run()
-    assert custom not in moments._cauchy_cache and short not in moments._cauchy_cache
+    assert not any(key[0] == "cauchy" for key in (*custom._memo, *short._memo))
 
 
 def test_integral_cancelling_to_zero_stops_at_roundoff_floor(cheb):

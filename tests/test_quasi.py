@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import opx
 from opx import quasi, suites
+from oracles import geronimus_chain
 
 
 def test_quasi_kernel_degenerate_mixing(cheb):
@@ -208,7 +209,7 @@ def mixed_sequences(draw):
     engineered family with a random alpha_1, and two engineered steps at
     once, A = (I + s S)^2 on an arithmetic c* with lambda*_n = s c*_n + K,
     are orthogonal.  With l = 3 a constant recurrence is not: row 2 of
-    A J A^-1 keeps -alpha_3 in column 0, and no l = 3 pair is known."""
+    R = A J - J~ A keeps -alpha_3 in column 0, and no l = 3 pair is known."""
     kind = draw(st.sampled_from(["constant", "t_from_u", "engineered", "engineered2"]))
     n_max = draw(st.integers(5, 10))
     signed = st.tuples(st.floats(0.1, 2.0), st.sampled_from([-1.0, 1.0])).map(lambda p: p[0] * p[1])
@@ -247,15 +248,20 @@ def test_qk_verdict_is_favards(mixed, row, shift):
         assert r.satisfied == (r.first_violation is None) == (r.violated_conditions == [])
     if l == 3:
         assert "(iii)" in base.violated_conditions
-        assert base.recurrence_residual == pytest.approx(abs(alphas[2]) / _scale(cs, ls), abs=1e-10)
+        # R = A J - J~ A keeps -alpha_3 at entry (2, 0), over the magnitudes
+        # |alpha_2 c| + |alpha_1 lambda| of A J and of J~ A and |alpha_3|
+        a1, a2, a3 = np.abs(alphas)
+        scale = 2 * a2 * abs(cs[0]) + 2 * a1 * ls[0] + a3
+        assert base.recurrence_residual == pytest.approx(a3 / scale, rel=1e-13)
         if row > 2:
             assert _row_label(row, l) in report.violated_conditions
         return
-    # A^-1 grows like the largest root of 1 + alpha_1 z + alpha_2 z^2 to the
-    # power n_max: up to 2.4^10 ulps here
+    # each entry of R is measured against its own terms; where lambda*
+    # passes near zero, l~_n brings the rounding of its larger terms into
+    # small ones: up to 9.8e-12 over 20,000 draws (1.5e-15 over these)
     assert base.recurrence_residual <= 1e-11
     if base.satisfied and alphas[0] != 0.0:
-        # lambda*_row moves entry (row, row-2) of A J A^-1 by -alpha_1 shift;
+        # lambda*_row moves entry (row, row-2) of R by -alpha_1 shift;
         # the rows above it stay as they were
         assert report.first_violation[::2] == (row, _row_label(row, l))
 
@@ -282,8 +288,8 @@ def test_qk_verdict_does_not_depend_on_the_mass():
 
 @pytest.mark.parametrize("n_max", [8, 24, 32, 48])
 def test_qk_engineered_recurrence_residual_at_rounding(n_max):
-    # Q is orthogonal by construction, so A J A^-1 is tridiagonal up to
-    # rounding at every degree
+    # Q is orthogonal by construction, so A J = J~ A up to rounding at
+    # every degree
     report = quasi.orthogonality_conditions(*suites.engineered_coefficients(n_max + 4), [0.7], n_max)
     assert report.satisfied
     assert report.recurrence_residual <= 1e-14
@@ -327,14 +333,13 @@ def test_qk_on_kernel_context(cheb):
 
 @pytest.mark.parametrize(
     "make_family, k, n_max",
-    [(opx.chebyshev1, -2.0, 48), (lambda: opx.jacobi(0.3, 0.7), -2.0, 48), (lambda: opx.laguerre(0.5), -1.0, 10)],
-    ids=["chebyshev1-n48", "jacobi-n48", "laguerre-n10"],
+    [(opx.chebyshev1, -2.0, 48), (lambda: opx.jacobi(0.3, 0.7), -2.0, 48), (lambda: opx.laguerre(0.5), -1.0, 48)],
+    ids=["chebyshev1-n48", "jacobi-n48", "laguerre-n48"],
 )
 def test_qk_certifies_the_ops_as_quasi_type_in_their_own_kernels(make_family, k, n_max):
     # P_n = Pk_n + alpha_n Pk_{n-1} with alpha_n = -lambda_{n+1}/rho_n, one
     # alpha per degree: the criterion certifies P and reads off its own
-    # recurrence, c~_n = c_{n+1} and l~_n = lambda_{n+1}.  Laguerre's alphas
-    # grow like n, and past n = 10 the dense A J A^-1 loses the verdict
+    # recurrence, c~_n = c_{n+1} and l~_n = lambda_{n+1}
     fam = make_family()
     ctx = opx.KernelContext(fam, k, n_max)
     alphas = np.zeros((n_max + 1, 1))
@@ -356,3 +361,30 @@ def test_qk_reads_alpha_l_from_the_rows_that_reach_it():
     alphas[5] = 0.0
     with pytest.raises(opx.InvalidAlphas):
         quasi.orthogonality_conditions(cs, ls, alphas, 8)
+
+
+@pytest.mark.parametrize(
+    "make_family, k, shifts",
+    [
+        (opx.chebyshev1, 2.0, (-2.0, -3.0, 3.0, 4.0)),
+        (lambda: opx.jacobi(0.3, 0.7), 1.5, (-1.5, 2.5, -4.0, 3.0)),
+        (lambda: opx.laguerre(0.5), -1.0, (-2.0, -0.5, -3.0, -4.0)),
+    ],
+    ids=["chebyshev1", "jacobi", "laguerre0.5"],
+)
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_qk_certifies_geronimus_chains_of_the_kernels(make_family, k, shifts, l):
+    # l Geronimus steps from Pk give an orthogonal Q of order l in Pk, one
+    # row of alphas per degree: the criterion certifies it at n = 48 and
+    # reads off the chain family's own recurrence; moving one alpha by 1e-6
+    # breaks it
+    n_max = 48
+    ctx = opx.KernelContext(make_family(), k, n_max + 2 * l)
+    alphas, chain = geronimus_chain(ctx, shifts[:l], n_max)
+    report = opx.qk_orthogonality_check(ctx, alphas, n_max)
+    assert report.satisfied and report.recurrence_residual <= 1e-13
+    c, lam = chain.table(n_max).T
+    assert (abs(report.tilde_c - c) <= 1e-14 * np.maximum(1.0, abs(c))).all()
+    assert (abs(report.tilde_lambda[1:] - lam[1:]) <= 1e-14 * abs(lam[1:])).all()
+    alphas[20, 0] += 1e-6 * max(1.0, abs(alphas[20, 0]))
+    assert not opx.qk_orthogonality_check(ctx, alphas, n_max).satisfied

@@ -385,6 +385,13 @@ def test_uvarov_requires_nonzero_mass(cheb):
         opx.uvarov_data(cheb, 2.0, 0.0, 3)
 
 
+def test_uvarov_vanishing_denominator(cheb):
+    # r0 = -1/K_2(k, k) zeroes 1 + r0 K_2(k, k), the denominator of T_3
+    r0 = -1.0 / opx.KernelContext(cheb, 2.0, 4).cd_partials[2]
+    with pytest.raises(opx.DegenerateDenominator, match=r"1 \+ r0 K_\{n-1\}\(k,k\) vanishes at n=3"):
+        opx.uvarov_data(cheb, 2.0, r0, 4)
+
+
 # ---------------------------------------------------------------------------
 # recovery constructions
 # ---------------------------------------------------------------------------
