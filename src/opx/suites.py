@@ -371,18 +371,6 @@ def chebyshev1_shift1_ratio(ns) -> np.ndarray:
     return 0.5 * (1.0 + 2.0 / (2.0 * np.asarray(ns) + 1.0))
 
 
-def _columns(rows: list[tuple]) -> list[np.ndarray]:
-    """The columns of a list of equal-length tuples, as arrays."""
-    return list(map(np.array, zip(*rows)))
-
-
-def _uniform(rng, lo: float, hi: float) -> float:
-    """One draw of ``rng.uniform(lo, hi)`` from one ``rng.random()`` call:
-    ``Generator.uniform`` returns lo + (hi - lo) u for the next double u of
-    the same stream, and the scalar call costs about three ``random()``."""
-    return lo + (hi - lo) * rng.random()
-
-
 def _stacked_series(kind: str, stacks: list[tuple], terms: int = 200) -> np.ndarray:
     """``hyp_series`` over the ``stacks`` of rows, each a tuple (params...,
     z) of equal-length arrays, in one call: one row of sums per stack."""
@@ -390,63 +378,106 @@ def _stacked_series(kind: str, stacks: list[tuple], terms: int = 200) -> np.ndar
     return ratios.hyp_series(kind, params, z, terms).reshape(len(stacks), -1)
 
 
-def _guarded_draws(kind: str, draw, count: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """``count`` draws (n, ..., z) whose ratio of ``kind`` series
-    F(-n + 1, ...; z) / F(-n, ...; z) clears the conditioning guard, as
-    columns, and those series ratios num / den.
+def _form_stacks(n, params: tuple, z) -> list[tuple]:
+    """The numerator, denominator and magnitude-sum rows of the series
+    ratio F(-n + 1, params; z) / F(-n, params; z): the magnitudes are the
+    denominator's series on |params| at -|z|, as |(a)_m| <= (|a|)_m."""
+    return [(1 - n, *params, z), (-n, *params, z), (-n, *np.abs(params), -np.abs(z))]
 
-    ``draw()`` makes one candidate from scalar rng calls.  Each round draws
-    exactly as many candidates as are still missing and sums their two
-    series and the magnitude sum M of the denominator's terms (F(-n, ...)
-    at -|z|, for the positive parameters drawn) in one ``hyp_series`` call,
-    so the candidates, and the rng stream, are those of a loop that draws
-    one at a time and stops at the count-th kept draw.  Near a zero of the
-    denominator the series cannot certify 1e-10 itself: a draw is kept
-    where |den| >= 1e-3 and a rounding bound of s = num / den is at most
-    1e-11 max(1, |s|), a tenth of that gate.  With p + m exact, term m is
-    within 7 m u of its value (u = 2^-53) and a sum within 8 n u M; the
-    numerator's terms are (n - m)/n of the denominator's, so s is within
-    8 n u M (1 + |s|) / |den| + u |s|.  The draws below keep every row
-    finite (n <= 11, r >= 0.3, |z| <= 2), so summing rejected candidates
-    raises nothing a kept row would not.
+
+def _ratio_bound(n, num, den, mags, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """t = num / den and a bound on its rounding error, for sums of n + 1
+    terms each within (c - 1) m u of term m of the magnitude sum ``mags``
+    (M; u = 2^-53): correctly rounded, both sums are within c n u M, and
+    the numerator's terms are (n - m)/n of the denominator's, so t is
+    within c n u M (1 + |t|) / |den| + u |t|."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # where |den| < 1e-3
+        t = num / den
+        return t, (c * n * mags * (1.0 + np.abs(t)) / np.abs(den) + np.abs(t)) * 2.0**-53
+
+
+def _certifies(den, s, bound) -> np.ndarray:
+    """Whether a series ratio s can certify the fractions' 1e-10 gate: its
+    denominator |den| >= 1e-3 and its rounding bound at most a tenth of the
+    gate, 1e-11 max(1, |s|).  A NaN certifies (abs(NaN) < 1e-3 and
+    NaN > 1e-11 are false), so it reaches the gap and fails it."""
+    return ~(np.abs(den) < 1e-3) & ~(bound > 1e-11 * np.maximum(1.0, np.abs(s)))
+
+
+def _gauss_series(n, q, r, z) -> tuple[np.ndarray, np.ndarray]:
+    """The series ratio F(-n + 1, q; r; z) / F(-n, q; r; z) of each draw,
+    from the better certified of its two forms, and whether either form
+    certifies it.
+
+    Pfaff's transformation F(-n, q; r; z) = (1 - z)^n F(-n, r - q; r; w),
+    w = z / (z - 1) (DLMF 15.8.1), makes the ratio (1 - z)^-1
+    F(-n + 1, r - q; r; w) / F(-n, r - q; r; w), whose sums cancel where
+    the first form's do not.  One ``hyp_series`` call sums both forms'
+    numerators, denominators and magnitude sums M, F(-n, q; r; -|z|) and
+    F(-n, |r - q|; r; -|w|).  The first form's terms are within 7 m u of
+    their magnitudes.  Rounding r - q and w, within u and 2 u, moves the
+    second form's term m by 3 m u more, so its sums are within 11 n u M;
+    the division by 1 - z, itself within u, adds 2 u |s|.  Each draw takes
+    the certified form with the smaller bound.
     """
-    kept, ratio = [], []
-    while len(kept) < count:
-        batch = [draw() for _ in range(count - len(kept))]
-        n, *middle, z = _columns(batch)
-        stacks = [(-n + 1, *middle, z), (-n, *middle, z), (-n, *middle, -np.abs(z))]
-        num, den, mags = _stacked_series(kind, stacks)
-        with np.errstate(divide="ignore", invalid="ignore"):  # where |den| < 1e-3
-            s = np.abs(num / den)
-            bound = (8 * n * mags * (1.0 + s) / np.abs(den) + s) * 2.0**-53
-        # a NaN passes: abs(NaN) < 1e-3 and NaN > 1e-11 are false
-        keep = ~(np.abs(den) < 1e-3) & ~(bound > 1e-11 * np.maximum(1.0, s))
-        kept += [row for row, k in zip(batch, keep.tolist()) if k]
-        ratio.append(num[keep] / den[keep])
-    return _columns(kept), np.concatenate(ratio)
+    w = z / (z - 1.0)
+    stacks = _form_stacks(n, (q, r), z) + _form_stacks(n, (r - q, r), w)
+    num, den, mags, num2, den2, mags2 = _stacked_series("2F1", stacks)
+    s, bound = _ratio_bound(n, num, den, mags, 8)
+    t, bound2 = _ratio_bound(n, num2, den2, mags2, 11)
+    s2 = t / (1.0 - z)
+    bound2 = bound2 / np.abs(1.0 - z) + 2.0**-52 * np.abs(s2)
+    certified, certified2 = _certifies(den, s, bound), _certifies(den2, s2, bound2)
+    pfaff = certified2 & ~(certified & (bound <= bound2))
+    return np.where(pfaff, s2, s), certified | certified2
+
+
+def _kummer_series(n, r, z) -> tuple[np.ndarray, np.ndarray]:
+    """The series ratio 1F1(-n + 1; r; z) / 1F1(-n; r; z) of each draw, and
+    whether it certifies, from one ``hyp_series`` call over the numerators,
+    the denominators and the magnitude sums M = 1F1(-n; r; -|z|); the terms
+    are within 7 m u of their magnitudes.  Kummer's transformation gives no
+    second terminating form."""
+    num, den, mags = _stacked_series("1F1", _form_stacks(n, (r,), z))
+    s, bound = _ratio_bound(n, num, den, mags, 8)
+    return s, _certifies(den, s, bound)
+
+
+def _certified_draws(rng, count: int, lo: tuple, hi: tuple, series) -> tuple[list[np.ndarray], np.ndarray]:
+    """The first ``count`` draws (n, ...) whose series ratio ``series``
+    certifies, in draw order, as columns, and those series ratios.
+
+    A round draws one overdrawn block, ``rng.integers(1, 12, size)`` and
+    then one ``rng.uniform(lo, hi, (size, len(lo)))`` filled row by row,
+    size = missing + missing // 8 + 4, and makes one ``series`` call on
+    it.  A round that certifies fewer than the missing draws is followed by
+    another for the rest, which few ops need.  The draw ranges keep every
+    row finite (n <= 11, r >= 0.3, |z| <= 2), so summing the draws not
+    kept raises nothing a kept one would not.
+    """
+    draws, ratio, missing = [], [], count
+    while missing:
+        size = missing + missing // 8 + 4
+        block = (rng.integers(1, 12, size), *rng.uniform(lo, hi, (size, len(lo))).T)
+        s, certified = series(*block)
+        kept = np.flatnonzero(certified)[:missing]
+        draws.append([column[kept] for column in block])
+        ratio.append(s[kept])
+        missing -= kept.size
+    return [np.concatenate(column) for column in zip(*draws)], np.concatenate(ratio)
 
 
 def gauss_cf_vs_series(rng, count: int, depth: int) -> np.ndarray:
     """Gap between the Gauss fraction 2F1(-n+1, q; r; z)/2F1(-n, q; r; z) and
-    the terminating series, over ``count`` guarded draws (n, q, r, z)."""
-
-    def draw():
-        n = int(rng.integers(1, 12))
-        return n, _uniform(rng, 0.2, 4.0), _uniform(rng, 0.3, 4.0), _uniform(rng, -0.6, 0.6)
-
-    (n, q, r, z), series = _guarded_draws("2F1", draw, count)
+    the terminating series, over ``count`` certified draws (n, q, r, z)."""
+    (n, q, r, z), series = _certified_draws(rng, count, (0.2, 0.3, -0.6), (4.0, 4.0, 0.6), _gauss_series)
     return relative_gap(ratios.gauss_cf_ratio(-n, q, r, z, depth) - series, series)
 
 
 def kummer_cf_vs_series(rng, count: int, depth: int) -> np.ndarray:
     """Gap between the Kummer fraction 1F1(-n+1; r; z)/1F1(-n; r; z) and the
-    terminating series, over ``count`` guarded draws (n, r, z)."""
-
-    def draw():
-        n = int(rng.integers(1, 12))
-        return n, _uniform(rng, 0.3, 4.0), _uniform(rng, -2.0, 2.0)
-
-    (n, r, z), series = _guarded_draws("1F1", draw, count)
+    terminating series, over ``count`` certified draws (n, r, z)."""
+    (n, r, z), series = _certified_draws(rng, count, (0.3, -2.0), (4.0, 2.0), _kummer_series)
     return relative_gap(ratios.kummer_cf_ratio(-n, r, z, depth) - series, series)
 
 

@@ -2,10 +2,14 @@
 
 Each is the explicit form of something ``opx`` computes another way: the
 moments from powers of the recurrence matrix, the Christoffel-Darboux
-kernel as its sum, and the product-measure double integral on a tensor
-Gauss rule.  They live beside the tests so that the package does not hold
+kernel as its sum, the product-measure double integral on a tensor
+Gauss rule, and the terminating hypergeometric ratios in exact rational
+arithmetic.  They live beside the tests so that the package does not hold
 the oracles for its own identities.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -93,3 +97,21 @@ def geronimus_chain(ctx, shifts, n_max: int):
         old, rows = rows, np.hstack([rows, np.zeros((n_max + 1, 1))])
         rows[1:, 1:] += data.A[1 : n_max + 1, None] * old[:-1]
     return rows[:, 1:], fam
+
+
+def exact_series_ratio(n: int, params, z) -> float:
+    """F(-n + 1, ...; z) / F(-n, ...; z) for params (q, r) of 2F1 or (r,)
+    of 1F1, exact: every double is a dyadic rational, so the terminating
+    sums are taken in ``Fraction`` arithmetic and their ratio is rounded
+    once, to the nearest double."""
+    *tops, r = map(Fraction, params)
+    z = Fraction(z)
+
+    def total(p: int) -> Fraction:
+        term = acc = Fraction(1)
+        for m in range(-p):
+            term *= (p + m) * math.prod(t + m for t in tops) / ((r + m) * (m + 1)) * z
+            acc += term
+        return acc
+
+    return float(total(1 - n) / total(-n))

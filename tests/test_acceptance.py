@@ -189,8 +189,9 @@ def test_criterion_06_confluent_cd_identity():
 def test_criterion_07_cf_vs_series():
     started = time.perf_counter()
     rng = np.random.default_rng(SEED)
-    # 100 guarded terminating Gauss and Kummer draws (the series cannot
-    # certify near its own zero), then 25 non-terminating Gauss draws
+    # 100 terminating Gauss and Kummer draws whose series certify the gate
+    # (no series form can near its own zero), then 25 non-terminating
+    # Gauss draws
     gaps = np.concatenate([
         suites.gauss_cf_vs_series(rng, 100, 60),
         suites.kummer_cf_vs_series(rng, 100, 60),

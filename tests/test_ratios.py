@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import opx
 from opx import moments, ratios, suites
 from conftest import sample_points
+from oracles import exact_series_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +435,32 @@ def test_ill_conditioned_gauss_draws_against_mpmath(n, q, r, z):
     with mp.workdps(50):
         exact = float(mp.hyp2f1(-n + 1, q, r, z) / mp.hyp2f1(-n, q, r, z))
     assert abs(ratios.gauss_cf_ratio(-float(n), q, r, z) - exact) <= 1e-13 * max(1.0, abs(exact))
-    # the suite's guard now skips such a draw for the next one
-    candidates = iter([(n, q, r, z), (3, 1.0, 2.0, 0.3)])
-    (kept, *_), _ = suites._guarded_draws("2F1", lambda: next(candidates), 1)
-    assert kept.tolist() == [3]
+    # neither series form certifies such a draw (Pfaff's bounds are 4.0e-10
+    # and 1.3e-10 of max(1, |s|) here), so the suite's round skips it
+    draw = [np.array([v]) for v in (n, q, r, z)]
+    assert suites._gauss_series(*draw)[1].tolist() == [False]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fractions_meet_the_gate_at_unguarded_draws(seed):
+    # blocks of 200 draws from the suite's ranges with no guard, the draws
+    # the first series form cannot certify among them: both fractions are
+    # within 1e-10 of the exact ratio, and every series ratio the suite
+    # certifies is within its 1e-11
+    rng = np.random.default_rng(seed)
+    for kind, lo, hi in (("2F1", (0.2, 0.3, -0.6), (4.0, 4.0, 0.6)), ("1F1", (0.3, -2.0), (4.0, 2.0))):
+        n = rng.integers(1, 12, 200)
+        *params, z = rng.uniform(lo, hi, (200, len(lo))).T
+        exact = np.array([exact_series_ratio(*row) for row in zip(n.tolist(), zip(*params), z)])
+        if kind == "2F1":
+            cf, (series, certified) = ratios.gauss_cf_ratio(-n, *params, z), suites._gauss_series(n, *params, z)
+        else:
+            cf, (series, certified) = ratios.kummer_cf_ratio(-n, *params, z), suites._kummer_series(n, *params, z)
+        assert (suites.relative_gap(cf - exact, exact) <= 1e-10).all()
+        assert (suites.relative_gap(series - exact, exact)[certified] <= 1e-11).all()
+        num, den, mags = suites._stacked_series(kind, suites._form_stacks(n, params, z))
+        s, bound = suites._ratio_bound(n, num, den, mags, 8)
+        assert not suites._certifies(den, s, bound).all()
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ evaluators they replaced, ``kernel_ratio_limit``
 the scalar formula it ran before it became one entry of
 ``kernel_ratio_limits``, and the quasi suite's difference equation, one
 call over every (b, n, point), the per-(b, n) loop it replaced, generator
-state included; so do the ratios suite's guarded draws, with one series call
-per guard round, its prefactor tables, and the chains suite's one g-table
-and one recurrence over all its rows, against their loops.  Those loops are
-kept below as the references.
+state included; so do the ratios suite's certified draws, with one block
+draw and one series call per round, its prefactor tables, and the chains
+suite's one g-table and one recurrence over all its rows, against their
+loops.  Those loops are kept below as the references.
 """
 
 import contextlib
@@ -507,9 +507,9 @@ def test_fsum_rows_is_fsum_row_by_row(table):
 
 
 def test_suite_series_rows_match_scalar_calls(monkeypatch):
-    # every series batch the ratios suite sums at 16 seeds, about 900 rows
-    # a seed, against the scalar call on each row; the rows do not depend
-    # on the family
+    # every series batch the ratios suite sums at 7 seeds, 2161 rows a
+    # seed, against the scalar call on each row; the rows do not depend on
+    # the family
     batch = ratios.hyp_series
     calls = []
 
@@ -521,7 +521,7 @@ def test_suite_series_rows_match_scalar_calls(monkeypatch):
         return sums
 
     monkeypatch.setattr(ratios, "hyp_series", checked)
-    for seed in range(16):
+    for seed in range(7):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["verify", "--suite", "ratios", "--seed", str(seed)]) == 0
     assert sum(calls) > 14000
@@ -662,64 +662,83 @@ def test_nonterminating_block_draw_matches_scalar_draws(count):
         assert rng.random() == ref_rng.random()
 
 
-# every range the suites draw a scalar from through suites._uniform
-UNIFORM_RANGES = [(0.2, 4.0), (0.3, 4.0), (-0.6, 0.6), (-2.0, 2.0)]
+def _reference_form(kind, n, params, z, c):
+    """One draw's series ratio t = num / den, its rounding bound as
+    ``suites._ratio_bound`` states it, and den, by scalar calls; the
+    magnitude sum is the denominator's series on |params| at -|z|."""
+    num, den, mags = (
+        opx.hyp_series(kind, (a, *ps), x)
+        for a, ps, x in ((1 - n, params, z), (-n, params, z), (-n, [abs(v) for v in params], -abs(z)))
+    )
+    t = num / den
+    return t, (c * n * mags * (1.0 + abs(t)) / abs(den) + abs(t)) * 2.0**-53, den
 
 
-def test_uniform_helper_matches_generator_uniform():
-    # value for value and in generator state, mixed with the integer draws
-    # the guarded checks interleave; a numpy that computed Generator.uniform
-    # another way would fail here before it moved a report byte
-    rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
-    for i in range(20000):
-        if i % 3 == 0:
-            assert int(rng.integers(1, 12)) == int(ref_rng.integers(1, 12))
-        lo, hi = UNIFORM_RANGES[i % len(UNIFORM_RANGES)]
-        value = suites._uniform(rng, lo, hi)
-        assert type(value) is float
-        assert value == float(ref_rng.uniform(lo, hi))
-    assert rng.random() == ref_rng.random()
+def _reference_series(kind, n, row):
+    """The series ratio one draw of the Gauss or Kummer check certifies,
+    or None: its forms' (s, bound, den), the Gauss draw's second from
+    Pfaff's transformation, and of those that certify, the first of least
+    bound."""
+    *params, z = row
+    forms = [_reference_form(kind, n, params, z, 8)]
+    if kind == "2F1":
+        q, r = params
+        t, bound, den = _reference_form(kind, n, (r - q, r), z / (z - 1.0), 11)
+        s = t / (1.0 - z)
+        forms.append((s, bound / abs(1.0 - z) + 2.0**-52 * abs(s), den))
+    certified = [f for f in forms if not abs(f[2]) < 1e-3 and not f[1] > 1e-11 * max(1.0, abs(f[0]))]
+    return min(certified, key=lambda f: f[1])[0] if certified else None
 
 
-def _reference_guarded(kind, rng, count, depth):
+def _reference_certified(kind, rng, count, depth, least_n=1):
     """``suites.gauss_cf_vs_series`` ("2F1") or ``kummer_cf_vs_series``
-    ("1F1") as the loop the guarded draws replace: one candidate at a time
-    from scalar ``rng.uniform`` calls, its series and the denominator's
-    magnitude sum (its series at -|z|) on their own, kept where
-    |den| >= 1e-3 and the rounding bound of num / den is at most
-    1e-11 max(1, |num / den|), then one numerator and one denominator call
-    over the kept draws."""
-    rows = []
+    ("1F1") as a loop over the draws of each block: the same overdrawn
+    block of ``rng.integers`` and per-column ``rng.uniform`` draws, then,
+    one draw at a time, its series by scalar calls, kept while fewer than
+    ``count`` are kept where n >= ``least_n`` and a form certifies it, and
+    another block for the draws still missing; then one fraction call."""
+    lo, hi = ((0.2, 0.3, -0.6), (4.0, 4.0, 0.6)) if kind == "2F1" else ((0.3, -2.0), (4.0, 2.0))
+    rows, series = [], []
     while len(rows) < count:
-        n = int(rng.integers(1, 12))
-        if kind == "2F1":
-            row = (n, float(rng.uniform(0.2, 4.0)), float(rng.uniform(0.3, 4.0)), float(rng.uniform(-0.6, 0.6)))
-        else:
-            row = (n, float(rng.uniform(0.3, 4.0)), float(rng.uniform(-2.0, 2.0)))
-        *middle, z = row[1:]
-        num, den, mag = (opx.hyp_series(kind, (a, *middle), x) for a, x in ((-n + 1, z), (-n, z), (-n, -abs(z))))
-        if abs(den) < 1e-3:
-            continue
-        s = abs(num / den)
-        if (8 * n * mag * (1.0 + s) / abs(den) + s) * 2.0**-53 <= 1e-11 * max(1.0, s):
-            rows.append(row)
+        missing = count - len(rows)
+        size = missing + missing // 8 + 4
+        ns = rng.integers(1, 12, size).tolist()
+        for n, row in zip(ns, rng.uniform(lo, hi, (size, len(lo))).tolist()):
+            s = _reference_series(kind, n, row) if n >= least_n and len(rows) < count else None
+            if s is not None:
+                rows.append((n, *row))
+                series.append(s)
     n, *middle, z = map(np.array, zip(*rows))
-    series = opx.hyp_series(kind, (-n + 1, *middle), z) / opx.hyp_series(kind, (-n, *middle), z)
     fraction = opx.gauss_cf_ratio if kind == "2F1" else opx.kummer_cf_ratio
     cf = fraction(-n, *middle, z, depth)
+    series = np.array(series)
     return np.abs(cf - series) / np.fmax(1.0, np.abs(series))
 
 
 @pytest.mark.parametrize("kind, check", [("2F1", "gauss_cf_vs_series"), ("1F1", "kummer_cf_vs_series")])
-def test_guarded_draws_match_the_one_at_a_time_loop(kind, check):
-    # at these counts a second guard round runs at Gauss seeds 2, 3, 4, 6,
-    # 8, 9, 13, 25 and 26 and at Kummer seeds 1, 4, 6, 8, 15 and 28
-    for seed in range(50):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        count = 200 if seed < 10 else 40
-        gaps = getattr(suites, check)(rng, count, 60)
-        assert_bitwise(gaps, _reference_guarded(kind, ref_rng, count, 60))
-        assert rng.random() == ref_rng.random()
+def test_guarded_draws_match_the_one_at_a_time_loop(kind, check, monkeypatch):
+    # one block and one series call per round against a per-draw loop over
+    # the same blocks, bitwise, generator state included: rounds of 200 at
+    # four seeds; then, with only the draws of n >= 10 kept, rounds of 30,
+    # each followed by others for the draws still missing
+    name = "_gauss_series" if kind == "2F1" else "_kummer_series"
+    series, rounds = getattr(suites, name), []
+
+    def counted(n, *rest):
+        rounds.append(n.size)
+        s, certified = series(n, *rest)
+        return s, certified & (n >= least_n)
+
+    monkeypatch.setattr(suites, name, counted)
+    for least_n, count, seeds in ((1, 200, range(4)), (10, 30, range(4, 6))):
+        for seed in seeds:
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            gaps = getattr(suites, check)(rng, count, 60)
+            assert_bitwise(gaps, _reference_certified(kind, ref_rng, count, 60, least_n))
+            assert rng.random() == ref_rng.random()
+    # one round of 229 draws at each of the first four seeds; the others
+    # take several rounds
+    assert rounds[:4] == [229] * 4 and len(rounds) > 8
 
 
 @pytest.mark.parametrize("seed", range(6))

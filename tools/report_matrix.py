@@ -84,9 +84,10 @@ def configs():
         argv = ["verify", "--suite", "ratios", *flags, "--depth", "30", "--seed", "1"]
         yield f"verify.ratios.{fam}.depth30", argv
     yield "verify.ratios.depth0", ["verify", "--suite", "ratios", "--depth=0"]
-    # more seeds through the ratios suite's conditioning guards, and the two
-    # whose worst Gauss draw a guard of |den| >= 1e-3 alone let through, to
-    # fail a correct fraction against its rounded series
+    # more seeds through the ratios suite's series certification, and the
+    # two whose worst Gauss draw, when candidates were drawn one at a time,
+    # a guard of |den| >= 1e-3 alone let through, to fail a correct
+    # fraction against its rounded series
     for fam, flags in FAMILIES.items():
         for seed in ("2", "3"):
             argv = ["verify", "--suite", "ratios", *flags, "--seed", seed]
