@@ -12,10 +12,17 @@ product lambda_1 ... lambda_{n+1} used throughout the kernel formulas.
 Each family holds one coefficient table, filled from a closed form over an
 array of 1-based indices m (mirroring the subscripts above) or given whole;
 arrays of evaluated polynomials are 0-based by degree.
+
+The built-in constructors return one shared family per parameter set (the
+last SHARED_FAMILIES sets each), so the Gauss rules, Cauchy masses and
+kernel ratio caches memoised on a family serve every later caller in the
+process; ``custom_family`` builds a new family on every call.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -34,6 +41,30 @@ __all__ = [
     "eval_derivs",
     "norm_products",
 ]
+
+# parameter sets whose family each built-in constructor keeps, least
+# recently used first out
+SHARED_FAMILIES = 32
+
+
+def _shared(build):
+    """Share ``build``'s family per parameter set: an LRU keyed on each
+    parameter's type and bits, so that 0.0 and -0.0, or 1 and 1.0, which
+    compare equal but may build different tables or reprs, stay distinct.
+    Parameters other than ints and floats build a family afresh."""
+    cached = functools.lru_cache(maxsize=SHARED_FAMILIES)(lambda key, params: build(*params))
+    signature = inspect.signature(build)
+
+    @functools.wraps(build)
+    def shared(*args, **kwargs):
+        params = signature.bind(*args, **kwargs).args if kwargs else args
+        if not all(isinstance(p, (int, float)) for p in params):
+            return build(*params)
+        return cached(tuple((type(p), p.hex() if isinstance(p, float) else p) for p in params), params)
+
+    shared.cache_clear = cached.cache_clear
+    return shared
+
 
 @dataclass(frozen=True, eq=False)
 class FamilySpec:
@@ -67,8 +98,9 @@ class FamilySpec:
     # rows (c_m, lambda_m), m = 1..len; grown by table(), never mutated
     _table: np.ndarray = field(default_factory=lambda: np.empty((0, 2)), init=False)
     # the quadrature oracle's Gauss rules and Cauchy masses, keyed ("rule", m)
-    # and ("cauchy", k); dict.setdefault is atomic, so concurrent builders of
-    # one entry all get the value stored first
+    # and ("cauchy", k), and under "ratios" the kernel contexts' ratio caches
+    # per shift; dict.setdefault is atomic, so concurrent builders of one
+    # entry all get the value stored first
     _memo: dict = field(default_factory=dict, init=False)
 
     def table(self, n: int) -> np.ndarray:
@@ -101,6 +133,7 @@ class FamilySpec:
         return f"FamilySpec({self.kind}{', ' + ps if ps else ''}, mu0={self.mu0})"
 
 
+@_shared
 def chebyshev1() -> FamilySpec:
     """Monic Chebyshev polynomials of the first kind on [-1, 1].
 
@@ -115,6 +148,7 @@ def chebyshev1() -> FamilySpec:
     return FamilySpec("chebyshev1", coeffs, (-1.0, 1.0), math.pi)
 
 
+@_shared
 def laguerre(gamma: float) -> FamilySpec:
     """Monic Laguerre family for the weight x^gamma e^(-x) on [0, inf).
 
@@ -134,6 +168,7 @@ def laguerre(gamma: float) -> FamilySpec:
     return FamilySpec("laguerre", coeffs, (0.0, math.inf), mu0, (("gamma", gamma),))
 
 
+@_shared
 def jacobi(gamma: float, delta: float) -> FamilySpec:
     """Monic Jacobi family for the weight (1-x)^gamma (1+x)^delta on [-1, 1].
 

@@ -14,21 +14,24 @@ run as its recurrence Pk_n(k; x) = P_n(x) + (lambda_{n+1}/rho_n) Pk_{n-1}(k; x).
 A context keeps P_j(k) in ratio form only: rho_j, t_j = P_j(k)^2/N_j and
 S_j = t_0 + ... + t_j, which stay finite where the raw values under- or
 overflow (Gautschi, SIAM Rev. 9, 1967), so the recurrence coefficients, the
-kernel tables and the ratio limits at large n all run on them.  For a real
-shift the ratio-form recurrence runs on Python floats, the same IEEE steps
-as numpy's float64 scalars, and takes numpy's inf where a square passes the
-float range; a complex shift runs it on numpy scalars, since Python's
-complex division rounds differently from numpy's.
+kernel tables and the ratio limits at large n all run on them.  A family
+holds these caches per shift, as long as the longest context asked for so
+far, and each context takes their prefix.  For a real shift the ratio-form
+recurrence runs on Python floats, the same IEEE steps as numpy's float64
+scalars, and takes numpy's inf where a square passes the float range; a
+complex shift runs it on numpy scalars, since Python's complex division
+rounds differently from numpy's.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import cached_property
 
 import numpy as np
 
-from .errors import IteratedUndefined, KernelUndefined, NotPositiveDefinite
+from .errors import IteratedUndefined, KernelUndefined, NotPositiveDefinite, ParameterOutOfRange
 from .families import FamilySpec, custom_family, eval_table
 
 __all__ = [
@@ -46,6 +49,8 @@ __all__ = [
 SWITCH_RADIUS = 1e-4
 # relative scale below which P_j(k) counts as a genuine zero (see __init__)
 ZERO_RTOL = 1e-13
+# shifts whose ratio caches a family holds; a new shift past them drops all
+RATIO_SHIFTS = 16
 
 
 class KernelContext:
@@ -63,6 +68,8 @@ class KernelContext:
     def __init__(self, family: FamilySpec, k: complex, n_max: int):
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
+        if not cmath.isfinite(k):
+            raise ParameterOutOfRange(f"the shift must be finite, got k = {k}")
         self.family = family
         self.k = k
         self.n_max = n_max
@@ -72,14 +79,8 @@ class KernelContext:
             j = int(np.argmax(lam == 0.0))
             raise NotPositiveDefinite(f"lambda_{j + 1} = {lam[j]} <= 0")
         dtype = np.dtype(complex if np.iscomplexobj(k) or np.iscomplexobj(c) else float)
-        if dtype == float:
-            caches = _ratio_caches(float(k), c.tolist(), lam.tolist())
-        else:
-            # the checks that read the caches raise typed errors on inf or NaN
-            with np.errstate(over="ignore", invalid="ignore"):
-                caches = _ratio_caches(dtype.type(k), c, lam)
         self.ratios, self.weighted_squares, self.cd_partials = (
-            np.array(cache, dtype=dtype) for cache in caches
+            cache[: len(c)] for cache in _held_caches(family, k, dtype, c, lam)
         )
         # the caches stop at an exact zero rho_j, so the scale below never
         # divides by zero
@@ -94,6 +95,39 @@ class KernelContext:
 
     def __repr__(self) -> str:
         return f"KernelContext({self.family!r}, k={self.k}, n_max={self.n_max})"
+
+
+def _held_caches(family: FamilySpec, k, dtype: np.dtype, c, lam) -> tuple:
+    """The family's read-only ratio caches at ``k`` in ``dtype``, run to at
+    least ``len(c)`` entries or to an exact zero rho_j.
+
+    They are memoised per shift on the family, keyed on the bits of the
+    shift as the recurrence reads it, for RATIO_SHIFTS shifts at most, and
+    rebuilt to ``len(c)`` when too short.  The recurrence runs in sequence,
+    so every prefix of the held caches is bitwise the caches a build to that
+    length makes.
+    """
+    k = float(k) if dtype == float else dtype.type(k)
+    key = (dtype.char, k.real.hex(), k.imag.hex())
+    shifts = family._memo.setdefault("ratios", {})
+    held = shifts.get(key)
+    if held is None or (len(held[0]) < len(c) and held[0][-1] != 0.0):
+        if dtype == float:
+            caches = _ratio_caches(k, c.tolist(), lam.tolist())
+        else:
+            # the checks that read the caches raise typed errors on inf or NaN
+            with np.errstate(over="ignore", invalid="ignore"):
+                caches = _ratio_caches(k, c, lam)
+        held = tuple(np.array(cache, dtype=dtype) for cache in caches)
+        for cache in held:
+            cache.flags.writeable = False
+        # a racing builder may replace longer caches with shorter ones, or
+        # clear them; each caller slices only the caches it holds, so that
+        # is safe
+        if key not in shifts and len(shifts) >= RATIO_SHIFTS:
+            shifts.clear()
+        shifts[key] = held
+    return held
 
 
 def _ratio_caches(k, c, lam) -> tuple[list, list, list]:

@@ -9,7 +9,10 @@ closed form (all sums taken at k)
 with t_j = P_j^2/(lambda_1...lambda_{j+1}) and S_n = t_0 + ... + t_n; the
 reciprocal direction replaces (1 + t_{n+1}/S_n) by (1 - t_{n+1}/S_{n+1}),
 so the product of the two directions is exactly 1.  Evaluation runs on the
-ratio-form context caches and therefore stays finite out to n ~ 10^3.
+ratio-form context caches, so the under- and overflow of the raw P_n(k)
+does not reach it; t_j and S_j themselves still overflow once P_j(k)^2/N_j
+passes the double range, which on chebyshev1 at k = 2 leaves the limits
+non-finite from n = 270 on (ROADMAP item 2).
 
 Every continued fraction 1/(1 + s_1 a_1 z/(1 + s_2 a_2 z/(...))) is held as
 its signed partial numerators b_j = s_j a_j, j = 1..depth+10, and evaluated

@@ -34,5 +34,14 @@ def jac():
 
 
 @pytest.fixture
+def fresh_families():
+    """Drop the built-in families that earlier tests of this process share,
+    so that the next constructor call builds its family, and every rule and
+    ratio cache on it, afresh."""
+    for constructor in (opx.chebyshev1, opx.laguerre, opx.jacobi):
+        constructor.cache_clear()
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -9,7 +9,8 @@ with no ``confluent_cd`` call per degree.  The quadrature oracle evaluates
 a sequence's table once per Gram matrix, on one Gauss rule, and the kernel,
 quasi and recovery suites evaluate each family through such tables, so their
 ``eval_table`` calls, and the Gauss rules they solve, stay few, as do the
-ratios suite's ``eval_table`` calls.  The ratios suite's series rows are
+ratios suite's ``eval_table`` calls; a repeated op solves no rule, since
+its shared family holds them.  The ratios suite's series rows are
 summed in one array pass per call, and only few of them one by one."""
 
 import contextlib
@@ -203,7 +204,10 @@ def test_quasi_suite_calls(calls):
     assert dict(calls) == {"difference_equation_residual": 1}
 
 
-def test_jacobi_recovery_suite_computes_its_cauchy_mass_once(monkeypatch):
+JACOBI_RECOVERY = ["verify", "--suite", "recovery", "--family", "jacobi", "--gamma", "0.3", "--delta", "0.7"]
+
+
+def test_jacobi_recovery_suite_computes_its_cauchy_mass_once(monkeypatch, fresh_families):
     # the solved-mass case and the Gram matrix's split-form entries share
     # one memoized L(1/(k - x)), whose closed form runs one Gauss fraction
     counts = Counter()
@@ -214,7 +218,10 @@ def test_jacobi_recovery_suite_computes_its_cauchy_mass_once(monkeypatch):
         return fraction(*args, **kwargs)
 
     monkeypatch.setattr(moments, "gauss_cf_ratio", counting)
-    _run(["verify", "--suite", "recovery", "--family", "jacobi", "--gamma", "0.3", "--delta", "0.7"])
+    _run(JACOBI_RECOVERY)
+    assert dict(counts) == {"gauss_cf_ratio": 1}
+    # a second op reads the mass its shared family holds
+    _run(JACOBI_RECOVERY)
     assert dict(counts) == {"gauss_cf_ratio": 1}
 
 
@@ -271,6 +278,19 @@ def test_geronimus_gram_reads_its_table_once_per_node_set():
         assert [xs.tobytes() for xs in seen] == [xs.tobytes() for xs in expected]
 
 
+@pytest.fixture
+def eighs(monkeypatch):
+    solves = Counter()
+    eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        solves["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return solves
+
+
 @pytest.mark.parametrize(
     "suite, flags, expected",
     [
@@ -291,18 +311,18 @@ def test_geronimus_gram_reads_its_table_once_per_node_set():
     ],
 )
 @pytest.mark.parametrize("n_max", ["8", "10"])
-def test_verify_ops_solve_few_gauss_rules(monkeypatch, suite, flags, expected, n_max):
-    # each op builds its family afresh, so every rule it reads is solved once
-    solves = Counter()
-    eigh = np.linalg.eigh
-
-    def counting(*args, **kwargs):
-        solves["eigh"] += 1
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+def test_verify_ops_solve_few_gauss_rules(eighs, fresh_families, suite, flags, expected, n_max):
+    # on a family built afresh, every rule the op reads is solved once
     _run(["verify", "--suite", suite, *flags, "--n-max", n_max])
-    assert solves["eigh"] == expected
+    assert eighs["eigh"] == expected
+
+
+def test_a_repeated_verify_op_solves_no_rule(eighs, fresh_families):
+    # the second op reads the three rules the first solved on the shared family
+    _run(JACOBI_RECOVERY)
+    assert eighs["eigh"] == 3
+    _run(JACOBI_RECOVERY)
+    assert eighs["eigh"] == 3
 
 
 @pytest.mark.parametrize(

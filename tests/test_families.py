@@ -49,6 +49,42 @@ def test_parameter_out_of_range(make):
         make()
 
 
+def test_builtin_families_are_shared_per_parameter_set(fresh_families):
+    assert opx.chebyshev1() is opx.chebyshev1()
+    assert opx.jacobi(0.3, 0.7) is opx.jacobi(gamma=0.3, delta=0.7)
+    assert opx.laguerre(0.5) is opx.laguerre(0.5)
+    # custom families are not shared
+    assert opx.custom_family([(0.0, 1.0)], (-1.0, 1.0)) is not opx.custom_family([(0.0, 1.0)], (-1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "make, params, other, same_table",
+    [
+        # c_n = (delta - gamma)(delta + gamma)/... is -0.0 at delta = -0.0
+        (opx.jacobi, (0.0, -0.0), (0.0, 0.0), False),
+        (opx.laguerre, (1,), (1.0,), True),
+    ],
+    ids=["jacobi-0.0", "laguerre-int"],
+)
+def test_parameters_that_compare_equal_build_their_own_family(fresh_families, make, params, other, same_table):
+    # the families are keyed on each parameter's type and bits: each keeps
+    # the table and repr of its own parameters
+    one, two = make(*params), make(*other)
+    assert one is not two and repr(one) != repr(two)
+    for fam, ps in ((one, params), (two, other)):
+        fresh = make.__wrapped__(*ps)
+        assert fam is make(*ps) and fam is not fresh
+        assert (repr(fam), fam.table(8).tobytes()) == (repr(fresh), fresh.table(8).tobytes())
+    assert (one.table(8).tobytes() == two.table(8).tobytes()) is same_table
+
+
+def test_a_constructor_keeps_few_parameter_sets(fresh_families):
+    kept = [opx.laguerre(float(i)) for i in range(opx.families.SHARED_FAMILIES)]
+    assert opx.laguerre(0.0) is kept[0]  # now the least recently used is 1.0
+    opx.laguerre(-0.5)
+    assert opx.laguerre(0.0) is kept[0] and opx.laguerre(1.0) is not kept[1]
+
+
 @pytest.mark.parametrize("fam_name", ["lag0", "jac", "cheb"])
 def test_orthogonality_gate_for_standard_coefficients(fam_name):
     # the diagonal recurrence values not fixed by closed-form sources are

@@ -1,11 +1,13 @@
 import math
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import opx
-from opx import moments, suites
+from opx import kernels, moments, suites
 from conftest import sample_points
 from oracles import cd_kernel, product_orthogonality_check
 
@@ -167,9 +169,11 @@ def test_kernel_ttrr_residual(cheb, lag, rng):
 
 
 def test_kernel_undefined_at_polynomial_zero(cheb):
-    # P_1(0) = 0 for the symmetric family, with a zero scale |k - c_1| too
-    with pytest.raises(opx.KernelUndefined, match=re.escape("P_1(0.0) = 0.0 vanishes")):
-        opx.KernelContext(cheb, 0.0, 4)
+    # P_1(0) = 0 for the symmetric family, with a zero scale |k - c_1| too;
+    # -0.0 is a shift of its own, whose P_1 is -0.0
+    for k, value in ((0.0, "0.0"), (-0.0, "-0.0"), (0.0, "0.0")):
+        with pytest.raises(opx.KernelUndefined, match=re.escape(f"P_1({k}) = {value} vanishes")):
+            opx.KernelContext(cheb, k, 4)
 
 
 @pytest.mark.parametrize("k, degree", [(math.sqrt(0.5), 2), (-math.sqrt(0.5), 2), (math.cos(math.pi / 10), 5)])
@@ -183,6 +187,92 @@ def test_kernel_undefined_where_a_zero_leaves_a_rounding_error(cheb, k, degree):
 def test_context_partial_sums_increasing_for_real_shift(cheb):
     ctx = opx.KernelContext(cheb, 1.5, 12)
     assert np.all(np.diff(ctx.cd_partials.real) > 0)
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0), complex(0.0, math.inf)])
+def test_a_shift_that_is_not_finite_is_refused(k):
+    # before any memo lookup: no NaN key enters the family's ratio caches
+    fam = opx.jacobi.__wrapped__(0.3, 0.7)
+    with pytest.raises(opx.ParameterOutOfRange, match="shift must be finite"):
+        opx.KernelContext(fam, k, 5)
+    assert "ratios" not in fam._memo
+
+
+def _caches(ctx):
+    return [cache.tobytes() for cache in (ctx.ratios, ctx.weighted_squares, ctx.cd_partials)]
+
+
+@pytest.mark.parametrize(
+    "make, steps",
+    [
+        # the held caches grown from n = 1000 to 4000, and sliced back
+        (opx.chebyshev1, [(2.0, 1000), (2.0, 4000), (2.0, 1000)]),
+        (lambda: opx.jacobi(0.3, 0.7), [(1.5, 4000), (1.5, 1000)]),
+        # order2's complex shift, and a real and a complex shift with the
+        # same bits
+        (opx.chebyshev1, [(1j, 60), (complex(0.0, 1.0), 8), (1.0, 8), (complex(1.0, 0.0), 8), (1j, 100)]),
+        # -0.0 and 0.0 are two shifts; 2 and 2.0 read the same float
+        (lambda: opx.laguerre(0.5), [(0.0, 30), (-0.0, 40), (0.0, 20), (2, 10), (2.0, 12)]),
+    ],
+    ids=["chebyshev1-k2", "jacobi-k1.5", "chebyshev1-k1j", "laguerre-k0"],
+)
+def test_a_warm_context_is_bitwise_a_cold_one(fresh_families, make, steps):
+    # contexts on the shared family, whose ratio caches earlier contexts
+    # filled, against contexts on a family built afresh with the same table
+    shared = make()
+    assert make() is shared
+    for k, n_max in steps:
+        warm = opx.KernelContext(shared, k, n_max)
+        cold = opx.KernelContext(opx.custom_family(shared.table(n_max + 4), shared.support), k, n_max)
+        assert warm.ratios.dtype == cold.ratios.dtype
+        assert _caches(warm) == _caches(cold)
+        assert not warm.ratios.flags.writeable
+
+
+def test_a_held_exact_zero_raises_as_a_fresh_build_does():
+    # at k = 0, c = (-1, -2, -2, -2, -2, -1, 0, ...) and lambda = 1 give
+    # rho_1..rho_5 = 1 and an exact zero rho_6, seen from n_max = 3 on
+    rows = [(-1.0, 1.0), *[(-2.0, 1.0)] * 4, (-1.0, 1.0), *[(0.0, 0.25)] * 10]
+    held = opx.custom_family(rows, (-1.0, 1.0))
+    for n_max in (1, 8, 2, 3, 12, 2):
+        fresh = opx.custom_family(rows, (-1.0, 1.0))
+        if n_max < 3:
+            assert _caches(opx.KernelContext(held, 0.0, n_max)) == _caches(opx.KernelContext(fresh, 0.0, n_max))
+            continue
+        errors = []
+        for family in (held, fresh):
+            with pytest.raises(opx.KernelUndefined) as info:
+                opx.KernelContext(family, 0.0, n_max)
+            errors.append(str(info.value))
+        assert errors == ["P_6(0.0) = 0.0 vanishes; kernel sequence undefined"] * 2
+    # the caches held end at the zero: no later context rebuilt them
+    assert held._memo["ratios"][("d", "0x0.0p+0", "0x0.0p+0")][0].size == 7
+
+
+def test_racing_contexts_on_one_family_each_get_a_cold_contexts_caches(cheb):
+    # eight threads build contexts of two lengths at more shifts than the
+    # family holds, with a short switch interval: whichever held caches a
+    # context reads, or a racing builder replaces, its slice is bitwise a
+    # cold build's
+    family = opx.custom_family(cheb.table(300), cheb.support)
+    jobs = [(2.0 + (i % (kernels.RATIO_SHIFTS + 3)) / 8, 40 if i % 3 else 290) for i in range(96)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda job: _caches(opx.KernelContext(family, *job)), jobs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    cold = [_caches(opx.KernelContext(opx.custom_family(cheb.table(300), cheb.support), *job)) for job in jobs]
+    assert got == cold
+
+
+def test_a_family_holds_the_ratio_caches_of_few_shifts(cheb):
+    family = opx.custom_family(cheb.table(40), cheb.support)
+    for i in range(kernels.RATIO_SHIFTS + 1):
+        opx.KernelContext(family, 2.0 + i, 4)
+    # the shift past the bound started the held caches over
+    assert list(family._memo["ratios"]) == [("d", float(2 + kernels.RATIO_SHIFTS).hex(), "0x0.0p+0")]
 
 
 def test_iterated_kernel_degree_zero(cheb):

@@ -1,5 +1,6 @@
 """The determinism contract as a gate: every report of tools/report_matrix.py
-hashes to its line in tests/report_matrix.txt.
+hashes to its line in tests/report_matrix.txt, and a rerun of some of them
+in the same process, on the caches the first run left, hashes the same.
 
 A change that moves a report on purpose rewrites the file with
 ``python3 tools/report_matrix.py > tests/report_matrix.txt`` and names the
@@ -51,6 +52,17 @@ def test_report_matrix_matches_the_checked_in_lines(tmp_path, monkeypatch):
     got = [f"{name} {' '.join(map(str, tool.run(argv)))}" for name, argv in tool.configs()]
     moved = _moved(expected, got)
     assert not moved, "report lines moved:\n" + "\n".join(moved)
+    # again, on the families, rules and ratio caches the matrix left shared
+    warm = [(name, argv) for name, argv in tool.configs() if _rerun(name)]
+    again = [f"{name} {' '.join(map(str, tool.run(argv)))}" for name, argv in warm]
+    moved = _moved([line for line in got if _rerun(line.split()[0])], again)
+    assert not moved, "report lines moved on warm caches:\n" + "\n".join(moved)
+
+
+def _rerun(name: str) -> bool:
+    """Every ratio table, and one verify line per family: its recovery suite,
+    which reads Gauss rules, a Cauchy mass and kernel contexts."""
+    return name.startswith("ratio.") or (name.startswith("verify.recovery.") and name.endswith(".s1"))
 
 
 def test_moved_lines_are_named():
