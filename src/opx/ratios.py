@@ -25,6 +25,8 @@ array call build a table from the same coefficient formulas.  A zero
 numerator ends the fraction exactly: the backward step there leaves the
 tail at 1 + 0/tail = 1.0 whatever lies beyond it, so no pass runs past the
 first zero, and a zero within the requested depth makes the two passes one.
+So an array call whose fractions all terminate forms its table only up to
+the deepest row's first zero, with zeros past it.
 
 The continued fractions, the hypergeometric series and the confluent
 identity also take arrays: K independent rows (or points) in one call, each
@@ -60,6 +62,7 @@ __all__ = [
 
 _TINY = 1e-300
 _RTOL = 1e-13  # the agreement of a fraction's depth and depth+10 values
+_FIRST_CUT = 64  # hyp_series' first cut short of all the terms; it doubles
 _NEAR_POLE = "r = {!r} is within rounding of a nonpositive integer: a denominator vanishes"
 
 
@@ -135,6 +138,20 @@ def _nonpositive_integer(v: np.ndarray) -> np.ndarray:
     """Where v is an integer <= 0: ``v <= 0 and float(v).is_integer()``
     over an array."""
     return (v <= 0.0) & np.isfinite(v) & (np.trunc(v) == v)
+
+
+def _zeros_past(ends: np.ndarray, top: int, table) -> np.ndarray:
+    """A (K, top) numerator table: ``table(m)``, the (K, m) numerators
+    b_1..b_m, up to the deepest of the rows' first zeros b_``ends`` (or all
+    ``top`` of them), then zeros.  The fraction of each row ends at its own
+    first zero (``evaluate_cf``), so the numerators past it do not reach the
+    value, and the zeros keep every row's fraction ending where it did."""
+    m = int(min(np.max(ends, initial=0.0), top))
+    if m == top:
+        return table(top)
+    b = np.zeros((len(ends), top))
+    b[:, :m] = table(m)
+    return b
 
 
 def _backward_pass(b: list, z: float) -> float:
@@ -308,7 +325,10 @@ def gauss_cf_ratio(p, q, r, z, depth: int = 60):
     if isinstance(z, np.ndarray) and z.ndim:
         p, q, r, z = np.broadcast_arrays(p, q, r, z)
         terminating = _nonpositive_integer(p) | _nonpositive_integer(q)
-        b = _gauss_table(p[:, None], q[:, None], r[:, None], depth + 10)
+        # a row's first zero numerator is b_{-2p} (p < 0) or b_{1-2q}
+        p_ends = np.where(_nonpositive_integer(p) & (p < 0.0), -2.0 * p, np.inf)
+        ends = np.minimum(p_ends, np.where(_nonpositive_integer(q), 1.0 - 2.0 * q, np.inf))
+        b = _zeros_past(ends, depth + 10, lambda m: _gauss_table(p[:, None], q[:, None], r[:, None], m))
         if (_nonpositive_integer(r) | ~terminating & (np.abs(z) >= 1.0) | ~np.isfinite(b).all(axis=1)).any():
             rows = zip(p.tolist(), q.tolist(), r.tolist(), z.tolist())
             return np.array([gauss_cf_ratio(*row, depth) for row in rows])
@@ -386,7 +406,8 @@ def kummer_cf_ratio(p, r, z, depth: int = 60):
     """
     if isinstance(z, np.ndarray) and z.ndim:
         p, r, z = np.broadcast_arrays(p, r, z)
-        d = _kummer_d(p[:, None], r[:, None], depth + 10)
+        ends = np.where(_nonpositive_integer(p) & (p < 0.0), -2.0 * p, np.inf)  # d_{-2p} = 0
+        d = _zeros_past(ends, depth + 10, lambda m: _kummer_d(p[:, None], r[:, None], m))
         if (_nonpositive_integer(r) | ~np.isfinite(d).all(axis=1)).any():
             rows = zip(p.tolist(), r.tolist(), z.tolist())
             return np.array([kummer_cf_ratio(*row, depth) for row in rows])
@@ -483,9 +504,13 @@ def hyp_series(kind: str, params: tuple, z, terms: int = 200):
     ``cumprod``, and each sum is ``math.fsum``'s, correctly rounded
     (alternating terminating sums cancel heavily).  A (K,) array z gives
     the K sums as an array; each parameter is a number or a (K,) array.  An
-    array call sums all its rows in one numpy pass, ``_fsum_rows``: a
-    pairwise TwoSum tree whose result is kept where an error bound proves
-    it correctly rounded, and fsum for the few rows it cannot settle.
+    array call sums its rows in numpy passes, ``_fsum_rows``: a pairwise
+    TwoSum tree whose result is kept where an error bound proves it
+    correctly rounded, and fsum for the few rows it cannot settle.  A row
+    whose terms run past 64 first tries tables cut at 64, 128, ... terms
+    (``_stopped_sums``): a tail bound proves where the sum of the terms
+    left out cannot move the rounded sum, so those rows return the same
+    bits without their later terms; the other rows take all the terms.
     """
     sizes = {"2F1": 3, "1F1": 2}
     if kind not in sizes:
@@ -517,10 +542,15 @@ def hyp_series(kind: str, params: tuple, z, terms: int = 200):
     # numerator v, so the table ends at the deepest row's zero; term `terms`
     # is formed only to see whether the series has ended.  A row whose terms
     # overflow before its zero has NaN there (inf * 0) and no zero at all.
-    *tops, r_col, z_col = (np.reshape(v, (-1, 1)) for v in (*params, z))
+    *tops, r, z_row = (np.reshape(v, -1) for v in (*params, z))
     first_zero = np.min([np.where(_nonpositive_integer(v), 1.0 - v, np.inf) for v in numerators], axis=0)
     width = int(min(terms, np.max(first_zero, initial=0.0))) + 1
-    series = _term_table(tops, r_col, z_col, width)
+    if batch:  # the rows no cut settles take all the terms
+        sums, rows = _stopped_sums(tops, r, z_row, terms, width)
+        if not rows.size:
+            return sums
+        tops, r, z_row = [v[rows] for v in tops], r[rows], z_row[rows]
+    series = _term_table(tops, r, z_row, width)
     # a row ends before its first zero term; cut the columns no row reaches
     ended = series == 0.0
     lengths = np.where(ended.any(axis=1), ended.argmax(axis=1), terms + 1)
@@ -531,10 +561,12 @@ def hyp_series(kind: str, params: tuple, z, terms: int = 200):
         raise ParameterOutOfRange(f"{kind} terms overflow the float range at z={z}")
     running = lengths > terms
     if running.any():
+        # each row's magnitudes summed contiguously, in the order a one-row
+        # call sums them, so a row raises in a batch where it raises alone
         with np.errstate(all="ignore"):
-            scale = np.abs(kept).sum(axis=1)
-            running &= np.abs(kept[:, -1]) > 1e-16 * scale
-        if running.any():
+            scale = np.abs(np.ascontiguousarray(kept[running])).sum(axis=1)
+            still = np.abs(kept[running, -1]) > 1e-16 * scale
+        if still.any():
             if batch:
                 return _series_rows(kind, params, z, terms)
             raise NonConvergent(
@@ -543,13 +575,68 @@ def hyp_series(kind: str, params: tuple, z, terms: int = 200):
             )
     if batch:
         # the terms past a row's end are +-0.0, which fsum ignores
-        return _fsum_rows(kept)
+        sums[rows] = _fsum_rows(kept)
+        return sums
     return math.fsum(kept[0, : lengths[0]].tolist())
+
+
+def _stopped_sums(tops: list, r: np.ndarray, z: np.ndarray, terms: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sums of the rows that a table of fewer than ``width`` columns
+    settles, in a (K,) array, and the indices of the rows it leaves open.
+
+    The cut doubles from ``_FIRST_CUT`` terms while it is below width - 1:
+    terms 0..cut-1 are summed by ``_tree_sums``, and term ``cut``, t, bounds
+    the rest.  For m >= cut > |r| the term ratio is at most rho = |z| (cut +
+    |p|)(cut + |q|)/((cut - |r|) cut) for 2F1, as (m + |p|)(m + |q|)/((m -
+    |r|)(m + 1)) < (1 + |p|/m)(1 + |q|/m)/(1 - |r|/m), which falls in m, and
+    |z| (cut + |p|)/((cut - |r|)(cut + 1)) for 1F1, where (1 + |p|/m)/((1 -
+    |r|/m)(m + 1)) falls in m.  rho times 1 + 2^-48 covers the 8 roundings of
+    rho and the 8 of a computed term ratio and its product; a term that
+    underflows is off by at most 2^-1075 more.  Where rho < 1 the terms left
+    out sum to at most (|t| + terms 2^-1074)/(1 - rho), and the last, term
+    terms - 1, is at most |t| rho^(terms - 1 - cut) + 2^-1022.  A row settles
+    where ``_tree_sums`` proves its sum correctly rounded with that tail in
+    its slack, so the sum of all its terms rounds to the same bits, and
+    where |t| rho^(terms - 1 - cut) <= 0.5e-16: its magnitude sum is at
+    least |term 0| = 1, so a full table would not raise NonConvergent, and
+    its terms stay finite.  A row that has ended, t = 0, settles on the
+    certificate alone.
+    """
+    sums, rows, cut = np.empty(len(z)), np.arange(len(z)), _FIRST_CUT
+    while rows.size and cut < width - 1:
+        series = _term_table(tops, r, z, cut + 1)
+        t = np.abs(series[:, cut])
+        with np.errstate(all="ignore"):  # rows where cut <= |r| or rho >= 1 do not settle
+            rho = np.abs(z) / ((cut - np.abs(r)) * (cut if len(tops) == 2 else cut + 1.0))
+            for v in tops:
+                rho *= cut + np.abs(v)
+            rho *= 1.0 + 2.0**-48
+            # 1 + 2^-50 covers the roundings of the tail and of the slack it enters
+            tail = np.where(t == 0.0, 0.0, (t + terms * 2.0**-1074) / (1.0 - rho) * (1.0 + 2.0**-50))
+            res, exact = _tree_sums(series[:, :cut], tail)
+            bounded = (np.abs(r) < cut) & (rho < 1.0) & (t * rho ** (terms - 1 - cut) <= 0.5e-16)
+        settled = exact & ((t == 0.0) | bounded)
+        sums[rows[settled]] = res[settled]
+        left = ~settled
+        rows, tops, r, z = rows[left], [v[left] for v in tops], r[left], z[left]
+        cut *= 2
+    return sums, rows
 
 
 def _fsum_rows(a: np.ndarray) -> np.ndarray:
     """``math.fsum`` of each row of the (K, W) array ``a``, bit for bit, or
-    the error of the first row whose fsum raises.
+    the error of the first row whose fsum raises: ``_tree_sums``' result
+    where it proves it correctly rounded, fsum on the other rows."""
+    res, exact = _tree_sums(a, 0.0)
+    for i in np.flatnonzero(~exact).tolist():
+        res[i] = math.fsum(a[i].tolist())
+    return res
+
+
+def _tree_sums(a: np.ndarray, slack) -> tuple[np.ndarray, np.ndarray]:
+    """The sum res of each row of the (K, W) array ``a``, and where res is
+    proven the correctly rounded sum of the row plus any value within
+    ``slack`` (a number or a (K,) array) of zero.
 
     The rows, padded with +0.0 to 2^L terms, are summed by a pairwise tree
     of TwoSums (t = x + y, bp = t - x, e = (x - (t - bp)) + (y - bp)), exact
@@ -559,13 +646,14 @@ def _fsum_rows(a: np.ndarray) -> np.ndarray:
     additions each, so err is within about (W + L) L u^2 sum|a| of theirs.
     res = hi + err and that addition's exact error f leave the sum within
     |f| + delta of res, delta = 2 (W + L + 2)(L + 1) u^2 sum|a| with room for
-    the rounding of sum|a| and of delta.  Where |f| + delta < spacing(
-    nextafter(|res|, 0)) / 2 the sum rounds to res, which is fsum's
-    correctly rounded sum (Ogita, Rump and Oishi 2005; Shewchuk 1997).
-    Every other row goes through fsum: a sum|a| not below 2^1023 (an entry
-    not finite, or fsum's own partials may overflow), a res of at most
-    2^-1021 in magnitude, zero included (half its spacing rounds to 0), or
-    a sum that cancels too far for the bound, as orthogonality residuals do.
+    the rounding of sum|a| and of delta.  Where |f| + delta + slack <
+    spacing(nextafter(|res|, 0)) / 2 the sum rounds to res (Ogita, Rump and
+    Oishi 2005; Shewchuk 1997).  No other row is proven: a sum|a| not below
+    2^1023 (an entry not finite, or fsum's own partials may overflow), a res
+    of at most 2^-1021 in magnitude, zero included (half its spacing rounds
+    to 0), or a sum that cancels too far for the bound, as orthogonality
+    residuals do.  A term-major ``a`` (the transpose of a C-ordered (W, K)
+    table, as ``_term_table`` gives) is copied into the tree contiguously.
     """
     rows, width = a.shape
     levels = (width - 1).bit_length()
@@ -596,29 +684,29 @@ def _fsum_rows(a: np.ndarray) -> np.ndarray:
         scale = np.abs(a).sum(axis=1)
         delta = 2 * (width + levels + 2) * (levels + 1) * 2.0**-106 * scale
         gap = np.spacing(np.nextafter(np.abs(res), 0.0))
-        exact = (scale < 2.0**1023) & (np.abs(f) + delta < 0.5 * gap)
-    for i in np.flatnonzero(~exact).tolist():
-        res[i] = math.fsum(a[i].tolist())
-    return res
+        exact = (scale < 2.0**1023) & (np.abs(f) + (delta + slack) < 0.5 * gap)
+    return res, exact
 
 
-def _term_table(tops: list, r_col: np.ndarray, z_col: np.ndarray, width: int) -> np.ndarray:
-    """Terms 0..width-1 of each row, one row per entry: term m+1 = term m *
-    (p+m)(q+m)/((r+m)(m+1)) z, as the running products of the ratios."""
-    m = np.arange(float(width - 1))
-    series = np.empty((len(z_col), width))
-    series[:, 0] = 1.0
-    ratio = series[:, 1:]
+def _term_table(tops: list, r: np.ndarray, z: np.ndarray, width: int) -> np.ndarray:
+    """Terms 0..width-1 of each entry of the (K,) parameter arrays, as the
+    (K, width) transpose of a term-major (width, K) table: term m+1 = term m
+    * (p+m)(q+m)/((r+m)(m+1)) z, the running products of the ratios, taken
+    down the table's contiguous rows of K."""
+    m = np.arange(float(width - 1))[:, None]
+    series = np.empty((width, len(z)))
+    series[0] = 1.0
+    ratio = series[1:]
     with np.errstate(all="ignore"):
         np.add(tops[0], m, out=ratio)
-        for q_col in tops[1:]:
-            ratio *= q_col + m
-        den = r_col + m
+        for q in tops[1:]:
+            ratio *= q + m
+        den = r + m
         den *= m + 1.0
         ratio /= den
-        ratio *= z_col
-        np.cumprod(series, axis=1, out=series)
-    return series
+        ratio *= z
+        np.cumprod(series, axis=0, out=series)
+    return series.T
 
 
 def _series_rows(kind: str, params: list, z: np.ndarray, terms: int) -> np.ndarray:

@@ -483,7 +483,9 @@ def kummer_cf_vs_series(rng, count: int, depth: int) -> np.ndarray:
 
 def gauss_cf_vs_series_nonterminating(rng, count: int, depth: int) -> np.ndarray:
     """Gap between the Gauss fraction 2F1(p+1, q; r; z)/2F1(p, q; r; z) and
-    400-term series, over ``count`` draws (p, q, r, z)."""
+    the sums of the 400-term series, over ``count`` draws (p, q, r, z); the
+    series stop where their later terms cannot move a sum's bits
+    (``ratios.hyp_series``), 64 or 128 terms at these draws."""
 
     # one (count, 4) block, filled row by row: the values and the generator
     # state of ``count`` rows of four scalar draws

@@ -151,28 +151,37 @@ def test_a_ratios_check_rarely_needs_a_second_round(monkeypatch):
     ids=["chebyshev1", "laguerre0.5", "jacobi"],
 )
 def test_ratios_suite_sums_few_series_rows_one_by_one(monkeypatch, flags):
-    # the 2161 series rows of the default seed (six per Gauss candidate of
-    # its 229, both forms' numerator, denominator and magnitudes; three per
-    # Kummer candidate of its 229; the 100 of the non-terminating pair) go
-    # through one array pass per hyp_series call, and 79 of them, each a
-    # sum that lands on a rounding tie of the pass's hi + err, which its
-    # error bound cannot settle, fall back to fsum; a loop over the rows
-    # made 2161 fsum calls
-    rows, fsums = [], []
-    fsum_rows = ratios._fsum_rows
+    # the 2161 series rows of the default seed: six per Gauss candidate of
+    # its 229 (both forms' numerator, denominator and magnitudes), three per
+    # Kummer candidate of its 229, and the 100 of the non-terminating pair.
+    # The 2061 terminating rows, 12 terms at most, go through one array pass
+    # per hyp_series call, and 79 of them, each a sum that lands on a
+    # rounding tie of the pass's hi + err, which its error bound cannot
+    # settle, fall back to fsum; a loop over the rows made 2161 fsum calls.
+    # The 100 non-terminating rows stop short of their 400 terms: the cut at
+    # 64 terms settles 99 of them and the cut at 128 the last, so none takes
+    # the full table, _fsum_rows or fsum
+    rows, fsums, tree_rows = [], [], Counter()
+    fsum_rows, tree_sums = ratios._fsum_rows, ratios._tree_sums
 
     def counting_rows(a):
         rows.append(len(a))
         return fsum_rows(a)
+
+    def counting_tree(a, slack):
+        tree_rows[a.shape[1]] += len(a)
+        return tree_sums(a, slack)
 
     def counting_fsum(xs):
         fsums.append(len(xs))
         return math.fsum(xs)
 
     monkeypatch.setattr(ratios, "_fsum_rows", counting_rows)
+    monkeypatch.setattr(ratios, "_tree_sums", counting_tree)
     monkeypatch.setattr(ratios, "math", types.SimpleNamespace(**{**vars(math), "fsum": counting_fsum}))
     _run(["verify", "--suite", "ratios", *flags])
-    assert (sum(rows), len(fsums)) == (2161, 79)
+    assert (sum(rows), len(fsums)) == (2061, 79)
+    assert tree_rows == {12: 2061, 64: 100, 128: 1}
 
 
 def test_chains_suite_calls(monkeypatch):

@@ -402,6 +402,62 @@ def test_hyp_series_rows_match_scalar_calls():
     assert_bitwise(opx.hyp_series("1F1", (-3, 1.5), z), scalar)
 
 
+def _cut_draws(case, rng):
+    """(kind, params, z, terms, settles) of an array call on 100 rows that
+    run past the first cut of 64 terms, and whether a cut should settle any
+    of them before the call sums all its terms."""
+    k = 100
+    if case == "near_one":  # the term ratios tend to z, up to 0.95, and term m grows as m^(p + q - r - 1) <= m
+        params = rng.uniform(0.1, 1.5, k), rng.uniform(0.2, 1.5, k), rng.uniform(1.0, 4.0, k)
+        return "2F1", params, rng.uniform(-0.95, 0.95, k), 1000, True
+    if case == "negative":  # negative non-integer p, q, r; at r = -70.5 the cut at 64 may not bound the ratios
+        p, q = rng.uniform(-6.0, 6.0, (2, k))
+        r = np.where(rng.random(k) < 0.2, -70.5, rng.integers(-8, 8, k) + rng.uniform(0.05, 0.95, k))
+        return "2F1", (p, q, r), rng.uniform(-0.6, 0.6, k), 400, True
+    if case == "mixed":  # p = -n ends a row at term n + 1, before or past the cuts
+        n = rng.integers(0, 300, k)
+        p = np.where(rng.random(k) < 0.5, -n, rng.uniform(0.1, 2.5, k))
+        return "2F1", (p, rng.uniform(0.2, 4.0, k), rng.uniform(0.3, 4.0, k)), rng.uniform(-0.6, 0.6, k), 400, True
+    if case == "1F1":
+        return "1F1", (rng.uniform(-5.0, 5.0, k), rng.uniform(0.3, 4.0, k)), rng.uniform(-30.0, 30.0, k), 200, True
+    # at |z| >= 0.66 term 64, the only cut below 128 terms, is still far
+    # above the rounding of the sum, so every row takes the full table
+    params = rng.uniform(0.5, 1.5, k), rng.uniform(0.5, 1.5, k), rng.uniform(1.0, 2.0, k)
+    return "2F1", params, rng.choice([-1.0, 1.0], k) * rng.uniform(0.66, 0.7, k), 128, False
+
+
+@pytest.mark.parametrize("case", ["near_one", "negative", "mixed", "1F1", "full_width"])
+def test_series_cut_short_match_the_full_table(monkeypatch, case):
+    # a row that a cut settles returns the bits of the sum of all its terms,
+    # and the rows no cut settles take the full table
+    kind, params, z, terms, settles = _cut_draws(case, np.random.default_rng(11))
+    summed = []
+    fsum_rows = ratios._fsum_rows
+
+    def counted(a):
+        summed.append(len(a))
+        return fsum_rows(a)
+
+    monkeypatch.setattr(ratios, "_fsum_rows", counted)
+    reference = [_reference_hyp_series(kind, row[:-1], row[-1], terms) for row in _rows(*params, z)]
+    assert_bitwise(opx.hyp_series(kind, params, z, terms), reference)
+    assert sum(summed) < 100 if settles else summed == [100]
+
+
+def test_a_series_no_cut_settles_raises_as_before():
+    # term ratios near 0.99 leave term 128 far too large for any cut, so the
+    # row takes all 200 terms and fails the last-term test, alone or in a
+    # call whose other row a cut settles
+    message = (
+        "2F1 series still running after 200 terms: "
+        "last term 29306094.253268145 against a magnitude sum of 1737793026.4537935"
+    )
+    with pytest.raises(opx.NonConvergent, match=f"^{re.escape(message)}$"):
+        opx.hyp_series("2F1", (3.5, 3, 1.5), 0.99)
+    with pytest.raises(opx.NonConvergent, match=f"^{re.escape(message)}$"):
+        opx.hyp_series("2F1", (np.array([0.5, 3.5]), 3, 1.5), np.array([0.3, 0.99]))
+
+
 @pytest.mark.parametrize("terms", [1, 2, 12, 200])
 def test_terminating_hyp_series_match_the_full_table(terms):
     # p = -n ends each series at term n + 1, n = 0..11, and the table ends
