@@ -17,7 +17,8 @@ non-finite from n = 270 on (ROADMAP item 2).
 Every continued fraction 1/(1 + s_1 a_1 z/(1 + s_2 a_2 z/(...))) is held as
 its signed partial numerators b_j = s_j a_j, j = 1..depth+10, and evaluated
 by backward recurrence at the requested depth (>= 1) and again at depth+10,
-with a tiny-floor rescue for vanishing intermediate denominators.  A scalar
+with a tiny-floor rescue, in the scalar pass alone, for an intermediate
+denominator that vanishes, which it can only do exactly.  A scalar
 call builds its numerators as a list of Python floats (the same IEEE
 operations in the same order as numpy's) up to the first zero, except a
 non-terminating Gauss fraction, which needs all depth+10 of them: it and an
@@ -155,13 +156,22 @@ def _zeros_past(ends: np.ndarray, top: int, table) -> np.ndarray:
 
 
 def _backward_pass(b: list, z: float) -> float:
-    """1/(1 + b[0] z/(1 + ... b[-1] z/1)) by backward recurrence."""
+    """1/(1 + b[0] z/(1 + ... b[-1] z/1)) by backward recurrence on Python
+    floats.
+
+    The only tiny floor of the module.  A tail is 1.0 + y for a double y, so
+    it is 0 or at least 2^-53 in magnitude (Sterbenz's lemma; see
+    ``evaluate_cf``), and a tail below the floor is an exact +-0.  There the
+    division raises ZeroDivisionError, and the step divides by +_TINY
+    instead, as the floor copysign(_TINY, tail or 1.0) did for +-0.
+    """
     tail = 1.0
     for b_j in reversed(b):
-        if abs(tail) < _TINY:
-            tail = math.copysign(_TINY, tail if tail != 0.0 else 1.0)
-        tail = 1.0 + b_j * z / tail
-    if abs(tail) < _TINY:
+        try:
+            tail = 1.0 + b_j * z / tail
+        except ZeroDivisionError:
+            tail = 1.0 + b_j * z / _TINY
+    if tail == 0.0:
         raise ZeroDenominator("continued fraction denominator vanished at the top level")
     return 1.0 / tail
 
@@ -172,19 +182,23 @@ def _backward_rows(b: np.ndarray, z: np.ndarray, depth: int) -> np.ndarray:
 
     The depth+10 pass takes the columns from depth on alone, then both
     passes take each column together; every step is the scalar pass's, row
-    by row.  The loop starts below the deepest of the rows' first zero
-    numerators (``evaluate_cf`` says why that is exact): every row's tail is
-    1.0 just below its own first zero, whatever the steps above it computed.
+    by row: one division by the tails of the products b_j z, all formed at
+    once, and one addition.  The loop starts below the deepest of the rows'
+    first zero numerators (``evaluate_cf`` says why that is exact): every
+    row's tail is 1.0 just below its own first zero, whatever the steps
+    above it computed.  No step applies the tiny floor: a tail is 0 or at
+    least 2^-53 in magnitude (``_backward_pass``), so the floor would act on
+    an exact zero alone, and there the division raises FloatingPointError
+    (divide, or invalid for 0/0) under ``evaluate_cf``'s error state.
     """
     zero = b[:, : depth + 10] == 0.0
-    start = int(zero.argmax(axis=1).max()) if zero.any(axis=1).all() else depth + 10
+    start = int(zero.argmax(axis=1).max(initial=0)) if zero.any(axis=1).all() else depth + 10
+    bz = b[:, :start].T * z
     tails = np.ones((2, len(z)))
     for j in range(start - 1, -1, -1):
         rows = tails if j < depth else tails[1:]
-        small = np.abs(rows) < _TINY
-        if small.any():
-            rows[...] = np.where(small, np.copysign(_TINY, np.where(rows != 0.0, rows, 1.0)), rows)
-        rows[...] = 1.0 + b[:, j] * z / rows
+        np.divide(bz[j], rows, out=rows)
+        rows += 1.0
     return tails
 
 
@@ -194,10 +208,17 @@ def evaluate_cf(b, z, depth: int):
     ``b`` holds the signed partial numerators b_1..b_{depth+10} (the leading
     numerator is always 1), as an array or a list; a 1-D ``b`` may instead
     stop at its first zero, which must then be its last entry.  The two
-    backward passes must agree to 1e-13 relative; a tiny-floor rescue is
-    applied to vanishing intermediate denominators and counts as agreement
-    only if both passes still match.  ``z`` and the numerators before the
-    first zero must be finite (ParameterOutOfRange otherwise).
+    backward passes must agree to 1e-13 relative.  ``z`` and the numerators
+    before the first zero must be finite (ParameterOutOfRange otherwise);
+    they are real, and a 1-D call takes them as Python floats.
+
+    An intermediate denominator, a tail 1 + y for a double y, is either 0 or
+    at least 2^-53 in magnitude: by Sterbenz's lemma the sum is exact for y
+    in [-2, -1/2], and outside that range it is at least 1/2 from 0.  So the
+    tiny-floor rescue (a vanishing tail replaced by 1e-300) acts only on an
+    exact zero, and lives in the scalar pass alone, where the division by
+    that zero raises (``_backward_pass``); a rescued value counts as
+    agreement only if both passes still match.
 
     A zero numerator b_j ends the fraction exactly.  The backward step at j
     sets the tail to 1 + (b_j z)/tail = 1 + (+-0)/tail, which is exactly 1.0
@@ -211,9 +232,11 @@ def evaluate_cf(b, z, depth: int):
     would carry such a NaN through the zero into the value.
 
     A (K, depth+10) ``b`` with a (K,) ``z`` evaluates K fractions in one
-    array pass and returns their values as an array; a row that fails or is
-    not finite sends the call through its rows one by one.  A 1-D ``b`` runs
-    the backward recurrence on Python floats.
+    array pass with no floor and returns their values as an array.  A row
+    that fails or is not finite, or a division by an exact zero tail
+    anywhere in the pass, sends the call through its rows one by one, which
+    give the floored values bit for bit and the error a loop over the rows
+    meets first.  A 1-D ``b`` runs the backward recurrence on Python floats.
     """
     if depth < 1:
         raise ParameterOutOfRange(f"depth must be >= 1, got {depth}")
@@ -221,16 +244,18 @@ def evaluate_cf(b, z, depth: int):
     if isinstance(b, np.ndarray) and b.ndim == 2:
         if b.shape[1] < top:
             raise ValueError(f"need {top} partial numerators, got {b.shape[1]}")
-        with np.errstate(all="ignore"):
-            tails = _backward_rows(b, z, depth)
-            v1, v2 = 1.0 / tails
+        try:
+            with np.errstate(all="ignore", divide="raise", invalid="raise"):
+                v1, v2 = 1.0 / _backward_rows(b, z, depth)
+        except FloatingPointError:  # a division by an exact zero tail
+            failed = True
+        else:
             failed = (
                 ~np.isfinite(z)
                 | ~np.isfinite(b[:, :top]).all(axis=1)
-                | (np.abs(tails) < _TINY).any(axis=0)
                 | (np.abs(v1 - v2) > _RTOL * np.maximum(1.0, np.abs(v2)))
-            )
-        if failed.any():
+            ).any()
+        if failed:
             return np.array([evaluate_cf(b_i, z_i, depth) for b_i, z_i in zip(b, z.tolist())])
         return v2
     b = b[:top].tolist() if isinstance(b, np.ndarray) else b[:top]
@@ -239,10 +264,16 @@ def evaluate_cf(b, z, depth: int):
         raise ValueError(f"need {top} partial numerators, got {len(b)} not ending at the first zero")
     if not math.isfinite(z):
         raise ParameterOutOfRange(f"z must be finite, got {z}")
+    z = float(z)
     # a finite sum proves every numerator finite, and costs less than a test of each
-    if not math.isfinite(sum(b)) and not all(map(math.isfinite, b[:stop])):
+    total = sum(b)
+    if not math.isfinite(total) and not all(map(math.isfinite, b[:stop])):
         j = next(j for j, b_j in enumerate(b, 1) if not math.isfinite(b_j))
         raise ParameterOutOfRange(f"partial numerator b_{j} = {b[j - 1]} is not finite")
+    # the sum is a numpy scalar when a numerator is one, and the division of
+    # a numpy scalar by zero does not raise
+    if type(total) is not float:
+        b = list(map(float, b))
     v1 = _backward_pass(b[: min(depth, stop)], z)
     v2 = v1 if stop <= depth else _backward_pass(b[:stop], z)
     if abs(v1 - v2) > _RTOL * max(1.0, abs(v2)):
@@ -324,10 +355,11 @@ def gauss_cf_ratio(p, q, r, z, depth: int = 60):
     """
     if isinstance(z, np.ndarray) and z.ndim:
         p, q, r, z = np.broadcast_arrays(p, q, r, z)
-        terminating = _nonpositive_integer(p) | _nonpositive_integer(q)
+        p_int, q_int = _nonpositive_integer(p), _nonpositive_integer(q)
+        terminating = p_int | q_int
         # a row's first zero numerator is b_{-2p} (p < 0) or b_{1-2q}
-        p_ends = np.where(_nonpositive_integer(p) & (p < 0.0), -2.0 * p, np.inf)
-        ends = np.minimum(p_ends, np.where(_nonpositive_integer(q), 1.0 - 2.0 * q, np.inf))
+        p_ends = np.where(p_int & (p < 0.0), -2.0 * p, np.inf)
+        ends = np.minimum(p_ends, np.where(q_int, 1.0 - 2.0 * q, np.inf))
         b = _zeros_past(ends, depth + 10, lambda m: _gauss_table(p[:, None], q[:, None], r[:, None], m))
         if (_nonpositive_integer(r) | ~terminating & (np.abs(z) >= 1.0) | ~np.isfinite(b).all(axis=1)).any():
             rows = zip(p.tolist(), q.tolist(), r.tolist(), z.tolist())

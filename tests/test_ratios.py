@@ -1,9 +1,10 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import opx
@@ -170,7 +171,11 @@ def test_cf_zero_denominator_rescue():
     # denominator 1 - 1/1 = 0, the tiny floor carries it through, and the
     # true value 1/(1 - 2/0) = 0 comes out
     b = -np.array([2.0, 1.0] + [0.0] * 20)
-    assert abs(ratios.evaluate_cf(b, 1.0, 12)) < 1e-200
+    value = ratios.evaluate_cf(b, 1.0, 12)
+    assert abs(value) < 1e-200
+    # numpy scalars, whose division by zero would not raise, are taken as
+    # Python floats
+    assert ratios.evaluate_cf(list(b), np.float64(1.0), 12) == value
 
 
 def test_cf_top_level_zero_denominator():
@@ -178,6 +183,38 @@ def test_cf_top_level_zero_denominator():
     b = -np.array([1.0] + [0.0] * 15)
     with pytest.raises(opx.ZeroDenominator):
         ratios.evaluate_cf(b, 1.0, 6)
+
+
+@settings(max_examples=15, deadline=None)
+@given(y=st.one_of(st.floats(-2.0, -0.5), st.floats(allow_nan=False, allow_infinity=False)))
+@example(y=-1.0)
+@example(y=math.nextafter(-1.0, 0.0))
+@example(y=math.nextafter(-1.0, -2.0))
+@example(y=-5e-324)
+def test_a_tail_is_zero_or_at_least_two_to_the_minus_53(y):
+    # every backward step leaves a tail 1.0 + y: exact on [-2, -1/2] by
+    # Sterbenz's lemma, at least 1/2 from 0 off it, so it can fall below the
+    # tiny floor only by being an exact zero, which the division reports
+    tail = 1.0 + y
+    assert tail == 0.0 or abs(tail) >= 2.0**-53
+    if -2.0 <= y <= -0.5:
+        assert Fraction(tail) == 1 + Fraction(y)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda e: ratios.gauss_cf_ratio(e, 1.0, 2.0, e),
+        lambda e: ratios.kummer_cf_ratio(e, 2.0, e),
+        lambda e: ratios.evaluate_cf(np.zeros((0, 20)), e, 10),
+    ],
+    ids=["gauss_cf_ratio", "kummer_cf_ratio", "evaluate_cf"],
+)
+def test_cf_calls_on_no_rows_return_an_empty_array(call):
+    # as hyp_series does
+    empty = np.array([])
+    for value in (call(empty), ratios.hyp_series("2F1", (empty, 1.0, 2.0), empty)):
+        assert value.dtype == np.float64 and value.shape == (0,)
 
 
 def test_cf_nonconvergent():

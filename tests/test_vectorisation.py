@@ -683,6 +683,71 @@ def test_failing_rows_raise_the_first_error_of_a_loop(seed):
     _assert_raises_like(expected, lambda: opx.gauss_cf_ratio(p, q, r, z))
 
 
+def _zero_tail(b, z, i, c):
+    """Row i of ``b`` gets b_{c+1} z = -1 exactly and zeros past it, so the
+    tail that column c - 1 divides by is an exact zero."""
+    b[i, c] = -1.0 / z[i]
+    b[i, c + 1 :] = 0.0
+
+
+def _zero_tail_cases(rng, depth):
+    """(b, z, the error the array pass meets) with exact zero tails placed
+    three ways in small convergent rows, |b_j z| <= 1/100, at z = +-2^-k."""
+
+    def rows(count):
+        z = rng.choice([-1.0, 1.0], count) * 2.0 ** -rng.integers(0, 4, count)
+        return rng.uniform(-0.01, 0.01, (count, depth + 10)) / np.abs(z)[:, None], z
+
+    # only in columns j >= depth, which only the depth+10 pass reads
+    deep, z_deep = rows(40)
+    for i in rng.choice(40, 10, replace=False):
+        _zero_tail(deep, z_deep, i, int(rng.integers(depth + 1, depth + 10)))
+    # directly above a row's own first zero b_f: 0/0 at column f of the
+    # array pass, which the row's own pass never reaches
+    above, z_above = rows(40)
+    for i in rng.choice(40, 10, replace=False):
+        f = int(rng.integers(0, depth + 8))
+        above[i, f] = 0.0
+        _zero_tail(above, z_above, i, f + 1)
+    # in one row of many, within the depth
+    one, z_one = rows(200)
+    _zero_tail(one, z_one, int(rng.integers(200)), int(rng.integers(2, depth)))
+    return [(deep, z_deep, "divide by zero"), (above, z_above, "invalid value"), (one, z_one, "divide by zero")]
+
+
+def test_zero_tails_take_the_floored_row_calls():
+    # the array pass has no tiny floor: a division by an exact zero tail
+    # raises there and sends the call through its rows, which floor it
+    depth = 12
+    for b, z, error in _zero_tail_cases(np.random.default_rng(0), depth):
+        with pytest.raises(FloatingPointError, match=error), np.errstate(divide="raise", invalid="raise"):
+            ratios._backward_rows(b, z, depth)
+        expected = [opx.evaluate_cf(b_i, z_i, depth) for b_i, z_i in zip(b, z.tolist())]
+        assert np.isfinite(expected).all()
+        assert_bitwise(opx.evaluate_cf(b, z, depth), expected)
+
+
+def test_the_ratios_suite_fractions_take_the_array_pass(monkeypatch):
+    # no draw of the three family-free checks meets an exact zero tail or a
+    # failing row, so each check makes one evaluate_cf call and no row call
+    calls = []
+    evaluate_cf = ratios.evaluate_cf
+    monkeypatch.setattr(ratios, "evaluate_cf", lambda *args: calls.append(1) or evaluate_cf(*args))
+    nonterminating = suites.gauss_cf_vs_series_nonterminating
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        for check, count in ((suites.gauss_cf_vs_series, 200), (suites.kummer_cf_vs_series, 200)):
+            calls.clear()
+            check(rng, count, 60)
+            assert len(calls) == 1
+        # its series, summed after the fraction, do not choose its draws
+        with monkeypatch.context() as m:
+            m.setattr(suites, "_stacked_series", lambda kind, stacks, terms: (1.0, 1.0))
+            calls.clear()
+            nonterminating(rng, 50, 60)
+            assert len(calls) == 1
+
+
 @pytest.mark.parametrize("name, make_family, _", FAMILIES, ids=[f[0] for f in FAMILIES])
 def test_confluent_cd_points_match_one_point_calls(name, make_family, _):
     fam = make_family()
