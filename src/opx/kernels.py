@@ -47,7 +47,8 @@ __all__ = [
 
 # |x - k| below this multiple of (1 + |k|) switches kernel_table to the CD sum
 SWITCH_RADIUS = 1e-4
-# relative scale below which P_j(k) counts as a genuine zero (see __init__)
+# relative scale below which P_j(k), or a cross sum X_j of
+# IteratedKernelContext, counts as a genuine zero (see __init__)
 ZERO_RTOL = 1e-13
 # shifts whose ratio caches a family holds; a new shift past them drops all
 RATIO_SHIFTS = 16
@@ -257,7 +258,7 @@ class IteratedKernelContext:
         top = base.n_max + 1
         star = kernel_table(base, top, [k3])[:, 0]
         step = base.family.table(top + 1)[1:, 1] / base.ratios[1 : top + 1] * star[:-1]
-        bad = (np.abs(star[1:]) < 1e-13 * np.abs(step)) | (star[1:] == 0.0)
+        bad = (np.abs(star[1:]) < ZERO_RTOL * np.abs(step)) | (star[1:] == 0.0)
         if np.any(bad):
             j = int(np.argmax(bad)) + 1
             raise IteratedUndefined(f"cross sum X_{j} vanishes at (k2={base.k}, k3={k3})")

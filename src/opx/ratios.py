@@ -18,16 +18,17 @@ Every continued fraction 1/(1 + s_1 a_1 z/(1 + s_2 a_2 z/(...))) is held as
 its signed partial numerators b_j = s_j a_j, j = 1..depth+10, and evaluated
 by backward recurrence at the requested depth (>= 1) and again at depth+10,
 with a tiny-floor rescue, in the scalar pass alone, for an intermediate
-denominator that vanishes, which it can only do exactly.  A scalar
-call builds its numerators as a list of Python floats (the same IEEE
-operations in the same order as numpy's) up to the first zero, except a
-non-terminating Gauss fraction, which needs all depth+10 of them: it and an
-array call build a table from the same coefficient formulas.  A zero
-numerator ends the fraction exactly: the backward step there leaves the
-tail at 1 + 0/tail = 1.0 whatever lies beyond it, so no pass runs past the
-first zero, and a zero within the requested depth makes the two passes one.
-So an array call whose fractions all terminate forms its table only up to
-the deepest row's first zero, with zeros past it.
+denominator that vanishes, which it can only do exactly.  The Gauss and
+Kummer coefficients have denominators r + (2k - c), zero only at the
+nonpositive-integer r that both fractions reject.  A scalar call builds its
+numerators as a list of Python floats up to the first zero, and an array
+call builds a table, from the same coefficient formulas with the same IEEE
+operations in the same order.  A zero numerator ends the fraction exactly:
+the backward step there leaves the tail at 1 + 0/tail = 1.0 whatever lies
+beyond it, so no pass runs past the first zero, and a zero within the
+requested depth makes the two passes one.  So an array call whose
+fractions all terminate forms its table only up to the deepest row's first
+zero, with zeros past it.
 
 The continued fractions, the hypergeometric series and the confluent
 identity also take arrays: K independent rows (or points) in one call, each
@@ -64,7 +65,6 @@ __all__ = [
 _TINY = 1e-300
 _RTOL = 1e-13  # the agreement of a fraction's depth and depth+10 values
 _FIRST_CUT = 64  # hyp_series' first cut short of all the terms; it doubles
-_NEAR_POLE = "r = {!r} is within rounding of a nonpositive integer: a denominator vanishes"
 
 
 def confluent_cd(family: FamilySpec, n: int, x):
@@ -283,16 +283,18 @@ def evaluate_cf(b, z, depth: int):
 
 # Each coefficient formula below is written once, for numbers and for arrays
 # alike: a scalar call runs it on Python floats, an array call on columns.
+# A denominator r + (2k - c) adds an exact integer to r, so it is zero only
+# at r = c - 2k exactly, a nonpositive integer that the callers reject.
 
 
 def _g_even(p, r, k):
-    """g_{2k} = (p+k)/(r+2k-1)."""
-    return (p + k) / (r + 2 * k - 1)
+    """g_{2k} = (p+k)/(r+(2k-1))."""
+    return (p + k) / (r + (2 * k - 1))
 
 
 def _g_odd(q, r, k):
-    """g_{2k-1} = (q+k-1)/(r+2k-2)."""
-    return (q + k - 1) / (r + 2 * k - 2)
+    """g_{2k-1} = (q+k-1)/(r+(2k-2))."""
+    return (q + k - 1) / (r + (2 * k - 2))
 
 
 def _g_numerator(g_prev, g):
@@ -318,26 +320,21 @@ def _gauss_g(p, q, r, m: int) -> np.ndarray:
 def _gauss_table(p, q, r, m: int) -> np.ndarray:
     """b_1..b_m of the g-fraction from the ``_gauss_g`` table."""
     g = _gauss_g(p, q, r, m)
-    with np.errstate(all="ignore"):  # rows that are not finite: see the callers
+    with np.errstate(all="ignore"):  # rows that are not finite: see evaluate_cf
         return _g_numerator(g[..., :-1], g[..., 1:])
 
 
 def _gauss_numerators(p: float, q: float, r: float, m: int) -> list:
-    """b_1..b_m of the g-fraction for numbers p, q, r, as Python floats up
-    to the first zero.  A denominator there that rounds to zero raises
-    ParameterOutOfRange naming r."""
+    """b_1..b_m of the g-fraction for numbers p, q, r: Python floats up to the first zero."""
     p, q, r = float(p), float(q), float(r)
     b, g_prev = [], 0.0
-    try:
-        for j in range(1, m + 1):
-            k = float((j + 1) // 2)
-            g = _g_odd(q, r, k) if j % 2 else _g_even(p, r, k)
-            b.append(_g_numerator(g_prev, g))
-            if b[-1] == 0.0:
-                break
-            g_prev = g
-    except ZeroDivisionError:
-        raise ParameterOutOfRange(_NEAR_POLE.format(r)) from None
+    for j in range(1, m + 1):
+        k = float((j + 1) // 2)
+        g = _g_odd(q, r, k) if j % 2 else _g_even(p, r, k)
+        b.append(_g_numerator(g_prev, g))
+        if b[-1] == 0.0:
+            break
+        g_prev = g
     return b
 
 
@@ -345,10 +342,10 @@ def gauss_cf_ratio(p, q, r, z, depth: int = 60):
     """F(p+1, q; r; z) / F(p, q; r; z) as a g-fraction.
 
     Partial numerators -(1 - g_{j-1}) g_j z with the g table
-    g_{2k} = (p+k)/(r+2k-1), g_{2k-1} = (q+k-1)/(r+2k-2).  Terminates
+    g_{2k} = (p+k)/(r+(2k-1)), g_{2k-1} = (q+k-1)/(r+(2k-2)).  Terminates
     exactly when p or q is a nonpositive integer; otherwise needs |z| < 1.
-    An r that is, or is within rounding of, a nonpositive integer (some
-    r + 2k - 1 or r + 2k - 2 rounds to zero) raises ParameterOutOfRange.
+    A nonpositive-integer r raises ParameterOutOfRange; any other r keeps
+    every denominator off zero, however close it lies to one.
 
     A (K,) array z gives the K ratios as an array; each parameter is a
     number or a (K,) array.
@@ -361,7 +358,7 @@ def gauss_cf_ratio(p, q, r, z, depth: int = 60):
         p_ends = np.where(p_int & (p < 0.0), -2.0 * p, np.inf)
         ends = np.minimum(p_ends, np.where(q_int, 1.0 - 2.0 * q, np.inf))
         b = _zeros_past(ends, depth + 10, lambda m: _gauss_table(p[:, None], q[:, None], r[:, None], m))
-        if (_nonpositive_integer(r) | ~terminating & (np.abs(z) >= 1.0) | ~np.isfinite(b).all(axis=1)).any():
+        if (_nonpositive_integer(r) | ~terminating & (np.abs(z) >= 1.0)).any():
             rows = zip(p.tolist(), q.tolist(), r.tolist(), z.tolist())
             return np.array([gauss_cf_ratio(*row, depth) for row in rows])
         return evaluate_cf(b, z, depth)
@@ -371,26 +368,17 @@ def gauss_cf_ratio(p, q, r, z, depth: int = 60):
     q_ends = q <= 0 and float(q).is_integer()
     if not (p_ends or q_ends) and abs(z) >= 1.0:
         raise Divergent(f"non-terminating ratio needs |z| < 1, got z={z}")
-    # Python floats pay per numerator and numpy per table.  A numerator
-    # vanishes when p is a negative integer (g_{-2p} = 0) or q a nonpositive
-    # one (g_{1-2q} = 0); without such a zero the fraction takes all depth+10
-    # numerators, which one table builds faster (45 against 119 us at depth
-    # 200 on a 2-core x86 host)
-    if q_ends or (p_ends and p < 0):
-        return evaluate_cf(_gauss_numerators(p, q, r, depth + 10), z, depth)
-    if np.isinf(_gauss_g(p, q, r, depth + 10)).any():  # a denominator rounded to zero
-        raise ParameterOutOfRange(_NEAR_POLE.format(r))
-    return evaluate_cf(_gauss_table(p, q, r, depth + 10), z, depth)
+    return evaluate_cf(_gauss_numerators(p, q, r, depth + 10), z, depth)
 
 
 def _d_even(p, r, k):
-    """d_{2k} = -(p+k)/((r+2k-1)(r+2k-2))."""
-    return -(p + k) / ((r + 2 * k - 1) * (r + 2 * k - 2))
+    """d_{2k} = -(p+k)/((r+(2k-1))(r+(2k-2)))."""
+    return -(p + k) / ((r + (2 * k - 1)) * (r + (2 * k - 2)))
 
 
 def _d_odd(p, r, k):
-    """d_{2k-1} = (r-p+k-2)/((r+2k-3)(r+2k-2)) for k >= 2."""
-    return (r - p + k - 2) / ((r + 2 * k - 3) * (r + 2 * k - 2))
+    """d_{2k-1} = (r-p+k-2)/((r+(2k-3))(r+(2k-2))) for k >= 2."""
+    return (r - p + k - 2) / ((r + (2 * k - 3)) * (r + (2 * k - 2)))
 
 
 def _kummer_d(p, r, m: int) -> np.ndarray:
@@ -412,19 +400,14 @@ def _kummer_d(p, r, m: int) -> np.ndarray:
 
 
 def _kummer_d_list(p: float, r: float, m: int) -> list:
-    """``_kummer_d`` for numbers p, r, as Python floats up to the first
-    zero; a denominator there that rounds to zero raises
-    ParameterOutOfRange naming r, as in ``_gauss_numerators``."""
+    """``_kummer_d`` for numbers p, r: Python floats up to the first zero."""
     p, r = float(p), float(r)
-    try:
-        d = [1.0 / r]
-        for j in range(2, m + 1):
-            if d[-1] == 0.0:
-                break
-            k = float((j + 1) // 2)
-            d.append(_d_odd(p, r, k) if j % 2 else _d_even(p, r, k))
-    except ZeroDivisionError:
-        raise ParameterOutOfRange(_NEAR_POLE.format(r)) from None
+    d = [1.0 / r]
+    for j in range(2, m + 1):
+        if d[-1] == 0.0:
+            break
+        k = float((j + 1) // 2)
+        d.append(_d_odd(p, r, k) if j % 2 else _d_even(p, r, k))
     return d
 
 
@@ -432,15 +415,15 @@ def kummer_cf_ratio(p, r, z, depth: int = 60):
     """phi(p+1; r; z) / phi(p; r; z) as the confluent limit fraction.
 
     All partial numerators carry the minus sign: 1/(1 - d_1 z/(1 - d_2 z/...)).
-    An r that is, or is within rounding of, a nonpositive integer raises
-    ParameterOutOfRange.  A (K,) array z gives the K ratios as an array;
-    each parameter is a number or a (K,) array.
+    A nonpositive-integer r raises ParameterOutOfRange; any other r keeps
+    every denominator off zero.  A (K,) array z gives the K ratios as an
+    array; each parameter is a number or a (K,) array.
     """
     if isinstance(z, np.ndarray) and z.ndim:
         p, r, z = np.broadcast_arrays(p, r, z)
         ends = np.where(_nonpositive_integer(p) & (p < 0.0), -2.0 * p, np.inf)  # d_{-2p} = 0
         d = _zeros_past(ends, depth + 10, lambda m: _kummer_d(p[:, None], r[:, None], m))
-        if (_nonpositive_integer(r) | ~np.isfinite(d).all(axis=1)).any():
+        if _nonpositive_integer(r).any():
             rows = zip(p.tolist(), r.tolist(), z.tolist())
             return np.array([kummer_cf_ratio(*row, depth) for row in rows])
         return evaluate_cf(-d, z, depth)
@@ -555,8 +538,11 @@ def hyp_series(kind: str, params: tuple, z, terms: int = 200):
     if batch:
         *params, z = np.broadcast_arrays(*params, z)
     *numerators, r = params
+    # a terminating row's first zero is term 1 - v of its nonpositive-integer
+    # numerator v
+    first_zero = np.min([np.where(_nonpositive_integer(v), 1.0 - v, np.inf) for v in numerators], axis=0)
+    terminating = first_zero < np.inf
     if batch:
-        terminating = np.logical_or.reduce([_nonpositive_integer(v) for v in numerators])
         failed = _nonpositive_integer(r) | ~np.isfinite(z)
         if kind == "2F1":
             failed |= ~terminating & (np.abs(z) >= 1.0)
@@ -567,15 +553,12 @@ def hyp_series(kind: str, params: tuple, z, terms: int = 200):
             raise ParameterOutOfRange(f"r must avoid nonpositive integers, got {r}")
         if not math.isfinite(z):
             raise ParameterOutOfRange(f"z must be finite, got {z}")
-        terminating = any(v <= 0 and float(v).is_integer() for v in numerators)
         if kind == "2F1" and not terminating and abs(z) >= 1.0:
             raise Divergent(f"non-terminating 2F1 needs |z| < 1, got z={z}")
-    # a terminating row's first zero is term 1 - v of its nonpositive-integer
-    # numerator v, so the table ends at the deepest row's zero; term `terms`
-    # is formed only to see whether the series has ended.  A row whose terms
-    # overflow before its zero has NaN there (inf * 0) and no zero at all.
+    # the table ends at the deepest row's first zero; term `terms` is formed
+    # only to see whether the series has ended.  A row whose terms overflow
+    # before its zero has NaN there (inf * 0) and no zero at all.
     *tops, r, z_row = (np.reshape(v, -1) for v in (*params, z))
-    first_zero = np.min([np.where(_nonpositive_integer(v), 1.0 - v, np.inf) for v in numerators], axis=0)
     width = int(min(terms, np.max(first_zero, initial=0.0))) + 1
     if batch:  # the rows no cut settles take all the terms
         sums, rows = _stopped_sums(tops, r, z_row, terms, width)
@@ -800,11 +783,13 @@ def chain_params(l, n_max: int | None = None) -> ChainSequence:
 
     ``l`` is the sequence l_1..l_N, cut to its first n_max values (a
     ValueError when it has fewer), or a callable n -> l_n used for
-    n = 1..n_max.  The complementary sequence k_n = 1 - l_n is analyzed
-    the same way and attached.  Raises ZeroDenominator when some m_n of
+    n = 1..n_max; an n_max below 1 is a ValueError.  The complementary
+    sequence k_n = 1 - l_n is analyzed the same way and attached.  Raises ZeroDenominator when some m_n of
     either sequence is exactly 1, which leaves m_{n+1} undefined; the
     message names the complementary sequence when the breakdown is in it.
     """
+    if n_max is not None and n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     if callable(l):
         if n_max is None:
             raise ValueError("n_max is required when l is a callable")

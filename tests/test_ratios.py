@@ -1,5 +1,4 @@
 import math
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -419,29 +418,61 @@ def test_cf_numerators_that_are_not_finite_are_rejected(value):
     assert ratios.evaluate_cf(np.array([b]), np.array([0.5]), 3).tolist() == [0.8]
 
 
-# r within rounding of a nonpositive integer: (r + 2) - 2 rounds to zero at
-# r = 1e-17 and (r + 4) - 3 at r = nextafter(-1, 0); these returned NaN, where
-# mpmath and hyp_series give 6.0 for the first
+# r within rounding of a nonpositive integer: a denominator formed as
+# (r + 2k) - c would round to zero at r = 1e-17 ((r + 2) - 2) and at
+# r = nextafter(-1, 0) ((r + 4) - 3), where r + (2k - c) stays off zero
 NEAR_POLES = [
     ("gauss_cf_ratio", (0.5, 1.0, 1e-17, 0.5), 60),
     ("gauss_cf_ratio", (-3.0, 1.0, 1e-17, 0.5), 20),
     ("kummer_cf_ratio", (-3.0, math.nextafter(-1.0, 0.0), 0.5), 20),
+    ("gauss_cf_ratio", (0.5, 1.0, math.nextafter(-2.0, -3.0), 0.5), 60),
 ]
 
 
-@pytest.mark.parametrize("name, args, depth", NEAR_POLES)
-def test_r_within_rounding_of_a_nonpositive_integer_is_rejected(name, args, depth):
-    fraction = getattr(ratios, name)
-    r = args[-2]
-    message = rf"^r = {re.escape(repr(r))} is within rounding of a nonpositive integer"
-    with pytest.raises(opx.ParameterOutOfRange, match=message):
-        fraction(*args, depth)
-    # the same row after one with r = 2.5, as an array call
+def _rows_after_a_regular_one(args):
+    """The row ``args`` as the second row of an array call whose first row
+    has r = 2.5."""
     rows = [np.array([v, v]) for v in args]
     rows[-2][0] = 2.5
-    assert np.isfinite(fraction(*(v[:1] for v in rows), depth)).all()
-    with pytest.raises(opx.ParameterOutOfRange, match=message):
-        fraction(*rows, depth)
+    return rows
+
+
+@pytest.mark.parametrize("name, args, depth", NEAR_POLES)
+def test_r_near_a_nonpositive_integer_has_its_value(name, args, depth):
+    fraction = getattr(ratios, name)
+    p, *params, z = args
+    if p == -3.0:  # terminating: the exact oracle
+        expected = exact_series_ratio(3, params, z)
+    else:
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            series = mp.hyp2f1 if name == "gauss_cf_ratio" else mp.hyp1f1
+            expected = float(series(p + 1, *params, z) / series(p, *params, z))
+    value = fraction(*args, depth)
+    assert abs(value - expected) <= 1e-15 * abs(expected)
+    assert _outcome(fraction, *(np.array([v]) for v in args), depth) == [value.hex()]
+    assert _outcome(fraction, *_rows_after_a_regular_one(args), depth)[1] == value.hex()
+
+
+@pytest.mark.parametrize(
+    "fraction, args",
+    [(ratios.gauss_cf_ratio, (0.5, 1.0, r, 0.5)) for r in (0.0, -1.0, -2.0)]
+    + [(ratios.kummer_cf_ratio, (-3.0, r, 0.5)) for r in (0.0, -1.0, -2.0, -3.0)],
+)
+def test_nonpositive_integer_r_is_rejected(fraction, args):
+    message = f"r must avoid nonpositive integers, got {args[-2]}"
+    assert _outcome(fraction, *args) == (opx.ParameterOutOfRange, message)
+    assert _outcome(fraction, *_rows_after_a_regular_one(args)) == (opx.ParameterOutOfRange, message)
+
+
+def test_subnormal_r_overflows_the_first_numerator():
+    # at r = nextafter(0, 1) = 2^-1074 the ratio is finite, but g_1 = q/r and
+    # d_1 = 1/r pass the double range, so neither fraction can be formed
+    r = math.nextafter(0.0, 1.0)
+    expected = (opx.ParameterOutOfRange, "partial numerator b_1 = -inf is not finite")
+    for fraction, args in ((ratios.gauss_cf_ratio, (0.5, 1.0, r, 0.5)), (ratios.kummer_cf_ratio, (0.5, r, 0.5))):
+        assert _outcome(fraction, *args) == expected
+        assert _outcome(fraction, *_rows_after_a_regular_one(args)) == expected
 
 
 @pytest.mark.parametrize("depth", [1, 20, 60, 200])
@@ -740,3 +771,11 @@ def test_chain_list_shorter_than_n_max_is_an_error():
     assert opx.chain_params([0.1, 0.2, 0.3], 2).l.tolist() == [0.1, 0.2]
     with pytest.raises(ValueError, match="n_max=5 exceeds the 2 values of l"):
         opx.chain_params([0.1, 0.2], 5)
+
+
+@pytest.mark.parametrize("n_max", [0, -1, -3])
+def test_chain_n_max_below_one_is_an_error(n_max):
+    # l[:n_max] would take a negative n_max from the end of l
+    for l in ([0.1, 0.2, 0.3], lambda n: 0.25):
+        with pytest.raises(ValueError, match=rf"^n_max must be >= 1, got {n_max}$"):
+            opx.chain_params(l, n_max)
