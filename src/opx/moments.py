@@ -403,9 +403,9 @@ _EXACT_FORM_BOUND = 1e-12
 
 def _entry_sums(terms: np.ndarray) -> np.ndarray:
     """The array whose entry [...] is ``math.fsum(terms[..., :])``, the
-    correctly rounded sum.  It stays on fsum, not on ``ratios._fsum_rows``:
-    orthogonality residuals cancel to about 1e-17 of their terms'
-    magnitudes, past what that one-pass bound can certify."""
+    correctly rounded sum.  It stays on fsum, where ``ratios.hyp_series``
+    adds in term order: orthogonality residuals cancel to about 1e-17 of
+    their terms' magnitudes, and fsum adds no error of its own to that."""
     sums = [math.fsum(entry) for entry in terms.reshape(-1, terms.shape[-1]).tolist()]
     return np.array(sums).reshape(terms.shape[:-1])
 

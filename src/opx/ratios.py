@@ -16,19 +16,12 @@ non-finite from n = 270 on (ROADMAP item 2).
 
 Every continued fraction 1/(1 + s_1 a_1 z/(1 + s_2 a_2 z/(...))) is held as
 its signed partial numerators b_j = s_j a_j, j = 1..depth+10, and evaluated
-by backward recurrence at the requested depth (>= 1) and again at depth+10,
-with a tiny-floor rescue, in the scalar pass alone, for an intermediate
-denominator that vanishes, which it can only do exactly.  The Gauss and
-Kummer coefficients have denominators r + (2k - c), zero only at the
-nonpositive-integer r that both fractions reject.  A scalar call builds its
-numerators as a list of Python floats up to the first zero, and an array
-call builds a table, from the same coefficient formulas with the same IEEE
-operations in the same order.  A zero numerator ends the fraction exactly:
-the backward step there leaves the tail at 1 + 0/tail = 1.0 whatever lies
-beyond it, so no pass runs past the first zero, and a zero within the
-requested depth makes the two passes one.  So an array call whose
-fractions all terminate forms its table only up to the deepest row's first
-zero, with zeros past it.
+by backward recurrence at the requested depth (>= 1) and again at depth+10
+(``evaluate_cf``).  A zero numerator ends a fraction exactly, so no pass
+runs past the first zero.  A scalar call builds its numerators as a list of
+Python floats up to the first zero, and an array call builds a table up to
+the deepest row's first zero, from the same coefficient formulas with the
+same IEEE operations in the same order.
 
 The continued fractions, the hypergeometric series and the confluent
 identity also take arrays: K independent rows (or points) in one call, each
@@ -64,7 +57,6 @@ __all__ = [
 
 _TINY = 1e-300
 _RTOL = 1e-13  # the agreement of a fraction's depth and depth+10 values
-_FIRST_CUT = 64  # hyp_series' first cut short of all the terms; it doubles
 
 
 def confluent_cd(family: FamilySpec, n: int, x):
@@ -208,7 +200,9 @@ def evaluate_cf(b, z, depth: int):
     ``b`` holds the signed partial numerators b_1..b_{depth+10} (the leading
     numerator is always 1), as an array or a list; a 1-D ``b`` may instead
     stop at its first zero, which must then be its last entry.  The two
-    backward passes must agree to 1e-13 relative.  ``z`` and the numerators
+    backward passes must agree to 1e-13 max(1, |v|): relative above |v| = 1
+    and absolute below it, so a value near zero may keep little relative
+    accuracy (``gauss_cf_ratio`` gives an example).  ``z`` and the numerators
     before the first zero must be finite (ParameterOutOfRange otherwise);
     they are real, and a 1-D call takes them as Python floats.
 
@@ -345,7 +339,9 @@ def gauss_cf_ratio(p, q, r, z, depth: int = 60):
     g_{2k} = (p+k)/(r+(2k-1)), g_{2k-1} = (q+k-1)/(r+(2k-2)).  Terminates
     exactly when p or q is a nonpositive integer; otherwise needs |z| < 1.
     A nonpositive-integer r raises ParameterOutOfRange; any other r keeps
-    every denominator off zero, however close it lies to one.
+    every denominator off zero, however close it lies to one.  The value is
+    good to about 1e-13 max(1, |v|), absolute near zero (``evaluate_cf``):
+    (-3, 1, nextafter(-2, -3), 0.5) gives 2.22e-15 for a ratio of 2.07e-15.
 
     A (K,) array z gives the K ratios as an array; each parameter is a
     number or a (K,) array.
@@ -416,8 +412,9 @@ def kummer_cf_ratio(p, r, z, depth: int = 60):
 
     All partial numerators carry the minus sign: 1/(1 - d_1 z/(1 - d_2 z/...)).
     A nonpositive-integer r raises ParameterOutOfRange; any other r keeps
-    every denominator off zero.  A (K,) array z gives the K ratios as an
-    array; each parameter is a number or a (K,) array.
+    every denominator off zero.  The value is good to about 1e-13 max(1,
+    |v|) (``evaluate_cf``), absolute near zero.  A (K,) array z gives the K
+    ratios as an array; each parameter is a number or a (K,) array.
     """
     if isinstance(z, np.ndarray) and z.ndim:
         p, r, z = np.broadcast_arrays(p, r, z)
@@ -506,26 +503,28 @@ def jacobi_ratio_cf(
 
 
 def hyp_series(kind: str, params: tuple, z, terms: int = 200):
-    """Hypergeometric sum over at most ``terms`` terms, exact when it terminates.
+    """Hypergeometric sum of at most ``terms`` terms: the float sum of the
+    rounded terms t_m, added in term order.
 
     kind "2F1" with params (p, q, r) or "1F1" with params (p, r).  A
     nonpositive-integer numerator parameter terminates the series exactly;
-    otherwise 2F1 requires |z| < 1.  z must be finite, terms that overflow
-    raise ParameterOutOfRange, and a series still running after ``terms``
-    terms raises NonConvergent unless its last kept term is below 1e-16 of
-    the sum of the kept terms' magnitudes.
+    otherwise 2F1 requires |z| < 1.  z must be finite; terms or a sum past
+    the float range raise ParameterOutOfRange.  One ``cumprod`` of the term
+    ratios (p + m)(q + m) z/((r + m)(m + 1)) and one ``cumsum`` run down a
+    term-major table, and each row reads its sum of t_0..t_{W-1}: W is its
+    first zero term; or the first cut 64, 128, ... below ``terms`` where a
+    bound rho < 1 on the later term ratios puts their terms, at most
+    |t_W|/(1 - rho), below 2^-54 sum_{m<W} |t_m|; or else ``terms``, where
+    a series still running raises NonConvergent unless t_{W-1} is below
+    1e-16 of that sum.
 
-    The terms are the running products of the term ratios, taken by one
-    ``cumprod``, and each sum is ``math.fsum``'s, correctly rounded
-    (alternating terminating sums cancel heavily).  A (K,) array z gives
-    the K sums as an array; each parameter is a number or a (K,) array.  An
-    array call sums its rows in numpy passes, ``_fsum_rows``: a pairwise
-    TwoSum tree whose result is kept where an error bound proves it
-    correctly rounded, and fsum for the few rows it cannot settle.  A row
-    whose terms run past 64 first tries tables cut at 64, 128, ... terms
-    (``_stopped_sums``): a tail bound proves where the sum of the terms
-    left out cannot move the rounded sum, so those rows return the same
-    bits without their later terms; the other rows take all the terms.
+    The sum is within (W - 1) u sum_{m<W} |t_m| of the exact sum of the
+    rounded terms, to first order in u = 2^-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, section 4.2), and no closer
+    where it cancels: 1F1(-150; 0.5; 6) is -19.46, and its terms sum to
+    -1.77e7, within that bound, 5e10.  A (K,) array z gives the K sums as an
+    array, each parameter a number or a (K,) array, and each entry bitwise
+    the call on its row alone.
     """
     sizes = {"2F1": 3, "1F1": 2}
     if kind not in sizes:
@@ -538,176 +537,66 @@ def hyp_series(kind: str, params: tuple, z, terms: int = 200):
     if batch:
         *params, z = np.broadcast_arrays(*params, z)
     *numerators, r = params
-    # a terminating row's first zero is term 1 - v of its nonpositive-integer
-    # numerator v
+    # a row's first zero is term 1 - v of its nonpositive-integer numerator v
     first_zero = np.min([np.where(_nonpositive_integer(v), 1.0 - v, np.inf) for v in numerators], axis=0)
-    terminating = first_zero < np.inf
-    if batch:
-        failed = _nonpositive_integer(r) | ~np.isfinite(z)
-        if kind == "2F1":
-            failed |= ~terminating & (np.abs(z) >= 1.0)
-        if failed.any():
+    divergent = (kind == "2F1") & (first_zero == np.inf) & (np.abs(z) >= 1.0)
+    if np.any(_nonpositive_integer(r) | ~np.isfinite(z) | divergent):
+        if batch:
             return _series_rows(kind, params, z, terms)
-    else:
-        if r <= 0.0 and float(r).is_integer():
+        if _nonpositive_integer(r):
             raise ParameterOutOfRange(f"r must avoid nonpositive integers, got {r}")
         if not math.isfinite(z):
             raise ParameterOutOfRange(f"z must be finite, got {z}")
-        if kind == "2F1" and not terminating and abs(z) >= 1.0:
-            raise Divergent(f"non-terminating 2F1 needs |z| < 1, got z={z}")
+        raise Divergent(f"non-terminating 2F1 needs |z| < 1, got z={z}")
     # the table ends at the deepest row's first zero; term `terms` is formed
-    # only to see whether the series has ended.  A row whose terms overflow
-    # before its zero has NaN there (inf * 0) and no zero at all.
+    # only to see whether the series has ended
     *tops, r, z_row = (np.reshape(v, -1) for v in (*params, z))
-    width = int(min(terms, np.max(first_zero, initial=0.0))) + 1
-    if batch:  # the rows no cut settles take all the terms
-        sums, rows = _stopped_sums(tops, r, z_row, terms, width)
-        if not rows.size:
-            return sums
-        tops, r, z_row = [v[rows] for v in tops], r[rows], z_row[rows]
-    series = _term_table(tops, r, z_row, width)
-    # a row ends before its first zero term; cut the columns no row reaches
-    ended = series == 0.0
-    lengths = np.where(ended.any(axis=1), ended.argmax(axis=1), terms + 1)
-    kept = series[:, : min(lengths.max(initial=1), terms)]
-    if not np.isfinite(kept).all():
+    width = int(min(terms, np.max(first_zero, initial=1.0))) + 1
+    stops, cut = np.zeros(len(z_row), dtype=np.intp), 64  # a stop of 0: no cut has stopped the row
+    while cut < width - 1:
+        # rho bounds the term ratios for m >= cut > |r|: each factor (m + 1 ->
+        # m for 2F1) falls in m, and 1 + 2^-48 covers 16 roundings.  A row
+        # that stops at a cut passes the NonConvergent test on all its terms.
+        series = _term_table(tops, r, z_row, cut + 1)
+        t = np.abs(series[cut])
+        with np.errstate(all="ignore"):  # rows where cut <= |r| or rho >= 1 do not stop
+            rho = np.abs(z_row) * np.prod([cut + np.abs(v) for v in tops], axis=0) * (1.0 + 2.0**-48)
+            rho /= (cut - np.abs(r)) * (cut if len(tops) == 2 else cut + 1.0)
+            # each row's magnitudes summed contiguously, as a one-row call sums them
+            scale = np.ascontiguousarray(np.abs(series[:cut]).T).sum(axis=1)
+            bounded = (np.abs(r) < cut) & (rho < 1.0) & (t / (1.0 - rho) <= 2.0**-54 * scale)
+        # past a row's zero the terms are +-0, so it sums the same at any cut
+        stops[(stops == 0) & ((t == 0.0) | bounded)] = cut
+        if stops.all():
+            break
+        cut *= 2
+    else:
+        # the rows left sum all the table or `terms` terms of it; one whose
+        # terms overflow before its zero has NaN there (inf * 0)
+        series = _term_table(tops, r, z_row, width)
+        stops[stops == 0] = min(terms, width)
+    running = (stops == terms) & (series[-1] != 0.0)  # term `terms` is the table's last
+    with np.errstate(all="ignore"):  # a row past the float range fails the test below
+        sums = np.cumsum(series, axis=0)[stops - 1, np.arange(len(z_row))]
+        last, scale = series[-2, running], np.ascontiguousarray(np.abs(series[:-1, running]).T).sum(axis=1)
+    overflow, still = ~np.isfinite(sums), np.abs(last) > 1e-16 * scale
+    if overflow.any() or still.any():
         if batch:
             return _series_rows(kind, params, z, terms)
-        raise ParameterOutOfRange(f"{kind} terms overflow the float range at z={z}")
-    running = lengths > terms
-    if running.any():
-        # each row's magnitudes summed contiguously, in the order a one-row
-        # call sums them, so a row raises in a batch where it raises alone
-        with np.errstate(all="ignore"):
-            scale = np.abs(np.ascontiguousarray(kept[running])).sum(axis=1)
-            still = np.abs(kept[running, -1]) > 1e-16 * scale
-        if still.any():
-            if batch:
-                return _series_rows(kind, params, z, terms)
-            raise NonConvergent(
-                f"{kind} series still running after {terms} terms: last term "
-                f"{kept[0, -1]} against a magnitude sum of {scale[0]}"
-            )
-    if batch:
-        # the terms past a row's end are +-0.0, which fsum ignores
-        sums[rows] = _fsum_rows(kept)
-        return sums
-    return math.fsum(kept[0, : lengths[0]].tolist())
-
-
-def _stopped_sums(tops: list, r: np.ndarray, z: np.ndarray, terms: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sums of the rows that a table of fewer than ``width`` columns
-    settles, in a (K,) array, and the indices of the rows it leaves open.
-
-    The cut doubles from ``_FIRST_CUT`` terms while it is below width - 1:
-    terms 0..cut-1 are summed by ``_tree_sums``, and term ``cut``, t, bounds
-    the rest.  For m >= cut > |r| the term ratio is at most rho = |z| (cut +
-    |p|)(cut + |q|)/((cut - |r|) cut) for 2F1, as (m + |p|)(m + |q|)/((m -
-    |r|)(m + 1)) < (1 + |p|/m)(1 + |q|/m)/(1 - |r|/m), which falls in m, and
-    |z| (cut + |p|)/((cut - |r|)(cut + 1)) for 1F1, where (1 + |p|/m)/((1 -
-    |r|/m)(m + 1)) falls in m.  rho times 1 + 2^-48 covers the 8 roundings of
-    rho and the 8 of a computed term ratio and its product; a term that
-    underflows is off by at most 2^-1075 more.  Where rho < 1 the terms left
-    out sum to at most (|t| + terms 2^-1074)/(1 - rho), and the last, term
-    terms - 1, is at most |t| rho^(terms - 1 - cut) + 2^-1022.  A row settles
-    where ``_tree_sums`` proves its sum correctly rounded with that tail in
-    its slack, so the sum of all its terms rounds to the same bits, and
-    where |t| rho^(terms - 1 - cut) <= 0.5e-16: its magnitude sum is at
-    least |term 0| = 1, so a full table would not raise NonConvergent, and
-    its terms stay finite.  A row that has ended, t = 0, settles on the
-    certificate alone.
-    """
-    sums, rows, cut = np.empty(len(z)), np.arange(len(z)), _FIRST_CUT
-    while rows.size and cut < width - 1:
-        series = _term_table(tops, r, z, cut + 1)
-        t = np.abs(series[:, cut])
-        with np.errstate(all="ignore"):  # rows where cut <= |r| or rho >= 1 do not settle
-            rho = np.abs(z) / ((cut - np.abs(r)) * (cut if len(tops) == 2 else cut + 1.0))
-            for v in tops:
-                rho *= cut + np.abs(v)
-            rho *= 1.0 + 2.0**-48
-            # 1 + 2^-50 covers the roundings of the tail and of the slack it enters
-            tail = np.where(t == 0.0, 0.0, (t + terms * 2.0**-1074) / (1.0 - rho) * (1.0 + 2.0**-50))
-            res, exact = _tree_sums(series[:, :cut], tail)
-            bounded = (np.abs(r) < cut) & (rho < 1.0) & (t * rho ** (terms - 1 - cut) <= 0.5e-16)
-        settled = exact & ((t == 0.0) | bounded)
-        sums[rows[settled]] = res[settled]
-        left = ~settled
-        rows, tops, r, z = rows[left], [v[left] for v in tops], r[left], z[left]
-        cut *= 2
-    return sums, rows
-
-
-def _fsum_rows(a: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of each row of the (K, W) array ``a``, bit for bit, or
-    the error of the first row whose fsum raises: ``_tree_sums``' result
-    where it proves it correctly rounded, fsum on the other rows."""
-    res, exact = _tree_sums(a, 0.0)
-    for i in np.flatnonzero(~exact).tolist():
-        res[i] = math.fsum(a[i].tolist())
-    return res
-
-
-def _tree_sums(a: np.ndarray, slack) -> tuple[np.ndarray, np.ndarray]:
-    """The sum res of each row of the (K, W) array ``a``, and where res is
-    proven the correctly rounded sum of the row plus any value within
-    ``slack`` (a number or a (K,) array) of zero.
-
-    The rows, padded with +0.0 to 2^L terms, are summed by a pairwise tree
-    of TwoSums (t = x + y, bp = t - x, e = (x - (t - bp)) + (y - bp)), exact
-    while nothing overflows: each sum is hi + its error terms, whose
-    magnitudes add up to at most about L u sum|a| (u = 2^-53).  The error
-    terms are summed in plain float into err, in at most W + L rounded
-    additions each, so err is within about (W + L) L u^2 sum|a| of theirs.
-    res = hi + err and that addition's exact error f leave the sum within
-    |f| + delta of res, delta = 2 (W + L + 2)(L + 1) u^2 sum|a| with room for
-    the rounding of sum|a| and of delta.  Where |f| + delta + slack <
-    spacing(nextafter(|res|, 0)) / 2 the sum rounds to res (Ogita, Rump and
-    Oishi 2005; Shewchuk 1997).  No other row is proven: a sum|a| not below
-    2^1023 (an entry not finite, or fsum's own partials may overflow), a res
-    of at most 2^-1021 in magnitude, zero included (half its spacing rounds
-    to 0), or a sum that cancels too far for the bound, as orthogonality
-    residuals do.  A term-major ``a`` (the transpose of a C-ordered (W, K)
-    table, as ``_term_table`` gives) is copied into the tree contiguously.
-    """
-    rows, width = a.shape
-    levels = (width - 1).bit_length()
-    size = 1 << levels
-    # one column per row, so each tree level adds two contiguous halves, in
-    # place in one workspace of the padded terms and two half-size buffers:
-    # fresh temporaries at every level cost more in page faults than the adds
-    work = np.empty((2 * size, rows))
-    s, spare = work[:size], work[size:]
-    s[:width] = a.T
-    s[width:] = 0.0
-    err = np.zeros(rows)
-    with np.errstate(all="ignore"):  # a non-finite row fails the test below
-        for half in (1 << k for k in reversed(range(levels))):
-            x, y, t, bp = s[:half], s[half : 2 * half], spare[:half], spare[half : 2 * half]
-            np.add(x, y, out=t)
-            np.subtract(t, x, out=bp)
-            np.subtract(y, bp, out=y)
-            np.subtract(t, bp, out=bp)
-            np.subtract(x, bp, out=x)
-            np.add(x, y, out=x)
-            err += x.sum(axis=0)
-            s, spare = t, s
-        hi = s[0]
-        res = hi + err
-        bp = res - hi
-        f = (hi - (res - bp)) + (err - bp)
-        scale = np.abs(a).sum(axis=1)
-        delta = 2 * (width + levels + 2) * (levels + 1) * 2.0**-106 * scale
-        gap = np.spacing(np.nextafter(np.abs(res), 0.0))
-        exact = (scale < 2.0**1023) & (np.abs(f) + (delta + slack) < 0.5 * gap)
-    return res, exact
+        if overflow[0]:
+            what = "terms overflow" if not np.isfinite(series[: stops[0]]).all() else "sum overflows"
+            raise ParameterOutOfRange(f"{kind} {what} the float range at z={z}")
+        raise NonConvergent(
+            f"{kind} series still running after {terms} terms: last term "
+            f"{last[0]} against a magnitude sum of {scale[0]}"
+        )
+    return sums if batch else float(sums[0])
 
 
 def _term_table(tops: list, r: np.ndarray, z: np.ndarray, width: int) -> np.ndarray:
-    """Terms 0..width-1 of each entry of the (K,) parameter arrays, as the
-    (K, width) transpose of a term-major (width, K) table: term m+1 = term m
-    * (p+m)(q+m)/((r+m)(m+1)) z, the running products of the ratios, taken
-    down the table's contiguous rows of K."""
+    """Terms 0..width-1 of each entry of the (K,) parameter arrays, as a
+    term-major (width, K) table: term m+1 = term m * (p+m)(q+m)/((r+m)(m+1))
+    z, the running products of the ratios down its contiguous rows of K."""
     m = np.arange(float(width - 1))[:, None]
     series = np.empty((width, len(z)))
     series[0] = 1.0
@@ -721,7 +610,7 @@ def _term_table(tops: list, r: np.ndarray, z: np.ndarray, width: int) -> np.ndar
         ratio /= den
         ratio *= z
         np.cumprod(series, axis=0, out=series)
-    return series.T
+    return series
 
 
 def _series_rows(kind: str, params: list, z: np.ndarray, terms: int) -> np.ndarray:

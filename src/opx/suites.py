@@ -385,12 +385,19 @@ def _form_stacks(n, params: tuple, z) -> list[tuple]:
     return [(1 - n, *params, z), (-n, *params, z), (-n, *np.abs(params), -np.abs(z))]
 
 
+# ``_ratio_bound``'s c for the first series form, whose terms are within
+# 7 m u of their magnitudes, and for Pfaff's form, within 10 m u
+_FIRST_C, _PFAFF_C = 9, 12
+
+
 def _ratio_bound(n, num, den, mags, c: int) -> tuple[np.ndarray, np.ndarray]:
     """t = num / den and a bound on its rounding error, for sums of n + 1
-    terms each within (c - 1) m u of term m of the magnitude sum ``mags``
-    (M; u = 2^-53): correctly rounded, both sums are within c n u M, and
-    the numerator's terms are (n - m)/n of the denominator's, so t is
-    within c n u M (1 + |t|) / |den| + u |t|."""
+    terms each within (c - 2) m u of term m of the magnitude sum ``mags``
+    (M; u = 2^-53), added in term order.  The n additions move a sum by at
+    most g sum|terms| <= g (1 + (c - 2) n u) M, g = n u / (1 - n u)
+    (Higham 2002, section 4.2), so both sums are within c n u M where
+    c n u <= 1; the numerator's terms are (n - m)/n of the denominator's,
+    so t is within c n u M (1 + |t|) / |den| + u |t|."""
     with np.errstate(divide="ignore", invalid="ignore"):  # where |den| < 1e-3
         t = num / den
         return t, (c * n * mags * (1.0 + np.abs(t)) / np.abs(den) + np.abs(t)) * 2.0**-53
@@ -416,15 +423,15 @@ def _gauss_series(n, q, r, z) -> tuple[np.ndarray, np.ndarray]:
     numerators, denominators and magnitude sums M, F(-n, q; r; -|z|) and
     F(-n, |r - q|; r; -|w|).  The first form's terms are within 7 m u of
     their magnitudes.  Rounding r - q and w, within u and 2 u, moves the
-    second form's term m by 3 m u more, so its sums are within 11 n u M;
-    the division by 1 - z, itself within u, adds 2 u |s|.  Each draw takes
-    the certified form with the smaller bound.
+    second form's term m by 3 m u more, 10 m u in all; the division by
+    1 - z, itself within u, adds 2 u |s|.  Each draw takes the certified
+    form with the smaller bound.
     """
     w = z / (z - 1.0)
     stacks = _form_stacks(n, (q, r), z) + _form_stacks(n, (r - q, r), w)
     num, den, mags, num2, den2, mags2 = _stacked_series("2F1", stacks)
-    s, bound = _ratio_bound(n, num, den, mags, 8)
-    t, bound2 = _ratio_bound(n, num2, den2, mags2, 11)
+    s, bound = _ratio_bound(n, num, den, mags, _FIRST_C)
+    t, bound2 = _ratio_bound(n, num2, den2, mags2, _PFAFF_C)
     s2 = t / (1.0 - z)
     bound2 = bound2 / np.abs(1.0 - z) + 2.0**-52 * np.abs(s2)
     certified, certified2 = _certifies(den, s, bound), _certifies(den2, s2, bound2)
@@ -439,7 +446,7 @@ def _kummer_series(n, r, z) -> tuple[np.ndarray, np.ndarray]:
     are within 7 m u of their magnitudes.  Kummer's transformation gives no
     second terminating form."""
     num, den, mags = _stacked_series("1F1", _form_stacks(n, (r,), z))
-    s, bound = _ratio_bound(n, num, den, mags, 8)
+    s, bound = _ratio_bound(n, num, den, mags, _FIRST_C)
     return s, _certifies(den, s, bound)
 
 
@@ -484,8 +491,9 @@ def kummer_cf_vs_series(rng, count: int, depth: int) -> np.ndarray:
 def gauss_cf_vs_series_nonterminating(rng, count: int, depth: int) -> np.ndarray:
     """Gap between the Gauss fraction 2F1(p+1, q; r; z)/2F1(p, q; r; z) and
     the sums of the 400-term series, over ``count`` draws (p, q, r, z); the
-    series stop where their later terms cannot move a sum's bits
-    (``ratios.hyp_series``), 64 or 128 terms at these draws."""
+    series stop where a tail bound puts the terms left out below 2^-54 of
+    the magnitudes kept (``ratios.hyp_series``), at 64 or 128 terms at
+    these draws."""
 
     # one (count, 4) block, filled row by row: the values and the generator
     # state of ``count`` rows of four scalar draws

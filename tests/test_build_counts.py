@@ -11,13 +11,11 @@ quasi and recovery suites evaluate each family through such tables, so their
 ``eval_table`` calls, and the Gauss rules they solve, stay few, as do the
 ratios suite's ``eval_table`` calls; a repeated op solves no rule, since
 its shared family holds them.  The ratios suite's series rows are
-summed in one array pass per call, and only few of them one by one."""
+summed in one term table per call, and none of them one by one."""
 
 import contextlib
 import io
-import math
 import sys
-import types
 from collections import Counter
 
 import numpy as np
@@ -125,7 +123,7 @@ def test_ratios_suite_calls(calls, flags, expected):
 
 def test_a_ratios_check_rarely_needs_a_second_round(monkeypatch):
     # a round draws 200 + 25 + 4 candidates for the 200 draws of a check;
-    # about 0.7% of Gauss and 3.7% of Kummer candidates do not certify, so
+    # about 0.9% of Gauss and 4.2% of Kummer candidates do not certify, so
     # over seeds 0-199 at most a few percent of checks draw again
     rounds = Counter()
     for name in ("_gauss_series", "_kummer_series"):
@@ -154,34 +152,23 @@ def test_ratios_suite_sums_few_series_rows_one_by_one(monkeypatch, flags):
     # the 2161 series rows of the default seed: six per Gauss candidate of
     # its 229 (both forms' numerator, denominator and magnitudes), three per
     # Kummer candidate of its 229, and the 100 of the non-terminating pair.
-    # The 2061 terminating rows, 12 terms at most, go through one array pass
-    # per hyp_series call, and 79 of them, each a sum that lands on a
-    # rounding tie of the pass's hi + err, which its error bound cannot
-    # settle, fall back to fsum; a loop over the rows made 2161 fsum calls.
-    # The 100 non-terminating rows stop short of their 400 terms: the cut at
-    # 64 terms settles 99 of them and the cut at 128 the last, so none takes
-    # the full table, _fsum_rows or fsum
-    rows, fsums, tree_rows = [], [], Counter()
-    fsum_rows, tree_sums = ratios._fsum_rows, ratios._tree_sums
+    # Each hyp_series call builds one term table, 13 terms wide for the
+    # terminating rows, whose deepest zero is term 12, and 65 for the
+    # non-terminating pair, whose rows all stop at the first cut, 64 terms
+    # of their 400; none is summed one by one, where a loop over the rows
+    # made 2161 sums
+    tables, one_by_one = [], []
+    term_table, series_rows = ratios._term_table, ratios._series_rows
 
-    def counting_rows(a):
-        rows.append(len(a))
-        return fsum_rows(a)
+    def counting_table(tops, r, z, width):
+        tables.append((width, len(z)))
+        return term_table(tops, r, z, width)
 
-    def counting_tree(a, slack):
-        tree_rows[a.shape[1]] += len(a)
-        return tree_sums(a, slack)
-
-    def counting_fsum(xs):
-        fsums.append(len(xs))
-        return math.fsum(xs)
-
-    monkeypatch.setattr(ratios, "_fsum_rows", counting_rows)
-    monkeypatch.setattr(ratios, "_tree_sums", counting_tree)
-    monkeypatch.setattr(ratios, "math", types.SimpleNamespace(**{**vars(math), "fsum": counting_fsum}))
+    monkeypatch.setattr(ratios, "_term_table", counting_table)
+    monkeypatch.setattr(ratios, "_series_rows", lambda *args: one_by_one.append(args) or series_rows(*args))
     _run(["verify", "--suite", "ratios", *flags])
-    assert (sum(rows), len(fsums)) == (2061, 79)
-    assert tree_rows == {12: 2061, 64: 100, 128: 1}
+    assert tables == [(13, 1374), (13, 687), (65, 100)]
+    assert not one_by_one
 
 
 def test_chains_suite_calls(monkeypatch):

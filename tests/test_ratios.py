@@ -454,6 +454,16 @@ def test_r_near_a_nonpositive_integer_has_its_value(name, args, depth):
     assert _outcome(fraction, *_rows_after_a_regular_one(args), depth)[1] == value.hex()
 
 
+def test_a_ratio_near_zero_is_good_to_an_absolute_bound():
+    # the fractions' depth test is 1e-13 max(1, |v|), absolute below |v| = 1,
+    # and so is the accuracy they state: at r = nextafter(-2, -3) the Gauss
+    # ratio is 2.07e-15, and the fraction gives 2.22e-15, 7% off
+    r = math.nextafter(-2.0, -3.0)
+    exact = exact_series_ratio(3, (1.0, r), 0.5)
+    for value in (ratios.gauss_cf_ratio(-3.0, 1.0, r, 0.5), *ratios.gauss_cf_ratio(-3.0, 1.0, r, np.array([0.5]))):
+        assert abs(value - exact) <= 1e-13 * max(1.0, abs(exact))
+
+
 @pytest.mark.parametrize(
     "fraction, args",
     [(ratios.gauss_cf_ratio, (0.5, 1.0, r, 0.5)) for r in (0.0, -1.0, -2.0)]
@@ -513,8 +523,9 @@ def test_ill_conditioned_gauss_draws_against_mpmath(n, q, r, z):
 def test_fractions_meet_the_gate_at_unguarded_draws(seed):
     # blocks of 200 draws from the suite's ranges with no guard, the draws
     # the first series form cannot certify among them: both fractions are
-    # within 1e-10 of the exact ratio, and every series ratio the suite
-    # certifies is within its 1e-11
+    # within 1e-10 of the exact ratio, every series ratio the suite
+    # certifies is within its 1e-11, and at every draw each series form is
+    # within its rounding bound, at the c the suite uses
     rng = np.random.default_rng(seed)
     for kind, lo, hi in (("2F1", (0.2, 0.3, -0.6), (4.0, 4.0, 0.6)), ("1F1", (0.3, -2.0), (4.0, 2.0))):
         n = rng.integers(1, 12, 200)
@@ -527,8 +538,16 @@ def test_fractions_meet_the_gate_at_unguarded_draws(seed):
         assert (suites.relative_gap(cf - exact, exact) <= 1e-10).all()
         assert (suites.relative_gap(series - exact, exact)[certified] <= 1e-11).all()
         num, den, mags = suites._stacked_series(kind, suites._form_stacks(n, params, z))
-        s, bound = suites._ratio_bound(n, num, den, mags, 8)
+        s, bound = suites._ratio_bound(n, num, den, mags, suites._FIRST_C)
         assert not suites._certifies(den, s, bound).all()
+        assert (np.abs(s - exact) <= bound).all()
+        if kind == "2F1":
+            # Pfaff's form, F(-n, q; r; z) = (1 - z)^n F(-n, r - q; r; z / (z - 1))
+            q, r = params
+            num, den, mags = suites._stacked_series(kind, suites._form_stacks(n, (r - q, r), z / (z - 1.0)))
+            t, bound = suites._ratio_bound(n, num, den, mags, suites._PFAFF_C)
+            s = t / (1.0 - z)
+            assert (np.abs(s - exact) <= bound / np.abs(1.0 - z) + 2.0**-52 * np.abs(s)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -669,6 +688,19 @@ def test_hyp_series_terms_that_overflow_are_rejected(z):
     # an array call names the same row, and the other rows do not mask it
     with pytest.raises(opx.ParameterOutOfRange, match="overflow"):
         ratios.hyp_series("1F1", (np.array([-3.0, -150.0]), 0.5), np.array([1.0, z]))
+
+
+def test_a_sum_past_the_float_range_is_rejected():
+    # 2F1(-n, n + 60; 0.5; -0.999) has positive terms, each finite, whose
+    # sum passes the float range from n = 386 on (mpmath: 2.30e308), where a
+    # bare cumsum returns inf; an array call raises its first row's error
+    assert ratios.hyp_series("2F1", (-385.0, 445.0, 0.5), -0.999, 500) == pytest.approx(3.9374154919726e307)
+    for n in (386.0, 387.0):
+        message = "^2F1 sum overflows the float range at z=-0.999$"
+        with pytest.raises(opx.ParameterOutOfRange, match=message):
+            ratios.hyp_series("2F1", (-n, n + 60.0, 0.5), -0.999, 500)
+        with pytest.raises(opx.ParameterOutOfRange, match=message):
+            ratios.hyp_series("2F1", (np.array([-1.0, -n, -n]), n + 60.0, 0.5), np.array([0.3, -0.999, -0.5]), 500)
 
 
 @pytest.mark.parametrize("terms", [0, -5])

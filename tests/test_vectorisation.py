@@ -9,8 +9,10 @@ NaN positions included, match the numpy-scalar loop below.  The row-table render
 as the generic JSON renderer, whatever the types of its columns.  The
 continued fractions and hypergeometric series take their draws as array
 rows, bitwise equal to row-by-row calls, and an array call with failing rows
-raises the error a loop over its rows meets first; the series' one-pass row
-sums are ``math.fsum``'s, bit for bit, errors included.  The kernel table over
+raises the error a loop over its rows meets first; each series row is the
+float sum of its terms in term order, up to its first zero, its first cut
+that the stated tail bound settles or its last term, bit for bit, errors
+included, and within the stated bound of the exact sum.  The kernel table over
 all degrees gives, row by row, bitwise the values of a per-degree evaluator;
 the Geronimus, Uvarov and recovery tables those of the per-degree
 evaluators they replaced, ``kernel_ratio_limit``
@@ -28,7 +30,6 @@ import io
 import json
 import math
 import re
-import sys
 
 import numpy as np
 import pytest
@@ -361,12 +362,14 @@ def _hyp_draws(rng, count):
     return p, rng.uniform(0.2, 4.0, count), rng.uniform(0.3, 4.0, count)
 
 
-def _reference_hyp_series(kind, params, z, terms):
-    """One series by a loop on Python floats over all terms + 1 terms, each
-    the term before it times the term ratio, cut at the first zero term: the
-    table the series built before it stopped at the deepest row's zero.  A
-    series that has not ended by term `terms` must have its last kept term
-    below 1e-16 of the sum of the kept terms' magnitudes."""
+def _reference_terms(kind, params, z, terms):
+    """One series' terms 0..terms by a loop on Python floats, each the term
+    before it times the term ratio, and the number W of them that the series
+    sums: the terms before its first zero term, or before the first cut
+    W = 64, 128, ... below ``terms`` where its tail bound holds, or all
+    ``terms`` of them.  A series not ended by then must have its last term
+    below 1e-16 of the sum of the terms' magnitudes, which is summed as one
+    contiguous numpy row."""
     *tops, r = params
     series = [1.0]
     for m in map(float, range(terms)):
@@ -376,10 +379,48 @@ def _reference_hyp_series(kind, params, z, terms):
         ratio /= (r + m) * (m + 1.0)
         series.append(series[-1] * (ratio * z))
     length = series.index(0.0) if 0.0 in series else terms + 1
-    kept = series[: min(length, terms)]
-    if length > terms and abs(kept[-1]) > 1e-16 * sum(map(abs, kept)):
-        raise opx.NonConvergent(f"{kind} series still running after {terms} terms")
-    return math.fsum(kept)
+    cut = 64
+    with np.errstate(all="ignore"):  # terms past the float range sum to inf or NaN
+        while cut < min(length, terms):
+            if abs(r) < cut:
+                rho = abs(z) / ((cut - abs(r)) * (cut if len(tops) == 2 else cut + 1.0))
+                for v in tops:
+                    rho *= cut + abs(v)
+                rho *= 1.0 + 2.0**-48
+                if rho < 1.0 and abs(series[cut]) / (1.0 - rho) <= 2.0**-54 * np.abs(series[:cut]).sum():
+                    return series, cut
+            cut *= 2
+        kept = series[: min(length, terms)]
+        if length > terms and abs(kept[-1]) > 1e-16 * np.abs(kept).sum():
+            raise opx.NonConvergent(f"{kind} series still running after {terms} terms")
+    return series, len(kept)
+
+
+def _plain_sum(terms):
+    """The float sum of ``terms``, added one by one in their order."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
+def _reference_hyp_series(kind, params, z, terms):
+    """``hyp_series`` of one row: the plain sum of the first W terms."""
+    series, w = _reference_terms(kind, params, z, terms)
+    return _plain_sum(series[:w])
+
+
+def _assert_within_the_sum_bound(value, series, w, terms):
+    """``value``, the float sum of the first W = ``w`` terms, is within the
+    bound ``hyp_series`` states of the exact sum of all the terms before the
+    first zero or term ``terms``: (W - 1) u sum_{m<W} |t_m|, and 2^-54
+    sum_{m<W} |t_m| for the terms a cut left out.  ``math.fsum`` rounds the
+    exact sums, so the bound takes u |fsum| more, and its first order
+    1 + 2^-40 relative more."""
+    full = series.index(0.0) if 0.0 in series[:terms] else terms
+    exact, mags = math.fsum(series[:full]), math.fsum(map(abs, series[:w]))
+    bound = (w - 1) * 2.0**-53 * mags * (1.0 + 2.0**-40) + (mags / 2**54 if w < full else 0.0)
+    assert abs(value - exact) <= bound + 2.0**-53 * abs(exact)
 
 
 def test_hyp_series_rows_match_scalar_calls():
@@ -427,21 +468,18 @@ def _cut_draws(case, rng):
 
 
 @pytest.mark.parametrize("case", ["near_one", "negative", "mixed", "1F1", "full_width"])
-def test_series_cut_short_match_the_full_table(monkeypatch, case):
-    # a row that a cut settles returns the bits of the sum of all its terms,
-    # and the rows no cut settles take the full table
+def test_series_cut_short_match_the_full_table(case):
+    # a row that a cut settles is the plain sum of its terms up to the cut,
+    # within the stated bound of the exact sum of the full table, and the
+    # rows no cut settles sum all their terms
     kind, params, z, terms, settles = _cut_draws(case, np.random.default_rng(11))
-    summed = []
-    fsum_rows = ratios._fsum_rows
-
-    def counted(a):
-        summed.append(len(a))
-        return fsum_rows(a)
-
-    monkeypatch.setattr(ratios, "_fsum_rows", counted)
-    reference = [_reference_hyp_series(kind, row[:-1], row[-1], terms) for row in _rows(*params, z)]
-    assert_bitwise(opx.hyp_series(kind, params, z, terms), reference)
-    assert sum(summed) < 100 if settles else summed == [100]
+    sums, short = opx.hyp_series(kind, params, z, terms), 0
+    for value, row in zip(sums.tolist(), _rows(*params, z)):
+        series, w = _reference_terms(kind, row[:-1], row[-1], terms)
+        assert_bitwise(value, _plain_sum(series[:w]))
+        _assert_within_the_sum_bound(value, series, w, terms)
+        short += w < (series.index(0.0) if 0.0 in series[:terms] else terms)
+    assert short > 0 if settles else short == 0
 
 
 def test_a_series_no_cut_settles_raises_as_before():
@@ -462,7 +500,9 @@ def test_a_series_no_cut_settles_raises_as_before():
 def test_terminating_hyp_series_match_the_full_table(terms):
     # p = -n ends each series at term n + 1, n = 0..11, and the table ends
     # at the deepest row's zero; a row with n >= terms is still running
-    # after `terms` terms, so at terms 1 and 2 the whole call raises
+    # after `terms` terms, so at terms 1 and 2 the whole call raises.  The
+    # rows that end are the plain sums of their terms in term order, within
+    # the stated bound of the exact sums
     rng = np.random.default_rng(terms)
     n = rng.integers(0, 12, 200)
     q, r, z = rng.uniform(0.2, 4.0, 200), rng.uniform(0.3, 4.0, 200), rng.uniform(-2.0, 2.0, 200)
@@ -482,22 +522,22 @@ def test_terminating_hyp_series_match_the_full_table(terms):
         reference = [_reference_hyp_series(kind, row[:-1], row[-1], terms) for row in rows]
         assert_bitwise([opx.hyp_series(kind, row[:-1], row[-1], terms) for row in rows], reference)
         assert_bitwise(opx.hyp_series(kind, params, z[ends], terms), reference)
+        for value, row in zip(reference, rows):
+            _assert_within_the_sum_bound(value, *_reference_terms(kind, row[:-1], row[-1], terms), terms)
 
 
 def test_a_row_that_overflows_before_its_zero_is_rejected():
     # 1F1(-150; 0.5; z) at |z| = 1e5 overflows long before its zero, term
-    # 151, where inf * 0 gives NaN: the sum of its terms is NaN when they
-    # share a sign, and alternating infinities make fsum raise.  The call
-    # raises ParameterOutOfRange instead, beside rows that do end, and those
-    # rows alone still sum as the reference does.
+    # 151, where inf * 0 gives NaN: the plain sum of its terms is NaN at
+    # either sign of z, as alternating infinities add to NaN too.  The call
+    # raises ParameterOutOfRange instead, beside rows that do end, and
+    # those rows alone still sum as the reference does.
     rng = np.random.default_rng(9)
     n = rng.integers(0, 12, 20)
     r, z = rng.uniform(0.3, 4.0, 20), rng.uniform(-2.0, 2.0, 20)
     n[7], r[7] = 150, 0.5
-    assert math.isnan(_reference_hyp_series("1F1", (-150, 0.5), -1e5, 200))
-    with pytest.raises(ValueError, match="-inf \\+ inf in fsum"):
-        _reference_hyp_series("1F1", (-150, 0.5), 1e5, 200)
     for z7 in (-1e5, 1e5):
+        assert math.isnan(_reference_hyp_series("1F1", (-150, 0.5), z7, 200))
         z[7] = z7
         with pytest.raises(opx.ParameterOutOfRange, match="1F1 terms overflow the float range"):
             opx.hyp_series("1F1", (-n, r), z)
@@ -506,60 +546,51 @@ def test_a_row_that_overflows_before_its_zero_is_rejected():
     assert_bitwise(opx.hyp_series("1F1", (-n, r), z), expected)
 
 
-_FSUM_SPECIALS = [
-    0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022), 2.0**-1074 * 3, 1.0, -1.0, 2.0**-53, 2.0**-105,
-    math.inf, -math.inf, math.nan, sys.float_info.max, -sys.float_info.max, 2.0**969, -(2.0**969),
+# rows that fail, or that take an unusual path: a nonpositive-integer r, a
+# NaN z, a non-terminating 2F1 at |z| > 1, terms that overflow before their
+# zero, a series still running after 200 terms, a sum past the float range
+# (with all its 387 terms), and terms that underflow to zero
+_SPECIAL_ROWS = [
+    (-3.0, 1.0, -2.0, 0.5), (-3.0, 1.0, 2.0, math.nan), (0.5, 1.0, 2.0, 1.5), (-150.0, 1.0, 0.5, 1e5),
+    (3.5, 3.0, 1.5, 0.99), (-386.0, 446.0, 0.5, -0.999), (0.7, 1.1, 2.3, 1e-300),
 ]
 
 
-def _fsum_or_error(row):
-    try:
-        return math.fsum(row)
-    except (ValueError, OverflowError) as exc:
-        return exc
-
-
 @st.composite
-def _fsum_tables(draw):
-    """(K, W) arrays of W in 1..401: normal draws scaled by 2^e, e spread
-    up to the whole double range (subnormals, overflow), with any float,
-    signed zeros, infinities or NaN put at drawn places, and rows made to
-    cancel by a last entry of -fsum(the rest)."""
-    width, count = draw(st.integers(1, 401)), draw(st.integers(1, 3))
+def _series_batches(draw):
+    """(kind, params, z, terms) of an array call on 1..8 rows: p = -n ends a
+    row at term n + 1, n = 0..299, before, at or past the cuts, the other
+    rows never end, and any row may be one of ``_SPECIAL_ROWS``."""
+    kind = draw(st.sampled_from(["2F1", "1F1"]))
+    terms, count = draw(st.sampled_from([1, 12, 64, 65, 200, 400])), draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    low, high = draw(st.sampled_from([(0, 0), (-30, 30), (-300, 300), (-1074, 1023)]))
-    with np.errstate(over="ignore"):
-        table = np.ldexp(rng.standard_normal((count, width)), rng.integers(low, high + 1, (count, width)))
-    value = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(_FSUM_SPECIALS))
-    for x, i, j in draw(st.lists(st.tuples(value, st.integers(0, count - 1), st.integers(0, width - 1)), max_size=6)):
-        table[i, j] = x
-    for row in table:
-        if width > 1 and draw(st.booleans()):
-            rest = _fsum_or_error(row[:-1].tolist())
-            if isinstance(rest, float):
-                row[-1] = -rest
-    return table
+    p = np.where(rng.random(count) < 0.5, -rng.integers(0, 300, count), rng.uniform(-6.0, 6.0, count))
+    q, r = rng.uniform(-6.0, 6.0, count), np.where(rng.random(count) < 0.2, -70.5, rng.uniform(0.3, 8.0, count))
+    z = rng.uniform(-0.95, 0.95, count) * (1.0 if kind == "2F1" else 30.0)
+    rows = np.stack([p, q, r, z], axis=1)
+    for i, special in draw(st.lists(st.tuples(st.integers(0, count - 1), st.sampled_from(_SPECIAL_ROWS)), max_size=3)):
+        rows[i] = special
+    params = (rows[:, 0], rows[:, 1], rows[:, 2]) if kind == "2F1" else (rows[:, 0], rows[:, 2])
+    return kind, params, rows[:, 3], terms
 
 
-@settings(max_examples=300, deadline=None)
-@given(_fsum_tables())
-@example(np.array([[1.0, 2.0**-53]]))
-@example(np.array([[1.0, 2.0**-53, 2.0**-105], [1.0, -(2.0**-54), -(2.0**-106)]]))
-@example(np.array([[sys.float_info.max, 2.0**969, 2.0**969, -(2.0**969)]]))
-@example(np.array([[5e-324, 5e-324], [-5e-324, 5e-324], [-0.0, -0.0]]))
-@example(np.array([[math.inf, 1.0, -math.inf], [math.nan, 1.0, 2.0]]))
-def test_fsum_rows_is_fsum_row_by_row(table):
-    # each row's result bit for bit, or the error of the first row whose
-    # fsum raises.  The ties [1, 2^-53] and [1, 2^-53, 2^-105] round to even
-    # and up; the third example sums to the largest double, but fsum's
-    # partials overflow on it
-    expected = [_fsum_or_error(row) for row in table.tolist()]
-    error = next((e for e in expected if isinstance(e, Exception)), None)
-    if error is not None:
-        with pytest.raises(type(error), match=re.escape(str(error))):
-            ratios._fsum_rows(table)
+@settings(max_examples=100, deadline=None)
+@given(_series_batches())
+@example(("1F1", (np.array([0.5, 0.5]), np.array([1.5, 1.5])), np.array([-15.0, -25.0]), 200))
+def test_hyp_series_rows_are_their_one_row_calls(batch):
+    # mixed terminating and non-terminating rows, cut short or not: the
+    # array call is bitwise the one-row calls, or raises the error a loop
+    # over them meets first.  In the example the first row stops at the
+    # cut at 64 terms, where its later terms would still move its sum, and
+    # the second at 128
+    kind, params, z, terms = batch
+    calls = [lambda row=row: opx.hyp_series(kind, row[:-1], row[-1], terms) for row in _rows(*params, z)]
+    try:
+        expected = [call() for call in calls]
+    except opx.OpxError as exc:
+        _assert_raises_like(exc, lambda: opx.hyp_series(kind, params, z, terms))
     else:
-        assert_bitwise(ratios._fsum_rows(table), np.array(expected))
+        assert_bitwise(opx.hyp_series(kind, params, z, terms), expected)
 
 
 def test_suite_series_rows_match_scalar_calls(monkeypatch):
@@ -583,14 +614,19 @@ def test_suite_series_rows_match_scalar_calls(monkeypatch):
     assert sum(calls) > 14000
 
 
-def test_scalar_hyp_series_sums_its_row_with_fsum(monkeypatch):
-    # a single series never pays for the array pass, and stays a Python float
-    def refuse(a):
-        raise AssertionError("a scalar series took the row pass")
-
-    monkeypatch.setattr(ratios, "_fsum_rows", refuse)
-    for params, z in (((-7.0, 1.1, 2.3), 0.4), ((0.7, 1.1, 2.3), 0.3)):
-        assert type(ratios.hyp_series("2F1", params, z)) is float
+def test_scalar_hyp_series_is_its_term_order_sum():
+    # a single series is a Python float, the entry of its one-row array
+    # call and the plain sum of its terms in term order.  1F1(-150; 0.5; 6)
+    # is -19.46, but its terms, up to 3.8e23, cancel: their sum is -1.77e7,
+    # within the stated bound of their exact sum, 5.5e10
+    for kind, params, z in (("2F1", (-7.0, 1.1, 2.3), 0.4), ("2F1", (0.7, 1.1, 2.3), 0.3), ("1F1", (-150.0, 0.5), 6.0)):
+        value = opx.hyp_series(kind, params, z)
+        assert type(value) is float
+        assert_bitwise(opx.hyp_series(kind, [np.array([v]) for v in params], np.array([z])), [value])
+        series, w = _reference_terms(kind, params, z, 200)
+        assert_bitwise(value, _plain_sum(series[:w]))
+        _assert_within_the_sum_bound(value, series, w, 200)
+    assert value == pytest.approx(-1.7691962994e7, rel=1e-9)
 
 
 def _cf_rows(rng, count, depth):
@@ -801,10 +837,10 @@ def _reference_series(kind, n, row):
     Pfaff's transformation, and of those that certify, the first of least
     bound."""
     *params, z = row
-    forms = [_reference_form(kind, n, params, z, 8)]
+    forms = [_reference_form(kind, n, params, z, suites._FIRST_C)]
     if kind == "2F1":
         q, r = params
-        t, bound, den = _reference_form(kind, n, (r - q, r), z / (z - 1.0), 11)
+        t, bound, den = _reference_form(kind, n, (r - q, r), z / (z - 1.0), suites._PFAFF_C)
         s = t / (1.0 - z)
         forms.append((s, bound / abs(1.0 - z) + 2.0**-52 * abs(s), den))
     certified = [f for f in forms if not abs(f[2]) < 1e-3 and not f[1] > 1e-11 * max(1.0, abs(f[0]))]
