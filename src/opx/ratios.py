@@ -17,11 +17,13 @@ non-finite from n = 270 on (ROADMAP item 2).
 Every continued fraction 1/(1 + s_1 a_1 z/(1 + s_2 a_2 z/(...))) is held as
 its signed partial numerators b_j = s_j a_j, j = 1..depth+10, and evaluated
 by backward recurrence at the requested depth (>= 1) and again at depth+10
-(``evaluate_cf``).  A zero numerator ends a fraction exactly, so no pass
-runs past the first zero.  A scalar call builds its numerators as a list of
-Python floats up to the first zero, and an array call builds a table up to
-the deepest row's first zero, from the same coefficient formulas with the
-same IEEE operations in the same order.
+(``evaluate_cf``).  A zero numerator ends a fraction exactly, so nothing
+past the first zero reaches the value.  A scalar call forms its numerators
+as a list of Python floats, two per step, up to the first zero its
+parameters give, or to b_{depth+10}, and runs one backward pass over it
+(``_list_fraction``); an array call builds a table up to the deepest row's
+first zero.  Both use the same coefficient formulas with the same IEEE
+operations in the same order.
 
 The continued fractions, the hypergeometric series and the confluent
 identity also take arrays: K independent rows (or points) in one call, each
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -148,8 +151,8 @@ def _zeros_past(ends: np.ndarray, top: int, table) -> np.ndarray:
 
 
 def _backward_pass(b: list, z: float) -> float:
-    """1/(1 + b[0] z/(1 + ... b[-1] z/1)) by backward recurrence on Python
-    floats.
+    """The top-level denominator 1 + b[0] z/(1 + ... b[-1] z/1) by backward
+    recurrence on Python floats, before the final division.
 
     The only tiny floor of the module.  A tail is 1.0 + y for a double y, so
     it is 0 or at least 2^-53 in magnitude (Sterbenz's lemma; see
@@ -163,9 +166,50 @@ def _backward_pass(b: list, z: float) -> float:
             tail = 1.0 + b_j * z / tail
         except ZeroDivisionError:
             tail = 1.0 + b_j * z / _TINY
-    if tail == 0.0:
+    return tail
+
+
+def _list_end(depth: int, *zeros: float) -> int:
+    """The last numerator b_end a fraction at ``depth`` reads: the first of
+    ``zeros`` (inf for none), where the fraction ends, or b_{depth+10}."""
+    if depth < 1:
+        raise ParameterOutOfRange(f"depth must be >= 1, got {depth}")
+    return int(min((depth + 10, *zeros)))
+
+
+def _list_fraction(b: list, z, depth: int) -> float:
+    """``evaluate_cf`` of Python floats b_1..b_end, end <= depth+10: the
+    evaluation of every 1-D ``b`` and every scalar fraction.
+
+    One backward pass over all of b gives the value at end, and a second
+    over b_1..b_depth runs only where the first zero is past b_{depth+1}.
+    A pass runs through a zero numerator, whose step sets the tail to
+    exactly 1.0 unless a NaN tail reaches it (``evaluate_cf``), and a NaN
+    tail stays NaN up to the top: a pass that ends on a number is the pass
+    that starts below the first zero.  One that ends on NaN, or numerators
+    whose sum (the witness that all of them are finite) is not, take the
+    numerators before the first zero alone, and the first of those that is
+    not finite raises ParameterOutOfRange.
+    """
+    if not math.isfinite(z):
+        raise ParameterOutOfRange(f"z must be finite, got {z}")
+    z = float(z)
+    tail = _backward_pass(b, z)
+    if tail != tail or not math.isfinite(sum(b)):
+        stop = b.index(0.0) if 0.0 in b else len(b)
+        j = next((j for j, b_j in enumerate(b[:stop], 1) if not math.isfinite(b_j)), 0)
+        if j:
+            raise ParameterOutOfRange(f"partial numerator b_{j} = {b[j - 1]} is not finite")
+        if stop < len(b):
+            b = b[:stop]
+            tail = _backward_pass(b, z)
+    at_depth = tail if len(b) <= depth or 0.0 in b[: depth + 1] else _backward_pass(b[:depth], z)
+    if at_depth == 0.0 or tail == 0.0:
         raise ZeroDenominator("continued fraction denominator vanished at the top level")
-    return 1.0 / tail
+    v1, v2 = 1.0 / at_depth, 1.0 / tail
+    if abs(v1 - v2) > _RTOL * max(1.0, abs(v2)):
+        raise NonConvergent(f"depth {depth} and {depth + 10} disagree: {v1} vs {v2}")
+    return v2
 
 
 def _backward_rows(b: np.ndarray, z: np.ndarray, depth: int) -> np.ndarray:
@@ -217,24 +261,24 @@ def evaluate_cf(b, z, depth: int):
     A zero numerator b_j ends the fraction exactly.  The backward step at j
     sets the tail to 1 + (b_j z)/tail = 1 + (+-0)/tail, which is exactly 1.0
     when the tail is finite and nonzero (the floor keeps it off zero) or
-    infinite, the same value the first step of a pass starts from.  So each
-    pass starts just below the first zero, and when the zero lies within
-    b_1..b_{depth+1} the depth and depth+10 passes are one pass, run once.
-    Precondition: the tail reaching the zero is not NaN, which holds when
-    every product b_j z beyond it is finite (a finite z with finite,
-    moderate numerators, as opx's own fractions have); an untruncated pass
-    would carry such a NaN through the zero into the value.
+    infinite, the same value the first step of a pass starts from.  So a
+    pass may start just below the first zero or run through it, and when
+    the zero lies within b_1..b_{depth+1} the depth and depth+10 passes are
+    one pass, run once.  A 1-D pass runs through it, and runs again on the
+    numerators before it where a NaN tail reached it (``_list_fraction``).
+    The array pass starts below the deepest of its rows' first zeros, and a
+    step that would make a NaN tail there raises FloatingPointError
+    (invalid), which sends the call through its rows.
 
     A (K, depth+10) ``b`` with a (K,) ``z`` evaluates K fractions in one
     array pass with no floor and returns their values as an array.  A row
     that fails or is not finite, or a division by an exact zero tail
     anywhere in the pass, sends the call through its rows one by one, which
     give the floored values bit for bit and the error a loop over the rows
-    meets first.  A 1-D ``b`` runs the backward recurrence on Python floats.
+    meets first.  A 1-D ``b`` runs the backward recurrence on Python floats,
+    as every scalar fraction does.
     """
-    if depth < 1:
-        raise ParameterOutOfRange(f"depth must be >= 1, got {depth}")
-    top = depth + 10
+    top = _list_end(depth)
     if isinstance(b, np.ndarray) and b.ndim == 2:
         if b.shape[1] < top:
             raise ValueError(f"need {top} partial numerators, got {b.shape[1]}")
@@ -253,42 +297,27 @@ def evaluate_cf(b, z, depth: int):
             return np.array([evaluate_cf(b_i, z_i, depth) for b_i, z_i in zip(b, z.tolist())])
         return v2
     b = b[:top].tolist() if isinstance(b, np.ndarray) else b[:top]
-    stop = b.index(0.0) if 0.0 in b else len(b)  # the numerators before the first zero
-    if len(b) < top and stop != len(b) - 1:
+    if len(b) < top and (not b or b[-1] != 0.0 or 0.0 in b[:-1]):
         raise ValueError(f"need {top} partial numerators, got {len(b)} not ending at the first zero")
-    if not math.isfinite(z):
-        raise ParameterOutOfRange(f"z must be finite, got {z}")
-    z = float(z)
-    # a finite sum proves every numerator finite, and costs less than a test of each
-    total = sum(b)
-    if not math.isfinite(total) and not all(map(math.isfinite, b[:stop])):
-        j = next(j for j, b_j in enumerate(b, 1) if not math.isfinite(b_j))
-        raise ParameterOutOfRange(f"partial numerator b_{j} = {b[j - 1]} is not finite")
-    # the sum is a numpy scalar when a numerator is one, and the division of
-    # a numpy scalar by zero does not raise
-    if type(total) is not float:
-        b = list(map(float, b))
-    v1 = _backward_pass(b[: min(depth, stop)], z)
-    v2 = v1 if stop <= depth else _backward_pass(b[:stop], z)
-    if abs(v1 - v2) > _RTOL * max(1.0, abs(v2)):
-        raise NonConvergent(f"depth {depth} and {top} disagree: {v1} vs {v2}")
-    return v2
+    # the division of a numpy scalar by zero does not raise
+    return _list_fraction(list(map(float, b)), z, depth)
 
 
 # Each coefficient formula below is written once, for numbers and for arrays
-# alike: a scalar call runs it on Python floats, an array call on columns.
+# alike: a scalar call runs it on Python floats, an array call on columns,
+# and both take k as floats, so that every operation is one of floats.
 # A denominator r + (2k - c) adds an exact integer to r, so it is zero only
 # at r = c - 2k exactly, a nonpositive integer that the callers reject.
 
 
 def _g_even(p, r, k):
     """g_{2k} = (p+k)/(r+(2k-1))."""
-    return (p + k) / (r + (2 * k - 1))
+    return (p + k) / (r + (2.0 * k - 1.0))
 
 
 def _g_odd(q, r, k):
     """g_{2k-1} = (q+k-1)/(r+(2k-2))."""
-    return (q + k - 1) / (r + (2 * k - 2))
+    return (q + k - 1.0) / (r + (2.0 * k - 2.0))
 
 
 def _g_numerator(g_prev, g):
@@ -316,20 +345,6 @@ def _gauss_table(p, q, r, m: int) -> np.ndarray:
     g = _gauss_g(p, q, r, m)
     with np.errstate(all="ignore"):  # rows that are not finite: see evaluate_cf
         return _g_numerator(g[..., :-1], g[..., 1:])
-
-
-def _gauss_numerators(p: float, q: float, r: float, m: int) -> list:
-    """b_1..b_m of the g-fraction for numbers p, q, r: Python floats up to the first zero."""
-    p, q, r = float(p), float(q), float(r)
-    b, g_prev = [], 0.0
-    for j in range(1, m + 1):
-        k = float((j + 1) // 2)
-        g = _g_odd(q, r, k) if j % 2 else _g_even(p, r, k)
-        b.append(_g_numerator(g_prev, g))
-        if b[-1] == 0.0:
-            break
-        g_prev = g
-    return b
 
 
 def gauss_cf_ratio(p, q, r, z, depth: int = 60):
@@ -364,17 +379,27 @@ def gauss_cf_ratio(p, q, r, z, depth: int = 60):
     q_ends = q <= 0 and float(q).is_integer()
     if not (p_ends or q_ends) and abs(z) >= 1.0:
         raise Divergent(f"non-terminating ratio needs |z| < 1, got z={z}")
-    return evaluate_cf(_gauss_numerators(p, q, r, depth + 10), z, depth)
+    p, q, r = float(p), float(q), float(r)
+    # the first zero numerator is b_{-2p} (p < 0) or b_{1-2q}, as for an array
+    p_end = -2.0 * p if p_ends and p < 0.0 else math.inf
+    end = _list_end(depth, p_end, 1.0 - 2.0 * q if q_ends else math.inf)
+    b, g_even = [], 0.0  # g_0 = 0; then b_{2k-1} and b_{2k} per step
+    for k in map(float, range(1, (end + 1) // 2 + 1)):
+        g_odd, g_prev = _g_odd(q, r, k), g_even
+        g_even = _g_even(p, r, k)
+        b += _g_numerator(g_prev, g_odd), _g_numerator(g_odd, g_even)
+    del b[end:]
+    return _list_fraction(b, z, depth)
 
 
 def _d_even(p, r, k):
     """d_{2k} = -(p+k)/((r+(2k-1))(r+(2k-2)))."""
-    return -(p + k) / ((r + (2 * k - 1)) * (r + (2 * k - 2)))
+    return -(p + k) / ((r + (2.0 * k - 1.0)) * (r + (2.0 * k - 2.0)))
 
 
 def _d_odd(p, r, k):
     """d_{2k-1} = (r-p+k-2)/((r+(2k-3))(r+(2k-2))) for k >= 2."""
-    return (r - p + k - 2) / ((r + (2 * k - 3)) * (r + (2 * k - 2)))
+    return (r - p + k - 2.0) / ((r + (2.0 * k - 3.0)) * (r + (2.0 * k - 2.0)))
 
 
 def _kummer_d(p, r, m: int) -> np.ndarray:
@@ -395,15 +420,15 @@ def _kummer_d(p, r, m: int) -> np.ndarray:
     return d
 
 
-def _kummer_d_list(p: float, r: float, m: int) -> list:
-    """``_kummer_d`` for numbers p, r: Python floats up to the first zero."""
+def _kummer_list(p, r, depth: int) -> list:
+    """``_kummer_d`` for numbers p, r: Python floats d_1..d_end, where d_end
+    is the first zero d_{-2p} (p a negative integer) or d_{depth+10}."""
     p, r = float(p), float(r)
-    d = [1.0 / r]
-    for j in range(2, m + 1):
-        if d[-1] == 0.0:
-            break
-        k = float((j + 1) // 2)
-        d.append(_d_odd(p, r, k) if j % 2 else _d_even(p, r, k))
+    end = _list_end(depth, -2.0 * p if p < 0.0 and p.is_integer() else math.inf)
+    d = [1.0 / r]  # then two entries per step
+    for k in map(float, range(1, end // 2 + 1)):
+        d += _d_even(p, r, k), _d_odd(p, r, k + 1.0)
+    del d[end:]
     return d
 
 
@@ -426,7 +451,8 @@ def kummer_cf_ratio(p, r, z, depth: int = 60):
         return evaluate_cf(-d, z, depth)
     if r <= 0.0 and float(r).is_integer():
         raise ParameterOutOfRange(f"r must avoid nonpositive integers, got {r}")
-    return evaluate_cf([-d_j for d_j in _kummer_d_list(p, r, depth + 10)], z, depth)
+    # b_j = -d_j = -(1 - 0) d_j
+    return _list_fraction(list(map(_g_numerator, repeat(0.0), _kummer_list(p, r, depth))), z, depth)
 
 
 def laguerre_ratio_cf(
@@ -452,7 +478,7 @@ def laguerre_ratio_cf(
     if n < 1:
         raise ParameterOutOfRange(f"n must be >= 1, got {n}")
 
-    cf_value = evaluate_cf(_kummer_d_list(-float(n), gamma + 2.0, depth + 10), x, depth)
+    cf_value = _list_fraction(_kummer_list(-float(n), gamma + 2.0, depth), x, depth)
 
     def log_beta(a: float, b: float) -> float:
         return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
@@ -516,7 +542,8 @@ def hyp_series(kind: str, params: tuple, z, terms: int = 200):
     bound rho < 1 on the later term ratios puts their terms, at most
     |t_W|/(1 - rho), below 2^-54 sum_{m<W} |t_m|; or else ``terms``, where
     a series still running raises NonConvergent unless t_{W-1} is below
-    1e-16 of that sum.
+    1e-16 of that sum.  The table of each cut, and the last, holds only the
+    rows that no earlier cut stopped.
 
     The sum is within (W - 1) u sum_{m<W} |t_m| of the exact sum of the
     rounded terms, to first order in u = 2^-53 (Higham, Accuracy and
@@ -536,55 +563,68 @@ def hyp_series(kind: str, params: tuple, z, terms: int = 200):
     batch = isinstance(z, np.ndarray) and z.ndim
     if batch:
         *params, z = np.broadcast_arrays(*params, z)
-    *numerators, r = params
+    # one row per entry, (1,) arrays for a scalar call
+    *tops, r, z_row = (np.asarray(v).reshape(-1) for v in (*params, z))
     # a row's first zero is term 1 - v of its nonpositive-integer numerator v
-    first_zero = np.min([np.where(_nonpositive_integer(v), 1.0 - v, np.inf) for v in numerators], axis=0)
-    divergent = (kind == "2F1") & (first_zero == np.inf) & (np.abs(z) >= 1.0)
-    if np.any(_nonpositive_integer(r) | ~np.isfinite(z) | divergent):
+    first_zero = np.where(_nonpositive_integer(tops[0]), 1.0 - tops[0], np.inf)
+    for v in tops[1:]:
+        np.minimum(first_zero, np.where(_nonpositive_integer(v), 1.0 - v, np.inf), out=first_zero)
+    bad = _nonpositive_integer(r) | ~np.isfinite(z_row)
+    if kind == "2F1":
+        bad |= (first_zero == np.inf) & (np.abs(z_row) >= 1.0)
+    if bad.any():
         if batch:
             return _series_rows(kind, params, z, terms)
-        if _nonpositive_integer(r):
-            raise ParameterOutOfRange(f"r must avoid nonpositive integers, got {r}")
+        if _nonpositive_integer(r)[0]:
+            raise ParameterOutOfRange(f"r must avoid nonpositive integers, got {params[-1]}")
         if not math.isfinite(z):
             raise ParameterOutOfRange(f"z must be finite, got {z}")
         raise Divergent(f"non-terminating 2F1 needs |z| < 1, got z={z}")
     # the table ends at the deepest row's first zero; term `terms` is formed
     # only to see whether the series has ended
-    *tops, r, z_row = (np.reshape(v, -1) for v in (*params, z))
-    width = int(min(terms, np.max(first_zero, initial=1.0))) + 1
-    stops, cut = np.zeros(len(z_row), dtype=np.intp), 64  # a stop of 0: no cut has stopped the row
-    while cut < width - 1:
-        # rho bounds the term ratios for m >= cut > |r|: each factor (m + 1 ->
-        # m for 2F1) falls in m, and 1 + 2^-48 covers 16 roundings.  A row
-        # that stops at a cut passes the NonConvergent test on all its terms.
-        series = _term_table(tops, r, z_row, cut + 1)
-        t = np.abs(series[cut])
-        with np.errstate(all="ignore"):  # rows where cut <= |r| or rho >= 1 do not stop
-            rho = np.abs(z_row) * np.prod([cut + np.abs(v) for v in tops], axis=0) * (1.0 + 2.0**-48)
-            rho /= (cut - np.abs(r)) * (cut if len(tops) == 2 else cut + 1.0)
-            # each row's magnitudes summed contiguously, as a one-row call sums them
-            scale = np.ascontiguousarray(np.abs(series[:cut]).T).sum(axis=1)
-            bounded = (np.abs(r) < cut) & (rho < 1.0) & (t / (1.0 - rho) <= 2.0**-54 * scale)
-        # past a row's zero the terms are +-0, so it sums the same at any cut
-        stops[(stops == 0) & ((t == 0.0) | bounded)] = cut
-        if stops.all():
-            break
-        cut *= 2
-    else:
-        # the rows left sum all the table or `terms` terms of it; one whose
-        # terms overflow before its zero has NaN there (inf * 0)
-        series = _term_table(tops, r, z_row, width)
-        stops[stops == 0] = min(terms, width)
-    running = (stops == terms) & (series[-1] != 0.0)  # term `terms` is the table's last
+    width = int(min(terms, first_zero.max(initial=1.0))) + 1
+    # each row's sum of its terms 0..stop-1; `rows` are those no cut has stopped
+    sums, rows, stop = np.empty(len(z_row)), np.arange(len(z_row)), 64
+    last = None  # the last terms of the rows still running after `terms` terms
     with np.errstate(all="ignore"):  # a row past the float range fails the test below
-        sums = np.cumsum(series, axis=0)[stops - 1, np.arange(len(z_row))]
-        last, scale = series[-2, running], np.ascontiguousarray(np.abs(series[:-1, running]).T).sum(axis=1)
-    overflow, still = ~np.isfinite(sums), np.abs(last) > 1e-16 * scale
-    if overflow.any() or still.any():
+        while stop < width - 1:
+            # rho bounds the term ratios for m >= stop > |r|: each factor (m + 1
+            # -> m for 2F1) falls in m, and 1 + 2^-48 covers 16 roundings.  A
+            # row that stops at a cut passes the NonConvergent test on all its
+            # terms.  Rows where stop <= |r| or rho >= 1 do not stop.
+            series = _term_table(tops, r, z_row, stop + 1)
+            t = np.abs(series[stop])
+            rho = np.abs(z_row) * np.prod([stop + np.abs(v) for v in tops], axis=0) * (1.0 + 2.0**-48)
+            rho /= (stop - np.abs(r)) * (stop if len(tops) == 2 else stop + 1.0)
+            # each row's magnitudes summed contiguously, as a one-row call sums them
+            scale = np.ascontiguousarray(np.abs(series[:stop]).T).sum(axis=1)
+            # past a row's zero the terms are +-0, so it sums the same at any cut
+            done = (t == 0.0) | (np.abs(r) < stop) & (rho < 1.0) & (t / (1.0 - rho) <= 2.0**-54 * scale)
+            sums[rows[done]] = np.cumsum(series[:stop, done], axis=0)[-1]
+            if done.all():
+                break
+            # each row's terms are its own, so the next cut's table takes the others alone
+            left = ~done
+            rows, r, z_row, tops = rows[left], r[left], z_row[left], [v[left] for v in tops]
+            stop *= 2
+        else:
+            # the rows left sum all the table or `terms` terms of it; one whose
+            # terms overflow before its zero has NaN there (inf * 0)
+            series = _term_table(tops, r, z_row, width)
+            stop = min(terms, width)
+            sums[rows] = np.cumsum(series[:stop], axis=0)[-1]
+            if stop == terms:  # term `terms` is the table's last
+                running = series[-1] != 0.0
+                if running.any():
+                    last = series[-2, running]
+                    scale = np.ascontiguousarray(np.abs(series[:-1, running]).T).sum(axis=1)
+    overflow = ~np.isfinite(sums)
+    still = last is not None and (np.abs(last) > 1e-16 * scale).any()
+    if still or overflow.any():
         if batch:
             return _series_rows(kind, params, z, terms)
         if overflow[0]:
-            what = "terms overflow" if not np.isfinite(series[: stops[0]]).all() else "sum overflows"
+            what = "terms overflow" if not np.isfinite(series[:stop]).all() else "sum overflows"
             raise ParameterOutOfRange(f"{kind} {what} the float range at z={z}")
         raise NonConvergent(
             f"{kind} series still running after {terms} terms: last term "

@@ -3,8 +3,9 @@
 Each is the explicit form of something ``opx`` computes another way: the
 moments from powers of the recurrence matrix, the Christoffel-Darboux
 kernel as its sum, the product-measure double integral on a tensor
-Gauss rule, and the terminating hypergeometric ratios in exact rational
-arithmetic.  They live beside the tests so that the package does not hold
+Gauss rule, the terminating hypergeometric ratios in exact rational
+arithmetic, and the scalar continued fractions' numerators built one index
+at a time.  They live beside the tests so that the package does not hold
 the oracles for its own identities.
 """
 
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from opx import eval_table, gauss_rule, geronimus_data, geronimus_family, kernel_family, norm_products
+from opx import eval_table, gauss_rule, geronimus_data, geronimus_family, kernel_family, norm_products, ratios
 
 
 def moment_sequence(family, j_max: int) -> np.ndarray:
@@ -115,3 +116,33 @@ def exact_series_ratio(n: int, params, z) -> float:
         return acc
 
     return float(total(1 - n) / total(-n))
+
+
+def gauss_numerators(p, q, r, m: int) -> list:
+    """b_1..b_m of the g-fraction for numbers p, q, r, as Python floats up
+    to the first zero: one index j per step, g_j from ``ratios._g_odd`` or
+    ``ratios._g_even`` by the parity of j, then its numerator."""
+    p, q, r = float(p), float(q), float(r)
+    b, g_prev = [], 0.0
+    for j in range(1, m + 1):
+        k = float((j + 1) // 2)
+        g = ratios._g_odd(q, r, k) if j % 2 else ratios._g_even(p, r, k)
+        b.append(ratios._g_numerator(g_prev, g))
+        if b[-1] == 0.0:
+            break
+        g_prev = g
+    return b
+
+
+def kummer_d_list(p, r, m: int) -> list:
+    """d_1..d_m of the Kummer fraction for numbers p, r, as Python floats up
+    to the first zero, one index per step: d_1 = 1/r, then
+    ``ratios._d_odd`` or ``ratios._d_even`` by the parity of j."""
+    p, r = float(p), float(r)
+    d = [1.0 / r]
+    for j in range(2, m + 1):
+        if d[-1] == 0.0:
+            break
+        k = float((j + 1) // 2)
+        d.append(ratios._d_odd(p, r, k) if j % 2 else ratios._d_even(p, r, k))
+    return d

@@ -11,7 +11,8 @@ quasi and recovery suites evaluate each family through such tables, so their
 ``eval_table`` calls, and the Gauss rules they solve, stay few, as do the
 ratios suite's ``eval_table`` calls; a repeated op solves no rule, since
 its shared family holds them.  The ratios suite's series rows are
-summed in one term table per call, and none of them one by one."""
+summed in one term table per call and cut, a cut's table holding only the
+rows still running, and none of them one by one."""
 
 import contextlib
 import io
@@ -82,6 +83,7 @@ def calls(monkeypatch):
     counts = Counter()
     for module, name in (
         (ratios, "evaluate_cf"),
+        (ratios, "_list_fraction"),
         (ratios, "hyp_series"),
         (ratios, "confluent_cd"),
         (quasi, "difference_equation_residual"),
@@ -100,7 +102,8 @@ def calls(monkeypatch):
     "flags, expected",
     [
         # evaluate_cf: the terminating Gauss and Kummer batches and the
-        # non-terminating Gauss batch; hyp_series: one call per check, the
+        # non-terminating Gauss batch, none of whose rows is evaluated on its
+        # own (_list_fraction); hyp_series: one call per check, the
         # Gauss call summing both series forms' numerator, denominator and
         # magnitude rows of its one overdrawn block, the Kummer call its
         # three, and one call for the non-terminating pair; no confluent_cd
@@ -108,9 +111,16 @@ def calls(monkeypatch):
         # (one call per degree made 9)
         ([], {"evaluate_cf": 3, "hyp_series": 3}),
         (["--seed", "2"], {"evaluate_cf": 3, "hyp_series": 3}),
-        # plus one fraction per prefactor degree n = 1..6
-        (["--family", "laguerre", "--gamma", "0.5"], {"evaluate_cf": 9, "hyp_series": 3}),
-        (["--family", "jacobi", "--gamma", "0.3", "--delta", "0.7"], {"evaluate_cf": 9, "hyp_series": 3}),
+        # plus one scalar fraction per prefactor degree n = 1..6, each one
+        # backward pass over its numerator list, not an evaluate_cf call
+        (
+            ["--family", "laguerre", "--gamma", "0.5"],
+            {"evaluate_cf": 3, "_list_fraction": 6, "hyp_series": 3},
+        ),
+        (
+            ["--family", "jacobi", "--gamma", "0.3", "--delta", "0.7"],
+            {"evaluate_cf": 3, "_list_fraction": 6, "hyp_series": 3},
+        ),
     ],
 )
 def test_ratios_suite_calls(calls, flags, expected):
@@ -157,6 +167,24 @@ def test_ratios_suite_sums_few_series_rows_one_by_one(monkeypatch, flags):
     # non-terminating pair, whose rows all stop at the first cut, 64 terms
     # of their 400; none is summed one by one, where a loop over the rows
     # made 2161 sums
+    tables, one_by_one = _series_tables(monkeypatch, flags)
+    assert tables == [(13, 1374), (13, 687), (65, 100)]
+    assert not one_by_one
+
+
+@pytest.mark.parametrize("seed, running", [(1, 1), (33, 2)])
+def test_only_the_running_series_rows_reach_the_second_cut(monkeypatch, seed, running):
+    # at these seeds one or two rows of the non-terminating pair's 100 are
+    # still running at the first cut, 64 terms, and only they are summed at
+    # the second, 128; a table of every row made 129 columns for all 100
+    tables, one_by_one = _series_tables(monkeypatch, ["--seed", str(seed)])
+    assert tables == [(13, 1374), (13, 687), (65, 100), (129, running)]
+    assert not one_by_one
+
+
+def _series_tables(monkeypatch, flags):
+    """The (width, rows) of each term table a ratios op builds, and the
+    argument tuples of its hyp_series calls summed row by row."""
     tables, one_by_one = [], []
     term_table, series_rows = ratios._term_table, ratios._series_rows
 
@@ -167,8 +195,7 @@ def test_ratios_suite_sums_few_series_rows_one_by_one(monkeypatch, flags):
     monkeypatch.setattr(ratios, "_term_table", counting_table)
     monkeypatch.setattr(ratios, "_series_rows", lambda *args: one_by_one.append(args) or series_rows(*args))
     _run(["verify", "--suite", "ratios", *flags])
-    assert tables == [(13, 1374), (13, 687), (65, 100)]
-    assert not one_by_one
+    return tables, one_by_one
 
 
 def test_chains_suite_calls(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import opx
 from opx import moments, ratios, suites
 from conftest import sample_points
-from oracles import exact_series_ratio
+from oracles import exact_series_ratio, gauss_numerators, kummer_d_list
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +396,98 @@ def test_batch_rows_with_different_first_zeros_match_the_untruncated_passes(rng)
     b[1, 17] = 0.0  # between depth and depth+10
     b[2, [5, 9]] = 0.0
     assert _outcome(ratios.evaluate_cf, b, z, depth) == _batch_outcome_expected(b, z, depth)
+
+
+# ---------------------------------------------------------------------------
+# scalar fractions against numerators built one index at a time
+# ---------------------------------------------------------------------------
+
+
+def _gauss_by_index(p, q, r, z, depth):
+    """``gauss_cf_ratio`` on numerators built one index at a time and
+    evaluated by ``evaluate_cf``'s list path."""
+    return ratios.evaluate_cf(gauss_numerators(p, q, r, depth + 10), z, depth)
+
+
+def _kummer_by_index(p, r, z, depth):
+    return ratios.evaluate_cf([-d_j for d_j in kummer_d_list(p, r, depth + 10)], z, depth)
+
+
+_near_integers = st.integers(-6, 0).flatmap(
+    lambda n: st.sampled_from([math.nextafter(n, -7.0), math.nextafter(n, 1.0), n - 2.0**-40, n + 1e-9])
+)
+_cf_numbers = st.one_of(
+    st.integers(-40, 0).map(float), st.floats(-6.0, 6.0), _near_integers, st.floats(0.01, 40.0)
+)
+_cf_variables = st.one_of(
+    st.floats(-0.99, 0.99), st.floats(-60.0, 60.0), st.sampled_from([math.nan, math.inf, -math.inf, 1e200])
+)
+_cf_depths = st.sampled_from([1, 2, 5, 10, 20, 60])
+_cf_shifts = st.one_of(st.just(0), st.integers(1, 30))
+
+
+def _is_nonpositive_integer(v):
+    return v <= 0.0 and v.is_integer()
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_cf_numbers, q=_cf_numbers, r=_cf_numbers, z=_cf_variables, depth=_cf_depths, shift=_cf_shifts)
+# an accidental zero: q = r + k - 1 makes g_{2k-1} = 1, so b_{2k} = 0
+@example(p=0.3, q=4.5, r=2.5, z=0.5, depth=10, shift=0)
+@example(p=-20.0, q=4.5, r=2.5, z=40.0, depth=10, shift=0)
+# the same at b_2, with numerators past it whose products overflow: a pass
+# through the zero would carry a NaN tail into the value
+@example(p=-2e29, q=3.5, r=3.5, z=7e281, depth=10, shift=0)
+# ending past depth, where both passes run
+@example(p=-8.0, q=1.3, r=2.1, z=0.45, depth=10, shift=0)
+# p and q both nonpositive integers: the earlier zero, b_5 or b_6, wins
+@example(p=-5.0, q=-2.0, r=1.7, z=3.0, depth=20, shift=0)
+@example(p=-3.0, q=-4.0, r=1.7, z=3.0, depth=20, shift=0)
+# r within rounding of a nonpositive integer
+@example(p=-3.0, q=1.0, r=math.nextafter(-2.0, -3.0), z=0.5, depth=60, shift=0)
+@example(p=0.5, q=1.0, r=math.nextafter(-2.0, 0.0), z=0.5, depth=60, shift=0)
+# a variable that is not finite, and a subnormal r
+@example(p=-3.0, q=1.0, r=2.0, z=math.nan, depth=60, shift=0)
+@example(p=-3.0, q=1.0, r=2.0, z=-math.inf, depth=60, shift=0)
+@example(p=0.5, q=1.0, r=5e-324, z=0.5, depth=60, shift=0)
+def test_scalar_gauss_fractions_match_numerators_built_by_index(p, q, r, z, depth, shift):
+    if shift:  # an accidental zero at b_{2 shift}
+        q = r + shift - 1
+    terminating = _is_nonpositive_integer(p) or _is_nonpositive_integer(q)
+    if _is_nonpositive_integer(r) or not (terminating or abs(z) < 1.0):
+        return  # refused before any numerator is formed
+    assert _outcome(ratios.gauss_cf_ratio, p, q, r, z, depth) == _outcome(_gauss_by_index, p, q, r, z, depth)
+    # the Jacobi fraction: the Gauss fraction at (-n, n + gamma + delta + 1;
+    # gamma + 2) in (1 - x)/2, for x in (-1, 1]
+    gamma, delta, n, x = abs(r) % 3.0, 0.7, int(abs(p)) % 40 + 1, math.tanh(z)
+    if -1.0 < x:
+        expected = _outcome(_gauss_by_index, -float(n), n + gamma + delta + 1.0, gamma + 2.0, (1.0 - x) / 2.0, depth)
+        assert _outcome(lambda: ratios.jacobi_ratio_cf(gamma, delta, n, x, depth)[0]) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_cf_numbers, r=_cf_numbers, z=_cf_variables, depth=_cf_depths, shift=_cf_shifts)
+# an accidental zero: p = r + k - 2 makes d_{2k-1} = 0
+@example(p=1.5, r=1.5, z=0.9, depth=20, shift=0)
+@example(p=2.5, r=1.5, z=-60.0, depth=10, shift=0)
+# ending past depth, where both passes run
+@example(p=-8.0, r=1.5, z=-0.7, depth=10, shift=0)
+# r within rounding of a nonpositive integer
+@example(p=-3.0, r=math.nextafter(-1.0, 0.0), z=0.5, depth=60, shift=0)
+# a variable that is not finite, and a subnormal r
+@example(p=-3.0, r=1.5, z=math.inf, depth=60, shift=0)
+@example(p=-3.0, r=1.5, z=math.nan, depth=60, shift=0)
+@example(p=0.5, r=5e-324, z=0.5, depth=60, shift=0)
+def test_scalar_kummer_fractions_match_numerators_built_by_index(p, r, z, depth, shift):
+    if shift:  # an accidental zero at d_{2 shift + 1}
+        p = r + shift - 1
+    if _is_nonpositive_integer(r):
+        return  # refused before any numerator is formed
+    assert _outcome(ratios.kummer_cf_ratio, p, r, z, depth) == _outcome(_kummer_by_index, p, r, z, depth)
+    # the Laguerre fraction is the plus-signed d-fraction at p = -n, r = gamma + 2
+    gamma, n = abs(r) % 3.0 - 0.5, int(abs(p)) % 40 + 1
+    expected = _outcome(ratios.evaluate_cf, kummer_d_list(-float(n), gamma + 2.0, depth + 10), z, depth)
+    assert _outcome(lambda: ratios.laguerre_ratio_cf(gamma, n, z, depth)[0]) == expected
 
 
 @pytest.mark.parametrize("b", [[0.5, 0.25], [0.5, 0.0, 0.25], [0.0, 0.0]])
