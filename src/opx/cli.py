@@ -15,6 +15,7 @@ check failed, 2 usage or validation error.
 from __future__ import annotations
 
 import csv as _csv
+import functools
 import io
 import math
 import os
@@ -90,6 +91,10 @@ def _render_scalar(obj) -> str:
 
 _CONTAINERS = (dict, list, tuple, np.ndarray)
 
+# from this length on _format_17g takes about two thirds of the time %
+# takes (in process, on a 2-core Xeon); shorter arrays keep %
+_VECTOR_MIN = 1000
+
 
 def _float_cells(column: np.ndarray) -> tuple[str, list]:
     """The ``%`` slot of a non-empty 1-D float array and the values that
@@ -99,19 +104,220 @@ def _float_cells(column: np.ndarray) -> tuple[str, list]:
     value of each run is formatted: ``%.17g`` when finite, ``null`` (JSON
     has no NaN or infinity) otherwise, repeated over its run as one ``str``
     object into a ``%s`` slot.  Bits, not ``==``, decide a run, so ``-0.0``
-    beside ``0.0`` is two runs.  A finite array with more runs than half its
-    length fills a ``%.17g`` slot with its values instead (``"%.17g" % x ==
-    format(x, ".17g")``): the final ``%`` formats a value faster than the
-    loop over the runs does, and past that share the runs save nothing.
+    beside ``0.0`` is two runs.  An array with more runs than half its
+    length is formatted value by value instead, since past that share the
+    runs save less than their loop costs: a finite one fills a ``%.17g``
+    slot (``"%.17g" % x == format(x, ".17g")``), and the final ``%``
+    formats it.  From ``_VECTOR_MIN`` values on, such an array, or the run
+    heads of any other, is formatted by ``_format_17g`` into ``%s`` cells.
     """
     column = np.ascontiguousarray(column, dtype=np.float64)
     bits = column.view(np.int64)
     starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    if 2 * len(starts) > len(column) and np.isfinite(column).all():
-        return "%.17g", column.tolist()
-    texts = ["%.17g" % v if math.isfinite(v) else "null" for v in column[starts].tolist()]
+    if 2 * len(starts) > len(column):
+        if len(column) >= _VECTOR_MIN:
+            return "%s", _format_17g(column)
+        if np.isfinite(column).all():
+            return "%.17g", column.tolist()
+    heads = column[starts]
+    if len(heads) >= _VECTOR_MIN:
+        texts = _format_17g(heads)
+    else:
+        texts = ["%.17g" % v if math.isfinite(v) else "null" for v in heads.tolist()]
     runs = np.diff(np.append(starts, len(column)))
     return "%s", np.repeat(np.array(texts, dtype=object), runs).tolist()
+
+
+class _DigitTables(NamedTuple):
+    """The tables of ``_format_17g``, built on its first call."""
+
+    pow_hi: np.ndarray  # 10^e as pow_hi + pow_lo, e = _POW_MIN.._POW_MAX
+    pow_lo: np.ndarray
+    split_hi: np.ndarray  # Veltkamp's split of pow_hi
+    split_lo: np.ndarray
+    floor_log10: np.ndarray  # floor(log10 2^(B-1023)) by biased binary exponent B
+    int_words: np.ndarray  # "%04d", then "%4d" (0 blank), as 4-byte words
+    unit_words: np.ndarray  # "%03d", "%3d", each with " " or "." after it
+    frac_words: np.ndarray  # "%04d", then "%04d" without its trailing zeros
+    frac_length: np.ndarray  # the length of the latter
+    exponents: np.ndarray  # (5, 801): the bytes of "e%+03d" for e = -400..400
+    pow10: np.ndarray  # 10^0..10^18 as int64
+
+
+_POW_MIN, _POW_MAX = -281, 297
+_SPLIT = 134217729.0  # 2^27 + 1
+# a value whose 17-digit rounding lies closer than this to a tie, in units
+# of its last digit, is left to %: eight times _format_17g's error bound
+_TIE_MARGIN = 2.0**-44
+
+
+def _words(texts) -> np.ndarray:
+    return np.frombuffer("".join(texts).encode("ascii"), np.uint32)
+
+
+@functools.cache
+def _digit_tables() -> _DigitTables:
+    hi, lo = [], []
+    for e in range(_POW_MIN, _POW_MAX + 1):
+        if e >= 0:
+            hi.append(float(10**e))
+            lo.append(float(10**e - int(hi[-1])))
+        else:
+            hi.append(1 / 10**-e)  # int / int rounds correctly
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * 10**-e) / (den * 10**-e))
+    pow_hi, pow_lo = np.array(hi), np.array(lo)
+    scaled = _SPLIT * pow_hi
+    split_hi = scaled - (scaled - pow_hi)
+    # 2^k has len(str(2^k)) digits, and 2^-k lies in [10^-len(str(2^k)), 10^(1-len(...)))
+    floor_log10 = np.array(
+        [0] + [len(str(2**k)) - 1 if k >= 0 else -len(str(2**-k)) for k in range(-1022, 1024)] + [0]
+    )
+    four, three = range(10_000), range(1000)
+    digits = [f"{k:04d}" for k in four]
+    return _DigitTables(
+        pow_hi,
+        pow_lo,
+        split_hi,
+        pow_hi - split_hi,
+        floor_log10,
+        _words(digits + [f"{k:4d}" if k else "    " for k in four]),
+        _words([f"{k:{w}d}{p}" for w in ("03", "3") for p in " ." for k in three]),
+        _words(digits + [d.rstrip("0").ljust(4) for d in digits]),
+        np.array([len(d.rstrip("0")) for d in digits]),
+        np.frombuffer("".join(f"e{e:+03d}".ljust(5) for e in range(-400, 401)).encode(), np.uint8)
+        .reshape(801, 5)
+        .T.copy(),
+        10 ** np.arange(19, dtype=np.int64),
+    )
+
+
+def _format_17g(x: np.ndarray) -> list[str]:
+    """``["%.17g" % v if math.isfinite(v) else "null" for v in x.tolist()]``
+    for a 1-D float64 array, computed by array operations.
+
+    Exponent.  For a = |x| in [1e-280, 1e290], X = floor(log10 a) is
+    exact: the binary exponent of a gives F (a table) with 10^F <= a <
+    10^(F+2), and X = F + [a >= 10^(F+1)].  With 10^e held as the double h
+    nearest it and the rounded rest l, a >= 10^e exactly when a > h, or a
+    == h and l <= 0.
+
+    Digits.  The 17 digits are D = round-half-even(P) for P = a 10^q in
+    [10^16, 10^17), q = 16 - X.  With 10^q = h + l, p = fl(a h) >= 2^53 is
+    an integer, e = a h - p is exact (Veltkamp's split and Dekker's
+    product, Numer. Math. 18, 1971), and c = fl(e + fl(a l)) estimates P -
+    p.  For u = 2^-53 and a h < 2^57, in units of the last digit: the rest
+    of 10^q past h + l, at most u^2 h, adds at most 2^-49; fl(a l) errs by
+    at most u |a l| <= 2^-49; and the sum, below 32 (|e| <= 8, |a l| <=
+    16), by at most 2^-49.  So |P - p - c| <= 3 2^-49 < 2^-47, and where c
+    lies farther than that from a half-integer, D = p + rint(c) is P
+    correctly rounded, as the dtoa behind ``%`` rounds it (Gay, 1990).  A
+    D of 10^17 is 10^16 at X + 1.  Left to ``%``: values within
+    ``_TIE_MARGIN`` of a tie (exact ties such as 2^50 + 0.25 among them),
+    values outside [1e-280, 1e290] (where 10^q leaves the table, or the
+    split overflows) and values not finite.  A zero is "0" or "-0" here.
+
+    Layout.  Every row is one fixed frame of 4-byte words: the sign, up to
+    17 integer digits right-aligned to a point, and 20 fraction digits
+    left-aligned after it, each word looked up by a 4-digit group in a
+    table whose second half blanks the leading (integer) or trailing
+    (fraction) zeros; the point shows when a fraction digit does.  The
+    fixed form (-4 <= X < 17) writes D with 16 - X fraction digits, and
+    the exponent form d.ddde+XX writes it as at X = 0, with the exponent
+    (two or three digits) written after its last significant digit.  The
+    frame keeps only the words some row reaches, and one decode and one
+    ``split`` of its bytes give the strings.
+    """
+    t = _digit_tables()
+    a = np.abs(x)
+    fast = (a >= 1e-280) & (a <= 1e290)
+    a[~fast] = 1.0
+    floor = t.floor_log10.take(a.view(np.int64) >> 52)
+    up = floor + (1 - _POW_MIN)
+    h = t.pow_hi.take(up)
+    X = floor + ((a > h) | ((a == h) & (t.pow_lo.take(up) <= 0.0)))
+    q = (16 - _POW_MIN) - X  # the index of 10^(16-X)
+    p = a * t.pow_hi.take(q)
+    scaled = _SPLIT * a
+    a_hi = scaled - (scaled - a)
+    a_lo = a - a_hi
+    h_hi, h_lo = t.split_hi.take(q), t.split_lo.take(q)
+    c = (((a_hi * h_hi - p) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo) + a * t.pow_lo.take(q)
+    r = np.rint(c)
+    unsure = ~fast | (np.abs(np.abs(c - r) - 0.5) <= _TIE_MARGIN)
+    D = p.astype(np.int64) + r.astype(np.int64)
+    carry = D == 10**17
+    D[carry] = 10**16
+    X += carry
+    D[unsure] = 0  # written "0", and replaced below unless x is a zero
+    X[unsure] = 0
+    expo = (X < -4) | (X > 16)
+    X0 = np.where(expo, 0, X)
+    # D has s = 16 - X0 fraction digits: integer part D // 10^s, and the
+    # fraction, left-aligned in 20 digits, as A (8 digits) and B (12)
+    s = 16 - X0
+    cut = np.maximum(s - 8, 0)
+    scale = t.pow10.take(cut)
+    head = D // scale
+    B = (D - head * scale) * t.pow10.take(12 - cut)
+    scale = t.pow10.take(s - cut)
+    integer = head // scale
+    A = (head - integer * scale) * t.pow10.take(8 - s + cut)
+    sign = np.signbit(x)
+    digits = np.maximum(X0, 0) + 1  # integer digits; the units digit is byte 18
+    first = 19 - digits - sign  # the first byte of a row
+    last = 40 if expo.any() else 35 - min(X0.min(), 0)  # no byte of a row lies past it
+    w0, w1 = int(first.min()) // 4, (last + 1) // 4 + 1  # the frame's words, a blank after every row
+    frame = np.empty((len(x), w1 - w0), np.uint32)
+    # integer words 0..3 hold digits 19..16, 15..12, 11..8 and 7..4 (blank
+    # when no digit above them is significant), word 4 digits 3..1 and the point
+    if w0 < 4:
+        group = integer // 1000
+        for w in range(3, w0 - 1, -1):
+            rest = group // 10_000
+            frame[:, w - w0] = t.int_words.take(group - rest * 10_000 + 10_000 * (digits <= 19 - 4 * w))
+            group = rest
+        integer = integer - (integer // 1000) * 1000
+    point = (A != 0) | (B != 0)
+    frame[:, 4 - w0] = t.unit_words.take(integer + 1000 * point + 2000 * (digits <= 3))
+    f1 = A // 10_000
+    f2 = A - f1 * 10_000
+    f3 = B // 10**8
+    low = B - f3 * 10**8
+    f4 = low // 10_000
+    f5 = low - f4 * 10_000
+    # fraction words 5..9, their trailing zeros blank when no digit below
+    # them is significant, and word 10, if kept, blank
+    blank = 10_000
+    tails = ((B == 0) & (f2 == 0), B == 0, low == 0, f5 == 0, True)
+    for w, group, tail in zip(range(5, 10), (f1, f2, f3, f4, f5), tails):
+        frame[:, w - w0] = t.frac_words.take(group + blank * tail)
+    frame[:, 10 - w0 :] = 0x20202020
+    width = 4 * (w1 - w0)
+    flat = frame.view(np.uint8).reshape(-1)
+    row = np.arange(-4 * w0, len(x) * width - 4 * w0, width)  # where byte 0 of a row would lie
+    minus = np.flatnonzero(sign)
+    flat[row[minus] + first[minus]] = ord("-")
+    rows = np.flatnonzero(expo)
+    if rows.size:
+        # the exponent follows the last significant fraction digit, or the
+        # units digit; the fraction is d_1..d_16, in f1..f4
+        f1, f2, f3, f4 = f1[rows], f2[rows], f3[rows], f4[rows]
+        length = t.frac_length
+        significant = np.where(
+            f4 != 0,
+            12 + length.take(f4),
+            np.where(f3 != 0, 8 + length.take(f3), np.where(f2 != 0, 4 + length.take(f2), length.take(f1))),
+        )
+        at = row[rows] + 19 + significant + (significant > 0)
+        exponent = X[rows] + 400
+        for k in range(5):
+            flat[at + k] = t.exponents[k].take(exponent)
+    texts = flat.tobytes().decode("ascii").split()
+    bad = np.flatnonzero(unsure & (x != 0.0))
+    for i, v in zip(bad.tolist(), x[bad].tolist()):
+        texts[i] = "%.17g" % v if math.isfinite(v) else "null"
+    return texts
 
 
 def render_json(obj, indent: int = 0) -> str:
@@ -148,9 +354,10 @@ def _column_cells(column) -> tuple[str, list | None]:
     """The ``%`` slot of one row-table column and the values that fill it.
 
     An int array fills a ``%d`` slot, and a float array the slot of
-    ``_float_cells``, one format per run of equal values.  A list of
-    ``None`` only is a literal null of the template and has no cells.  Any
-    other column is rendered cell by cell.
+    ``_float_cells``: one format per run of equal values, and from
+    ``_VECTOR_MIN`` values or run heads on the strings of ``_format_17g``,
+    which equal ``%``'s.  A list of ``None`` only is a literal null of the
+    template and has no cells.  Any other column is rendered cell by cell.
     """
     if isinstance(column, np.ndarray):
         if column.dtype.kind in "iu":

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -177,9 +176,11 @@ def _list_end(depth: int, *zeros: float) -> int:
     return int(min((depth + 10, *zeros)))
 
 
-def _list_fraction(b: list, z, depth: int) -> float:
+def _list_fraction(b: list, z, depth: int, sign: float = 1.0) -> float:
     """``evaluate_cf`` of Python floats b_1..b_end, end <= depth+10: the
-    evaluation of every 1-D ``b`` and every scalar fraction.
+    evaluation of every 1-D ``b`` and every scalar fraction.  ``sign`` -1.0
+    evaluates the numerators -b_j: the passes take b at -z, since
+    (-b_j) z is bitwise b_j (-z), and an error names z and -b_j.
 
     One backward pass over all of b gives the value at end, and a second
     over b_1..b_depth runs only where the first zero is past b_{depth+1}.
@@ -193,13 +194,13 @@ def _list_fraction(b: list, z, depth: int) -> float:
     """
     if not math.isfinite(z):
         raise ParameterOutOfRange(f"z must be finite, got {z}")
-    z = float(z)
+    z = sign * float(z)
     tail = _backward_pass(b, z)
     if tail != tail or not math.isfinite(sum(b)):
         stop = b.index(0.0) if 0.0 in b else len(b)
         j = next((j for j, b_j in enumerate(b[:stop], 1) if not math.isfinite(b_j)), 0)
         if j:
-            raise ParameterOutOfRange(f"partial numerator b_{j} = {b[j - 1]} is not finite")
+            raise ParameterOutOfRange(f"partial numerator b_{j} = {sign * b[j - 1]} is not finite")
         if stop < len(b):
             b = b[:stop]
             tail = _backward_pass(b, z)
@@ -452,7 +453,7 @@ def kummer_cf_ratio(p, r, z, depth: int = 60):
     if r <= 0.0 and float(r).is_integer():
         raise ParameterOutOfRange(f"r must avoid nonpositive integers, got {r}")
     # b_j = -d_j = -(1 - 0) d_j
-    return _list_fraction(list(map(_g_numerator, repeat(0.0), _kummer_list(p, r, depth))), z, depth)
+    return _list_fraction(_kummer_list(p, r, depth), z, depth, sign=-1.0)
 
 
 def laguerre_ratio_cf(

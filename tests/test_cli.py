@@ -3,7 +3,9 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
+import random
 import re
 import struct
 import subprocess
@@ -819,13 +821,33 @@ def float_runs(draw, size):
     return cells
 
 
+def _bits(cell):
+    """A float by its bits, so that 0.0 and -0.0, or NaNs, are distinct."""
+    return struct.pack("<d", cell) if isinstance(cell, float) else cell
+
+
 @st.composite
-def row_tables(draw):
+def picked_cells(draw, cells, size, run):
+    """``size`` cells picked from a few distinct ones drawn from ``cells``,
+    in runs of ``run`` equal ones, each unlike the run before it: a long
+    column, with a known number of runs, at the cost of a short one."""
+    pool = draw(st.lists(cells, min_size=2, max_size=40, unique_by=_bits))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    picks = [0]
+    while len(picks) * run < size:
+        picks.append((picks[-1] + rnd.randrange(1, len(pool))) % len(pool))
+    return [pool[i] for i in picks for _ in range(run)][:size]
+
+
+@st.composite
+def row_tables(draw, sizes=st.integers(0, 5)):
     """A header of distinct keys, some with %, ", \\, a comma or a newline
     in them, and one column per key: an int or float array, a float array
     built from runs, a list of None, or a list of None and floats, all of
-    one length, zero among them."""
-    n = draw(st.integers(0, 5))
+    one length drawn from ``sizes``, zero among them.  A table longer than
+    five rows picks its cells (``picked_cells``), in runs of one to three
+    for the column built from runs."""
+    n = draw(sizes)
     header = draw(st.lists(st.text('ab%"\\,\n', max_size=3), min_size=1, max_size=4, unique=True))
     cells = {
         "int": st.integers(-(2**63), 2**63 - 1).map(np.int64),
@@ -837,9 +859,13 @@ def row_tables(draw):
     for _ in header:
         kind = draw(st.sampled_from([*cells, "runs"]))
         if kind == "runs":
-            columns.append(np.array(draw(float_runs(n)), dtype=float))
+            runs = float_runs(n) if n <= 5 else picked_cells(RUN_VALUES, n, draw(st.integers(1, 3)))
+            columns.append(np.array(draw(runs), dtype=float))
             continue
-        column = draw(st.lists(cells[kind], min_size=n, max_size=n))
+        if n <= 5:
+            column = draw(st.lists(cells[kind], min_size=n, max_size=n))
+        else:
+            column = [None] * n if kind == "none" else draw(picked_cells(cells[kind], n, 1))
         typed = {"int": np.int64, "float": float}.get(kind)
         columns.append(np.array(column, dtype=typed) if typed else column)
     return header, columns
@@ -863,6 +889,16 @@ def test_row_writers_match_their_references(table):
     assert cli._render_rows(header, columns) == cli.render_json(rows, 1)
     csv_out, _ = cli._finish(cli.RunConfig("ratio", output="csv"), [], columns, header)
     assert csv_out == _csv_reference(header, columns)
+
+
+# long enough that a float column, or its run heads, reach _format_17g
+LONG = st.sampled_from([cli._VECTOR_MIN - 1, cli._VECTOR_MIN, 2 * cli._VECTOR_MIN])
+
+
+@settings(max_examples=20, deadline=None)
+@given(row_tables(LONG))
+def test_long_row_writers_match_their_references(table):
+    test_row_writers_match_their_references.hypothesis.inner_test(table)
 
 
 @settings(max_examples=200, deadline=None)
@@ -897,3 +933,58 @@ def test_runs_are_written_from_one_string(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["config_echo"]["l"] == [0.25] * 10_000
     runs = [cells[0] for slot, cells in written if slot == "%s" and all(cell is cells[0] for cell in cells)]
     assert sorted(runs) == ["0.25", "0.25", "0.75"]
+
+
+# ---------------------------------------------------------------------------
+# the vectorised %.17g of long float columns against % itself
+# ---------------------------------------------------------------------------
+
+
+def _percent_17g(x):
+    return ["%.17g" % v if math.isfinite(v) else "null" for v in x.tolist()]
+
+
+def _hard_cases():
+    """Values where a shortcut to %.17g goes wrong first: exact ties and
+    their neighbours, powers of ten and one ulp either side of them (the
+    fixed and exponent forms meet at 1e-5/1e-4 and 1e16/1e17; some round up
+    to the next power at 17 digits), three-digit exponents, the ends of the
+    vector path's range, zeros, subnormals, the largest doubles and the
+    values that are not finite."""
+    m = np.random.default_rng(5).integers(2**52, 2**53, 500).astype(float)
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    special = [
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0),
+        1.7976931348623157e308, -1.7976931348623157e308, INF, -INF, NAN, NAN_PAYLOAD, NAN_NEGATIVE,
+        1e16, 1e17, np.nextafter(1e17, 0), 2.0**50 + 0.25, 1e-280, 1e290, 1.5e-100, -2.5e200,
+    ]
+    ends = np.array([1e-280, 1e290])
+    return np.concatenate([
+        m / 4, (m + m % 2) / 4 + 0.25, m / 2, m / 8,  # ties at m/4 for odd m, and at m/4 + 1/4 for even
+        tens, np.nextafter(tens, 0), np.nextafter(tens, INF), -1.5 * tens,
+        np.nextafter(ends, 0), np.nextafter(ends, INF), special, NEAR_TIES,
+    ])
+
+
+# doubles within 2^-50 of a tie at 17 digits (in units of the last digit)
+# that the double-double product rounds the wrong way unless the tie margin
+# sends them to %: for a = m 2^e, whose a 10^(16-X) is m N/M in lowest
+# terms, the least m >= 2^52 with 2 m N mod 2M within 2^-49 M of M
+NEAR_TIES = [
+    2.266837413465321e-277, 4.118576227452893e-233, 2.3963051471557113e-190, 4.883552639228122e-128,
+    1.8055754179005077e-86, 1.361777773360278e-32, 3.314470648054566e57, 4.0144837658702725e115,
+    2.91844021008761e160, 1.3789807665919937e235, 3.951720395736578e268, 5.2114879477055357e284,
+]
+
+
+def test_vector_format_is_percent_on_hard_cases():
+    x = _hard_cases()
+    assert cli._format_17g(x) == _percent_17g(x)
+    assert cli._format_17g(-x) == _percent_17g(-x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_vector_format_is_percent_on_raw_bits(bits):
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert cli._format_17g(x) == _percent_17g(x)

@@ -209,6 +209,15 @@ def configs():
     yield "verify.kernels.custom.lambda3zero", ["verify", "--suite", "kernels", *zero]
     argv = ["verify", "--suite", "ratios", *FAMILIES["chebyshev1"], "--shift=1e-200"]
     yield "verify.ratios.chebyshev1.k1e-200", argv
+    # long float columns in their rarer layouts: P_n(0.3) and P_n'(0.3) fall
+    # to 1.3e-301 and 8.2e-300 over 1,001 rows (three-digit exponents, and
+    # 70 and 61 values below 1e-280), and the benchmark's eval shape, 200
+    # points at n-max 8
+    argv = ["eval", *FAMILIES["chebyshev1"], "--n-max", "1000", "--points=0.3", "--derivs"]
+    yield "eval.chebyshev1.n1000.derivs", argv
+    for fam, (lo, hi) in (("chebyshev1", (-1, 1)), ("laguerre0.5", (0, 10)), ("jacobi", (-1, 1))):
+        points = [f"--points={lo + (hi - lo) * (i * 0.6180339887498949 % 1)!r}" for i in range(200)]
+        yield f"eval.{fam}.p200", ["eval", *FAMILIES[fam], "--n-max", "8", "--derivs", *points]
 
 
 def run(argv):
