@@ -40,4 +40,8 @@ for n in range(4):
 # iterating the construction at conjugate complex shifts stays well defined
 ictx = opx.IteratedKernelContext(opx.KernelContext(fam, 1j, 8), -1j)
 print("\niterated kernel Pkk_3(i, -i; 0.4) =", opx.iterated_kernel(ictx, 3, 0.4))
-print("first-shift kernels at the second shift Pk_n(i; -i) (all nonzero):", ictx.star_values[:5])
+# the paper's ratios of iterated kernel polynomials R_n = Pk_{n+1}(i; -i) / Pk_n(i; -i)
+# are the shifted context's ratios; they tend to phi(k3)/2, phi(z) = z + sqrt(z^2 - 1), |phi| > 1
+print("ratios R_n = Pk_{n+1}(i; -i)/Pk_n(i; -i), n = 1..5:", ictx.shifted.ratios[2:7])
+root = np.sqrt(complex(ictx.k3) ** 2 - 1)
+print("their limit phi(-i)/2 = -i(1 + sqrt 2)/2:", max(ictx.k3 + root, ictx.k3 - root, key=abs) / 2)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -47,8 +46,8 @@ __all__ = [
 
 # |x - k| below this multiple of (1 + |k|) switches kernel_table to the CD sum
 SWITCH_RADIUS = 1e-4
-# relative scale below which P_j(k), or a cross sum X_j of
-# IteratedKernelContext, counts as a genuine zero (see __init__)
+# relative scale below which rho_j = P_j(k)/P_{j-1}(k) counts as a genuine
+# zero (see KernelContext)
 ZERO_RTOL = 1e-13
 # shifts whose ratio caches a family holds; a new shift past them drops all
 RATIO_SHIFTS = 16
@@ -74,33 +73,23 @@ class KernelContext:
         self.family = family
         self.k = k
         self.n_max = n_max
-        top = n_max + 2  # rho_j for j = 1..n_max+3
-        c, lam = family.table(top + 2).T
+        c, lam = family.table(n_max + 4).T  # rho_j for j = 1..n_max+3
         if not lam.all():
             j = int(np.argmax(lam == 0.0))
             raise NotPositiveDefinite(f"lambda_{j + 1} = {lam[j]} <= 0")
-        dtype = np.dtype(complex if np.iscomplexobj(k) or np.iscomplexobj(c) else float)
-        self.ratios, self.weighted_squares, self.cd_partials = (
-            cache[: len(c)] for cache in _held_caches(family, k, dtype, c, lam)
-        )
-        # the caches stop at an exact zero rho_j, so the scale below never
-        # divides by zero
-        rho = self.ratios[1:]
-        scale = np.abs(k - c[: rho.size])
-        scale[1:] = np.maximum(scale[1:], np.abs(lam[1 : rho.size] / rho[:-1]))
-        vanishes = (np.abs(rho) < ZERO_RTOL * scale) | (rho == 0.0)
-        if vanishes.any():
-            j = int(np.argmax(vanishes)) + 1
-            value = math.prod(rho[:j].tolist())  # P_j(k), for the message
+        self.ratios, self.weighted_squares, self.cd_partials = _held_caches(family, k, c, lam)
+        j = _first_zero(k, c, lam, self.ratios)
+        if j:
+            value = math.prod(self.ratios[1 : j + 1].tolist())  # P_j(k), for the message
             raise KernelUndefined(f"P_{j}({k}) = {value} vanishes; kernel sequence undefined")
 
     def __repr__(self) -> str:
         return f"KernelContext({self.family!r}, k={self.k}, n_max={self.n_max})"
 
 
-def _held_caches(family: FamilySpec, k, dtype: np.dtype, c, lam) -> tuple:
-    """The family's read-only ratio caches at ``k`` in ``dtype``, run to at
-    least ``len(c)`` entries or to an exact zero rho_j.
+def _held_caches(family: FamilySpec, k, c, lam) -> tuple:
+    """The family's read-only ratio caches at ``k``, their first ``len(c)``
+    entries, or fewer where an exact zero rho_j ends them.
 
     They are memoised per shift on the family, keyed on the bits of the
     shift as the recurrence reads it, for RATIO_SHIFTS shifts at most, and
@@ -108,6 +97,7 @@ def _held_caches(family: FamilySpec, k, dtype: np.dtype, c, lam) -> tuple:
     so every prefix of the held caches is bitwise the caches a build to that
     length makes.
     """
+    dtype = np.dtype(complex if np.iscomplexobj(k) or np.iscomplexobj(c) else float)
     k = float(k) if dtype == float else dtype.type(k)
     key = (dtype.char, k.real.hex(), k.imag.hex())
     shifts = family._memo.setdefault("ratios", {})
@@ -128,7 +118,17 @@ def _held_caches(family: FamilySpec, k, dtype: np.dtype, c, lam) -> tuple:
         if key not in shifts and len(shifts) >= RATIO_SHIFTS:
             shifts.clear()
         shifts[key] = held
-    return held
+    return tuple(cache[: len(c)] for cache in held)
+
+
+def _first_zero(k, c, lam, ratios: np.ndarray) -> int:
+    """The first j whose rho_j = ``ratios[j]`` at ``k`` fails the zero test
+    of KernelContext, or 0."""
+    rho = ratios[1:]  # ends at an exact zero, so the scale never divides by 0
+    scale = np.abs(k - c[: rho.size])
+    scale[1:] = np.maximum(scale[1:], np.abs(lam[1 : rho.size] / rho[:-1]))
+    vanishes = (np.abs(rho) < ZERO_RTOL * scale) | (rho == 0.0)
+    return int(np.argmax(vanishes)) + 1 if vanishes.any() else 0
 
 
 def _ratio_caches(k, c, lam) -> tuple[list, list, list]:
@@ -244,36 +244,30 @@ def ops_from_kernel_table(ctx: KernelContext, table: np.ndarray) -> np.ndarray:
 class IteratedKernelContext:
     """Two successive Christoffel shifts: first k2, then k3.
 
-    Caches the values Pk_j(k2; k3), j = 0..base.n_max+1, of the first-shift
-    kernels at the second shift.  They are the cross sums
-    X_j = sum_i P_i(k3) P_i(k2) / N_i times N_j / P_j(k2), so X_j vanishes
-    when Pk_j(k2; k3) does, relative to its CD-recurrence step; shifts in
-    conjugate half planes keep every X_j away from zero.  ``shifted``, the
-    context ``iterated_kernel`` evaluates, is made once, on first use.
+    ``shifted`` is the k2-kernel family's context at k3, at the largest
+    degree ``iterated_kernel`` takes, base.n_max - 2 (so base.n_max >= 3).
+    Its ratios Pk_j(k2; k3)/Pk_{j-1}(k2; k3) are the paper's ratios of
+    iterated kernel polynomials.  Pk_j(k2; k3) is N_j/P_j(k2) times the
+    cross sum X_j = sum_{i<=j} P_i(k3) P_i(k2)/N_i, so the context's zero
+    test finds the first vanishing X_j, raised as IteratedUndefined.
     """
 
     def __init__(self, base: KernelContext, k3: complex):
+        if base.n_max < 3:
+            raise ValueError(f"an iterated kernel context needs a base n_max >= 3, got {base.n_max}")
         self.base = base
         self.k3 = k3
-        top = base.n_max + 1
-        star = kernel_table(base, top, [k3])[:, 0]
-        step = base.family.table(top + 1)[1:, 1] / base.ratios[1 : top + 1] * star[:-1]
-        bad = (np.abs(star[1:]) < ZERO_RTOL * np.abs(step)) | (star[1:] == 0.0)
-        if np.any(bad):
-            j = int(np.argmax(bad)) + 1
-            raise IteratedUndefined(f"cross sum X_{j} vanishes at (k2={base.k}, k3={k3})")
-        self.star_values = star
+        family = kernel_family(base, base.n_max + 1)
+        try:
+            self.shifted = KernelContext(family, k3, base.n_max - 3)
+        except KernelUndefined:
+            c, lam = family.table(base.n_max + 1).T
+            j = _first_zero(k3, c, lam, _held_caches(family, k3, c, lam)[0])
+            raise IteratedUndefined(f"cross sum X_{j} vanishes at (k2={base.k}, k3={k3})") from None
 
     @property
     def k2(self) -> complex:
         return self.base.k
-
-    @cached_property
-    def shifted(self) -> KernelContext:
-        """The k2-kernel family's context at k3, made on first use at the
-        largest degree ``iterated_kernel`` takes, base.n_max - 2."""
-        n_top = self.base.n_max - 2
-        return KernelContext(kernel_family(self.base, n_top + 3), self.k3, n_top - 1)
 
 
 def iterated_kernel(ictx: IteratedKernelContext, n: int, x):
@@ -283,8 +277,6 @@ def iterated_kernel(ictx: IteratedKernelContext, n: int, x):
     recurrence coefficients, and the plain kernel construction is applied
     to that family at the second shift, through the context ``ictx.shifted``.
     """
-    if n == 0:
-        return np.ones_like(np.asarray(x)) if np.ndim(x) else 1.0
     if n > ictx.base.n_max - 2:
         raise ValueError(f"n={n} needs a base context with n_max >= {n + 2}")
     return kernel_poly(ictx.shifted, n, x)

@@ -105,7 +105,8 @@ class RecoveryCoefficients:
     degree m, (1, B_m), (1, Bt_m) or (1, Lt_{m-1}, Mt_{m-1}), and (1, 0, ...)
     below the degrees read, and ``data`` the transformed sequence's record:
     the GeronimusData, the UvarovData, or for order two the
-    IteratedKernelContext at (k2, k3).
+    IteratedKernelContext at (k2, k3), whose ``shifted`` context gives the
+    ratios R_n of ``recover_order2`` and the iterated kernels alike.
     """
 
     kind: str
@@ -409,8 +410,8 @@ def recover_order2(
         Lt_n + Mt_n P_n(k1) / (lambda_{n+1} P_{n-1}(k1))
             = P_{n+2}(k1)/P_{n+1}(k1) - P_{n+2}(k2)/P_{n+1}(k2) - R_n,
 
-    with R_n = Pk_{n+1}(k2;k3) / Pk_n(k2;k3) the value ratio of the
-    first-shift kernels at the second shift, is linear in Lt_n with
+    with R_n = Pk_{n+1}(k2;k3) / Pk_n(k2;k3) the ratio of iterated kernel
+    polynomials, ratio n+1 of ``ictx.shifted``, is linear in Lt_n with
     coefficient 1, so Lt_n is solved from it.  beta_n is taken from the
     matching linear system; the cross-sum ratio lambda_{n+2} X_{n+1} / X_n
     enters as rho_{n+1}(k2) R_n, since X_n = P_n(k2)/N_n Pk_n(k2;k3).
@@ -420,17 +421,16 @@ def recover_order2(
     ctx1 = KernelContext(family, k1, n_max + 2)
     rho1 = ctx1.ratios  # rho_j = P_j(k1)/P_{j-1}(k1) at [j]
     rho2 = ictx.base.ratios
-    star = ictx.star_values
     up = slice(2, n_max + 2)  # index n+1 at [n-1]
     down = slice(1, n_max + 1)  # index n at [n-1]
     c, lam = family.table(n_max + 1)[1:].T  # indices n+1 at [n-1]
-    star_ratio = star[up] / star[down]  # R_n
-    rhs = rho1[3 : n_max + 3] - rho2[3 : n_max + 3] - star_ratio
+    ratio = ictx.shifted.ratios[up]  # R_n
+    rhs = rho1[3 : n_max + 3] - rho2[3 : n_max + 3] - ratio
     lt = rhs - mt * rho1[down] / lam
     alpha = np.full(n_max + 1, np.nan, dtype=complex)
     beta = np.full(n_max + 1, np.nan, dtype=complex)
     alpha[1:] = -(1.0 / lam) * mt * rho1[down]
-    beta[1:] = lt * rho1[up] - mt + rho2[up] * star_ratio + alpha[1:] * c
+    beta[1:] = lt * rho1[up] - mt + rho2[up] * ratio + alpha[1:] * c
     return RecoveryCoefficients(
         kind="order2", alpha=alpha, beta=beta, ctx1=ctx1, ctx2=ictx.base,
         quasi=_degree_rows(lt, mt), data=ictx,

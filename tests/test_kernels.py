@@ -279,6 +279,7 @@ def test_iterated_kernel_degree_zero(cheb):
     ctx = opx.KernelContext(cheb, 1j, 6)
     ictx = opx.IteratedKernelContext(ctx, -1j)
     assert opx.iterated_kernel(ictx, 0, 0.4) == 1.0
+    assert np.array_equal(opx.iterated_kernel(ictx, 0, [0.1, 0.4]), [1.0, 1.0])
 
 
 def test_iterated_kernel_real_case_orthogonality(cheb, rng):
@@ -309,8 +310,12 @@ def test_iterated_kernel_real_case_orthogonality(cheb, rng):
 def test_iterated_kernel_complex_cross_sums_nonzero(cheb):
     ctx = opx.KernelContext(cheb, 1j, 12)
     ictx = opx.IteratedKernelContext(ctx, -1j)
+    # the raw values Pk_n(k2; k3) as a reference: the shifted context's
+    # ratios rho*_j = Pk_j(k2; k3) / Pk_{j-1}(k2; k3) multiply out to them
+    star = opx.kernel_table(ctx, 10, [-1j])[:, 0]
+    assert np.allclose(np.cumprod(ictx.shifted.ratios[1:11]), star[1:], rtol=1e-13, atol=0)
     # X_n = P_n(k2)/N_n Pk_n(k2; k3), with P_n(k2) and N_n of the base family
-    cross = opx.eval_table(cheb, 10, [1j])[:, 0] / opx.norm_products(cheb, 10) * ictx.star_values[:11]
+    cross = opx.eval_table(cheb, 10, [1j])[:, 0] / opx.norm_products(cheb, 10) * star
     assert np.all(np.abs(cross) > 0)
     # conjugate shifts make the cross sums real and positive
     assert np.all(np.abs(cross.imag) < 1e-14 * np.abs(cross))
@@ -319,31 +324,87 @@ def test_iterated_kernel_complex_cross_sums_nonzero(cheb):
 
 @pytest.mark.parametrize("family, k2", [(opx.chebyshev1, 2.0), (lambda: opx.laguerre(0.5), -1.0)])
 def test_iterated_context_undefined_at_a_zero_of_a_first_shift_kernel(family, k2):
-    # k3 at a zero of Pk_1(k2; .) or Pk_2(k2; .) makes X_1 or X_2 vanish
-    ctx = opx.KernelContext(family(), k2, 8)
+    # k3 at a zero of Pk_1(k2; .) or Pk_2(k2; .) makes X_1 or X_2 vanish: the
+    # k2-kernel family's own context at k3 is undefined at the same degree,
+    # and so is the order-two recovery that reads its ratios
+    fam = family()
+    ctx = opx.KernelContext(fam, k2, 8)
     (c1, _), (c2, l2) = opx.kernel_recurrence(ctx, 2)
     zeros = [(1, c1), *((2, z) for z in np.roots([1.0, -(c1 + c2), c1 * c2 - l2]))]
     for j, k3 in zeros:
+        with pytest.raises(opx.KernelUndefined, match=rf"^P_{j}\("):
+            opx.KernelContext(opx.kernel_family(ctx, 9), float(k3), 5)
         with pytest.raises(opx.IteratedUndefined, match=f"^cross sum X_{j} vanishes"):
             opx.IteratedKernelContext(ctx, float(k3))
+        with pytest.raises(opx.IteratedUndefined, match=f"^cross sum X_{j} vanishes"):
+            opx.recover_order2(fam, -2.0, k2, float(k3), np.full(6, 0.5), 6)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2])
+def test_iterated_context_needs_a_base_of_degree_three(cheb, n_max):
+    with pytest.raises(ValueError, match=f"needs a base n_max >= 3, got {n_max}"):
+        opx.IteratedKernelContext(opx.KernelContext(cheb, 1j, n_max), -1j)
 
 
 def test_iterated_kernel_two_routes_agree(cheb, rng):
-    # composition route vs direct expansion through the base family
+    # composition route vs direct expansion through the base family, with
+    # R_n from the shifted context; the raw quotient of kernel values at k3
+    # is the reference for R_n
     ctx = opx.KernelContext(cheb, 1j, 8)
     ictx = opx.IteratedKernelContext(ctx, -1j)
+    star = opx.kernel_table(ctx, 5, [-1j])[:, 0]
     for n in range(1, 5):
         x = float(rng.uniform(-1, 1))
         composed = opx.iterated_kernel(ictx, n, x)
-        star_ratio = ictx.star_values[n + 1] / ictx.star_values[n]
+        ratio = ictx.shifted.ratios[n + 1]
+        assert abs(ratio - star[n + 1] / star[n]) <= 1e-14 * abs(ratio)
         vals = opx.eval_table(cheb, n + 2, [x])[:, 0]
         pk = opx.eval_table(cheb, n + 2, [1j])[:, 0]
         direct = (
             vals[n + 2]
             - pk[n + 2] / pk[n + 1] * vals[n + 1]
-            - star_ratio * (vals[n + 1] - pk[n + 1] / pk[n] * vals[n])
+            - ratio * (vals[n + 1] - pk[n + 1] / pk[n] * vals[n])
         ) / ((x - 1j) * (x + 1j))
         assert abs(composed - direct) <= 1e-11 * max(1.0, abs(direct))
+
+
+@pytest.mark.parametrize(
+    "family, k1, k2, k3",
+    [(opx.chebyshev1, -2.0, 1j, -1j), (lambda: opx.laguerre(0.5), -2.0, 1j, -1j),
+     (lambda: opx.jacobi(0.3, 0.7), 3.0, 1j, -1j), (opx.chebyshev1, -2.0, 2.5, 3.0),
+     (lambda: opx.jacobi(0.3, 0.7), 3.0, -2.0, 1.5), (lambda: opx.laguerre(0.5), -2.0, -1.0, -3.0)],
+    ids=["chebyshev1-i", "laguerre0.5-i", "jacobi-i", "chebyshev1-2.5,3", "jacobi-2,1.5", "laguerre0.5-1,-3"],
+)
+def test_iterated_kernel_ratios_against_mpmath(family, k1, k2, k3):
+    # R_n = Pk_{n+1}(k2; k3) / Pk_n(k2; k3) to n = 1000, against the divided
+    # difference (P_{n+1}(k3) - P_{n+1}(k2)/P_n(k2) P_n(k3)) / (k3 - k2) in 40
+    # digits from the same double coefficients; the raw values pass the
+    # double range well before.  recover_order2 solves Lt_n from the same
+    # R_n (with Mt_n = 0, Lt_n = rho_{n+2}(k1) - rho_{n+2}(k2) - R_n).
+    mp = pytest.importorskip("mpmath")
+    n = 1000
+    fam = family()
+    rc = opx.recover_order2(fam, k1, k2, k3, np.zeros(n), n)
+    got = rc.data.shifted.ratios[2 : n + 2]
+    table = fam.table(n + 2)
+    with mp.workdps(40):
+
+        def values(x):
+            p = [mp.mpf(1), x - mp.mpf(table[0, 0])]
+            for j in range(1, n + 2):
+                p.append((x - mp.mpf(table[j, 0])) * p[j] - mp.mpf(table[j, 1]) * p[j - 1])
+            return p
+
+        a, b = mp.mpmathify(k2), mp.mpmathify(k3)
+        pa, pb = values(a), values(b)
+        pk = [(pb[m + 1] - pa[m + 1] / pa[m] * pb[m]) / (b - a) for m in range(1, n + 2)]
+        ref = np.array([complex(pk[m + 1] / pk[m]) for m in range(n)])
+    eps = np.finfo(float).eps
+    # measured at most 7.9 eps (laguerre at (i, -i), where R_n grows like n)
+    assert (np.abs(got - ref) <= 16 * eps * np.abs(ref)).all()
+    rho1, rho2 = rc.ctx1.ratios[3 : n + 3], rc.ctx2.ratios[3 : n + 3]
+    scale = np.maximum.reduce([np.abs(rho1), np.abs(rho2), np.abs(ref)])
+    assert (np.abs(rc.quasi[2:, 1] - (rho1 - rho2 - ref)) <= 16 * eps * scale).all()
 
 
 def test_product_orthogonality_off_diagonal(cheb):

@@ -524,13 +524,13 @@ def test_recover_order2_constraint_solves(cheb):
     # whatever Mtilde is, the solved Ltilde meets the compatibility constraint
     # Lt_n + Mt_n P_n(k1) / (lambda_{n+1} P_{n-1}(k1)) =
     #     P_{n+2}(k1)/P_{n+1}(k1) - P_{n+2}(k2)/P_{n+1}(k2) - R_n,
-    # written out here from the sequence and the iterated kernel values
+    # written out here from the sequence and the raw values Pk_n(k2; k3)
     n_max, k1 = 5, 3.0
     rc = opx.recover_order2(cheb, k1, 1j, -1j, np.full(n_max, 1.7), n_max)
     _, lt, mt = rc.quasi[2:].T  # row n + 1 is (1, Lt_n, Mt_n)
     pk1 = opx.eval_table(cheb, n_max + 2, [k1])[:, 0]
     pk2 = opx.eval_table(cheb, n_max + 2, [1j])[:, 0]
-    star = opx.IteratedKernelContext(opx.KernelContext(cheb, 1j, n_max + 2), -1j).star_values
+    star = opx.kernel_table(opx.KernelContext(cheb, 1j, n_max + 2), n_max + 1, [-1j])[:, 0]
     for n in range(1, n_max + 1):
         lhs = lt[n - 1] + mt[n - 1] * pk1[n] / (cheb.coefficient(n + 1)[1] * pk1[n - 1])
         rhs = pk1[n + 2] / pk1[n + 1] - pk2[n + 2] / pk2[n + 1] - star[n + 1] / star[n]
@@ -538,19 +538,28 @@ def test_recover_order2_constraint_solves(cheb):
 
 
 def test_recover_order2_cross_ratio_two_routes(cheb):
-    # the iterated-kernel value ratio inside beta_n equals the ratio of the
-    # cross sums X_n = sum_j P_j(k3) P_j(k2) / N_j, summed here explicitly
+    # the ratio R_n of iterated kernel polynomials inside beta_n, from the
+    # shifted context, equals the ratio of the cross sums
+    # X_n = sum_j P_j(k3) P_j(k2) / N_j, summed here explicitly
     n_max = 5
-    ctx = opx.KernelContext(cheb, 1j, n_max + 2)
-    ictx = opx.IteratedKernelContext(ctx, -1j)
+    rc = opx.recover_order2(cheb, 3.0, 1j, -1j, np.full(n_max, 0.5), n_max)
     pk2 = opx.eval_table(cheb, n_max, [1j])[:, 0]
     pk3 = opx.eval_table(cheb, n_max, [-1j])[:, 0]
     cross = np.cumsum(pk3 * pk2 / opx.norm_products(cheb, n_max))
     for n in range(1, n_max):
-        from_star = ictx.star_values[n + 1] / ictx.star_values[n]
+        ratio = rc.data.shifted.ratios[n + 1]
         lam2 = cheb.coefficient(n + 2)[1]
         from_cross = lam2 * (pk2[n] / pk2[n + 1]) * (cross[n + 1] / cross[n])
-        assert abs(from_star - from_cross) <= 1e-12 * abs(from_star)
+        assert abs(ratio - from_cross) <= 1e-12 * abs(ratio)
+
+
+@pytest.mark.parametrize("k2, k3", [(1j, -1j), (2.5, 3.0)], ids=["i,-i", "2.5,3"])
+def test_recover_order2_is_finite_at_large_n(cheb, k2, k3):
+    # the raw values Pk_n(k2; k3) pass the double range long before n = 10^4
+    n_max = 10_000
+    rc = opx.recover_order2(cheb, -2.0, k2, k3, np.full(n_max, 0.5), n_max)
+    assert np.isfinite(rc.alpha[1:]).all() and np.isfinite(rc.beta[1:]).all()
+    assert np.isfinite(rc.quasi[2:, 1]).all()  # Lt_n
 
 
 def test_recovery_identity_on_laguerre(lag, rng):
