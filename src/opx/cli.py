@@ -91,41 +91,46 @@ def _render_scalar(obj) -> str:
 
 _CONTAINERS = (dict, list, tuple, np.ndarray)
 
-# from this length on _format_17g takes about two thirds of the time %
-# takes (in process, on a 2-core Xeon); shorter arrays keep %
+# from this length on _format_17g and a bytes % of its tokens take 0.65-0.75
+# of the time a bytes % of the floats takes (in process, on a 2-core Xeon;
+# 1.28 at 300 values); shorter arrays keep %
 _VECTOR_MIN = 1000
 
 
-def _float_cells(column: np.ndarray) -> tuple[str, list]:
-    """The ``%`` slot of a non-empty 1-D float array and the values that
-    fill it.
+def _float_cells(column: np.ndarray) -> tuple[bytes, list | None]:
+    """The bytes ``%`` slot of a non-empty 1-D float array and the values
+    that fill it.
 
     Neighbours with the same float64 bits form a run, and only the first
     value of each run is formatted: ``%.17g`` when finite, ``null`` (JSON
-    has no NaN or infinity) otherwise, repeated over its run as one ``str``
-    object into a ``%s`` slot.  Bits, not ``==``, decide a run, so ``-0.0``
-    beside ``0.0`` is two runs.  An array with more runs than half its
-    length is formatted value by value instead, since past that share the
-    runs save less than their loop costs: a finite one fills a ``%.17g``
-    slot (``"%.17g" % x == format(x, ".17g")``), and the final ``%``
-    formats it.  From ``_VECTOR_MIN`` values on, such an array, or the run
-    heads of any other, is formatted by ``_format_17g`` into ``%s`` cells.
+    has no NaN or infinity) otherwise, repeated over its run as one
+    ``bytes`` object into a ``%s`` slot.  Bits, not ``==``, decide a run,
+    so ``-0.0`` beside ``0.0`` is two runs.  An array that is one run is
+    its head's text, a literal of the template, with no cells (``None``).
+    An array with more runs than half its length is formatted value by
+    value instead, since past that share the runs save less than their
+    loop costs: a finite one fills a ``%.17g`` slot (``b"%.17g" % x ==
+    format(x, ".17g").encode()``), and the final ``%`` formats it.  From
+    ``_VECTOR_MIN`` values on, such an array, or the run heads of any
+    other, is formatted by ``_format_17g`` into ``%s`` cells.
     """
     column = np.ascontiguousarray(column, dtype=np.float64)
     bits = column.view(np.int64)
     starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    if 2 * len(starts) > len(column):
+    if 2 * len(starts) > len(column) > 1:
         if len(column) >= _VECTOR_MIN:
-            return "%s", _format_17g(column)
+            return b"%s", _format_17g(column)
         if np.isfinite(column).all():
-            return "%.17g", column.tolist()
+            return b"%.17g", column.tolist()
     heads = column[starts]
     if len(heads) >= _VECTOR_MIN:
         texts = _format_17g(heads)
     else:
-        texts = ["%.17g" % v if math.isfinite(v) else "null" for v in heads.tolist()]
+        texts = [b"%.17g" % v if math.isfinite(v) else b"null" for v in heads.tolist()]
+    if len(texts) == 1:
+        return texts[0], None
     runs = np.diff(np.append(starts, len(column)))
-    return "%s", np.repeat(np.array(texts, dtype=object), runs).tolist()
+    return b"%s", np.repeat(np.array(texts, dtype=object), runs).tolist()
 
 
 class _DigitTables(NamedTuple):
@@ -192,8 +197,8 @@ def _digit_tables() -> _DigitTables:
     )
 
 
-def _format_17g(x: np.ndarray) -> list[str]:
-    """``["%.17g" % v if math.isfinite(v) else "null" for v in x.tolist()]``
+def _format_17g(x: np.ndarray) -> list[bytes]:
+    """``[b"%.17g" % v if math.isfinite(v) else b"null" for v in x.tolist()]``
     for a 1-D float64 array, computed by array operations.
 
     Exponent.  For a = |x| in [1e-280, 1e290], X = floor(log10 a) is
@@ -225,8 +230,8 @@ def _format_17g(x: np.ndarray) -> list[str]:
     fixed form (-4 <= X < 17) writes D with 16 - X fraction digits, and
     the exponent form d.ddde+XX writes it as at X = 0, with the exponent
     (two or three digits) written after its last significant digit.  The
-    frame keeps only the words some row reaches, and one decode and one
-    ``split`` of its bytes give the strings.
+    frame keeps only the words some row reaches, and one ``split`` of its
+    bytes gives the tokens, as ``bytes``.
     """
     t = _digit_tables()
     a = np.abs(x)
@@ -313,10 +318,10 @@ def _format_17g(x: np.ndarray) -> list[str]:
         exponent = X[rows] + 400
         for k in range(5):
             flat[at + k] = t.exponents[k].take(exponent)
-    texts = flat.tobytes().decode("ascii").split()
+    texts = flat.tobytes().split()
     bad = np.flatnonzero(unsure & (x != 0.0))
     for i, v in zip(bad.tolist(), x[bad].tolist()):
-        texts[i] = "%.17g" % v if math.isfinite(v) else "null"
+        texts[i] = b"%.17g" % v if math.isfinite(v) else b"null"
     return texts
 
 
@@ -324,7 +329,8 @@ def render_json(obj, indent: int = 0) -> str:
     """``obj`` as JSON, nested containers indented two spaces a level.
 
     A list of Python floats is written from ``_float_cells``, one format
-    per run of equal values; any other list entry by entry.
+    per run of equal values, filled in bytes and decoded once; any other
+    list entry by entry.
     """
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -341,7 +347,7 @@ def render_json(obj, indent: int = 0) -> str:
         sep = ",\n" + pad + "  "
         if set(map(type, seq)) == {float}:
             slot, values = _float_cells(np.array(seq))
-            body = sep.join([slot] * len(seq)) % tuple(values)
+            body = (sep.encode().join([slot] * len(seq)) % tuple(values or ())).decode()
         else:
             body = sep.join(
                 render_json(v, indent + 1) if isinstance(v, _CONTAINERS) else _render_scalar(v) for v in seq
@@ -350,48 +356,51 @@ def render_json(obj, indent: int = 0) -> str:
     return _render_scalar(obj)
 
 
-def _column_cells(column) -> tuple[str, list | None]:
-    """The ``%`` slot of one row-table column and the values that fill it.
+def _column_cells(column) -> tuple[bytes, list | None]:
+    """The bytes ``%`` slot of one row-table column and the values that
+    fill it.
 
     An int array fills a ``%d`` slot, and a float array the slot of
-    ``_float_cells``: one format per run of equal values, and from
-    ``_VECTOR_MIN`` values or run heads on the strings of ``_format_17g``,
-    which equal ``%``'s.  A list of ``None`` only is a literal null of the
-    template and has no cells.  Any other column is rendered cell by cell.
+    ``_float_cells``: one format per run of equal values, one literal for
+    a single run, and from ``_VECTOR_MIN`` values or run heads on the
+    tokens of ``_format_17g``, which equal ``%``'s.  A list of ``None``
+    only is a literal null of the template and has no cells.  Any other
+    column is rendered cell by cell and encoded as utf-8.
     """
     if isinstance(column, np.ndarray):
         if column.dtype.kind in "iu":
-            return "%d", column.tolist()
+            return b"%d", column.tolist()
         if column.dtype.kind == "f":
             return _float_cells(column)
         values = column.tolist()
     else:
         values = column
         if values.count(None) == len(values):
-            return "null", None
-    return "%s", list(map(_render_scalar, values))
+            return b"null", None
+    return b"%s", [_render_scalar(v).encode() for v in values]
 
 
 def _render_rows(header: list[str], columns) -> str:
     """``render_json`` at indent 1 of the dicts ``zip(header, row)`` over the
     rows of ``columns``, one array or list per key of a non-empty header.
 
-    Every row shares one ``%`` template, with the keys escaped once and a
-    slot or literal per column (``_column_cells``).  The cells are
+    Every row shares one bytes ``%`` template, with the keys escaped once
+    and a slot or literal per column (``_column_cells``).  The cells are
     interleaved row by row into one flat list and the template, repeated
-    once per row, is filled by a single ``%``, with no Python step per row.
+    once per row, is filled by a single ``%``, with no Python step per row,
+    and decoded once (keys and rendered cells may be any utf-8).
     """
     n = len(columns[0])
     if not n:
         return "[]"
     slots, cells = zip(*map(_column_cells, columns))
-    keys = [_render_scalar(str(k)).replace("%", "%%") for k in header]
-    template = "    {\n" + ",\n".join(f"      {k}: {slot}" for k, slot in zip(keys, slots)) + "\n    }"
+    keys = [_render_scalar(str(k)).encode().replace(b"%", b"%%") for k in header]
+    template = b"    {\n" + b",\n".join(b"      " + k + b": " + slot for k, slot in zip(keys, slots)) + b"\n    }"
     filled = [c for c in cells if c is not None]
     flat = [None] * (n * len(filled))
     for j, column in enumerate(filled):
         flat[j :: len(filled)] = column
-    return "[\n" + ",\n".join([template] * n) % tuple(flat) + "\n  ]"
+    return "[\n" + (b",\n".join([template] * n) % tuple(flat)).decode() + "\n  ]"
 
 
 def _render_csv(header: list[str], rows) -> str:

@@ -700,9 +700,11 @@ def _minimal_params(l: np.ndarray, sequence: str = "") -> np.ndarray:
             return np.array([_minimal_params(row, sequence) for row in l])
         return m
     m = [0.0]
+    append, m_n = m.append, 0.0
     try:
         for l_n in l.tolist():
-            m.append(l_n / (1.0 - m[-1]))
+            m_n = l_n / (1.0 - m_n)
+            append(m_n)
     except ZeroDivisionError:  # Python's float division by 1 - m_{n-1} == 0
         raise ZeroDenominator(f"minimal parameter recurrence hits m_{len(m) - 1} = 1{sequence}") from None
     return np.array(m)

@@ -841,14 +841,15 @@ def picked_cells(draw, cells, size, run):
 
 @st.composite
 def row_tables(draw, sizes=st.integers(0, 5)):
-    """A header of distinct keys, some with %, ", \\, a comma or a newline
-    in them, and one column per key: an int or float array, a float array
-    built from runs, a list of None, or a list of None and floats, all of
-    one length drawn from ``sizes``, zero among them.  A table longer than
-    five rows picks its cells (``picked_cells``), in runs of one to three
-    for the column built from runs."""
+    """A header of distinct keys, some with %, ", \\, a comma, a newline or
+    a non-ASCII letter in them, and one column per key: an int or float
+    array, a float array built from runs, one value repeated, or a run of
+    0.0 beside a run of -0.0, a list of None, or a list of None and floats,
+    all of one length drawn from ``sizes``, zero among them.  A table
+    longer than five rows picks its cells (``picked_cells``), in runs of one
+    to three for the column built from runs."""
     n = draw(sizes)
-    header = draw(st.lists(st.text('ab%"\\,\n', max_size=3), min_size=1, max_size=4, unique=True))
+    header = draw(st.lists(st.text('ab%"\\,\nλ', max_size=3), min_size=1, max_size=4, unique=True))
     cells = {
         "int": st.integers(-(2**63), 2**63 - 1).map(np.int64),
         "float": FLOATS,
@@ -857,10 +858,16 @@ def row_tables(draw, sizes=st.integers(0, 5)):
     }
     columns = []
     for _ in header:
-        kind = draw(st.sampled_from([*cells, "runs"]))
+        kind = draw(st.sampled_from([*cells, "runs", "constant", "zeros"]))
         if kind == "runs":
             runs = float_runs(n) if n <= 5 else picked_cells(RUN_VALUES, n, draw(st.integers(1, 3)))
             columns.append(np.array(draw(runs), dtype=float))
+            continue
+        if kind in ("constant", "zeros"):
+            # one bit pattern is a literal of the template; 0.0 and -0.0 are two
+            first = draw(RUN_VALUES) if kind == "constant" else draw(st.sampled_from([0.0, -0.0]))
+            split = n if kind == "constant" else draw(st.integers(1, max(n - 1, 1)))
+            columns.append(np.array([first] * split + [-first] * (n - split), dtype=float)[:n])
             continue
         if n <= 5:
             column = draw(st.lists(cells[kind], min_size=n, max_size=n))
@@ -917,9 +924,11 @@ def test_float_lists_match_their_entries(values, indent):
 
 
 def test_runs_are_written_from_one_string(monkeypatch, capsys):
-    slot, cells = cli._column_cells(np.full(10_000, 0.1))
-    assert slot == "%s" and len(cells) == 10_000 and cells[0] == "0.10000000000000001"
-    assert all(cell is cells[0] for cell in cells)
+    # one run is one literal of the template, with no cells
+    assert cli._column_cells(np.full(10_000, 0.1)) == (b"0.10000000000000001", None)
+    slot, cells = cli._column_cells(np.repeat([0.1, 0.2], 5_000))
+    assert slot == b"%s" and len(cells) == 10_000 and cells[0] == b"0.10000000000000001"
+    assert all(cell is cells[0] for cell in cells[:5_000]) and all(cell is cells[-1] for cell in cells[5_000:])
     # the chain's l echo, and its rows' l_n and complementary_k_n
     written = []
     float_cells = cli._float_cells
@@ -930,9 +939,12 @@ def test_runs_are_written_from_one_string(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "_float_cells", spy)
     assert cli.main(["chain", "--l-const", "0.25", "--n-max", "10000"]) == 0
-    assert json.loads(capsys.readouterr().out)["config_echo"]["l"] == [0.25] * 10_000
-    runs = [cells[0] for slot, cells in written if slot == "%s" and all(cell is cells[0] for cell in cells)]
-    assert sorted(runs) == ["0.25", "0.25", "0.75"]
+    report = json.loads(capsys.readouterr().out)
+    assert report["config_echo"]["l"] == [0.25] * 10_000
+    rows = report["rows"]
+    assert len(rows) == 10_000 and {(r["l_n"], r["complementary_k_n"]) for r in rows} == {(0.25, 0.75)}
+    runs = [slot for slot, cells in written if cells is None]
+    assert sorted(runs) == [b"0.25", b"0.25", b"0.75"]
 
 
 # ---------------------------------------------------------------------------
@@ -979,12 +991,12 @@ NEAR_TIES = [
 
 def test_vector_format_is_percent_on_hard_cases():
     x = _hard_cases()
-    assert cli._format_17g(x) == _percent_17g(x)
-    assert cli._format_17g(-x) == _percent_17g(-x)
+    assert cli._format_17g(x) == [s.encode() for s in _percent_17g(x)]
+    assert cli._format_17g(-x) == [s.encode() for s in _percent_17g(-x)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
 def test_vector_format_is_percent_on_raw_bits(bits):
     x = np.array(bits, dtype=np.uint64).view(np.float64)
-    assert cli._format_17g(x) == _percent_17g(x)
+    assert cli._format_17g(x) == [s.encode() for s in _percent_17g(x)]
