@@ -304,9 +304,10 @@ def evaluate_cf(b, z, depth: int):
     return _list_fraction(list(map(float, b)), z, depth)
 
 
-# Each coefficient formula below is written once, for numbers and for arrays
-# alike: a scalar call runs it on Python floats, an array call on columns,
-# and both take k as floats, so that every operation is one of floats.
+# Each coefficient formula below is written once as a helper, run on columns
+# by the array builders.  The scalar lists spell it inline on Python floats,
+# in the helpers' operation order and with k as floats, so that each scalar
+# numerator is bitwise its array entry (test_scalar_numerator_lists_match_the_helpers).
 # A denominator r + (2k - c) adds an exact integer to r, so it is zero only
 # at r = c - 2k exactly, a nonpositive integer that the callers reject.
 
@@ -380,17 +381,23 @@ def gauss_cf_ratio(p, q, r, z, depth: int = 60):
     q_ends = q <= 0 and float(q).is_integer()
     if not (p_ends or q_ends) and abs(z) >= 1.0:
         raise Divergent(f"non-terminating ratio needs |z| < 1, got z={z}")
+    return _list_fraction(_gauss_list(p, q, r, depth), z, depth)
+
+
+def _gauss_list(p, q, r, depth: int) -> list:
+    """``_gauss_table`` for numbers p, q, r: Python floats b_1..b_end, b_end
+    the first zero b_{-2p} or b_{1-2q} that p or q gives, or b_{depth+10}."""
     p, q, r = float(p), float(q), float(r)
-    # the first zero numerator is b_{-2p} (p < 0) or b_{1-2q}, as for an array
-    p_end = -2.0 * p if p_ends and p < 0.0 else math.inf
-    end = _list_end(depth, p_end, 1.0 - 2.0 * q if q_ends else math.inf)
+    p_end = -2.0 * p if p < 0.0 and p.is_integer() else math.inf
+    end = _list_end(depth, p_end, 1.0 - 2.0 * q if q <= 0.0 and q.is_integer() else math.inf)
     b, g_even = [], 0.0  # g_0 = 0; then b_{2k-1} and b_{2k} per step
     for k in map(float, range(1, (end + 1) // 2 + 1)):
-        g_odd, g_prev = _g_odd(q, r, k), g_even
-        g_even = _g_even(p, r, k)
-        b += _g_numerator(g_prev, g_odd), _g_numerator(g_odd, g_even)
+        g_odd = (q + k - 1.0) / (r + (2.0 * k - 2.0))
+        b_odd = -((1.0 - g_even) * g_odd)
+        g_even = (p + k) / (r + (2.0 * k - 1.0))
+        b += b_odd, -((1.0 - g_odd) * g_even)
     del b[end:]
-    return _list_fraction(b, z, depth)
+    return b
 
 
 def _d_even(p, r, k):
@@ -426,9 +433,11 @@ def _kummer_list(p, r, depth: int) -> list:
     is the first zero d_{-2p} (p a negative integer) or d_{depth+10}."""
     p, r = float(p), float(r)
     end = _list_end(depth, -2.0 * p if p < 0.0 and p.is_integer() else math.inf)
-    d = [1.0 / r]  # then two entries per step
+    # then d_{2k}, d_{2k+1} per step; r + 2k is the next step's r + (2k - 2), as 2k is exact
+    d, r_2k, r_p = [1.0 / r], r + 0.0, r - p
     for k in map(float, range(1, end // 2 + 1)):
-        d += _d_even(p, r, k), _d_odd(p, r, k + 1.0)
+        r_even, r_odd, r_2k = r_2k, r + (2.0 * k - 1.0), r + 2.0 * k
+        d += -(p + k) / (r_odd * r_even), (r_p + (k + 1.0) - 2.0) / (r_odd * r_2k)
     del d[end:]
     return d
 
@@ -707,7 +716,7 @@ def _minimal_params(l: np.ndarray, sequence: str = "") -> np.ndarray:
             append(m_n)
     except ZeroDivisionError:  # Python's float division by 1 - m_{n-1} == 0
         raise ZeroDenominator(f"minimal parameter recurrence hits m_{len(m) - 1} = 1{sequence}") from None
-    return np.array(m)
+    return np.fromiter(m, np.float64, len(m))
 
 
 def chain_params(l, n_max: int | None = None) -> ChainSequence:

@@ -12,7 +12,9 @@ quasi and recovery suites evaluate each family through such tables, so their
 ratios suite's ``eval_table`` calls; a repeated op solves no rule, since
 its shared family holds them.  The ratios suite's series rows are
 summed in one term table per call and cut, a cut's table holding only the
-rows still running, and none of them one by one."""
+rows still running, and none of them one by one.  A scalar continued
+fraction forms its numerators with no call to the coefficient helpers,
+which an array fraction calls once per table."""
 
 import contextlib
 import io
@@ -78,16 +80,10 @@ def test_recovery_suite_builds(builds):
     assert dict(builds) == expected
 
 
-@pytest.fixture
-def calls(monkeypatch):
+def _count_calls(monkeypatch, functions):
+    """Wrap each (module, name) so that a call counts under its name."""
     counts = Counter()
-    for module, name in (
-        (ratios, "evaluate_cf"),
-        (ratios, "_list_fraction"),
-        (ratios, "hyp_series"),
-        (ratios, "confluent_cd"),
-        (quasi, "difference_equation_residual"),
-    ):
+    for module, name in functions:
         fn = getattr(module, name)
 
         def wrapper(*args, name=name, fn=fn, **kwargs):
@@ -96,6 +92,20 @@ def calls(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
     return counts
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    return _count_calls(
+        monkeypatch,
+        [
+            (ratios, "evaluate_cf"),
+            (ratios, "_list_fraction"),
+            (ratios, "hyp_series"),
+            (ratios, "confluent_cd"),
+            (quasi, "difference_equation_residual"),
+        ],
+    )
 
 
 @pytest.mark.parametrize(
@@ -129,6 +139,36 @@ def test_ratios_suite_calls(calls, flags, expected):
     # summing only the draws still missing, round after round, made 6 or 7
     _run(["verify", "--suite", "ratios", *flags])
     assert dict(calls) == expected
+
+
+@pytest.fixture
+def coefficient_helpers(monkeypatch):
+    names = ("_g_even", "_g_odd", "_g_numerator", "_d_even", "_d_odd")
+    return _count_calls(monkeypatch, [(ratios, name) for name in names])
+
+
+@pytest.mark.parametrize(
+    "fraction, args",
+    [
+        (ratios.gauss_cf_ratio, (0.5, 1.5, 2.5, 0.3)),
+        (ratios.kummer_cf_ratio, (0.7, 1.9, 0.8)),
+        (ratios.laguerre_ratio_cf, (0.5, 12, 0.4)),
+        (ratios.jacobi_ratio_cf, (0.3, 0.7, 12, 0.4)),
+    ],
+)
+def test_scalar_fractions_form_their_numerators_inline(coefficient_helpers, fraction, args):
+    # one helper call per coefficient and per numerator made 40,960 calls
+    # per ratio-tables batch for about 30,000 numerators
+    fraction(*args)
+    assert not coefficient_helpers
+
+
+def test_array_fractions_build_their_tables_through_the_helpers(coefficient_helpers):
+    # one call of each helper on the whole (K, m) table
+    ratios.gauss_cf_ratio(0.5, 1.5, 2.5, np.array([0.3, 0.4]))
+    assert dict(coefficient_helpers) == {"_g_even": 1, "_g_odd": 1, "_g_numerator": 1}
+    ratios.kummer_cf_ratio(0.7, 1.9, np.array([0.3, 0.4]))
+    assert dict(coefficient_helpers) == {"_g_even": 1, "_g_odd": 1, "_g_numerator": 1, "_d_even": 1, "_d_odd": 1}
 
 
 def test_a_ratios_check_rarely_needs_a_second_round(monkeypatch):

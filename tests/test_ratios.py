@@ -490,6 +490,41 @@ def test_scalar_kummer_fractions_match_numerators_built_by_index(p, r, z, depth,
     assert _outcome(lambda: ratios.laguerre_ratio_cf(gamma, n, z, depth)[0]) == expected
 
 
+def _indexed_hex(xs):
+    return [(j, x.hex()) for j, x in enumerate(xs, 1)]
+
+
+@pytest.mark.parametrize("depth", [1, 10, 60])
+def test_scalar_numerator_lists_match_the_helpers(depth):
+    # the scalar lists spell the helpers' formulas inline: each entry must be
+    # the helpers' bits, and a mismatch names its index j.  An oracle list
+    # stops at its first zero, which an accidental zero puts before the end
+    rng = np.random.default_rng(depth)
+    near = [math.nextafter(-2.0, -3.0), math.nextafter(-2.0, 0.0), -1.0 + 2.0**-40, 1e-17, 5e-324]
+
+    def draw():
+        kind = rng.integers(3)
+        if kind == 0:
+            return float(rng.integers(-40, 1))
+        return float(rng.uniform(-40.0, 40.0)) if kind == 1 else float(rng.choice(near))
+
+    for i in range(60):
+        p, q, r = draw(), draw(), draw()
+        if r <= 0.0 and r.is_integer():
+            r = near[i % len(near)]
+        if i % 4 == 0:  # g_{2k-1} = 1, so b_{2k} = 0; and d_{2k-1} = 0
+            k = float(rng.integers(1, 31))
+            q, p = r + k - 1.0, r + k - 2.0
+        pairs = (
+            (ratios._gauss_list(p, q, r, depth), lambda m: gauss_numerators(p, q, r, m)),
+            (ratios._kummer_list(p, r, depth), lambda m: kummer_d_list(p, r, m)),
+        )
+        for got, oracle in pairs:
+            want = oracle(len(got))
+            assert _indexed_hex(got[: len(want)]) == _indexed_hex(want), (p, q, r)
+            assert len(want) == len(got) or want[-1] == 0.0
+
+
 @pytest.mark.parametrize("b", [[0.5, 0.25], [0.5, 0.0, 0.25], [0.0, 0.0]])
 def test_cf_short_numerators_must_end_at_their_first_zero(b):
     with pytest.raises(ValueError, match="need 11 partial numerators"):
